@@ -13,25 +13,39 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import assess, planner, reporting, simulator
-from .pipeline import (PipelineConfig, StageError, map_from_sonar,
-                       read_trajectory_csv, run_pipeline, stage_rng,
-                       steps_from_trace)
-from .refiner import refine
-from .scenario import (format_scenario, ground_to_mdp, load_scenario,
-                       read_plan_file, write_plan_file, PlanFile)
-from .occupancy import extract_problem
+from . import assess, reporting, simulator
+from .pipeline import (PipelineConfig, StageError, map_from_sonar, plan_candidates,
+                       read_trajectory_csv, run_pipeline, write_candidate_plan)
+from .refiner import parse_plan_steps, refine
+from .scenario import format_scenario, ground_to_mdp, load_scenario, read_plan_file
+from .occupancy import DEFAULT_KAPPA, extract_problem
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 
+# Flags that set a PipelineConfig or DisturbanceConfig field carry its name
+# as their dest and default to None, meaning "not given": the dataclass
+# supplies every default, so no default is written twice.
+SWEEP_FLAGS = ("out_dir", "master_seed", "gamma_samples", "gamma_low",
+               "gamma_high", "collision_cost")
+PIPELINE_FLAGS = SWEEP_FLAGS + ("episodes", "from_sonar")
+DISTURBANCE_FLAGS = ("current_sigma", "obstacle_sigma", "recovery_penalty_s",
+                     "perturb_target", "perturb_all")
+
 
 def _fail(message: str, code: int) -> int:
     print(json.dumps({"error": message, "exit_code": code}), file=sys.stderr)
     return code
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that the command line set; the perturb
+    target "none" stands for no target."""
+    given = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    if given.get("perturb_target") == "none":
+        given["perturb_target"] = None
+    return given
 
 
 def _load_scenario_or_fail(path):
@@ -68,37 +82,15 @@ def cmd_plan(args) -> int:
     scenario = _load_scenario_or_fail(args.scenario)
     if scenario is None:
         return EXIT_INPUT
-    mdp = ground_to_mdp(scenario)
-    candidates = planner.generate_candidates(
-        mdp, args.samples, (args.gamma_low, args.gamma_high),
-        rng=stage_rng(args.seed, "plan"),
-        failure_cost=args.collision_cost)
-    out = Path(args.out_dir)
+    cfg = PipelineConfig.from_doc({"scenario_path": args.scenario, "master_seed": 0,
+                                   **_given(args, SWEEP_FLAGS)})
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for cand in candidates:
-        write_plan_file(PlanFile(
-            plan_id=cand.plan.id,
-            gamma=cand.first_gamma,
-            actions=cand.plan.linearization,
-            high_level_length=len(cand.plan.linearization),
-            planning_time_s=round(cand.planning_time_s, 1),
-        ), out / f"plan_{cand.plan.id}.json")
+    for cand in plan_candidates(ground_to_mdp(scenario), cfg):
+        write_candidate_plan(cand, out)
         print(f"{cand.plan.id}: gamma={cand.first_gamma:.3f} "
               f"steps={len(cand.plan.linearization)}")
     return EXIT_OK
-
-
-def _steps_from_labels(actions: list[str]) -> list[tuple[str, str]]:
-    steps = []
-    for label in actions:
-        kind, _, name = label.partition(" ")
-        if kind == "goto":
-            steps.append(("goto", name))
-        elif kind == "inspect":
-            steps.append(("inspect", name))
-        else:
-            raise ValueError(f"unrecognized plan action {label!r}")
-    return steps
 
 
 def cmd_refine(args) -> int:
@@ -106,7 +98,7 @@ def cmd_refine(args) -> int:
     if scenario is None:
         return EXIT_INPUT
     plan = read_plan_file(args.plan)
-    traj = refine(scenario, _steps_from_labels(plan.actions), plan_id=plan.plan_id)
+    traj = refine(scenario, parse_plan_steps(plan.actions), plan_id=plan.plan_id)
     traj.export_csv(args.out)
     print(f"wrote {args.out}: {traj.total_length:.2f} m, "
           f"{traj.nominal_duration:.1f} s nominal")
@@ -118,14 +110,9 @@ def cmd_simulate(args) -> int:
     if scenario is None:
         return EXIT_INPUT
     traj = read_trajectory_csv(args.trajectory, plan_id=args.plan_id)
-    cfg = simulator.DisturbanceConfig(
-        current_sigma=args.current_sigma,
-        obstacle_sigma=args.obstacle_sigma,
-        recovery_penalty_s=args.recovery_penalty,
-        perturb_target=args.perturb_target,
-        perturb_all=args.perturb_all,
-    )
-    records = simulator.run_batch(traj, scenario, cfg, n=args.episodes,
+    cfg = simulator.DisturbanceConfig(**_given(args, DISTURBANCE_FLAGS))
+    n = PipelineConfig.episodes if args.episodes is None else args.episodes
+    records = simulator.run_batch(traj, scenario, cfg, n=n,
                                   master_seed=args.seed, plan_id=args.plan_id)
     simulator.write_episode_log(records, args.out)
     done = sum(1 for r in records if r.completed)
@@ -156,31 +143,19 @@ def cmd_select(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    doc = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-        doc.setdefault("scenario_path", args.scenario)
-        doc.setdefault("out_dir", args.out_dir)
-        if args.seed is not None:
-            doc["master_seed"] = args.seed
-        cfg = PipelineConfig.from_doc(doc)
-    else:
-        if args.seed is None:
-            return _fail("--seed is required", EXIT_INPUT)
-        cfg = PipelineConfig(
-            scenario_path=args.scenario,
-            out_dir=args.out_dir,
-            master_seed=args.seed,
-            gamma_samples=args.samples,
-            gamma_low=args.gamma_low,
-            gamma_high=args.gamma_high,
-            episodes=args.episodes,
-            collision_cost=args.collision_cost,
-            from_sonar=args.from_sonar,
-            disturbance=simulator.DisturbanceConfig(
-                perturb_target=None if args.perturb_target == "none"
-                else args.perturb_target),
-        )
+    doc.setdefault("scenario_path", args.scenario)
+    doc.setdefault("out_dir", "out")
+    doc.update(_given(args, PIPELINE_FLAGS))
+    disturbance = _given(args, ("perturb_target",))
+    if disturbance:
+        doc["disturbance"] = {**doc.get("disturbance", {}), **disturbance}
+    if "master_seed" not in doc:
+        return _fail("--seed is required", EXIT_INPUT)
+    cfg = PipelineConfig.from_doc(doc)
     result = run_pipeline(cfg)
     print(f"candidates: {len(result.candidates)}; selected: {result.selected}")
     print(f"artifacts in {cfg.out_dir}")
@@ -227,6 +202,17 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+PERTURB_TARGET_HELP = "obstacle label displaced per episode; 'none' disables"
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, dest="master_seed")
+    p.add_argument("--samples", type=int, dest="gamma_samples")
+    p.add_argument("--gamma-low", type=float)
+    p.add_argument("--gamma-high", type=float)
+    p.add_argument("--collision-cost", type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskplan",
@@ -238,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--out", default="grid.csv")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
+    p.add_argument("--noise-sigma", type=float, default=PipelineConfig.sonar_noise_sigma)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("gen-problem",
@@ -246,18 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--out", default="problem.scn")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
-    p.add_argument("--kappa", type=float, default=0.3)
+    p.add_argument("--noise-sigma", type=float, default=PipelineConfig.sonar_noise_sigma)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.set_defaults(func=cmd_gen_problem)
 
     p = sub.add_parser("plan", help="generate deduplicated candidate plans")
     p.add_argument("scenario")
     p.add_argument("--out-dir", default="plans")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--gamma-low", type=float, default=0.4)
-    p.add_argument("--gamma-high", type=float, default=1.0)
-    p.add_argument("--collision-cost", type=float, default=12.0)
+    _add_sweep_flags(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("refine", help="refine a plan file into a trajectory CSV")
@@ -271,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trajectory")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--plan-id", default="P1")
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--current-sigma", type=float, default=0.05)
-    p.add_argument("--obstacle-sigma", type=float, default=0.3)
-    p.add_argument("--recovery-penalty", type=float, default=20.0)
-    p.add_argument("--perturb-target", default=None)
-    p.add_argument("--perturb-all", action="store_true")
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--current-sigma", type=float)
+    p.add_argument("--obstacle-sigma", type=float)
+    p.add_argument("--recovery-penalty", type=float, dest="recovery_penalty_s")
+    p.add_argument("--perturb-target", help=PERTURB_TARGET_HELP)
+    p.add_argument("--perturb-all", action="store_true", default=None)
     p.add_argument("--out", default="episodes.jsonl")
     p.set_defaults(func=cmd_simulate)
 
@@ -295,17 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full flow end to end")
     p.add_argument("scenario")
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON PipelineConfig")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--gamma-low", type=float, default=0.4)
-    p.add_argument("--gamma-high", type=float, default=1.0)
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--collision-cost", type=float, default=12.0)
-    p.add_argument("--from-sonar", action="store_true")
-    p.add_argument("--perturb-target", default="sm_tank",
-                   help="obstacle label displaced per episode; 'none' disables")
+    p.add_argument("--out-dir", help="default: out")
+    p.add_argument("--config", help="JSON PipelineConfig; flags override it")
+    _add_sweep_flags(p)
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--from-sonar", action="store_true", default=None)
+    p.add_argument("--perturb-target", help=PERTURB_TARGET_HELP)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("scaling", help="corridor scaling study")

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 PROB_TOL = 1e-9
 # accumulated real-valued costs are grouped at this granularity to keep
 # the distribution support finite
@@ -35,8 +33,6 @@ class ImproperPolicy(Exception):
 @dataclass(frozen=True)
 class StateSpec:
     id: str
-    label: str = ""
-    is_goal: bool = False
     cost: float = 0.0
 
 
@@ -68,16 +64,18 @@ class Mdp:
     goals: frozenset[str]
 
     _state_by_id: dict[str, StateSpec] = field(init=False, repr=False)
-    _action_ids: set[str] = field(init=False, repr=False)
     _outgoing: dict[tuple[str, str], list[TransitionSpec]] = field(init=False, repr=False)
+    _enabled: dict[str, list[str]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.goals = frozenset(self.goals)
         self._state_by_id = {s.id: s for s in self.states}
-        self._action_ids = {a.id for a in self.actions}
         self._outgoing = {}
         for t in self.transitions:
             self._outgoing.setdefault((t.source, t.action), []).append(t)
+        self._enabled = {}
+        for s, a in sorted(self._outgoing):
+            self._enabled.setdefault(s, []).append(a)
 
     def state(self, state_id: str) -> StateSpec:
         return self._state_by_id[state_id]
@@ -89,11 +87,8 @@ class Mdp:
         return self._outgoing.get((state_id, action_id), [])
 
     def enabled_actions(self, state_id: str) -> list[str]:
-        seen = []
-        for (s, a), _ in self._outgoing.items():
-            if s == state_id and a not in seen:
-                seen.append(a)
-        return sorted(seen)
+        """Actions with transitions out of the state, sorted by id."""
+        return self._enabled.get(state_id, [])
 
 
 @dataclass
@@ -308,78 +303,3 @@ def reward_distribution_exact(
                 push(t, c + step, prob * q)
     residual += sum(frontier.values())
     return RewardDistribution(mass, residual)
-
-
-def goal_reach_probability(chain: MarkovChain, tol: float = 1e-12) -> float:
-    """Probability of ever entering a goal from the start state."""
-    reach = _can_reach_goal(chain, chain.goals)
-    reachable_from_start = set()
-    stack = [chain.start]
-    while stack:
-        s = stack.pop()
-        if s in reachable_from_start:
-            continue
-        reachable_from_start.add(s)
-        if s in chain.goals:
-            continue
-        for t, q in chain.edges.get(s, ()):
-            if q > 0.0:
-                stack.append(t)
-    # finite chain: goal reached w.p. 1 iff every state reachable from the
-    # start can still reach a goal
-    if reachable_from_start <= reach:
-        return 1.0
-    dist = reward_distribution_exact(chain, epsilon=tol)
-    return sum(dist.mass.values())
-
-
-def expected_cost(
-    chain: MarkovChain,
-    goals: frozenset[str] | None = None,
-    tolerance: float = 1e-10,
-    max_sweeps: int = 10**6,
-) -> float:
-    """Expected cumulative cost at first goal entry, by fixed-point sweeps."""
-    goals = chain.goals if goals is None else goals
-    if goal_reach_probability(chain) < 1.0 - PROB_TOL:
-        raise ImproperPolicy(
-            f"goal-reaching probability from {chain.start!r} is below 1"
-        )
-    value = {s: 0.0 for s in chain.states}
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for s in chain.states:
-            if s in goals:
-                continue
-            new = chain.costs.get(s, 0.0) + sum(
-                q * value[t] for t, q in chain.edges.get(s, ())
-            )
-            delta = max(delta, abs(new - value[s]))
-            value[s] = new
-        if delta < tolerance:
-            return value[chain.start]
-    raise NonConvergence(f"expected-cost sweeps did not converge after {max_sweeps}")
-
-
-def sample_history(
-    chain: MarkovChain,
-    goals: frozenset[str] | None = None,
-    rng: np.random.Generator | None = None,
-    step_cap: int = 10_000,
-) -> tuple[float, bool]:
-    """Simulate one run of the chain; deterministic in the rng stream."""
-    if step_cap < 1:
-        raise ValueError("step cap must be >= 1")
-    goals = chain.goals if goals is None else goals
-    rng = np.random.default_rng() if rng is None else rng
-    s = chain.start
-    total = 0.0
-    for _ in range(step_cap):
-        if s in goals:
-            return total, True
-        total += chain.costs.get(s, 0.0)
-        outs = chain.edges.get(s, [])
-        targets = [t for t, _ in outs]
-        probs = np.array([q for _, q in outs])
-        s = targets[rng.choice(len(targets), p=probs / probs.sum())]
-    return total, s in goals

@@ -13,16 +13,17 @@ import csv
 import hashlib
 import json
 import math
-import time
 import zlib
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import assess, planner, simulator
+from .mdp import Mdp
 from .occupancy import BeamFan, VoxelGrid, extract_problem, integrate_scan, synthesize_scans
-from .refiner import HelixSpec, Trajectory, TrajectorySample, refine
+from .refiner import (HelixSpec, Trajectory, TrajectorySample, low_level_length_of,
+                      parse_plan_steps, refine)
 from .scenario import (ParseResult, PlanFile, Scenario, ground_to_mdp,
                        load_scenario, write_plan_file)
 from .simulator import DisturbanceConfig
@@ -67,17 +68,13 @@ class PipelineConfig:
             raise ValueError("gamma interval must lie inside (0,1]")
 
     def to_doc(self) -> dict:
-        doc = asdict(self)
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
         doc = dict(doc)
         if "disturbance" in doc and isinstance(doc["disturbance"], dict):
-            dist = dict(doc["disturbance"])
-            if isinstance(dist.get("perturb_target"), str) or dist.get("perturb_target") is None:
-                pass
-            doc["disturbance"] = DisturbanceConfig(**dist)
+            doc["disturbance"] = DisturbanceConfig(**doc["disturbance"])
         if "metrics" in doc and isinstance(doc["metrics"], dict):
             doc["metrics"] = assess.MetricConfig(**doc["metrics"])
         if "helix" in doc and isinstance(doc["helix"], dict):
@@ -96,19 +93,6 @@ def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
         np.random.SeedSequence([master_seed, zlib.crc32(stage.encode("utf-8"))]))
 
 
-def steps_from_trace(trace: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Map grounded action ids back to refiner steps."""
-    steps = []
-    for _, action in trace:
-        if action.startswith("move:"):
-            steps.append(("goto", action.split("->", 1)[1]))
-        elif action.startswith("inspect:"):
-            steps.append(("inspect", action.split(":", 1)[1]))
-        else:
-            raise ValueError(f"unrecognized grounded action {action!r}")
-    return steps
-
-
 def read_trajectory_csv(path, plan_id: str = "") -> Trajectory:
     samples = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -117,14 +101,11 @@ def read_trajectory_csv(path, plan_id: str = "") -> Trajectory:
                                             (float(row["x"]), float(row["y"]),
                                              float(row["z"])),
                                             float(row["v"])))
-    length = sum(math.dist(a.position, b.position)
-                 for a, b in zip(samples, samples[1:]))
     duration = samples[-1].time if samples else 0.0
-    return Trajectory(samples, length, duration, plan_id)
+    return Trajectory(samples, low_level_length_of(samples), duration, plan_id)
 
 
-def map_from_sonar(scenario: Scenario, master_seed: int,
-                   noise_sigma: float = 0.05) -> VoxelGrid:
+def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> VoxelGrid:
     """Survey the scene with a synthetic sonar sweep and build the grid."""
     pts = [w.position for w in scenario.waypoints]
     pts += [o.center for o in scenario.obstacles]
@@ -154,6 +135,22 @@ def map_from_sonar(scenario: Scenario, master_seed: int,
     for scan in scans:
         integrate_scan(grid, scan)
     return grid
+
+
+def plan_candidates(mdp: Mdp, cfg: PipelineConfig) -> list[planner.Candidate]:
+    """The configured gamma sweep, on the master seed's "plan" stream."""
+    return planner.generate_candidates(
+        mdp, cfg.gamma_samples, (cfg.gamma_low, cfg.gamma_high),
+        rng=stage_rng(cfg.master_seed, "plan"), failure_cost=cfg.collision_cost)
+
+
+def write_candidate_plan(cand: planner.Candidate, out_dir: Path,
+                         trajectory_ref: str | None = None):
+    actions = cand.plan.linearization
+    write_plan_file(PlanFile(plan_id=cand.plan.id, gamma=cand.first_gamma,
+                             actions=actions, high_level_length=len(actions),
+                             trajectory_ref=trajectory_ref),
+                    out_dir / f"plan_{cand.plan.id}.json")
 
 
 def _stamp(doc: dict, cfg: PipelineConfig) -> dict:
@@ -195,45 +192,29 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     mdp = ground_to_mdp(scenario)
 
-    t0 = time.perf_counter()
-    candidates = planner.generate_candidates(
-        mdp, cfg.gamma_samples, (cfg.gamma_low, cfg.gamma_high),
-        rng=stage_rng(cfg.master_seed, "plan"),
-        failure_cost=cfg.collision_cost)
-    total_planning = time.perf_counter() - t0
+    candidates = plan_candidates(mdp, cfg)
 
     trajectories: dict[str, Trajectory] = {}
     episode_records: dict[str, list[simulator.EpisodeRecord]] = {}
     samples_by_plan: dict[str, list[float]] = {}
     summary_rows: list[dict] = []
 
-    index = {"gammas": [], "dedup": {}, "planning_time_s": {},
-             "total_planning_time_s": round(total_planning, 1)}
+    index = {"gammas": [], "dedup": {}}
     for cand in candidates:
-        pid = cand.plan.id
-        index["planning_time_s"][pid] = round(cand.planning_time_s, 1)
         for g in cand.gammas:
             index["gammas"].append(g)
-            index["dedup"][f"{g:.12f}"] = pid
+            index["dedup"][f"{g:.12f}"] = cand.plan.id
     index["gammas"].sort()
 
     for cand in candidates:
         pid = cand.plan.id
-        trace = planner.linearize_trace(mdp, cand.plan)
-        steps = steps_from_trace(trace)
-        traj = refine(scenario, steps, plan_id=pid, helix=cfg.helix)
+        traj = refine(scenario, parse_plan_steps(cand.plan.linearization),
+                      plan_id=pid, helix=cfg.helix)
         trajectories[pid] = traj
         traj_path = out / f"trajectory_{pid}.csv"
         traj.export_csv(traj_path)
 
-        write_plan_file(PlanFile(
-            plan_id=pid,
-            gamma=cand.first_gamma,
-            actions=cand.plan.linearization,
-            high_level_length=len(cand.plan.linearization),
-            planning_time_s=round(cand.planning_time_s, 1),
-            trajectory_ref=traj_path.name,
-        ), out / f"plan_{pid}.json")
+        write_candidate_plan(cand, out, trajectory_ref=traj_path.name)
 
         records = simulator.run_batch(traj, scenario, cfg.disturbance,
                                       n=cfg.episodes, master_seed=cfg.master_seed,
@@ -254,7 +235,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         summary_rows.append({
             "id": pid,
             "plan_schema": " -> ".join(cand.plan.linearization),
-            "planning_time_s": f"{round(cand.planning_time_s, 1):.1f}",
             "high_level_length": len(cand.plan.linearization),
             "low_level_length_m": f"{trajectories[pid].total_length:.2f}",
             "mean_s": f"{m['mean']:.2f}",

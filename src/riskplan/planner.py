@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Mdp, Plan, TransitionSpec
+from .mdp import ImproperPolicy, Mdp, NonConvergence, Plan
 
 INF = math.inf
 
@@ -28,63 +28,15 @@ class NoProperPolicy(Exception):
     pass
 
 
-class NonConvergence(Exception):
-    pass
-
-
-class ImproperPolicy(Exception):
-    pass
-
-
-@dataclass
-class TransformedModel:
-    """Literal reshaped transition system: weights p * (-gamma^cost(source))."""
-
-    states: list[str]
-    actions: list[str]
-    transitions: list[TransitionSpec]  # probability field holds the pseudo-probability
-    start: str
-    gamma: float
-
-
-@dataclass
-class ValueTable:
-    """Disutility fixed point; goal value 1, dead ends +inf."""
-
-    values: dict[str, float]
-    gamma: float
-
-    def __getitem__(self, state: str) -> float:
-        return self.values[state]
-
-
 @dataclass
 class Candidate:
     plan: Plan
     gammas: list[float]  # every sampled gamma that produced this policy
-    planning_time_s: float
+    solve_times: list[float]  # wall seconds of each gamma's solve, same order
 
     @property
     def first_gamma(self) -> float:
         return self.gammas[0]
-
-
-def transform(m: Mdp, gamma: float) -> TransformedModel:
-    """Apply the pseudo-probability reshaping to every transition."""
-    if not (0.0 < gamma < 1.0):
-        raise GammaOutOfRange(f"gamma must be in (0,1), got {gamma}")
-    reshaped = [
-        TransitionSpec(t.source, t.action, t.target,
-                       t.probability * -(gamma ** m.cost(t.source)))
-        for t in m.transitions
-    ]
-    return TransformedModel(
-        states=[s.id for s in m.states],
-        actions=[a.id for a in m.actions],
-        transitions=reshaped,
-        start=m.start,
-        gamma=gamma,
-    )
 
 
 def _goal_reaching_states(m: Mdp) -> set[str]:
@@ -110,40 +62,35 @@ def solve(
     tolerance: float = 1e-10,
     max_sweeps: int = 10**6,
     failure_cost: float | None = None,
-) -> tuple[ValueTable, Plan]:
+) -> tuple[dict[str, float], Plan]:
     """Exponential-disutility value iteration with greedy plan extraction.
 
     V(s) = min over actions of sum_s' P(s,a,s') * gamma^(-cost(s)) * V(s'),
-    V(goal) = 1.  Dead ends are +inf unless ``failure_cost`` is given, in
+    V(goal) = 1: the pseudo-probability reshaping of Koenig & Simmons (1994),
+    applied inline.  Dead ends are +inf unless ``failure_cost`` is given, in
     which case entering one is priced as terminating with that extra cost
-    (collision-recovery semantics for grounded scenarios).
+    (collision-recovery semantics for grounded scenarios).  Returns the
+    value of every state and the plan.
     """
     if not (0.0 < gamma < 1.0):
         raise GammaOutOfRange(f"gamma must be in (0,1), got {gamma}")
 
-    enabled: dict[str, list[str]] = {}
-    for t in m.transitions:
-        acts = enabled.setdefault(t.source, [])
-        if t.action not in acts:
-            acts.append(t.action)
-    for acts in enabled.values():
-        acts.sort()
-
+    enabled = m.enabled_actions
     dead_end_value = INF if failure_cost is None else gamma ** (-failure_cost)
     value: dict[str, float] = {}
     reach = _goal_reaching_states(m)
     for s in m.states:
         if s.id in m.goals:
             value[s.id] = 1.0
-        elif not enabled.get(s.id):
+        elif not enabled(s.id):
             value[s.id] = dead_end_value
         elif s.id not in reach:
             value[s.id] = INF
         else:
             value[s.id] = 1.0
 
-    sweep_states = [s.id for s in m.states
-                    if s.id not in m.goals and enabled.get(s.id) and s.id in reach]
+    sweep_states = [(s.id, enabled(s.id)) for s in m.states
+                    if s.id not in m.goals and enabled(s.id) and s.id in reach]
 
     def action_value(s: str, a: str) -> float:
         mult = gamma ** (-m.cost(s))
@@ -160,8 +107,8 @@ def solve(
     converged = False
     for _ in range(max_sweeps):
         delta = 0.0
-        for s in sweep_states:
-            new = min(action_value(s, a) for a in enabled[s])
+        for s, acts in sweep_states:
+            new = min(action_value(s, a) for a in acts)
             old = value[s]
             if new == INF or old == INF:
                 if new != old:
@@ -181,9 +128,9 @@ def solve(
 
     policy: dict[str, str] = {}
     for s in m.states:
-        if s.id in m.goals or s.id not in enabled or value[s.id] == INF:
+        if s.id in m.goals or not enabled(s.id) or value[s.id] == INF:
             continue
-        best = min(enabled[s.id], key=lambda a: (action_value(s.id, a), a))
+        best = min(enabled(s.id), key=lambda a: (action_value(s.id, a), a))
         policy[s.id] = best
 
     # keep only states reachable under the policy itself so two plans are
@@ -206,7 +153,7 @@ def solve(
 
     plan = Plan(policy=policy, gamma=gamma)
     plan.linearization, _ = linearize(m, plan)
-    return ValueTable(value, gamma), plan
+    return value, plan
 
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
@@ -249,9 +196,9 @@ def generate_candidates(
 ) -> list[Candidate]:
     """Sample gammas uniformly, solve each, and deduplicate by policy.
 
-    Succeeds if at least one sample solves; the last error is re-raised
-    otherwise.  Output order is fixed by each policy's first-producing
-    gamma, independent of any scheduling.
+    The first failed solve is raised: whether a proper policy exists does
+    not depend on gamma, so no gamma is skipped.  Output order is fixed by
+    each policy's first-producing gamma, independent of any scheduling.
     """
     if n < 1:
         raise ValueError("need at least one gamma sample")
@@ -262,24 +209,14 @@ def generate_candidates(
     gammas = [float(g) for g in rng.uniform(lo, hi, size=n)]
 
     by_policy: dict[tuple, Candidate] = {}
-    last_error: Exception | None = None
     for g in gammas:
         t0 = time.perf_counter()
-        try:
-            _, plan = solve(m, g, tolerance=tolerance, failure_cost=failure_cost)
-        except (NoProperPolicy, NonConvergence) as exc:
-            last_error = exc
-            continue
+        _, plan = solve(m, g, tolerance=tolerance, failure_cost=failure_cost)
         elapsed = time.perf_counter() - t0
         key = tuple(sorted(plan.policy.items()))
-        if key in by_policy:
-            by_policy[key].gammas.append(g)
-        else:
-            by_policy[key] = Candidate(plan=plan, gammas=[g], planning_time_s=elapsed)
-    if not by_policy:
-        if last_error is not None:
-            raise last_error
-        raise NoProperPolicy("no gamma sample produced a plan")
+        cand = by_policy.setdefault(key, Candidate(plan=plan, gammas=[], solve_times=[]))
+        cand.gammas.append(g)
+        cand.solve_times.append(elapsed)
 
     candidates = sorted(by_policy.values(), key=lambda c: c.first_gamma)
     for i, c in enumerate(candidates, start=1):

@@ -72,6 +72,18 @@ def helix_points(center, radius: float, start_angle: float, z0: float,
     return pts
 
 
+def parse_plan_steps(actions: list[str]) -> list[tuple[str, str]]:
+    """(kind, name) steps from plan action labels ("goto w", "inspect t"),
+    the form plan files store."""
+    steps = []
+    for label in actions:
+        kind, _, name = label.partition(" ")
+        if kind not in ("goto", "inspect"):
+            raise ValueError(f"unrecognized plan action {label!r}")
+        steps.append((kind, name))
+    return steps
+
+
 def plan_polyline(scenario: Scenario, steps: list[tuple[str, str]],
                   helix: HelixSpec = HelixSpec()) -> list[tuple[float, float, float]]:
     """Geometric waypoint list for a plan given as (kind, name) steps.
@@ -178,8 +190,3 @@ def refine(
 
 def low_level_length_of(samples: list[TrajectorySample]) -> float:
     return sum(math.dist(p.position, q.position) for p, q in zip(samples, samples[1:]))
-
-
-def low_level_length(t: Trajectory) -> float:
-    """Arc length of the sampled path in meters."""
-    return low_level_length_of(t.samples)

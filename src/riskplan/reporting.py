@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,21 +86,14 @@ def run_scaling(
             mdp = ground_to_mdp(scenario)
             rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, depth, crit]))
-            gammas = sorted(float(g) for g in rng.uniform(0.4, 1.0, gamma_samples))
-            solve_times = []
-            candidates: dict[tuple, tuple[float, planner.Plan, float]] = {}
-            for g in gammas:
-                t0 = time.perf_counter()
-                _, plan = planner.solve(mdp, g, failure_cost=collision_cost)
-                dt = time.perf_counter() - t0
-                solve_times.append(dt)
-                key = tuple(sorted(plan.policy.items()))
-                if key not in candidates:
-                    candidates[key] = (g, plan, dt)
+            candidates = planner.generate_candidates(
+                mdp, gamma_samples, rng=rng, failure_cost=collision_cost)
             # safest candidate: the one produced at the lowest risk factor
-            g, plan, dt = min(candidates.values(), key=lambda c: c[0])
-            _, length = planner.linearize(mdp, plan)
-            rows.append(ScalingRow(depth, crit, True, length, g, dt,
+            safest = min(candidates, key=lambda c: min(c.gammas))
+            g = min(safest.gammas)
+            solve_times = [t for c in candidates for t in c.solve_times]
+            rows.append(ScalingRow(depth, crit, True, len(safest.plan.linearization), g,
+                                   safest.solve_times[safest.gammas.index(g)],
                                    float(np.median(solve_times))))
         except Exception as exc:  # per-row failure is recorded, not fatal
             rows.append(ScalingRow(depth, crit, False, None, None, None, None,

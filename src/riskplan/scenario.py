@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 
 from .mdp import ActionSpec, Mdp, StateSpec, TransitionSpec
 
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 DEFAULT_V_MAX = 1.0
 DEFAULT_V_CRIT = 0.25
@@ -55,7 +55,6 @@ class Waypoint:
     position: tuple[float, float, float]
     is_critical: bool = False
     inspection_target: str | None = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -355,9 +354,7 @@ def ground_to_mdp(s: Scenario) -> Mdp:
     for w in s.waypoints:
         for mask in range(full + 1):
             sid = state_id(w.id, mask)
-            states.append(StateSpec(sid, label=f"at {w.id}",
-                                    is_goal=(w.id == s.final and mask == full),
-                                    cost=1.0))
+            states.append(StateSpec(sid, cost=1.0))
             for other, p in s.neighbors(w.id):
                 aid = f"move:{w.id}->{other}"
                 add_action(aid, f"goto {other}")
@@ -370,7 +367,7 @@ def ground_to_mdp(s: Scenario) -> Mdp:
                 add_action(aid, f"inspect {t}")
                 transitions.append(
                     TransitionSpec(sid, aid, state_id(w.id, mask | target_bit[t]), 1.0))
-    states.append(StateSpec(COLLIDED, label="collision", cost=1.0))
+    states.append(StateSpec(COLLIDED, cost=1.0))
 
     return Mdp(
         states=states,
@@ -389,7 +386,6 @@ class PlanFile:
     gamma: float
     actions: list[str]
     high_level_length: int
-    planning_time_s: float
     trajectory_ref: str | None = None
 
     def __post_init__(self):
@@ -398,7 +394,7 @@ class PlanFile:
 
 
 _PLAN_FIELDS = {"format_version", "plan_id", "gamma", "actions",
-                "high_level_length", "planning_time_s", "trajectory_ref"}
+                "high_level_length", "trajectory_ref"}
 
 
 def write_plan_file(p: PlanFile, path):
@@ -413,20 +409,19 @@ def read_plan_file(path) -> PlanFile:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SchemaMismatch(".", "plan file must be a JSON object")
+    if doc.get("format_version") != PLAN_FORMAT_VERSION:
+        raise SchemaMismatch(".format_version",
+                             f"unsupported version {doc.get('format_version')}")
     for key in doc:
         if key not in _PLAN_FIELDS:
             raise SchemaMismatch(f".{key}", "unknown field")
     for key in _PLAN_FIELDS:
         if key != "trajectory_ref" and key not in doc:
             raise SchemaMismatch(f".{key}", "missing field")
-    if doc["format_version"] != PLAN_FORMAT_VERSION:
-        raise SchemaMismatch(".format_version",
-                             f"unsupported version {doc['format_version']}")
     return PlanFile(
         plan_id=doc["plan_id"],
         gamma=doc["gamma"],
         actions=list(doc["actions"]),
         high_level_length=doc["high_level_length"],
-        planning_time_s=doc["planning_time_s"],
         trajectory_ref=doc.get("trajectory_ref"),
     )

@@ -17,7 +17,7 @@ def make_mdp(states, transitions, start, goals, actions=None):
     if actions is None:
         actions = sorted({t[1] for t in transitions})
     return Mdp(
-        states=[StateSpec(sid, cost=c, is_goal=(sid in goals))
+        states=[StateSpec(sid, cost=c)
                 for sid, c in states],
         actions=[ActionSpec(a) for a in actions],
         transitions=[TransitionSpec(*t) for t in transitions],

@@ -229,7 +229,7 @@ def test_acceptance_8_occupancy_closed_forms():
 
 
 def test_acceptance_9_determinism(tmp_path):
-    """Identical config and seed give byte-identical summary and report."""
+    """Identical config and seed give byte-identical artifacts, every file."""
     outs = []
     for name in ("run1", "run2"):
         out = tmp_path / name
@@ -238,9 +238,11 @@ def test_acceptance_9_determinism(tmp_path):
         run_pipeline(cfg)
         outs.append(out)
     a, b = outs
-    assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    _passed(9, "(summary.csv and report.json byte-identical)")
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    _passed(9, f"({len(names)} artifacts byte-identical)")
 
 
 def test_acceptance_10_metric_identities():

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
+from conftest import TANKS_SCN
 from riskplan.cli import EXIT_INPUT, EXIT_OK, main
+from riskplan.pipeline import read_trajectory_csv
+from riskplan.refiner import refine
+from riskplan.scenario import load_scenario
+from riskplan.simulator import DisturbanceConfig, read_episode_log, run_batch
 
 SMALL = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -82,6 +87,16 @@ class TestPipeline:
         assert (out1 / "report.json").read_bytes() == \
             (out2 / "report.json").read_bytes()
 
+    def test_flags_override_config_file(self, small_scn, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"master_seed": 3, "gamma_samples": 6,
+                                        "episodes": 2}), encoding="utf-8")
+        assert main(["pipeline", str(small_scn), "--config", str(cfg_path),
+                     "--out-dir", str(out), "--samples", "3"]) == EXIT_OK
+        index = json.loads((out / "candidates.json").read_text())
+        assert len(index["gammas"]) == 3
+
 
 class TestStagedWorkflow:
     def test_plan_refine_simulate_assess_plot(self, small_scn, tmp_path):
@@ -118,6 +133,20 @@ class TestStagedWorkflow:
         assert main(["plot", str(report), "--out-svg", str(svg),
                      "--out-csv", str(csv_out)]) == EXIT_OK
         assert svg.read_text().startswith("<svg")
+
+
+class TestSimulateDefaults:
+    def test_no_flags_means_disturbance_config_defaults(self, tmp_path):
+        scenario = load_scenario(TANKS_SCN).scenario
+        traj_csv = tmp_path / "traj.csv"
+        refine(scenario, [("goto", "w_gap"), ("goto", "w_sm_r"),
+                          ("inspect", "sm_tank"), ("goto", "final")]).export_csv(traj_csv)
+        log = tmp_path / "episodes.jsonl"
+        assert main(["simulate", str(TANKS_SCN), str(traj_csv), "--seed", "4",
+                     "--episodes", "3", "--out", str(log)]) == EXIT_OK
+        want = run_batch(read_trajectory_csv(traj_csv, plan_id="P1"), scenario,
+                         DisturbanceConfig(), n=3, master_seed=4, plan_id="P1")
+        assert read_episode_log(log) == want
 
 
 class TestMapAndScaling:

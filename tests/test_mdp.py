@@ -1,17 +1,12 @@
 """Model layer: validation, induced chains, and the exact cost distribution."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_mdp, make_chain, make_mdp, two_action_mdp
-from riskplan.mdp import (ImproperPolicy, MissingPolicyEntry, NonConvergence,
-                          Plan, expected_cost, goal_reach_probability,
-                          induce_chain, reward_distribution_exact,
-                          sample_history, validate)
+from riskplan.mdp import (MissingPolicyEntry, NonConvergence, Plan,
+                          induce_chain, reward_distribution_exact, validate)
 
 
 class TestValidate:
@@ -104,37 +99,3 @@ class TestExactDistribution:
         dist = reward_distribution_exact(chain, epsilon=1e-10)
         assert dist.total() == pytest.approx(1.0, abs=1e-12)
         assert dist.mean() == pytest.approx(1.0 / p, rel=1e-6)
-
-
-class TestExpectedCostAndReachability:
-    def test_loop_expected_cost(self):
-        chain = induce_chain(loop_mdp(0.5), Plan({"s0": "try"}))
-        assert expected_cost(chain) == pytest.approx(2.0, abs=1e-8)
-        assert goal_reach_probability(chain) == 1.0
-
-    def test_improper_chain_rejected(self):
-        chain = make_chain(
-            {"s0": [("g", 0.8), ("trap", 0.2)], "trap": [("trap", 1.0)]},
-            {"s0": 1.0, "trap": 1.0, "g": 0.0}, "s0", {"g"})
-        assert goal_reach_probability(chain) == pytest.approx(0.8)
-        with pytest.raises(ImproperPolicy):
-            expected_cost(chain)
-
-
-class TestSampling:
-    def test_deterministic_in_seed(self):
-        chain = induce_chain(loop_mdp(0.3), Plan({"s0": "try"}))
-        a = [sample_history(chain, rng=np.random.default_rng(5))
-             for _ in range(10)]
-        b = [sample_history(chain, rng=np.random.default_rng(5))
-             for _ in range(10)]
-        assert a == b
-
-    def test_agrees_with_exact_distribution(self):
-        chain = induce_chain(two_action_mdp(),
-                             Plan({"s0": "b", "pay2": "go", "pay30": "go"}))
-        exact = reward_distribution_exact(chain)
-        rng = np.random.default_rng(0)
-        samples = [sample_history(chain, rng=rng)[0] for _ in range(4000)]
-        se = math.sqrt(exact.variance() / len(samples))
-        assert abs(np.mean(samples) - exact.mean()) < 4 * se

@@ -1,4 +1,4 @@
-"""Risk-sensitive value iteration: transformation, limits, and the gamma sweep.
+"""Risk-sensitive value iteration: gamma bounds, limits, and the gamma sweep.
 
 The gamma-limit oracles (expected-cost and minimax plans) are computed here
 by independent dynamic programs, not by the code under test.
@@ -8,14 +8,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from conftest import (detour_mdp, loop_mdp, make_mdp, risky_vs_safe_mdp,
                       two_action_mdp)
+from riskplan import planner
 from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
                               generate_candidates, linearize, linearize_trace,
-                              solve, transform)
+                              solve)
 
 SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 
@@ -74,26 +72,10 @@ def minimax_policy(m, sweeps=100_000):
 
 
 class TestTransform:
-    def test_literal_reshaping(self):
-        m = make_mdp([("s", 2.0), ("g", 0.0)], [("s", "a", "g", 1.0)],
-                     "s", {"g"})
-        t = transform(m, 0.5)
-        assert t.transitions[0].probability == pytest.approx(-0.25)
-
     def test_gamma_bounds(self):
         for g in (0.0, 1.0, -0.2, 2.0):
             with pytest.raises(GammaOutOfRange):
-                transform(two_action_mdp(), g)
-
-    @given(p=st.floats(min_value=0.0, max_value=1.0),
-           cost=st.floats(min_value=0.0, max_value=50.0),
-           gamma=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
-    @settings(max_examples=100, deadline=None)
-    def test_pseudo_probability_codomain(self, p, cost, gamma):
-        m = make_mdp([("s", cost), ("g", 0.0)], [("s", "a", "g", p)],
-                     "s", {"g"})
-        w = transform(m, gamma).transitions[0].probability
-        assert -1.0 <= w <= 0.0
+                solve(two_action_mdp(), g)
 
 
 class TestSolve:
@@ -199,6 +181,30 @@ class TestGenerateCandidates:
     def test_interval_validation(self):
         with pytest.raises(GammaOutOfRange):
             generate_candidates(two_action_mdp(), 5, interval=(0.9, 0.4))
+
+    def test_one_failed_solve_fails_the_sweep(self, monkeypatch):
+        real_solve = planner.solve
+        solved = []
+
+        def solve_failing_low_gammas(m, gamma, **kwargs):
+            if gamma < 0.7:
+                raise NoProperPolicy(f"injected failure at gamma {gamma}")
+            solved.append(gamma)
+            return real_solve(m, gamma, **kwargs)
+
+        monkeypatch.setattr(planner, "solve", solve_failing_low_gammas)
+        rng = np.random.default_rng(1)
+        gammas = np.random.default_rng(1).uniform(0.4, 1.0, size=20)
+        assert (gammas < 0.7).any() and (gammas >= 0.7).any()
+        with pytest.raises(NoProperPolicy, match="injected"):
+            generate_candidates(two_action_mdp(), 20, rng=rng)
+
+    def test_solve_times_parallel_gammas(self):
+        cands = generate_candidates(two_action_mdp(), 10,
+                                    rng=np.random.default_rng(3))
+        for c in cands:
+            assert len(c.solve_times) == len(c.gammas)
+            assert all(t >= 0.0 for t in c.solve_times)
 
     def test_unsolvable_model_reraises(self):
         m = make_mdp([("s", 1.0), ("pit", 1.0), ("g", 0.0)],

@@ -124,7 +124,7 @@ class TestPlanFile:
     def make(self):
         return PlanFile(plan_id="P1", gamma=0.9,
                         actions=["goto b", "inspect box"],
-                        high_level_length=2, planning_time_s=0.1,
+                        high_level_length=2,
                         trajectory_ref="trajectory_P1.csv")
 
     def test_round_trip(self, tmp_path):
@@ -134,7 +134,7 @@ class TestPlanFile:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PlanFile("P1", 0.9, ["goto b"], 2, 0.1)
+            PlanFile("P1", 0.9, ["goto b"], 2)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -160,5 +160,15 @@ class TestPlanFile:
         doc = json.loads(path.read_text())
         doc["format_version"] = PLAN_FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match="version"):
+            read_plan_file(path)
+
+    def test_v1_plan_file_rejected(self, tmp_path):
+        # format 1 also stored a wall-clock planning_time_s
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "plan_id": "P1", "gamma": 0.9,
+            "actions": ["goto b", "inspect box"], "high_level_length": 2,
+            "planning_time_s": 0.0, "trajectory_ref": None}))
         with pytest.raises(SchemaMismatch, match="version"):
             read_plan_file(path)
