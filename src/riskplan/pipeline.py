@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, planner, simulator
-from .mdp import Mdp
+from .mdp import Mdp, validate
 from .occupancy import BeamFan, VoxelGrid, extract_problem, integrate_scan, synthesize_scans
 from .refiner import (HelixSpec, Trajectory, TrajectorySample, low_level_length_of,
                       parse_plan_steps, refine)
@@ -163,6 +163,13 @@ def _write_json(path: Path, doc: dict):
         fh.write("\n")
 
 
+def _stage_error(out: Path, cfg: PipelineConfig, stage: str, errors: list[str],
+                 exit_code: int = 1) -> StageError:
+    """Record a failed stage in errors.json; the caller raises the result."""
+    _write_json(out / "errors.json", _stamp({"stage": stage, "errors": errors}, cfg))
+    return StageError(stage, errors, exit_code=exit_code)
+
+
 @dataclass
 class PipelineResult:
     candidates: list[planner.Candidate]
@@ -179,10 +186,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     parsed: ParseResult = load_scenario(cfg.scenario_path)
     if not parsed.ok:
-        doc = _stamp({"stage": "parse",
-                      "errors": [str(e) for e in parsed.errors]}, cfg)
-        _write_json(out / "errors.json", doc)
-        raise StageError("parse", [str(e) for e in parsed.errors], exit_code=2)
+        raise _stage_error(out, cfg, "parse", [str(e) for e in parsed.errors],
+                           exit_code=2)
     scenario = parsed.scenario
 
     if cfg.from_sonar:
@@ -191,6 +196,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         scenario = extract_problem(grid, scenario)
 
     mdp = ground_to_mdp(scenario)
+    problems = validate(mdp)
+    if problems:
+        raise _stage_error(out, cfg, "ground", problems)
 
     candidates = plan_candidates(mdp, cfg)
 

@@ -152,7 +152,7 @@ def solve(
     policy = {s: a for s, a in policy.items() if s in reachable}
 
     plan = Plan(policy=policy, gamma=gamma)
-    plan.linearization, _ = linearize(m, plan)
+    plan.linearization = linearize(m, plan)
     return value, plan
 
 
@@ -178,12 +178,10 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
     return trace
 
 
-def linearize(m: Mdp, p: Plan) -> tuple[list[str], int]:
-    """High-level action-label schema of the plan, plus its step count."""
+def linearize(m: Mdp, p: Plan) -> list[str]:
+    """High-level action-label schema of the plan."""
     labels = {a.id: (a.label or a.id) for a in m.actions}
-    trace = linearize_trace(m, p)
-    schema = [labels[a] for _, a in trace]
-    return schema, len(schema)
+    return [labels[a] for _, a in linearize_trace(m, p)]
 
 
 def generate_candidates(

@@ -20,6 +20,9 @@ from .scenario import Obstacle, Scenario
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
+# drift noise rows drawn ahead per episode; one draw of (C, 3) gives the
+# values C draws of 3 would
+_NOISE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -64,21 +67,136 @@ def episode_rng(master_seed: int, plan_id: str, episode_index: int) -> np.random
         np.random.SeedSequence([master_seed, plan_key, episode_index]))
 
 
-def _box_distance(point: np.ndarray, center: np.ndarray, half: np.ndarray) -> float:
-    gap = np.maximum(np.abs(point - center) - half, 0.0)
-    return float(np.linalg.norm(gap))
-
-
-def _perturbed_obstacles(scenario: Scenario, cfg: DisturbanceConfig,
-                         rng: np.random.Generator) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    out = []
-    for o in scenario.obstacles:
+def _obstacle_centers(scenario: Scenario, cfg: DisturbanceConfig,
+                      rng: np.random.Generator) -> np.ndarray:
+    """(m, 3) obstacle centres of one episode, displaced in declaration order."""
+    centers = np.empty((len(scenario.obstacles), 3))
+    for j, o in enumerate(scenario.obstacles):
         center = np.asarray(o.center, dtype=float)
         movable = cfg.perturb_all or o.label == cfg.perturb_target
         if movable and cfg.obstacle_sigma > 0:
             center = center + rng.normal(0.0, cfg.obstacle_sigma, size=3)
-        out.append((o.label, center, np.asarray(o.half_extents, dtype=float)))
-    return out
+        centers[j] = center
+    return centers
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, equal bit for bit to
+    `np.linalg.norm` of each 3-vector: both take the square root of a BLAS
+    dot product, where `(v * v).sum(-1)` rounds differently."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _simulate(
+    trajectory: Trajectory,
+    scenario: Scenario,
+    cfg: DisturbanceConfig,
+    seeds: list[tuple[int, str, int]],
+    dt: float,
+) -> list[EpisodeRecord]:
+    """Run one episode per seed tuple, all of them in lockstep.
+
+    Each tick moves every running episode at once; an episode leaves the
+    batch when it completes, times out or aborts.  Per episode the
+    arithmetic, and the order of its random draws, is that of a loop
+    stepping the episode on its own, so a record does not depend on the
+    batch it ran in.
+    """
+    if not trajectory.samples:
+        raise ValueError("trajectory must be nonempty")
+    samples = trajectory.samples
+    last = len(samples)
+    if last == 1:  # already at the only sample
+        return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
+    points = np.array([s.position for s in samples], dtype=float)
+    speeds = np.maximum(np.array([s.speed for s in samples], dtype=float), 1e-6)
+    labels = [o.label for o in scenario.obstacles]
+    half = np.array([o.half_extents for o in scenario.obstacles],
+                    dtype=float).reshape(-1, 3)
+    timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
+
+    n = len(seeds)
+    rngs = [episode_rng(*seed) for seed in seeds]
+    incidents: list[list[Incident]] = [[] for _ in range(n)]
+    records: list[EpisodeRecord | None] = [None] * n
+
+    # one row per running episode; ids[row] is its index into seeds
+    ids = np.arange(n)
+    centers = np.array([_obstacle_centers(scenario, cfg, rng) for rng in rngs]
+                       ).reshape(n, len(labels), 3)
+    pos = np.tile(points[0], (n, 1))
+    k = np.ones(n, dtype=np.intp)
+    sim_time = np.zeros(n)
+    in_contact = np.zeros((n, len(labels)), dtype=bool)
+    noise = np.empty((n, _NOISE_CHUNK, 3))
+
+    tick = 0
+    while ids.size:
+        # move for one tick, consuming samples as the capture radius allows
+        budget = np.full(ids.size, dt)
+        moving = np.arange(ids.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while moving.size:
+                kk = k[moving]
+                p = pos[moving]
+                room = budget[moving]
+                speed = speeds[kk]
+                gap = points[kk] - p
+                dist = _norm(gap)
+                reach = np.maximum(dist - cfg.capture_radius, 0.0)
+                far = reach > speed * room
+                unit = gap / dist[:, None]  # not used where dist == 0
+                # beyond reach, travel the whole budget toward the sample;
+                # otherwise capture it and spend reach / speed of the budget
+                pos[moving] = np.where(
+                    far[:, None], p + unit * speed[:, None] * room[:, None],
+                    np.where((dist > 0.0)[:, None], p + unit * reach[:, None], p))
+                room = np.where(far, 0.0, room - reach / speed)
+                kk = kk + ~far
+                budget[moving] = room
+                k[moving] = kk
+                moving = moving[(room > 0.0) & (kk < last)]
+        leftover = np.where(k == last, budget, 0.0)
+        if cfg.current_sigma > 0:
+            if tick % _NOISE_CHUNK == 0:
+                for row, i in enumerate(ids):
+                    noise[row] = rngs[i].normal(0.0, cfg.current_sigma,
+                                                size=(_NOISE_CHUNK, 3))
+            pos = pos + noise[:, tick % _NOISE_CHUNK] * dt
+        sim_time += dt - leftover
+        tick += 1
+
+        gap = np.maximum(np.abs(pos[:, None, :] - centers) - half, 0.0)
+        dist = _norm(gap)
+        touching = dist < cfg.clearance
+        fresh = touching & ~in_contact
+        aborted = np.zeros(ids.size, dtype=bool)
+        for row in np.flatnonzero(fresh.any(axis=1)):
+            # obstacles in declaration order: a second incident in this
+            # tick is stamped after the first one's penalty
+            for j in np.flatnonzero(fresh[row]):
+                incidents[ids[row]].append(Incident(
+                    round(float(sim_time[row]), 6), labels[j],
+                    round(float(dist[row, j]), 6)))
+                sim_time[row] += cfg.recovery_penalty_s
+                if cfg.abort_on_collision:
+                    aborted[row] = True
+                    break
+        in_contact = touching
+
+        failed = aborted | (sim_time > timeout)
+        done = failed | (k == last)
+        if done.any():
+            for row in np.flatnonzero(done):
+                i = ids[row]
+                _, plan_id, episode_index = seeds[i]
+                records[i] = EpisodeRecord(plan_id, episode_index,
+                                           round(float(sim_time[row]), 6),
+                                           incidents[i], not failed[row], seeds[i])
+            keep = ~done
+            ids, centers, pos, k, sim_time, in_contact, noise = (
+                a[keep] for a in (ids, centers, pos, k, sim_time, in_contact, noise))
+    return records
 
 
 def run_episode(
@@ -88,69 +206,15 @@ def run_episode(
     seed: tuple[int, str, int],
     dt: float = SIM_DT,
 ) -> EpisodeRecord:
-    if not trajectory.samples:
-        raise ValueError("trajectory must be nonempty")
-    master, plan_id, episode_index = seed
-    rng = episode_rng(master, plan_id, episode_index)
-    obstacles = _perturbed_obstacles(scenario, cfg, rng)
-
-    samples = trajectory.samples
-    pos = np.asarray(samples[0].position, dtype=float)
-    k = 1
-    sim_time = 0.0
-    incidents: list[Incident] = []
-    in_contact: set[str] = set()
-    timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
-
-    while k < len(samples):
-        # move for one tick, consuming samples as the capture radius allows
-        budget = dt
-        leftover = 0.0
-        while budget > 0.0 and k < len(samples):
-            target = np.asarray(samples[k].position, dtype=float)
-            speed = max(samples[k].speed, 1e-6)
-            gap = target - pos
-            dist = float(np.linalg.norm(gap))
-            reach = max(dist - cfg.capture_radius, 0.0)
-            if reach > speed * budget:
-                pos = pos + gap / dist * speed * budget
-                budget = 0.0
-            else:
-                if dist > 0.0:
-                    pos = pos + gap / dist * reach
-                budget -= reach / speed
-                k += 1
-                if k == len(samples):
-                    leftover = budget
-        if cfg.current_sigma > 0:
-            pos = pos + rng.normal(0.0, cfg.current_sigma, size=3) * dt
-        sim_time += dt - leftover
-
-        touching = set()
-        for label, center, half in obstacles:
-            d = _box_distance(pos, center, half)
-            if d < cfg.clearance:
-                touching.add(label)
-                if label not in in_contact:
-                    incidents.append(Incident(round(sim_time, 6), label, round(d, 6)))
-                    sim_time += cfg.recovery_penalty_s
-                    if cfg.abort_on_collision:
-                        return EpisodeRecord(plan_id, episode_index, sim_time,
-                                             incidents, False, seed)
-        in_contact = touching
-
-        if sim_time > timeout:
-            return EpisodeRecord(plan_id, episode_index, sim_time, incidents, False, seed)
-
-    return EpisodeRecord(plan_id, episode_index, round(sim_time, 6),
-                         incidents, True, seed)
+    """One episode: the record a batch gives for the same seed tuple."""
+    return _simulate(trajectory, scenario, cfg, [seed], dt)[0]
 
 
 def run_batch(
     trajectory: Trajectory,
     scenario: Scenario,
     cfg: DisturbanceConfig,
-    n: int = 10,
+    n: int,
     master_seed: int = 0,
     plan_id: str | None = None,
     dt: float = SIM_DT,
@@ -159,8 +223,8 @@ def run_batch(
     if n < 1:
         raise ValueError("need at least one episode")
     pid = trajectory.plan_id if plan_id is None else plan_id
-    return [run_episode(trajectory, scenario, cfg, (master_seed, pid, i), dt=dt)
-            for i in range(n)]
+    return _simulate(trajectory, scenario, cfg,
+                     [(master_seed, pid, i) for i in range(n)], dt)
 
 
 def write_episode_log(records: list[EpisodeRecord], path):

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from conftest import TANKS_SCN
-from riskplan.cli import EXIT_INPUT, EXIT_OK, main
+from conftest import TANKS_SCN, make_mdp
+from riskplan import pipeline
+from riskplan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from riskplan.mdp import validate
 from riskplan.pipeline import read_trajectory_csv
 from riskplan.refiner import refine
 from riskplan.scenario import load_scenario
@@ -50,6 +52,20 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         errors = json.loads((out / "errors.json").read_text())
         assert errors["stage"] == "parse"
+
+    def test_invalid_grounded_model_is_a_ground_error(self, small_scn, tmp_path,
+                                                      monkeypatch):
+        half_mass = make_mdp([("s0", 1.0), ("goal", 0.0)],
+                             [("s0", "go", "goal", 0.5)], "s0", {"goal"})
+        monkeypatch.setattr(pipeline, "ground_to_mdp", lambda scenario: half_mass)
+        out = tmp_path / "out"
+        code = main(["pipeline", str(small_scn), "--out-dir", str(out),
+                     "--seed", "1"])
+        assert code == EXIT_INTERNAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors["stage"] == "ground"
+        assert errors["errors"] == validate(half_mass) != []
+        assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
 
     def test_pipeline_requires_seed(self, small_scn, tmp_path):
         code = main(["pipeline", str(small_scn),

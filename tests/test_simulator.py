@@ -1,11 +1,18 @@
-"""Seeded episode simulation: determinism, fidelity, incidents, logs."""
+"""Seeded episode simulation: determinism, fidelity, incidents, logs, and
+the lockstep batch against a one-episode-at-a-time reference loop."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from riskplan.refiner import refine
-from riskplan.scenario import parse_scenario
-from riskplan.simulator import (DisturbanceConfig, episode_rng, run_batch,
-                                run_episode, read_episode_log,
+from conftest import TANKS_SCN
+from riskplan.pipeline import PipelineConfig, plan_candidates
+from riskplan.refiner import parse_plan_steps, refine
+from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
+from riskplan.simulator import (SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
+                                EpisodeRecord, Incident, _norm, episode_rng,
+                                run_batch, run_episode, read_episode_log,
                                 write_episode_log)
 
 OPEN_WATER = """
@@ -24,6 +31,13 @@ WAYPOINT b pos 10 0 -5
 EDGE a b risk 0
 MISSION start a final b
 """
+
+# the path passes between the rocks, 0.2 m from each: both incidents fall
+# in one tick
+TWIN_ROCKS = NEAR_MISS.replace(
+    "OBSTACLE rock center 5 1.2 -5 half 1 1 1",
+    "OBSTACLE rock center 5 1.2 -5 half 1 1 1\n"
+    "OBSTACLE reef center 5 -1.2 -5 half 1 1 1")
 
 
 def trajectory(text):
@@ -134,3 +148,151 @@ class TestValidationAndLogs:
         path = tmp_path / "episodes.jsonl"
         write_episode_log(records, path)
         assert read_episode_log(path) == records
+
+
+def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
+    """One episode stepped on its own, with numpy calls on single 3-vectors:
+    the loop the lockstep batch replaced, kept as the oracle for it."""
+    master, plan_id, episode_index = seed
+    rng = episode_rng(master, plan_id, episode_index)
+    obstacles = []
+    for o in scenario.obstacles:
+        center = np.asarray(o.center, dtype=float)
+        movable = cfg.perturb_all or o.label == cfg.perturb_target
+        if movable and cfg.obstacle_sigma > 0:
+            center = center + rng.normal(0.0, cfg.obstacle_sigma, size=3)
+        obstacles.append((o.label, center, np.asarray(o.half_extents, dtype=float)))
+
+    samples = trajectory.samples
+    pos = np.asarray(samples[0].position, dtype=float)
+    k = 1
+    sim_time = 0.0
+    incidents = []
+    in_contact = set()
+    timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
+
+    while k < len(samples):
+        budget = dt
+        leftover = 0.0
+        while budget > 0.0 and k < len(samples):
+            target = np.asarray(samples[k].position, dtype=float)
+            speed = max(samples[k].speed, 1e-6)
+            gap = target - pos
+            dist = float(np.linalg.norm(gap))
+            reach = max(dist - cfg.capture_radius, 0.0)
+            if reach > speed * budget:
+                pos = pos + gap / dist * speed * budget
+                budget = 0.0
+            else:
+                if dist > 0.0:
+                    pos = pos + gap / dist * reach
+                budget -= reach / speed
+                k += 1
+                if k == len(samples):
+                    leftover = budget
+        if cfg.current_sigma > 0:
+            pos = pos + rng.normal(0.0, cfg.current_sigma, size=3) * dt
+        sim_time += dt - leftover
+
+        touching = set()
+        for label, center, half in obstacles:
+            gap = np.maximum(np.abs(pos - center) - half, 0.0)
+            d = float(np.linalg.norm(gap))
+            if d < cfg.clearance:
+                touching.add(label)
+                if label not in in_contact:
+                    incidents.append(Incident(round(sim_time, 6), label, round(d, 6)))
+                    sim_time += cfg.recovery_penalty_s
+                    if cfg.abort_on_collision:
+                        return EpisodeRecord(plan_id, episode_index, round(sim_time, 6),
+                                             incidents, False, seed)
+        in_contact = touching
+
+        if sim_time > timeout:
+            return EpisodeRecord(plan_id, episode_index, round(sim_time, 6),
+                                 incidents, False, seed)
+
+    return EpisodeRecord(plan_id, episode_index, round(sim_time, 6),
+                         incidents, True, seed)
+
+
+CONFIGS = {
+    "default": DisturbanceConfig(),
+    "shaken": DisturbanceConfig(perturb_all=True, obstacle_sigma=1.0,
+                                current_sigma=0.2),
+    "abort": DisturbanceConfig(abort_on_collision=True),
+    "no_drift": DisturbanceConfig(current_sigma=0.0),
+    "quiet": QUIET,
+}
+
+
+@pytest.fixture(scope="module")
+def tanks():
+    """tanks.scn and the trajectories of its seed-7 candidates."""
+    scenario = load_scenario(TANKS_SCN).scenario
+    cfg = PipelineConfig(scenario_path=str(TANKS_SCN), out_dir="", master_seed=7)
+    cands = plan_candidates(ground_to_mdp(scenario), cfg)
+    return scenario, [refine(scenario, parse_plan_steps(c.plan.linearization),
+                             plan_id=c.plan.id) for c in cands]
+
+
+def assert_matches_reference(traj, scenario, cfg, n, master_seed=7):
+    want = [reference_episode(traj, scenario, cfg, (master_seed, traj.plan_id, i))
+            for i in range(n)]
+    assert run_batch(traj, scenario, cfg, n=n, master_seed=master_seed) == want
+    return want
+
+
+class TestLockstepMatchesReference:
+    def test_distances_equal_linalg_norm_bitwise(self):
+        rng = np.random.default_rng(0)
+        gaps = rng.normal(size=(20000, 3)) * rng.uniform(1e-3, 1e2, size=(20000, 1))
+        assert np.array_equal(_norm(gaps), [np.linalg.norm(g) for g in gaps])
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_tanks_candidates(self, tanks, which):
+        scenario, trajs = tanks
+        want = assert_matches_reference(trajs[which], scenario, CONFIGS["default"], 10)
+        for n in (1, 2):
+            assert run_batch(trajs[which], scenario, CONFIGS["default"], n=n,
+                             master_seed=7) == want[:n]
+
+    @pytest.mark.parametrize("name", ["shaken", "abort", "no_drift"])
+    def test_tanks_disturbances(self, tanks, name):
+        scenario, trajs = tanks
+        assert_matches_reference(trajs[0], scenario, CONFIGS[name], 3)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("text", [NEAR_MISS, TWIN_ROCKS], ids=["near_miss", "twin_rocks"])
+    def test_close_passes(self, text, name):
+        scenario, traj = trajectory(text)
+        records = assert_matches_reference(traj, scenario, CONFIGS[name], 10)
+        assert any(r.incidents for r in records)
+
+    def test_second_incident_in_a_tick_follows_the_first_penalty(self):
+        scenario, traj = trajectory(TWIN_ROCKS)
+        rec = run_episode(traj, scenario, QUIET, (0, "P1", 0))
+        first, second = rec.incidents
+        assert (first.obstacle, second.obstacle) == ("rock", "reef")
+        assert second.time == pytest.approx(first.time + QUIET.recovery_penalty_s)
+
+    def test_forced_timeout(self, tanks):
+        scenario, trajs = tanks
+        short = dataclasses.replace(trajs[1], nominal_duration=0.5)
+        records = assert_matches_reference(short, scenario, CONFIGS["default"], 10)
+        assert not any(r.completed for r in records)
+
+    def test_single_sample_trajectory(self):
+        scenario, traj = trajectory(NEAR_MISS)
+        one = dataclasses.replace(traj, samples=traj.samples[:1])
+        assert_matches_reference(one, scenario, CONFIGS["default"], 2)
+
+
+class TestIncompleteEpisodes:
+    def test_timeout_time_is_rounded(self, tanks):
+        scenario, trajs = tanks
+        short = dataclasses.replace(trajs[0], nominal_duration=0.0)
+        rec = run_episode(short, scenario, QUIET, (0, "P1", 0))
+        assert rec.completed is False
+        assert rec.execution_time_s > 10.0
+        assert rec.execution_time_s == round(rec.execution_time_s, 6)
