@@ -11,9 +11,10 @@ DEFAULT_BIN_WIDTH = 5.0
 DEFAULT_ALPHA = 0.9
 DEFAULT_TIME_BOUND = 600.0
 DEFAULT_ALPHA_MEAN = 0.05
+MIN_SAMPLES = 2  # per plan: a sample variance needs two
 
 
-class InsufficientSamples(Exception):
+class InsufficientSamples(ValueError):
     pass
 
 
@@ -52,8 +53,8 @@ def compute_metrics(samples: list[float], config: MetricConfig = MetricConfig())
     averages the samples strictly above it (or equals it when none are).
     """
     n = len(samples)
-    if n < 2:
-        raise InsufficientSamples(f"need at least 2 samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples, got {n}")
     mean = sum(samples) / n
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
 
@@ -127,8 +128,8 @@ def select(table: list[tuple[str, RiskMetrics]],
 
 def compare_means(a: list[float], b: list[float]) -> tuple[float, float]:
     """Welch's unequal-variance t test; advisory, never overrides select."""
-    if len(a) < 2 or len(b) < 2:
-        raise InsufficientSamples("need at least 2 samples per group")
+    if len(a) < MIN_SAMPLES or len(b) < MIN_SAMPLES:
+        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples per group")
     na, nb = len(a), len(b)
     ma, mb = sum(a) / na, sum(b) / nb
     va = sum((x - ma) ** 2 for x in a) / (na - 1)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import assess, reporting, simulator
 from .pipeline import (PipelineConfig, StageError, map_from_sonar, plan_candidates,
-                       read_trajectory_csv, run_pipeline, write_candidate_plan)
-from .refiner import parse_plan_steps, refine
+                       run_pipeline, write_candidate_plan)
+from .refiner import parse_plan_steps, read_trajectory_csv, refine
 from .scenario import format_scenario, ground_to_mdp, load_scenario, read_plan_file
 from .occupancy import DEFAULT_KAPPA, extract_problem
 
@@ -48,19 +48,16 @@ def _given(args, names) -> dict:
     return given
 
 
-def _load_scenario_or_fail(path):
+def _load_scenario(path):
+    """The parsed scenario; its parse issues are an input error."""
     parsed = load_scenario(path)
     if not parsed.ok:
-        for e in parsed.errors:
-            print(str(e), file=sys.stderr)
-        return None
+        raise ValueError(f"{path}: " + "; ".join(str(e) for e in parsed.errors))
     return parsed.scenario
 
 
 def cmd_map(args) -> int:
-    scenario = _load_scenario_or_fail(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
+    scenario = _load_scenario(args.scenario)
     grid = map_from_sonar(scenario, args.seed, args.noise_sigma)
     grid.export_csv(args.out)
     print(f"wrote {args.out}")
@@ -68,9 +65,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_gen_problem(args) -> int:
-    scenario = _load_scenario_or_fail(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
+    scenario = _load_scenario(args.scenario)
     grid = map_from_sonar(scenario, args.seed, args.noise_sigma)
     updated = extract_problem(grid, scenario, kappa=args.kappa)
     Path(args.out).write_text(format_scenario(updated), encoding="utf-8")
@@ -79,9 +74,7 @@ def cmd_gen_problem(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    scenario = _load_scenario_or_fail(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
+    scenario = _load_scenario(args.scenario)
     cfg = PipelineConfig.from_doc({"scenario_path": args.scenario, "master_seed": 0,
                                    **_given(args, SWEEP_FLAGS)})
     out = Path(cfg.out_dir)
@@ -94,9 +87,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    scenario = _load_scenario_or_fail(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
+    scenario = _load_scenario(args.scenario)
     plan = read_plan_file(args.plan)
     traj = refine(scenario, parse_plan_steps(plan.actions), plan_id=plan.plan_id)
     traj.export_csv(args.out)
@@ -106,9 +97,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_scenario_or_fail(args.scenario)
-    if scenario is None:
-        return EXIT_INPUT
+    scenario = _load_scenario(args.scenario)
     traj = read_trajectory_csv(args.trajectory, plan_id=args.plan_id)
     cfg = simulator.DisturbanceConfig(**_given(args, DISTURBANCE_FLAGS))
     n = PipelineConfig.episodes if args.episodes is None else args.episodes
@@ -143,31 +132,33 @@ def cmd_select(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    doc = {}
+    doc = {"scenario_path": args.scenario, "out_dir": "out"}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc.setdefault("scenario_path", args.scenario)
-    doc.setdefault("out_dir", "out")
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        doc.update(loaded)
     doc.update(_given(args, PIPELINE_FLAGS))
     disturbance = _given(args, ("perturb_target",))
-    if disturbance:
+    if disturbance and isinstance(doc.get("disturbance", {}), dict):
         doc["disturbance"] = {**doc.get("disturbance", {}), **disturbance}
     if "master_seed" not in doc:
         return _fail("--seed is required", EXIT_INPUT)
     cfg = PipelineConfig.from_doc(doc)
     result = run_pipeline(cfg)
-    print(f"candidates: {len(result.candidates)}; selected: {result.selected}")
-    print(f"artifacts in {cfg.out_dir}")
+    print(f"candidates: {len(result.candidates)}")
+    for row in result.summary_rows:
+        mark = "*" if row["id"] == result.selected else " "
+        print(f" {mark} {row['id']}: mean {row['mean_s']}s var {row['variance']} "
+              f"| {row['plan_schema']}")
+    print(f"selected: {result.selected}; artifacts in {cfg.out_dir}/")
     return EXIT_OK
 
 
 def cmd_scaling(args) -> int:
     depths = [int(x) for x in args.depths.split(",") if x]
     crits = [int(x) for x in args.criticals.split(",") if x]
-    if not depths or len(depths) != len(crits):
-        return _fail("depth and critical lists must be nonempty and equal length",
-                     EXIT_INPUT)
     rows = reporting.run_scaling(depths, crits, args.seed,
                                  collision_cost=args.collision_cost)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -185,7 +176,7 @@ def cmd_scaling(args) -> int:
             ])
     solvable = sum(1 for r in rows if r.solvable)
     print(f"wrote {args.out}: {solvable}/{len(rows)} scenarios solvable")
-    return EXIT_OK if solvable else EXIT_INTERNAL
+    return EXIT_OK
 
 
 def cmd_plot(args) -> int:
@@ -312,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(json.dumps(exc.to_doc()), file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # json errors are ValueErrors
         return _fail(str(exc), EXIT_INPUT)
     except Exception as exc:  # pragma: no cover - defensive
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 PROB_TOL = 1e-9
-# accumulated real-valued costs are grouped at this granularity to keep
+# accumulated real-valued costs are rounded to this many decimals to keep
 # the distribution support finite
-COST_QUANTUM = 1e-9
+COST_DECIMALS = 9
 
 
 class MissingPolicyEntry(Exception):
@@ -77,9 +77,6 @@ class Mdp:
         for s, a in sorted(self._outgoing):
             self._enabled.setdefault(s, []).append(a)
 
-    def state(self, state_id: str) -> StateSpec:
-        return self._state_by_id[state_id]
-
     def cost(self, state_id: str) -> float:
         return self._state_by_id[state_id].cost
 
@@ -97,7 +94,6 @@ class Plan:
 
     policy: dict[str, str]
     id: str = ""
-    gamma: float = 1.0
     linearization: list[str] = field(default_factory=list)
 
 
@@ -209,13 +205,13 @@ def induce_chain(m: Mdp, p: Plan) -> MarkovChain:
     return MarkovChain(chain_states, edges, m.start, costs, m.goals & visited)
 
 
-def _can_reach_goal(chain: MarkovChain, goals: frozenset[str]) -> set[str]:
-    incoming: dict[str, set[str]] = {s: set() for s in chain.states}
-    for s, outs in chain.edges.items():
-        for t, q in outs:
-            if q > 0.0:
-                incoming.setdefault(t, set()).add(s)
-    reach = set(g for g in goals if g in incoming or g in chain.edges)
+def can_reach(edges, targets) -> set[str]:
+    """Nodes with a path to one of ``targets`` along the (source, target)
+    pairs of ``edges``; the targets themselves included."""
+    incoming: dict[str, set[str]] = {}
+    for source, target in edges:
+        incoming.setdefault(target, set()).add(source)
+    reach = set(targets)
     stack = list(reach)
     while stack:
         s = stack.pop()
@@ -265,10 +261,11 @@ def reward_distribution_exact(
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
     goals = chain.goals if goals is None else goals
-    reach = _can_reach_goal(chain, goals)
+    reach = can_reach(((s, t) for s, outs in chain.edges.items()
+                       for t, q in outs if q > 0.0), goals)
 
     def key(c: float) -> float:
-        return round(c, 9)  # group at COST_QUANTUM granularity
+        return round(c, COST_DECIMALS)
 
     mass: dict[float, float] = {}
     residual = 0.0

@@ -20,13 +20,13 @@ LOG_ODDS_MAX = 3.5
 DEFAULT_RESOLUTION = 0.5
 DEFAULT_P_HIT = 0.7
 DEFAULT_P_MISS = 0.4
-DEFAULT_TAU_OCC = 0.5
+TAU_OCC = 0.5  # occupancy above this marks a waypoint critical, an edge risky
 DEFAULT_KAPPA = 0.3
 EDGE_RISK_CAP = 0.95
 EVIDENCE_EPS = 0.01  # |log-odds| below this counts as unobserved
 
 
-class WaypointInOccupiedVoxel(Exception):
+class WaypointInOccupiedVoxel(ValueError):
     def __init__(self, waypoint_id: str, occupancy: float):
         self.waypoint_id = waypoint_id
         self.occupancy = occupancy
@@ -76,9 +76,6 @@ class VoxelGrid:
     def index_of(self, point) -> tuple[int, int, int]:
         rel = (np.asarray(point, dtype=float) - self.origin) / self.resolution
         return tuple(int(math.floor(c)) for c in rel)
-
-    def center_of(self, idx) -> np.ndarray:
-        return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.resolution
 
     def occupancy(self, idx) -> float:
         return logistic(self.log_odds[idx])
@@ -204,19 +201,13 @@ class BeamFan:
     count: int = 32
     aperture: float = math.radians(90.0)
     max_range: float = 15.0
-    pitch: float = 0.0
 
     def directions(self, yaw: float) -> list[tuple[float, float, float]]:
         if self.count == 1:
             offsets = [0.0]
         else:
             offsets = np.linspace(-self.aperture / 2, self.aperture / 2, self.count)
-        out = []
-        cp, sp = math.cos(self.pitch), math.sin(self.pitch)
-        for off in offsets:
-            a = yaw + off
-            out.append((math.cos(a) * cp, math.sin(a) * cp, sp))
-        return out
+        return [(math.cos(yaw + off), math.sin(yaw + off), 0.0) for off in offsets]
 
 
 def synthesize_scans(
@@ -269,28 +260,27 @@ def _max_occupancy_near_segment(grid: VoxelGrid, a, b, radius: float) -> float:
 def extract_problem(
     grid: VoxelGrid,
     scenario: Scenario,
-    tau_occ: float = DEFAULT_TAU_OCC,
-    clearance: float | None = None,
     kappa: float = DEFAULT_KAPPA,
 ) -> Scenario:
-    """Re-derive critical flags and edge collision risks from the map.
+    """Re-derive critical flags and edge collision risks from the map,
+    looking for occupied voxels within the scenario's critical radius.
 
     Returns a new Scenario; obstacles, mission, and limits are untouched.
     """
-    clearance = scenario.critical_radius if clearance is None else clearance
+    clearance = scenario.critical_radius
     positions = scenario.positions()
     critical: dict[str, bool] = {}
     for w in scenario.waypoints:
         own = grid.occupancy_at(w.position)
-        if own > tau_occ and abs(own - 0.5) > 1e-12:
+        if own > TAU_OCC and abs(own - 0.5) > 1e-12:
             raise WaypointInOccupiedVoxel(w.id, own)
         near = _max_occupancy_near_segment(grid, w.position, w.position, clearance)
-        critical[w.id] = near > tau_occ
+        critical[w.id] = near > TAU_OCC
 
     new_waypoints = [replace(w, is_critical=critical[w.id]) for w in scenario.waypoints]
     new_edges = []
     for e in scenario.edges:
         occ = _max_occupancy_near_segment(grid, positions[e.a], positions[e.b], clearance)
-        risk = 0.0 if occ <= tau_occ else min(kappa * occ, EDGE_RISK_CAP)
+        risk = 0.0 if occ <= TAU_OCC else min(kappa * occ, EDGE_RISK_CAP)
         new_edges.append(replace(e, collision_probability=risk))
     return replace(scenario, waypoints=new_waypoints, edges=new_edges)

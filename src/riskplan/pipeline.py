@@ -14,16 +14,16 @@ import hashlib
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import assess, planner, simulator
 from .mdp import Mdp, validate
-from .occupancy import BeamFan, VoxelGrid, extract_problem, integrate_scan, synthesize_scans
-from .refiner import (HelixSpec, Trajectory, TrajectorySample, low_level_length_of,
-                      parse_plan_steps, refine)
+from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
+                        integrate_scan, synthesize_scans)
+from .refiner import HelixSpec, Trajectory, parse_plan_steps, refine
 from .scenario import (ParseResult, PlanFile, Scenario, ground_to_mdp,
                        load_scenario, write_plan_file)
 from .simulator import DisturbanceConfig
@@ -49,9 +49,9 @@ class PipelineConfig:
     scenario_path: str
     out_dir: str
     master_seed: int
-    gamma_samples: int = 20
-    gamma_low: float = 0.4
-    gamma_high: float = 1.0
+    gamma_samples: int = planner.GAMMA_SAMPLES
+    gamma_low: float = planner.GAMMA_INTERVAL[0]
+    gamma_high: float = planner.GAMMA_INTERVAL[1]
     episodes: int = 10
     collision_cost: float | None = DEFAULT_COLLISION_COST
     from_sonar: bool = False
@@ -62,8 +62,9 @@ class PipelineConfig:
     helix: HelixSpec = field(default_factory=HelixSpec)
 
     def __post_init__(self):
-        if self.gamma_samples < 1 or self.episodes < 1:
-            raise ValueError("sample and episode counts must be >= 1")
+        if self.gamma_samples < 1 or self.episodes < assess.MIN_SAMPLES:
+            raise ValueError(f"gamma_samples must be >= 1 and episodes "
+                             f">= {assess.MIN_SAMPLES}")
         if not (0.0 < self.gamma_low < self.gamma_high <= 1.0):
             raise ValueError("gamma interval must lie inside (0,1]")
 
@@ -72,13 +73,13 @@ class PipelineConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
-        doc = dict(doc)
-        if "disturbance" in doc and isinstance(doc["disturbance"], dict):
-            doc["disturbance"] = DisturbanceConfig(**doc["disturbance"])
-        if "metrics" in doc and isinstance(doc["metrics"], dict):
-            doc["metrics"] = assess.MetricConfig(**doc["metrics"])
-        if "helix" in doc and isinstance(doc["helix"], dict):
-            doc["helix"] = HelixSpec(**doc["helix"])
+        """Config from a JSON document.  A value that is not an object, or a
+        key that its dataclass lacks, is a ValueError that names it."""
+        doc = _fields_doc(cls, doc, "config")
+        for name, kind in (("disturbance", DisturbanceConfig),
+                           ("metrics", assess.MetricConfig), ("helix", HelixSpec)):
+            if name in doc:
+                doc[name] = kind(**_fields_doc(kind, doc[name], name))
         return cls(**doc)
 
     def config_hash(self) -> str:
@@ -88,21 +89,19 @@ class PipelineConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def _fields_doc(kind, doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(kind)}
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{where}: unknown field {key!r}")
+    return dict(doc)
+
+
 def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([master_seed, zlib.crc32(stage.encode("utf-8"))]))
-
-
-def read_trajectory_csv(path, plan_id: str = "") -> Trajectory:
-    samples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            samples.append(TrajectorySample(float(row["t"]),
-                                            (float(row["x"]), float(row["y"]),
-                                             float(row["z"])),
-                                            float(row["v"])))
-    duration = samples[-1].time if samples else 0.0
-    return Trajectory(samples, low_level_length_of(samples), duration, plan_id)
 
 
 def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> VoxelGrid:
@@ -113,7 +112,7 @@ def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> 
     ys = [p[1] for p in pts]
     zs = [p[2] for p in pts]
     margin = 6.0
-    res = 0.5
+    res = DEFAULT_RESOLUTION
     origin = (min(xs) - margin, min(ys) - margin, min(zs) - margin)
     dims = (int((max(xs) - min(xs) + 2 * margin) / res),
             int((max(ys) - min(ys) + 2 * margin) / res),

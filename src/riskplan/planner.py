@@ -15,12 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ImproperPolicy, Mdp, NonConvergence, Plan
+from .mdp import ImproperPolicy, Mdp, NonConvergence, Plan, can_reach
 
 INF = math.inf
+# value iteration stops when no value moves by more than TOLERANCE
+# (relative), and fails after MAX_SWEEPS sweeps
+TOLERANCE = 1e-10
+MAX_SWEEPS = 10**6
+# the default sweep: GAMMA_SAMPLES gammas drawn uniformly from GAMMA_INTERVAL
+GAMMA_SAMPLES = 20
+GAMMA_INTERVAL = (0.4, 1.0)
 
 
-class GammaOutOfRange(Exception):
+class GammaOutOfRange(ValueError):
     pass
 
 
@@ -39,28 +46,9 @@ class Candidate:
         return self.gammas[0]
 
 
-def _goal_reaching_states(m: Mdp) -> set[str]:
-    """States from which some policy can reach a goal."""
-    incoming: dict[str, set[str]] = {}
-    for t in m.transitions:
-        if t.probability > 0.0:
-            incoming.setdefault(t.target, set()).add(t.source)
-    reach = set(m.goals)
-    stack = list(reach)
-    while stack:
-        s = stack.pop()
-        for pred in incoming.get(s, ()):
-            if pred not in reach:
-                reach.add(pred)
-                stack.append(pred)
-    return reach
-
-
 def solve(
     m: Mdp,
     gamma: float,
-    tolerance: float = 1e-10,
-    max_sweeps: int = 10**6,
     failure_cost: float | None = None,
 ) -> tuple[dict[str, float], Plan]:
     """Exponential-disutility value iteration with greedy plan extraction.
@@ -70,7 +58,7 @@ def solve(
     applied inline.  Dead ends are +inf unless ``failure_cost`` is given, in
     which case entering one is priced as terminating with that extra cost
     (collision-recovery semantics for grounded scenarios).  Returns the
-    value of every state and the plan.
+    value of every state and the plan, without its linearization.
     """
     if not (0.0 < gamma < 1.0):
         raise GammaOutOfRange(f"gamma must be in (0,1), got {gamma}")
@@ -78,7 +66,8 @@ def solve(
     enabled = m.enabled_actions
     dead_end_value = INF if failure_cost is None else gamma ** (-failure_cost)
     value: dict[str, float] = {}
-    reach = _goal_reaching_states(m)
+    reach = can_reach(((t.source, t.target) for t in m.transitions
+                       if t.probability > 0.0), m.goals)
     for s in m.states:
         if s.id in m.goals:
             value[s.id] = 1.0
@@ -105,7 +94,7 @@ def solve(
         return mult * total
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         delta = 0.0
         for s, acts in sweep_states:
             new = min(action_value(s, a) for a in acts)
@@ -116,11 +105,11 @@ def solve(
             else:
                 delta = max(delta, abs(new - old) / max(1.0, abs(old)))
             value[s] = new
-        if delta < tolerance:
+        if delta < TOLERANCE:
             converged = True
             break
     if not converged:
-        raise NonConvergence(f"value iteration did not converge in {max_sweeps} sweeps")
+        raise NonConvergence(f"value iteration did not converge in {MAX_SWEEPS} sweeps")
 
     if value[m.start] == INF:
         raise NoProperPolicy(
@@ -151,9 +140,7 @@ def solve(
                 stack.append(t.target)
     policy = {s: a for s, a in policy.items() if s in reachable}
 
-    plan = Plan(policy=policy, gamma=gamma)
-    plan.linearization = linearize(m, plan)
-    return value, plan
+    return value, Plan(policy=policy)
 
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
@@ -187,12 +174,12 @@ def linearize(m: Mdp, p: Plan) -> list[str]:
 def generate_candidates(
     m: Mdp,
     n: int,
-    interval: tuple[float, float] = (0.4, 1.0),
+    interval: tuple[float, float] = GAMMA_INTERVAL,
     rng: np.random.Generator | None = None,
     failure_cost: float | None = None,
-    tolerance: float = 1e-10,
 ) -> list[Candidate]:
-    """Sample gammas uniformly, solve each, and deduplicate by policy.
+    """Sample gammas uniformly, solve each, deduplicate by policy, and
+    linearize each distinct plan once.
 
     The first failed solve is raised: whether a proper policy exists does
     not depend on gamma, so no gamma is skipped.  Output order is fixed by
@@ -209,7 +196,7 @@ def generate_candidates(
     by_policy: dict[tuple, Candidate] = {}
     for g in gammas:
         t0 = time.perf_counter()
-        _, plan = solve(m, g, tolerance=tolerance, failure_cost=failure_cost)
+        _, plan = solve(m, g, failure_cost=failure_cost)
         elapsed = time.perf_counter() - t0
         key = tuple(sorted(plan.policy.items()))
         cand = by_policy.setdefault(key, Candidate(plan=plan, gammas=[], solve_times=[]))
@@ -219,5 +206,5 @@ def generate_candidates(
     candidates = sorted(by_policy.values(), key=lambda c: c.first_gamma)
     for i, c in enumerate(candidates, start=1):
         c.plan.id = f"P{i}"
-        c.plan.gamma = c.first_gamma
+        c.plan.linearization = linearize(m, c.plan)
     return candidates

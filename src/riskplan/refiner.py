@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import Scenario
 
 DEFAULT_DT = 0.1
-DEFAULT_A_MAX = 0.5
+A_MAX = 0.5  # m/s^2, acceleration and braking limit
 HELIX_POINTS = 50
 
 
-class DisconnectedPlan(Exception):
+class DisconnectedPlan(ValueError):
     def __init__(self, a: str, b: str):
         self.pair = (a, b)
         super().__init__(f"no scenario edge connects {a!r} and {b!r}")
@@ -58,6 +58,19 @@ class Trajectory:
                 writer.writerow([f"{s.time:.3f}", f"{s.position[0]:.4f}",
                                  f"{s.position[1]:.4f}", f"{s.position[2]:.4f}",
                                  f"{s.speed:.4f}"])
+
+
+def read_trajectory_csv(path, plan_id: str = "") -> Trajectory:
+    """Trajectory from a CSV that `Trajectory.export_csv` wrote."""
+    samples = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            samples.append(TrajectorySample(float(row["t"]),
+                                            (float(row["x"]), float(row["y"]),
+                                             float(row["z"])),
+                                            float(row["v"])))
+    duration = samples[-1].time if samples else 0.0
+    return Trajectory(samples, low_level_length_of(samples), duration, plan_id)
 
 
 def helix_points(center, radius: float, start_angle: float, z0: float,
@@ -115,13 +128,17 @@ def plan_polyline(scenario: Scenario, steps: list[tuple[str, str]],
     return pts
 
 
-def _critical_zones(scenario: Scenario) -> list[tuple[np.ndarray, float]]:
-    return [(np.asarray(w.position), scenario.critical_radius)
-            for w in scenario.waypoints if w.is_critical]
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, equal bit for bit to
+    `np.linalg.norm` of each 3-vector: both take the square root of a BLAS
+    dot product, where `(v * v).sum(-1)` rounds differently."""
+    return np.sqrt(np.vecdot(v, v))
 
 
-def _in_critical_zone(zones, point) -> bool:
-    return any(float(np.linalg.norm(point - c)) <= r for c, r in zones)
+def _in_critical_zone(centers: np.ndarray, radius: float, point) -> bool:
+    """Whether ``point`` lies within ``radius`` of one of the (zones, 3)
+    critical waypoint ``centers``."""
+    return bool((_norm(point - centers) <= radius).any())
 
 
 def refine(
@@ -129,7 +146,6 @@ def refine(
     steps: list[tuple[str, str]],
     plan_id: str = "",
     dt: float = DEFAULT_DT,
-    a_max: float = DEFAULT_A_MAX,
     helix: HelixSpec = HelixSpec(),
 ) -> Trajectory:
     """Trajectory for the plan: trapezoidal speed per segment, slow in
@@ -141,7 +157,9 @@ def refine(
     if len(pts) < 2:
         return Trajectory([], 0.0, 0.0, plan_id)
 
-    zones = _critical_zones(scenario)
+    centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
+                       dtype=float).reshape(-1, 3)
+    radius = scenario.critical_radius
     v_max, v_crit = scenario.v_max, scenario.v_crit
     samples: list[TrajectorySample] = []
     t = 0.0
@@ -155,10 +173,10 @@ def refine(
         while s < seg_len - 1e-12:
             pos = a + direction * s
             remaining = seg_len - s
-            cap = v_crit if _in_critical_zone(zones, pos) else v_max
-            v = min(v + a_max * dt, cap, math.sqrt(2.0 * a_max * remaining))
+            cap = v_crit if _in_critical_zone(centers, radius, pos) else v_max
+            v = min(v + A_MAX * dt, cap, math.sqrt(2.0 * A_MAX * remaining))
             nxt = a + direction * min(s + v * dt, seg_len)
-            if _in_critical_zone(zones, nxt) and v > v_crit:
+            if _in_critical_zone(centers, radius, nxt) and v > v_crit:
                 v = v_crit
             samples.append(TrajectorySample(t, tuple(pos), v))
             step = v * dt
@@ -168,7 +186,7 @@ def refine(
             else:
                 t += dt
                 s += step
-        samples.append(TrajectorySample(t, tuple(b), max(v, a_max * dt)))
+        samples.append(TrajectorySample(t, tuple(b), max(v, A_MAX * dt)))
         # the corner sample closes the segment; motion restarts from rest
         if i < len(pts) - 2:
             t += dt
@@ -181,8 +199,6 @@ def refine(
         if deduped and math.dist(smp.position, deduped[-1].position) < 1e-12:
             continue
         deduped.append(smp)
-    if deduped and deduped[0].time != 0.0:
-        deduped[0] = TrajectorySample(0.0, deduped[0].position, deduped[0].speed)
     length = low_level_length_of(deduped)
     duration = deduped[-1].time if deduped else 0.0
     return Trajectory(deduped, length, duration, plan_id)

@@ -9,13 +9,14 @@ import numpy as np
 from . import planner
 from .scenario import EdgeDef, Scenario, Waypoint, ground_to_mdp
 
+CORRIDOR_SPACING = 5.0  # m between neighbouring corridor waypoints
 
-class EmptyReport(Exception):
+
+class EmptyReport(ValueError):
     pass
 
 
-def corridor_scenario(depth: int, criticals: int, risk: float = 0.05,
-                      spacing: float = 5.0) -> Scenario:
+def corridor_scenario(depth: int, criticals: int, risk: float = 0.05) -> Scenario:
     """Linear waypoint chain with risky shortcuts at the critical waypoints.
 
     The safe route detours around each critical passage (two extra hops),
@@ -30,7 +31,7 @@ def corridor_scenario(depth: int, criticals: int, risk: float = 0.05,
     edges = []
     critical_set = set(range(1, criticals + 1))
     for i in range(depth + 1):
-        waypoints.append(Waypoint(f"w{i:03d}", (i * spacing, 0.0, -5.0),
+        waypoints.append(Waypoint(f"w{i:03d}", (i * CORRIDOR_SPACING, 0.0, -5.0),
                                   is_critical=(i in critical_set)))
         if i > 0:
             p = risk if i in critical_set else 0.0
@@ -38,7 +39,8 @@ def corridor_scenario(depth: int, criticals: int, risk: float = 0.05,
     # safe detour around each risky passage
     for i in sorted(critical_set):
         d = f"d{i:03d}"
-        waypoints.append(Waypoint(d, ((i - 0.5) * spacing, spacing, -5.0)))
+        waypoints.append(Waypoint(d, ((i - 0.5) * CORRIDOR_SPACING, CORRIDOR_SPACING,
+                                      -5.0)))
         edges.append(EdgeDef(f"w{i - 1:03d}", d, 0.0))
         edges.append(EdgeDef(d, f"w{i:03d}", 0.0))
     return Scenario(
@@ -67,11 +69,11 @@ def run_scaling(
     depth_list: list[int],
     criticals_list: list[int],
     master_seed: int,
-    gamma_samples: int = 20,
     collision_cost: float | None = None,
 ) -> list[ScalingRow]:
-    """Solve one corridor per (depth, criticals) pair and report the safest
-    plan's length, producing risk factor, and planning time.
+    """Solve one corridor per (depth, criticals) pair with the default gamma
+    sweep and report the safest plan's length, producing risk factor, and
+    planning time.
 
     Collisions are priced as unrecoverable by default (``collision_cost
     None``): a finite penalty smaller than the remaining corridor cost would
@@ -87,7 +89,7 @@ def run_scaling(
             rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, depth, crit]))
             candidates = planner.generate_candidates(
-                mdp, gamma_samples, rng=rng, failure_cost=collision_cost)
+                mdp, planner.GAMMA_SAMPLES, rng=rng, failure_cost=collision_cost)
             # safest candidate: the one produced at the lowest risk factor
             safest = min(candidates, key=lambda c: min(c.gammas))
             g = min(safest.gammas)
@@ -108,8 +110,7 @@ def _quartiles(samples: list[float]) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
-def boxplot_svg(samples_by_plan: dict[str, list[float]],
-                title: str = "execution time [s]") -> tuple[str, list[tuple]]:
+def boxplot_svg(samples_by_plan: dict[str, list[float]]) -> tuple[str, list[tuple]]:
     """Deterministic box-plot SVG plus CSV rows of the raw samples.
 
     Boxes show median and quartiles, whiskers the min/max within 1.5 IQR,
@@ -144,7 +145,7 @@ def boxplot_svg(samples_by_plan: dict[str, list[float]],
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">execution time [s]</text>',
     ]
     for k, plan in enumerate(sorted(usable)):
         s = sorted(usable[plan])

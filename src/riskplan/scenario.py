@@ -16,8 +16,7 @@ issues, never an exception.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .mdp import ActionSpec, Mdp, StateSpec, TransitionSpec
 
@@ -30,13 +29,13 @@ DEFAULT_CRITICAL_RADIUS = 2.0
 COLLIDED = "collided"
 
 
-class UngroundableGoal(Exception):
+class UngroundableGoal(ValueError):
     def __init__(self, target: str):
         self.target = target
         super().__init__(f"inspection target {target!r} has no waypoint")
 
 
-class SchemaMismatch(Exception):
+class SchemaMismatch(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
@@ -62,10 +61,6 @@ class EdgeDef:
     a: str
     b: str
     collision_probability: float
-
-    def length(self, positions: dict[str, tuple[float, float, float]]) -> float:
-        pa, pb = positions[self.a], positions[self.b]
-        return math.dist(pa, pb)
 
 
 @dataclass
@@ -393,10 +388,6 @@ class PlanFile:
             raise ValueError("high_level_length must equal the action count")
 
 
-_PLAN_FIELDS = {"format_version", "plan_id", "gamma", "actions",
-                "high_level_length", "trajectory_ref"}
-
-
 def write_plan_file(p: PlanFile, path):
     doc = {"format_version": PLAN_FORMAT_VERSION, **asdict(p)}
     with open(path, "w", encoding="utf-8") as fh:
@@ -412,16 +403,12 @@ def read_plan_file(path) -> PlanFile:
     if doc.get("format_version") != PLAN_FORMAT_VERSION:
         raise SchemaMismatch(".format_version",
                              f"unsupported version {doc.get('format_version')}")
+    del doc["format_version"]
+    names = {f.name for f in fields(PlanFile)}
     for key in doc:
-        if key not in _PLAN_FIELDS:
+        if key not in names:
             raise SchemaMismatch(f".{key}", "unknown field")
-    for key in _PLAN_FIELDS:
-        if key != "trajectory_ref" and key not in doc:
-            raise SchemaMismatch(f".{key}", "missing field")
-    return PlanFile(
-        plan_id=doc["plan_id"],
-        gamma=doc["gamma"],
-        actions=list(doc["actions"]),
-        high_level_length=doc["high_level_length"],
-        trajectory_ref=doc.get("trajectory_ref"),
-    )
+    for f in fields(PlanFile):
+        if f.default is MISSING and f.name not in doc:
+            raise SchemaMismatch(f".{f.name}", "missing field")
+    return PlanFile(**doc)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .refiner import Trajectory
-from .scenario import Obstacle, Scenario
+from .refiner import Trajectory, _norm
+from .scenario import Scenario
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
@@ -80,19 +80,11 @@ def _obstacle_centers(scenario: Scenario, cfg: DisturbanceConfig,
     return centers
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, equal bit for bit to
-    `np.linalg.norm` of each 3-vector: both take the square root of a BLAS
-    dot product, where `(v * v).sum(-1)` rounds differently."""
-    return np.sqrt(np.vecdot(v, v))
-
-
 def _simulate(
     trajectory: Trajectory,
     scenario: Scenario,
     cfg: DisturbanceConfig,
     seeds: list[tuple[int, str, int]],
-    dt: float,
 ) -> list[EpisodeRecord]:
     """Run one episode per seed tuple, all of them in lockstep.
 
@@ -133,7 +125,7 @@ def _simulate(
     tick = 0
     while ids.size:
         # move for one tick, consuming samples as the capture radius allows
-        budget = np.full(ids.size, dt)
+        budget = np.full(ids.size, SIM_DT)
         moving = np.arange(ids.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             while moving.size:
@@ -162,8 +154,8 @@ def _simulate(
                 for row, i in enumerate(ids):
                     noise[row] = rngs[i].normal(0.0, cfg.current_sigma,
                                                 size=(_NOISE_CHUNK, 3))
-            pos = pos + noise[:, tick % _NOISE_CHUNK] * dt
-        sim_time += dt - leftover
+            pos = pos + noise[:, tick % _NOISE_CHUNK] * SIM_DT
+        sim_time += SIM_DT - leftover
         tick += 1
 
         gap = np.maximum(np.abs(pos[:, None, :] - centers) - half, 0.0)
@@ -204,10 +196,9 @@ def run_episode(
     scenario: Scenario,
     cfg: DisturbanceConfig,
     seed: tuple[int, str, int],
-    dt: float = SIM_DT,
 ) -> EpisodeRecord:
     """One episode: the record a batch gives for the same seed tuple."""
-    return _simulate(trajectory, scenario, cfg, [seed], dt)[0]
+    return _simulate(trajectory, scenario, cfg, [seed])[0]
 
 
 def run_batch(
@@ -217,14 +208,13 @@ def run_batch(
     n: int,
     master_seed: int = 0,
     plan_id: str | None = None,
-    dt: float = SIM_DT,
 ) -> list[EpisodeRecord]:
     """n independent episodes with seed tuples (master, plan, 0..n-1)."""
     if n < 1:
         raise ValueError("need at least one episode")
     pid = trajectory.plan_id if plan_id is None else plan_id
     return _simulate(trajectory, scenario, cfg,
-                     [(master_seed, pid, i) for i in range(n)], dt)
+                     [(master_seed, pid, i) for i in range(n)])
 
 
 def write_episode_log(records: list[EpisodeRecord], path):
@@ -238,14 +228,12 @@ def write_episode_log(records: list[EpisodeRecord], path):
 def read_episode_log(path) -> list[EpisodeRecord]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             doc = json.loads(line)
-            out.append(EpisodeRecord(
-                plan_id=doc["plan_id"],
-                episode_index=doc["episode_index"],
-                execution_time_s=doc["execution_time_s"],
-                incidents=[Incident(**i) for i in doc["incidents"]],
-                completed=doc["completed"],
-                seed=(doc["seed"][0], doc["seed"][1], doc["seed"][2]),
-            ))
+            try:
+                doc["incidents"] = [Incident(**i) for i in doc["incidents"]]
+                doc["seed"] = tuple(doc["seed"])
+                out.append(EpisodeRecord(**doc))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{line_no}: not an episode record: {exc}") from None
     return out

@@ -8,8 +8,7 @@ from conftest import TANKS_SCN, make_mdp
 from riskplan import pipeline
 from riskplan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from riskplan.mdp import validate
-from riskplan.pipeline import read_trajectory_csv
-from riskplan.refiner import refine
+from riskplan.refiner import read_trajectory_csv, refine
 from riskplan.scenario import load_scenario
 from riskplan.simulator import DisturbanceConfig, read_episode_log, run_batch
 
@@ -71,6 +70,90 @@ class TestExitCodes:
         code = main(["pipeline", str(small_scn),
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_INPUT
+
+    def test_unsolvable_mission_is_internal(self, tmp_path):
+        # a solver outcome, not bad input: the final waypoint has no edge
+        scn = tmp_path / "island.scn"
+        scn.write_text(SMALL.replace("EDGE near final risk 0\n", "")
+                       .replace("EDGE far final risk 0\n", ""), encoding="utf-8")
+        code = main(["pipeline", str(scn), "--out-dir", str(tmp_path / "out"),
+                     "--seed", "1"])
+        assert code == EXIT_INTERNAL
+
+
+def _plan_file(tmp_path, doc):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"format_version": 2, "plan_id": "P1", "gamma": 0.9,
+                                "trajectory_ref": None, **doc}), encoding="utf-8")
+    return path
+
+
+class TestBadInputExitsTwo:
+    def test_v1_plan_file(self, small_scn, tmp_path):
+        plan = _plan_file(tmp_path, {"format_version": 1, "planning_time_s": 0.0,
+                                     "actions": ["goto near"], "high_level_length": 1})
+        assert main(["refine", str(small_scn), str(plan),
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+
+    def test_disconnected_goto(self, small_scn, tmp_path):
+        # no edge joins start and final
+        plan = _plan_file(tmp_path, {"actions": ["goto final"], "high_level_length": 1})
+        assert main(["refine", str(small_scn), str(plan),
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+
+    def test_assess_one_episode_log(self, small_scn, tmp_path):
+        traj, log = tmp_path / "t.csv", tmp_path / "e.jsonl"
+        refine(load_scenario(small_scn).scenario,
+               [("goto", "near"), ("goto", "final")]).export_csv(traj)
+        # one episode is a valid simulation, but too few to assess
+        assert main(["simulate", str(small_scn), str(traj), "--seed", "1",
+                     "--episodes", "1", "--out", str(log)]) == EXIT_OK
+        assert main(["assess", str(log), "--out",
+                     str(tmp_path / "report.json")]) == EXIT_INPUT
+
+    def test_assess_log_with_unknown_field(self, tmp_path):
+        log = tmp_path / "e.jsonl"
+        record = {"plan_id": "P1", "episode_index": 0, "execution_time_s": 1.0,
+                  "incidents": [], "completed": True, "seed": [1, "P1", 0]}
+        log.write_text(json.dumps(record) + "\n"
+                       + json.dumps({**record, "episode_index": 1, "surprise": 1}) + "\n",
+                       encoding="utf-8")
+        assert main(["assess", str(log), "--out",
+                     str(tmp_path / "report.json")]) == EXIT_INPUT
+
+    def test_plot_without_two_samples(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"samples": {"P1": [3.0], "P2": [4.0]}}),
+                          encoding="utf-8")
+        assert main(["plot", str(report), "--out-svg", str(tmp_path / "b.svg"),
+                     "--out-csv", str(tmp_path / "b.csv")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"master_seed": 3, "gamma_sample": 6}, "gamma_sample"),
+        ({"master_seed": 3, "disturbance": {"current_sigm": 0.1}}, "current_sigm"),
+    ])
+    def test_config_unknown_field(self, small_scn, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["pipeline", str(small_scn), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, flags", [
+        ([["master_seed", 3]], []),
+        ({"master_seed": 3, "disturbance": 3}, ["--perturb-target", "none"]),
+    ])
+    def test_config_not_an_object(self, small_scn, tmp_path, doc, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["pipeline", str(small_scn), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out"), *flags]) == EXIT_INPUT
+
+    def test_one_episode_pipeline_rejected_before_any_work(self, small_scn, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pipeline", str(small_scn), "--out-dir", str(out),
+                     "--seed", "1", "--episodes", "1"]) == EXIT_INPUT
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestPipeline:

@@ -166,8 +166,6 @@ class TestGenerateCandidates:
                                     failure_cost=12.0)
         firsts = [c.first_gamma for c in cands]
         assert firsts == sorted(firsts)
-        for c in cands:
-            assert c.plan.gamma == c.first_gamma
 
     def test_deterministic_in_rng(self):
         m = two_action_mdp()
@@ -196,6 +194,21 @@ class TestGenerateCandidates:
         assert (gammas < 0.7).any() and (gammas >= 0.7).any()
         with pytest.raises(NoProperPolicy, match="injected"):
             generate_candidates(two_action_mdp(), 20, rng=rng)
+
+    def test_each_distinct_plan_linearized_once(self, monkeypatch):
+        real_linearize = planner.linearize
+        calls = []
+
+        def counting_linearize(m, p):
+            calls.append(dict(p.policy))
+            return real_linearize(m, p)
+
+        monkeypatch.setattr(planner, "linearize", counting_linearize)
+        m = two_action_mdp()
+        cands = generate_candidates(m, 20, rng=np.random.default_rng(3))
+        assert len(calls) == len(cands) < 20
+        for c in cands:
+            assert c.plan.linearization == real_linearize(m, c.plan)
 
     def test_solve_times_parallel_gammas(self):
         cands = generate_candidates(two_action_mdp(), 10,

@@ -33,7 +33,7 @@ class TestCorridor:
 
 class TestScaling:
     def test_small_suite_rows(self):
-        rows = run_scaling([3, 4], [1, 2], master_seed=5, gamma_samples=6)
+        rows = run_scaling([3, 4], [1, 2], master_seed=5)
         assert [r.solvable for r in rows] == [True, True]
         for r in rows:
             assert r.plan_length >= r.depth
@@ -41,8 +41,8 @@ class TestScaling:
             assert r.error is None
 
     def test_deterministic_gammas(self):
-        a = run_scaling([3], [1], master_seed=5, gamma_samples=6)
-        b = run_scaling([3], [1], master_seed=5, gamma_samples=6)
+        a = run_scaling([3], [1], master_seed=5)
+        b = run_scaling([3], [1], master_seed=5)
         assert a[0].gamma == b[0].gamma
         assert a[0].plan_length == b[0].plan_length
 
@@ -51,7 +51,7 @@ class TestScaling:
             run_scaling([3, 4], [1], master_seed=0)
 
     def test_bad_row_is_recorded_not_fatal(self):
-        rows = run_scaling([3, 0], [1, 0], master_seed=0, gamma_samples=4)
+        rows = run_scaling([3, 0], [1, 0], master_seed=0)
         assert rows[0].solvable
         assert not rows[1].solvable
         assert "depth" in rows[1].error
