@@ -6,6 +6,7 @@ downstream statistic is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 PROB_TOL = 1e-9
@@ -66,6 +67,10 @@ class Mdp:
     _state_by_id: dict[str, StateSpec] = field(init=False, repr=False)
     _outgoing: dict[tuple[str, str], list[TransitionSpec]] = field(init=False, repr=False)
     _enabled: dict[str, list[str]] = field(init=False, repr=False)
+    successors: list[list[tuple[str, list[tuple[float, int]]]]] = field(
+        init=False, repr=False)
+    predecessors: list[list[int]] = field(init=False, repr=False)
+    goal_reaching: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.goals = frozenset(self.goals)
@@ -76,6 +81,25 @@ class Mdp:
         self._enabled = {}
         for s, a in sorted(self._outgoing):
             self._enabled.setdefault(s, []).append(a)
+        # by position in ``states``: the enabled actions in id order, each
+        # with its (ln P, successor position) pairs of positive probability,
+        # and the positions with such a transition into the state
+        index = {s.id: i for i, s in enumerate(self.states)}
+        self.successors = [
+            [(a, [(math.log(t.probability), index[t.target])
+                  for t in self._outgoing[(s.id, a)]
+                  if t.probability > 0.0 and t.target in index])
+             for a in self._enabled.get(s.id, [])]
+            for s in self.states]
+        preds: list[set[int]] = [set() for _ in self.states]
+        for i, acts in enumerate(self.successors):
+            for _, moves in acts:
+                for _, j in moves:
+                    preds[j].add(i)
+        self.predecessors = [sorted(p) for p in preds]
+        self.goal_reaching = frozenset(can_reach(
+            ((t.source, t.target) for t in self.transitions if t.probability > 0.0),
+            self.goals))
 
     def cost(self, state_id: str) -> float:
         return self._state_by_id[state_id].cost

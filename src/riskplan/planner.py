@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ImproperPolicy, Mdp, NonConvergence, Plan, can_reach
+from .mdp import ImproperPolicy, Mdp, NonConvergence, Plan
 
 INF = math.inf
-# value iteration stops when no value moves by more than TOLERANCE
-# (relative), and fails after MAX_SWEEPS sweeps
+# a backup that moves log V by less than TOLERANCE queues no predecessor;
+# value iteration fails after MAX_SWEEPS backups per swept state
 TOLERANCE = 1e-10
 MAX_SWEEPS = 10**6
 # the default sweep: GAMMA_SAMPLES gammas drawn uniformly from GAMMA_INTERVAL
@@ -51,76 +52,96 @@ def solve(
     gamma: float,
     failure_cost: float | None = None,
 ) -> tuple[dict[str, float], Plan]:
-    """Exponential-disutility value iteration with greedy plan extraction.
+    """Exponential-disutility value iteration in the log domain, with greedy
+    plan extraction.
 
-    V(s) = min over actions of sum_s' P(s,a,s') * gamma^(-cost(s)) * V(s'),
-    V(goal) = 1: the pseudo-probability reshaping of Koenig & Simmons (1994),
-    applied inline.  Dead ends are +inf unless ``failure_cost`` is given, in
-    which case entering one is priced as terminating with that extra cost
-    (collision-recovery semantics for grounded scenarios).  Returns the
-    value of every state and the plan, without its linearization.
+    log V(s) = cost(s) ln(1/gamma) + min over actions of
+    logsumexp over s' of (ln P(s,a,s') + log V(s')), log V(goal) = 0, where
+    V = E[(1/gamma)^C]: the pseudo-probability reshaping of Koenig &
+    Simmons (1994), kept in logs so that long missions cannot overflow.
+    Dead ends are +inf unless ``failure_cost`` is given, in which case
+    entering one is priced as terminating with that extra cost
+    (collision-recovery semantics for grounded scenarios).
+
+    States are backed up from a FIFO worklist, as in prioritized sweeping
+    (Moore & Atkeson 1993): a state whose value moves by TOLERANCE or more
+    queues its predecessors again.  Values start from +inf, so the goal's
+    value runs back along every path in one pass.  The goal-reaching states
+    still at +inf after that can only finish through a loop of their own;
+    they restart from log V = 0 and the queue drains again.  Returns log V
+    of every state and the plan, without its linearization.
     """
     if not (0.0 < gamma < 1.0):
         raise GammaOutOfRange(f"gamma must be in (0,1), got {gamma}")
 
-    enabled = m.enabled_actions
-    dead_end_value = INF if failure_cost is None else gamma ** (-failure_cost)
-    value: dict[str, float] = {}
-    reach = can_reach(((t.source, t.target) for t in m.transitions
-                       if t.probability > 0.0), m.goals)
-    for s in m.states:
+    log_x = -math.log(gamma)  # ln(1/gamma)
+    succ = m.successors
+    logv = [INF] * len(m.states)
+    swept = []
+    for i, s in enumerate(m.states):
         if s.id in m.goals:
-            value[s.id] = 1.0
-        elif not enabled(s.id):
-            value[s.id] = dead_end_value
-        elif s.id not in reach:
-            value[s.id] = INF
-        else:
-            value[s.id] = 1.0
+            logv[i] = 0.0
+        elif not succ[i]:
+            if failure_cost is not None:
+                logv[i] = failure_cost * log_x
+        elif s.id in m.goal_reaching:
+            swept.append(i)
+    cost = [s.cost * log_x for s in m.states]
 
-    sweep_states = [(s.id, enabled(s.id)) for s in m.states
-                    if s.id not in m.goals and enabled(s.id) and s.id in reach]
+    def action_value(moves: list[tuple[float, int]]) -> float:
+        """logsumexp of ln P + log V over the successors, cost excluded."""
+        if len(moves) == 1:
+            lp, j = moves[0]
+            return lp + logv[j]
+        top = max(lp + logv[j] for lp, j in moves)
+        if top == INF:
+            return INF
+        return top + math.log(sum(math.exp(lp + logv[j] - top) for lp, j in moves))
 
-    def action_value(s: str, a: str) -> float:
-        mult = gamma ** (-m.cost(s))
-        total = 0.0
-        for t in m.outgoing(s, a):
-            if t.probability == 0.0:
+    budget = MAX_SWEEPS * len(swept)
+    queued = [True] * len(m.states)  # only swept states ever leave it
+    queue = deque(swept)
+
+    def drain():
+        nonlocal budget
+        while queue:
+            i = queue.popleft()
+            queued[i] = False
+            budget -= 1
+            if budget < 0:
+                raise NonConvergence(f"value iteration did not converge in "
+                                     f"{MAX_SWEEPS} backups per state")
+            new = cost[i] + min(action_value(moves) for _, moves in succ[i])
+            old = logv[i]
+            logv[i] = new
+            if new == old or abs(new - old) < TOLERANCE:
                 continue
-            v = value[t.target]
-            if v == INF:
-                return INF
-            total += t.probability * v
-        return mult * total
+            for j in m.predecessors[i]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
 
-    converged = False
-    for _ in range(MAX_SWEEPS):
-        delta = 0.0
-        for s, acts in sweep_states:
-            new = min(action_value(s, a) for a in acts)
-            old = value[s]
-            if new == INF or old == INF:
-                if new != old:
-                    delta = INF
-            else:
-                delta = max(delta, abs(new - old) / max(1.0, abs(old)))
-            value[s] = new
-        if delta < TOLERANCE:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergence(f"value iteration did not converge in {MAX_SWEEPS} sweeps")
+    drain()
+    looped = [i for i in swept if logv[i] == INF]
+    if looped:
+        for i in looped:
+            logv[i] = 0.0
+        for i in swept:
+            queued[i] = True
+        queue.extend(swept)
+        drain()
 
+    value = {s.id: v for s, v in zip(m.states, logv)}
     if value[m.start] == INF:
         raise NoProperPolicy(
             f"no policy reaches a goal with probability 1 from {m.start!r}")
 
     policy: dict[str, str] = {}
-    for s in m.states:
-        if s.id in m.goals or not enabled(s.id) or value[s.id] == INF:
-            continue
-        best = min(enabled(s.id), key=lambda a: (action_value(s.id, a), a))
-        policy[s.id] = best
+    for i in swept:
+        if logv[i] < INF:
+            # lowest value; min keeps the first, so ties go to the lowest
+            # action id
+            policy[m.states[i].id] = min(succ[i], key=lambda am: action_value(am[1]))[0]
 
     # keep only states reachable under the policy itself so two plans are
     # comparable as policies

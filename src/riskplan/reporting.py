@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planner
+from .mdp import validate
 from .scenario import EdgeDef, Scenario, Waypoint, ground_to_mdp
 
 CORRIDOR_SPACING = 5.0  # m between neighbouring corridor waypoints
@@ -84,8 +85,10 @@ def run_scaling(
     rows = []
     for depth, crit in zip(depth_list, criticals_list):
         try:
-            scenario = corridor_scenario(depth, crit)
-            mdp = ground_to_mdp(scenario)
+            mdp = ground_to_mdp(corridor_scenario(depth, crit))
+            problems = validate(mdp)
+            if problems:
+                raise ValueError("invalid model: " + "; ".join(problems))
             rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, depth, crit]))
             candidates = planner.generate_candidates(

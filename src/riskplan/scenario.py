@@ -16,6 +16,7 @@ issues, never an exception.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .mdp import ActionSpec, Mdp, StateSpec, TransitionSpec
@@ -80,15 +81,6 @@ class Scenario:
 
     def positions(self) -> dict[str, tuple[float, float, float]]:
         return {w.id: w.position for w in self.waypoints}
-
-    def neighbors(self, wid: str) -> list[tuple[str, float]]:
-        out = []
-        for e in self.edges:
-            if e.a == wid:
-                out.append((e.b, e.collision_probability))
-            elif e.b == wid:
-                out.append((e.a, e.collision_probability))
-        return sorted(out)
 
     def edge_between(self, a: str, b: str) -> EdgeDef | None:
         for e in self.edges:
@@ -337,6 +329,14 @@ def ground_to_mdp(s: Scenario) -> Mdp:
         if not any(w.inspection_target == t for w in s.waypoints):
             raise UngroundableGoal(t)
     full = (1 << len(targets)) - 1
+    # each waypoint's (neighbour, collision probability) pairs, sorted
+    neighbors: dict[str, list[tuple[str, float]]] = defaultdict(list)
+    for e in s.edges:
+        neighbors[e.a].append((e.b, e.collision_probability))
+        if e.b != e.a:
+            neighbors[e.b].append((e.a, e.collision_probability))
+    for pairs in neighbors.values():
+        pairs.sort()
 
     states = []
     transitions = []
@@ -350,7 +350,7 @@ def ground_to_mdp(s: Scenario) -> Mdp:
         for mask in range(full + 1):
             sid = state_id(w.id, mask)
             states.append(StateSpec(sid, cost=1.0))
-            for other, p in s.neighbors(w.id):
+            for other, p in neighbors[w.id]:
                 aid = f"move:{w.id}->{other}"
                 add_action(aid, f"goto {other}")
                 transitions.append(TransitionSpec(sid, aid, state_id(other, mask), 1.0 - p))
@@ -388,6 +388,18 @@ class PlanFile:
             raise ValueError("high_level_length must equal the action count")
 
 
+# the value each plan-file field must hold, by field name
+_PLAN_VALUE_TYPES = {
+    "plan_id": ("a string", lambda v: isinstance(v, str)),
+    "gamma": ("a number",
+              lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "actions": ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
+    "high_level_length": ("an integer",
+                          lambda v: isinstance(v, int) and not isinstance(v, bool)),
+}
+
+
 def write_plan_file(p: PlanFile, path):
     doc = {"format_version": PLAN_FORMAT_VERSION, **asdict(p)}
     with open(path, "w", encoding="utf-8") as fh:
@@ -411,4 +423,7 @@ def read_plan_file(path) -> PlanFile:
     for f in fields(PlanFile):
         if f.default is MISSING and f.name not in doc:
             raise SchemaMismatch(f".{f.name}", "missing field")
+    for name, (want, holds) in _PLAN_VALUE_TYPES.items():
+        if not holds(doc[name]):
+            raise SchemaMismatch(f".{name}", f"must be {want}, got {doc[name]!r}")
     return PlanFile(**doc)

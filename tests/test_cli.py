@@ -95,6 +95,18 @@ class TestBadInputExitsTwo:
         assert main(["refine", str(small_scn), str(plan),
                      "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("field, value", [
+        ("actions", 5), ("actions", ["goto near", 5]), ("high_level_length", "1"),
+        ("gamma", "0.9"), ("plan_id", 1),
+    ])
+    def test_plan_file_value_of_wrong_type(self, small_scn, tmp_path, capsys,
+                                           field, value):
+        plan = _plan_file(tmp_path, {"actions": ["goto near", "goto final"],
+                                     "high_level_length": 2, field: value})
+        assert main(["refine", str(small_scn), str(plan),
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+        assert f".{field}" in capsys.readouterr().err
+
     def test_disconnected_goto(self, small_scn, tmp_path):
         # no edge joins start and final
         plan = _plan_file(tmp_path, {"actions": ["goto final"], "high_level_length": 1})

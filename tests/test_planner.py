@@ -1,19 +1,30 @@
 """Risk-sensitive value iteration: gamma bounds, limits, and the gamma sweep.
 
 The gamma-limit oracles (expected-cost and minimax plans) are computed here
-by independent dynamic programs, not by the code under test.
+by independent dynamic programs, not by the code under test.  The
+log-domain worklist solver is checked against the linear-space sweep it
+replaced (`reference_solve`) and against brute-force enumeration of every
+deterministic policy of small random models.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from conftest import (detour_mdp, loop_mdp, make_mdp, risky_vs_safe_mdp,
-                      two_action_mdp)
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import (TANKS_SCN, detour_mdp, loop_mdp, make_mdp,
+                      risky_vs_safe_mdp, two_action_mdp)
 from riskplan import planner
+from riskplan.mdp import (Plan, can_reach, induce_chain,
+                          reward_distribution_exact)
 from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
                               generate_candidates, linearize, linearize_trace,
                               solve)
+from riskplan.reporting import corridor_scenario
+from riskplan.scenario import ground_to_mdp, load_scenario
 
 SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 
@@ -71,6 +82,82 @@ def minimax_policy(m, sweeps=100_000):
             and value[s.id] < math.inf}
 
 
+def reference_solve(m, gamma, failure_cost=None):
+    """Gauss-Seidel sweeps over linear values gamma^-cost * V from V = 1:
+    the solver the log-domain worklist replaced, kept as the oracle for its
+    policies.  It overflows once a plan's disutility passes the largest
+    float, so it is only compared where that cannot happen."""
+    enabled = m.enabled_actions
+    dead_end_value = math.inf if failure_cost is None else gamma ** (-failure_cost)
+    value = {}
+    reach = can_reach(((t.source, t.target) for t in m.transitions
+                       if t.probability > 0.0), m.goals)
+    for s in m.states:
+        if s.id in m.goals:
+            value[s.id] = 1.0
+        elif not enabled(s.id):
+            value[s.id] = dead_end_value
+        elif s.id not in reach:
+            value[s.id] = math.inf
+        else:
+            value[s.id] = 1.0
+
+    sweep_states = [(s.id, enabled(s.id)) for s in m.states
+                    if s.id not in m.goals and enabled(s.id) and s.id in reach]
+
+    def action_value(s, a):
+        mult = gamma ** (-m.cost(s))
+        total = 0.0
+        for t in m.outgoing(s, a):
+            if t.probability == 0.0:
+                continue
+            v = value[t.target]
+            if v == math.inf:
+                return math.inf
+            total += t.probability * v
+        return mult * total
+
+    for _ in range(planner.MAX_SWEEPS):
+        delta = 0.0
+        for s, acts in sweep_states:
+            new = min(action_value(s, a) for a in acts)
+            old = value[s]
+            if new == math.inf or old == math.inf:
+                if new != old:
+                    delta = math.inf
+            else:
+                delta = max(delta, abs(new - old) / max(1.0, abs(old)))
+            value[s] = new
+        if delta < planner.TOLERANCE:
+            break
+    else:
+        raise AssertionError("reference sweep did not converge")
+    if value[m.start] == math.inf:
+        raise NoProperPolicy(m.start)
+
+    policy = {}
+    for s in m.states:
+        if s.id in m.goals or not enabled(s.id) or value[s.id] == math.inf:
+            continue
+        policy[s.id] = min(enabled(s.id), key=lambda a: (action_value(s.id, a), a))
+
+    reachable = set()
+    stack = [m.start]
+    while stack:
+        s = stack.pop()
+        if s in reachable or s in m.goals:
+            reachable.add(s)
+            continue
+        reachable.add(s)
+        a = policy.get(s)
+        if a is None:
+            continue
+        for t in m.outgoing(s, a):
+            if t.probability > 0.0 and t.target not in reachable:
+                stack.append(t.target)
+    return value, Plan({s: a for s, a in policy.items() if s in reachable})
+
+
 class TestTransform:
     def test_gamma_bounds(self):
         for g in (0.0, 1.0, -0.2, 2.0):
@@ -86,7 +173,8 @@ class TestSolve:
             x = 1.0 / gamma
             want_a = x ** 10
             want_b = 0.9 * x ** 2 + 0.1 * x ** 30
-            assert table["s0"] == pytest.approx(min(want_a, want_b), rel=1e-9)
+            assert table["s0"] == pytest.approx(math.log(min(want_a, want_b)),
+                                                abs=1e-9)
             assert plan.policy["s0"] == ("b" if want_b < want_a else "a")
 
     def test_switch_endpoints(self):
@@ -95,8 +183,16 @@ class TestSolve:
         assert solve(m, 0.90)[1].policy["s0"] == "a"
 
     def test_goal_value_is_one(self):
+        # solve returns log V: V(goal) = 1 is log V(goal) = 0, exactly
         table, _ = solve(loop_mdp(), 0.7)
-        assert table["goal"] == 1.0
+        assert table["goal"] == 0.0
+
+    def test_ties_go_to_lowest_action_id(self):
+        m = make_mdp([("s0", 1.0), ("l", 1.0), ("r", 1.0), ("g", 0.0)],
+                     [("s0", "right", "r", 1.0), ("s0", "left", "l", 1.0),
+                      ("l", "go", "g", 1.0), ("r", "go", "g", 1.0)], "s0", {"g"})
+        for gamma in (0.3, 0.9):
+            assert solve(m, gamma)[1].policy["s0"] == "left"
 
     def test_no_proper_policy(self):
         m = make_mdp([("s", 1.0), ("pit", 1.0), ("g", 0.0)],
@@ -222,3 +318,121 @@ class TestGenerateCandidates:
                      [("s", "a", "pit", 1.0)], "s", {"g"})
         with pytest.raises(NoProperPolicy):
             generate_candidates(m, 5, rng=np.random.default_rng(0))
+
+
+def _tanks_mdp():
+    return ground_to_mdp(load_scenario(TANKS_SCN).scenario)
+
+
+def _assert_log_values_match(log_values, linear_values):
+    for s, v in linear_values.items():
+        want = math.log(v) if v < math.inf else math.inf
+        assert log_values[s] == pytest.approx(want, abs=1e-9), s
+
+
+class TestMatchesReference:
+    """The worklist solver returns the replaced sweep's policies, and the
+    logs of its values, wherever the sweep does not overflow."""
+
+    @pytest.mark.parametrize("failure_cost", [12.0, None])
+    def test_tanks_gamma_grid(self, failure_cost):
+        m = _tanks_mdp()
+        gammas = np.concatenate([np.linspace(0.01, 0.999, 300),
+                                 np.random.default_rng(0).uniform(0.01, 0.999, 200)])
+        for g in gammas:
+            want_values, want = reference_solve(m, float(g), failure_cost)
+            values, plan = solve(m, float(g), failure_cost)
+            assert plan.policy == want.policy, g
+            _assert_log_values_match(values, want_values)
+
+    @pytest.mark.parametrize("size", [64, 139, 274])
+    def test_corridor_scaling_gammas(self, size):
+        # the 20 gammas run_scaling samples for this corridor at seed 11
+        m = ground_to_mdp(corridor_scenario(size, size))
+        rng = np.random.default_rng(np.random.SeedSequence([11, size, size]))
+        for g in rng.uniform(*planner.GAMMA_INTERVAL, size=planner.GAMMA_SAMPLES):
+            want_values, want = reference_solve(m, float(g))
+            values, plan = solve(m, float(g))
+            assert plan.policy == want.policy, g
+            _assert_log_values_match(values, want_values)
+
+
+def test_long_corridor_does_not_overflow():
+    # 800 steps at gamma 0.41 is a disutility of about 1.2e309, past the
+    # largest float: the linear-space sweep reported no proper policy here
+    m = ground_to_mdp(corridor_scenario(800, 0))
+    values, plan = solve(m, 0.41)
+    assert linearize(m, plan) == [f"goto w{i:03d}" for i in range(1, 801)]
+    assert values[m.start] == pytest.approx(800 * math.log(1 / 0.41), rel=1e-12)
+
+
+@st.composite
+def small_models(draw):
+    """At most four costed states plus the goal, one or two actions each,
+    one or two successors per action (self-loops and cycles allowed)."""
+    k = draw(st.integers(1, 4))
+    ids = [f"s{i}" for i in range(k)] + ["g"]
+    states = [(s, draw(st.sampled_from([0.5, 1.0, 1.5]))) for s in ids[:-1]]
+    states.append(("g", 0.0))
+    transitions = []
+    for s in ids[:-1]:
+        for a in ("a", "b")[:draw(st.integers(1, 2))]:
+            # the goal is drawn twice as often as any other state
+            targets = draw(st.lists(st.sampled_from(ids + ["g"]), min_size=1,
+                                    max_size=2, unique=True))
+            tenths = draw(st.integers(1, 9)) if len(targets) == 2 else 10
+            transitions.append((s, a, targets[0], tenths / 10))
+            if len(targets) == 2:
+                transitions.append((s, a, targets[1], (10 - tenths) / 10))
+    gamma = draw(st.floats(0.7, 0.99))
+    return make_mdp(states, transitions, "s0", {"g"}), gamma
+
+
+def _policies(m):
+    free = [s.id for s in m.states if s.id not in m.goals]
+    for choice in itertools.product(*(m.enabled_actions(s) for s in free)):
+        yield dict(zip(free, choice))
+
+
+def _disutility(m, policy, gamma):
+    """E[(1/gamma)^C] of the policy from the start by exact enumeration,
+    or inf when some of its mass never reaches the goal."""
+    chain = induce_chain(m, Plan(policy))
+    dist = reward_distribution_exact(chain, epsilon=1e-60)
+    if dist.residual > 1e-30:
+        return math.inf
+    return math.fsum(p * gamma ** -c for c, p in dist.mass.items())
+
+
+def _well_conditioned(m, policy, gamma, bound=0.5):
+    """Spectral radius of the policy's reshaped transition matrix over the
+    states that reach the goal under it is below ``bound``: every finite
+    value converges fast, and the enumeration's truncated tail is
+    negligible."""
+    edges = [(t.source, t.target) for t in m.transitions
+             if policy.get(t.source) == t.action and t.probability > 0.0]
+    live = sorted(can_reach(edges, m.goals) - m.goals)
+    pos = {s: i for i, s in enumerate(live)}
+    reshaped = np.zeros((len(live), len(live)))
+    for t in m.transitions:
+        if policy.get(t.source) == t.action and t.source in pos and t.target in pos:
+            reshaped[pos[t.source], pos[t.target]] += (
+                t.probability * gamma ** -m.cost(t.source))
+    return len(live) == 0 or max(abs(np.linalg.eigvals(reshaped))) < bound
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(small_models())
+def test_solve_matches_brute_force_optimum(model):
+    m, gamma = model
+    policies = list(_policies(m))
+    assume(all(_well_conditioned(m, p, gamma) for p in policies))
+    best = min(_disutility(m, p, gamma) for p in policies)
+    if best == math.inf:
+        with pytest.raises(NoProperPolicy):
+            solve(m, gamma)
+        return
+    values, plan = solve(m, gamma)
+    assert math.exp(values[m.start]) == pytest.approx(best, rel=1e-9)
+    assert _disutility(m, plan.policy, gamma) == pytest.approx(best, rel=1e-9)

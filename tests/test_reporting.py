@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import make_mdp
+from riskplan import reporting
 from riskplan.mdp import validate
 from riskplan.reporting import (EmptyReport, boxplot_svg, corridor_scenario,
                                 run_scaling)
@@ -55,6 +57,28 @@ class TestScaling:
         assert rows[0].solvable
         assert not rows[1].solvable
         assert "depth" in rows[1].error
+
+
+    def test_long_corridor_row_solves_at_low_gamma(self):
+        # seed 0 samples gamma 0.407 for this row: a plan of 800 steps there
+        # overflowed the linear-space solver, which failed every row
+        row, = run_scaling([800], [0], master_seed=0)
+        assert row.solvable and row.error is None
+        assert row.gamma < 0.412
+        assert row.plan_length == 800
+
+    def test_invalid_model_is_a_failed_row(self, monkeypatch):
+        half_mass = make_mdp([("s0", 1.0), ("goal", 0.0)],
+                             [("s0", "go", "goal", 0.5)], "s0", {"goal"})
+        real_ground = reporting.ground_to_mdp
+        monkeypatch.setattr(
+            reporting, "ground_to_mdp",
+            lambda s: half_mass if s.final == "w004" else real_ground(s))
+        rows = run_scaling([3, 4], [1, 1], master_seed=5)
+        assert rows[0].solvable
+        assert not rows[1].solvable and rows[1].plan_length is None
+        for problem in validate(half_mass):
+            assert problem in rows[1].error
 
 
 class TestBoxplot:
