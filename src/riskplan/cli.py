@@ -17,7 +17,8 @@ from . import assess, reporting, simulator
 from .pipeline import (PipelineConfig, StageError, map_from_sonar, plan_candidates,
                        run_pipeline, write_candidate_plan)
 from .refiner import parse_plan_steps, read_trajectory_csv, refine
-from .scenario import format_scenario, ground_to_mdp, load_scenario, read_plan_file
+from .scenario import (format_scenario, ground_to_mdp, load_scenario, open_artifact,
+                       read_plan_file)
 from .occupancy import DEFAULT_KAPPA, extract_problem
 
 EXIT_OK = 0
@@ -68,7 +69,8 @@ def cmd_gen_problem(args) -> int:
     scenario = _load_scenario(args.scenario)
     grid = map_from_sonar(scenario, args.seed, args.noise_sigma)
     updated = extract_problem(grid, scenario, kappa=args.kappa)
-    Path(args.out).write_text(format_scenario(updated), encoding="utf-8")
+    with open_artifact(args.out) as fh:
+        fh.write(format_scenario(updated))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -117,7 +119,7 @@ def cmd_assess(args) -> int:
     cfg = assess.MetricConfig(bin_width=args.bin_width, alpha=args.alpha,
                               time_bound=args.time_bound)
     report = assess.build_report(samples, cfg, alpha_mean=args.alpha_mean)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_artifact(args.out) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out}: selected {report['selection']['selected']}")
@@ -161,7 +163,7 @@ def cmd_scaling(args) -> int:
     crits = [int(x) for x in args.criticals.split(",") if x]
     rows = reporting.run_scaling(depths, crits, args.seed,
                                  collision_cost=args.collision_cost)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with open_artifact(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["depth", "criticals", "solvable", "plan_length",
                          "gamma", "planning_time_s", "median_solve_time_s", "error"])
@@ -184,8 +186,9 @@ def cmd_plot(args) -> int:
         report = json.load(fh)
     samples = report.get("samples", {})
     svg, rows = reporting.boxplot_svg(samples)
-    Path(args.out_svg).write_text(svg, encoding="utf-8")
-    with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
+    with open_artifact(args.out_svg) as fh:
+        fh.write(svg)
+    with open_artifact(args.out_csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["plan_id", "kind", "episode", "value"])
         writer.writerows(rows)

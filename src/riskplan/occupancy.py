@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scenario import Obstacle, Scenario
+from .scenario import Obstacle, Scenario, open_artifact
 
 LOG_ODDS_MIN = -3.5
 LOG_ODDS_MAX = 3.5
@@ -91,7 +91,7 @@ class VoxelGrid:
         return np.argwhere(np.abs(self.log_odds) > EVIDENCE_EPS)
 
     def export_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open_artifact(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["ix", "iy", "iz", "occupancy"])
             for ix, iy, iz in self.observed_voxels():

@@ -25,7 +25,7 @@ from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, parse_plan_steps, refine
 from .scenario import (ParseResult, PlanFile, Scenario, ground_to_mdp,
-                       load_scenario, write_plan_file)
+                       load_scenario, open_artifact, write_plan_file)
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
@@ -157,7 +157,7 @@ def _stamp(doc: dict, cfg: PipelineConfig) -> dict:
 
 
 def _write_json(path: Path, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -248,7 +248,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "variance": f"{m['variance']:.4f}",
             "entropy_bits": f"{m['entropy_bits']:.4f}",
         })
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+    with open_artifact(out / "summary.csv", newline="") as fh:
         fh.write(f"# config_sha256={cfg.config_hash()} master_seed={cfg.master_seed}\n")
         writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0].keys()))
         writer.writeheader()

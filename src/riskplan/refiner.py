@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import Scenario, open_artifact
 
 DEFAULT_DT = 0.1
 A_MAX = 0.5  # m/s^2, acceleration and braking limit
@@ -51,7 +51,7 @@ class Trajectory:
     plan_id: str = ""
 
     def export_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open_artifact(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "y", "z", "v"])
             for s in self.samples:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from pathlib import Path
 
 from .mdp import ActionSpec, Mdp, StateSpec, TransitionSpec
 
@@ -400,9 +401,21 @@ _PLAN_VALUE_TYPES = {
 }
 
 
+def open_artifact(path, newline: str | None = None):
+    """``path`` opened to write a text artifact from scratch.
+
+    An old file there is unlinked, not truncated: on ext4, truncating a
+    file that was rewritten recently flushes it first, which costs ~60 ms
+    per artifact when a run is repeated into the same directory.  A reader
+    that still holds the old file keeps its bytes.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", newline=newline, encoding="utf-8")
+
+
 def write_plan_file(p: PlanFile, path):
     doc = {"format_version": PLAN_FORMAT_VERSION, **asdict(p)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

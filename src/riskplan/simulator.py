@@ -5,18 +5,33 @@ Gaussian current drift; obstacles are displaced once per episode; coming
 closer to an obstacle than the clearance threshold logs an incident and
 adds a recovery time penalty.  Every episode is a pure function of its
 seed tuple (master seed, plan id, episode index).
+
+The tick loop is a small C kernel, `_simkernel.c`, loaded through ctypes.
+It needs a C compiler (`cc` or `gcc`): the first simulation compiles it
+into this package's `__pycache__/`, under a name that carries the digest of
+the source and flags, and later runs load that file.  Random draws stay in
+numpy, and the kernel rounds as the numpy code it replaced did, so the
+records are those of a loop stepping each episode on its own.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import json
+import os
+import shutil
+import subprocess
+import tempfile
 import zlib
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
-from .refiner import Trajectory, _norm
-from .scenario import Scenario
+from .refiner import Trajectory
+from .scenario import Scenario, open_artifact
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
@@ -80,19 +95,94 @@ def _obstacle_centers(scenario: Scenario, cfg: DisturbanceConfig,
     return centers
 
 
+class KernelBuildError(RuntimeError):
+    """The C tick loop could not be compiled; names the compiler and source."""
+
+
+_SOURCE = Path(__file__).with_name("_simkernel.c")
+_CACHE_DIR = _SOURCE.parent / "__pycache__"
+# -ffp-contract=off keeps every product and sum rounded on its own, as numpy
+# rounds them; fast-math or -march flags would change the records
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_RUNNING = 0
+_COMPLETED = 1
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def _digest(source: bytes) -> str:
+    """Name of a build of ``source``: a changed kernel or flag set is a new
+    library, never a stale one."""
+    return hashlib.sha256(source + b"\0" + " ".join(_CFLAGS).encode()).hexdigest()
+
+
+def _build(source: Path, cache_dir: Path) -> Path:
+    """The shared library of ``source``, compiled into ``cache_dir`` unless
+    a build of the same source and flags is already there."""
+    lib = cache_dir / f"{source.stem}-{_digest(source.read_bytes())}.so"
+    if lib.exists():
+        return lib
+    cc = _compiler()
+    if cc is None:
+        raise KernelBuildError(f"no C compiler (cc or gcc) on PATH to build {source}")
+    try:
+        cache_dir.mkdir(exist_ok=True)
+        # build in a private directory, then rename atomically: concurrent
+        # builds never load each other's half-written files
+        private = tempfile.mkdtemp(dir=cache_dir)
+        try:
+            tmp = os.path.join(private, lib.name)
+            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
+                                  capture_output=True, text=True)
+            if proc.returncode:
+                detail = proc.stderr.strip()
+                raise KernelBuildError(
+                    f"{cc} failed to compile {source} (exit {proc.returncode})"
+                    + (f": {detail}" if detail else ""))
+            os.replace(tmp, lib)
+        finally:
+            shutil.rmtree(private, ignore_errors=True)
+    except OSError as exc:
+        raise KernelBuildError(f"could not build {source} with {cc}: {exc}") from exc
+    return lib
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled tick loop, built on first use (never at import)."""
+    lib = ctypes.CDLL(str(_build(_SOURCE, _CACHE_DIR)))
+    # array arguments are checked for dtype and C order at every call
+    f64, intp, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                         for t in (np.float64, np.intp, np.uint8, np.int8))
+    size, real, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
+    lib.norm3_batch.argtypes = [size, f64, f64]
+    lib.norm3_batch.restype = None
+    lib.simulate_ticks.argtypes = [
+        size, size, real,                        # n, ticks, dt
+        f64, f64, size,                          # points, speeds, last
+        size, f64, f64,                          # m, half, centers
+        flag, f64,                               # drift, noise
+        real, real, real, flag, real,            # capture .. timeout
+        f64, intp, f64, u8, i8,                  # pos .. status
+        intp, intp, f64, f64]                    # event buffers
+    lib.simulate_ticks.restype = size
+    return lib
+
+
 def _simulate(
     trajectory: Trajectory,
     scenario: Scenario,
     cfg: DisturbanceConfig,
     seeds: list[tuple[int, str, int]],
 ) -> list[EpisodeRecord]:
-    """Run one episode per seed tuple, all of them in lockstep.
+    """Run one episode per seed tuple.
 
-    Each tick moves every running episode at once; an episode leaves the
-    batch when it completes, times out or aborts.  Per episode the
-    arithmetic, and the order of its random draws, is that of a loop
-    stepping the episode on its own, so a record does not depend on the
-    batch it ran in.
+    The compiled kernel steps each running episode up to _NOISE_CHUNK ticks
+    per call; between calls each episode draws its next drift chunk.  An
+    episode's arithmetic and random draws are its own, so a record does
+    not depend on the batch it ran in.
     """
     if not trajectory.samples:
         raise ValueError("trajectory must be nonempty")
@@ -100,95 +190,48 @@ def _simulate(
     last = len(samples)
     if last == 1:  # already at the only sample
         return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
+    kernel = _kernel()
     points = np.array([s.position for s in samples], dtype=float)
     speeds = np.maximum(np.array([s.speed for s in samples], dtype=float), 1e-6)
     labels = [o.label for o in scenario.obstacles]
+    m = len(labels)
     half = np.array([o.half_extents for o in scenario.obstacles],
-                    dtype=float).reshape(-1, 3)
+                    dtype=float).reshape(m, 3)
     timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
+    drift = cfg.current_sigma > 0
 
     n = len(seeds)
     rngs = [episode_rng(*seed) for seed in seeds]
-    incidents: list[list[Incident]] = [[] for _ in range(n)]
-    records: list[EpisodeRecord | None] = [None] * n
-
-    # one row per running episode; ids[row] is its index into seeds
-    ids = np.arange(n)
     centers = np.array([_obstacle_centers(scenario, cfg, rng) for rng in rngs]
-                       ).reshape(n, len(labels), 3)
+                       ).reshape(n, m, 3)
     pos = np.tile(points[0], (n, 1))
     k = np.ones(n, dtype=np.intp)
     sim_time = np.zeros(n)
-    in_contact = np.zeros((n, len(labels)), dtype=bool)
-    noise = np.empty((n, _NOISE_CHUNK, 3))
+    in_contact = np.zeros((n, m), dtype=np.uint8)
+    status = np.zeros(n, dtype=np.int8)
+    noise = np.zeros((n, _NOISE_CHUNK, 3))
+    capacity = n * _NOISE_CHUNK * m
+    ev_row, ev_obs = np.empty(capacity, dtype=np.intp), np.empty(capacity, dtype=np.intp)
+    ev_time, ev_dist = np.empty(capacity), np.empty(capacity)
+    incidents: list[list[Incident]] = [[] for _ in range(n)]
 
-    tick = 0
-    while ids.size:
-        # move for one tick, consuming samples as the capture radius allows
-        budget = np.full(ids.size, SIM_DT)
-        moving = np.arange(ids.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while moving.size:
-                kk = k[moving]
-                p = pos[moving]
-                room = budget[moving]
-                speed = speeds[kk]
-                gap = points[kk] - p
-                dist = _norm(gap)
-                reach = np.maximum(dist - cfg.capture_radius, 0.0)
-                far = reach > speed * room
-                unit = gap / dist[:, None]  # not used where dist == 0
-                # beyond reach, travel the whole budget toward the sample;
-                # otherwise capture it and spend reach / speed of the budget
-                pos[moving] = np.where(
-                    far[:, None], p + unit * speed[:, None] * room[:, None],
-                    np.where((dist > 0.0)[:, None], p + unit * reach[:, None], p))
-                room = np.where(far, 0.0, room - reach / speed)
-                kk = kk + ~far
-                budget[moving] = room
-                k[moving] = kk
-                moving = moving[(room > 0.0) & (kk < last)]
-        leftover = np.where(k == last, budget, 0.0)
-        if cfg.current_sigma > 0:
-            if tick % _NOISE_CHUNK == 0:
-                for row, i in enumerate(ids):
-                    noise[row] = rngs[i].normal(0.0, cfg.current_sigma,
-                                                size=(_NOISE_CHUNK, 3))
-            pos = pos + noise[:, tick % _NOISE_CHUNK] * SIM_DT
-        sim_time += SIM_DT - leftover
-        tick += 1
-
-        gap = np.maximum(np.abs(pos[:, None, :] - centers) - half, 0.0)
-        dist = _norm(gap)
-        touching = dist < cfg.clearance
-        fresh = touching & ~in_contact
-        aborted = np.zeros(ids.size, dtype=bool)
-        for row in np.flatnonzero(fresh.any(axis=1)):
-            # obstacles in declaration order: a second incident in this
-            # tick is stamped after the first one's penalty
-            for j in np.flatnonzero(fresh[row]):
-                incidents[ids[row]].append(Incident(
-                    round(float(sim_time[row]), 6), labels[j],
-                    round(float(dist[row, j]), 6)))
-                sim_time[row] += cfg.recovery_penalty_s
-                if cfg.abort_on_collision:
-                    aborted[row] = True
-                    break
-        in_contact = touching
-
-        failed = aborted | (sim_time > timeout)
-        done = failed | (k == last)
-        if done.any():
-            for row in np.flatnonzero(done):
-                i = ids[row]
-                _, plan_id, episode_index = seeds[i]
-                records[i] = EpisodeRecord(plan_id, episode_index,
-                                           round(float(sim_time[row]), 6),
-                                           incidents[i], not failed[row], seeds[i])
-            keep = ~done
-            ids, centers, pos, k, sim_time, in_contact, noise = (
-                a[keep] for a in (ids, centers, pos, k, sim_time, in_contact, noise))
-    return records
+    running = range(n)
+    while len(running):
+        if drift:
+            for i in running:
+                noise[i] = rngs[i].normal(0.0, cfg.current_sigma, size=(_NOISE_CHUNK, 3))
+        count = kernel.simulate_ticks(
+            n, _NOISE_CHUNK, SIM_DT, points, speeds, last, m, half, centers,
+            drift, noise, cfg.capture_radius, cfg.clearance,
+            cfg.recovery_penalty_s, cfg.abort_on_collision, timeout,
+            pos, k, sim_time, in_contact, status, ev_row, ev_obs, ev_time, ev_dist)
+        for row, j, t, d in zip(ev_row[:count].tolist(), ev_obs[:count].tolist(),
+                                ev_time[:count].tolist(), ev_dist[:count].tolist()):
+            incidents[row].append(Incident(round(t, 6), labels[j], round(d, 6)))
+        running = np.flatnonzero(status == _RUNNING)
+    return [EpisodeRecord(seed[1], seed[2], round(t, 6), incidents[i],
+                          bool(status[i] == _COMPLETED), seed)
+            for i, (seed, t) in enumerate(zip(seeds, sim_time.tolist()))]
 
 
 def run_episode(
@@ -218,7 +261,7 @@ def run_batch(
 
 
 def write_episode_log(records: list[EpisodeRecord], path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         for r in records:
             doc = asdict(r)
             doc["seed"] = list(doc["seed"])

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, and the staged workflow."""
 
 import json
+import os
 
 import pytest
 
@@ -197,6 +198,23 @@ class TestPipeline:
                      "--out-dir", str(out2)]) == EXIT_OK
         assert (out1 / "report.json").read_bytes() == \
             (out2 / "report.json").read_bytes()
+
+    def test_rerun_replaces_artifacts_without_truncating(self, small_scn, tmp_path):
+        out = tmp_path / "out"
+        run = ["pipeline", str(small_scn), "--out-dir", str(out), "--samples", "8",
+               "--episodes", "4"]
+        assert main(run + ["--seed", "7"]) == EXIT_OK
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        held = tmp_path / "held_report.json"
+        os.link(out / "report.json", held)
+
+        # a rerun writes new files: a reader of the old one keeps its bytes
+        assert main(run + ["--seed", "8"]) == EXIT_OK
+        assert held.read_bytes() == first["report.json"]
+        assert (out / "report.json").read_bytes() != first["report.json"]
+
+        assert main(run + ["--seed", "7"]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in first} == first
 
     def test_flags_override_config_file(self, small_scn, tmp_path):
         out = tmp_path / "out"

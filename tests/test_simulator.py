@@ -1,19 +1,25 @@
-"""Seeded episode simulation: determinism, fidelity, incidents, logs, and
-the lockstep batch against a one-episode-at-a-time reference loop."""
+"""Seeded episode simulation: determinism, fidelity, incidents, logs, the
+compiled kernel against two numpy references (a one-episode-at-a-time loop
+and the lockstep batch it replaced), and how the kernel is built."""
 
 import dataclasses
+import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TANKS_SCN
 from riskplan.pipeline import PipelineConfig, plan_candidates
-from riskplan.refiner import parse_plan_steps, refine
+from riskplan.refiner import _norm, parse_plan_steps, refine
 from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
-from riskplan.simulator import (SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
-                                EpisodeRecord, Incident, _norm, episode_rng,
-                                run_batch, run_episode, read_episode_log,
-                                write_episode_log)
+from riskplan import simulator
+from riskplan.cli import EXIT_INTERNAL, main
+from riskplan.simulator import (_NOISE_CHUNK, SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
+                                EpisodeRecord, Incident, KernelBuildError,
+                                _obstacle_centers, episode_rng, run_batch,
+                                run_episode, read_episode_log, write_episode_log)
 
 OPEN_WATER = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -216,6 +222,102 @@ def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
                          incidents, True, seed)
 
 
+def lockstep_batch(trajectory, scenario, cfg, seeds):
+    """All episodes stepped together as (n, 3) numpy arrays: the batch the
+    compiled kernel replaced, kept as its oracle.  Per episode the
+    arithmetic, and the order of its random draws, is that of
+    `reference_episode`."""
+    samples = trajectory.samples
+    last = len(samples)
+    if last == 1:  # already at the only sample
+        return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
+    points = np.array([s.position for s in samples], dtype=float)
+    speeds = np.maximum(np.array([s.speed for s in samples], dtype=float), 1e-6)
+    labels = [o.label for o in scenario.obstacles]
+    half = np.array([o.half_extents for o in scenario.obstacles],
+                    dtype=float).reshape(-1, 3)
+    timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
+
+    n = len(seeds)
+    rngs = [episode_rng(*seed) for seed in seeds]
+    incidents = [[] for _ in range(n)]
+    records = [None] * n
+
+    # one row per running episode; ids[row] is its index into seeds
+    ids = np.arange(n)
+    centers = np.array([_obstacle_centers(scenario, cfg, rng) for rng in rngs]
+                       ).reshape(n, len(labels), 3)
+    pos = np.tile(points[0], (n, 1))
+    k = np.ones(n, dtype=np.intp)
+    sim_time = np.zeros(n)
+    in_contact = np.zeros((n, len(labels)), dtype=bool)
+    noise = np.empty((n, _NOISE_CHUNK, 3))
+
+    tick = 0
+    while ids.size:
+        # move for one tick, consuming samples as the capture radius allows
+        budget = np.full(ids.size, SIM_DT)
+        moving = np.arange(ids.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while moving.size:
+                kk = k[moving]
+                p = pos[moving]
+                room = budget[moving]
+                speed = speeds[kk]
+                gap = points[kk] - p
+                dist = _norm(gap)
+                reach = np.maximum(dist - cfg.capture_radius, 0.0)
+                far = reach > speed * room
+                unit = gap / dist[:, None]  # not used where dist == 0
+                pos[moving] = np.where(
+                    far[:, None], p + unit * speed[:, None] * room[:, None],
+                    np.where((dist > 0.0)[:, None], p + unit * reach[:, None], p))
+                room = np.where(far, 0.0, room - reach / speed)
+                kk = kk + ~far
+                budget[moving] = room
+                k[moving] = kk
+                moving = moving[(room > 0.0) & (kk < last)]
+        leftover = np.where(k == last, budget, 0.0)
+        if cfg.current_sigma > 0:
+            if tick % _NOISE_CHUNK == 0:
+                for row, i in enumerate(ids):
+                    noise[row] = rngs[i].normal(0.0, cfg.current_sigma,
+                                                size=(_NOISE_CHUNK, 3))
+            pos = pos + noise[:, tick % _NOISE_CHUNK] * SIM_DT
+        sim_time += SIM_DT - leftover
+        tick += 1
+
+        gap = np.maximum(np.abs(pos[:, None, :] - centers) - half, 0.0)
+        dist = _norm(gap)
+        touching = dist < cfg.clearance
+        fresh = touching & ~in_contact
+        aborted = np.zeros(ids.size, dtype=bool)
+        for row in np.flatnonzero(fresh.any(axis=1)):
+            for j in np.flatnonzero(fresh[row]):
+                incidents[ids[row]].append(Incident(
+                    round(float(sim_time[row]), 6), labels[j],
+                    round(float(dist[row, j]), 6)))
+                sim_time[row] += cfg.recovery_penalty_s
+                if cfg.abort_on_collision:
+                    aborted[row] = True
+                    break
+        in_contact = touching
+
+        failed = aborted | (sim_time > timeout)
+        done = failed | (k == last)
+        if done.any():
+            for row in np.flatnonzero(done):
+                i = ids[row]
+                _, plan_id, episode_index = seeds[i]
+                records[i] = EpisodeRecord(plan_id, episode_index,
+                                           round(float(sim_time[row]), 6),
+                                           incidents[i], not failed[row], seeds[i])
+            keep = ~done
+            ids, centers, pos, k, sim_time, in_contact, noise = (
+                a[keep] for a in (ids, centers, pos, k, sim_time, in_contact, noise))
+    return records
+
+
 CONFIGS = {
     "default": DisturbanceConfig(),
     "shaken": DisturbanceConfig(perturb_all=True, obstacle_sigma=1.0,
@@ -237,8 +339,9 @@ def tanks():
 
 
 def assert_matches_reference(traj, scenario, cfg, n, master_seed=7):
-    want = [reference_episode(traj, scenario, cfg, (master_seed, traj.plan_id, i))
-            for i in range(n)]
+    seeds = [(master_seed, traj.plan_id, i) for i in range(n)]
+    want = [reference_episode(traj, scenario, cfg, seed) for seed in seeds]
+    assert lockstep_batch(traj, scenario, cfg, seeds) == want
     assert run_batch(traj, scenario, cfg, n=n, master_seed=master_seed) == want
     return want
 
@@ -296,3 +399,80 @@ class TestIncompleteEpisodes:
         assert rec.completed is False
         assert rec.execution_time_s > 10.0
         assert rec.execution_time_s == round(rec.execution_time_s, 6)
+
+
+class TestKernelMatchesLockstep:
+    @pytest.mark.parametrize("name", ["default", "shaken", "abort", "no_drift"])
+    @pytest.mark.parametrize("master_seed", [7, 11])
+    def test_tanks_batches(self, tanks, master_seed, name):
+        scenario, trajs = tanks
+        for traj in trajs:
+            seeds = [(master_seed, traj.plan_id, i) for i in range(100)]
+            assert run_batch(traj, scenario, CONFIGS[name], n=100,
+                             master_seed=master_seed) == \
+                lockstep_batch(traj, scenario, CONFIGS[name], seeds)
+
+    def test_kernel_norm_equals_norm_bitwise(self):
+        """The one rounding the kernel cannot take from numpy: its
+        distances must round as `_norm`'s BLAS dot product does."""
+        rng = np.random.default_rng(11)
+        n = 200_000
+        scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        vectors = [rng.normal(size=(n, 3)) * scale,
+                   rng.uniform(1e-3, 1e3, size=(n, 3)) * rng.choice([-1.0, 1.0], (n, 3)),
+                   np.zeros((3, 3))]
+        for axis in range(3):  # axis-aligned: two exact zeros
+            axial = np.zeros((1000, 3))
+            axial[:, axis] = 10.0 ** rng.uniform(-3, 3, size=1000)
+            vectors.append(axial)
+        v = np.concatenate(vectors)
+        got = np.empty(len(v))
+        simulator._kernel().norm3_batch(len(v), v, got)
+        differ = got.view(np.uint64) != _norm(v).view(np.uint64)
+        assert not differ.any(), f"{differ.sum()} norms differ, e.g. of {v[differ][:3]}"
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """Kernel loading from an empty cache; the real library is loaded again
+    afterwards."""
+    monkeypatch.setattr(simulator, "_CACHE_DIR", tmp_path / "cache")
+    simulator._kernel.cache_clear()
+    yield tmp_path / "cache"
+    simulator._kernel.cache_clear()
+
+
+class TestKernelBuild:
+    def test_library_name_carries_source_digest(self):
+        digest = simulator._digest(simulator._SOURCE.read_bytes())
+        assert Path(simulator._kernel()._name) == \
+            simulator._CACHE_DIR / f"_simkernel-{digest}.so"
+
+    def test_edited_source_is_rebuilt(self, fresh_kernel, monkeypatch, tmp_path):
+        source = tmp_path / "_simkernel.c"
+        source.write_bytes(simulator._SOURCE.read_bytes() + b"/* edited */\n")
+        monkeypatch.setattr(simulator, "_SOURCE", source)
+        built = Path(simulator._kernel()._name)
+        assert built == fresh_kernel / f"_simkernel-{simulator._digest(source.read_bytes())}.so"
+        assert list(fresh_kernel.iterdir()) == [built]
+
+    @pytest.mark.parametrize("compiler", [None, shutil.which("false")],
+                             ids=["no_compiler", "compile_fails"])
+    def test_build_failure_is_loud(self, fresh_kernel, monkeypatch, tmp_path,
+                                   capsys, compiler):
+        monkeypatch.setattr(simulator, "_compiler", lambda: compiler)
+        scenario, traj = trajectory(OPEN_WATER)
+        with pytest.raises(KernelBuildError) as err:
+            run_batch(traj, scenario, QUIET, n=1)
+        message = str(err.value)
+        assert "_simkernel.c" in message
+        assert (compiler or "cc") in message
+
+        scn = tmp_path / "open.scn"
+        scn.write_text(OPEN_WATER)
+        csv = tmp_path / "trajectory.csv"
+        traj.export_csv(csv)
+        assert main(["simulate", str(scn), str(csv), "--seed", "1",
+                     "--out", str(tmp_path / "episodes.jsonl")]) == EXIT_INTERNAL
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "episodes.jsonl").exists()
