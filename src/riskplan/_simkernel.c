@@ -1,10 +1,11 @@
-/* Tick loop of the disturbed kinematic simulator (see simulator.py).
+/* Tick loop of the disturbed kinematic simulator (see simulator.py) and
+ * the voxel walk of the occupancy grid (see occupancy.py).
  *
  * Every expression keeps the evaluation order of the numpy code it
- * replaced, so a record is the same bit for bit; compile with
+ * replaced, so a record or a grid is the same bit for bit; compile with
  * -ffp-contract=off and without -ffast-math.  Distances are
  * sqrt(fma(z, z, fma(y, y, x*x))), which is how the BLAS dot product
- * behind refiner._norm rounds a 3-vector.
+ * behind refiner._norm and np.linalg.norm rounds a 3-vector.
  */
 #include <math.h>
 
@@ -124,4 +125,95 @@ long simulate_ticks(long n, long ticks, double dt,
         sim_time[row] = t;
     }
     return events;
+}
+
+/* Voxel index of coordinate x along one axis, as VoxelGrid.index_of */
+static long cell(double x, double origin, double res)
+{
+    return (long)floor((x - origin) / res);
+}
+
+static int in_grid(const long *idx, const long *dims)
+{
+    return 0 <= idx[0] && idx[0] < dims[0] && 0 <= idx[1] && idx[1] < dims[1]
+        && 0 <= idx[2] && idx[2] < dims[2];
+}
+
+/* Fold n beams cast from pos (3,) into the C-ordered log_odds grid of
+ * dims (3,) voxels, of side res, from origin (3,).  dirs (n, 3) are unit
+ * directions, ranges (n,) the measured and max_ranges (n,) the maximum
+ * ranges.  Each beam walks the voxels from pos to its endpoint (Amanatides
+ * & Woo): the voxel holding the endpoint of a return gains l_hit, every
+ * other voxel on the way l_miss, each sum clamped to [lo_min, lo_max] in
+ * the order the walk reaches it.
+ */
+void integrate_beams(long n, const double *pos, const double *dirs,
+                     const double *ranges, const double *max_ranges,
+                     double l_hit, double l_miss, double lo_min, double lo_max,
+                     const double *origin, const long *dims, double res,
+                     double *log_odds)
+{
+    long start[3];
+    for (int k = 0; k < 3; k++)
+        start[k] = cell(pos[k], origin[k], res);
+    for (long b = 0; b < n; b++) {
+        const double *d = dirs + 3 * b;
+        double end[3], dir[3];
+        long hit[3], idx[3] = {start[0], start[1], start[2]};
+        for (int k = 0; k < 3; k++) {
+            end[k] = pos[k] + d[k] * ranges[b];
+            dir[k] = end[k] - pos[k];
+            hit[k] = cell(end[k], origin[k], res);
+        }
+        int returned = ranges[b] < max_ranges[b] - 1e-9;
+        double seg_len = norm3(dir[0], dir[1], dir[2]);
+
+        long step[3] = {0, 0, 0};
+        double t_max[3] = {INFINITY, INFINITY, INFINITY};
+        double t_delta[3] = {INFINITY, INFINITY, INFINITY};
+        if (seg_len != 0.0) {
+            for (int k = 0; k < 3; k++) {
+                double u = dir[k] / seg_len;
+                if (u > 0) {
+                    step[k] = 1;
+                    t_max[k] = (origin[k] + (double)(idx[k] + 1) * res - pos[k]) / u;
+                    t_delta[k] = res / u;
+                } else if (u < 0) {
+                    step[k] = -1;
+                    t_max[k] = (origin[k] + (double)idx[k] * res - pos[k]) / u;
+                    t_delta[k] = -res / u;
+                }
+            }
+        }
+
+        /* a zero-length segment visits its start voxel only */
+        double stop = seg_len + 1e-12, t = 0.0;
+        int entered = 0;
+        while (t <= stop) {
+            if (in_grid(idx, dims)) {
+                double *v = log_odds + (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2];
+                int is_hit = returned && idx[0] == hit[0] && idx[1] == hit[1]
+                    && idx[2] == hit[2];
+                double sum = *v + (is_hit ? l_hit : l_miss);
+                sum = sum > lo_min ? sum : lo_min;
+                *v = sum < lo_max ? sum : lo_max;
+                entered = 1;
+            } else if (entered) {
+                break;  /* left the grid after entering it */
+            }
+            if (seg_len == 0.0)
+                break;
+            /* nearest boundary; ties go to the lowest axis */
+            int axis = 0;
+            if (t_max[1] < t_max[axis])
+                axis = 1;
+            if (t_max[2] < t_max[axis])
+                axis = 2;
+            t = t_max[axis];
+            if (t > stop)
+                break;
+            idx[axis] += step[axis];
+            t_max[axis] += t_delta[axis];
+        }
+    }
 }

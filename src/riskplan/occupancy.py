@@ -3,6 +3,12 @@
 Log-odds cells, additive hit/miss updates with clamping, incremental grid
 ray marching, exact ray/box range synthesis, and the occupancy -> planning
 problem extraction (critical flags, edge collision probabilities).
+
+Ranges come from one slab test per scan over every beam and box.  The voxel
+walk and the log-odds updates run in the compiled C kernel (see `kernel`),
+so mapping needs a C compiler, as simulation does.  The kernel keeps the
+update order and rounding of `traverse_voxels`, the same walk in Python,
+which the tests take as the reference and perfbench's trace wraps by name.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernel
 from .scenario import Obstacle, Scenario, open_artifact
 
 LOG_ODDS_MIN = -3.5
@@ -94,9 +101,10 @@ class VoxelGrid:
         with open_artifact(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["ix", "iy", "iz", "occupancy"])
-            for ix, iy, iz in self.observed_voxels():
-                writer.writerow([ix, iy, iz,
-                                 f"{self.occupancy((ix, iy, iz)):.6f}"])
+            observed = self.observed_voxels()
+            log_odds = self.log_odds[tuple(observed.T)]
+            for (ix, iy, iz), l in zip(observed.tolist(), log_odds.tolist()):
+                writer.writerow([ix, iy, iz, f"{logistic(l):.6f}"])
 
 
 def traverse_voxels(grid: VoxelGrid, start, end) -> list[tuple[int, int, int]]:
@@ -152,46 +160,33 @@ def integrate_scan(
     p_hit: float = DEFAULT_P_HIT,
     p_miss: float = DEFAULT_P_MISS,
 ) -> VoxelGrid:
-    """Fold one scan into the grid (mutates and returns it)."""
+    """Fold one scan into the grid (mutates and returns it).
+
+    Each beam walks the voxels from the sensor to its endpoint as
+    `traverse_voxels` does: the voxel holding the endpoint of a return
+    gains the hit log-odds, every other voxel on the way the miss log-odds,
+    each sum clamped in turn.  The walk runs in the compiled kernel, one
+    call per scan.
+    """
     if not (0.0 < p_miss < 0.5 < p_hit < 1.0):
         raise ValueError(f"need p_miss < 0.5 < p_hit in (0,1), got {p_miss}, {p_hit}")
-    l_hit = math.log(p_hit / (1.0 - p_hit))
-    l_miss = math.log(p_miss / (1.0 - p_miss))
-    pos = np.asarray(scan.position, dtype=float)
-    for beam in scan.beams:
-        d = np.asarray(beam.direction, dtype=float)
-        endpoint = pos + d * beam.measured_range
-        returned = beam.measured_range < beam.max_range - 1e-9
-        voxels = traverse_voxels(grid, pos, endpoint)
-        if not voxels:
-            continue
-        hit_voxel = grid.index_of(endpoint) if returned else None
-        for v in voxels:
-            delta = l_hit if v == hit_voxel else l_miss
-            grid.log_odds[v] = min(LOG_ODDS_MAX,
-                                   max(LOG_ODDS_MIN, grid.log_odds[v] + delta))
+    if (len(grid.dimensions) != 3 or grid.origin.shape != (3,)
+            or grid.log_odds.shape != grid.dimensions):
+        raise ValueError("grid origin and log-odds do not match its 3 dimensions")
+    n = len(scan.beams)
+    # reshape raises unless every point has 3 coordinates
+    pos = np.asarray(scan.position, dtype=float).reshape(3)
+    dirs = np.array([b.direction for b in scan.beams], dtype=float).reshape(n, 3)
+    ranges = np.array([b.measured_range for b in scan.beams], dtype=float)
+    if not (np.isfinite(pos).all() and np.isfinite(ranges).all()):
+        raise ValueError("scan position and beam ranges must be finite")
+    kernel.load().integrate_beams(
+        n, pos, dirs, ranges, np.array([b.max_range for b in scan.beams], dtype=float),
+        math.log(p_hit / (1.0 - p_hit)), math.log(p_miss / (1.0 - p_miss)),
+        LOG_ODDS_MIN, LOG_ODDS_MAX,
+        grid.origin, np.array(grid.dimensions, dtype=np.intp), grid.resolution,
+        grid.log_odds)
     return grid
-
-
-def ray_box_range(origin, direction, box: Obstacle) -> float | None:
-    """Distance to the first intersection with an axis-aligned box, if any."""
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    lo = np.asarray(box.center) - np.asarray(box.half_extents)
-    hi = np.asarray(box.center) + np.asarray(box.half_extents)
-    t_near, t_far = -math.inf, math.inf
-    for k in range(3):
-        if direction[k] == 0.0:
-            if not (lo[k] <= origin[k] <= hi[k]):
-                return None
-            continue
-        t1 = (lo[k] - origin[k]) / direction[k]
-        t2 = (hi[k] - origin[k]) / direction[k]
-        t_near = max(t_near, min(t1, t2))
-        t_far = min(t_far, max(t1, t2))
-    if t_near > t_far or t_far < 0:
-        return None
-    return max(t_near, 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,6 +205,40 @@ class BeamFan:
         return [(math.cos(yaw + off), math.sin(yaw + off), 0.0) for off in offsets]
 
 
+def _nearest_hits(position, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  max_range: float) -> np.ndarray:
+    """Per beam, the range to the nearest box within max_range, or inf.
+
+    The slab test of every beam (dirs, (beams, 3)) against every box
+    (corners lo and hi, (m, 3)) at once.  Each comparison is the one
+    Python's min or max makes, taken axis by axis and then box by box, so
+    every range equals the one a per-box loop finds, down to the sign of a
+    zero.
+    """
+    origin = np.asarray(position, dtype=float)
+    d = dirs[:, None, :]
+    flat = d == 0.0  # parallel to a slab: hit only from inside it
+    step = np.where(flat, 1.0, d)
+    t1 = (lo - origin) / step
+    t2 = (hi - origin) / step
+    t_near = np.full(t1.shape[:2], -math.inf)
+    t_far = np.full(t1.shape[:2], math.inf)
+    miss = np.zeros(t1.shape[:2], dtype=bool)
+    for k in range(3):
+        a, b, parallel = t1[..., k], t2[..., k], flat[..., k]
+        near = np.where(b < a, b, a)
+        far = np.where(b > a, b, a)
+        t_near = np.where(~parallel & (near > t_near), near, t_near)
+        t_far = np.where(~parallel & (far < t_far), far, t_far)
+        miss |= parallel & ~((lo[:, k] <= origin[k]) & (origin[k] <= hi[:, k]))
+    r = np.where(0.0 > t_near, 0.0, t_near)
+    hit = ~miss & ~(t_near > t_far) & ~(t_far < 0) & (r <= max_range)
+    nearest = np.full(len(dirs), math.inf)
+    for j in range(r.shape[1]):
+        nearest = np.where(hit[:, j] & (r[:, j] < nearest), r[:, j], nearest)
+    return nearest
+
+
 def synthesize_scans(
     obstacles: list[Obstacle],
     sensor_path: list[tuple[tuple[float, float, float], float]],
@@ -217,30 +246,41 @@ def synthesize_scans(
     rng: np.random.Generator,
     range_sigma: float = 0.0,
 ) -> list[SonarScan]:
-    """Exact ray/box ranges along a sensor path, with Gaussian range noise."""
+    """Exact ray/box ranges along a sensor path, with Gaussian range noise.
+
+    A beam that hits nothing within the fan's range reads max_range.  Each
+    scan draws one normal per hit, in beam order, and clamps the noisy
+    range to [1e-6, max_range].
+    """
     if range_sigma < 0:
         raise ValueError("range noise sigma must be >= 0")
+    lo = np.array([np.asarray(o.center) - np.asarray(o.half_extents)
+                   for o in obstacles], dtype=float).reshape(-1, 3)
+    hi = np.array([np.asarray(o.center) + np.asarray(o.half_extents)
+                   for o in obstacles], dtype=float).reshape(-1, 3)
     scans = []
     for position, yaw in sensor_path:
-        beams = []
-        for d in fan.directions(yaw):
-            hits = [r for r in (ray_box_range(position, d, o) for o in obstacles)
-                    if r is not None and r <= fan.max_range]
-            r = min(hits) if hits else fan.max_range
-            if range_sigma > 0 and hits:
-                r += float(rng.normal(0.0, range_sigma))
-                r = min(max(r, 1e-6), fan.max_range)
-            beams.append(SonarBeam(d, r, fan.max_range))
-        scans.append(SonarScan(tuple(position), yaw, tuple(beams)))
+        directions = fan.directions(yaw)
+        r = _nearest_hits(position, np.array(directions, dtype=float).reshape(-1, 3),
+                          lo, hi, fan.max_range)
+        hit = r < math.inf
+        r[~hit] = fan.max_range
+        if range_sigma > 0:
+            noisy = r[hit] + rng.normal(0.0, range_sigma, size=int(hit.sum()))
+            noisy = np.where(1e-6 > noisy, 1e-6, noisy)
+            r[hit] = np.where(fan.max_range < noisy, fan.max_range, noisy)
+        beams = tuple(SonarBeam(d, rd, fan.max_range)
+                      for d, rd in zip(directions, r.tolist()))
+        scans.append(SonarScan(tuple(position), yaw, beams))
     return scans
 
 
-def _max_occupancy_near_segment(grid: VoxelGrid, a, b, radius: float) -> float:
-    """Max occupancy over observed voxels within radius of segment ab."""
-    observed = grid.observed_voxels()
-    if len(observed) == 0:
+def _max_occupancy_near_segment(centers: np.ndarray, log_odds: np.ndarray,
+                                a, b, radius: float) -> float:
+    """Max occupancy over the observed voxels (centres (n, 3), log-odds
+    (n,)) within radius of segment ab."""
+    if len(centers) == 0:
         return 0.0
-    centers = grid.origin + (observed + 0.5) * grid.resolution
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
@@ -250,11 +290,10 @@ def _max_occupancy_near_segment(grid: VoxelGrid, a, b, radius: float) -> float:
     else:
         t = np.clip((centers - a) @ ab / denom, 0.0, 1.0)
         d = np.linalg.norm(centers - (a + t[:, None] * ab), axis=1)
-    near = observed[d <= radius]
+    near = log_odds[d <= radius]
     if len(near) == 0:
         return 0.0
-    lo = grid.log_odds[near[:, 0], near[:, 1], near[:, 2]]
-    return float(1.0 / (1.0 + np.exp(-np.max(lo))))
+    return float(1.0 / (1.0 + np.exp(-np.max(near))))
 
 
 def extract_problem(
@@ -269,18 +308,23 @@ def extract_problem(
     """
     clearance = scenario.critical_radius
     positions = scenario.positions()
+    observed = grid.observed_voxels()
+    centers = grid.origin + (observed + 0.5) * grid.resolution
+    log_odds = grid.log_odds[tuple(observed.T)]
     critical: dict[str, bool] = {}
     for w in scenario.waypoints:
         own = grid.occupancy_at(w.position)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
             raise WaypointInOccupiedVoxel(w.id, own)
-        near = _max_occupancy_near_segment(grid, w.position, w.position, clearance)
+        near = _max_occupancy_near_segment(centers, log_odds, w.position, w.position,
+                                           clearance)
         critical[w.id] = near > TAU_OCC
 
     new_waypoints = [replace(w, is_critical=critical[w.id]) for w in scenario.waypoints]
     new_edges = []
     for e in scenario.edges:
-        occ = _max_occupancy_near_segment(grid, positions[e.a], positions[e.b], clearance)
+        occ = _max_occupancy_near_segment(centers, log_odds, positions[e.a],
+                                          positions[e.b], clearance)
         risk = 0.0 if occ <= TAU_OCC else min(kappa * occ, EDGE_RISK_CAP)
         new_edges.append(replace(e, collision_probability=risk))
     return replace(scenario, waypoints=new_waypoints, edges=new_edges)

@@ -47,6 +47,35 @@ class Candidate:
         return self.gammas[0]
 
 
+def _with_proper_policy(looped: list[int], m: Mdp, logv: list[float]) -> list[int]:
+    """The looped states from which some policy reaches a finite-valued
+    state with probability 1.
+
+    The greatest set whose every state reaches a finite state through
+    actions that lead only to finite states or back into the set
+    (almost-sure reachability).  The rest have no proper policy: restarted
+    from log V = 0, their values would grow without bound.
+    """
+    keep = set(looped)
+    while keep:
+        allowed = {i: [moves for _, moves in m.successors[i]
+                       if all(logv[j] < INF or j in keep for _, j in moves)]
+                   for i in keep}
+        good = {i for i in keep
+                if any(logv[j] < INF for moves in allowed[i] for _, j in moves)}
+        stack = list(good)
+        while stack:
+            for i in m.predecessors[stack.pop()]:
+                if i in keep and i not in good and any(
+                        j in good for moves in allowed[i] for _, j in moves):
+                    good.add(i)
+                    stack.append(i)
+        if good == keep:
+            break
+        keep = good
+    return [i for i in looped if i in keep]
+
+
 def solve(
     m: Mdp,
     gamma: float,
@@ -68,7 +97,8 @@ def solve(
     queues its predecessors again.  Values start from +inf, so the goal's
     value runs back along every path in one pass.  The goal-reaching states
     still at +inf after that can only finish through a loop of their own;
-    they restart from log V = 0 and the queue drains again.  Returns log V
+    those with a proper policy restart from log V = 0 and the queue drains
+    again, the others stay at +inf.  Returns log V
     of every state and the plan, without its linearization.
     """
     if not (0.0 < gamma < 1.0):
@@ -122,7 +152,7 @@ def solve(
                     queue.append(j)
 
     drain()
-    looped = [i for i in swept if logv[i] == INF]
+    looped = _with_proper_policy([i for i in swept if logv[i] == INF], m, logv)
     if looped:
         for i in looped:
             logv[i] = 0.0

@@ -6,30 +6,21 @@ closer to an obstacle than the clearance threshold logs an incident and
 adds a recovery time penalty.  Every episode is a pure function of its
 seed tuple (master seed, plan id, episode index).
 
-The tick loop is a small C kernel, `_simkernel.c`, loaded through ctypes.
-It needs a C compiler (`cc` or `gcc`): the first simulation compiles it
-into this package's `__pycache__/`, under a name that carries the digest of
-the source and flags, and later runs load that file.  Random draws stay in
-numpy, and the kernel rounds as the numpy code it replaced did, so the
-records are those of a loop stepping each episode on its own.
+The tick loop runs in the compiled C kernel (see `kernel`), so simulation
+needs a C compiler.  Random draws stay in numpy, and the kernel rounds as
+the numpy code it replaced did, so the records are those of a loop
+stepping each episode on its own.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import json
-import os
-import shutil
-import subprocess
-import tempfile
 import zlib
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
+from . import kernel
 from .refiner import Trajectory
 from .scenario import Scenario, open_artifact
 
@@ -95,80 +86,8 @@ def _obstacle_centers(scenario: Scenario, cfg: DisturbanceConfig,
     return centers
 
 
-class KernelBuildError(RuntimeError):
-    """The C tick loop could not be compiled; names the compiler and source."""
-
-
-_SOURCE = Path(__file__).with_name("_simkernel.c")
-_CACHE_DIR = _SOURCE.parent / "__pycache__"
-# -ffp-contract=off keeps every product and sum rounded on its own, as numpy
-# rounds them; fast-math or -march flags would change the records
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _RUNNING = 0
 _COMPLETED = 1
-
-
-def _compiler() -> str | None:
-    return shutil.which("cc") or shutil.which("gcc")
-
-
-def _digest(source: bytes) -> str:
-    """Name of a build of ``source``: a changed kernel or flag set is a new
-    library, never a stale one."""
-    return hashlib.sha256(source + b"\0" + " ".join(_CFLAGS).encode()).hexdigest()
-
-
-def _build(source: Path, cache_dir: Path) -> Path:
-    """The shared library of ``source``, compiled into ``cache_dir`` unless
-    a build of the same source and flags is already there."""
-    lib = cache_dir / f"{source.stem}-{_digest(source.read_bytes())}.so"
-    if lib.exists():
-        return lib
-    cc = _compiler()
-    if cc is None:
-        raise KernelBuildError(f"no C compiler (cc or gcc) on PATH to build {source}")
-    try:
-        cache_dir.mkdir(exist_ok=True)
-        # build in a private directory, then rename atomically: concurrent
-        # builds never load each other's half-written files
-        private = tempfile.mkdtemp(dir=cache_dir)
-        try:
-            tmp = os.path.join(private, lib.name)
-            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
-                                  capture_output=True, text=True)
-            if proc.returncode:
-                detail = proc.stderr.strip()
-                raise KernelBuildError(
-                    f"{cc} failed to compile {source} (exit {proc.returncode})"
-                    + (f": {detail}" if detail else ""))
-            os.replace(tmp, lib)
-        finally:
-            shutil.rmtree(private, ignore_errors=True)
-    except OSError as exc:
-        raise KernelBuildError(f"could not build {source} with {cc}: {exc}") from exc
-    return lib
-
-
-@functools.cache
-def _kernel() -> ctypes.CDLL:
-    """The compiled tick loop, built on first use (never at import)."""
-    lib = ctypes.CDLL(str(_build(_SOURCE, _CACHE_DIR)))
-    # array arguments are checked for dtype and C order at every call
-    f64, intp, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                         for t in (np.float64, np.intp, np.uint8, np.int8))
-    size, real, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
-    lib.norm3_batch.argtypes = [size, f64, f64]
-    lib.norm3_batch.restype = None
-    lib.simulate_ticks.argtypes = [
-        size, size, real,                        # n, ticks, dt
-        f64, f64, size,                          # points, speeds, last
-        size, f64, f64,                          # m, half, centers
-        flag, f64,                               # drift, noise
-        real, real, real, flag, real,            # capture .. timeout
-        f64, intp, f64, u8, i8,                  # pos .. status
-        intp, intp, f64, f64]                    # event buffers
-    lib.simulate_ticks.restype = size
-    return lib
 
 
 def _simulate(
@@ -190,7 +109,7 @@ def _simulate(
     last = len(samples)
     if last == 1:  # already at the only sample
         return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
-    kernel = _kernel()
+    lib = kernel.load()
     points = np.array([s.position for s in samples], dtype=float)
     speeds = np.maximum(np.array([s.speed for s in samples], dtype=float), 1e-6)
     labels = [o.label for o in scenario.obstacles]
@@ -220,7 +139,7 @@ def _simulate(
         if drift:
             for i in running:
                 noise[i] = rngs[i].normal(0.0, cfg.current_sigma, size=(_NOISE_CHUNK, 3))
-        count = kernel.simulate_ticks(
+        count = lib.simulate_ticks(
             n, _NOISE_CHUNK, SIM_DT, points, speeds, last, m, half, centers,
             drift, noise, cfg.capture_radius, cfg.clearance,
             cfg.recovery_penalty_s, cfg.abort_on_collision, timeout,

@@ -1,4 +1,6 @@
-"""Occupancy grid updates, ray traversal, and problem extraction."""
+"""Occupancy grid updates, ray traversal, and problem extraction; the
+compiled voxel walk and the vectorised range synthesis against the Python
+loops they replaced."""
 
 import math
 
@@ -7,16 +9,84 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskplan.occupancy import (EDGE_RISK_CAP, LOG_ODDS_MAX, BeamFan,
-                                SonarBeam, SonarScan, VoxelGrid,
-                                WaypointInOccupiedVoxel, extract_problem,
-                                integrate_scan, logistic, ray_box_range,
-                                synthesize_scans, traverse_voxels)
-from riskplan.scenario import Obstacle, parse_scenario
+from conftest import TANKS_SCN
+from riskplan import kernel, pipeline
+from riskplan.occupancy import (DEFAULT_P_HIT, DEFAULT_P_MISS, EDGE_RISK_CAP,
+                                LOG_ODDS_MAX, LOG_ODDS_MIN, BeamFan, SonarBeam,
+                                SonarScan, VoxelGrid, WaypointInOccupiedVoxel,
+                                _nearest_hits, extract_problem, integrate_scan,
+                                logistic, synthesize_scans, traverse_voxels)
+from riskplan.scenario import Obstacle, load_scenario, parse_scenario
 
 
 def grid(res=1.0, dims=(10, 10, 10), origin=(0.0, 0.0, 0.0)):
     return VoxelGrid(origin, dims, res)
+
+
+def reference_integrate_scan(grid, scan, p_hit=DEFAULT_P_HIT, p_miss=DEFAULT_P_MISS):
+    """The per-voxel Python update loop the compiled kernel replaced."""
+    l_hit = math.log(p_hit / (1.0 - p_hit))
+    l_miss = math.log(p_miss / (1.0 - p_miss))
+    pos = np.asarray(scan.position, dtype=float)
+    for beam in scan.beams:
+        d = np.asarray(beam.direction, dtype=float)
+        endpoint = pos + d * beam.measured_range
+        returned = beam.measured_range < beam.max_range - 1e-9
+        voxels = traverse_voxels(grid, pos, endpoint)
+        if not voxels:
+            continue
+        hit_voxel = grid.index_of(endpoint) if returned else None
+        for v in voxels:
+            delta = l_hit if v == hit_voxel else l_miss
+            grid.log_odds[v] = min(LOG_ODDS_MAX,
+                                   max(LOG_ODDS_MIN, grid.log_odds[v] + delta))
+    return grid
+
+
+def ray_box_range(origin, direction, box: Obstacle) -> float | None:
+    """Distance to the first intersection with an axis-aligned box, if any:
+    the per-box slab test the vectorised synthesis replaced."""
+    origin = np.asarray(origin, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    lo = np.asarray(box.center) - np.asarray(box.half_extents)
+    hi = np.asarray(box.center) + np.asarray(box.half_extents)
+    t_near, t_far = -math.inf, math.inf
+    for k in range(3):
+        if direction[k] == 0.0:
+            if not (lo[k] <= origin[k] <= hi[k]):
+                return None
+            continue
+        t1 = (lo[k] - origin[k]) / direction[k]
+        t2 = (hi[k] - origin[k]) / direction[k]
+        t_near = max(t_near, min(t1, t2))
+        t_far = min(t_far, max(t1, t2))
+    if t_near > t_far or t_far < 0:
+        return None
+    return max(t_near, 0.0)
+
+
+def reference_synthesize_scans(obstacles, sensor_path, fan, rng, range_sigma=0.0):
+    """The per-beam, per-box synthesis loop the vectorised one replaced."""
+    scans = []
+    for position, yaw in sensor_path:
+        beams = []
+        for d in fan.directions(yaw):
+            hits = [r for r in (ray_box_range(position, d, o) for o in obstacles)
+                    if r is not None and r <= fan.max_range]
+            r = min(hits) if hits else fan.max_range
+            if range_sigma > 0 and hits:
+                r += float(rng.normal(0.0, range_sigma))
+                r = min(max(r, 1e-6), fan.max_range)
+            beams.append(SonarBeam(d, r, fan.max_range))
+        scans.append(SonarScan(tuple(position), yaw, tuple(beams)))
+    return scans
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.shape == b.shape
+    differ = a.view(np.uint64) != b.view(np.uint64)
+    assert not differ.any(), \
+        f"{differ.sum()} voxels differ, first at {np.argwhere(differ)[0]}"
 
 
 def hit_scan(position, direction, rng, max_range=8.0):
@@ -61,6 +131,22 @@ class TestLogOddsUpdates:
         with pytest.raises(ValueError):
             integrate_scan(grid(), hit_scan((0.5, 0.5, 0.5), (1, 0, 0), 3.0),
                            p_hit=0.4)
+
+    def test_malformed_scan_or_grid_rejected(self):
+        """Nothing malformed reaches the kernel's pointers."""
+        beam = SonarBeam((1.0, 0.0, 0.0), 3.0, 8.0)
+        bad_scans = [SonarScan((0.5, 0.5), 0.0, (beam,)),
+                     SonarScan((math.nan, 0.5, 0.5), 0.0, (beam,)),
+                     SonarScan((0.5, 0.5, 0.5), 0.0, (SonarBeam((1.0, 0.0), 3.0, 8.0),)),
+                     SonarScan((0.5, 0.5, 0.5), 0.0,
+                               (SonarBeam((1.0, 0.0, 0.0), math.inf, math.inf),))]
+        for scan in bad_scans:
+            with pytest.raises(ValueError):
+                integrate_scan(grid(), scan)
+        g = grid()
+        g.log_odds = np.zeros((10, 10))
+        with pytest.raises(ValueError):
+            integrate_scan(g, SonarScan((0.5, 0.5, 0.5), 0.0, (beam,)))
 
     @given(hits=st.integers(min_value=1, max_value=8),
            extra=st.integers(min_value=1, max_value=8))
@@ -107,20 +193,31 @@ class TestTraversal:
         assert grid().occupancy_at((-5.0, 0.0, 0.0)) == 0.5
 
 
+def box_range(origin, direction, box):
+    """The reference range to one box, checked against the library's
+    vectorised slab test (inf for no hit)."""
+    want = ray_box_range(origin, direction, box)
+    got = _nearest_hits(origin, np.array([direction], dtype=float),
+                        np.subtract([box.center], [box.half_extents]),
+                        np.add([box.center], [box.half_extents]), math.inf)
+    assert got.tolist() == [math.inf if want is None else want]
+    return want
+
+
 class TestRayBox:
     BOX = Obstacle("b", (10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
     def test_head_on_range(self):
-        assert ray_box_range((0, 0, 0), (1, 0, 0), self.BOX) == pytest.approx(9.0)
+        assert box_range((0, 0, 0), (1, 0, 0), self.BOX) == pytest.approx(9.0)
 
     def test_miss_returns_none(self):
-        assert ray_box_range((0, 5, 0), (1, 0, 0), self.BOX) is None
+        assert box_range((0, 5, 0), (1, 0, 0), self.BOX) is None
 
     def test_behind_returns_none(self):
-        assert ray_box_range((0, 0, 0), (-1, 0, 0), self.BOX) is None
+        assert box_range((0, 0, 0), (-1, 0, 0), self.BOX) is None
 
     def test_inside_starts_at_zero(self):
-        assert ray_box_range((10, 0, 0), (1, 0, 0), self.BOX) == 0.0
+        assert box_range((10, 0, 0), (1, 0, 0), self.BOX) == 0.0
 
     def test_fan_directions_are_unit(self):
         for d in BeamFan(count=7).directions(0.3):
@@ -187,3 +284,180 @@ class TestExtraction:
         out = extract_problem(g, scenario)
         assert out.obstacles == scenario.obstacles
         assert (out.start, out.final) == (scenario.start, scenario.final)
+
+
+# A 4 x 4.5 x 3.5 m grid whose voxel boundaries fall on multiples of 0.5.
+WALK_GRID = ((-1.0, -2.0, 0.5), (8, 9, 7), 0.5)
+DIAGONAL = (1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)
+CORNER = (1 / math.sqrt(3), -1 / math.sqrt(3), 1 / math.sqrt(3))
+
+
+def walk_both(scans, repeats, **probs):
+    """Fold the scans into a fresh grid with the kernel and with the
+    reference loop, ``repeats`` times over, and return both grids."""
+    got, want = VoxelGrid(*WALK_GRID), VoxelGrid(*WALK_GRID)
+    for _ in range(repeats):
+        for scan in scans:
+            integrate_scan(got, scan, **probs)
+            reference_integrate_scan(want, scan, **probs)
+    return got, want
+
+
+unit_directions = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                     (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                     DIAGONAL, CORNER]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 0.1)
+    .map(lambda v: tuple((np.asarray(v) / np.linalg.norm(v)).tolist())))
+# on a voxel boundary (a t_max tie when two axes are), or anywhere around
+# and outside the grid
+coordinates = st.one_of(st.integers(-10, 18).map(lambda i: i * 0.5 - 1.0),
+                        st.floats(-4.0, 8.0))
+MAX_RANGE = 12.0
+beams = st.builds(SonarBeam, unit_directions,
+                  st.one_of(st.just(MAX_RANGE), st.floats(1e-3, MAX_RANGE)),
+                  st.just(MAX_RANGE))
+scans = st.builds(SonarScan, st.tuples(coordinates, coordinates, coordinates),
+                  st.just(0.0), st.lists(beams, min_size=1, max_size=6).map(tuple))
+
+
+class TestIntegrationMatchesReference:
+    @pytest.mark.parametrize("seed", [7, 11, 123])
+    def test_tanks_survey_grid(self, monkeypatch, seed):
+        scenario = load_scenario(TANKS_SCN).scenario
+        got = pipeline.map_from_sonar(scenario, seed, 0.05)
+        monkeypatch.setattr(pipeline, "integrate_scan", reference_integrate_scan)
+        want = pipeline.map_from_sonar(scenario, seed, 0.05)
+        assert np.abs(got.log_odds).max() == LOG_ODDS_MAX  # clamps were hit
+        assert_same_bits(got.log_odds, want.log_odds)
+
+    @pytest.mark.parametrize("position, direction, rng", [
+        ((0.2, 0.3, 1.2), (1.0, 0.0, 0.0), 2.6),
+        ((0.2, 0.3, 1.2), (0.0, -1.0, 0.0), 1.9),
+        ((0.0, 0.0, 1.0), DIAGONAL, 2.5),          # starts on a voxel corner
+        ((0.5, 0.5, 1.5), CORNER, 2.0),
+        ((-3.0, 0.3, 1.2), (1.0, 0.0, 0.0), 6.0),  # starts outside the grid
+        ((2.7, 0.3, 1.2), (1.0, 0.0, 0.0), 6.0),   # leaves the grid
+        ((0.2, 0.3, 1.2), DIAGONAL, MAX_RANGE),    # no return
+        ((0.25, 0.3, 1.2), (1.0, 0.0, 0.0), 0.75),  # ends on a boundary
+        ((0.25, 0.3, 1.2), (1.0, 0.0, 0.0), 0.75 - 1e-10),  # just short of it
+    ], ids=["axis", "axis_negative", "corner_tie", "diagonal_3d", "outside_start",
+            "leaves_grid", "max_range", "ends_on_boundary", "ends_short"])
+    @pytest.mark.parametrize("probs", [{}, {"p_hit": 0.9, "p_miss": 0.2}],
+                             ids=["default", "sharp"])
+    def test_named_rays(self, position, direction, rng, probs):
+        scan = SonarScan(position, 0.0, (SonarBeam(direction, rng, MAX_RANGE),))
+        got, want = walk_both([scan], 20, **probs)
+        assert (got.log_odds != 0.0).any()
+        assert_same_bits(got.log_odds, want.log_odds)
+
+    @given(scans=st.lists(scans, min_size=1, max_size=4),
+           repeats=st.integers(1, 12),
+           p_hit=st.floats(0.51, 0.99), p_miss=st.floats(0.01, 0.49))
+    @settings(max_examples=150, deadline=None)
+    def test_random_rays(self, scans, repeats, p_hit, p_miss):
+        got, want = walk_both(scans, repeats, p_hit=p_hit, p_miss=p_miss)
+        assert_same_bits(got.log_odds, want.log_odds)
+
+    def test_segment_length_rounds_as_traverse_voxels(self):
+        """The kernel's segment length is np.linalg.norm's, bit for bit."""
+        rng = np.random.default_rng(5)
+        flat = rng.normal(size=(3000, 3)) * 10.0 ** rng.uniform(-3, 2, size=(3000, 1))
+        flat[:1000, 2] = 0.0  # as a horizontal fan's beams
+        got = np.empty(len(flat))
+        kernel.load().norm3_batch(len(flat), flat, got)
+        want = np.array([np.linalg.norm(v) for v in flat])
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    def test_endpoint_rounding_to_start_hits_start_voxel(self):
+        """A 1e-6 range at 1e11 m rounds back onto the start: the walk is a
+        zero-length segment whose one voxel takes the hit."""
+        origin = (1e11, 1e11, 1e11)
+        position = (1e11 + 1.5, 1e11 + 0.5, 1e11 + 2.5)
+        direction = (0.6, 0.8, 0.0)
+        end = np.asarray(position) + np.asarray(direction) * 1e-6
+        assert end.tolist() == list(position)
+        g = VoxelGrid(origin, (4, 4, 4), 1.0)
+        assert traverse_voxels(g, position, end) == [(1, 0, 2)]
+        scan = SonarScan(position, 0.0, (SonarBeam(direction, 1e-6, 8.0),))
+        integrate_scan(g, scan)
+        want = reference_integrate_scan(VoxelGrid(origin, (4, 4, 4), 1.0), scan)
+        assert_same_bits(g.log_odds, want.log_odds)
+        assert g.log_odds[1, 0, 2] == math.log(0.7 / (1.0 - 0.7))
+        assert np.count_nonzero(g.log_odds) == 1
+
+
+def synthesis_outcome(fn, *args):
+    """The scans ``fn`` makes and the next draw of its generator, or the
+    type of the error it raises."""
+    *head, rng, sigma = args
+    try:
+        made = fn(*head, rng, sigma)
+    except ValueError as exc:
+        return type(exc)
+    return made, rng.normal()
+
+
+def assert_synthesis_matches(obstacles, path, fan, sigma, seed=5):
+    got = synthesis_outcome(synthesize_scans, obstacles, path, fan,
+                            np.random.default_rng(seed), sigma)
+    want = synthesis_outcome(reference_synthesize_scans, obstacles, path, fan,
+                             np.random.default_rng(seed), sigma)
+    assert got == want
+    return got
+
+
+BOXES = [Obstacle("near", (5.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+         Obstacle("beyond", (40.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+         Obstacle("slab", (0.0, 8.0, 0.5), (3.0, 0.5, 0.25))]
+AHEAD = BeamFan(count=1, max_range=15.0)  # yaw 0 points along (1.0, 0.0, 0.0)
+
+
+class TestSynthesisMatchesReference:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_tanks_survey_scans(self, monkeypatch, sigma):
+        calls = []
+        real = pipeline.synthesize_scans
+        monkeypatch.setattr(pipeline, "synthesize_scans",
+                            lambda *args: calls.append(args) or real(*args))
+        pipeline.map_from_sonar(load_scenario(TANKS_SCN).scenario, 7, 0.05)
+        obstacles, path, fan, _, _ = calls[0]
+        # at sigma 0 both raise: two survey sensors sit inside a box
+        assert_synthesis_matches(obstacles, path, fan, sigma)
+
+    @pytest.mark.parametrize("path, ranges", [
+        ([((0.0, 0.0, 0.0), 0.0)], [4.0]),          # zero y and z, inside both slabs
+        ([((0.0, 0.0, 2.0), 0.0)], [15.0]),         # outside the z slab: a miss
+        ([((0.0, 0.0, 0.0), math.pi)], [15.0]),     # misses every box
+        ([((20.0, 0.0, 0.0), 0.0)], [15.0]),        # the only hit is beyond max range
+        ([((0.0, 0.0, 0.0), 0.0), ((0.0, 0.0, 2.0), 0.0),
+          ((0.0, 7.0, 0.5), math.pi / 2), ((1.0, 0.0, 0.0), 0.0)], [4.0, 15.0, 0.5, 3.0]),
+    ], ids=["flat_inside", "flat_outside", "miss_all", "beyond_max", "mixed"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_named_beams(self, path, ranges, sigma):
+        scans, _ = assert_synthesis_matches(BOXES, path, AHEAD, sigma)
+        exact = [s.beams[0].measured_range for s in scans]
+        if sigma == 0.0:
+            assert exact == pytest.approx(ranges, abs=1e-9)
+        else:  # only hits carry noise
+            assert [r == 15.0 for r in exact] == [r == 15.0 for r in ranges]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_sensor_inside_a_box(self, sigma):
+        path = [((0.0, 0.0, 0.0), 0.0), ((5.0, 0.0, 0.0), 1.0)]
+        fan = BeamFan(count=9, max_range=15.0)
+        got = assert_synthesis_matches(BOXES, path, fan, sigma)
+        if sigma == 0.0:  # a zero range is no valid beam, in both
+            assert got is ValueError
+        else:
+            assert got[0][1].beams[0].measured_range < 0.2
+
+    @given(path=st.lists(st.tuples(st.tuples(st.floats(-5, 45), st.floats(-5, 10),
+                                             st.floats(-2, 2)),
+                                   st.floats(-math.pi, math.pi)),
+                         min_size=1, max_size=4),
+           count=st.integers(1, 16), sigma=st.sampled_from([0.0, 0.05]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_sensors(self, path, count, sigma):
+        assert_synthesis_matches(BOXES, path, BeamFan(count=count, max_range=15.0), sigma)

@@ -200,6 +200,16 @@ class TestSolve:
         with pytest.raises(NoProperPolicy):
             solve(m, 0.9)
 
+    def test_no_proper_policy_behind_a_loop(self):
+        # "a" may fall into a trap that loops forever, "b" loops in place:
+        # the start reaches the goal under no policy, so it must not be
+        # restarted as if a loop of its own could finish it
+        m = make_mdp([("s0", 0.5), ("s1", 0.5), ("g", 0.0)],
+                     [("s0", "a", "s1", 0.1), ("s0", "a", "g", 0.9),
+                      ("s0", "b", "s0", 1.0), ("s1", "a", "s1", 1.0)], "s0", {"g"})
+        with pytest.raises(NoProperPolicy):
+            solve(m, 0.75)
+
     def test_finite_failure_cost_admits_risky_plans(self):
         m = risky_vs_safe_mdp(risk=0.1, safe_steps=6)
         # unrecoverable dead ends: only the sure route is acceptable

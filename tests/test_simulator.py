@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 
 from conftest import TANKS_SCN
-from riskplan.pipeline import PipelineConfig, plan_candidates
+from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
 from riskplan.refiner import _norm, parse_plan_steps, refine
 from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
-from riskplan import simulator
+from riskplan import kernel
 from riskplan.cli import EXIT_INTERNAL, main
+from riskplan.kernel import KernelBuildError
 from riskplan.simulator import (_NOISE_CHUNK, SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
-                                EpisodeRecord, Incident, KernelBuildError,
-                                _obstacle_centers, episode_rng, run_batch,
-                                run_episode, read_episode_log, write_episode_log)
+                                EpisodeRecord, Incident, _obstacle_centers,
+                                episode_rng, run_batch, run_episode,
+                                read_episode_log, write_episode_log)
 
 OPEN_WATER = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -427,7 +428,7 @@ class TestKernelMatchesLockstep:
             vectors.append(axial)
         v = np.concatenate(vectors)
         got = np.empty(len(v))
-        simulator._kernel().norm3_batch(len(v), v, got)
+        kernel.load().norm3_batch(len(v), v, got)
         differ = got.view(np.uint64) != _norm(v).view(np.uint64)
         assert not differ.any(), f"{differ.sum()} norms differ, e.g. of {v[differ][:3]}"
 
@@ -436,31 +437,31 @@ class TestKernelMatchesLockstep:
 def fresh_kernel(monkeypatch, tmp_path):
     """Kernel loading from an empty cache; the real library is loaded again
     afterwards."""
-    monkeypatch.setattr(simulator, "_CACHE_DIR", tmp_path / "cache")
-    simulator._kernel.cache_clear()
+    monkeypatch.setattr(kernel, "_CACHE_DIR", tmp_path / "cache")
+    kernel.load.cache_clear()
     yield tmp_path / "cache"
-    simulator._kernel.cache_clear()
+    kernel.load.cache_clear()
 
 
 class TestKernelBuild:
     def test_library_name_carries_source_digest(self):
-        digest = simulator._digest(simulator._SOURCE.read_bytes())
-        assert Path(simulator._kernel()._name) == \
-            simulator._CACHE_DIR / f"_simkernel-{digest}.so"
+        digest = kernel._digest(kernel._SOURCE.read_bytes())
+        assert Path(kernel.load()._name) == \
+            kernel._CACHE_DIR / f"_simkernel-{digest}.so"
 
     def test_edited_source_is_rebuilt(self, fresh_kernel, monkeypatch, tmp_path):
         source = tmp_path / "_simkernel.c"
-        source.write_bytes(simulator._SOURCE.read_bytes() + b"/* edited */\n")
-        monkeypatch.setattr(simulator, "_SOURCE", source)
-        built = Path(simulator._kernel()._name)
-        assert built == fresh_kernel / f"_simkernel-{simulator._digest(source.read_bytes())}.so"
+        source.write_bytes(kernel._SOURCE.read_bytes() + b"/* edited */\n")
+        monkeypatch.setattr(kernel, "_SOURCE", source)
+        built = Path(kernel.load()._name)
+        assert built == fresh_kernel / f"_simkernel-{kernel._digest(source.read_bytes())}.so"
         assert list(fresh_kernel.iterdir()) == [built]
 
     @pytest.mark.parametrize("compiler", [None, shutil.which("false")],
                              ids=["no_compiler", "compile_fails"])
     def test_build_failure_is_loud(self, fresh_kernel, monkeypatch, tmp_path,
                                    capsys, compiler):
-        monkeypatch.setattr(simulator, "_compiler", lambda: compiler)
+        monkeypatch.setattr(kernel, "_compiler", lambda: compiler)
         scenario, traj = trajectory(OPEN_WATER)
         with pytest.raises(KernelBuildError) as err:
             run_batch(traj, scenario, QUIET, n=1)
@@ -476,3 +477,13 @@ class TestKernelBuild:
                      "--out", str(tmp_path / "episodes.jsonl")]) == EXIT_INTERNAL
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "episodes.jsonl").exists()
+
+        # mapping runs in the same kernel
+        scn.write_text(NEAR_MISS)
+        with pytest.raises(KernelBuildError) as err:
+            map_from_sonar(parse_scenario(NEAR_MISS).scenario, 1, 0.05)
+        assert str(err.value) == message
+        assert main(["map", str(scn), "--seed", "1",
+                     "--out", str(tmp_path / "grid.csv")]) == EXIT_INTERNAL
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "grid.csv").exists()
