@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from scipy import stats as _st
+from scipy.special import stdtr
 
 DEFAULT_BIN_WIDTH = 5.0
 DEFAULT_ALPHA = 0.9
@@ -139,7 +139,7 @@ def compare_means(a: list[float], b: list[float]) -> tuple[float, float]:
         return (0.0, 1.0) if ma == mb else (math.copysign(math.inf, ma - mb), 0.0)
     t = (ma - mb) / math.sqrt(se2)
     df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = 2.0 * float(_st.t.sf(abs(t), df))
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return t, min(p, 1.0)
 
 

@@ -18,7 +18,7 @@ from .pipeline import (PipelineConfig, StageError, map_from_sonar, plan_candidat
                        run_pipeline, write_candidate_plan)
 from .refiner import parse_plan_steps, read_trajectory_csv, refine
 from .scenario import (format_scenario, ground_to_mdp, load_scenario, open_artifact,
-                       read_plan_file)
+                       read_plan_file, write_json)
 from .occupancy import DEFAULT_KAPPA, extract_problem
 
 EXIT_OK = 0
@@ -55,6 +55,28 @@ def _load_scenario(path):
     if not parsed.ok:
         raise ValueError(f"{path}: " + "; ".join(str(e) for e in parsed.errors))
     return parsed.scenario
+
+
+# what each report section that a command reads must hold
+_REPORT_SECTIONS = {
+    "selection": ("an object with a string 'selected'",
+                  lambda v: isinstance(v, dict) and isinstance(v.get("selected"), str)),
+    "samples": ("an object of number lists",
+                lambda v: isinstance(v, dict) and all(
+                    isinstance(s, list) and all(type(x) in (int, float) for x in s)
+                    for s in v.values())),
+}
+
+
+def _report_section(path, name: str):
+    """Section ``name`` of the assessment report at ``path``; a report that
+    is not an object, or lacks the section in its form, is an input error."""
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    want, holds = _REPORT_SECTIONS[name]
+    if not isinstance(report, dict) or not holds(report.get(name)):
+        raise ValueError(f"{path}: report {name!r} must be {want}")
+    return report[name]
 
 
 def cmd_map(args) -> int:
@@ -119,17 +141,13 @@ def cmd_assess(args) -> int:
     cfg = assess.MetricConfig(bin_width=args.bin_width, alpha=args.alpha,
                               time_bound=args.time_bound)
     report = assess.build_report(samples, cfg, alpha_mean=args.alpha_mean)
-    with open_artifact(args.out) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, report)
     print(f"wrote {args.out}: selected {report['selection']['selected']}")
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
-    print(report["selection"]["selected"])
+    print(_report_section(args.report, "selection")["selected"])
     return EXIT_OK
 
 
@@ -182,10 +200,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
-    samples = report.get("samples", {})
-    svg, rows = reporting.boxplot_svg(samples)
+    svg, rows = reporting.boxplot_svg(_report_section(args.report, "samples"))
     with open_artifact(args.out_svg) as fh:
         fh.write(svg)
     with open_artifact(args.out_csv, newline="") as fh:

@@ -51,10 +51,20 @@ class TransitionSpec:
     probability: float
 
 
+class InvalidModel(Exception):
+    """The structural problems of a model.  Not a ValueError: the program
+    builds its models, so an invalid one is an internal error."""
+
+    def __init__(self, problems: list[str]):
+        self.problems = problems
+        super().__init__("; ".join(problems))
+
+
 @dataclass
 class Mdp:
     """Finite goal-directed MDP with nonnegative per-state costs.
 
+    Construction raises InvalidModel listing every structural problem.
     Treated as immutable after construction; lookup indexes are built once.
     """
 
@@ -64,9 +74,8 @@ class Mdp:
     start: str
     goals: frozenset[str]
 
-    _state_by_id: dict[str, StateSpec] = field(init=False, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False)
     _outgoing: dict[tuple[str, str], list[TransitionSpec]] = field(init=False, repr=False)
-    _enabled: dict[str, list[str]] = field(init=False, repr=False)
     successors: list[list[tuple[str, list[tuple[float, int]]]]] = field(
         init=False, repr=False)
     predecessors: list[list[int]] = field(init=False, repr=False)
@@ -74,42 +83,62 @@ class Mdp:
 
     def __post_init__(self):
         self.goals = frozenset(self.goals)
-        self._state_by_id = {s.id: s for s in self.states}
+        problems: list[str] = []
+        index = self._index = {}
+        for i, s in enumerate(self.states):
+            if s.id in index:
+                problems.append(f"duplicate state id {s.id!r}")
+            index[s.id] = i
+            if s.cost < 0:
+                problems.append(f"state {s.id!r} has negative cost {s.cost}")
+        if self.start not in index:
+            problems.append(f"start {self.start!r} is not a declared state")
+        problems += [f"goal {g!r} is not a declared state"
+                     for g in self.goals if g not in index]
+        action_ids = {a.id for a in self.actions}
         self._outgoing = {}
         for t in self.transitions:
+            if t.source not in index:
+                problems.append(f"transition from unknown state {t.source!r}")
+            if t.target not in index:
+                problems.append(f"transition to unknown state {t.target!r}")
+            if t.action not in action_ids:
+                problems.append(f"transition uses unknown action {t.action!r}")
+            if not (0.0 <= t.probability <= 1.0):
+                problems.append(
+                    f"transition ({t.source!r},{t.action!r},{t.target!r}) has "
+                    f"probability {t.probability} outside [0,1]")
             self._outgoing.setdefault((t.source, t.action), []).append(t)
-        self._enabled = {}
-        for s, a in sorted(self._outgoing):
-            self._enabled.setdefault(s, []).append(a)
+        for (s, a), outs in self._outgoing.items():
+            total = 0.0  # added in order: sum() compensates from Python 3.12
+            for t in outs:
+                total += t.probability
+            if abs(total - 1.0) > PROB_TOL:
+                problems.append(
+                    f"outgoing probabilities from ({s!r},{a!r}) sum to {total}, not 1")
+        if problems:
+            raise InvalidModel(problems)
         # by position in ``states``: the enabled actions in id order, each
         # with its (ln P, successor position) pairs of positive probability,
         # and the positions with such a transition into the state
-        index = {s.id: i for i, s in enumerate(self.states)}
-        self.successors = [
-            [(a, [(math.log(t.probability), index[t.target])
-                  for t in self._outgoing[(s.id, a)]
-                  if t.probability > 0.0 and t.target in index])
-             for a in self._enabled.get(s.id, [])]
-            for s in self.states]
+        self.successors = [[] for _ in self.states]
         preds: list[set[int]] = [set() for _ in self.states]
-        for i, acts in enumerate(self.successors):
-            for _, moves in acts:
-                for _, j in moves:
-                    preds[j].add(i)
+        for s, a in sorted(self._outgoing):
+            moves = [(math.log(t.probability), index[t.target])
+                     for t in self._outgoing[(s, a)] if t.probability > 0.0]
+            self.successors[index[s]].append((a, moves))
+            for _, j in moves:
+                preds[j].add(index[s])
         self.predecessors = [sorted(p) for p in preds]
         self.goal_reaching = frozenset(can_reach(
             ((t.source, t.target) for t in self.transitions if t.probability > 0.0),
             self.goals))
 
     def cost(self, state_id: str) -> float:
-        return self._state_by_id[state_id].cost
+        return self.states[self._index[state_id]].cost
 
     def outgoing(self, state_id: str, action_id: str) -> list[TransitionSpec]:
         return self._outgoing.get((state_id, action_id), [])
-
-    def enabled_actions(self, state_id: str) -> list[str]:
-        """Actions with transitions out of the state, sorted by id."""
-        return self._enabled.get(state_id, [])
 
 
 @dataclass
@@ -158,42 +187,6 @@ class MarkovChain:
     start: str
     costs: dict[str, float]
     goals: frozenset[str]
-
-
-def validate(m: Mdp) -> list[str]:
-    """Check all structural invariants; returns human-readable violations."""
-    problems: list[str] = []
-    seen_states: set[str] = set()
-    for s in m.states:
-        if s.id in seen_states:
-            problems.append(f"duplicate state id {s.id!r}")
-        seen_states.add(s.id)
-        if s.cost < 0:
-            problems.append(f"state {s.id!r} has negative cost {s.cost}")
-    if m.start not in seen_states:
-        problems.append(f"start {m.start!r} is not a declared state")
-    for g in m.goals:
-        if g not in seen_states:
-            problems.append(f"goal {g!r} is not a declared state")
-    action_ids = {a.id for a in m.actions}
-    groups: dict[tuple[str, str], float] = {}
-    for t in m.transitions:
-        if t.source not in seen_states:
-            problems.append(f"transition from unknown state {t.source!r}")
-        if t.target not in seen_states:
-            problems.append(f"transition to unknown state {t.target!r}")
-        if t.action not in action_ids:
-            problems.append(f"transition uses unknown action {t.action!r}")
-        if not (0.0 <= t.probability <= 1.0):
-            problems.append(
-                f"transition ({t.source!r},{t.action!r},{t.target!r}) has "
-                f"probability {t.probability} outside [0,1]"
-            )
-        groups[(t.source, t.action)] = groups.get((t.source, t.action), 0.0) + t.probability
-    for (s, a), total in groups.items():
-        if abs(total - 1.0) > PROB_TOL:
-            problems.append(f"outgoing probabilities from ({s!r},{a!r}) sum to {total}, not 1")
-    return problems
 
 
 def induce_chain(m: Mdp, p: Plan) -> MarkovChain:

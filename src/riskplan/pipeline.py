@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, planner, simulator
-from .mdp import Mdp, validate
+from .mdp import InvalidModel, Mdp
 from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, parse_plan_steps, refine
 from .scenario import (ParseResult, PlanFile, Scenario, ground_to_mdp,
-                       load_scenario, open_artifact, write_plan_file)
+                       load_scenario, open_artifact, write_json, write_plan_file)
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
@@ -156,16 +156,10 @@ def _stamp(doc: dict, cfg: PipelineConfig) -> dict:
     return {"config_sha256": cfg.config_hash(), "master_seed": cfg.master_seed, **doc}
 
 
-def _write_json(path: Path, doc: dict):
-    with open_artifact(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _stage_error(out: Path, cfg: PipelineConfig, stage: str, errors: list[str],
                  exit_code: int = 1) -> StageError:
     """Record a failed stage in errors.json; the caller raises the result."""
-    _write_json(out / "errors.json", _stamp({"stage": stage, "errors": errors}, cfg))
+    write_json(out / "errors.json", _stamp({"stage": stage, "errors": errors}, cfg))
     return StageError(stage, errors, exit_code=exit_code)
 
 
@@ -194,10 +188,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         grid.export_csv(out / "grid.csv")
         scenario = extract_problem(grid, scenario)
 
-    mdp = ground_to_mdp(scenario)
-    problems = validate(mdp)
-    if problems:
-        raise _stage_error(out, cfg, "ground", problems)
+    try:
+        mdp = ground_to_mdp(scenario)
+    except InvalidModel as exc:
+        raise _stage_error(out, cfg, "ground", exc.problems) from exc
 
     candidates = plan_candidates(mdp, cfg)
 
@@ -233,8 +227,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     report = _stamp(assess.build_report(samples_by_plan, cfg.metrics,
                                         alpha_mean=cfg.alpha_mean), cfg)
     report["gamma_by_plan"] = {c.plan.id: c.gammas for c in candidates}
-    _write_json(out / "report.json", report)
-    _write_json(out / "candidates.json", _stamp(index, cfg))
+    write_json(out / "report.json", report)
+    write_json(out / "candidates.json", _stamp(index, cfg))
 
     for cand in candidates:
         pid = cand.plan.id

@@ -226,7 +226,8 @@ def generate_candidates(
     m: Mdp,
     n: int,
     interval: tuple[float, float] = GAMMA_INTERVAL,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     failure_cost: float | None = None,
 ) -> list[Candidate]:
     """Sample gammas uniformly, solve each, deduplicate by policy, and
@@ -241,7 +242,6 @@ def generate_candidates(
     lo, hi = interval
     if not (0.0 < lo < hi <= 1.0):
         raise GammaOutOfRange(f"interval {interval} must lie inside (0,1]")
-    rng = np.random.default_rng() if rng is None else rng
     gammas = [float(g) for g in rng.uniform(lo, hi, size=n)]
 
     by_policy: dict[tuple, Candidate] = {}

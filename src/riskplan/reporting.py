@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planner
-from .mdp import validate
 from .scenario import EdgeDef, Scenario, Waypoint, ground_to_mdp
 
 CORRIDOR_SPACING = 5.0  # m between neighbouring corridor waypoints
@@ -86,9 +85,6 @@ def run_scaling(
     for depth, crit in zip(depth_list, criticals_list):
         try:
             mdp = ground_to_mdp(corridor_scenario(depth, crit))
-            problems = validate(mdp)
-            if problems:
-                raise ValueError("invalid model: " + "; ".join(problems))
             rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, depth, crit]))
             candidates = planner.generate_candidates(

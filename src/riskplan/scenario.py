@@ -10,7 +10,7 @@ section keyword:
     MISSION  start <waypoint> final <waypoint> [inspect <label> ...]
 
 '#' starts a comment.  Parsing is total: malformed input yields positioned
-issues, never an exception.
+issues, never an exception, and each line reports only its first problem.
 """
 
 from __future__ import annotations
@@ -121,8 +121,51 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return out
 
 
+# each section's tokens after its keyword: "@" is a name, "#" a number, any
+# other word must appear as written, and "..." lets optional words follow.
+# A line of another shape is a syntax error that quotes the usage.
+_SHAPES = {
+    "OBSTACLE": ("@ center # # # half # # #", "<label> center x y z half hx hy hz"),
+    "WAYPOINT": ("@ pos # # # ...", "<id> pos x y z [critical] [inspect <label>]"),
+    "EDGE": ("@ @ risk #", "<waypoint> <waypoint> risk <p>"),
+    "MISSION": ("start @ final @ ...", "start <wp> final <wp> [inspect <labels>]"),
+    "LIMITS": ("vmax # vcrit # radius #", "vmax <v> vcrit <v> radius <r>"),
+}
+
+
+class _LineError(Exception):
+    """The first problem of a .scn line: its ParseIssue's col, kind and message."""
+
+
+def _fields(toks: list[tuple[str, int]]) -> tuple[list, list[tuple[str, int]]]:
+    """The names and numbers of a section line in order, and the tokens
+    after its fixed part.  Raises _LineError for an unknown keyword or a
+    wrong shape, else at the first token that is not a number."""
+    keyword, col0 = toks[0]
+    if keyword not in _SHAPES:
+        raise _LineError(col0, "syntax", f"unknown section keyword {keyword!r}")
+    pattern, usage = _SHAPES[keyword]
+    more = pattern.endswith("...")
+    slots = pattern.removesuffix(" ...").split()
+    body, rest = toks[1:len(slots) + 1], toks[len(slots) + 1:]
+    if (len(body) < len(slots) or (rest and not more)
+            or any(s not in ("@", "#") and s != w for s, (w, _) in zip(slots, body))):
+        raise _LineError(col0, "syntax", f"expected: {keyword} {usage}")
+    values = []
+    for s, (word, col) in zip(slots, body):
+        if s == "#":
+            try:
+                values.append(float(word))
+            except ValueError:
+                raise _LineError(col, "syntax", f"expected a number, got {word!r}") from None
+        elif s == "@":
+            values.append(word)
+    return values, rest
+
+
 def parse_scenario(text: str) -> ParseResult:
-    """Parse .scn text; total over arbitrary input."""
+    """Parse .scn text; total over arbitrary input, with at most one issue
+    per line from reading it."""
     errors: list[ParseIssue] = []
     obstacles: list[Obstacle] = []
     waypoints: list[Waypoint] = []
@@ -131,97 +174,39 @@ def parse_scenario(text: str) -> ParseResult:
     limits = (DEFAULT_V_MAX, DEFAULT_V_CRIT, DEFAULT_CRITICAL_RADIUS)
     limits_line = 0
 
-    def syntax(line_no, col, msg):
-        errors.append(ParseIssue(line_no, col, "syntax", msg))
-
-    def floats(toks, start, count, line_no):
-        vals = []
-        for i in range(start, start + count):
-            if i >= len(toks):
-                syntax(line_no, toks[-1][1] if toks else 1, "expected a number")
-                return None
-            try:
-                vals.append(float(toks[i][0]))
-            except ValueError:
-                syntax(line_no, toks[i][1], f"expected a number, got {toks[i][0]!r}")
-                return None
-        return vals
-
     for line_no, line in enumerate(text.splitlines(), start=1):
         toks = _tokens(line)
         if not toks:
             continue
         keyword, col0 = toks[0]
-        if keyword == "OBSTACLE":
-            if len(toks) < 10 or toks[2][0] != "center" or toks[6][0] != "half":
-                syntax(line_no, col0, "expected: OBSTACLE <label> center x y z half hx hy hz")
-                continue
-            c = floats(toks, 3, 3, line_no)
-            h = floats(toks, 7, 3, line_no)
-            if c is None or h is None:
-                continue
-            obstacles.append(Obstacle(toks[1][0], tuple(c), tuple(h)))
-        elif keyword == "WAYPOINT":
-            if len(toks) < 6 or toks[2][0] != "pos":
-                syntax(line_no, col0, "expected: WAYPOINT <id> pos x y z [critical] [inspect <label>]")
-                continue
-            p = floats(toks, 3, 3, line_no)
-            if p is None:
-                continue
-            critical = False
-            inspect = None
-            i = 6
-            bad = False
-            while i < len(toks):
-                word, wcol = toks[i]
-                if word == "critical":
-                    critical = True
-                    i += 1
-                elif word == "inspect" and i + 1 < len(toks):
-                    inspect = toks[i + 1][0]
-                    i += 2
-                else:
-                    syntax(line_no, wcol, f"unexpected token {word!r}")
-                    bad = True
-                    break
-            if bad:
-                continue
-            waypoints.append(Waypoint(toks[1][0], tuple(p), critical, inspect))
-        elif keyword == "EDGE":
-            if len(toks) != 5 or toks[3][0] != "risk":
-                syntax(line_no, col0, "expected: EDGE <waypoint> <waypoint> risk <p>")
-                continue
-            p = floats(toks, 4, 1, line_no)
-            if p is None:
-                continue
-            edges.append((EdgeDef(toks[1][0], toks[2][0], p[0]), line_no))
-        elif keyword == "MISSION":
-            if len(toks) < 5 or toks[1][0] != "start" or toks[3][0] != "final":
-                syntax(line_no, col0, "expected: MISSION start <wp> final <wp> [inspect <labels>]")
-                continue
-            inspect_labels: list[str] = []
-            if len(toks) > 5:
-                if toks[5][0] != "inspect":
-                    syntax(line_no, toks[5][1], f"unexpected token {toks[5][0]!r}")
-                    continue
-                inspect_labels = [t for t, _ in toks[6:]]
-            if mission is not None:
-                errors.append(ParseIssue(line_no, col0, "duplicate-id", "duplicate MISSION section"))
-                continue
-            mission = {"start": toks[2][0], "final": toks[4][0],
-                       "inspect": inspect_labels, "line": line_no}
-        elif keyword == "LIMITS":
-            if (len(toks) != 7 or toks[1][0] != "vmax" or toks[3][0] != "vcrit"
-                    or toks[5][0] != "radius"):
-                syntax(line_no, col0, "expected: LIMITS vmax <v> vcrit <v> radius <r>")
-                continue
-            vals = floats(toks, 2, 1, line_no), floats(toks, 4, 1, line_no), floats(toks, 6, 1, line_no)
-            if any(v is None for v in vals):
-                continue
-            limits = (vals[0][0], vals[1][0], vals[2][0])
-            limits_line = line_no
-        else:
-            syntax(line_no, col0, f"unknown section keyword {keyword!r}")
+        try:
+            values, rest = _fields(toks)
+            if keyword == "OBSTACLE":
+                obstacles.append(Obstacle(values[0], tuple(values[1:4]), tuple(values[4:])))
+            elif keyword == "WAYPOINT":
+                critical, inspect = False, None
+                words = iter(rest)
+                for word, col in words:
+                    if word == "critical":
+                        critical = True
+                    elif word == "inspect" and (target := next(words, None)):
+                        inspect = target[0]
+                    else:
+                        raise _LineError(col, "syntax", f"unexpected token {word!r}")
+                waypoints.append(Waypoint(values[0], tuple(values[1:]), critical, inspect))
+            elif keyword == "EDGE":
+                edges.append((EdgeDef(*values), line_no))
+            elif keyword == "MISSION":
+                if rest and rest[0][0] != "inspect":
+                    raise _LineError(rest[0][1], "syntax", f"unexpected token {rest[0][0]!r}")
+                if mission is not None:
+                    raise _LineError(col0, "duplicate-id", "duplicate MISSION section")
+                mission = {"start": values[0], "final": values[1],
+                           "inspect": [t for t, _ in rest[1:]], "line": line_no}
+            else:
+                limits, limits_line = tuple(values), line_no
+        except _LineError as exc:
+            errors.append(ParseIssue(line_no, *exc.args))
 
     # semantic pass (forward references are legal, so this runs after reading)
     obstacle_labels = set()
@@ -269,20 +254,11 @@ def parse_scenario(text: str) -> ParseResult:
 
     if errors:
         return ParseResult(None, errors)
-    return ParseResult(
-        Scenario(
-            obstacles=obstacles,
-            waypoints=waypoints,
-            edges=[e for e, _ in edges],
-            start=mission["start"],
-            final=mission["final"],
-            inspection_goals=frozenset(mission["inspect"]),
-            v_max=v_max,
-            v_crit=v_crit,
-            critical_radius=radius,
-        ),
-        [],
-    )
+    return ParseResult(Scenario(
+        obstacles=obstacles, waypoints=waypoints, edges=[e for e, _ in edges],
+        start=mission["start"], final=mission["final"],
+        inspection_goals=frozenset(mission["inspect"]),
+        v_max=v_max, v_crit=v_crit, critical_radius=radius), [])
 
 
 def load_scenario(path) -> ParseResult:
@@ -413,11 +389,15 @@ def open_artifact(path, newline: str | None = None):
     return open(path, "w", newline=newline, encoding="utf-8")
 
 
-def write_plan_file(p: PlanFile, path):
-    doc = {"format_version": PLAN_FORMAT_VERSION, **asdict(p)}
+def write_json(path, doc: dict):
+    """``doc`` as an indented JSON artifact with sorted keys."""
     with open_artifact(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_plan_file(p: PlanFile, path):
+    write_json(path, {"format_version": PLAN_FORMAT_VERSION, **asdict(p)})
 
 
 def read_plan_file(path) -> PlanFile:

@@ -26,6 +26,15 @@ def make_mdp(states, transitions, start, goals, actions=None):
     )
 
 
+def enabled_actions(m):
+    """Each state's actions with transitions out of it, sorted by id, read
+    from the model's transition list."""
+    enabled = {s.id: set() for s in m.states}
+    for t in m.transitions:
+        enabled[t.source].add(t.action)
+    return {s: sorted(actions) for s, actions in enabled.items()}
+
+
 def make_chain(edges, costs, start, goals):
     """MarkovChain from {src: [(dst, p), ...]} plus per-state costs."""
     goals = frozenset(goals)

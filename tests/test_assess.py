@@ -1,7 +1,10 @@
 """Risk metrics, the selection rule, and the Welch comparison."""
 
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from conftest import REPO_ROOT
 from riskplan.assess import (InsufficientSamples, MetricConfig, RiskMetrics,
                              build_report, compare_means, compute_metrics,
                              select)
@@ -114,6 +118,24 @@ class TestWelch:
         ref = scipy_stats.ttest_ind(a, b, equal_var=False)
         assert t == pytest.approx(ref.statistic)
         assert p == pytest.approx(ref.pvalue)
+
+    def test_p_is_the_t_distribution_tail(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a = list(rng.normal(100, rng.uniform(1, 9), rng.integers(2, 40)))
+            b = list(rng.normal(101, rng.uniform(1, 9), rng.integers(2, 40)))
+            t, p = compare_means(a, b)
+            va, vb = np.var(a, ddof=1) / len(a), np.var(b, ddof=1) / len(b)
+            df = (va + vb) ** 2 / (va ** 2 / (len(a) - 1) + vb ** 2 / (len(b) - 1))
+            assert p == pytest.approx(2 * scipy_stats.t.sf(abs(t), df), rel=1e-12)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # importing scipy.stats costs ~0.4 s; the p-value needs scipy.special
+        code = "import sys, riskplan.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
     def test_identical_constants(self):
         assert compare_means([5.0, 5.0], [5.0, 5.0]) == (0.0, 1.0)

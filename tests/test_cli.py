@@ -6,9 +6,8 @@ import os
 import pytest
 
 from conftest import TANKS_SCN, make_mdp
-from riskplan import pipeline
+from riskplan import cli, pipeline
 from riskplan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
-from riskplan.mdp import validate
 from riskplan.refiner import read_trajectory_csv, refine
 from riskplan.scenario import load_scenario
 from riskplan.simulator import DisturbanceConfig, read_episode_log, run_batch
@@ -55,17 +54,25 @@ class TestExitCodes:
 
     def test_invalid_grounded_model_is_a_ground_error(self, small_scn, tmp_path,
                                                       monkeypatch):
-        half_mass = make_mdp([("s0", 1.0), ("goal", 0.0)],
-                             [("s0", "go", "goal", 0.5)], "s0", {"goal"})
-        monkeypatch.setattr(pipeline, "ground_to_mdp", lambda scenario: half_mass)
+        monkeypatch.setattr(pipeline, "ground_to_mdp", lambda scenario: make_mdp(
+            [("s0", 1.0), ("goal", 0.0)], [("s0", "go", "goal", 0.5)], "s0", {"goal"}))
         out = tmp_path / "out"
         code = main(["pipeline", str(small_scn), "--out-dir", str(out),
                      "--seed", "1"])
         assert code == EXIT_INTERNAL
         errors = json.loads((out / "errors.json").read_text())
         assert errors["stage"] == "ground"
-        assert errors["errors"] == validate(half_mass) != []
+        assert errors["errors"] == [
+            "outgoing probabilities from ('s0','go') sum to 0.5, not 1"]
         assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
+
+    def test_invalid_grounded_model_is_internal_for_plan(self, small_scn, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ground_to_mdp", lambda scenario: make_mdp(
+            [("s0", 1.0), ("goal", 0.0)], [("s0", "go", "goal", 0.5)], "s0", {"goal"}))
+        assert main(["plan", str(small_scn), "--out-dir", str(tmp_path / "plans"),
+                     "--seed", "1"]) == EXIT_INTERNAL
+        assert "InvalidModel" in capsys.readouterr().err
 
     def test_pipeline_requires_seed(self, small_scn, tmp_path):
         code = main(["pipeline", str(small_scn),
@@ -95,6 +102,18 @@ class TestBadInputExitsTwo:
                                      "actions": ["goto near"], "high_level_length": 1})
         assert main(["refine", str(small_scn), str(plan),
                      "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command, doc", [
+        ("select", [1, 2]), ("select", {}), ("select", {"selection": {"selected": 1}}),
+        ("plot", [1, 2]), ("plot", {"samples": [1, 2]}), ("plot", {"samples": {"P1": "ab"}}),
+    ])
+    def test_malformed_report(self, tmp_path, capsys, command, doc):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        flags = ["--out-svg", str(tmp_path / "b.svg"),
+                 "--out-csv", str(tmp_path / "b.csv")] if command == "plot" else []
+        assert main([command, str(report), *flags]) == EXIT_INPUT
+        assert str(report) in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("actions", 5), ("actions", ["goto near", 5]), ("high_level_length", "1"),

@@ -5,33 +5,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_mdp, make_chain, make_mdp, two_action_mdp
-from riskplan.mdp import (MissingPolicyEntry, NonConvergence, Plan,
-                          induce_chain, reward_distribution_exact, validate)
+from riskplan.mdp import (InvalidModel, Mdp, MissingPolicyEntry, NonConvergence,
+                          Plan, induce_chain, reward_distribution_exact)
+
+
+def problems(*args, **kwargs) -> list[str]:
+    """What building the model with ``make_mdp`` reports."""
+    with pytest.raises(InvalidModel) as exc:
+        make_mdp(*args, **kwargs)
+    assert str(exc.value) == "; ".join(exc.value.problems)
+    return exc.value.problems
 
 
 class TestValidate:
     def test_clean_model_has_no_problems(self):
-        assert validate(two_action_mdp()) == []
+        assert isinstance(two_action_mdp(), Mdp)
 
     def test_duplicate_state_id(self):
-        m = make_mdp([("s", 0.0), ("s", 0.0), ("g", 0.0)],
-                     [("s", "a", "g", 1.0)], "s", {"g"})
-        assert any("duplicate state" in p for p in validate(m))
+        assert problems([("s", 0.0), ("s", 0.0), ("g", 0.0)],
+                        [("s", "a", "g", 1.0)], "s", {"g"}) == [
+            "duplicate state id 's'"]
 
     def test_negative_cost(self):
-        m = make_mdp([("s", -1.0), ("g", 0.0)],
-                     [("s", "a", "g", 1.0)], "s", {"g"})
-        assert any("negative cost" in p for p in validate(m))
+        assert problems([("s", -1.0), ("g", 0.0)],
+                        [("s", "a", "g", 1.0)], "s", {"g"}) == [
+            "state 's' has negative cost -1.0"]
 
     def test_probabilities_must_sum_to_one(self):
-        m = make_mdp([("s", 0.0), ("g", 0.0)],
-                     [("s", "a", "g", 0.7)], "s", {"g"})
-        assert any("sum to 0.7" in p for p in validate(m))
+        assert problems([("s", 0.0), ("g", 0.0)],
+                        [("s", "a", "g", 0.7)], "s", {"g"}) == [
+            "outgoing probabilities from ('s','a') sum to 0.7, not 1"]
 
     def test_unknown_references(self):
-        m = make_mdp([("s", 0.0), ("g", 0.0)],
-                     [("s", "a", "nowhere", 1.0)], "s", {"g"})
-        assert any("unknown state" in p for p in validate(m))
+        assert problems([("s", 0.0), ("g", 0.0)],
+                        [("s", "a", "nowhere", 1.0)], "s", {"g"}) == [
+            "transition to unknown state 'nowhere'"]
+
+    def test_half_mass_to_an_undeclared_state(self):
+        # unchecked, the solver would give this start a finite log V of 0
+        assert problems([("s0", 1.0), ("goal", 0.0)],
+                        [("s0", "go", "goal", 0.5), ("s0", "go", "nowhere", 0.5)],
+                        "s0", {"goal"}) == ["transition to unknown state 'nowhere'"]
+
+    def test_every_problem_in_order(self):
+        assert problems(
+            [("s", -2.0), ("s", 0.0), ("g", 0.0)],
+            [("s", "a", "g", 1.5), ("x", "a", "g", 1.0), ("s", "b", "y", 0.5),
+             ("s", "b", "g", 0.25)],
+            "start", {"goal"}, actions=["a"]) == [
+            "state 's' has negative cost -2.0",
+            "duplicate state id 's'",
+            "start 'start' is not a declared state",
+            "goal 'goal' is not a declared state",
+            "transition ('s','a','g') has probability 1.5 outside [0,1]",
+            "transition from unknown state 'x'",
+            "transition to unknown state 'y'",
+            "transition uses unknown action 'b'",
+            "transition uses unknown action 'b'",
+            "outgoing probabilities from ('s','a') sum to 1.5, not 1",
+            "outgoing probabilities from ('s','b') sum to 0.75, not 1",
+        ]
 
 
 class TestInduceChain:

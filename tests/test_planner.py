@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (TANKS_SCN, detour_mdp, loop_mdp, make_mdp,
-                      risky_vs_safe_mdp, two_action_mdp)
+from conftest import (TANKS_SCN, detour_mdp, enabled_actions, loop_mdp,
+                      make_mdp, risky_vs_safe_mdp, two_action_mdp)
 from riskplan import planner
 from riskplan.mdp import (Plan, can_reach, induce_chain,
                           reward_distribution_exact)
@@ -31,7 +31,7 @@ SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 
 def expected_cost_policy(m, sweeps=100_000, tol=1e-12):
     """Independent oracle: plain expected-cost value iteration."""
-    enabled = {s.id: m.enabled_actions(s.id) for s in m.states}
+    enabled = enabled_actions(m)
     # dead ends never reach a goal: infinite expected cost
     value = {s.id: (math.inf if s.id not in m.goals and not enabled[s.id]
                     else 0.0)
@@ -58,7 +58,7 @@ def expected_cost_policy(m, sweeps=100_000, tol=1e-12):
 def minimax_policy(m, sweeps=100_000):
     """Independent oracle: worst-case (guaranteed) cost dynamic program."""
     value = {s.id: (0.0 if s.id in m.goals else math.inf) for s in m.states}
-    enabled = {s.id: m.enabled_actions(s.id) for s in m.states}
+    enabled = enabled_actions(m)
 
     def q(s, a):
         worst = max(value[t.target] for t in m.outgoing(s, a)
@@ -87,7 +87,7 @@ def reference_solve(m, gamma, failure_cost=None):
     the solver the log-domain worklist replaced, kept as the oracle for its
     policies.  It overflows once a plan's disutility passes the largest
     float, so it is only compared where that cannot happen."""
-    enabled = m.enabled_actions
+    enabled = enabled_actions(m)
     dead_end_value = math.inf if failure_cost is None else gamma ** (-failure_cost)
     value = {}
     reach = can_reach(((t.source, t.target) for t in m.transitions
@@ -95,15 +95,15 @@ def reference_solve(m, gamma, failure_cost=None):
     for s in m.states:
         if s.id in m.goals:
             value[s.id] = 1.0
-        elif not enabled(s.id):
+        elif not enabled[s.id]:
             value[s.id] = dead_end_value
         elif s.id not in reach:
             value[s.id] = math.inf
         else:
             value[s.id] = 1.0
 
-    sweep_states = [(s.id, enabled(s.id)) for s in m.states
-                    if s.id not in m.goals and enabled(s.id) and s.id in reach]
+    sweep_states = [(s.id, enabled[s.id]) for s in m.states
+                    if s.id not in m.goals and enabled[s.id] and s.id in reach]
 
     def action_value(s, a):
         mult = gamma ** (-m.cost(s))
@@ -137,9 +137,9 @@ def reference_solve(m, gamma, failure_cost=None):
 
     policy = {}
     for s in m.states:
-        if s.id in m.goals or not enabled(s.id) or value[s.id] == math.inf:
+        if s.id in m.goals or not enabled[s.id] or value[s.id] == math.inf:
             continue
-        policy[s.id] = min(enabled(s.id), key=lambda a: (action_value(s.id, a), a))
+        policy[s.id] = min(enabled[s.id], key=lambda a: (action_value(s.id, a), a))
 
     reachable = set()
     stack = [m.start]
@@ -282,7 +282,8 @@ class TestGenerateCandidates:
 
     def test_interval_validation(self):
         with pytest.raises(GammaOutOfRange):
-            generate_candidates(two_action_mdp(), 5, interval=(0.9, 0.4))
+            generate_candidates(two_action_mdp(), 5, interval=(0.9, 0.4),
+                                rng=np.random.default_rng(0))
 
     def test_one_failed_solve_fails_the_sweep(self, monkeypatch):
         real_solve = planner.solve
@@ -400,7 +401,8 @@ def small_models(draw):
 
 def _policies(m):
     free = [s.id for s in m.states if s.id not in m.goals]
-    for choice in itertools.product(*(m.enabled_actions(s) for s in free)):
+    enabled = enabled_actions(m)
+    for choice in itertools.product(*(enabled[s] for s in free)):
         yield dict(zip(free, choice))
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import make_mdp
 from riskplan import reporting
-from riskplan.mdp import validate
 from riskplan.reporting import (EmptyReport, boxplot_svg, corridor_scenario,
                                 run_scaling)
 from riskplan.scenario import ground_to_mdp
@@ -18,8 +17,8 @@ class TestCorridor:
         assert s.start == "w000" and s.final == "w005"
 
     def test_grounds_cleanly(self):
-        m = ground_to_mdp(corridor_scenario(4, 2))
-        assert validate(m) == []
+        m = ground_to_mdp(corridor_scenario(4, 2))  # raises InvalidModel if not
+        assert len(m.states) == 4 + 1 + 2 + 1
 
     def test_risky_edges_only_at_criticals(self):
         s = corridor_scenario(5, 2, risk=0.05)
@@ -68,17 +67,18 @@ class TestScaling:
         assert row.plan_length == 800
 
     def test_invalid_model_is_a_failed_row(self, monkeypatch):
-        half_mass = make_mdp([("s0", 1.0), ("goal", 0.0)],
-                             [("s0", "go", "goal", 0.5)], "s0", {"goal"})
+        def half_mass():
+            return make_mdp([("s0", 1.0), ("goal", 0.0)],
+                            [("s0", "go", "goal", 0.5)], "s0", {"goal"})
         real_ground = reporting.ground_to_mdp
         monkeypatch.setattr(
             reporting, "ground_to_mdp",
-            lambda s: half_mass if s.final == "w004" else real_ground(s))
+            lambda s: half_mass() if s.final == "w004" else real_ground(s))
         rows = run_scaling([3, 4], [1, 1], master_seed=5)
         assert rows[0].solvable
         assert not rows[1].solvable and rows[1].plan_length is None
-        for problem in validate(half_mass):
-            assert problem in rows[1].error
+        assert rows[1].error == ("InvalidModel: outgoing probabilities from "
+                                 "('s0','go') sum to 0.5, not 1")
 
 
 class TestBoxplot:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskplan.mdp import validate
+from conftest import enabled_actions
 from riskplan.scenario import (COLLIDED, PLAN_FORMAT_VERSION, PlanFile,
                                ParseResult, SchemaMismatch, UngroundableGoal,
                                format_scenario, ground_to_mdp, load_scenario,
@@ -75,6 +75,21 @@ class TestParser:
         errs = parse_scenario(text).errors
         assert any(e.kind == "semantic" and "1.5" in e.message for e in errs)
 
+    @pytest.mark.parametrize("section", ["OBSTACLE box", "EDGE a b", "LIMITS vmax"])
+    def test_trailing_tokens_are_a_syntax_error(self, section):
+        line = next(l for l in MINIMAL.splitlines() if l.startswith(section))
+        text = MINIMAL.replace(line, line + " junk more")
+        line_no = MINIMAL.splitlines().index(line) + 1
+        errs = [e for e in parse_scenario(text).errors if e.line == line_no]
+        assert [(e.col, e.kind) for e in errs] == [(1, "syntax")]
+        assert errs[0].message.startswith(f"expected: {section.split()[0]} ")
+
+    def test_one_issue_per_line(self):
+        text = MINIMAL.replace("vmax 1.0 vcrit 0.25 radius 2.0",
+                               "vmax fast vcrit slow radius wide")
+        errs = parse_scenario(text).errors
+        assert [str(e) for e in errs] == ["2:13: syntax: expected a number, got 'fast'"]
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n\n" + MINIMAL + "  # trailing\n"
         assert parse_scenario(text).ok
@@ -90,10 +105,9 @@ class TestParser:
 class TestGrounding:
     def test_state_count_formula(self, tanks_path):
         s = load_scenario(tanks_path).scenario
-        m = ground_to_mdp(s)
+        m = ground_to_mdp(s)  # raises InvalidModel on any structural problem
         k = len(s.inspection_goals)
         assert len(m.states) == len(s.waypoints) * 2 ** k + 1
-        assert validate(m) == []
 
     def test_goal_is_final_with_full_mask(self):
         s = parse_scenario(MINIMAL).scenario
@@ -105,7 +119,7 @@ class TestGrounding:
         m = ground_to_mdp(parse_scenario(MINIMAL).scenario)
         crash = [t for t in m.transitions if t.target == COLLIDED]
         assert crash and all(t.probability == pytest.approx(0.1) for t in crash)
-        assert m.enabled_actions(COLLIDED) == []
+        assert enabled_actions(m)[COLLIDED] == []
 
     def test_inspect_action_sets_bit(self):
         m = ground_to_mdp(parse_scenario(MINIMAL).scenario)
