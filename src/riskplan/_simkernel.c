@@ -1,11 +1,14 @@
-/* Tick loop of the disturbed kinematic simulator (see simulator.py) and
- * the voxel walk of the occupancy grid (see occupancy.py).
+/* Sampling loop of the trajectory refiner (see refiner.py), tick loop of
+ * the disturbed kinematic simulator (see simulator.py) and voxel walk of
+ * the occupancy grid (see occupancy.py).
  *
- * Every expression keeps the evaluation order of the numpy code it
- * replaced, so a record or a grid is the same bit for bit; compile with
- * -ffp-contract=off and without -ffast-math.  Distances are
- * sqrt(fma(z, z, fma(y, y, x*x))), which is how the BLAS dot product
- * behind refiner._norm and np.linalg.norm rounds a 3-vector.
+ * Every expression keeps the evaluation order of the Python or numpy code
+ * it replaced, so a trajectory, a record or a grid is the same bit for
+ * bit; compile with -ffp-contract=off and without -ffast-math.  Distances
+ * are sqrt(fma(z, z, fma(y, y, x*x))), which is how the BLAS dot product
+ * behind np.linalg.norm rounds a 3-vector.  Python's min() and max() keep
+ * the first of equal arguments, and so do the comparisons that stand for
+ * them here.
  */
 #include <math.h>
 
@@ -26,6 +29,103 @@ void norm3_batch(long n, const double *v, double *out)
 {
     for (long i = 0; i < n; i++)
         out[i] = norm3(v[3 * i], v[3 * i + 1], v[3 * i + 2]);
+}
+
+/* Whether p (3,) lies within radius of one of the zones (zones, 3) centres */
+static int in_zone(long zones, const double *centers, double radius,
+                   const double *p)
+{
+    for (long j = 0; j < zones; j++) {
+        const double *c = centers + 3 * j;
+        if (norm3(p[0] - c[0], p[1] - c[1], p[2] - c[2]) <= radius)
+            return 1;
+    }
+    return 0;
+}
+
+/* Row i (t, x, y, z, v) of out (capacity, 5), if it has one */
+static void put_sample(double *out, long capacity, long i, double t,
+                       const double *p, double v)
+{
+    if (i < capacity) {
+        double *row = out + 5 * i;
+        row[0] = t;
+        row[1] = p[0];
+        row[2] = p[1];
+        row[3] = p[2];
+        row[4] = v;
+    }
+}
+
+/* Sample the polyline pts (npts, 3) every dt seconds under a trapezoidal
+ * speed profile per segment: each segment starts from rest, accelerates
+ * and brakes at a_max, and is capped at v_crit within radius of one of the
+ * zones (zones, 3) critical centres, else at v_max.  A segment ends with a
+ * sample at its far corner, and the next one starts dt later.
+ *
+ * Writes samples as rows (t, x, y, z, v) of out (capacity, 5) and returns
+ * how many the path has.  When that exceeds capacity, only the first
+ * capacity rows are written: run again with a buffer of the returned size.
+ * Returns -1, having written an unknown number of rows, when a step leaves
+ * the arc length where it was (dt too small for the path), since the loop
+ * would then never end.
+ */
+long refine_path(long npts, const double *pts, long zones, const double *centers,
+                 double radius, double v_max, double v_crit, double a_max,
+                 double dt, long capacity, double *out)
+{
+    long count = 0;
+    double t = 0.0;
+    for (long i = 0; i + 1 < npts; i++) {
+        const double *a = pts + 3 * i, *b = a + 3;
+        double dir[3] = {b[0] - a[0], b[1] - a[1], b[2] - a[2]};
+        double seg_len = norm3(dir[0], dir[1], dir[2]);
+        for (int k = 0; k < 3; k++)
+            dir[k] = dir[k] / seg_len;
+        double s = 0.0, v = 0.0;
+        while (s < seg_len - 1e-12) {
+            double pos[3];
+            for (int k = 0; k < 3; k++)
+                pos[k] = a[k] + dir[k] * s;
+            double remaining = seg_len - s;
+            double cap = in_zone(zones, centers, radius, pos) ? v_crit : v_max;
+            double brake = sqrt(2.0 * a_max * remaining);
+            v = v + a_max * dt;
+            if (cap < v)
+                v = cap;
+            if (brake < v)
+                v = brake;
+            if (v > v_crit) {
+                /* brake early for a zone the step would enter */
+                double ahead = s + v * dt, nxt[3];
+                if (seg_len < ahead)
+                    ahead = seg_len;
+                for (int k = 0; k < 3; k++)
+                    nxt[k] = a[k] + dir[k] * ahead;
+                if (in_zone(zones, centers, radius, nxt))
+                    v = v_crit;
+            }
+            put_sample(out, capacity, count++, t, pos, v);
+            double step = v * dt;
+            if (step >= remaining) {
+                t += remaining / v;
+                s = seg_len;
+            } else {
+                if (s + step == s)
+                    return -1;
+                t += dt;
+                s += step;
+            }
+        }
+        /* the corner sample closes the segment; motion restarts from rest */
+        double corner_v = v;
+        if (a_max * dt > corner_v)
+            corner_v = a_max * dt;
+        put_sample(out, capacity, count++, t, b, corner_v);
+        if (i < npts - 2)
+            t += dt;
+    }
+    return count;
 }
 
 /* Advance every RUNNING row by up to `ticks` ticks of `dt` seconds.

@@ -1,10 +1,10 @@
-"""The compiled C kernel shared by simulation and mapping.
+"""The compiled C kernel shared by refinement, simulation and mapping.
 
-`_simkernel.c` holds the simulator's tick loop and the occupancy grid's
-voxel walk.  It needs a C compiler (`cc` or `gcc`): the first call of
-`load` compiles it into this package's `__pycache__/`, under a name that
-carries the digest of the source and flags, and later runs load that file.
-Nothing is built at import.
+`_simkernel.c` holds the refiner's sampling loop, the simulator's tick
+loop and the occupancy grid's voxel walk.  It needs a C compiler (`cc` or
+`gcc`): the first call of `load` compiles it into this package's
+`__pycache__/`, under a name that carries the digest of the source and
+flags, and later runs load that file.  Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ def load() -> ctypes.CDLL:
     size, real, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
     lib.norm3_batch.argtypes = [size, f64, f64]
     lib.norm3_batch.restype = None
+    lib.refine_path.argtypes = [
+        size, f64, size, f64,                    # npts, pts, zones, centers
+        real, real, real, real, real,            # radius, v_max, v_crit, a_max, dt
+        size, f64]                               # capacity, out
+    lib.refine_path.restype = size
     lib.simulate_ticks.argtypes = [
         size, size, real,                        # n, ticks, dt
         f64, f64, size,                          # points, speeds, last

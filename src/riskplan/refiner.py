@@ -3,6 +3,13 @@
 Piecewise-linear path through the plan's waypoints, helical inspection
 loops around target obstacles, and a per-segment trapezoidal speed profile
 capped at the critical speed inside critical-waypoint radii.
+
+The polyline, its duplicate-point filter and the final dedup pass are
+Python; the sampling loop of the speed profile runs over the whole
+polyline in the compiled C kernel (see `kernel`), so refinement needs a C
+compiler, as simulation and mapping do.  The kernel rounds as the Python
+loop it replaced did (kept in the tests as the reference), so trajectories
+are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .scenario import Scenario, open_artifact
 
 DEFAULT_DT = 0.1
@@ -128,19 +136,6 @@ def plan_polyline(scenario: Scenario, steps: list[tuple[str, str]],
     return pts
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, equal bit for bit to
-    `np.linalg.norm` of each 3-vector: both take the square root of a BLAS
-    dot product, where `(v * v).sum(-1)` rounds differently."""
-    return np.sqrt(np.vecdot(v, v))
-
-
-def _in_critical_zone(centers: np.ndarray, radius: float, point) -> bool:
-    """Whether ``point`` lies within ``radius`` of one of the (zones, 3)
-    critical waypoint ``centers``."""
-    return bool((_norm(point - centers) <= radius).any())
-
-
 def refine(
     scenario: Scenario,
     steps: list[tuple[str, str]],
@@ -149,59 +144,50 @@ def refine(
     helix: HelixSpec = HelixSpec(),
 ) -> Trajectory:
     """Trajectory for the plan: trapezoidal speed per segment, slow in
-    critical zones, sampled every ``dt`` seconds."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    critical zones, sampled every ``dt`` seconds.
+
+    Raises `KernelBuildError` when a plan with any motion finds no kernel
+    to sample it, and ValueError unless ``dt`` is finite, positive and
+    large enough for each step to advance along the path.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     pts = plan_polyline(scenario, steps, helix)
     pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
     if len(pts) < 2:
         return Trajectory([], 0.0, 0.0, plan_id)
 
-    centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
-                       dtype=float).reshape(-1, 3)
-    radius = scenario.critical_radius
-    v_max, v_crit = scenario.v_max, scenario.v_crit
-    samples: list[TrajectorySample] = []
-    t = 0.0
-    for i in range(len(pts) - 1):
-        a = np.asarray(pts[i], dtype=float)
-        b = np.asarray(pts[i + 1], dtype=float)
-        seg_len = float(np.linalg.norm(b - a))
-        direction = (b - a) / seg_len
-        s = 0.0
-        v = 0.0
-        while s < seg_len - 1e-12:
-            pos = a + direction * s
-            remaining = seg_len - s
-            cap = v_crit if _in_critical_zone(centers, radius, pos) else v_max
-            v = min(v + A_MAX * dt, cap, math.sqrt(2.0 * A_MAX * remaining))
-            nxt = a + direction * min(s + v * dt, seg_len)
-            if _in_critical_zone(centers, radius, nxt) and v > v_crit:
-                v = v_crit
-            samples.append(TrajectorySample(t, tuple(pos), v))
-            step = v * dt
-            if step >= remaining:
-                t += remaining / v
-                s = seg_len
-            else:
-                t += dt
-                s += step
-        samples.append(TrajectorySample(t, tuple(b), max(v, A_MAX * dt)))
-        # the corner sample closes the segment; motion restarts from rest
-        if i < len(pts) - 2:
-            t += dt
-
     # corner samples duplicate positions when segments share endpoints
     deduped: list[TrajectorySample] = []
-    for smp in samples:
-        if deduped and smp.time <= deduped[-1].time:
+    for t, x, y, z, v in _sample_profile(scenario, pts, dt):
+        position = (x, y, z)
+        if deduped and (t <= deduped[-1].time
+                        or math.dist(position, deduped[-1].position) < 1e-12):
             continue
-        if deduped and math.dist(smp.position, deduped[-1].position) < 1e-12:
-            continue
-        deduped.append(smp)
+        deduped.append(TrajectorySample(t, position, v))
     length = low_level_length_of(deduped)
     duration = deduped[-1].time if deduped else 0.0
     return Trajectory(deduped, length, duration, plan_id)
+
+
+def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
+                    dt: float) -> list[list[float]]:
+    """Rows (t, x, y, z, v) of the kernel's speed profile along ``pts``,
+    corner samples included: a first call counts them, a second fills a
+    buffer of that size."""
+    lib = kernel.load()
+    path = np.array(pts, dtype=float)
+    centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
+                       dtype=float).reshape(-1, 3)
+    args = (len(path), path, len(centers), centers, scenario.critical_radius,
+            scenario.v_max, scenario.v_crit, A_MAX, dt)
+    count = lib.refine_path(*args, 0, np.empty((0, 5)))
+    if count < 0:
+        raise ValueError(f"dt {dt!r} is too small for this path: a step would "
+                         "not advance along it")
+    out = np.empty((count, 5))
+    lib.refine_path(*args, count, out)
+    return out.tolist()
 
 
 def low_level_length_of(samples: list[TrajectorySample]) -> float:

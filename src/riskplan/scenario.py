@@ -16,6 +16,7 @@ issues, never an exception, and each line reports only its first problem.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -140,7 +141,7 @@ class _LineError(Exception):
 def _fields(toks: list[tuple[str, int]]) -> tuple[list, list[tuple[str, int]]]:
     """The names and numbers of a section line in order, and the tokens
     after its fixed part.  Raises _LineError for an unknown keyword or a
-    wrong shape, else at the first token that is not a number."""
+    wrong shape, else at the first token that is not a finite number."""
     keyword, col0 = toks[0]
     if keyword not in _SHAPES:
         raise _LineError(col0, "syntax", f"unknown section keyword {keyword!r}")
@@ -155,9 +156,13 @@ def _fields(toks: list[tuple[str, int]]) -> tuple[list, list[tuple[str, int]]]:
     for s, (word, col) in zip(slots, body):
         if s == "#":
             try:
-                values.append(float(word))
+                number = float(word)
             except ValueError:
                 raise _LineError(col, "syntax", f"expected a number, got {word!r}") from None
+            # float() also reads nan, inf and overflowing literals like 1e999
+            if not math.isfinite(number):
+                raise _LineError(col, "syntax", f"expected a finite number, got {word!r}")
+            values.append(number)
         elif s == "@":
             values.append(word)
     return values, rest

@@ -1,11 +1,17 @@
-"""Shared fixtures: small hand-built MDPs and chains used across the suite."""
+"""Shared fixtures: small hand-built MDPs and chains used across the suite,
+and the Python refiner loop the compiled kernel is checked against."""
 
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riskplan.mdp import (ActionSpec, MarkovChain, Mdp, StateSpec,
                           TransitionSpec)
+from riskplan.refiner import (A_MAX, DEFAULT_DT, HelixSpec, Trajectory,
+                              TrajectorySample, low_level_length_of,
+                              plan_polyline)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TANKS_SCN = REPO_ROOT / "scenarios" / "tanks.scn"
@@ -120,3 +126,73 @@ def detour_mdp():
 @pytest.fixture
 def tanks_path():
     return TANKS_SCN
+
+
+def norm(v):
+    """Euclidean norm over the last axis, equal bit for bit to
+    `np.linalg.norm` of each 3-vector: both take the square root of a BLAS
+    dot product, where `(v * v).sum(-1)` rounds differently."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def in_critical_zone(centers, radius, point):
+    """Whether ``point`` lies within ``radius`` of one of the (zones, 3)
+    critical waypoint ``centers``."""
+    return bool((norm(point - centers) <= radius).any())
+
+
+def reference_refine(scenario, steps, plan_id="", dt=DEFAULT_DT, helix=HelixSpec()):
+    """The Python sampling loop the compiled `refine_path` replaced, kept as
+    its oracle: the trajectory `refiner.refine` must equal bit for bit."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    pts = plan_polyline(scenario, steps, helix)
+    pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
+    if len(pts) < 2:
+        return Trajectory([], 0.0, 0.0, plan_id)
+
+    centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
+                       dtype=float).reshape(-1, 3)
+    radius = scenario.critical_radius
+    v_max, v_crit = scenario.v_max, scenario.v_crit
+    samples = []
+    t = 0.0
+    for i in range(len(pts) - 1):
+        a = np.asarray(pts[i], dtype=float)
+        b = np.asarray(pts[i + 1], dtype=float)
+        seg_len = float(np.linalg.norm(b - a))
+        direction = (b - a) / seg_len
+        s = 0.0
+        v = 0.0
+        while s < seg_len - 1e-12:
+            pos = a + direction * s
+            remaining = seg_len - s
+            cap = v_crit if in_critical_zone(centers, radius, pos) else v_max
+            v = min(v + A_MAX * dt, cap, math.sqrt(2.0 * A_MAX * remaining))
+            nxt = a + direction * min(s + v * dt, seg_len)
+            if in_critical_zone(centers, radius, nxt) and v > v_crit:
+                v = v_crit
+            samples.append(TrajectorySample(t, tuple(pos), v))
+            step = v * dt
+            if step >= remaining:
+                t += remaining / v
+                s = seg_len
+            else:
+                t += dt
+                s += step
+        samples.append(TrajectorySample(t, tuple(b), max(v, A_MAX * dt)))
+        # the corner sample closes the segment; motion restarts from rest
+        if i < len(pts) - 2:
+            t += dt
+
+    # corner samples duplicate positions when segments share endpoints
+    deduped = []
+    for smp in samples:
+        if deduped and smp.time <= deduped[-1].time:
+            continue
+        if deduped and math.dist(smp.position, deduped[-1].position) < 1e-12:
+            continue
+        deduped.append(smp)
+    length = low_level_length_of(deduped)
+    duration = deduped[-1].time if deduped else 0.0
+    return Trajectory(deduped, length, duration, plan_id)

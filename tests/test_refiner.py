@@ -1,12 +1,21 @@
-"""Trajectory refinement: trapezoidal speed, critical slow zones, helices."""
+"""Trajectory refinement: trapezoidal speed, critical slow zones, helices,
+and the compiled sampling loop against the Python loop it replaced."""
 
+import dataclasses
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riskplan.refiner import (DisconnectedPlan, HelixSpec, plan_polyline,
-                              refine)
-from riskplan.scenario import parse_scenario
+from conftest import TANKS_SCN, reference_refine
+from riskplan import kernel, refiner
+from riskplan.pipeline import PipelineConfig, plan_candidates
+from riskplan.refiner import (DisconnectedPlan, HelixSpec, parse_plan_steps,
+                              plan_polyline, refine)
+from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
 
 STRAIGHT = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -72,8 +81,16 @@ class TestSpeedProfile:
         assert traj.nominal_duration == 0.0
 
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            refine(scenario(STRAIGHT), [("goto", "b")], dt=0.0)
+        # NaN compares false with everything, so `dt <= 0` alone lets it in
+        for dt in (0.0, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                refine(scenario(STRAIGHT), [("goto", "b")], dt=dt)
+
+    def test_dt_too_small_to_advance_is_refused(self):
+        # each step of 1e-300 s rounds to no motion at all: the loop would
+        # never end
+        with pytest.raises(ValueError, match="too small"):
+            refine(scenario(STRAIGHT), [("goto", "b")], dt=1e-300)
 
 
 class TestConnectivity:
@@ -114,3 +131,103 @@ class TestHelix:
         loop = refine(s, [("goto", "b"), ("inspect", "tank")],
                       helix=HelixSpec(clearance=2.0))
         assert loop.total_length - base.total_length > 2 * math.pi * 3.0 * 0.9
+
+
+def float_bits(traj):
+    """Every float of a trajectory packed as raw bytes: equal bytes are
+    equal bits, where == would let 0.0 equal -0.0."""
+    values = [traj.total_length, traj.nominal_duration]
+    for smp in traj.samples:
+        values += [smp.time, *smp.position, smp.speed]
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def assert_matches_reference(scn, steps, **kwargs):
+    got = refine(scn, steps, **kwargs)
+    want = reference_refine(scn, steps, **kwargs)
+    assert len(got.samples) == len(want.samples)
+    assert float_bits(got) == float_bits(want)
+    assert got.plan_id == want.plan_id
+    return got
+
+
+TANKS = load_scenario(TANKS_SCN).scenario
+TANKS_NEIGHBOURS = {w.id: sorted({e.b for e in TANKS.edges if e.a == w.id}
+                                 | {e.a for e in TANKS.edges if e.b == w.id})
+                    for w in TANKS.waypoints}
+
+
+@st.composite
+def edge_walks(draw):
+    """Plans on tanks.scn: a walk along its edges from the start, with
+    inspections of any obstacle between moves."""
+    here, steps = TANKS.start, []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            steps.append(("inspect", draw(st.sampled_from(
+                [o.label for o in TANKS.obstacles]))))
+        else:
+            here = draw(st.sampled_from(TANKS_NEIGHBOURS[here]))
+            steps.append(("goto", here))
+    return steps
+
+
+helices = st.builds(HelixSpec, points=st.integers(1, 60),
+                    turns=st.floats(0.1, 2.5), clearance=st.floats(0.0, 4.0),
+                    pitch=st.none() | st.floats(-3.0, 3.0))
+
+
+class TestKernelMatchesReference:
+    """The compiled sampling loop gives the Python loop's trajectory bit for
+    bit."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_tanks_candidates(self, which):
+        cfg = PipelineConfig(scenario_path=str(TANKS_SCN), out_dir="", master_seed=7)
+        cand = plan_candidates(ground_to_mdp(TANKS), cfg)[which]
+        traj = assert_matches_reference(TANKS, parse_plan_steps(cand.plan.linearization),
+                                        plan_id=cand.plan.id)
+        # samples hold Python floats, as the reference's values would be
+        smp = traj.samples[1]
+        assert {type(smp.time), type(smp.speed), *map(type, smp.position)} == {float}
+
+    @given(steps=edge_walks(), dt=st.floats(0.05, 1.0), helix=helices)
+    @settings(max_examples=80, deadline=None)
+    def test_random_edge_walks(self, steps, dt, helix):
+        assert_matches_reference(TANKS, steps, dt=dt, helix=helix)
+
+    @pytest.mark.parametrize("below", [False, True], ids=["on_radius", "just_outside"])
+    def test_sample_exactly_on_the_critical_radius(self, below):
+        # the first sample sits exactly 3 m from the critical waypoint c;
+        # at dt 1 the first speed step (0.5) exceeds vcrit, so the zone
+        # test of that sample decides its speed
+        scn = scenario(STRAIGHT.replace("radius 2.0", "radius 3")
+                       + "WAYPOINT c pos 0 3 -5 critical\nEDGE a c risk 0\n")
+        radius = math.nextafter(3.0, 0.0) if below else 3.0
+        scn = dataclasses.replace(scn, critical_radius=radius)
+        traj = assert_matches_reference(scn, [("goto", "b")], dt=1.0)
+        assert traj.samples[0].speed == (0.5 if below else 0.25)
+
+    def test_long_segment_at_small_dt(self):
+        # 200 m at the critical speed, every 0.05 s: ~16k samples
+        long_leg = CRITICAL.replace("WAYPOINT b pos 10 0 -5", "WAYPOINT b pos 200 0 -5")
+        long_leg = long_leg.replace("radius 20.0", "radius 300")
+        traj = assert_matches_reference(scenario(long_leg), [("goto", "b")], dt=0.05)
+        assert len(traj.samples) > 16000
+
+    @pytest.mark.parametrize("capacity", [0, 1, 100])
+    def test_kernel_counts_past_a_short_buffer(self, capacity):
+        """Given a buffer too short for the path, the kernel fills it, writes
+        nothing past it and returns the count the path needs."""
+        scn = scenario(CRITICAL)
+        path = np.array(plan_polyline(scn, [("goto", "b")]), dtype=float)
+        centers = np.array([scn.waypoint("b").position])
+        args = (len(path), path, len(centers), centers, scn.critical_radius,
+                scn.v_max, scn.v_crit, refiner.A_MAX, 0.05)
+        lib = kernel.load()
+        full = np.empty((lib.refine_path(*args, 0, np.empty((0, 5))), 5))
+        assert lib.refine_path(*args, len(full), full) == len(full) > capacity
+        short = np.full((capacity + 8, 5), np.nan)  # 8 guard rows
+        assert lib.refine_path(*args, capacity, short) == len(full)
+        assert np.array_equal(short[:capacity], full[:capacity])
+        assert np.isnan(short[capacity:]).all()

@@ -84,6 +84,20 @@ class TestParser:
         assert [(e.col, e.kind) for e in errs] == [(1, "syntax")]
         assert errs[0].message.startswith(f"expected: {section.split()[0]} ")
 
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("field", ["vmax 1.0", "pos 5 0 -5", "half 1 1 1", "risk 0.1"],
+                             ids=["LIMITS", "WAYPOINT", "OBSTACLE", "EDGE"])
+    def test_numbers_must_be_finite(self, field, word):
+        # float() reads these words; a scenario must not
+        name, number, *rest = field.split()
+        bad = " ".join([name, word, *rest])
+        text = MINIMAL.replace(field, bad)
+        line = next(l for l in text.splitlines() if bad in l)
+        line_no = text.splitlines().index(line) + 1
+        col = line.index(bad) + len(name) + 2
+        errs = [str(e) for e in parse_scenario(text).errors if e.line == line_no]
+        assert errs == [f"{line_no}:{col}: syntax: expected a finite number, got {word!r}"]
+
     def test_one_issue_per_line(self):
         text = MINIMAL.replace("vmax 1.0 vcrit 0.25 radius 2.0",
                                "vmax fast vcrit slow radius wide")

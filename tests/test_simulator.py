@@ -4,16 +4,20 @@ and the lockstep batch it replaced), and how the kernel is built."""
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import TANKS_SCN
+from conftest import REPO_ROOT, TANKS_SCN, norm, reference_refine
 from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
-from riskplan.refiner import _norm, parse_plan_steps, refine
-from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
+from riskplan.refiner import parse_plan_steps, refine
+from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario,
+                               parse_scenario, write_plan_file)
 from riskplan import kernel
 from riskplan.cli import EXIT_INTERNAL, main
 from riskplan.kernel import KernelBuildError
@@ -266,7 +270,7 @@ def lockstep_batch(trajectory, scenario, cfg, seeds):
                 room = budget[moving]
                 speed = speeds[kk]
                 gap = points[kk] - p
-                dist = _norm(gap)
+                dist = norm(gap)
                 reach = np.maximum(dist - cfg.capture_radius, 0.0)
                 far = reach > speed * room
                 unit = gap / dist[:, None]  # not used where dist == 0
@@ -289,7 +293,7 @@ def lockstep_batch(trajectory, scenario, cfg, seeds):
         tick += 1
 
         gap = np.maximum(np.abs(pos[:, None, :] - centers) - half, 0.0)
-        dist = _norm(gap)
+        dist = norm(gap)
         touching = dist < cfg.clearance
         fresh = touching & ~in_contact
         aborted = np.zeros(ids.size, dtype=bool)
@@ -351,7 +355,7 @@ class TestLockstepMatchesReference:
     def test_distances_equal_linalg_norm_bitwise(self):
         rng = np.random.default_rng(0)
         gaps = rng.normal(size=(20000, 3)) * rng.uniform(1e-3, 1e2, size=(20000, 1))
-        assert np.array_equal(_norm(gaps), [np.linalg.norm(g) for g in gaps])
+        assert np.array_equal(norm(gaps), [np.linalg.norm(g) for g in gaps])
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_tanks_candidates(self, tanks, which):
@@ -415,7 +419,7 @@ class TestKernelMatchesLockstep:
 
     def test_kernel_norm_equals_norm_bitwise(self):
         """The one rounding the kernel cannot take from numpy: its
-        distances must round as `_norm`'s BLAS dot product does."""
+        distances must round as `norm`'s BLAS dot product does."""
         rng = np.random.default_rng(11)
         n = 200_000
         scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
@@ -429,7 +433,7 @@ class TestKernelMatchesLockstep:
         v = np.concatenate(vectors)
         got = np.empty(len(v))
         kernel.load().norm3_batch(len(v), v, got)
-        differ = got.view(np.uint64) != _norm(v).view(np.uint64)
+        differ = got.view(np.uint64) != norm(v).view(np.uint64)
         assert not differ.any(), f"{differ.sum()} norms differ, e.g. of {v[differ][:3]}"
 
 
@@ -461,16 +465,29 @@ class TestKernelBuild:
                              ids=["no_compiler", "compile_fails"])
     def test_build_failure_is_loud(self, fresh_kernel, monkeypatch, tmp_path,
                                    capsys, compiler):
+        # the Python reference refines without the kernel
+        scenario = parse_scenario(OPEN_WATER).scenario
+        traj = reference_refine(scenario, [("goto", "b")], plan_id="P1")
         monkeypatch.setattr(kernel, "_compiler", lambda: compiler)
-        scenario, traj = trajectory(OPEN_WATER)
         with pytest.raises(KernelBuildError) as err:
-            run_batch(traj, scenario, QUIET, n=1)
+            refine(scenario, [("goto", "b")], plan_id="P1")
         message = str(err.value)
         assert "_simkernel.c" in message
         assert (compiler or "cc") in message
 
         scn = tmp_path / "open.scn"
         scn.write_text(OPEN_WATER)
+        plan = tmp_path / "plan.json"
+        write_plan_file(PlanFile("P1", 0.9, ["goto b"], 1), plan)
+        assert main(["refine", str(scn), str(plan),
+                     "--out", str(tmp_path / "trajectory.csv")]) == EXIT_INTERNAL
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "trajectory.csv").exists()
+
+        # simulation runs in the same kernel
+        with pytest.raises(KernelBuildError) as err:
+            run_batch(traj, scenario, QUIET, n=1)
+        assert str(err.value) == message
         csv = tmp_path / "trajectory.csv"
         traj.export_csv(csv)
         assert main(["simulate", str(scn), str(csv), "--seed", "1",
@@ -487,3 +504,18 @@ class TestKernelBuild:
                      "--out", str(tmp_path / "grid.csv")]) == EXIT_INTERNAL
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "grid.csv").exists()
+
+    def test_import_builds_and_loads_nothing(self):
+        """Importing the modules that use the kernel compiles nothing and
+        loads no library: the first call does."""
+        code = ("import ctypes, subprocess\n"
+                "calls = []\n"
+                "ctypes.CDLL = lambda *a, **k: calls.append(('CDLL', a))\n"
+                "subprocess.run = lambda *a, **k: calls.append(('run', a))\n"
+                "import riskplan.refiner, riskplan.simulator, riskplan.occupancy\n"
+                "from riskplan import kernel\n"
+                "print(calls, kernel.load.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["[]", "0"]
