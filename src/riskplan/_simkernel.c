@@ -9,8 +9,16 @@
  * behind np.linalg.norm rounds a 3-vector.  Python's min() and max() keep
  * the first of equal arguments, and so do the comparisons that stand for
  * them here.
+ *
+ * The simulator's drift is drawn here from each episode's own numpy bit
+ * generator, with the normal sampler of numpy's libnpyrandom.a that
+ * Generator.normal calls, so the streams are numpy's.
  */
 #include <math.h>
+#include <numpy/random/bitgen.h>
+
+/* from numpy/random/distributions.h, which needs Python's headers */
+double random_standard_normal(bitgen_t *bitgen_state);
 
 enum { RUNNING = 0, COMPLETED = 1, FAILED = 2 };
 
@@ -128,28 +136,35 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
     return count;
 }
 
-/* Advance every RUNNING row by up to `ticks` ticks of `dt` seconds.
+/* Run every RUNNING row until it completes, times out or aborts.
  *
  * points (last, 3) and speeds (last,) are the trajectory; half (m, 3) the
  * obstacle half extents; centers (n, m, 3) each row's displaced obstacle
- * centres.  When drift is set, noise (n, ticks, 3) holds each row's drift
- * velocities for these ticks.  pos (n, 3), k (n,), sim_time (n,),
+ * centres.  When sigma > 0, each tick adds a drift velocity to the row's
+ * position, drawn per axis as Generator.normal(0.0, sigma) draws it, from
+ * the row's bit generator gens[row].  pos (n, 3), k (n,), sim_time (n,),
  * in_contact (n, m) and status (n,) carry each row's state between calls.
- * Each fresh incident is written to the event buffers, in row order and,
- * within a row, in the order it happened; they must hold n * ticks * m
- * events.  Returns the number of events written.
+ * Each fresh incident is written to the event buffers of `capacity`
+ * events, in row order and, within a row, in the order it happened.
+ * Returns the number of events written.  A tick can write m events, so
+ * the call returns at a tick boundary once fewer than m slots are free,
+ * with some rows still RUNNING: drain the buffers and call again.
  */
-long simulate_ticks(long n, long ticks, double dt,
+long simulate_ticks(long n, double dt,
                     const double *points, const double *speeds, long last,
                     long m, const double *half, const double *centers,
-                    int drift, const double *noise,
+                    bitgen_t *const *gens, double sigma,
                     double capture_radius, double clearance,
                     double penalty, int abort_on_collision, double timeout,
                     double *pos, long *k, double *sim_time,
                     unsigned char *in_contact, signed char *status,
-                    long *ev_row, long *ev_obs, double *ev_time,
+                    long capacity, long *ev_row, long *ev_obs, double *ev_time,
                     double *ev_dist)
 {
+    /* a gap of g >= 2^-500 on one axis makes the norm >= g, since
+     * sqrt(fl(g*g)) == g while g*g is normal and the fma sums only grow:
+     * no box at least `skip` away on an axis can be within clearance */
+    double skip = clearance > 0x1p-500 ? clearance : 0x1p-500;
     long events = 0;
     for (long row = 0; row < n; row++) {
         double *p = pos + 3 * row;
@@ -157,7 +172,7 @@ long simulate_ticks(long n, long ticks, double dt,
         unsigned char *contact = in_contact + m * row;
         long kk = k[row];
         double t = sim_time[row];
-        for (long tick = 0; tick < ticks && status[row] == RUNNING; tick++) {
+        while (status[row] == RUNNING && capacity - events >= m) {
             /* move for one tick, consuming samples as the capture radius
              * allows */
             double room = dt;
@@ -187,11 +202,11 @@ long simulate_ticks(long n, long ticks, double dt,
                 }
             } while (room > 0.0 && kk < last);
             double leftover = kk == last ? room : 0.0;
-            if (drift) {
-                const double *v = noise + 3 * (ticks * row + tick);
-                p[0] = p[0] + v[0] * dt;
-                p[1] = p[1] + v[1] * dt;
-                p[2] = p[2] + v[2] * dt;
+            if (sigma > 0.0) {
+                for (int a = 0; a < 3; a++) {
+                    double v = 0.0 + sigma * random_standard_normal(gens[row]);
+                    p[a] = p[a] + v * dt;
+                }
             }
             t += dt - leftover;
 
@@ -200,9 +215,12 @@ long simulate_ticks(long n, long ticks, double dt,
             int aborted = 0;
             for (long j = 0; j < m; j++) {
                 const double *cj = c + 3 * j, *hj = half + 3 * j;
-                double d = norm3(pos_part(fabs(p[0] - cj[0]) - hj[0]),
-                                 pos_part(fabs(p[1] - cj[1]) - hj[1]),
-                                 pos_part(fabs(p[2] - cj[2]) - hj[2]));
+                double gx = pos_part(fabs(p[0] - cj[0]) - hj[0]);
+                double gy = pos_part(fabs(p[1] - cj[1]) - hj[1]);
+                double gz = pos_part(fabs(p[2] - cj[2]) - hj[2]);
+                double d = INFINITY;
+                if (gx < skip && gy < skip && gz < skip)
+                    d = norm3(gx, gy, gz);
                 int touching = d < clearance;
                 if (touching && !contact[j] && !aborted) {
                     ev_row[events] = row;
@@ -223,6 +241,8 @@ long simulate_ticks(long n, long ticks, double dt,
         }
         k[row] = kk;
         sim_time[row] = t;
+        if (status[row] == RUNNING)
+            break;  /* the event buffers are full */
     }
     return events;
 }

@@ -25,8 +25,10 @@ class MetricConfig:
     time_bound: float = DEFAULT_TIME_BOUND
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
+            raise ValueError(f"bin_width must be finite and positive, got {self.bin_width!r}")
+        if not math.isfinite(self.time_bound):
+            raise ValueError(f"time_bound must be finite, got {self.time_bound!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0,1)")
 

@@ -2,9 +2,10 @@
 
 `_simkernel.c` holds the refiner's sampling loop, the simulator's tick
 loop and the occupancy grid's voxel walk.  It needs a C compiler (`cc` or
-`gcc`): the first call of `load` compiles it into this package's
-`__pycache__/`, under a name that carries the digest of the source and
-flags, and later runs load that file.  Nothing is built at import.
+`gcc`) and numpy's `libnpyrandom.a`: the first call of `load` builds it into
+this package's `__pycache__/`, under a name that carries the digest of the
+source, flags and that library, and later runs load that file.  Nothing is
+built at import.
 """
 
 from __future__ import annotations
@@ -30,22 +31,28 @@ _CACHE_DIR = _SOURCE.parent / "__pycache__"
 # -ffp-contract=off keeps every product and sum rounded on its own, as numpy
 # rounds them; fast-math or -march flags would change the results
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# numpy's C samplers for a Generator's bit generator, and their headers
+_NUMPY_INCLUDE = Path(np.get_include())
+_ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 
 def _compiler() -> str | None:
     return shutil.which("cc") or shutil.which("gcc")
 
 
-def _digest(source: bytes) -> str:
-    """Name of a build of ``source``: a changed kernel or flag set is a new
-    library, never a stale one."""
-    return hashlib.sha256(source + b"\0" + " ".join(_CFLAGS).encode()).hexdigest()
+def _digest(source: bytes, archive: bytes) -> str:
+    """Name of a build of ``source`` linked with ``archive``: a changed
+    kernel, flag set or numpy is a new library, never a stale one."""
+    return hashlib.sha256(b"\0".join((source, " ".join(_CFLAGS).encode(), archive))).hexdigest()
 
 
 def _build(source: Path, cache_dir: Path) -> Path:
     """The shared library of ``source``, compiled into ``cache_dir`` unless
-    a build of the same source and flags is already there."""
-    lib = cache_dir / f"{source.stem}-{_digest(source.read_bytes())}.so"
+    a build of the same source, flags and numpy library is already there."""
+    for need in (_NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h", _ARCHIVE):
+        if not need.is_file():
+            raise KernelBuildError(f"numpy's {need} is missing; {source} needs it")
+    lib = cache_dir / f"{source.stem}-{_digest(source.read_bytes(), _ARCHIVE.read_bytes())}.so"
     if lib.exists():
         return lib
     cc = _compiler()
@@ -58,7 +65,8 @@ def _build(source: Path, cache_dir: Path) -> Path:
         private = tempfile.mkdtemp(dir=cache_dir)
         try:
             tmp = os.path.join(private, lib.name)
-            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
+            proc = subprocess.run([cc, *_CFLAGS, f"-I{_NUMPY_INCLUDE}", "-o", tmp,
+                                   str(source), str(_ARCHIVE), "-lm"],
                                   capture_output=True, text=True)
             if proc.returncode:
                 detail = proc.stderr.strip()
@@ -78,8 +86,8 @@ def load() -> ctypes.CDLL:
     """The compiled kernel, built on first use."""
     lib = ctypes.CDLL(str(_build(_SOURCE, _CACHE_DIR)))
     # array arguments are checked for dtype and C order at every call
-    f64, intp, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                         for t in (np.float64, np.intp, np.uint8, np.int8))
+    f64, intp, uptr, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                               for t in (np.float64, np.intp, np.uintp, np.uint8, np.int8))
     size, real, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
     lib.norm3_batch.argtypes = [size, f64, f64]
     lib.norm3_batch.restype = None
@@ -89,13 +97,13 @@ def load() -> ctypes.CDLL:
         size, f64]                               # capacity, out
     lib.refine_path.restype = size
     lib.simulate_ticks.argtypes = [
-        size, size, real,                        # n, ticks, dt
+        size, real,                              # n, dt
         f64, f64, size,                          # points, speeds, last
         size, f64, f64,                          # m, half, centers
-        flag, f64,                               # drift, noise
+        uptr, real,                              # bit generators, sigma
         real, real, real, flag, real,            # capture .. timeout
         f64, intp, f64, u8, i8,                  # pos .. status
-        intp, intp, f64, f64]                    # event buffers
+        size, intp, intp, f64, f64]              # capacity, event buffers
     lib.simulate_ticks.restype = size
     lib.integrate_beams.argtypes = [
         size, f64, f64, f64, f64,                # n, pos, dirs, ranges, max_ranges

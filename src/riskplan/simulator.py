@@ -7,9 +7,9 @@ adds a recovery time penalty.  Every episode is a pure function of its
 seed tuple (master seed, plan id, episode index).
 
 The tick loop runs in the compiled C kernel (see `kernel`), so simulation
-needs a C compiler.  Random draws stay in numpy, and the kernel rounds as
-the numpy code it replaced did, so the records are those of a loop
-stepping each episode on its own.
+needs a C compiler.  It draws the drift from each episode's own generator
+as `Generator.normal` would, and rounds as the numpy code it replaced did,
+so the records are those of a loop stepping each episode on its own.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .scenario import Scenario, open_artifact
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
-# drift noise rows drawn ahead per episode; one draw of (C, 3) gives the
-# values C draws of 3 would
-_NOISE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -45,8 +42,8 @@ class DisturbanceConfig:
     def __post_init__(self):
         for name in ("current_sigma", "obstacle_sigma", "capture_radius",
                      "clearance", "recovery_penalty_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < float("inf"):  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -76,13 +73,10 @@ def episode_rng(master_seed: int, plan_id: str, episode_index: int) -> np.random
 def _obstacle_centers(scenario: Scenario, cfg: DisturbanceConfig,
                       rng: np.random.Generator) -> np.ndarray:
     """(m, 3) obstacle centres of one episode, displaced in declaration order."""
-    centers = np.empty((len(scenario.obstacles), 3))
+    centers = np.array([o.center for o in scenario.obstacles], dtype=float).reshape(-1, 3)
     for j, o in enumerate(scenario.obstacles):
-        center = np.asarray(o.center, dtype=float)
-        movable = cfg.perturb_all or o.label == cfg.perturb_target
-        if movable and cfg.obstacle_sigma > 0:
-            center = center + rng.normal(0.0, cfg.obstacle_sigma, size=3)
-        centers[j] = center
+        if (cfg.perturb_all or o.label == cfg.perturb_target) and cfg.obstacle_sigma > 0:
+            centers[j] = centers[j] + rng.normal(0.0, cfg.obstacle_sigma, size=3)
     return centers
 
 
@@ -98,10 +92,10 @@ def _simulate(
 ) -> list[EpisodeRecord]:
     """Run one episode per seed tuple.
 
-    The compiled kernel steps each running episode up to _NOISE_CHUNK ticks
-    per call; between calls each episode draws its next drift chunk.  An
-    episode's arithmetic and random draws are its own, so a record does
-    not depend on the batch it ran in.
+    The compiled kernel runs each episode to its end, drawing the drift
+    from the episode's generator; it returns early only when its event
+    buffers fill.  An episode's arithmetic and random draws are its own, so
+    a record does not depend on the batch it ran in.
     """
     if not trajectory.samples:
         raise ValueError("trajectory must be nonempty")
@@ -117,37 +111,33 @@ def _simulate(
     half = np.array([o.half_extents for o in scenario.obstacles],
                     dtype=float).reshape(m, 3)
     timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
-    drift = cfg.current_sigma > 0
 
     n = len(seeds)
     rngs = [episode_rng(*seed) for seed in seeds]
     centers = np.array([_obstacle_centers(scenario, cfg, rng) for rng in rngs]
                        ).reshape(n, m, 3)
+    # the kernel draws without the Generators' locks: rngs is private to this call
+    gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
     pos = np.tile(points[0], (n, 1))
     k = np.ones(n, dtype=np.intp)
     sim_time = np.zeros(n)
     in_contact = np.zeros((n, m), dtype=np.uint8)
     status = np.zeros(n, dtype=np.int8)
-    noise = np.zeros((n, _NOISE_CHUNK, 3))
-    capacity = n * _NOISE_CHUNK * m
+    capacity = n * m  # one tick's worth of incidents per episode
     ev_row, ev_obs = np.empty(capacity, dtype=np.intp), np.empty(capacity, dtype=np.intp)
     ev_time, ev_dist = np.empty(capacity), np.empty(capacity)
     incidents: list[list[Incident]] = [[] for _ in range(n)]
 
-    running = range(n)
-    while len(running):
-        if drift:
-            for i in running:
-                noise[i] = rngs[i].normal(0.0, cfg.current_sigma, size=(_NOISE_CHUNK, 3))
+    while _RUNNING in status:
         count = lib.simulate_ticks(
-            n, _NOISE_CHUNK, SIM_DT, points, speeds, last, m, half, centers,
-            drift, noise, cfg.capture_radius, cfg.clearance,
+            n, SIM_DT, points, speeds, last, m, half, centers, gens,
+            cfg.current_sigma, cfg.capture_radius, cfg.clearance,
             cfg.recovery_penalty_s, cfg.abort_on_collision, timeout,
-            pos, k, sim_time, in_contact, status, ev_row, ev_obs, ev_time, ev_dist)
+            pos, k, sim_time, in_contact, status,
+            capacity, ev_row, ev_obs, ev_time, ev_dist)
         for row, j, t, d in zip(ev_row[:count].tolist(), ev_obs[:count].tolist(),
                                 ev_time[:count].tolist(), ev_dist[:count].tolist()):
             incidents[row].append(Incident(round(t, 6), labels[j], round(d, 6)))
-        running = np.flatnonzero(status == _RUNNING)
     return [EpisodeRecord(seed[1], seed[2], round(t, 6), incidents[i],
                           bool(status[i] == _COMPLETED), seed)
             for i, (seed, t) in enumerate(zip(seeds, sim_time.tolist()))]

@@ -181,6 +181,52 @@ class TestBadInputExitsTwo:
         assert main(["pipeline", str(small_scn), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out"), *flags]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [
+        ("--current-sigma", "current_sigma"), ("--obstacle-sigma", "obstacle_sigma"),
+        ("--recovery-penalty", "recovery_penalty_s"),
+    ])
+    def test_simulate_non_finite_disturbance(self, small_scn, tmp_path, capsys,
+                                             flag, field, value):
+        traj, log = tmp_path / "t.csv", tmp_path / "e.jsonl"
+        refine(load_scenario(small_scn).scenario,
+               [("goto", "near"), ("goto", "final")]).export_csv(traj)
+        assert main(["simulate", str(small_scn), str(traj), "--seed", "1",
+                     f"{flag}={value}", "--out", str(log)]) == EXIT_INPUT
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [("--bin-width", "bin_width"),
+                                             ("--time-bound", "time_bound")])
+    def test_assess_non_finite_metric(self, tmp_path, capsys, flag, field, value):
+        log, report = tmp_path / "e.jsonl", tmp_path / "report.json"
+        log.write_text("".join(
+            json.dumps({"plan_id": "P1", "episode_index": i, "execution_time_s": 1.0 + i,
+                        "incidents": [], "completed": True, "seed": [1, "P1", i]}) + "\n"
+            for i in range(3)), encoding="utf-8")
+        assert main(["assess", str(log), f"{flag}={value}",
+                     "--out", str(report)]) == EXIT_INPUT
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("section, field", [
+        ("disturbance", "current_sigma"), ("disturbance", "clearance"),
+        ("metrics", "bin_width"), ("metrics", "time_bound"),
+    ])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_config_non_finite_value(self, small_scn, tmp_path, capsys,
+                                     section, field, value):
+        # JSON has no non-finite numbers, but Python's reader takes these
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"master_seed": 3, "{section}": {{"{field}": {value}}}}}',
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", str(small_scn), "--config", str(cfg),
+                     "--out-dir", str(out)]) == EXIT_INPUT
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_episode_pipeline_rejected_before_any_work(self, small_scn, tmp_path):
         out = tmp_path / "out"
         assert main(["pipeline", str(small_scn), "--out-dir", str(out),

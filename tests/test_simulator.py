@@ -15,13 +15,13 @@ import pytest
 
 from conftest import REPO_ROOT, TANKS_SCN, norm, reference_refine
 from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
-from riskplan.refiner import parse_plan_steps, refine
+from riskplan.refiner import Trajectory, TrajectorySample, parse_plan_steps, refine
 from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario,
                                parse_scenario, write_plan_file)
 from riskplan import kernel
 from riskplan.cli import EXIT_INTERNAL, main
 from riskplan.kernel import KernelBuildError
-from riskplan.simulator import (_NOISE_CHUNK, SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
+from riskplan.simulator import (SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
                                 EpisodeRecord, Incident, _obstacle_centers,
                                 episode_rng, run_batch, run_episode,
                                 read_episode_log, write_episode_log)
@@ -147,6 +147,13 @@ class TestValidationAndLogs:
         with pytest.raises(ValueError):
             DisturbanceConfig(current_sigma=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["current_sigma", "obstacle_sigma", "capture_radius",
+                                      "clearance", "recovery_penalty_s"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DisturbanceConfig(**{name: value})
+
     def test_empty_trajectory_rejected(self):
         scenario, traj = trajectory(OPEN_WATER)
         traj.samples = []
@@ -225,6 +232,11 @@ def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
 
     return EpisodeRecord(plan_id, episode_index, round(sim_time, 6),
                          incidents, True, seed)
+
+
+# drift rows the lockstep batch draws ahead per episode; one draw of (C, 3)
+# gives the values C draws of 3 would
+_NOISE_CHUNK = 64
 
 
 def lockstep_batch(trajectory, scenario, cfg, seeds):
@@ -330,6 +342,8 @@ CONFIGS = {
     "abort": DisturbanceConfig(abort_on_collision=True),
     "no_drift": DisturbanceConfig(current_sigma=0.0),
     "quiet": QUIET,
+    # drift this strong moves every rounded time and distance
+    "strong_drift": DisturbanceConfig(current_sigma=1.0),
 }
 
 
@@ -407,7 +421,8 @@ class TestIncompleteEpisodes:
 
 
 class TestKernelMatchesLockstep:
-    @pytest.mark.parametrize("name", ["default", "shaken", "abort", "no_drift"])
+    @pytest.mark.parametrize("name", ["default", "shaken", "abort", "no_drift",
+                                      "strong_drift"])
     @pytest.mark.parametrize("master_seed", [7, 11])
     def test_tanks_batches(self, tanks, master_seed, name):
         scenario, trajs = tanks
@@ -416,6 +431,45 @@ class TestKernelMatchesLockstep:
             assert run_batch(traj, scenario, CONFIGS[name], n=100,
                              master_seed=master_seed) == \
                 lockstep_batch(traj, scenario, CONFIGS[name], seeds)
+
+    def test_large_batch_is_one_kernel_call(self, tanks, counting_kernel):
+        scenario, trajs = tanks
+        seeds = [(5, trajs[1].plan_id, i) for i in range(400)]
+        records = run_batch(trajs[1], scenario, CONFIGS["default"], n=400, master_seed=5)
+        assert counting_kernel.calls == 1
+        assert records == lockstep_batch(trajs[1], scenario, CONFIGS["default"], seeds)
+
+    def test_full_event_buffer_returns_and_resumes(self, counting_kernel):
+        """Each episode logs more incidents than one call's event buffers
+        hold, so the kernel returns mid-episode and is called again."""
+        scenario, traj = weave(passes=12)
+        cfg = DisturbanceConfig(recovery_penalty_s=0.0)
+        n = 3
+        records = assert_matches_reference(traj, scenario, cfg, n)
+        assert all(r.completed for r in records)
+        # the buffers hold n * obstacles events
+        assert min(len(r.incidents) for r in records) > n * len(scenario.obstacles)
+        assert counting_kernel.calls > 1
+
+    @pytest.mark.parametrize("center", ["1.5 0 -5", "0 -1.5 -5", "0 0 -3.5"],
+                             ids=["x", "y", "z"])
+    def test_clearance_boundary(self, center):
+        """An axis gap of exactly the clearance is no incident; one ulp below
+        it, with the other two gaps 0, is one, at the reference's distance."""
+        scenario = parse_scenario(
+            "LIMITS vmax 1.0 vcrit 0.25 radius 2.0\n"
+            f"OBSTACLE rock center {center} half 1 1 1\n"
+            "WAYPOINT a pos 0 0 -5\nWAYPOINT b pos 0 0 -5\n"
+            "EDGE a b risk 0\nMISSION start a final b\n").scenario
+        # the robot stays at (0, 0, -5), 0.5 m from the rock along one axis
+        stay = TrajectorySample(0.0, (0.0, 0.0, -5.0), 1.0)
+        traj = Trajectory([stay, stay], 0.0, 0.0, plan_id="P1")
+        gap = 0.5
+        at = dataclasses.replace(QUIET, clearance=gap)
+        assert run_episode(traj, scenario, at, (0, "P1", 0)).incidents == []
+        above = dataclasses.replace(QUIET, clearance=np.nextafter(gap, 1.0))
+        (record,) = assert_matches_reference(traj, scenario, above, 1)
+        assert [(i.obstacle, i.min_distance) for i in record.incidents] == [("rock", gap)]
 
     def test_kernel_norm_equals_norm_bitwise(self):
         """The one rounding the kernel cannot take from numpy: its
@@ -437,6 +491,36 @@ class TestKernelMatchesLockstep:
         assert not differ.any(), f"{differ.sum()} norms differ, e.g. of {v[differ][:3]}"
 
 
+def weave(passes):
+    """A trajectory that crosses in and out of one rock's clearance
+    `passes` times: its samples lie 0.2 m inside the face and 2 m out."""
+    scenario = parse_scenario(NEAR_MISS.replace("center 5 1.2 -5", "center 5 0 -5")).scenario
+    samples, t = [TrajectorySample(0.0, (5.0, 3.0, -5.0), 1.0)], 0.0
+    for _ in range(passes):
+        for y in (0.8, 3.0):
+            t += 2.2
+            samples.append(TrajectorySample(t, (5.0, y, -5.0), 1.0))
+    return scenario, Trajectory(samples, 2 * 2.2 * passes, t, plan_id="P1")
+
+
+class CountingKernel:
+    """The kernel, counting `simulate_ticks` calls."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, 0
+
+    def simulate_ticks(self, *args):
+        self.calls += 1
+        return self.lib.simulate_ticks(*args)
+
+
+@pytest.fixture
+def counting_kernel(monkeypatch):
+    counting = CountingKernel(kernel.load())
+    monkeypatch.setattr(kernel, "load", lambda: counting)
+    return counting
+
+
 @pytest.fixture
 def fresh_kernel(monkeypatch, tmp_path):
     """Kernel loading from an empty cache; the real library is loaded again
@@ -449,7 +533,7 @@ def fresh_kernel(monkeypatch, tmp_path):
 
 class TestKernelBuild:
     def test_library_name_carries_source_digest(self):
-        digest = kernel._digest(kernel._SOURCE.read_bytes())
+        digest = kernel._digest(kernel._SOURCE.read_bytes(), kernel._ARCHIVE.read_bytes())
         assert Path(kernel.load()._name) == \
             kernel._CACHE_DIR / f"_simkernel-{digest}.so"
 
@@ -458,8 +542,52 @@ class TestKernelBuild:
         source.write_bytes(kernel._SOURCE.read_bytes() + b"/* edited */\n")
         monkeypatch.setattr(kernel, "_SOURCE", source)
         built = Path(kernel.load()._name)
-        assert built == fresh_kernel / f"_simkernel-{kernel._digest(source.read_bytes())}.so"
+        digest = kernel._digest(source.read_bytes(), kernel._ARCHIVE.read_bytes())
+        assert built == fresh_kernel / f"_simkernel-{digest}.so"
         assert list(fresh_kernel.iterdir()) == [built]
+
+    def test_changed_numpy_library_is_rebuilt(self, fresh_kernel, monkeypatch, tmp_path):
+        # another archive stamp: the same code in different bytes
+        archive = bytearray(kernel._ARCHIVE.read_bytes())
+        stamp = slice(24, 36)  # the first member header's mtime field
+        assert archive[:8] == b"!<arch>\n"
+        archive[stamp] = b"%-12d" % (int(archive[stamp]) + 1)
+        changed = tmp_path / "libnpyrandom.a"
+        changed.write_bytes(archive)
+        source = kernel._SOURCE.read_bytes()
+        assert kernel._digest(source, bytes(archive)) != \
+            kernel._digest(source, kernel._ARCHIVE.read_bytes())
+        monkeypatch.setattr(kernel, "_ARCHIVE", changed)
+        built = Path(kernel.load()._name)
+        assert built == fresh_kernel / f"_simkernel-{kernel._digest(source, bytes(archive))}.so"
+        scenario, traj = trajectory(NEAR_MISS)
+        assert run_batch(traj, scenario, CONFIGS["default"], n=3) == \
+            [reference_episode(traj, scenario, CONFIGS["default"], (0, "P1", i))
+             for i in range(3)]
+
+    @pytest.mark.parametrize("missing", ["archive", "header"])
+    def test_missing_numpy_library_is_loud(self, fresh_kernel, monkeypatch, tmp_path,
+                                           capsys, missing):
+        scenario = parse_scenario(OPEN_WATER).scenario
+        traj = reference_refine(scenario, [("goto", "b")], plan_id="P1")
+        if missing == "archive":
+            monkeypatch.setattr(kernel, "_ARCHIVE", tmp_path / "libnpyrandom.a")
+            path = tmp_path / "libnpyrandom.a"
+        else:
+            monkeypatch.setattr(kernel, "_NUMPY_INCLUDE", tmp_path / "include")
+            path = tmp_path / "include" / "numpy" / "random" / "bitgen.h"
+        with pytest.raises(KernelBuildError) as err:
+            run_batch(traj, scenario, QUIET, n=1)
+        message = str(err.value)
+        assert str(path) in message
+
+        scn, csv = tmp_path / "open.scn", tmp_path / "trajectory.csv"
+        scn.write_text(OPEN_WATER)
+        traj.export_csv(csv)
+        assert main(["simulate", str(scn), str(csv), "--seed", "1",
+                     "--out", str(tmp_path / "episodes.jsonl")]) == EXIT_INTERNAL
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "episodes.jsonl").exists()
 
     @pytest.mark.parametrize("compiler", [None, shutil.which("false")],
                              ids=["no_compiler", "compile_fails"])
