@@ -1,11 +1,15 @@
-"""Risk metrics over execution-time samples and plan selection."""
+"""Risk metrics over execution-time samples, plan selection, and the
+advisory Welch comparison.
+
+The Welch p-value's Student t tail is computed here from ``math`` alone,
+so the runtime needs no scipy; the tests check it against
+``scipy.special.stdtr``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-
-from scipy.special import stdtr
 
 DEFAULT_BIN_WIDTH = 5.0
 DEFAULT_ALPHA = 0.9
@@ -141,8 +145,52 @@ def compare_means(a: list[float], b: list[float]) -> tuple[float, float]:
         return (0.0, 1.0) if ma == mb else (math.copysign(math.inf, ma - mb), 0.0)
     t = (ma - mb) / math.sqrt(se2)
     df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = 2.0 * float(stdtr(df, -abs(t)))
-    return t, min(p, 1.0)
+    return t, min(t_two_sided_p(t, df), 1.0)
+
+
+def t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    That is the regularized incomplete beta I_x(a, 1/2), a = df/2, at
+    x = df/(df + t^2), from its continued fraction (Numerical Recipes, 3rd
+    ed., 6.4), or 1 - I_{1-x}(1/2, a) where that converges faster.  x and
+    1 - x are both formed directly, so neither tail loses digits.
+    """
+    t2 = t * t
+    x, y = df / (df + t2), t2 / (df + t2)
+    if x == 0.0 or y == 0.0:
+        return 1.0 if y == 0.0 else 0.0
+    a = 0.5 * df
+    if a < 25.0:
+        log_ratio = math.lgamma(a + 0.5) - math.lgamma(a)
+    else:  # Stirling series: lgamma's own rounding at a = 5000 costs 1e-10 of p
+        z = 1.0 / (a * a)
+        log_ratio = 0.5 * math.log(a) - (
+            1 / 8 - z * (1 / 192 - z * (1 / 640 - z * 17 / 14336))) / a
+    front = math.exp(log_ratio - 0.5 * math.log(math.pi) - a * math.log1p(t2 / df)
+                     - 0.5 * math.log1p(df / t2))  # x^a (1 - x)^(1/2) / B(a, 1/2)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - 2.0 * front * _beta_fraction(0.5, a, y)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method;
+    it needs O(sqrt(a)) terms."""
+    def off_zero(v):
+        return v if abs(v) > 1e-300 else 1e-300
+
+    c, d = 1.0, 1.0 / off_zero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / off_zero(1.0 + num * d)
+            c = off_zero(1.0 + num / c)
+            h *= c * d
+        if abs(c * d - 1.0) < 3e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, x={x}")
 
 
 def build_report(
@@ -162,7 +210,7 @@ def build_report(
         t, p = compare_means(samples_by_plan[winner], samples_by_plan[pid])
         welch[pid] = {"t": t, "p": p}
     return {
-        "format_version": 1,
+        "format_version": 2,
         "metrics": {pid: asdict(m) for pid, m in sorted(metrics.items())},
         "samples": {pid: list(s) for pid, s in sorted(samples_by_plan.items())},
         "selection": selection.to_doc(),

@@ -13,8 +13,9 @@ import csv
 import hashlib
 import json
 import math
+import typing
 import zlib
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,9 @@ class PipelineConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
-        """Config from a JSON document.  A value that is not an object, or a
-        key that its dataclass lacks, is a ValueError that names it."""
+        """Config from a JSON document.  A value that is not an object, a
+        key that its dataclass lacks, or a value whose JSON type does not
+        fit the field's annotation is a ValueError that names it."""
         doc = _fields_doc(cls, doc, "config")
         for name, kind in (("disturbance", DisturbanceConfig),
                            ("metrics", assess.MetricConfig), ("helix", HelixSpec)):
@@ -89,13 +91,25 @@ class PipelineConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+                    bool: "true or false", type(None): "null"}
+
+
 def _fields_doc(kind, doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object")
-    names = {f.name for f in fields(kind)}
-    for key in doc:
-        if key not in names:
+    hints = typing.get_type_hints(kind)
+    for key, value in doc.items():
+        if key not in hints:
             raise ValueError(f"{where}: unknown field {key!r}")
+        if is_dataclass(hints[key]):
+            continue  # a nested section, checked on its own
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        # the exact type, so JSON true is no integer; 3 is a fine number
+        if type(value) not in allowed + ((int,) if float in allowed else ()):
+            name = key if where == "config" else f"{where}.{key}"
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in allowed)
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
     return dict(doc)
 
 

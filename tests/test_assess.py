@@ -1,21 +1,26 @@
 """Risk metrics, the selection rule, and the Welch comparison."""
 
+import json
 import math
 import os
 import statistics
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, TANKS_SCN
 from riskplan.assess import (InsufficientSamples, MetricConfig, RiskMetrics,
                              build_report, compare_means, compute_metrics,
-                             select)
+                             select, t_two_sided_p)
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
 
 def metrics_row(mean, variance, entropy):
@@ -137,6 +142,34 @@ class TestWelch:
                              capture_output=True, text=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_loads_no_scipy_module(self):
+        code = ("import sys, riskplan.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_pipeline_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        code = textwrap.dedent('''
+            import sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        raise ImportError(f"{name} is not installed")
+
+            sys.meta_path.insert(0, NoScipy())
+            from riskplan.cli import main
+            sys.exit(main(sys.argv[1:]))
+        ''')
+        out = tmp_path / "out"
+        run = subprocess.run([sys.executable, "-c", code, "pipeline", str(TANKS_SCN),
+                              "--episodes", "5", "--seed", "7", "--out-dir", str(out)],
+                             env=SRC_ENV, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        welch = json.loads((out / "report.json").read_text())["welch_vs_selected"]
+        assert welch and all(0.0 <= w["p"] <= 1.0 for w in welch.values())
+
     def test_identical_constants(self):
         assert compare_means([5.0, 5.0], [5.0, 5.0]) == (0.0, 1.0)
 
@@ -157,11 +190,62 @@ class TestWelch:
             compare_means([1.0], [2.0, 3.0])
 
 
+def assert_matches_stdtr(t, df, rel):
+    if df == 1.0:  # Cauchy: stdtr's own df = 1 path is off by 6e-10 at t = 1e-9
+        ref = 2.0 / math.pi * math.atan2(1.0, abs(t))
+    else:
+        ref = 2.0 * float(stdtr(df, -abs(t)))
+    p = t_two_sided_p(t, df)
+    if ref < sys.float_info.min:  # subnormal: scipy's own digits run out
+        assert p < 1e-300
+    else:
+        assert p == pytest.approx(ref, rel=rel)
+
+
+T_VALUES = st.floats(-200.0, 200.0)
+
+
+class TestStudentTail:
+    """The two-sided t tail against scipy's stdtr, a test-only import."""
+
+    @given(st.floats(1.0, 1e3), T_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_stdtr_up_to_df_1e3(self, df, t):
+        assert_matches_stdtr(t, df, rel=1e-11)
+
+    @given(st.floats(1.0, 1e4), T_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_stdtr_up_to_df_1e4(self, df, t):
+        assert_matches_stdtr(t, df, rel=1e-10)
+
+    @pytest.mark.parametrize("df", [1.0, 1.5, 49.9, 50.0, 50.1, 198.0, 9999.0])
+    @pytest.mark.parametrize("t", [1e-12, 0.3, 1.7, 1.9, 4.0, 30.0])
+    def test_matches_stdtr_at_branch_edges(self, df, t):
+        # df 50 is where the log-gamma ratio changes method; t near 1.7
+        # is where the continued fraction changes sides at large df
+        assert_matches_stdtr(t, df, rel=1e-11)
+
+    @given(st.floats(1.0, 1e6))
+    def test_zero_t_is_exactly_one(self, df):
+        assert t_two_sided_p(0.0, df) == 1.0
+        assert t_two_sided_p(-0.0, df) == 1.0
+
+    @given(st.floats(allow_nan=False), st.floats(1.0, 1e6))
+    def test_symmetric_and_a_probability(self, t, df):
+        p = t_two_sided_p(t, df)
+        assert p == t_two_sided_p(-t, df)
+        assert 0.0 <= p <= 1.0
+
+    @given(st.floats(1.0, 1e4), st.sampled_from([1e6, -1e6]))
+    def test_huge_t_is_near_zero(self, df, t):
+        assert t_two_sided_p(t, df) == pytest.approx(0.0, abs=1e-6)
+
+
 class TestReport:
     def test_structure_and_welch_block(self):
         samples = {"P1": [10.0, 11.0, 10.5], "P2": [20.0, 21.0, 19.0]}
         report = build_report(samples)
-        assert report["format_version"] == 1
+        assert report["format_version"] == 2
         assert report["selection"]["selected"] == "P1"
         assert set(report["metrics"]) == {"P1", "P2"}
         assert set(report["welch_vs_selected"]) == {"P2"}

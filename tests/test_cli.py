@@ -171,6 +171,32 @@ class TestBadInputExitsTwo:
                      "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"master_seed": 3, "episodes": "5"}, "episodes"),
+        ({"master_seed": 3, "disturbance": {"current_sigma": "0.1"}},
+         "disturbance.current_sigma"),
+        ({"master_seed": True}, "master_seed"),  # JSON true is no integer
+        ({"master_seed": 3, "metrics": {"alpha": False}}, "metrics.alpha"),
+        ({"master_seed": 3, "helix": {"points": 12.0}}, "helix.points"),
+        ({"master_seed": 3, "from_sonar": 1}, "from_sonar"),
+    ])
+    def test_config_wrong_json_type(self, small_scn, tmp_path, capsys, doc, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", str(small_scn), "--config", str(cfg),
+                     "--out-dir", str(out)]) == EXIT_INPUT
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_null_and_integer_values_accepted(self, small_scn):
+        cfg = pipeline.PipelineConfig.from_doc({
+            "scenario_path": str(small_scn), "out_dir": "out", "master_seed": 3,
+            "collision_cost": None, "gamma_high": 1, "disturbance":
+                {"perturb_target": None, "clearance": 1}, "helix": {"pitch": None}})
+        assert cfg.collision_cost is None and cfg.gamma_high == 1.0
+        assert cfg.disturbance == DisturbanceConfig(perturb_target=None, clearance=1.0)
+
     @pytest.mark.parametrize("doc, flags", [
         ([["master_seed", 3]], []),
         ({"master_seed": 3, "disturbance": 3}, ["--perturb-target", "none"]),
