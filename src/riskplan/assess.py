@@ -93,10 +93,6 @@ class SelectionResult:
     selected: str
     eliminated: list[Elimination]
 
-    def to_doc(self) -> dict:
-        return {"selected": self.selected,
-                "eliminated": [asdict(e) for e in self.eliminated]}
-
 
 def select(table: list[tuple[str, RiskMetrics]],
            alpha_mean: float = DEFAULT_ALPHA_MEAN) -> SelectionResult:
@@ -107,6 +103,8 @@ def select(table: list[tuple[str, RiskMetrics]],
     """
     if not table:
         raise ValueError("selection table is empty")
+    if not 0 <= alpha_mean < math.inf:  # NaN fails too
+        raise ValueError(f"alpha_mean must be finite and >= 0, got {alpha_mean!r}")
     best_mean = min(m.mean for _, m in table)
     cutoff = (1.0 + alpha_mean) * best_mean
     kept = [(pid, m) for pid, m in table if m.mean <= cutoff]
@@ -213,6 +211,6 @@ def build_report(
         "format_version": 2,
         "metrics": {pid: asdict(m) for pid, m in sorted(metrics.items())},
         "samples": {pid: list(s) for pid, s in sorted(samples_by_plan.items())},
-        "selection": selection.to_doc(),
+        "selection": asdict(selection),
         "welch_vs_selected": welch,
     }

@@ -17,8 +17,8 @@ from . import assess, reporting, simulator
 from .pipeline import (PipelineConfig, StageError, map_from_sonar, plan_candidates,
                        run_pipeline, write_candidate_plan)
 from .refiner import parse_plan_steps, read_trajectory_csv, refine
-from .scenario import (format_scenario, ground_to_mdp, load_scenario, open_artifact,
-                       read_plan_file, write_json)
+from .scenario import (SchemaMismatch, format_scenario, from_json, ground_to_mdp,
+                       load_scenario, open_artifact, read_plan_file, write_json)
 from .occupancy import DEFAULT_KAPPA, extract_problem
 
 EXIT_OK = 0
@@ -57,26 +57,14 @@ def _load_scenario(path):
     return parsed.scenario
 
 
-# what each report section that a command reads must hold
-_REPORT_SECTIONS = {
-    "selection": ("an object with a string 'selected'",
-                  lambda v: isinstance(v, dict) and isinstance(v.get("selected"), str)),
-    "samples": ("an object of number lists",
-                lambda v: isinstance(v, dict) and all(
-                    isinstance(s, list) and all(type(x) in (int, float) for x in s)
-                    for s in v.values())),
-}
-
-
-def _report_section(path, name: str):
-    """Section ``name`` of the assessment report at ``path``; a report that
-    is not an object, or lacks the section in its form, is an input error."""
+def _report_section(path, name: str, kind):
+    """Section ``name`` of the assessment report at ``path``, read as
+    ``kind`` by `from_json`."""
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
-    want, holds = _REPORT_SECTIONS[name]
-    if not isinstance(report, dict) or not holds(report.get(name)):
-        raise ValueError(f"{path}: report {name!r} must be {want}")
-    return report[name]
+    if type(report) is not dict or name not in report:
+        raise SchemaMismatch(str(path), f".{name}", "is missing")
+    return from_json(kind, report[name], str(path), f".{name}")
 
 
 def cmd_map(args) -> int:
@@ -147,7 +135,7 @@ def cmd_assess(args) -> int:
 
 
 def cmd_select(args) -> int:
-    print(_report_section(args.report, "selection")["selected"])
+    print(_report_section(args.report, "selection", assess.SelectionResult).selected)
     return EXIT_OK
 
 
@@ -200,7 +188,8 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    svg, rows = reporting.boxplot_svg(_report_section(args.report, "samples"))
+    svg, rows = reporting.boxplot_svg(
+        _report_section(args.report, "samples", dict[str, list[float]]))
     with open_artifact(args.out_svg) as fh:
         fh.write(svg)
     with open_artifact(args.out_csv, newline="") as fh:

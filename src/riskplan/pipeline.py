@@ -13,9 +13,8 @@ import csv
 import hashlib
 import json
 import math
-import typing
 import zlib
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .mdp import InvalidModel, Mdp
 from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, parse_plan_steps, refine
-from .scenario import (ParseResult, PlanFile, Scenario, ground_to_mdp,
+from .scenario import (ParseResult, PlanFile, Scenario, from_json, ground_to_mdp,
                        load_scenario, open_artifact, write_json, write_plan_file)
 from .simulator import DisturbanceConfig
 
@@ -74,43 +73,14 @@ class PipelineConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
-        """Config from a JSON document.  A value that is not an object, a
-        key that its dataclass lacks, or a value whose JSON type does not
-        fit the field's annotation is a ValueError that names it."""
-        doc = _fields_doc(cls, doc, "config")
-        for name, kind in (("disturbance", DisturbanceConfig),
-                           ("metrics", assess.MetricConfig), ("helix", HelixSpec)):
-            if name in doc:
-                doc[name] = kind(**_fields_doc(kind, doc[name], name))
-        return cls(**doc)
+        """Config from a JSON document, checked by `from_json`."""
+        return from_json(cls, doc, "config")
 
     def config_hash(self) -> str:
         doc = self.to_doc()
         doc.pop("out_dir", None)  # where artifacts land must not change them
         payload = json.dumps(doc, sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]
-
-
-_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-                    bool: "true or false", type(None): "null"}
-
-
-def _fields_doc(kind, doc, where: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    hints = typing.get_type_hints(kind)
-    for key, value in doc.items():
-        if key not in hints:
-            raise ValueError(f"{where}: unknown field {key!r}")
-        if is_dataclass(hints[key]):
-            continue  # a nested section, checked on its own
-        allowed = typing.get_args(hints[key]) or (hints[key],)
-        # the exact type, so JSON true is no integer; 3 is a fine number
-        if type(value) not in allowed + ((int,) if float in allowed else ()):
-            name = key if where == "config" else f"{where}.{key}"
-            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in allowed)
-            raise ValueError(f"{name} must be {expected}, got {value!r}")
-    return dict(doc)
 
 
 def stage_rng(master_seed: int, stage: str) -> np.random.Generator:

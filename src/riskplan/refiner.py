@@ -26,6 +26,7 @@ from .scenario import Scenario, open_artifact
 DEFAULT_DT = 0.1
 A_MAX = 0.5  # m/s^2, acceleration and braking limit
 HELIX_POINTS = 50
+CSV_COLUMNS = ("t", "x", "y", "z", "v")
 
 
 class DisconnectedPlan(ValueError):
@@ -42,6 +43,16 @@ class HelixSpec:
     turns: float = 1.0
     clearance: float = 2.0
     pitch: float | None = None  # None: obstacle height per turn
+
+    def __post_init__(self):
+        if self.points < 1:
+            raise ValueError(f"points must be >= 1, got {self.points!r}")
+        if not 0 < self.turns < math.inf:  # NaN fails too
+            raise ValueError(f"turns must be finite and > 0, got {self.turns!r}")
+        if not 0 <= self.clearance < math.inf:
+            raise ValueError(f"clearance must be finite and >= 0, got {self.clearance!r}")
+        if self.pitch is not None and not math.isfinite(self.pitch):
+            raise ValueError(f"pitch must be finite or None, got {self.pitch!r}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,7 @@ class Trajectory:
     def export_csv(self, path):
         with open_artifact(path, newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "x", "y", "z", "v"])
+            writer.writerow(CSV_COLUMNS)
             for s in self.samples:
                 writer.writerow([f"{s.time:.3f}", f"{s.position[0]:.4f}",
                                  f"{s.position[1]:.4f}", f"{s.position[2]:.4f}",
@@ -69,14 +80,22 @@ class Trajectory:
 
 
 def read_trajectory_csv(path, plan_id: str = "") -> Trajectory:
-    """Trajectory from a CSV that `Trajectory.export_csv` wrote."""
+    """Trajectory from a CSV that `Trajectory.export_csv` wrote: the header
+    ``t,x,y,z,v``, then five finite numbers a row.  Anything else is a
+    ValueError that names the file and line."""
     samples = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            samples.append(TrajectorySample(float(row["t"]),
-                                            (float(row["x"]), float(row["y"]),
-                                             float(row["z"])),
-                                            float(row["v"])))
+        rows = csv.reader(fh)
+        if (header := tuple(next(rows, ()))) != CSV_COLUMNS:
+            raise ValueError(f"{path}:1: header must be t,x,y,z,v, got {','.join(header)!r}")
+        for line_no, row in enumerate(rows, start=2):
+            try:
+                t, x, y, z, v = numbers = [float(word) for word in row]
+            except ValueError:  # not five numbers
+                numbers = [math.nan]
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{path}:{line_no}: expected five finite numbers, got {row}")
+            samples.append(TrajectorySample(t, (x, y, z), v))
     duration = samples[-1].time if samples else 0.0
     return Trajectory(samples, low_level_length_of(samples), duration, plan_id)
 

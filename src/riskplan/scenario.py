@@ -15,10 +15,14 @@ issues, never an exception, and each line reports only its first problem.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
+import types
+import typing
 from collections import defaultdict
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .mdp import ActionSpec, Mdp, StateSpec, TransitionSpec
@@ -39,9 +43,12 @@ class UngroundableGoal(ValueError):
 
 
 class SchemaMismatch(ValueError):
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+    """A JSON document ``doc`` that does not fit the type it is read as;
+    ``path`` is the bad value's jq-style path, such as ``.incidents[0]``."""
+
+    def __init__(self, doc: str, path: str, message: str):
+        self.doc, self.path = doc, path or "."
+        super().__init__(f"{doc}: {self.path} {message}")
 
 
 @dataclass(frozen=True)
@@ -370,16 +377,51 @@ class PlanFile:
             raise ValueError("high_level_length must equal the action count")
 
 
-# the value each plan-file field must hold, by field name
-_PLAN_VALUE_TYPES = {
-    "plan_id": ("a string", lambda v: isinstance(v, str)),
-    "gamma": ("a number",
-              lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "actions": ("a list of strings",
-                lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
-    "high_level_length": ("an integer",
-                          lambda v: isinstance(v, int) and not isinstance(v, bool)),
-}
+_type_hints = functools.cache(typing.get_type_hints)  # evaluated once per dataclass
+_JSON_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",
+               str: "a string", bool: "true or false"}
+
+
+def from_json(kind, value, doc: str, path: str = ""):
+    """``value``, as `json.load` parsed it, as the annotated type ``kind``:
+    a dataclass (an object with no unknown or missing field), ``list[X]``, a
+    fixed ``tuple[...]``, ``dict[str, X]``, ``X | None`` or a leaf of the
+    exact JSON type (``true`` is no integer; an integer is a fine float and
+    is stored as one; a number must be finite).  A misfit, or a ValueError
+    of a dataclass's own checks, is a SchemaMismatch at the value's path."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):  # only X | None
+        (kind,) = set(args) - {type(None)}
+        return None if value is None else from_json(kind, value, doc, path)
+    if kind is float and type(value) is int:  # one beyond every double is not finite
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    shape = (dict if is_dataclass(kind) or origin is dict else
+             list if origin in (list, tuple) else kind)
+    if type(value) is not shape or origin is tuple and len(value) != len(args):
+        want = f"a list of {len(args)}" if origin is tuple else _JSON_NAMES[shape]
+        raise SchemaMismatch(doc, path, f"must be {want}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise SchemaMismatch(doc, path, f"must be finite, got {value!r}")
+    if origin in (list, tuple):
+        kinds = args * len(value) if origin is list else args
+        return origin(from_json(k, v, doc, f"{path}[{i}]")
+                      for i, (k, v) in enumerate(zip(kinds, value)))
+    if origin is dict:
+        return {k: from_json(args[1], v, doc, f"{path}.{k}") for k, v in value.items()}
+    if not is_dataclass(kind):
+        return value
+    hints = _type_hints(kind)
+    for key in value:
+        if key not in hints:
+            raise SchemaMismatch(doc, path, f"has unknown field {key!r}")
+    for f in fields(kind):
+        if f.name not in value and f.default is f.default_factory is MISSING:
+            raise SchemaMismatch(doc, f"{path}.{f.name}", "is missing")
+    given = {k: from_json(hints[k], v, doc, f"{path}.{k}") for k, v in value.items()}
+    try:
+        return kind(**given)
+    except ValueError as exc:  # the dataclass's own checks
+        raise SchemaMismatch(doc, path, f"is rejected: {exc}") from None
 
 
 def open_artifact(path, newline: str | None = None):
@@ -408,20 +450,9 @@ def write_plan_file(p: PlanFile, path):
 def read_plan_file(path) -> PlanFile:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaMismatch(".", "plan file must be a JSON object")
-    if doc.get("format_version") != PLAN_FORMAT_VERSION:
-        raise SchemaMismatch(".format_version",
-                             f"unsupported version {doc.get('format_version')}")
-    del doc["format_version"]
-    names = {f.name for f in fields(PlanFile)}
-    for key in doc:
-        if key not in names:
-            raise SchemaMismatch(f".{key}", "unknown field")
-    for f in fields(PlanFile):
-        if f.default is MISSING and f.name not in doc:
-            raise SchemaMismatch(f".{f.name}", "missing field")
-    for name, (want, holds) in _PLAN_VALUE_TYPES.items():
-        if not holds(doc[name]):
-            raise SchemaMismatch(f".{name}", f"must be {want}, got {doc[name]!r}")
-    return PlanFile(**doc)
+    if type(doc) is dict:  # any other value fails as a PlanFile below
+        version = doc.pop("format_version", None)
+        if version != PLAN_FORMAT_VERSION:
+            raise SchemaMismatch(str(path), ".format_version",
+                                 f"must be {PLAN_FORMAT_VERSION}, got {version!r}")
+    return from_json(PlanFile, doc, str(path))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernel
 from .refiner import Trajectory
-from .scenario import Scenario, open_artifact
+from .scenario import Scenario, from_json, open_artifact
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
@@ -171,21 +171,13 @@ def run_batch(
 
 def write_episode_log(records: list[EpisodeRecord], path):
     with open_artifact(path) as fh:
-        for r in records:
-            doc = asdict(r)
-            doc["seed"] = list(doc["seed"])
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        for r in records:  # the seed tuple becomes a JSON list
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
 def read_episode_log(path) -> list[EpisodeRecord]:
-    out = []
+    """The records of a log that `write_episode_log` wrote, one per line,
+    each checked by `from_json`."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            doc = json.loads(line)
-            try:
-                doc["incidents"] = [Incident(**i) for i in doc["incidents"]]
-                doc["seed"] = tuple(doc["seed"])
-                out.append(EpisodeRecord(**doc))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: not an episode record: {exc}") from None
-    return out
+        return [from_json(EpisodeRecord, json.loads(line), f"{path}:{line_no}")
+                for line_no, line in enumerate(fh, start=1)]

@@ -114,6 +114,11 @@ class TestSelect:
         with pytest.raises(ValueError):
             select([])
 
+    @pytest.mark.parametrize("alpha_mean", [math.nan, math.inf, -0.5])
+    def test_bad_alpha_mean_rejected(self, alpha_mean):
+        with pytest.raises(ValueError, match="alpha_mean must be finite and >= 0"):
+            select(TABLE_I, alpha_mean=alpha_mean)
+
 
 class TestWelch:
     def test_matches_scipy(self):

@@ -253,6 +253,38 @@ class TestBadInputExitsTwo:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda rows: ["t,x,y,v"] + rows[1:], 1),  # a column missing
+        (lambda rows: ["t,x,y,z,v,w"] + rows[1:], 1),
+        (lambda rows: [], 1),
+        (lambda rows: rows[:2] + ["1.0,2.0"] + rows[3:], 3),  # a short row
+        (lambda rows: rows[:2] + [rows[2] + ",1"] + rows[3:], 3),
+        (lambda rows: rows[:2] + ["nan,0,0,-5,nan"] + rows[3:], 3),
+        (lambda rows: rows[:3] + ["1,2,inf,4,5"] + rows[4:], 4),
+        (lambda rows: rows[:2] + ["a,b,c,d,e"] + rows[3:], 3),
+    ])
+    def test_simulate_malformed_trajectory(self, small_scn, tmp_path, capsys, edit, line):
+        traj, log = tmp_path / "t.csv", tmp_path / "e.jsonl"
+        refine(load_scenario(small_scn).scenario,
+               [("goto", "near"), ("goto", "final")]).export_csv(traj)
+        traj.write_text("\n".join(edit(traj.read_text().splitlines())) + "\n",
+                        encoding="utf-8")
+        assert main(["simulate", str(small_scn), str(traj), "--seed", "1",
+                     "--out", str(log)]) == EXIT_INPUT
+        assert f"{traj}:{line}:" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_assess_bad_alpha_mean(self, tmp_path, capsys, value):
+        log = tmp_path / "e.jsonl"
+        log.write_text("".join(
+            json.dumps({"plan_id": "P1", "episode_index": i, "execution_time_s": 1.0 + i,
+                        "incidents": [], "completed": True, "seed": [1, "P1", i]}) + "\n"
+            for i in range(3)), encoding="utf-8")
+        assert main(["assess", str(log), f"--alpha-mean={value}",
+                     "--out", str(tmp_path / "report.json")]) == EXIT_INPUT
+        assert "alpha_mean must be finite and >= 0" in capsys.readouterr().err
+
     def test_one_episode_pipeline_rejected_before_any_work(self, small_scn, tmp_path):
         out = tmp_path / "out"
         assert main(["pipeline", str(small_scn), "--out-dir", str(out),

@@ -1,0 +1,190 @@
+"""Every JSON document the program reads goes through one checker,
+`scenario.from_json`: plan files, episode logs, `--config` documents and the
+report sections that `select` and `plot` read.  Each test starts from a
+valid document and changes one thing; the reader must raise SchemaMismatch
+naming the document and the field path, and never another exception."""
+
+import json
+import math
+import re
+from dataclasses import asdict
+
+import pytest
+
+from conftest import TANKS_SCN
+from riskplan import assess, cli
+from riskplan.cli import EXIT_INPUT, main
+from riskplan.pipeline import PipelineConfig
+from riskplan.scenario import (PLAN_FORMAT_VERSION, PlanFile, SchemaMismatch,
+                               from_json, read_plan_file)
+from riskplan.simulator import EpisodeRecord, Incident, read_episode_log
+
+# JSON values of another type than the leaf they replace; an integer is a
+# fine float, so no number replaces a float
+SWAPS = {str: [1, []], bool: [1, "true"], int: [0.5, True, "1"],
+         float: [True, "1.0", []], type(None): [[], {}]}
+
+
+def _round_trip(doc):
+    return json.loads(json.dumps(doc))
+
+
+PLAN = _round_trip({"format_version": PLAN_FORMAT_VERSION, **asdict(PlanFile(
+    plan_id="P1", gamma=0.9, actions=["goto b", "inspect box"], high_level_length=2,
+    trajectory_ref="trajectory_P1.csv"))})
+RECORD = _round_trip(asdict(EpisodeRecord(
+    "P1", 1, 5.0, [Incident(1.5, "tank", 0.25)], True, (7, "P1", 1))))
+CONFIG = _round_trip(PipelineConfig(scenario_path="s.scn", out_dir="out",
+                                    master_seed=3).to_doc())
+REPORT = _round_trip(assess.build_report({"P1": [10.0, 11.0, 12.0],
+                                          "P2": [10.0, 20.0, 30.0]}))
+
+
+def read_plan(doc, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), lambda: read_plan_file(path)
+
+
+def read_log(doc, tmp_path):
+    """``doc`` as the second line of a log whose first line is valid."""
+    path = tmp_path / "e.jsonl"
+    path.write_text(json.dumps(RECORD) + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+    return f"{path}:2", lambda: read_episode_log(path)
+
+
+def read_config(doc, tmp_path):
+    return "config", lambda: PipelineConfig.from_doc(doc)
+
+
+def report_reader(name, kind):
+    def read(doc, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**REPORT, name: doc}), encoding="utf-8")
+        return str(path), lambda: cli._report_section(path, name, kind)
+    return read
+
+
+# reader, valid document, root path, and the paths of the keys it requires
+READERS = {
+    "plan": (read_plan, PLAN, "",
+             r"\.(format_version|plan_id|gamma|actions|high_level_length)"),
+    "log": (read_log, RECORD, "", r".*"),
+    "config": (read_config, CONFIG, "", r"\.(scenario_path|out_dir|master_seed)"),
+    "selection": (report_reader("selection", assess.SelectionResult),
+                  REPORT["selection"], ".selection", r".*"),
+    "samples": (report_reader("samples", dict[str, list[float]]), REPORT["samples"],
+                ".samples", r"(?!)"),  # a map: every key may go
+}
+
+
+def mutations(doc, required: str, path: str):
+    """(label, document, fragments) triples: ``doc`` changed in one place,
+    and what the error message must hold to name that place."""
+    if isinstance(doc, dict):
+        yield f"{path or '.'}=[]", [], (f"{path or '.'} must be",)
+        yield f"{path}.surprise", {**doc, "surprise": {}}, (path or ".", "surprise")
+        for key, value in doc.items():
+            sub = f"{path}.{key}"
+            if re.fullmatch(required, sub):
+                yield f"drop {sub}", {k: v for k, v in doc.items() if k != key}, (f"{sub} ",)
+            for label, changed, fragments in mutations(value, required, sub):
+                yield label, {**doc, key: changed}, fragments
+    elif isinstance(doc, list):
+        yield f"{path}={{}}", {}, (f"{path} must be",)
+        for i, value in enumerate(doc):
+            for label, changed, fragments in mutations(value, required, f"{path}[{i}]"):
+                yield label, [*doc[:i], changed, *doc[i + 1:]], fragments
+    else:
+        others = SWAPS[type(doc)] + ([math.nan, math.inf] if type(doc) in (int, float)
+                                     else [])
+        for other in others:
+            yield f"{path}={other!r}", other, (f"{path} must be",)
+
+
+CASES = [pytest.param(reader, doc, fragments, id=f"{reader}:{label}")
+         for reader, (_, valid, root, required) in READERS.items()
+         for label, doc, fragments in mutations(valid, required, root)]
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_valid_document_reads(tmp_path, reader):
+    read, valid, _, _ = READERS[reader]
+    read(valid, tmp_path)[1]()
+
+
+@pytest.mark.parametrize("reader, doc, fragments", CASES)
+def test_one_change_is_a_schema_mismatch(tmp_path, reader, doc, fragments):
+    name, read = READERS[reader][0](doc, tmp_path)
+    with pytest.raises(SchemaMismatch) as info:
+        read()
+    message = str(info.value)
+    assert message.startswith(f"{name}: ")
+    for fragment in fragments:
+        assert fragment in message
+
+
+def test_every_reader_is_covered():
+    assert {reader for reader, *_ in (c.values for c in CASES)} == set(READERS)
+    assert len(CASES) > 200
+
+
+class TestEpisodeLogLines:
+    @pytest.mark.parametrize("spelling, problem", [
+        ('"5"', "must be a number, got '5'"),
+        ("true", "must be a number, got True"),  # not one second
+        ("Infinity", "must be finite, got inf"),
+    ])
+    def test_execution_time(self, tmp_path, capsys, spelling, problem):
+        log = tmp_path / "e.jsonl"
+        bad = json.dumps({**RECORD, "execution_time_s": 0}).replace(
+            '"execution_time_s": 0', f'"execution_time_s": {spelling}')
+        log.write_text(json.dumps(RECORD) + "\n" + bad + "\n", encoding="utf-8")
+        assert main(["assess", str(log), "--out", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert f"{log}:2: .execution_time_s {problem}" in capsys.readouterr().err
+
+    def test_malformed_incident(self, tmp_path, capsys):
+        log = tmp_path / "e.jsonl"
+        bad = {**RECORD, "incidents": [{"time": 1.0, "obstacle": 3, "min_distance": 0.1}]}
+        log.write_text(json.dumps(RECORD) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        assert main(["assess", str(log), "--out", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert f"{log}:2: .incidents[0].obstacle must be a string" in capsys.readouterr().err
+
+    def test_round_trip_types(self):
+        (record,) = from_json(list[EpisodeRecord], [RECORD], "log")
+        assert record.seed == (7, "P1", 1) and record.incidents == [Incident(1.5, "tank", 0.25)]
+
+
+class TestNumbers:
+    def test_integer_float_is_stored_as_float(self):
+        cfg = PipelineConfig.from_doc({**CONFIG, "gamma_high": 1})
+        assert type(cfg.gamma_high) is float
+
+    def test_config_hash_does_not_depend_on_spelling(self):
+        # "gamma_high": 1 and 1.0 are one configuration, so one stamp
+        assert (PipelineConfig.from_doc({**CONFIG, "gamma_high": 1}).config_hash()
+                == PipelineConfig.from_doc({**CONFIG, "gamma_high": 1.0}).config_hash())
+
+    def test_integer_beyond_every_double(self):
+        with pytest.raises(SchemaMismatch, match=r"config: \.gamma_high must be finite"):
+            PipelineConfig.from_doc({**CONFIG, "gamma_high": 10 ** 400})
+
+    def test_dataclass_check_names_the_section(self):
+        with pytest.raises(SchemaMismatch,
+                           match=r"config: \.helix is rejected: points must be >= 1"):
+            PipelineConfig.from_doc({**CONFIG, "helix": {"points": 0}})
+
+
+@pytest.mark.parametrize("helix, problem", [
+    ('{"points": 0}', ".helix is rejected: points must be >= 1"),
+    ('{"turns": NaN}', ".helix.turns must be finite"),
+    ('{"clearance": Infinity}', ".helix.clearance must be finite"),
+])
+def test_bad_helix_config_exits_two_before_any_work(tmp_path, capsys, helix, problem):
+    # once these dropped the inspection loop or never finished refining
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(f'{{"master_seed": 3, "helix": {helix}}}', encoding="utf-8")
+    assert main(["pipeline", str(TANKS_SCN), "--config", str(cfg),
+                 "--out-dir", str(out)]) == EXIT_INPUT
+    assert f"config: {problem}" in capsys.readouterr().err
+    assert not out.exists()

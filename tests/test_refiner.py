@@ -132,6 +132,18 @@ class TestHelix:
                       helix=HelixSpec(clearance=2.0))
         assert loop.total_length - base.total_length > 2 * math.pi * 3.0 * 0.9
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"points": 0}, "points"), ({"points": -3}, "points"),
+        ({"turns": 0.0}, "turns"), ({"turns": math.nan}, "turns"),
+        ({"turns": math.inf}, "turns"), ({"clearance": -0.5}, "clearance"),
+        ({"clearance": math.inf}, "clearance"), ({"clearance": math.nan}, "clearance"),
+        ({"pitch": math.nan}, "pitch"), ({"pitch": -math.inf}, "pitch"),
+    ])
+    def test_bad_shape_rejected(self, kwargs, field):
+        # points 0 or turns NaN once dropped the loop; clearance inf never ended
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            HelixSpec(**kwargs)
+
 
 def float_bits(traj):
     """Every float of a trajectory packed as raw bytes: equal bytes are
