@@ -74,13 +74,14 @@ static void put_sample(double *out, long capacity, long i, double t,
  * Writes samples as rows (t, x, y, z, v) of out (capacity, 5) and returns
  * how many the path has.  When that exceeds capacity, only the first
  * capacity rows are written: run again with a buffer of the returned size.
- * Returns -1, having written an unknown number of rows, when a step leaves
- * the arc length where it was (dt too small for the path), since the loop
- * would then never end.
+ * Stops counting at limit + 1 samples, so a path too long to sample costs
+ * no more than one of limit samples.  Returns -1, having written an unknown
+ * number of rows, when a step leaves the arc length where it was (dt too
+ * small for the path), since the loop would then never end.
  */
 long refine_path(long npts, const double *pts, long zones, const double *centers,
                  double radius, double v_max, double v_crit, double a_max,
-                 double dt, long capacity, double *out)
+                 double dt, long limit, long capacity, double *out)
 {
     long count = 0;
     double t = 0.0;
@@ -114,6 +115,8 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
                     v = v_crit;
             }
             put_sample(out, capacity, count++, t, pos, v);
+            if (count > limit)
+                return count;
             double step = v * dt;
             if (step >= remaining) {
                 t += remaining / v;
@@ -130,6 +133,8 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
         if (a_max * dt > corner_v)
             corner_v = a_max * dt;
         put_sample(out, capacity, count++, t, b, corner_v);
+        if (count > limit)
+            return count;
         if (i < npts - 2)
             t += dt;
     }

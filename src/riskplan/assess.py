@@ -94,6 +94,12 @@ class SelectionResult:
     eliminated: list[Elimination]
 
 
+def check_alpha_mean(alpha_mean: float):
+    """Raise ValueError unless ``alpha_mean`` is a finite mean tolerance >= 0."""
+    if not 0 <= alpha_mean < math.inf:  # NaN fails too
+        raise ValueError(f"alpha_mean must be finite and >= 0, got {alpha_mean!r}")
+
+
 def select(table: list[tuple[str, RiskMetrics]],
            alpha_mean: float = DEFAULT_ALPHA_MEAN) -> SelectionResult:
     """Mean-filter then minimize variance; ties by entropy, mean, plan id.
@@ -103,8 +109,7 @@ def select(table: list[tuple[str, RiskMetrics]],
     """
     if not table:
         raise ValueError("selection table is empty")
-    if not 0 <= alpha_mean < math.inf:  # NaN fails too
-        raise ValueError(f"alpha_mean must be finite and >= 0, got {alpha_mean!r}")
+    check_alpha_mean(alpha_mean)
     best_mean = min(m.mean for _, m in table)
     cutoff = (1.0 + alpha_mean) * best_mean
     kept = [(pid, m) for pid, m in table if m.mean <= cutoff]

@@ -16,9 +16,10 @@ from pathlib import Path
 from . import assess, reporting, simulator
 from .pipeline import (PipelineConfig, StageError, map_from_sonar, plan_candidates,
                        run_pipeline, write_candidate_plan)
-from .refiner import parse_plan_steps, read_trajectory_csv, refine
+from .refiner import read_trajectory_csv, refine
 from .scenario import (SchemaMismatch, format_scenario, from_json, ground_to_mdp,
-                       load_scenario, open_artifact, read_plan_file, write_json)
+                       load_scenario, open_artifact, parse_json, read_plan_file,
+                       write_json)
 from .occupancy import DEFAULT_KAPPA, extract_problem
 
 EXIT_OK = 0
@@ -60,8 +61,7 @@ def _load_scenario(path):
 def _report_section(path, name: str, kind):
     """Section ``name`` of the assessment report at ``path``, read as
     ``kind`` by `from_json`."""
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = parse_json(Path(path).read_text(encoding="utf-8"), str(path))
     if type(report) is not dict or name not in report:
         raise SchemaMismatch(str(path), f".{name}", "is missing")
     return from_json(kind, report[name], str(path), f".{name}")
@@ -101,7 +101,7 @@ def cmd_plan(args) -> int:
 def cmd_refine(args) -> int:
     scenario = _load_scenario(args.scenario)
     plan = read_plan_file(args.plan)
-    traj = refine(scenario, parse_plan_steps(plan.actions), plan_id=plan.plan_id)
+    traj = refine(scenario, plan.actions, plan_id=plan.plan_id)
     traj.export_csv(args.out)
     print(f"wrote {args.out}: {traj.total_length:.2f} m, "
           f"{traj.nominal_duration:.1f} s nominal")
@@ -142,8 +142,7 @@ def cmd_select(args) -> int:
 def cmd_pipeline(args) -> int:
     doc = {"scenario_path": args.scenario, "out_dir": "out"}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = parse_json(Path(args.config).read_text(encoding="utf-8"), args.config)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         doc.update(loaded)

@@ -94,7 +94,7 @@ def load() -> ctypes.CDLL:
     lib.refine_path.argtypes = [
         size, f64, size, f64,                    # npts, pts, zones, centers
         real, real, real, real, real,            # radius, v_max, v_crit, a_max, dt
-        size, f64]                               # capacity, out
+        size, size, f64]                         # limit, capacity, out
     lib.refine_path.restype = size
     lib.simulate_ticks.argtypes = [
         size, real,                              # n, dt

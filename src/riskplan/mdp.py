@@ -38,12 +38,6 @@ class StateSpec:
 
 
 @dataclass(frozen=True)
-class ActionSpec:
-    id: str
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class TransitionSpec:
     source: str
     action: str
@@ -69,7 +63,7 @@ class Mdp:
     """
 
     states: list[StateSpec]
-    actions: list[ActionSpec]
+    actions: list[str]
     transitions: list[TransitionSpec]
     start: str
     goals: frozenset[str]
@@ -95,7 +89,7 @@ class Mdp:
             problems.append(f"start {self.start!r} is not a declared state")
         problems += [f"goal {g!r} is not a declared state"
                      for g in self.goals if g not in index]
-        action_ids = {a.id for a in self.actions}
+        action_ids = set(self.actions)
         self._outgoing = {}
         for t in self.transitions:
             if t.source not in index:

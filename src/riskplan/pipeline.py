@@ -23,7 +23,7 @@ from . import assess, planner, simulator
 from .mdp import InvalidModel, Mdp
 from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
-from .refiner import HelixSpec, Trajectory, parse_plan_steps, refine
+from .refiner import HelixSpec, Trajectory, refine
 from .scenario import (ParseResult, PlanFile, Scenario, from_json, ground_to_mdp,
                        load_scenario, open_artifact, write_json, write_plan_file)
 from .simulator import DisturbanceConfig
@@ -67,6 +67,7 @@ class PipelineConfig:
                              f">= {assess.MIN_SAMPLES}")
         if not (0.0 < self.gamma_low < self.gamma_high <= 1.0):
             raise ValueError("gamma interval must lie inside (0,1]")
+        assess.check_alpha_mean(self.alpha_mean)
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -193,8 +194,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     for cand in candidates:
         pid = cand.plan.id
-        traj = refine(scenario, parse_plan_steps(cand.plan.linearization),
-                      plan_id=pid, helix=cfg.helix)
+        traj = refine(scenario, cand.plan.linearization, plan_id=pid, helix=cfg.helix)
         trajectories[pid] = traj
         traj_path = out / f"trajectory_{pid}.csv"
         traj.export_csv(traj_path)

@@ -217,9 +217,8 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
 
 
 def linearize(m: Mdp, p: Plan) -> list[str]:
-    """High-level action-label schema of the plan."""
-    labels = {a.id: (a.label or a.id) for a in m.actions}
-    return [labels[a] for _, a in linearize_trace(m, p)]
+    """High-level schema of the plan: its actions along `linearize_trace`."""
+    return [a for _, a in linearize_trace(m, p)]
 
 
 def generate_candidates(

@@ -26,6 +26,8 @@ from .scenario import Scenario, open_artifact
 DEFAULT_DT = 0.1
 A_MAX = 0.5  # m/s^2, acceleration and braking limit
 HELIX_POINTS = 50
+# most samples a refined path may have: ~960k take ~1.4 s, ~460 MB RSS (2-vCPU VM)
+MAX_PATH_ROWS = 1_000_000
 CSV_COLUMNS = ("t", "x", "y", "z", "v")
 
 
@@ -45,8 +47,9 @@ class HelixSpec:
     pitch: float | None = None  # None: obstacle height per turn
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ValueError(f"points must be >= 1, got {self.points!r}")
+        if not 1 <= self.points <= MAX_PATH_ROWS:  # each point adds a path row
+            raise ValueError(f"points must be >= 1 and <= MAX_PATH_ROWS "
+                             f"({MAX_PATH_ROWS}), got {self.points!r}")
         if not 0 < self.turns < math.inf:  # NaN fails too
             raise ValueError(f"turns must be finite and > 0, got {self.turns!r}")
         if not 0 <= self.clearance < math.inf:
@@ -112,37 +115,27 @@ def helix_points(center, radius: float, start_angle: float, z0: float,
     return pts
 
 
-def parse_plan_steps(actions: list[str]) -> list[tuple[str, str]]:
-    """(kind, name) steps from plan action labels ("goto w", "inspect t"),
-    the form plan files store."""
-    steps = []
-    for label in actions:
-        kind, _, name = label.partition(" ")
-        if kind not in ("goto", "inspect"):
-            raise ValueError(f"unrecognized plan action {label!r}")
-        steps.append((kind, name))
-    return steps
-
-
-def plan_polyline(scenario: Scenario, steps: list[tuple[str, str]],
+def plan_polyline(scenario: Scenario, actions: list[str],
                   helix: HelixSpec = HelixSpec()) -> list[tuple[float, float, float]]:
-    """Geometric waypoint list for a plan given as (kind, name) steps.
+    """Geometric waypoint list for a plan given as its action labels.
 
-    ``("goto", waypoint_id)`` moves along a declared edge; ``("inspect",
-    obstacle_label)`` inserts a helical loop around that obstacle.
-    Raises DisconnectedPlan if consecutive waypoints share no edge.
+    ``goto <waypoint>`` moves along a declared edge; ``inspect <obstacle>``
+    inserts a helical loop around that obstacle.  Raises DisconnectedPlan
+    if consecutive waypoints share no edge, and ValueError for any other
+    label.
     """
     positions = scenario.positions()
     current = scenario.start
     pts: list[tuple[float, float, float]] = [positions[current]]
     obstacles = {o.label: o for o in scenario.obstacles}
-    for kind, name in steps:
-        if kind == "goto":
+    for label in actions:
+        verb, _, name = label.partition(" ")
+        if verb == "goto":
             if scenario.edge_between(current, name) is None:
                 raise DisconnectedPlan(current, name)
             current = name
             pts.append(positions[current])
-        elif kind == "inspect":
+        elif verb == "inspect" and name in obstacles:
             obs = obstacles[name]
             here = positions[current]
             radius = max(obs.half_extents[0], obs.half_extents[1]) + helix.clearance
@@ -151,27 +144,30 @@ def plan_polyline(scenario: Scenario, steps: list[tuple[str, str]],
             pts.extend(helix_points(obs.center, radius, angle, here[2], pitch, helix))
             pts.append(here)  # return to the waypoint before continuing
         else:
-            raise ValueError(f"unknown plan step kind {kind!r}")
+            raise ValueError(f"unrecognized plan action {label!r}: expected "
+                             "'goto <waypoint>' or 'inspect <obstacle>'")
     return pts
 
 
 def refine(
     scenario: Scenario,
-    steps: list[tuple[str, str]],
+    actions: list[str],
     plan_id: str = "",
     dt: float = DEFAULT_DT,
     helix: HelixSpec = HelixSpec(),
 ) -> Trajectory:
-    """Trajectory for the plan: trapezoidal speed per segment, slow in
-    critical zones, sampled every ``dt`` seconds.
+    """Trajectory for the plan's action labels (see `plan_polyline`):
+    trapezoidal speed per segment, slow in critical zones, sampled every
+    ``dt`` seconds.
 
     Raises `KernelBuildError` when a plan with any motion finds no kernel
     to sample it, and ValueError unless ``dt`` is finite, positive and
-    large enough for each step to advance along the path.
+    large enough for each step to advance along the path, and the path
+    has at most MAX_PATH_ROWS samples.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    pts = plan_polyline(scenario, steps, helix)
+    pts = plan_polyline(scenario, actions, helix)
     pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
     if len(pts) < 2:
         return Trajectory([], 0.0, 0.0, plan_id)
@@ -192,20 +188,23 @@ def refine(
 def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
                     dt: float) -> list[list[float]]:
     """Rows (t, x, y, z, v) of the kernel's speed profile along ``pts``,
-    corner samples included: a first call counts them, a second fills a
-    buffer of that size."""
+    corner samples included: a first call counts them, up to one past
+    MAX_PATH_ROWS, and a second fills a buffer of that size."""
     lib = kernel.load()
     path = np.array(pts, dtype=float)
     centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
                        dtype=float).reshape(-1, 3)
     args = (len(path), path, len(centers), centers, scenario.critical_radius,
             scenario.v_max, scenario.v_crit, A_MAX, dt)
-    count = lib.refine_path(*args, 0, np.empty((0, 5)))
+    count = lib.refine_path(*args, MAX_PATH_ROWS, 0, np.empty((0, 5)))
     if count < 0:
         raise ValueError(f"dt {dt!r} is too small for this path: a step would "
                          "not advance along it")
+    if count > MAX_PATH_ROWS:
+        raise ValueError(f"the refined path has more than MAX_PATH_ROWS "
+                         f"({MAX_PATH_ROWS}) samples at dt {dt!r}")
     out = np.empty((count, 5))
-    lib.refine_path(*args, count, out)
+    lib.refine_path(*args, MAX_PATH_ROWS, count, out)
     return out.tolist()
 
 

@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .mdp import ActionSpec, Mdp, StateSpec, TransitionSpec
+from .mdp import Mdp, StateSpec, TransitionSpec
 
 PLAN_FORMAT_VERSION = 2
 
@@ -311,6 +311,8 @@ def ground_to_mdp(s: Scenario) -> Mdp:
 
     States are (waypoint, inspection bitmask) pairs plus one absorbing
     collision state; every state costs 1 so plan cost equals plan depth.
+    The action ids are the plan labels ``goto <waypoint>`` and
+    ``inspect <obstacle>`` that plan files store and `refine` reads.
     """
     targets = sorted(s.inspection_goals)
     target_bit = {t: 1 << i for i, t in enumerate(targets)}
@@ -329,33 +331,24 @@ def ground_to_mdp(s: Scenario) -> Mdp:
 
     states = []
     transitions = []
-    actions: dict[str, ActionSpec] = {}
-
-    def add_action(aid: str, label: str):
-        if aid not in actions:
-            actions[aid] = ActionSpec(aid, label)
-
     for w in s.waypoints:
         for mask in range(full + 1):
             sid = state_id(w.id, mask)
             states.append(StateSpec(sid, cost=1.0))
             for other, p in neighbors[w.id]:
-                aid = f"move:{w.id}->{other}"
-                add_action(aid, f"goto {other}")
+                aid = f"goto {other}"
                 transitions.append(TransitionSpec(sid, aid, state_id(other, mask), 1.0 - p))
                 if p > 0.0:
                     transitions.append(TransitionSpec(sid, aid, COLLIDED, p))
             t = w.inspection_target
             if t in target_bit and not mask & target_bit[t]:
-                aid = f"inspect:{t}"
-                add_action(aid, f"inspect {t}")
-                transitions.append(
-                    TransitionSpec(sid, aid, state_id(w.id, mask | target_bit[t]), 1.0))
+                transitions.append(TransitionSpec(
+                    sid, f"inspect {t}", state_id(w.id, mask | target_bit[t]), 1.0))
     states.append(StateSpec(COLLIDED, cost=1.0))
 
     return Mdp(
         states=states,
-        actions=sorted(actions.values(), key=lambda a: a.id),
+        actions=sorted({t.action for t in transitions}),
         transitions=transitions,
         start=state_id(s.start, 0),
         goals=frozenset({state_id(s.final, full)}),
@@ -375,6 +368,14 @@ class PlanFile:
     def __post_init__(self):
         if self.high_level_length != len(self.actions):
             raise ValueError("high_level_length must equal the action count")
+
+
+def parse_json(text: str, doc: str):
+    """``text`` parsed by `json.loads`; a syntax error names ``doc``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{doc}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 _type_hints = functools.cache(typing.get_type_hints)  # evaluated once per dataclass
@@ -448,8 +449,7 @@ def write_plan_file(p: PlanFile, path):
 
 
 def read_plan_file(path) -> PlanFile:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), str(path))
     if type(doc) is dict:  # any other value fails as a PlanFile below
         version = doc.pop("format_version", None)
         if version != PLAN_FORMAT_VERSION:

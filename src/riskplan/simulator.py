@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernel
 from .refiner import Trajectory
-from .scenario import Scenario, from_json, open_artifact
+from .scenario import Scenario, from_json, open_artifact, parse_json
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
@@ -179,5 +179,5 @@ def read_episode_log(path) -> list[EpisodeRecord]:
     """The records of a log that `write_episode_log` wrote, one per line,
     each checked by `from_json`."""
     with open(path, encoding="utf-8") as fh:
-        return [from_json(EpisodeRecord, json.loads(line), f"{path}:{line_no}")
+        return [from_json(EpisodeRecord, parse_json(line, doc := f"{path}:{line_no}"), doc)
                 for line_no, line in enumerate(fh, start=1)]

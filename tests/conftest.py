@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskplan.mdp import (ActionSpec, MarkovChain, Mdp, StateSpec,
-                          TransitionSpec)
+from riskplan.mdp import MarkovChain, Mdp, StateSpec, TransitionSpec
 from riskplan.refiner import (A_MAX, DEFAULT_DT, HelixSpec, Trajectory,
                               TrajectorySample, low_level_length_of,
                               plan_polyline)
@@ -25,7 +24,7 @@ def make_mdp(states, transitions, start, goals, actions=None):
     return Mdp(
         states=[StateSpec(sid, cost=c)
                 for sid, c in states],
-        actions=[ActionSpec(a) for a in actions],
+        actions=list(actions),
         transitions=[TransitionSpec(*t) for t in transitions],
         start=start,
         goals=frozenset(goals),
@@ -141,12 +140,12 @@ def in_critical_zone(centers, radius, point):
     return bool((norm(point - centers) <= radius).any())
 
 
-def reference_refine(scenario, steps, plan_id="", dt=DEFAULT_DT, helix=HelixSpec()):
+def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSpec()):
     """The Python sampling loop the compiled `refine_path` replaced, kept as
     its oracle: the trajectory `refiner.refine` must equal bit for bit."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pts = plan_polyline(scenario, steps, helix)
+    pts = plan_polyline(scenario, actions, helix)
     pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
     if len(pts) < 2:
         return Trajectory([], 0.0, 0.0, plan_id)

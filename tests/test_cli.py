@@ -133,10 +133,19 @@ class TestBadInputExitsTwo:
         assert main(["refine", str(small_scn), str(plan),
                      "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("label", ["inspect nosuch", "inspect", "fly near"])
+    def test_unknown_plan_action(self, small_scn, tmp_path, capsys, label):
+        # an unknown inspection target was once a KeyError, exit 1
+        plan = _plan_file(tmp_path, {"actions": ["goto near", label],
+                                     "high_level_length": 2})
+        assert main(["refine", str(small_scn), str(plan),
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+        assert repr(label) in capsys.readouterr().err
+
     def test_assess_one_episode_log(self, small_scn, tmp_path):
         traj, log = tmp_path / "t.csv", tmp_path / "e.jsonl"
         refine(load_scenario(small_scn).scenario,
-               [("goto", "near"), ("goto", "final")]).export_csv(traj)
+               ["goto near", "goto final"]).export_csv(traj)
         # one episode is a valid simulation, but too few to assess
         assert main(["simulate", str(small_scn), str(traj), "--seed", "1",
                      "--episodes", "1", "--out", str(log)]) == EXIT_OK
@@ -216,7 +225,7 @@ class TestBadInputExitsTwo:
                                              flag, field, value):
         traj, log = tmp_path / "t.csv", tmp_path / "e.jsonl"
         refine(load_scenario(small_scn).scenario,
-               [("goto", "near"), ("goto", "final")]).export_csv(traj)
+               ["goto near", "goto final"]).export_csv(traj)
         assert main(["simulate", str(small_scn), str(traj), "--seed", "1",
                      f"{flag}={value}", "--out", str(log)]) == EXIT_INPUT
         assert f"{field} must be finite" in capsys.readouterr().err
@@ -266,7 +275,7 @@ class TestBadInputExitsTwo:
     def test_simulate_malformed_trajectory(self, small_scn, tmp_path, capsys, edit, line):
         traj, log = tmp_path / "t.csv", tmp_path / "e.jsonl"
         refine(load_scenario(small_scn).scenario,
-               [("goto", "near"), ("goto", "final")]).export_csv(traj)
+               ["goto near", "goto final"]).export_csv(traj)
         traj.write_text("\n".join(edit(traj.read_text().splitlines())) + "\n",
                         encoding="utf-8")
         assert main(["simulate", str(small_scn), str(traj), "--seed", "1",
@@ -289,6 +298,16 @@ class TestBadInputExitsTwo:
         out = tmp_path / "out"
         assert main(["pipeline", str(small_scn), "--out-dir", str(out),
                      "--seed", "1", "--episodes", "1"]) == EXIT_INPUT
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_bad_alpha_mean_pipeline_rejected_before_any_work(self, small_scn, tmp_path,
+                                                              capsys):
+        # once only assessment checked it, after every plan and episode was written
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text('{"master_seed": 3, "alpha_mean": -0.5}', encoding="utf-8")
+        assert main(["pipeline", str(small_scn), "--config", str(cfg),
+                     "--out-dir", str(out)]) == EXIT_INPUT
+        assert "alpha_mean must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
 
@@ -391,8 +410,8 @@ class TestSimulateDefaults:
     def test_no_flags_means_disturbance_config_defaults(self, tmp_path):
         scenario = load_scenario(TANKS_SCN).scenario
         traj_csv = tmp_path / "traj.csv"
-        refine(scenario, [("goto", "w_gap"), ("goto", "w_sm_r"),
-                          ("inspect", "sm_tank"), ("goto", "final")]).export_csv(traj_csv)
+        refine(scenario, ["goto w_gap", "goto w_sm_r",
+                          "inspect sm_tank", "goto final"]).export_csv(traj_csv)
         log = tmp_path / "episodes.jsonl"
         assert main(["simulate", str(TANKS_SCN), str(traj_csv), "--seed", "4",
                      "--episodes", "3", "--out", str(log)]) == EXIT_OK

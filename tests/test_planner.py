@@ -24,7 +24,15 @@ from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
                               generate_candidates, linearize, linearize_trace,
                               solve)
 from riskplan.reporting import corridor_scenario
-from riskplan.scenario import ground_to_mdp, load_scenario
+from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
+
+TWO_WAYPOINT_TIE = """
+OBSTACLE t center 0 0 -5 half 1 1 2
+WAYPOINT a pos 5 0 -5 inspect t
+WAYPOINT b pos -5 0 -5 inspect t
+EDGE a b risk 0
+MISSION start a final b inspect t
+"""
 
 SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 
@@ -247,6 +255,14 @@ class TestLinearize:
     def test_labels_and_length(self):
         m = two_action_mdp()
         assert linearize(m, solve(m, 0.9)[1]) == ["a", "go"]
+
+    def test_exact_tie_goes_to_the_lowest_action_id(self):
+        # inspecting at a, then moving on, costs 2, as moving on and then
+        # inspecting at b does: the action ids are the labels, and
+        # "goto b" sorts before "inspect t"
+        m = ground_to_mdp(parse_scenario(TWO_WAYPOINT_TIE).scenario)
+        for g in (0.41, 0.7, 0.99):
+            assert linearize(m, solve(m, g)[1]) == ["goto b", "inspect t"]
 
     def test_cyclic_policy_rejected(self):
         m = two_action_mdp()

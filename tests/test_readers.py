@@ -7,14 +7,16 @@ naming the document and the field path, and never another exception."""
 import json
 import math
 import re
+import time
 from dataclasses import asdict
 
 import pytest
 
 from conftest import TANKS_SCN
-from riskplan import assess, cli
+from riskplan import assess, cli, kernel
 from riskplan.cli import EXIT_INPUT, main
 from riskplan.pipeline import PipelineConfig
+from riskplan.refiner import MAX_PATH_ROWS
 from riskplan.scenario import (PLAN_FORMAT_VERSION, PlanFile, SchemaMismatch,
                                from_json, read_plan_file)
 from riskplan.simulator import EpisodeRecord, Incident, read_episode_log
@@ -179,12 +181,59 @@ class TestNumbers:
     ('{"points": 0}', ".helix is rejected: points must be >= 1"),
     ('{"turns": NaN}', ".helix.turns must be finite"),
     ('{"clearance": Infinity}', ".helix.clearance must be finite"),
+    ('{"points": 100000000}', f".helix is rejected: points must be >= 1 and <= "
+                              f"MAX_PATH_ROWS ({MAX_PATH_ROWS})"),
 ])
 def test_bad_helix_config_exits_two_before_any_work(tmp_path, capsys, helix, problem):
     # once these dropped the inspection loop or never finished refining
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(f'{{"master_seed": 3, "helix": {helix}}}', encoding="utf-8")
+    start = time.perf_counter()
     assert main(["pipeline", str(TANKS_SCN), "--config", str(cfg),
                  "--out-dir", str(out)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
     assert f"config: {problem}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_endless_helix_exits_two_at_refinement(tmp_path, capsys):
+    # 1e300 turns passes every shape check, but no path that long is sampled
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text('{"master_seed": 3, "helix": {"turns": 1e300}}', encoding="utf-8")
+    kernel.load()  # a first build is not part of the bound
+    start = time.perf_counter()
+    assert main(["pipeline", str(TANKS_SCN), "--config", str(cfg),
+                 "--out-dir", str(out)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert f"more than MAX_PATH_ROWS ({MAX_PATH_ROWS}) samples" in capsys.readouterr().err
+    assert not any(out.glob("trajectory_*"))
+
+
+# the command line that reads each reader's document from ``path``
+COMMANDS = {
+    "plan": lambda path, tmp: ["refine", str(TANKS_SCN), path, "--out", str(tmp / "t.csv")],
+    "log": lambda path, tmp: ["assess", path, "--out", str(tmp / "r.json")],
+    "config": lambda path, tmp: ["pipeline", str(TANKS_SCN), "--config", path,
+                                 "--out-dir", str(tmp / "out")],
+    "selection": lambda path, tmp: ["select", path],
+    "samples": lambda path, tmp: ["plot", path, "--out-svg", str(tmp / "b.svg"),
+                                  "--out-csv", str(tmp / "b.csv")],
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_syntax_error_names_the_document(tmp_path, capsys, reader):
+    # once only "Expecting value: line 2 column 1 (char 15)", with no file
+    whole = {"plan": PLAN, "log": RECORD, "config": CONFIG}.get(reader, REPORT)
+    truncated = json.dumps(whole)[:-1]
+    path = tmp_path / "doc.json"
+    if reader == "log":  # the second line is cut short
+        path.write_text(json.dumps(RECORD) + "\n" + truncated + "\n", encoding="utf-8")
+        name = f"{path}:2"
+    else:
+        path.write_text(truncated, encoding="utf-8")
+        name = str(path)
+    assert main(COMMANDS[reader](str(path), tmp_path)) == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{name}: Expecting ")
+    assert not (tmp_path / "out").exists()

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from conftest import TANKS_SCN, reference_refine
 from riskplan import kernel, refiner
 from riskplan.pipeline import PipelineConfig, plan_candidates
-from riskplan.refiner import (DisconnectedPlan, HelixSpec, parse_plan_steps,
-                              plan_polyline, refine)
+from riskplan.refiner import DisconnectedPlan, HelixSpec, plan_polyline, refine
 from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
 
 STRAIGHT = """
@@ -49,30 +48,30 @@ class TestSpeedProfile:
     def test_straight_segment_duration(self):
         # 10 m at v_max 1 with a = 0.5: 2 s ramp up, 1 m each end of
         # ramping, 8 s cruise, 2 s ramp down => 12 s nominal
-        traj = refine(scenario(STRAIGHT), [("goto", "b")])
+        traj = refine(scenario(STRAIGHT), ["goto b"])
         assert traj.nominal_duration == pytest.approx(12.0, abs=0.3)
         assert traj.total_length == pytest.approx(10.0, abs=1e-6)
 
     def test_critical_zone_duration(self):
         # the whole segment lies in the critical radius: capped at 0.25 m/s
-        traj = refine(scenario(CRITICAL), [("goto", "b")])
+        traj = refine(scenario(CRITICAL), ["goto b"])
         assert traj.nominal_duration == pytest.approx(40.5, abs=0.6)
 
     def test_speed_caps_hold_pointwise(self):
         for text, cap in ((STRAIGHT, 1.0), (CRITICAL, 0.25)):
-            traj = refine(scenario(text), [("goto", "b")])
+            traj = refine(scenario(text), ["goto b"])
             assert all(s.speed <= cap + 1e-9 for s in traj.samples)
 
     def test_time_strictly_increases(self):
-        traj = refine(scenario(STRAIGHT), [("goto", "b")])
+        traj = refine(scenario(STRAIGHT), ["goto b"])
         times = [s.time for s in traj.samples]
         assert times[0] == 0.0
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
 
     def test_longer_plans_take_longer(self):
         s = scenario(STRAIGHT)
-        one = refine(s, [("goto", "b")])
-        there_and_back = refine(s, [("goto", "b"), ("goto", "a")])
+        one = refine(s, ["goto b"])
+        there_and_back = refine(s, ["goto b", "goto a"])
         assert there_and_back.nominal_duration > one.nominal_duration
 
     def test_empty_plan_is_empty_trajectory(self):
@@ -84,13 +83,13 @@ class TestSpeedProfile:
         # NaN compares false with everything, so `dt <= 0` alone lets it in
         for dt in (0.0, -0.1, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="dt must be finite and positive"):
-                refine(scenario(STRAIGHT), [("goto", "b")], dt=dt)
+                refine(scenario(STRAIGHT), ["goto b"], dt=dt)
 
     def test_dt_too_small_to_advance_is_refused(self):
         # each step of 1e-300 s rounds to no motion at all: the loop would
         # never end
         with pytest.raises(ValueError, match="too small"):
-            refine(scenario(STRAIGHT), [("goto", "b")], dt=1e-300)
+            refine(scenario(STRAIGHT), ["goto b"], dt=1e-300)
 
 
 class TestConnectivity:
@@ -99,7 +98,7 @@ class TestConnectivity:
         text = text.replace("MISSION start a final b",
                             "MISSION start a final c")
         with pytest.raises(DisconnectedPlan) as exc:
-            refine(scenario(text), [("goto", "c")])
+            refine(scenario(text), ["goto c"])
         assert exc.value.pair == ("a", "c")
 
 
@@ -107,7 +106,7 @@ class TestHelix:
     def test_loop_radius_and_return(self):
         s = scenario(INSPECT)
         spec = HelixSpec(clearance=2.0)
-        pts = plan_polyline(s, [("goto", "b"), ("inspect", "tank")], spec)
+        pts = plan_polyline(s, ["goto b", "inspect tank"], spec)
         tank = s.obstacles[0]
         radius = max(tank.half_extents[0], tank.half_extents[1]) + 2.0
         helix = pts[2:-1]
@@ -119,7 +118,7 @@ class TestHelix:
 
     def test_pitch_climbs_obstacle_height(self):
         s = scenario(INSPECT)
-        pts = plan_polyline(s, [("goto", "b"), ("inspect", "tank")],
+        pts = plan_polyline(s, ["goto b", "inspect tank"],
                             HelixSpec(clearance=2.0))
         z0 = s.waypoint("b").position[2]
         # one full turn climbs the full obstacle height (2 * half extent)
@@ -127,8 +126,8 @@ class TestHelix:
 
     def test_inspection_adds_at_least_circumference(self):
         s = scenario(INSPECT)
-        base = refine(s, [("goto", "b")])
-        loop = refine(s, [("goto", "b"), ("inspect", "tank")],
+        base = refine(s, ["goto b"])
+        loop = refine(s, ["goto b", "inspect tank"],
                       helix=HelixSpec(clearance=2.0))
         assert loop.total_length - base.total_length > 2 * math.pi * 3.0 * 0.9
 
@@ -138,6 +137,7 @@ class TestHelix:
         ({"turns": math.inf}, "turns"), ({"clearance": -0.5}, "clearance"),
         ({"clearance": math.inf}, "clearance"), ({"clearance": math.nan}, "clearance"),
         ({"pitch": math.nan}, "pitch"), ({"pitch": -math.inf}, "pitch"),
+        ({"points": refiner.MAX_PATH_ROWS + 1}, "points"),
     ])
     def test_bad_shape_rejected(self, kwargs, field):
         # points 0 or turns NaN once dropped the loop; clearance inf never ended
@@ -176,11 +176,11 @@ def edge_walks(draw):
     here, steps = TANKS.start, []
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.booleans()):
-            steps.append(("inspect", draw(st.sampled_from(
-                [o.label for o in TANKS.obstacles]))))
+            steps.append("inspect " + draw(st.sampled_from(
+                [o.label for o in TANKS.obstacles])))
         else:
             here = draw(st.sampled_from(TANKS_NEIGHBOURS[here]))
-            steps.append(("goto", here))
+            steps.append(f"goto {here}")
     return steps
 
 
@@ -197,7 +197,7 @@ class TestKernelMatchesReference:
     def test_tanks_candidates(self, which):
         cfg = PipelineConfig(scenario_path=str(TANKS_SCN), out_dir="", master_seed=7)
         cand = plan_candidates(ground_to_mdp(TANKS), cfg)[which]
-        traj = assert_matches_reference(TANKS, parse_plan_steps(cand.plan.linearization),
+        traj = assert_matches_reference(TANKS, cand.plan.linearization,
                                         plan_id=cand.plan.id)
         # samples hold Python floats, as the reference's values would be
         smp = traj.samples[1]
@@ -217,14 +217,14 @@ class TestKernelMatchesReference:
                        + "WAYPOINT c pos 0 3 -5 critical\nEDGE a c risk 0\n")
         radius = math.nextafter(3.0, 0.0) if below else 3.0
         scn = dataclasses.replace(scn, critical_radius=radius)
-        traj = assert_matches_reference(scn, [("goto", "b")], dt=1.0)
+        traj = assert_matches_reference(scn, ["goto b"], dt=1.0)
         assert traj.samples[0].speed == (0.5 if below else 0.25)
 
     def test_long_segment_at_small_dt(self):
         # 200 m at the critical speed, every 0.05 s: ~16k samples
         long_leg = CRITICAL.replace("WAYPOINT b pos 10 0 -5", "WAYPOINT b pos 200 0 -5")
         long_leg = long_leg.replace("radius 20.0", "radius 300")
-        traj = assert_matches_reference(scenario(long_leg), [("goto", "b")], dt=0.05)
+        traj = assert_matches_reference(scenario(long_leg), ["goto b"], dt=0.05)
         assert len(traj.samples) > 16000
 
     @pytest.mark.parametrize("capacity", [0, 1, 100])
@@ -232,10 +232,10 @@ class TestKernelMatchesReference:
         """Given a buffer too short for the path, the kernel fills it, writes
         nothing past it and returns the count the path needs."""
         scn = scenario(CRITICAL)
-        path = np.array(plan_polyline(scn, [("goto", "b")]), dtype=float)
+        path = np.array(plan_polyline(scn, ["goto b"]), dtype=float)
         centers = np.array([scn.waypoint("b").position])
         args = (len(path), path, len(centers), centers, scn.critical_radius,
-                scn.v_max, scn.v_crit, refiner.A_MAX, 0.05)
+                scn.v_max, scn.v_crit, refiner.A_MAX, 0.05, refiner.MAX_PATH_ROWS)
         lib = kernel.load()
         full = np.empty((lib.refine_path(*args, 0, np.empty((0, 5))), 5))
         assert lib.refine_path(*args, len(full), full) == len(full) > capacity
@@ -243,3 +243,25 @@ class TestKernelMatchesReference:
         assert lib.refine_path(*args, capacity, short) == len(full)
         assert np.array_equal(short[:capacity], full[:capacity])
         assert np.isnan(short[capacity:]).all()
+
+    def test_kernel_stops_counting_past_the_limit(self):
+        scn = scenario(CRITICAL)
+        path = np.array(plan_polyline(scn, ["goto b"]), dtype=float)
+        centers = np.array([scn.waypoint("b").position])
+        args = (len(path), path, len(centers), centers, scn.critical_radius,
+                scn.v_max, scn.v_crit, refiner.A_MAX, 0.05)
+        lib, empty = kernel.load(), np.empty((0, 5))
+        full = lib.refine_path(*args, refiner.MAX_PATH_ROWS, 0, empty)
+        for limit in (0, 7, full - 1):
+            assert lib.refine_path(*args, limit, 0, empty) == limit + 1
+        assert lib.refine_path(*args, full, 0, empty) == full
+
+
+class TestRowBound:
+    def test_long_leg_at_small_dt_refused(self):
+        # a 1 km leg at the critical speed: ~40k samples at dt 0.1, ~40M at 1e-4
+        leg = CRITICAL.replace("WAYPOINT b pos 10 0 -5", "WAYPOINT b pos 1000 0 -5")
+        leg = leg.replace("radius 20.0", "radius 2000")
+        with pytest.raises(ValueError, match="MAX_PATH_ROWS"):
+            refine(scenario(leg), ["goto b"], dt=0.0001)
+        assert len(refine(scenario(leg), ["goto b"], dt=0.1).samples) < refiner.MAX_PATH_ROWS

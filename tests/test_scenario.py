@@ -137,10 +137,10 @@ class TestGrounding:
 
     def test_inspect_action_sets_bit(self):
         m = ground_to_mdp(parse_scenario(MINIMAL).scenario)
-        outs = m.outgoing(state_id("b", 0), "inspect:box")
+        outs = m.outgoing(state_id("b", 0), "inspect box")
         assert [(t.target, t.probability) for t in outs] == [
             (state_id("b", 1), 1.0)]
-        assert m.outgoing(state_id("b", 1), "inspect:box") == []
+        assert m.outgoing(state_id("b", 1), "inspect box") == []
 
     def test_ungroundable_goal(self):
         text = MINIMAL.replace("critical inspect box", "critical")

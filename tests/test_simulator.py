@@ -15,7 +15,7 @@ import pytest
 
 from conftest import REPO_ROOT, TANKS_SCN, norm, reference_refine
 from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
-from riskplan.refiner import Trajectory, TrajectorySample, parse_plan_steps, refine
+from riskplan.refiner import Trajectory, TrajectorySample, refine
 from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario,
                                parse_scenario, write_plan_file)
 from riskplan import kernel
@@ -54,7 +54,7 @@ TWIN_ROCKS = NEAR_MISS.replace(
 def trajectory(text):
     result = parse_scenario(text)
     assert result.ok, result.errors
-    return result.scenario, refine(result.scenario, [("goto", "b")],
+    return result.scenario, refine(result.scenario, ["goto b"],
                                    plan_id="P1")
 
 
@@ -353,7 +353,7 @@ def tanks():
     scenario = load_scenario(TANKS_SCN).scenario
     cfg = PipelineConfig(scenario_path=str(TANKS_SCN), out_dir="", master_seed=7)
     cands = plan_candidates(ground_to_mdp(scenario), cfg)
-    return scenario, [refine(scenario, parse_plan_steps(c.plan.linearization),
+    return scenario, [refine(scenario, c.plan.linearization,
                              plan_id=c.plan.id) for c in cands]
 
 
@@ -569,7 +569,7 @@ class TestKernelBuild:
     def test_missing_numpy_library_is_loud(self, fresh_kernel, monkeypatch, tmp_path,
                                            capsys, missing):
         scenario = parse_scenario(OPEN_WATER).scenario
-        traj = reference_refine(scenario, [("goto", "b")], plan_id="P1")
+        traj = reference_refine(scenario, ["goto b"], plan_id="P1")
         if missing == "archive":
             monkeypatch.setattr(kernel, "_ARCHIVE", tmp_path / "libnpyrandom.a")
             path = tmp_path / "libnpyrandom.a"
@@ -595,10 +595,10 @@ class TestKernelBuild:
                                    capsys, compiler):
         # the Python reference refines without the kernel
         scenario = parse_scenario(OPEN_WATER).scenario
-        traj = reference_refine(scenario, [("goto", "b")], plan_id="P1")
+        traj = reference_refine(scenario, ["goto b"], plan_id="P1")
         monkeypatch.setattr(kernel, "_compiler", lambda: compiler)
         with pytest.raises(KernelBuildError) as err:
-            refine(scenario, [("goto", "b")], plan_id="P1")
+            refine(scenario, ["goto b"], plan_id="P1")
         message = str(err.value)
         assert "_simkernel.c" in message
         assert (compiler or "cc") in message
