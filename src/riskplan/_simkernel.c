@@ -266,14 +266,14 @@ static int in_grid(const long *idx, const long *dims)
 
 /* Fold n beams cast from pos (3,) into the C-ordered log_odds grid of
  * dims (3,) voxels, of side res, from origin (3,).  dirs (n, 3) are unit
- * directions, ranges (n,) the measured and max_ranges (n,) the maximum
- * ranges.  Each beam walks the voxels from pos to its endpoint (Amanatides
- * & Woo): the voxel holding the endpoint of a return gains l_hit, every
- * other voxel on the way l_miss, each sum clamped to [lo_min, lo_max] in
- * the order the walk reaches it.
+ * directions, ranges (n,) the measured ranges and max_range the one
+ * maximum range of them all.  Each beam walks the voxels from pos to its
+ * endpoint (Amanatides & Woo): the voxel holding the endpoint of a return
+ * gains l_hit, every other voxel on the way l_miss, each sum clamped to
+ * [lo_min, lo_max] in the order the walk reaches it.
  */
 void integrate_beams(long n, const double *pos, const double *dirs,
-                     const double *ranges, const double *max_ranges,
+                     const double *ranges, double max_range,
                      double l_hit, double l_miss, double lo_min, double lo_max,
                      const double *origin, const long *dims, double res,
                      double *log_odds)
@@ -290,7 +290,7 @@ void integrate_beams(long n, const double *pos, const double *dirs,
             dir[k] = end[k] - pos[k];
             hit[k] = cell(end[k], origin[k], res);
         }
-        int returned = ranges[b] < max_ranges[b] - 1e-9;
+        int returned = ranges[b] < max_range - 1e-9;
         double seg_len = norm3(dir[0], dir[1], dir[2]);
 
         long step[3] = {0, 0, 0};

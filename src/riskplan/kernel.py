@@ -106,7 +106,7 @@ def load() -> ctypes.CDLL:
         size, intp, intp, f64, f64]              # capacity, event buffers
     lib.simulate_ticks.restype = size
     lib.integrate_beams.argtypes = [
-        size, f64, f64, f64, f64,                # n, pos, dirs, ranges, max_ranges
+        size, f64, f64, f64, real,               # n, pos, dirs, ranges, max_range
         real, real, real, real,                  # l_hit, l_miss, clamp bounds
         f64, intp, real, f64]                    # origin, dims, res, log_odds
     lib.integrate_beams.restype = None

@@ -45,27 +45,35 @@ def logistic(l: float) -> float:
     return 1.0 / (1.0 + math.exp(-l))
 
 
-@dataclass(frozen=True)
-class SonarBeam:
-    direction: tuple[float, float, float]  # unit vector, world frame
-    measured_range: float
+@dataclass(frozen=True, eq=False)
+class SonarScan:
+    """A sensor position (3,), its beams' unit directions (n, 3) and ranges
+    (n,), as read-only arrays, and the one max range (no return) of them
+    all.  Made only if well formed, so the kernel reads the arrays as they are."""
+
+    position: np.ndarray
+    beams: np.ndarray
+    ranges: np.ndarray
     max_range: float
 
-
-@dataclass(frozen=True)
-class SonarScan:
-    position: tuple[float, float, float]
-    yaw: float
-    beams: tuple[SonarBeam, ...]
-
     def __post_init__(self):
-        for b in self.beams:
-            n = math.sqrt(sum(c * c for c in b.direction))
-            if abs(n - 1.0) > 1e-9:
-                raise ValueError(f"beam direction norm {n} is not 1")
-            if not (0.0 < b.measured_range <= b.max_range):
-                raise ValueError(
-                    f"beam range {b.measured_range} outside (0, {b.max_range}]")
+        for name in ("position", "beams", "ranges"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "max_range", float(self.max_range))
+        pos, dirs, r = self.position, self.beams, self.ranges
+        if pos.shape != (3,) or r.ndim != 1 or dirs.shape != (len(r), 3):
+            raise ValueError(f"need a (3,) position, (n, 3) directions and n ranges, "
+                             f"got shapes {pos.shape}, {dirs.shape} and {r.shape}")
+        if not (np.isfinite(pos).all() and 0.0 < self.max_range < math.inf):
+            raise ValueError(f"need a finite position and max range > 0, got "
+                             f"{pos.tolist()} and {self.max_range!r}")
+        norms = np.linalg.norm(dirs, axis=1)
+        if not (ok := abs(norms - 1.0) <= 1e-9).all():  # NaN fails too
+            raise ValueError(f"beam direction norm {norms[~ok][0]} is not 1")
+        if not (ok := (0.0 < r) & (r <= self.max_range)).all():
+            raise ValueError(f"beam range {r[~ok][0]} outside (0, {self.max_range}]")
 
 
 class VoxelGrid:
@@ -166,22 +174,15 @@ def integrate_scan(
     `traverse_voxels` does: the voxel holding the endpoint of a return
     gains the hit log-odds, every other voxel on the way the miss log-odds,
     each sum clamped in turn.  The walk runs in the compiled kernel, one
-    call per scan.
+    call per scan, on the arrays the scan checked when it was made.
     """
     if not (0.0 < p_miss < 0.5 < p_hit < 1.0):
         raise ValueError(f"need p_miss < 0.5 < p_hit in (0,1), got {p_miss}, {p_hit}")
     if (len(grid.dimensions) != 3 or grid.origin.shape != (3,)
             or grid.log_odds.shape != grid.dimensions):
         raise ValueError("grid origin and log-odds do not match its 3 dimensions")
-    n = len(scan.beams)
-    # reshape raises unless every point has 3 coordinates
-    pos = np.asarray(scan.position, dtype=float).reshape(3)
-    dirs = np.array([b.direction for b in scan.beams], dtype=float).reshape(n, 3)
-    ranges = np.array([b.measured_range for b in scan.beams], dtype=float)
-    if not (np.isfinite(pos).all() and np.isfinite(ranges).all()):
-        raise ValueError("scan position and beam ranges must be finite")
     kernel.load().integrate_beams(
-        n, pos, dirs, ranges, np.array([b.max_range for b in scan.beams], dtype=float),
+        len(scan.ranges), scan.position, scan.beams, scan.ranges, scan.max_range,
         math.log(p_hit / (1.0 - p_hit)), math.log(p_miss / (1.0 - p_miss)),
         LOG_ODDS_MIN, LOG_ODDS_MAX,
         grid.origin, np.array(grid.dimensions, dtype=np.intp), grid.resolution,
@@ -197,12 +198,13 @@ class BeamFan:
     aperture: float = math.radians(90.0)
     max_range: float = 15.0
 
-    def directions(self, yaw: float) -> list[tuple[float, float, float]]:
-        if self.count == 1:
-            offsets = [0.0]
-        else:
-            offsets = np.linspace(-self.aperture / 2, self.aperture / 2, self.count)
-        return [(math.cos(yaw + off), math.sin(yaw + off), 0.0) for off in offsets]
+    def directions(self, yaw: float) -> np.ndarray:
+        """The (count, 3) unit beam directions; math's cos and sin, since
+        numpy's vector ones need not round the same."""
+        offsets = ([0.0] if self.count == 1 else
+                   np.linspace(-self.aperture / 2, self.aperture / 2, self.count))
+        return np.array([(math.cos(yaw + off), math.sin(yaw + off), 0.0)
+                         for off in offsets], dtype=float).reshape(-1, 3)
 
 
 def _nearest_hits(position, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -252,26 +254,22 @@ def synthesize_scans(
     scan draws one normal per hit, in beam order, and clamps the noisy
     range to [1e-6, max_range].
     """
-    if range_sigma < 0:
-        raise ValueError("range noise sigma must be >= 0")
-    lo = np.array([np.asarray(o.center) - np.asarray(o.half_extents)
-                   for o in obstacles], dtype=float).reshape(-1, 3)
-    hi = np.array([np.asarray(o.center) + np.asarray(o.half_extents)
-                   for o in obstacles], dtype=float).reshape(-1, 3)
+    if not 0.0 <= range_sigma < math.inf:  # NaN fails too
+        raise ValueError(f"range noise sigma must be finite and >= 0, got {range_sigma!r}")
+    boxes = np.array([(o.center, o.half_extents) for o in obstacles],
+                     dtype=float).reshape(-1, 2, 3)
+    lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
     scans = []
     for position, yaw in sensor_path:
         directions = fan.directions(yaw)
-        r = _nearest_hits(position, np.array(directions, dtype=float).reshape(-1, 3),
-                          lo, hi, fan.max_range)
+        r = _nearest_hits(position, directions, lo, hi, fan.max_range)
         hit = r < math.inf
         r[~hit] = fan.max_range
         if range_sigma > 0:
             noisy = r[hit] + rng.normal(0.0, range_sigma, size=int(hit.sum()))
             noisy = np.where(1e-6 > noisy, 1e-6, noisy)
             r[hit] = np.where(fan.max_range < noisy, fan.max_range, noisy)
-        beams = tuple(SonarBeam(d, rd, fan.max_range)
-                      for d, rd in zip(directions, r.tolist()))
-        scans.append(SonarScan(tuple(position), yaw, beams))
+        scans.append(SonarScan(position, directions, r, fan.max_range))
     return scans
 
 
@@ -306,21 +304,21 @@ def extract_problem(
 
     Returns a new Scenario; obstacles, mission, and limits are untouched.
     """
+    if not 0.0 <= kappa < math.inf:  # NaN fails too
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
     clearance = scenario.critical_radius
     positions = scenario.positions()
     observed = grid.observed_voxels()
     centers = grid.origin + (observed + 0.5) * grid.resolution
     log_odds = grid.log_odds[tuple(observed.T)]
-    critical: dict[str, bool] = {}
+    new_waypoints = []
     for w in scenario.waypoints:
         own = grid.occupancy_at(w.position)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
             raise WaypointInOccupiedVoxel(w.id, own)
         near = _max_occupancy_near_segment(centers, log_odds, w.position, w.position,
                                            clearance)
-        critical[w.id] = near > TAU_OCC
-
-    new_waypoints = [replace(w, is_critical=critical[w.id]) for w in scenario.waypoints]
+        new_waypoints.append(replace(w, is_critical=near > TAU_OCC))
     new_edges = []
     for e in scenario.edges:
         occ = _max_occupancy_near_segment(centers, log_odds, positions[e.a],

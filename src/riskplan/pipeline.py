@@ -91,22 +91,15 @@ def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
 
 def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> VoxelGrid:
     """Survey the scene with a synthetic sonar sweep and build the grid."""
-    pts = [w.position for w in scenario.waypoints]
-    pts += [o.center for o in scenario.obstacles]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    zs = [p[2] for p in pts]
-    margin = 6.0
-    res = DEFAULT_RESOLUTION
-    origin = (min(xs) - margin, min(ys) - margin, min(zs) - margin)
-    dims = (int((max(xs) - min(xs) + 2 * margin) / res),
-            int((max(ys) - min(ys) + 2 * margin) / res),
-            int((max(zs) - min(zs) + 2 * margin) / res))
-    grid = VoxelGrid(origin, dims, res)
+    pts = np.array([w.position for w in scenario.waypoints]
+                   + [o.center for o in scenario.obstacles], dtype=float)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    margin, res = 6.0, DEFAULT_RESOLUTION
+    grid = VoxelGrid(lo - margin, ((hi - lo + 2 * margin) / res).astype(int), res)
     rng = stage_rng(master_seed, "sonar")
     fan = BeamFan(count=64, aperture=math.radians(120), max_range=25.0)
     path = []
-    z = sum(zs) / len(zs)
+    z = sum(pts[:, 2].tolist()) / len(pts)  # summed in order, as floats
     # orbit each obstacle so every face gets returns
     for o in scenario.obstacles:
         r = max(o.half_extents[0], o.half_extents[1]) + 6.0

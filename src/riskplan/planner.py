@@ -195,19 +195,19 @@ def solve(
 
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
-    """Most-probable execution trace: (state, action) pairs from start to goal."""
+    """Most-probable execution trace: (state, action) pairs from start to
+    goal, each step to the most probable successor that can reach a goal."""
     trace: list[tuple[str, str]] = []
     s = m.start
     seen = set()
     while s not in m.goals:
-        if s in seen or s not in p.policy:
+        a = p.policy.get(s)
+        outs = [t for t in m.outgoing(s, a)
+                if t.probability > 0.0 and t.target in m.goal_reaching]
+        if s in seen or not outs:
             raise ImproperPolicy(
                 f"most-probable trace from {m.start!r} does not reach a goal (stuck at {s!r})")
         seen.add(s)
-        a = p.policy[s]
-        outs = m.outgoing(s, a)
-        if not outs:
-            raise ImproperPolicy(f"policy action {a!r} has no transitions from {s!r}")
         # highest-probability successor, ties to the lowest target id
         top = max(t.probability for t in outs)
         best = min((t for t in outs if t.probability == top), key=lambda t: t.target)

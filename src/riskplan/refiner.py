@@ -117,16 +117,19 @@ def helix_points(center, radius: float, start_angle: float, z0: float,
 
 def plan_polyline(scenario: Scenario, actions: list[str],
                   helix: HelixSpec = HelixSpec()) -> list[tuple[float, float, float]]:
-    """Geometric waypoint list for a plan given as its action labels.
+    """Geometric waypoint list for a plan given as its action labels, less
+    each point within 1e-12 of the point made before it.
 
     ``goto <waypoint>`` moves along a declared edge; ``inspect <obstacle>``
     inserts a helical loop around that obstacle.  Raises DisconnectedPlan
     if consecutive waypoints share no edge, and ValueError for any other
-    label.
+    label, or once the list passes MAX_PATH_ROWS + 1 points: the kernel
+    samples at least one row between two of them.
     """
     positions = scenario.positions()
     current = scenario.start
     pts: list[tuple[float, float, float]] = [positions[current]]
+    previous = pts[0]
     obstacles = {o.label: o for o in scenario.obstacles}
     for label in actions:
         verb, _, name = label.partition(" ")
@@ -134,18 +137,23 @@ def plan_polyline(scenario: Scenario, actions: list[str],
             if scenario.edge_between(current, name) is None:
                 raise DisconnectedPlan(current, name)
             current = name
-            pts.append(positions[current])
+            made = [positions[current]]
         elif verb == "inspect" and name in obstacles:
             obs = obstacles[name]
             here = positions[current]
             radius = max(obs.half_extents[0], obs.half_extents[1]) + helix.clearance
             pitch = 2.0 * obs.half_extents[2] if helix.pitch is None else helix.pitch
             angle = math.atan2(here[1] - obs.center[1], here[0] - obs.center[0])
-            pts.extend(helix_points(obs.center, radius, angle, here[2], pitch, helix))
-            pts.append(here)  # return to the waypoint before continuing
+            made = helix_points(obs.center, radius, angle, here[2], pitch, helix)
+            made.append(here)  # return to the waypoint before continuing
         else:
             raise ValueError(f"unrecognized plan action {label!r}: expected "
                              "'goto <waypoint>' or 'inspect <obstacle>'")
+        pts += [p for p, q in zip(made, [previous, *made]) if math.dist(p, q) > 1e-12]
+        previous = made[-1]
+        if len(pts) > MAX_PATH_ROWS + 1:
+            raise ValueError(f"the refined path has more than MAX_PATH_ROWS ({MAX_PATH_ROWS}) "
+                             f"samples: its polyline has over {MAX_PATH_ROWS + 1} points")
     return pts
 
 
@@ -168,7 +176,6 @@ def refine(
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     pts = plan_polyline(scenario, actions, helix)
-    pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
     if len(pts) < 2:
         return Trajectory([], 0.0, 0.0, plan_id)
 

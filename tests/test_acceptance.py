@@ -16,8 +16,8 @@ from conftest import (TANKS_SCN, detour_mdp, loop_mdp, make_chain, make_mdp,
                       risky_vs_safe_mdp, two_action_mdp)
 from riskplan.assess import RiskMetrics, compute_metrics, select
 from riskplan.mdp import Plan, induce_chain, reward_distribution_exact
-from riskplan.occupancy import (LOG_ODDS_MAX, SonarBeam, SonarScan, VoxelGrid,
-                                integrate_scan, logistic)
+from riskplan.occupancy import (LOG_ODDS_MAX, SonarScan, VoxelGrid, integrate_scan,
+                                logistic)
 from riskplan.pipeline import PipelineConfig, run_pipeline
 from riskplan.planner import solve
 from riskplan.reporting import run_scaling
@@ -206,8 +206,7 @@ def test_acceptance_8_occupancy_closed_forms():
     def fresh():
         return VoxelGrid((0, 0, 0), (10, 10, 10), 1.0)
 
-    hit = SonarScan((0.5, 0.5, 0.5), 0.0,
-                    (SonarBeam((1.0, 0.0, 0.0), 3.0, 8.0),))
+    hit = SonarScan((0.5, 0.5, 0.5), [(1.0, 0.0, 0.0)], [3.0], 8.0)
     g = fresh()
     integrate_scan(g, hit)
     integrate_scan(g, hit)
@@ -215,8 +214,7 @@ def test_acceptance_8_occupancy_closed_forms():
 
     g = fresh()
     integrate_scan(g, hit, p_hit=0.7, p_miss=0.3)
-    passthrough = SonarScan((0.5, 0.5, 0.5), 0.0,
-                            (SonarBeam((1.0, 0.0, 0.0), 6.0, 8.0),))
+    passthrough = SonarScan((0.5, 0.5, 0.5), [(1.0, 0.0, 0.0)], [6.0], 8.0)
     integrate_scan(g, passthrough, p_hit=0.7, p_miss=0.3)
     assert g.occupancy((3, 0, 0)) == 0.5  # exactly the prior
 

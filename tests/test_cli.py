@@ -231,6 +231,25 @@ class TestBadInputExitsTwo:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not log.exists()
 
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("gen-problem", "--kappa", "-1", "kappa"),
+        ("gen-problem", "--kappa", "nan", "kappa"),
+        ("gen-problem", "--kappa", "inf", "kappa"),
+        ("gen-problem", "--noise-sigma", "nan", "sigma"),
+        ("map", "--noise-sigma", "nan", "sigma"),
+        ("map", "--noise-sigma", "inf", "sigma"),
+        ("map", "--noise-sigma", "-0.1", "sigma"),
+    ])
+    def test_bad_mapping_setting(self, small_scn, tmp_path, capsys, command, flag,
+                                 value, field):
+        # a negative or NaN kappa once wrote a problem.scn that plan rejects,
+        # and a NaN noise sigma once mapped with no noise at all
+        out = tmp_path / "out"
+        assert main([command, str(small_scn), "--seed", "1", f"{flag}={value}",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert f"{field} must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag, field", [("--bin-width", "bin_width"),
                                              ("--time-bound", "time_bound")])

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import TANKS_SCN
 from riskplan import kernel, pipeline
 from riskplan.occupancy import (DEFAULT_P_HIT, DEFAULT_P_MISS, EDGE_RISK_CAP,
-                                LOG_ODDS_MAX, LOG_ODDS_MIN, BeamFan, SonarBeam,
-                                SonarScan, VoxelGrid, WaypointInOccupiedVoxel,
+                                LOG_ODDS_MAX, LOG_ODDS_MIN, BeamFan, SonarScan,
+                                VoxelGrid, WaypointInOccupiedVoxel,
                                 _nearest_hits, extract_problem, integrate_scan,
                                 logistic, synthesize_scans, traverse_voxels)
 from riskplan.scenario import Obstacle, load_scenario, parse_scenario
@@ -27,11 +27,10 @@ def reference_integrate_scan(grid, scan, p_hit=DEFAULT_P_HIT, p_miss=DEFAULT_P_M
     """The per-voxel Python update loop the compiled kernel replaced."""
     l_hit = math.log(p_hit / (1.0 - p_hit))
     l_miss = math.log(p_miss / (1.0 - p_miss))
-    pos = np.asarray(scan.position, dtype=float)
-    for beam in scan.beams:
-        d = np.asarray(beam.direction, dtype=float)
-        endpoint = pos + d * beam.measured_range
-        returned = beam.measured_range < beam.max_range - 1e-9
+    pos = scan.position
+    for d, r in zip(scan.beams, scan.ranges):
+        endpoint = pos + d * r
+        returned = r < scan.max_range - 1e-9
         voxels = traverse_voxels(grid, pos, endpoint)
         if not voxels:
             continue
@@ -69,16 +68,17 @@ def reference_synthesize_scans(obstacles, sensor_path, fan, rng, range_sigma=0.0
     """The per-beam, per-box synthesis loop the vectorised one replaced."""
     scans = []
     for position, yaw in sensor_path:
-        beams = []
-        for d in fan.directions(yaw):
+        directions = fan.directions(yaw)
+        ranges = []
+        for d in directions:
             hits = [r for r in (ray_box_range(position, d, o) for o in obstacles)
                     if r is not None and r <= fan.max_range]
             r = min(hits) if hits else fan.max_range
             if range_sigma > 0 and hits:
                 r += float(rng.normal(0.0, range_sigma))
                 r = min(max(r, 1e-6), fan.max_range)
-            beams.append(SonarBeam(d, r, fan.max_range))
-        scans.append(SonarScan(tuple(position), yaw, tuple(beams)))
+            ranges.append(r)
+        scans.append(SonarScan(position, directions, ranges, fan.max_range))
     return scans
 
 
@@ -91,8 +91,35 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray):
 
 def hit_scan(position, direction, rng, max_range=8.0):
     """Single beam that returns at distance rng (< max range => a hit)."""
-    return SonarScan(position, 0.0,
-                     (SonarBeam(direction, rng, max_range),))
+    return SonarScan(position, [direction], [rng], max_range)
+
+
+AHEAD_BEAM = ((0.5, 0.5, 0.5), [(1.0, 0.0, 0.0)], [3.0], 8.0)
+
+
+class TestScanChecks:
+    @pytest.mark.parametrize("change", [
+        {0: (0.5, 0.5)}, {0: (0.5, math.nan, 0.5)},
+        {1: [(1.0, 0.0)]}, {1: [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]},
+        {1: [(0.6, 0.6, 0.0)]}, {1: [(math.nan, 0.0, 0.0)]},
+        {2: [0.0]}, {2: [math.nan]}, {2: [8.5]}, {2: [math.inf], 3: math.inf},
+    ], ids=["position_2d", "position_nan", "beams_n2", "ranges_short", "not_unit",
+            "direction_nan", "range_zero", "range_nan", "range_above_max",
+            "max_range_inf"])
+    def test_malformed_scan_rejected_when_made(self, change):
+        args = [change.get(i, a) for i, a in enumerate(AHEAD_BEAM)]
+        with pytest.raises(ValueError):
+            SonarScan(*args)
+
+    def test_arrays_are_read_only_copies(self):
+        ranges = np.array([3.0])
+        scan = SonarScan(AHEAD_BEAM[0], AHEAD_BEAM[1], ranges, 8.0)
+        ranges[0] = 99.0
+        assert scan.ranges.tolist() == [3.0]
+        assert (scan.position.shape, scan.beams.shape, scan.max_range) == ((3,), (1, 3), 8.0)
+        for a in (scan.position, scan.beams, scan.ranges):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestLogOddsUpdates:
@@ -134,19 +161,18 @@ class TestLogOddsUpdates:
 
     def test_malformed_scan_or_grid_rejected(self):
         """Nothing malformed reaches the kernel's pointers."""
-        beam = SonarBeam((1.0, 0.0, 0.0), 3.0, 8.0)
-        bad_scans = [SonarScan((0.5, 0.5), 0.0, (beam,)),
-                     SonarScan((math.nan, 0.5, 0.5), 0.0, (beam,)),
-                     SonarScan((0.5, 0.5, 0.5), 0.0, (SonarBeam((1.0, 0.0), 3.0, 8.0),)),
-                     SonarScan((0.5, 0.5, 0.5), 0.0,
-                               (SonarBeam((1.0, 0.0, 0.0), math.inf, math.inf),))]
-        for scan in bad_scans:
+        ahead = [(1.0, 0.0, 0.0)]
+        bad_scans = [((0.5, 0.5), ahead, [3.0], 8.0),
+                     ((math.nan, 0.5, 0.5), ahead, [3.0], 8.0),
+                     ((0.5, 0.5, 0.5), [(1.0, 0.0)], [3.0], 8.0),
+                     ((0.5, 0.5, 0.5), ahead, [math.inf], math.inf)]
+        for args in bad_scans:  # each is refused where it is made
             with pytest.raises(ValueError):
-                integrate_scan(grid(), scan)
+                integrate_scan(grid(), SonarScan(*args))
         g = grid()
         g.log_odds = np.zeros((10, 10))
         with pytest.raises(ValueError):
-            integrate_scan(g, SonarScan((0.5, 0.5, 0.5), 0.0, (beam,)))
+            integrate_scan(g, SonarScan((0.5, 0.5, 0.5), ahead, [3.0], 8.0))
 
     @given(hits=st.integers(min_value=1, max_value=8),
            extra=st.integers(min_value=1, max_value=8))
@@ -220,7 +246,9 @@ class TestRayBox:
         assert box_range((10, 0, 0), (1, 0, 0), self.BOX) == 0.0
 
     def test_fan_directions_are_unit(self):
-        for d in BeamFan(count=7).directions(0.3):
+        directions = BeamFan(count=7).directions(0.3)
+        assert directions.shape == (7, 3)
+        for d in directions:
             assert math.dist(d, (0, 0, 0)) == pytest.approx(1.0)
 
 
@@ -315,11 +343,12 @@ unit_directions = st.one_of(
 coordinates = st.one_of(st.integers(-10, 18).map(lambda i: i * 0.5 - 1.0),
                         st.floats(-4.0, 8.0))
 MAX_RANGE = 12.0
-beams = st.builds(SonarBeam, unit_directions,
-                  st.one_of(st.just(MAX_RANGE), st.floats(1e-3, MAX_RANGE)),
-                  st.just(MAX_RANGE))
-scans = st.builds(SonarScan, st.tuples(coordinates, coordinates, coordinates),
-                  st.just(0.0), st.lists(beams, min_size=1, max_size=6).map(tuple))
+beams = st.tuples(unit_directions,
+                  st.one_of(st.just(MAX_RANGE), st.floats(1e-3, MAX_RANGE)))
+scans = st.builds(lambda position, beams: SonarScan(position, [d for d, _ in beams],
+                                                    [r for _, r in beams], MAX_RANGE),
+                  st.tuples(coordinates, coordinates, coordinates),
+                  st.lists(beams, min_size=1, max_size=6))
 
 
 class TestIntegrationMatchesReference:
@@ -347,7 +376,7 @@ class TestIntegrationMatchesReference:
     @pytest.mark.parametrize("probs", [{}, {"p_hit": 0.9, "p_miss": 0.2}],
                              ids=["default", "sharp"])
     def test_named_rays(self, position, direction, rng, probs):
-        scan = SonarScan(position, 0.0, (SonarBeam(direction, rng, MAX_RANGE),))
+        scan = SonarScan(position, [direction], [rng], MAX_RANGE)
         got, want = walk_both([scan], 20, **probs)
         assert (got.log_odds != 0.0).any()
         assert_same_bits(got.log_odds, want.log_odds)
@@ -380,12 +409,19 @@ class TestIntegrationMatchesReference:
         assert end.tolist() == list(position)
         g = VoxelGrid(origin, (4, 4, 4), 1.0)
         assert traverse_voxels(g, position, end) == [(1, 0, 2)]
-        scan = SonarScan(position, 0.0, (SonarBeam(direction, 1e-6, 8.0),))
+        scan = SonarScan(position, [direction], [1e-6], 8.0)
         integrate_scan(g, scan)
         want = reference_integrate_scan(VoxelGrid(origin, (4, 4, 4), 1.0), scan)
         assert_same_bits(g.log_odds, want.log_odds)
         assert g.log_odds[1, 0, 2] == math.log(0.7 / (1.0 - 0.7))
         assert np.count_nonzero(g.log_odds) == 1
+
+
+def scan_bits(scan) -> bytes:
+    """Every float of a scan as raw bytes: equal bytes are equal bits,
+    where == would let 0.0 equal -0.0."""
+    arrays = (scan.position, scan.beams, scan.ranges, np.array([scan.max_range]))
+    return b"".join(a.tobytes() for a in arrays)
 
 
 def synthesis_outcome(fn, *args):
@@ -404,7 +440,11 @@ def assert_synthesis_matches(obstacles, path, fan, sigma, seed=5):
                             np.random.default_rng(seed), sigma)
     want = synthesis_outcome(reference_synthesize_scans, obstacles, path, fan,
                              np.random.default_rng(seed), sigma)
-    assert got == want
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert [scan_bits(s) for s in got[0]] == [scan_bits(s) for s in want[0]]
+        assert got[1] == want[1]
     return got
 
 
@@ -437,7 +477,7 @@ class TestSynthesisMatchesReference:
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_named_beams(self, path, ranges, sigma):
         scans, _ = assert_synthesis_matches(BOXES, path, AHEAD, sigma)
-        exact = [s.beams[0].measured_range for s in scans]
+        exact = [s.ranges[0] for s in scans]
         if sigma == 0.0:
             assert exact == pytest.approx(ranges, abs=1e-9)
         else:  # only hits carry noise
@@ -451,7 +491,7 @@ class TestSynthesisMatchesReference:
         if sigma == 0.0:  # a zero range is no valid beam, in both
             assert got is ValueError
         else:
-            assert got[0][1].beams[0].measured_range < 0.2
+            assert got[0][1].ranges[0] < 0.2
 
     @given(path=st.lists(st.tuples(st.tuples(st.floats(-5, 45), st.floats(-5, 10),
                                              st.floats(-2, 2)),

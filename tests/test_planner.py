@@ -34,6 +34,18 @@ EDGE a b risk 0
 MISSION start a final b inspect t
 """
 
+# the only route to the target runs over an edge whose collision risk is
+# at least as likely as getting through
+ONLY_RISKY_ROUTE = """
+OBSTACLE tank center 5 5 0 half 1 1 1
+WAYPOINT start pos 0 0 0
+WAYPOINT mid pos 5 3 0 inspect tank
+WAYPOINT final pos 10 0 0
+EDGE start mid risk {risk}
+EDGE mid final risk 0
+MISSION start start final final inspect tank
+"""
+
 SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 
 
@@ -263,6 +275,15 @@ class TestLinearize:
         m = ground_to_mdp(parse_scenario(TWO_WAYPOINT_TIE).scenario)
         for g in (0.41, 0.7, 0.99):
             assert linearize(m, solve(m, g)[1]) == ["goto b", "inspect t"]
+
+    @pytest.mark.parametrize("risk", [0.6, 0.5])
+    def test_trace_passes_a_likely_collision(self, risk):
+        # collision is the most probable successor of "goto mid" (at 0.5 it
+        # tied, and id order once gave it to 'collided'); the trace follows
+        # the successor that can still reach the goal
+        m = ground_to_mdp(parse_scenario(ONLY_RISKY_ROUTE.format(risk=risk)).scenario)
+        _, plan = solve(m, 0.9, failure_cost=12.0)
+        assert linearize(m, plan) == ["goto mid", "inspect tank", "goto final"]
 
     def test_cyclic_policy_rejected(self):
         m = two_action_mdp()

@@ -265,3 +265,28 @@ class TestRowBound:
         with pytest.raises(ValueError, match="MAX_PATH_ROWS"):
             refine(scenario(leg), ["goto b"], dt=0.0001)
         assert len(refine(scenario(leg), ["goto b"], dt=0.1).samples) < refiner.MAX_PATH_ROWS
+
+    def test_long_plan_refused_before_its_polyline_is_built(self, monkeypatch):
+        """Each distinct polyline point adds a sample, so the polyline stops
+        past MAX_PATH_ROWS + 1 points, however many labels follow."""
+        monkeypatch.setattr(refiner, "MAX_PATH_ROWS", 500)
+        calls = []
+        real = refiner.helix_points
+        monkeypatch.setattr(refiner, "helix_points",
+                            lambda *args: calls.append(args) or real(*args))
+        tanks = load_scenario(TANKS_SCN).scenario
+        with pytest.raises(ValueError, match="MAX_PATH_ROWS"):
+            refine(tanks, ["inspect sm_tank"] * 20_000)
+        # 51 distinct points a loop: the 10th loop passes 501 points
+        assert len(calls) == 10 <= 500 // refiner.HELIX_POINTS + 1
+
+    def test_path_of_exactly_max_rows_accepted(self, monkeypatch):
+        tanks = load_scenario(TANKS_SCN).scenario
+        plan = ["inspect sm_tank"] * 3
+        rows = len(refiner._sample_profile(tanks, plan_polyline(tanks, plan), 0.1))
+        want = refine(tanks, plan)
+        monkeypatch.setattr(refiner, "MAX_PATH_ROWS", rows)
+        assert float_bits(refine(tanks, plan)) == float_bits(want)
+        monkeypatch.setattr(refiner, "MAX_PATH_ROWS", rows - 1)
+        with pytest.raises(ValueError, match="MAX_PATH_ROWS"):
+            refine(tanks, plan)
