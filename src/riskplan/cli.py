@@ -113,8 +113,7 @@ def cmd_simulate(args) -> int:
     traj = read_trajectory_csv(args.trajectory, plan_id=args.plan_id)
     cfg = simulator.DisturbanceConfig(**_given(args, DISTURBANCE_FLAGS))
     n = PipelineConfig.episodes if args.episodes is None else args.episodes
-    records = simulator.run_batch(traj, scenario, cfg, n=n,
-                                  master_seed=args.seed, plan_id=args.plan_id)
+    records = simulator.run_batch(traj, scenario, cfg, n=n, master_seed=args.seed)
     simulator.write_episode_log(records, args.out)
     done = sum(1 for r in records if r.completed)
     print(f"wrote {args.out}: {done}/{len(records)} episodes completed")

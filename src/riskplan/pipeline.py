@@ -195,8 +195,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         write_candidate_plan(cand, out, trajectory_ref=traj_path.name)
 
         records = simulator.run_batch(traj, scenario, cfg.disturbance,
-                                      n=cfg.episodes, master_seed=cfg.master_seed,
-                                      plan_id=pid)
+                                      n=cfg.episodes, master_seed=cfg.master_seed)
         episode_records[pid] = records
         simulator.write_episode_log(records, out / f"episodes_{pid}.jsonl")
         samples_by_plan[pid] = [r.execution_time_s for r in records]

@@ -8,8 +8,8 @@ The polyline, its duplicate-point filter and the final dedup pass are
 Python; the sampling loop of the speed profile runs over the whole
 polyline in the compiled C kernel (see `kernel`), so refinement needs a C
 compiler, as simulation and mapping do.  The kernel rounds as the Python
-loop it replaced did (kept in the tests as the reference), so trajectories
-are the same bit for bit.
+loop it replaced did (kept in the tests as the reference), so trajectories,
+the kernel's rows as one array, are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -65,42 +65,63 @@ class TrajectorySample:
     speed: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    samples: list[TrajectorySample]
-    total_length: float
-    nominal_duration: float
+    """A plan's refined path: its (k, 5) rows (t, x, y, z, v) as a read-only
+    float copy, checked for that shape once, when it is made."""
+
+    rows: np.ndarray
     plan_id: str = ""
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(CSV_COLUMNS):
+            raise ValueError(f"trajectory rows must have shape (k, 5), got {rows.shape}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def total_length(self) -> float:
+        """Sum in order of `math.dist` between positions (summary.csv's rounding)."""
+        points = self.rows[:, 1:4].tolist()
+        return sum(map(math.dist, points, points[1:]), 0.0)
+
+    @property
+    def nominal_duration(self) -> float:
+        return float(self.rows[-1, 0]) if len(self.rows) else 0.0
+
+    @property
+    def samples(self) -> list[TrajectorySample]:
+        """The rows as objects, read only by the benchmark's tanks check and
+        refine span: this view goes at the benchmark's next change."""
+        return [TrajectorySample(t, (x, y, z), v) for t, x, y, z, v in self.rows.tolist()]
 
     def export_csv(self, path):
         with open_artifact(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for s in self.samples:
-                writer.writerow([f"{s.time:.3f}", f"{s.position[0]:.4f}",
-                                 f"{s.position[1]:.4f}", f"{s.position[2]:.4f}",
-                                 f"{s.speed:.4f}"])
+            writer.writerows([f"{t:.3f}", f"{x:.4f}", f"{y:.4f}", f"{z:.4f}", f"{v:.4f}"]
+                             for t, x, y, z, v in self.rows.tolist())
 
 
 def read_trajectory_csv(path, plan_id: str = "") -> Trajectory:
     """Trajectory from a CSV that `Trajectory.export_csv` wrote: the header
     ``t,x,y,z,v``, then five finite numbers a row.  Anything else is a
     ValueError that names the file and line."""
-    samples = []
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        if (header := tuple(next(rows, ()))) != CSV_COLUMNS:
+        lines = csv.reader(fh)
+        if (header := tuple(next(lines, ()))) != CSV_COLUMNS:
             raise ValueError(f"{path}:1: header must be t,x,y,z,v, got {','.join(header)!r}")
-        for line_no, row in enumerate(rows, start=2):
+        for line_no, row in enumerate(lines, start=2):
             try:
-                t, x, y, z, v = numbers = [float(word) for word in row]
-            except ValueError:  # not five numbers
+                numbers = [float(word) for word in row]
+            except ValueError:
                 numbers = [math.nan]
-            if not all(map(math.isfinite, numbers)):
+            if len(numbers) != len(CSV_COLUMNS) or not all(map(math.isfinite, numbers)):
                 raise ValueError(f"{path}:{line_no}: expected five finite numbers, got {row}")
-            samples.append(TrajectorySample(t, (x, y, z), v))
-    duration = samples[-1].time if samples else 0.0
-    return Trajectory(samples, low_level_length_of(samples), duration, plan_id)
+            rows.append(numbers)
+    return Trajectory(np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS)), plan_id)
 
 
 def helix_points(center, radius: float, start_angle: float, z0: float,
@@ -177,26 +198,24 @@ def refine(
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     pts = plan_polyline(scenario, actions, helix)
     if len(pts) < 2:
-        return Trajectory([], 0.0, 0.0, plan_id)
+        return Trajectory(np.empty((0, len(CSV_COLUMNS))), plan_id)
 
-    # corner samples duplicate positions when segments share endpoints
-    deduped: list[TrajectorySample] = []
-    for t, x, y, z, v in _sample_profile(scenario, pts, dt):
-        position = (x, y, z)
-        if deduped and (t <= deduped[-1].time
-                        or math.dist(position, deduped[-1].position) < 1e-12):
-            continue
-        deduped.append(TrajectorySample(t, position, v))
-    length = low_level_length_of(deduped)
-    duration = deduped[-1].time if deduped else 0.0
-    return Trajectory(deduped, length, duration, plan_id)
+    # corner samples duplicate positions when segments share endpoints: a
+    # row goes when it is no later than, or within 1e-12 of, the last row kept
+    rows = _sample_profile(scenario, pts, dt)
+    keep, last = [], None
+    for i, row in enumerate(rows.tolist()):
+        if not (last and (row[0] <= last[0] or math.dist(row[1:4], last[1:4]) < 1e-12)):
+            keep.append(i)
+            last = row
+    return Trajectory(rows[keep], plan_id)
 
 
 def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
-                    dt: float) -> list[list[float]]:
-    """Rows (t, x, y, z, v) of the kernel's speed profile along ``pts``,
-    corner samples included: a first call counts them, up to one past
-    MAX_PATH_ROWS, and a second fills a buffer of that size."""
+                    dt: float) -> np.ndarray:
+    """The (k, 5) rows (t, x, y, z, v) of the kernel's speed profile along
+    ``pts``, corner samples included: a first call counts them, up to one
+    past MAX_PATH_ROWS, and a second fills a buffer of that size."""
     lib = kernel.load()
     path = np.array(pts, dtype=float)
     centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
@@ -212,8 +231,4 @@ def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
                          f"({MAX_PATH_ROWS}) samples at dt {dt!r}")
     out = np.empty((count, 5))
     lib.refine_path(*args, MAX_PATH_ROWS, count, out)
-    return out.tolist()
-
-
-def low_level_length_of(samples: list[TrajectorySample]) -> float:
-    return sum(math.dist(p.position, q.position) for p, q in zip(samples, samples[1:]))
+    return out

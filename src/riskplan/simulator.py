@@ -1,6 +1,6 @@
 """Disturbed kinematic execution of refined trajectories.
 
-A point robot chases the trajectory samples at their commanded speed under
+A point robot chases the trajectory's rows at their commanded speed under
 Gaussian current drift; obstacles are displaced once per episode; coming
 closer to an obstacle than the clearance threshold logs an incident and
 adds a recovery time penalty.  Every episode is a pure function of its
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,15 +97,15 @@ def _simulate(
     buffers fill.  An episode's arithmetic and random draws are its own, so
     a record does not depend on the batch it ran in.
     """
-    if not trajectory.samples:
+    rows = trajectory.rows
+    last = len(rows)
+    if not last:
         raise ValueError("trajectory must be nonempty")
-    samples = trajectory.samples
-    last = len(samples)
     if last == 1:  # already at the only sample
         return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
     lib = kernel.load()
-    points = np.array([s.position for s in samples], dtype=float)
-    speeds = np.maximum(np.array([s.speed for s in samples], dtype=float), 1e-6)
+    points = np.ascontiguousarray(rows[:, 1:4])
+    speeds = np.maximum(rows[:, 4], 1e-6)
     labels = [o.label for o in scenario.obstacles]
     m = len(labels)
     half = np.array([o.half_extents for o in scenario.obstacles],
@@ -159,20 +159,18 @@ def run_batch(
     cfg: DisturbanceConfig,
     n: int,
     master_seed: int = 0,
-    plan_id: str | None = None,
 ) -> list[EpisodeRecord]:
-    """n independent episodes with seed tuples (master, plan, 0..n-1)."""
+    """n independent episodes with seed tuples (master, trajectory.plan_id, 0..n-1)."""
     if n < 1:
         raise ValueError("need at least one episode")
-    pid = trajectory.plan_id if plan_id is None else plan_id
     return _simulate(trajectory, scenario, cfg,
-                     [(master_seed, pid, i) for i in range(n)])
+                     [(master_seed, trajectory.plan_id, i) for i in range(n)])
 
 
 def write_episode_log(records: list[EpisodeRecord], path):
     with open_artifact(path) as fh:
         for r in records:  # the seed tuple becomes a JSON list
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+            fh.write(json.dumps(r, default=vars, sort_keys=True) + "\n")
 
 
 def read_episode_log(path) -> list[EpisodeRecord]:

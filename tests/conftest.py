@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from riskplan.mdp import MarkovChain, Mdp, StateSpec, TransitionSpec
-from riskplan.refiner import (A_MAX, DEFAULT_DT, HelixSpec, Trajectory,
-                              TrajectorySample, low_level_length_of,
-                              plan_polyline)
+from riskplan.refiner import A_MAX, DEFAULT_DT, HelixSpec, Trajectory, plan_polyline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TANKS_SCN = REPO_ROOT / "scenarios" / "tanks.scn"
@@ -148,13 +146,13 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
     pts = plan_polyline(scenario, actions, helix)
     pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
     if len(pts) < 2:
-        return Trajectory([], 0.0, 0.0, plan_id)
+        return Trajectory(np.empty((0, 5)), plan_id)
 
     centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
                        dtype=float).reshape(-1, 3)
     radius = scenario.critical_radius
     v_max, v_crit = scenario.v_max, scenario.v_crit
-    samples = []
+    rows = []  # (t, x, y, z, v)
     t = 0.0
     for i in range(len(pts) - 1):
         a = np.asarray(pts[i], dtype=float)
@@ -171,7 +169,7 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
             nxt = a + direction * min(s + v * dt, seg_len)
             if in_critical_zone(centers, radius, nxt) and v > v_crit:
                 v = v_crit
-            samples.append(TrajectorySample(t, tuple(pos), v))
+            rows.append([t, *pos, v])
             step = v * dt
             if step >= remaining:
                 t += remaining / v
@@ -179,19 +177,17 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
             else:
                 t += dt
                 s += step
-        samples.append(TrajectorySample(t, tuple(b), max(v, A_MAX * dt)))
+        rows.append([t, *b, max(v, A_MAX * dt)])
         # the corner sample closes the segment; motion restarts from rest
         if i < len(pts) - 2:
             t += dt
 
     # corner samples duplicate positions when segments share endpoints
     deduped = []
-    for smp in samples:
-        if deduped and smp.time <= deduped[-1].time:
+    for row in rows:
+        if deduped and row[0] <= deduped[-1][0]:
             continue
-        if deduped and math.dist(smp.position, deduped[-1].position) < 1e-12:
+        if deduped and math.dist(row[1:4], deduped[-1][1:4]) < 1e-12:
             continue
-        deduped.append(smp)
-    length = low_level_length_of(deduped)
-    duration = deduped[-1].time if deduped else 0.0
-    return Trajectory(deduped, length, duration, plan_id)
+        deduped.append(row)
+    return Trajectory(np.array(deduped, dtype=float).reshape(-1, 5), plan_id)

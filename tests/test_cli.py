@@ -435,7 +435,7 @@ class TestSimulateDefaults:
         assert main(["simulate", str(TANKS_SCN), str(traj_csv), "--seed", "4",
                      "--episodes", "3", "--out", str(log)]) == EXIT_OK
         want = run_batch(read_trajectory_csv(traj_csv, plan_id="P1"), scenario,
-                         DisturbanceConfig(), n=3, master_seed=4, plan_id="P1")
+                         DisturbanceConfig(), n=3, master_seed=4)
         assert read_episode_log(log) == want
 
 

@@ -1,7 +1,9 @@
 """Trajectory refinement: trapezoidal speed, critical slow zones, helices,
 and the compiled sampling loop against the Python loop it replaced."""
 
+import csv
 import dataclasses
+import importlib.util
 import math
 import struct
 
@@ -10,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TANKS_SCN, reference_refine
-from riskplan import kernel, refiner
+from conftest import REPO_ROOT, TANKS_SCN, reference_refine
+from riskplan import kernel, pipeline, refiner
 from riskplan.pipeline import PipelineConfig, plan_candidates
-from riskplan.refiner import DisconnectedPlan, HelixSpec, plan_polyline, refine
+from riskplan.refiner import DisconnectedPlan, HelixSpec, Trajectory, plan_polyline, refine
 from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
 
 STRAIGHT = """
@@ -23,6 +25,10 @@ WAYPOINT b pos 10 0 -5
 EDGE a b risk 0
 MISSION start a final b
 """
+
+# a 10 um leg: at dt 3e-7 runs of the kernel's rows lie within 1e-12 of
+# each other
+TINY_LEG = STRAIGHT.replace("WAYPOINT b pos 10 0 -5", "WAYPOINT b pos 1e-5 0 -5")
 
 CRITICAL = STRAIGHT.replace("WAYPOINT b pos 10 0 -5",
                             "WAYPOINT b pos 10 0 -5 critical").replace(
@@ -60,11 +66,11 @@ class TestSpeedProfile:
     def test_speed_caps_hold_pointwise(self):
         for text, cap in ((STRAIGHT, 1.0), (CRITICAL, 0.25)):
             traj = refine(scenario(text), ["goto b"])
-            assert all(s.speed <= cap + 1e-9 for s in traj.samples)
+            assert (traj.rows[:, 4] <= cap + 1e-9).all()
 
     def test_time_strictly_increases(self):
         traj = refine(scenario(STRAIGHT), ["goto b"])
-        times = [s.time for s in traj.samples]
+        times = traj.rows[:, 0].tolist()
         assert times[0] == 0.0
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
 
@@ -76,8 +82,8 @@ class TestSpeedProfile:
 
     def test_empty_plan_is_empty_trajectory(self):
         traj = refine(scenario(STRAIGHT), [])
-        assert traj.samples == []
-        assert traj.nominal_duration == 0.0
+        assert traj.rows.shape == (0, 5)
+        assert traj.nominal_duration == traj.total_length == 0.0
 
     def test_dt_validation(self):
         # NaN compares false with everything, so `dt <= 0` alone lets it in
@@ -146,18 +152,15 @@ class TestHelix:
 
 
 def float_bits(traj):
-    """Every float of a trajectory packed as raw bytes: equal bytes are
-    equal bits, where == would let 0.0 equal -0.0."""
-    values = [traj.total_length, traj.nominal_duration]
-    for smp in traj.samples:
-        values += [smp.time, *smp.position, smp.speed]
-    return struct.pack(f"{len(values)}d", *values)
+    """Every float of a trajectory as raw bytes: equal bytes are equal bits,
+    where == would let 0.0 equal -0.0."""
+    return struct.pack("2d", traj.total_length, traj.nominal_duration) + traj.rows.tobytes()
 
 
 def assert_matches_reference(scn, steps, **kwargs):
     got = refine(scn, steps, **kwargs)
     want = reference_refine(scn, steps, **kwargs)
-    assert len(got.samples) == len(want.samples)
+    assert got.rows.shape == want.rows.shape
     assert float_bits(got) == float_bits(want)
     assert got.plan_id == want.plan_id
     return got
@@ -189,17 +192,20 @@ helices = st.builds(HelixSpec, points=st.integers(1, 60),
                     pitch=st.none() | st.floats(-3.0, 3.0))
 
 
+TANKS_PLANS = plan_candidates(ground_to_mdp(TANKS), PipelineConfig(
+    scenario_path=str(TANKS_SCN), out_dir="", master_seed=7))
+
+
 class TestKernelMatchesReference:
     """The compiled sampling loop gives the Python loop's trajectory bit for
     bit."""
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_tanks_candidates(self, which):
-        cfg = PipelineConfig(scenario_path=str(TANKS_SCN), out_dir="", master_seed=7)
-        cand = plan_candidates(ground_to_mdp(TANKS), cfg)[which]
+        cand = TANKS_PLANS[which]
         traj = assert_matches_reference(TANKS, cand.plan.linearization,
                                         plan_id=cand.plan.id)
-        # samples hold Python floats, as the reference's values would be
+        # the benchmark's view holds Python floats, as the reference's values would be
         smp = traj.samples[1]
         assert {type(smp.time), type(smp.speed), *map(type, smp.position)} == {float}
 
@@ -218,14 +224,23 @@ class TestKernelMatchesReference:
         radius = math.nextafter(3.0, 0.0) if below else 3.0
         scn = dataclasses.replace(scn, critical_radius=radius)
         traj = assert_matches_reference(scn, ["goto b"], dt=1.0)
-        assert traj.samples[0].speed == (0.5 if below else 0.25)
+        assert traj.rows[0, 4] == (0.5 if below else 0.25)
 
     def test_long_segment_at_small_dt(self):
         # 200 m at the critical speed, every 0.05 s: ~16k samples
         long_leg = CRITICAL.replace("WAYPOINT b pos 10 0 -5", "WAYPOINT b pos 200 0 -5")
         long_leg = long_leg.replace("radius 20.0", "radius 300")
         traj = assert_matches_reference(scenario(long_leg), ["goto b"], dt=0.05)
-        assert len(traj.samples) > 16000
+        assert len(traj.rows) > 16000
+
+    def test_chained_drops_on_a_tiny_leg(self):
+        """Each row is tested against the last row kept: a test against the
+        row before it would keep 29,769 of these rows."""
+        scn = scenario(TINY_LEG)
+        traj = assert_matches_reference(scn, ["goto b"], dt=3e-7)
+        path = plan_polyline(scn, ["goto b"])
+        assert len(refiner._sample_profile(scn, path, 3e-7)) == 29805
+        assert len(traj.rows) == 29783
 
     @pytest.mark.parametrize("capacity", [0, 1, 100])
     def test_kernel_counts_past_a_short_buffer(self, capacity):
@@ -257,6 +272,60 @@ class TestKernelMatchesReference:
         assert lib.refine_path(*args, full, 0, empty) == full
 
 
+def reference_export_csv(traj, path):
+    """The per-sample writer `Trajectory.export_csv` replaced, kept as its
+    reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(refiner.CSV_COLUMNS)
+        for t, x, y, z, v in traj.rows.tolist():
+            writer.writerow([f"{t:.3f}", f"{x:.4f}", f"{y:.4f}", f"{z:.4f}", f"{v:.4f}"])
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (3, 6), (0,), (2, 5, 1)])
+    def test_rows_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"must have shape \(k, 5\)"):
+            Trajectory(np.zeros(shape))
+
+    def test_rows_are_a_read_only_float_copy(self):
+        rows = np.arange(10).reshape(2, 5)
+        traj = Trajectory(rows, "P1")
+        rows[0, 0] = 99
+        assert traj.rows.dtype == np.float64
+        assert traj.rows.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0, 9.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            traj.rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_tanks_artifacts_equal_per_sample_reference(self, tmp_path, which):
+        """The CSV bytes and the length in summary.csv, against the writer
+        and the in-order sum of `math.dist` they replaced."""
+        cand = TANKS_PLANS[which]
+        traj = refine(TANKS, cand.plan.linearization, plan_id=cand.plan.id)
+        traj.export_csv(tmp_path / "got.csv")
+        reference_export_csv(traj, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        points = [tuple(row[1:4]) for row in traj.rows.tolist()]
+        length = sum(math.dist(p, q) for p, q in zip(points, points[1:]))
+        assert struct.pack("d", traj.total_length) == struct.pack("d", length)
+
+    def test_benchmark_refine_span_counts_every_row(self):
+        """The benchmark's tracer records `len(traj.samples)` in its refine
+        span: the `samples` view must give one sample a row."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", REPO_ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        cand = TANKS_PLANS[0]
+        with tracer.installed(spans.layer_patches(tracer)):
+            traj = pipeline.refine(TANKS, cand.plan.linearization, plan_id=cand.plan.id)
+        (span,) = tracer.spans
+        assert (span.name, span.attrs) == ("refiner.refine", {"samples": len(traj.rows)})
+        assert traj.samples[-1].position == tuple(traj.rows[-1, 1:4].tolist())
+
+
 class TestRowBound:
     def test_long_leg_at_small_dt_refused(self):
         # a 1 km leg at the critical speed: ~40k samples at dt 0.1, ~40M at 1e-4
@@ -264,7 +333,7 @@ class TestRowBound:
         leg = leg.replace("radius 20.0", "radius 2000")
         with pytest.raises(ValueError, match="MAX_PATH_ROWS"):
             refine(scenario(leg), ["goto b"], dt=0.0001)
-        assert len(refine(scenario(leg), ["goto b"], dt=0.1).samples) < refiner.MAX_PATH_ROWS
+        assert len(refine(scenario(leg), ["goto b"], dt=0.1).rows) < refiner.MAX_PATH_ROWS
 
     def test_long_plan_refused_before_its_polyline_is_built(self, monkeypatch):
         """Each distinct polyline point adds a sample, so the polyline stops

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import REPO_ROOT, TANKS_SCN, norm, reference_refine
 from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
-from riskplan.refiner import Trajectory, TrajectorySample, refine
+from riskplan.refiner import Trajectory, refine
 from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario,
                                parse_scenario, write_plan_file)
 from riskplan import kernel
@@ -155,10 +155,9 @@ class TestValidationAndLogs:
             DisturbanceConfig(**{name: value})
 
     def test_empty_trajectory_rejected(self):
-        scenario, traj = trajectory(OPEN_WATER)
-        traj.samples = []
-        with pytest.raises(ValueError):
-            run_episode(traj, scenario, QUIET, (0, "P1", 0))
+        scenario = parse_scenario(OPEN_WATER).scenario
+        with pytest.raises(ValueError, match="nonempty"):
+            run_episode(Trajectory(np.empty((0, 5)), "P1"), scenario, QUIET, (0, "P1", 0))
 
     def test_episode_log_round_trip(self, tmp_path):
         scenario, traj = trajectory(NEAR_MISS)
@@ -181,20 +180,20 @@ def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
             center = center + rng.normal(0.0, cfg.obstacle_sigma, size=3)
         obstacles.append((o.label, center, np.asarray(o.half_extents, dtype=float)))
 
-    samples = trajectory.samples
-    pos = np.asarray(samples[0].position, dtype=float)
+    points, speeds = trajectory.rows[:, 1:4], trajectory.rows[:, 4].tolist()
+    pos = points[0]
     k = 1
     sim_time = 0.0
     incidents = []
     in_contact = set()
     timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
 
-    while k < len(samples):
+    while k < len(points):
         budget = dt
         leftover = 0.0
-        while budget > 0.0 and k < len(samples):
-            target = np.asarray(samples[k].position, dtype=float)
-            speed = max(samples[k].speed, 1e-6)
+        while budget > 0.0 and k < len(points):
+            target = points[k]
+            speed = max(speeds[k], 1e-6)
             gap = target - pos
             dist = float(np.linalg.norm(gap))
             reach = max(dist - cfg.capture_radius, 0.0)
@@ -206,7 +205,7 @@ def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
                     pos = pos + gap / dist * reach
                 budget -= reach / speed
                 k += 1
-                if k == len(samples):
+                if k == len(points):
                     leftover = budget
         if cfg.current_sigma > 0:
             pos = pos + rng.normal(0.0, cfg.current_sigma, size=3) * dt
@@ -244,12 +243,11 @@ def lockstep_batch(trajectory, scenario, cfg, seeds):
     compiled kernel replaced, kept as its oracle.  Per episode the
     arithmetic, and the order of its random draws, is that of
     `reference_episode`."""
-    samples = trajectory.samples
-    last = len(samples)
+    last = len(trajectory.rows)
     if last == 1:  # already at the only sample
         return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
-    points = np.array([s.position for s in samples], dtype=float)
-    speeds = np.maximum(np.array([s.speed for s in samples], dtype=float), 1e-6)
+    points = trajectory.rows[:, 1:4]
+    speeds = np.maximum(trajectory.rows[:, 4], 1e-6)
     labels = [o.label for o in scenario.obstacles]
     half = np.array([o.half_extents for o in scenario.obstacles],
                     dtype=float).reshape(-1, 3)
@@ -357,6 +355,14 @@ def tanks():
                              plan_id=c.plan.id) for c in cands]
 
 
+def timed_to(traj, duration):
+    """The same path and speeds, its times spread evenly from 0 to
+    ``duration``: only the nominal duration, and so the timeout, changes."""
+    rows = traj.rows.copy()
+    rows[:, 0] = np.linspace(0.0, duration, len(rows))
+    return Trajectory(rows, traj.plan_id)
+
+
 def assert_matches_reference(traj, scenario, cfg, n, master_seed=7):
     seeds = [(master_seed, traj.plan_id, i) for i in range(n)]
     want = [reference_episode(traj, scenario, cfg, seed) for seed in seeds]
@@ -400,20 +406,40 @@ class TestLockstepMatchesReference:
 
     def test_forced_timeout(self, tanks):
         scenario, trajs = tanks
-        short = dataclasses.replace(trajs[1], nominal_duration=0.5)
+        short = timed_to(trajs[1], 0.5)
         records = assert_matches_reference(short, scenario, CONFIGS["default"], 10)
         assert not any(r.completed for r in records)
 
     def test_single_sample_trajectory(self):
         scenario, traj = trajectory(NEAR_MISS)
-        one = dataclasses.replace(traj, samples=traj.samples[:1])
+        one = Trajectory(traj.rows[:1], traj.plan_id)
         assert_matches_reference(one, scenario, CONFIGS["default"], 2)
+
+
+def reference_write_episode_log(records, path):
+    """The writer `write_episode_log` replaced, which copied each record into
+    dicts and lists with `dataclasses.asdict` first; kept as its reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n")
+
+
+class TestEpisodeLogBytes:
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_tanks_log_equals_asdict_writer(self, tanks, tmp_path, which):
+        scenario, trajs = tanks
+        records = run_batch(trajs[which], scenario, CONFIGS["strong_drift"], n=100,
+                            master_seed=7)
+        assert any(r.incidents for r in records)  # nested Incident objects too
+        write_episode_log(records, tmp_path / "got.jsonl")
+        reference_write_episode_log(records, tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
 class TestIncompleteEpisodes:
     def test_timeout_time_is_rounded(self, tanks):
         scenario, trajs = tanks
-        short = dataclasses.replace(trajs[0], nominal_duration=0.0)
+        short = timed_to(trajs[0], 0.0)
         rec = run_episode(short, scenario, QUIET, (0, "P1", 0))
         assert rec.completed is False
         assert rec.execution_time_s > 10.0
@@ -462,8 +488,7 @@ class TestKernelMatchesLockstep:
             "WAYPOINT a pos 0 0 -5\nWAYPOINT b pos 0 0 -5\n"
             "EDGE a b risk 0\nMISSION start a final b\n").scenario
         # the robot stays at (0, 0, -5), 0.5 m from the rock along one axis
-        stay = TrajectorySample(0.0, (0.0, 0.0, -5.0), 1.0)
-        traj = Trajectory([stay, stay], 0.0, 0.0, plan_id="P1")
+        traj = Trajectory([[0.0, 0.0, 0.0, -5.0, 1.0]] * 2, plan_id="P1")
         gap = 0.5
         at = dataclasses.replace(QUIET, clearance=gap)
         assert run_episode(traj, scenario, at, (0, "P1", 0)).incidents == []
@@ -495,12 +520,12 @@ def weave(passes):
     """A trajectory that crosses in and out of one rock's clearance
     `passes` times: its samples lie 0.2 m inside the face and 2 m out."""
     scenario = parse_scenario(NEAR_MISS.replace("center 5 1.2 -5", "center 5 0 -5")).scenario
-    samples, t = [TrajectorySample(0.0, (5.0, 3.0, -5.0), 1.0)], 0.0
+    rows, t = [[0.0, 5.0, 3.0, -5.0, 1.0]], 0.0
     for _ in range(passes):
         for y in (0.8, 3.0):
             t += 2.2
-            samples.append(TrajectorySample(t, (5.0, y, -5.0), 1.0))
-    return scenario, Trajectory(samples, 2 * 2.2 * passes, t, plan_id="P1")
+            rows.append([t, 5.0, y, -5.0, 1.0])
+    return scenario, Trajectory(rows, plan_id="P1")
 
 
 class CountingKernel:
