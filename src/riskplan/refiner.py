@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .scenario import Scenario, open_artifact
+from .scenario import Scenario, write_csv
 
 DEFAULT_DT = 0.1
 A_MAX = 0.5  # m/s^2, acceleration and braking limit
@@ -29,6 +29,7 @@ HELIX_POINTS = 50
 # most samples a refined path may have: ~960k take ~1.4 s, ~460 MB RSS (2-vCPU VM)
 MAX_PATH_ROWS = 1_000_000
 CSV_COLUMNS = ("t", "x", "y", "z", "v")
+CSV_ROW = "%.3f,%.4f,%.4f,%.4f,%.4f\r\n"
 
 
 class DisconnectedPlan(ValueError):
@@ -97,11 +98,12 @@ class Trajectory:
         return [TrajectorySample(t, (x, y, z), v) for t, x, y, z, v in self.rows.tolist()]
 
     def export_csv(self, path):
-        with open_artifact(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows([f"{t:.3f}", f"{x:.4f}", f"{y:.4f}", f"{z:.4f}", f"{v:.4f}"]
-                             for t, x, y, z, v in self.rows.tolist())
+        """The rows as CSV under the header ``t,x,y,z,v``: t to 3 decimals,
+        the rest to 4, lines ending ``\\r\\n``.  Each block of rows is
+        formatted by one ``%`` of CSV_ROW repeated once per row."""
+        rows = self.rows
+        write_csv(path, CSV_COLUMNS, len(rows), lambda a, b: (
+            (CSV_ROW * (b - a)) % tuple(rows[a:b].ravel().tolist())))
 
 
 def read_trajectory_csv(path, plan_id: str = "") -> Trajectory:

@@ -1,7 +1,8 @@
 """Occupancy grid updates, ray traversal, and problem extraction; the
-compiled voxel walk and the vectorised range synthesis against the Python
-loops they replaced."""
+compiled voxel walk, the survey-wide range synthesis and the block-wise
+grid writer against the Python loops they replaced."""
 
+import csv
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from riskplan.occupancy import (DEFAULT_P_HIT, DEFAULT_P_MISS, EDGE_RISK_CAP,
                                 VoxelGrid, WaypointInOccupiedVoxel,
                                 _nearest_hits, extract_problem, integrate_scan,
                                 logistic, synthesize_scans, traverse_voxels)
-from riskplan.scenario import Obstacle, load_scenario, parse_scenario
+from riskplan.scenario import CSV_BLOCK_ROWS, Obstacle, load_scenario, parse_scenario
 
 
 def grid(res=1.0, dims=(10, 10, 10), origin=(0.0, 0.0, 0.0)):
@@ -80,6 +81,18 @@ def reference_synthesize_scans(obstacles, sensor_path, fan, rng, range_sigma=0.0
             ranges.append(r)
         scans.append(SonarScan(position, directions, ranges, fan.max_range))
     return scans
+
+
+def reference_export_csv(grid, path):
+    """The per-voxel csv.writer loop `VoxelGrid.export_csv` replaced, kept
+    as its reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ix", "iy", "iz", "occupancy"])
+        observed = grid.observed_voxels()
+        log_odds = grid.log_odds[tuple(observed.T)]
+        for (ix, iy, iz), l in zip(observed.tolist(), log_odds.tolist()):
+            writer.writerow([ix, iy, iz, f"{logistic(l):.6f}"])
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray):
@@ -221,12 +234,12 @@ class TestTraversal:
 
 def box_range(origin, direction, box):
     """The reference range to one box, checked against the library's
-    vectorised slab test (inf for no hit)."""
+    survey-wide slab test, as one scan of one beam (inf for no hit)."""
     want = ray_box_range(origin, direction, box)
-    got = _nearest_hits(origin, np.array([direction], dtype=float),
+    got = _nearest_hits(np.array([origin], dtype=float), np.array([[direction]], dtype=float),
                         np.subtract([box.center], [box.half_extents]),
                         np.add([box.center], [box.half_extents]), math.inf)
-    assert got.tolist() == [math.inf if want is None else want]
+    assert got.tolist() == [[math.inf if want is None else want]]
     return want
 
 
@@ -501,3 +514,63 @@ class TestSynthesisMatchesReference:
     @settings(max_examples=80, deadline=None)
     def test_random_sensors(self, path, count, sigma):
         assert_synthesis_matches(BOXES, path, BeamFan(count=count, max_range=15.0), sigma)
+
+    @given(data=st.data(), boxes=st.lists(st.builds(
+               lambda c, h: Obstacle("box", c, h),
+               st.tuples(*[st.floats(-5, 20)] * 3), st.tuples(*[st.floats(0.1, 4)] * 3)),
+               max_size=4),
+           count=st.integers(1, 16), sigma=st.sampled_from([0.0, 0.05, 3.0]))
+    @settings(max_examples=150, deadline=None)
+    # a yaw near 0 gives a beam a y component small enough for its slab
+    # times to overflow to inf, in the reference and the library alike
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_random_surveys(self, data, boxes, count, sigma):
+        """Random boxes, and sensor paths of any length, some sensors on a
+        box face.  Every fan beam is parallel to the z slabs, and at yaw 0
+        an odd fan's middle beam to the y slabs as well."""
+        free = st.tuples(*[st.floats(-5, 25)] * 3)
+        faces = st.builds(
+            lambda box, axis, side: tuple(c + side * h if k == axis else c for k, (c, h)
+                                          in enumerate(zip(box.center, box.half_extents))),
+            st.sampled_from(boxes), st.integers(0, 2), st.sampled_from([-1, 1]))
+        positions = st.one_of(free, faces) if boxes else free
+        yaws = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi))
+        path = data.draw(st.lists(st.tuples(positions, yaws), max_size=5), label="path")
+        assert_synthesis_matches(boxes, path, BeamFan(count=count, max_range=15.0), sigma)
+
+
+def clamped_grid():
+    g = grid()
+    g.log_odds[::2] = LOG_ODDS_MAX
+    g.log_odds[1::3] = LOG_ODDS_MIN
+    return g
+
+
+def block_grid(count):
+    """Exactly ``count`` observed voxels, spread over the clamp range, the
+    first two just past the evidence threshold on either side."""
+    g = grid(dims=(20, 20, 11))
+    values = np.linspace(LOG_ODDS_MIN, LOG_ODDS_MAX, count)
+    values[np.abs(values) <= 0.0105] = -0.0105
+    values[:2] = (0.0105, -0.0105)[:count]
+    g.log_odds.reshape(-1)[:count] = values
+    assert len(g.observed_voxels()) == count
+    return g
+
+
+class TestGridCsv:
+    @pytest.mark.parametrize("make", [
+        lambda: pipeline.map_from_sonar(load_scenario(TANKS_SCN).scenario, 7, 0.05),
+        grid,
+        clamped_grid,
+        lambda: block_grid(1),
+        lambda: block_grid(CSV_BLOCK_ROWS),
+        lambda: block_grid(CSV_BLOCK_ROWS + 1),
+    ], ids=["tanks_seed7", "empty", "clamped", "one_row", "one_block", "block_and_one"])
+    def test_bytes_equal_csv_writer_reference(self, tmp_path, make):
+        g = make()
+        g.export_csv(tmp_path / "got.csv")
+        reference_export_csv(g, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == len(g.observed_voxels()) + 1

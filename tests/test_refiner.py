@@ -16,7 +16,7 @@ from conftest import REPO_ROOT, TANKS_SCN, reference_refine
 from riskplan import kernel, pipeline, refiner
 from riskplan.pipeline import PipelineConfig, plan_candidates
 from riskplan.refiner import DisconnectedPlan, HelixSpec, Trajectory, plan_polyline, refine
-from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
+from riskplan.scenario import CSV_BLOCK_ROWS, ground_to_mdp, load_scenario, parse_scenario
 
 STRAIGHT = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -309,6 +309,24 @@ class TestTrajectory:
         points = [tuple(row[1:4]) for row in traj.rows.tolist()]
         length = sum(math.dist(p, q) for p, q in zip(points, points[1:]))
         assert struct.pack("d", traj.total_length) == struct.pack("d", length)
+
+    @pytest.mark.parametrize("count", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_csv_bytes_at_block_edges(self, tmp_path, count):
+        """Rows are formatted and written a block at a time: no row, one,
+        exactly one block and one past it, with values that print as
+        -0.000 and -0.0000, against the per-sample reference."""
+        rows = np.random.default_rng(count).normal(scale=50.0, size=(count, 5))
+        rows[::3] *= 1e-6
+        rows[1::4] = -0.0
+        rows[2::5, 0] = -0.0004
+        traj = Trajectory(rows)
+        traj.export_csv(tmp_path / "got.csv")
+        reference_export_csv(traj, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == count + 1
+        if count > 2:
+            assert b"-0.000," in got and b",-0.0000" in got
 
     def test_benchmark_refine_span_counts_every_row(self):
         """The benchmark's tracer records `len(traj.samples)` in its refine
