@@ -144,17 +144,18 @@ def traverse_voxels(grid: VoxelGrid, start, end) -> list[tuple[int, int, int]]:
     step = [0, 0, 0]
     t_max = [math.inf] * 3
     t_delta = [math.inf] * 3
-    for k in range(3):
-        if direction[k] > 0:
-            step[k] = 1
-            boundary = grid.origin[k] + (idx[k] + 1) * grid.resolution
-            t_max[k] = (boundary - start[k]) / direction[k]
-            t_delta[k] = grid.resolution / direction[k]
-        elif direction[k] < 0:
-            step[k] = -1
-            boundary = grid.origin[k] + idx[k] * grid.resolution
-            t_max[k] = (boundary - start[k]) / direction[k]
-            t_delta[k] = -grid.resolution / direction[k]
+    with np.errstate(over="ignore"):  # a tiny component gives inf, as it should
+        for k in range(3):
+            if direction[k] > 0:
+                step[k] = 1
+                boundary = grid.origin[k] + (idx[k] + 1) * grid.resolution
+                t_max[k] = (boundary - start[k]) / direction[k]
+                t_delta[k] = grid.resolution / direction[k]
+            elif direction[k] < 0:
+                step[k] = -1
+                boundary = grid.origin[k] + idx[k] * grid.resolution
+                t_max[k] = (boundary - start[k]) / direction[k]
+                t_delta[k] = -grid.resolution / direction[k]
 
     visited: list[tuple[int, int, int]] = []
     t = 0.0
@@ -234,8 +235,9 @@ def _nearest_hits(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
     d = dirs[:, :, None, :]
     flat = d == 0.0  # parallel to a slab: hit only from inside it
     step = np.where(flat, 1.0, d)
-    t1 = (lo - origin) / step
-    t2 = (hi - origin) / step
+    with np.errstate(over="ignore"):  # a tiny component gives inf, as it should
+        t1 = (lo - origin) / step
+        t2 = (hi - origin) / step
     t_near = np.full(t1.shape[:3], -math.inf)
     t_far = np.full(t1.shape[:3], math.inf)
     miss = np.zeros(t1.shape[:3], dtype=bool)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ImproperPolicy, Mdp, NonConvergence, Plan
+from .mdp import Mdp, Plan
 
 INF = math.inf
 # a backup that moves log V by less than TOLERANCE queues no predecessor;
@@ -33,6 +33,14 @@ class GammaOutOfRange(ValueError):
 
 
 class NoProperPolicy(Exception):
+    pass
+
+
+class NonConvergence(Exception):
+    pass
+
+
+class ImproperPolicy(Exception):
     pass
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskplan.mdp import MarkovChain, Mdp, StateSpec, TransitionSpec
+from oracles import MarkovChain
+from riskplan.mdp import Mdp, StateSpec, TransitionSpec
 from riskplan.refiner import A_MAX, DEFAULT_DT, HelixSpec, Trajectory, plan_polyline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -14,8 +14,9 @@ from scipy.optimize import brentq
 
 from conftest import (TANKS_SCN, detour_mdp, loop_mdp, make_chain, make_mdp,
                       risky_vs_safe_mdp, two_action_mdp)
+from oracles import induce_chain, reward_distribution_exact
 from riskplan.assess import RiskMetrics, compute_metrics, select
-from riskplan.mdp import Plan, induce_chain, reward_distribution_exact
+from riskplan.mdp import Plan
 from riskplan.occupancy import (LOG_ODDS_MAX, SonarScan, VoxelGrid, integrate_scan,
                                 logistic)
 from riskplan.pipeline import PipelineConfig, run_pipeline

@@ -1,12 +1,14 @@
-"""Model layer: validation, induced chains, and the exact cost distribution."""
+"""Model layer validation, and the oracle's induced chains and exact cost
+distribution."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_mdp, make_chain, make_mdp, two_action_mdp
-from riskplan.mdp import (InvalidModel, Mdp, MissingPolicyEntry, NonConvergence,
-                          Plan, induce_chain, reward_distribution_exact)
+from oracles import (MissingPolicyEntry, ZeroCostCycle, induce_chain,
+                     reward_distribution_exact)
+from riskplan.mdp import InvalidModel, Mdp, Plan
 
 
 def problems(*args, **kwargs) -> list[str]:
@@ -121,7 +123,7 @@ class TestExactDistribution:
         chain = make_chain(
             {"s0": [("a", 1.0)], "a": [("b", 1.0)], "b": [("a", 1.0)]},
             {"s0": 1.0, "a": 0.0, "b": 0.0, "g": 0.0}, "s0", {"g"})
-        with pytest.raises(NonConvergence) as exc:
+        with pytest.raises(ZeroCostCycle) as exc:
             reward_distribution_exact(chain)
         assert set(exc.value.cycle) == {"a", "b"}
 

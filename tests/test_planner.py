@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from conftest import (TANKS_SCN, detour_mdp, enabled_actions, loop_mdp,
                       make_mdp, risky_vs_safe_mdp, two_action_mdp)
+from oracles import induce_chain, reward_distribution_exact
 from riskplan import planner
-from riskplan.mdp import (Plan, can_reach, induce_chain,
-                          reward_distribution_exact)
+from riskplan.mdp import Plan, can_reach
 from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
                               generate_candidates, linearize, linearize_trace,
                               solve)
@@ -229,6 +229,14 @@ class TestSolve:
                       ("s0", "b", "s0", 1.0), ("s1", "a", "s1", 1.0)], "s0", {"g"})
         with pytest.raises(NoProperPolicy):
             solve(m, 0.75)
+
+    def test_non_convergence(self, monkeypatch):
+        # at gamma 0.4 a retry fails with probability 0.5 and multiplies the
+        # disutility by 1/0.4: 0.5 * 2.5 > 1, so E[(1/gamma)^C] is infinite
+        # and log V grows with every backup
+        monkeypatch.setattr(planner, "MAX_SWEEPS", 100)
+        with pytest.raises(planner.NonConvergence, match="100 backups per state"):
+            planner.solve(loop_mdp(), 0.4)
 
     def test_finite_failure_cost_admits_risky_plans(self):
         m = risky_vs_safe_mdp(risk=0.1, safe_steps=6)
