@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import assess, reporting, simulator
-from .pipeline import (PipelineConfig, StageError, map_from_sonar, plan_candidates,
-                       run_pipeline, write_candidate_plan)
+from .pipeline import (PipelineConfig, map_from_sonar, plan_candidates, run_pipeline,
+                       write_candidate_plan)
 from .refiner import read_trajectory_csv, refine
 from .scenario import (SchemaMismatch, format_scenario, from_json, ground_to_mdp,
                        load_scenario, open_artifact, parse_json, read_plan_file,
@@ -51,11 +51,7 @@ def _given(args, names) -> dict:
 
 
 def _load_scenario(path):
-    """The parsed scenario; its parse issues are an input error."""
-    parsed = load_scenario(path)
-    if not parsed.ok:
-        raise ValueError(f"{path}: " + "; ".join(str(e) for e in parsed.errors))
-    return parsed.scenario
+    return load_scenario(path).checked(path)
 
 
 def _report_section(path, name: str, kind):
@@ -150,7 +146,7 @@ def cmd_pipeline(args) -> int:
     if disturbance and isinstance(doc.get("disturbance", {}), dict):
         doc["disturbance"] = {**doc.get("disturbance", {}), **disturbance}
     if "master_seed" not in doc:
-        return _fail("--seed is required", EXIT_INPUT)
+        raise ValueError("--seed is required")
     cfg = PipelineConfig.from_doc(doc)
     result = run_pipeline(cfg)
     print(f"candidates: {len(result.candidates)}")
@@ -305,12 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(json.dumps(exc.to_doc()), file=sys.stderr)
-        return exc.exit_code
     except (FileNotFoundError, ValueError) as exc:  # json errors are ValueErrors
         return _fail(str(exc), EXIT_INPUT)
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # solver outcomes, InvalidModel: internal errors
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
 

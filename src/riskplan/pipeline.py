@@ -24,24 +24,12 @@ from .mdp import InvalidModel, Mdp
 from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, refine
-from .scenario import (ParseResult, PlanFile, Scenario, from_json, ground_to_mdp,
-                       load_scenario, open_artifact, write_json, write_plan_file)
+from .scenario import (ParseResult, PlanFile, Scenario, UngroundableGoal, from_json,
+                       ground_to_mdp, load_scenario, open_artifact, write_json,
+                       write_plan_file)
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
-
-
-class StageError(Exception):
-    """Pipeline stage failure with a machine-readable payload."""
-
-    def __init__(self, stage: str, detail, exit_code: int = 1):
-        self.stage = stage
-        self.detail = detail
-        self.exit_code = exit_code
-        super().__init__(f"{stage}: {detail}")
-
-    def to_doc(self) -> dict:
-        return {"stage": self.stage, "error": self.detail, "exit_code": self.exit_code}
 
 
 @dataclass
@@ -134,11 +122,9 @@ def _stamp(doc: dict, cfg: PipelineConfig) -> dict:
     return {"config_sha256": cfg.config_hash(), "master_seed": cfg.master_seed, **doc}
 
 
-def _stage_error(out: Path, cfg: PipelineConfig, stage: str, errors: list[str],
-                 exit_code: int = 1) -> StageError:
-    """Record a failed stage in errors.json; the caller raises the result."""
+def _record_failure(out: Path, cfg: PipelineConfig, stage: str, errors: list[str]):
+    """Record a failed stage in errors.json; the caller raises its error."""
     write_json(out / "errors.json", _stamp({"stage": stage, "errors": errors}, cfg))
-    return StageError(stage, errors, exit_code=exit_code)
 
 
 @dataclass
@@ -154,12 +140,12 @@ class PipelineResult:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "errors.json").unlink(missing_ok=True)  # it belongs to the last run
 
     parsed: ParseResult = load_scenario(cfg.scenario_path)
     if not parsed.ok:
-        raise _stage_error(out, cfg, "parse", [str(e) for e in parsed.errors],
-                           exit_code=2)
-    scenario = parsed.scenario
+        _record_failure(out, cfg, "parse", [str(e) for e in parsed.errors])
+    scenario = parsed.checked(cfg.scenario_path)
 
     if cfg.from_sonar:
         grid = map_from_sonar(scenario, cfg.master_seed, cfg.sonar_noise_sigma)
@@ -169,7 +155,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     try:
         mdp = ground_to_mdp(scenario)
     except InvalidModel as exc:
-        raise _stage_error(out, cfg, "ground", exc.problems) from exc
+        _record_failure(out, cfg, "ground", exc.problems)
+        raise
+    except UngroundableGoal as exc:
+        _record_failure(out, cfg, "ground", [str(exc)])
+        raise
 
     candidates = plan_candidates(mdp, cfg)
 

@@ -118,6 +118,12 @@ class ParseResult:
     def ok(self) -> bool:
         return self.scenario is not None and not self.errors
 
+    def checked(self, path) -> Scenario:
+        """The scenario; parse issues raise one `ValueError` naming ``path``."""
+        if not self.ok:
+            raise ValueError(f"{path}: " + "; ".join(str(e) for e in self.errors))
+        return self.scenario
+
 
 def _tokens(line: str) -> list[tuple[str, int]]:
     out = []

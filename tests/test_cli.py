@@ -88,6 +88,76 @@ class TestExitCodes:
                      "--seed", "1"])
         assert code == EXIT_INTERNAL
 
+    def test_ungroundable_goal_is_a_ground_error(self, tmp_path):
+        scn = tmp_path / "blind.scn"
+        scn.write_text(UNGROUNDABLE, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["pipeline", str(scn), "--out-dir", str(out), "--seed", "1"])
+        assert code == EXIT_INPUT
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors["stage"] == "ground"
+        assert errors["errors"] == ["inspection target 'tank' has no waypoint"]
+        assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
+
+    def test_new_run_removes_old_errors_json(self, tmp_path):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("WAYPOINT a pos 1 two 3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", str(bad), "--out-dir", str(out),
+                     "--seed", "1"]) == EXIT_INPUT
+        assert (out / "errors.json").exists()
+        assert main(["pipeline", str(TANKS_SCN), "--out-dir", str(out),
+                     "--seed", "1"]) == EXIT_OK
+        assert (out / "report.json").exists()
+        assert not (out / "errors.json").exists()
+
+
+UNGROUNDABLE = """
+LIMITS vmax 1.0 vcrit 0.25 radius 2.0
+OBSTACLE tank center 0 0 -5 half 1 1 2
+WAYPOINT start pos 10 0 -5
+WAYPOINT final pos -6 0 -5
+EDGE start final risk 0
+MISSION start start final final inspect tank
+"""
+
+
+def _stderr_doc(capsys) -> dict:
+    """The one JSON line a failed command prints on stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert sorted(doc) == ["error", "exit_code"]
+    return doc
+
+
+class TestOneStderrShape:
+    def test_parse_failure(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("WAYPOINT a pos 1 two 3\n", encoding="utf-8")
+        code = main(["pipeline", str(bad), "--out-dir", str(tmp_path / "out"),
+                     "--seed", "1"])
+        doc = _stderr_doc(capsys)
+        assert code == doc["exit_code"] == EXIT_INPUT
+        assert doc["error"].startswith(f"{bad}: ")
+        for issue in load_scenario(bad).errors:
+            assert str(issue) in doc["error"]
+
+    def test_invalid_grounded_model(self, small_scn, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "ground_to_mdp", lambda scenario: make_mdp(
+            [("s0", 1.0), ("goal", 0.0)], [("s0", "go", "goal", 0.5)], "s0", {"goal"}))
+        code = main(["pipeline", str(small_scn), "--out-dir", str(tmp_path / "out"),
+                     "--seed", "1"])
+        doc = _stderr_doc(capsys)
+        assert code == doc["exit_code"] == EXIT_INTERNAL
+        assert doc["error"].startswith("InvalidModel:")
+
+    def test_missing_seed(self, small_scn, tmp_path, capsys):
+        code = main(["pipeline", str(small_scn), "--out-dir", str(tmp_path / "out")])
+        doc = _stderr_doc(capsys)
+        assert code == doc["exit_code"] == EXIT_INPUT
+        assert doc["error"] == "--seed is required"
+
 
 def _plan_file(tmp_path, doc):
     path = tmp_path / "plan.json"
