@@ -68,7 +68,7 @@ def compute_metrics(samples: list[float], config: MetricConfig = MetricConfig())
     for x in samples:
         b = math.floor(x / config.bin_width)
         bins[b] = bins.get(b, 0) + 1
-    entropy = -sum((c / n) * math.log2(c / n) for c in bins.values())
+    entropy = 0.0 - sum((c / n) * math.log2(c / n) for c in bins.values())  # never -0.0
 
     ordered = sorted(samples)
     rank = math.ceil(config.alpha * n)  # 1-based

@@ -41,12 +41,10 @@ class Mdp:
     """
 
     states: list[StateSpec]
-    actions: list[str]
     transitions: list[TransitionSpec]
     start: str
     goals: frozenset[str]
 
-    _index: dict[str, int] = field(init=False, repr=False)
     _outgoing: dict[tuple[str, str], list[TransitionSpec]] = field(init=False, repr=False)
     successors: list[list[tuple[str, list[tuple[float, int]]]]] = field(
         init=False, repr=False)
@@ -56,7 +54,7 @@ class Mdp:
     def __post_init__(self):
         self.goals = frozenset(self.goals)
         problems: list[str] = []
-        index = self._index = {}
+        index: dict[str, int] = {}
         for i, s in enumerate(self.states):
             if s.id in index:
                 problems.append(f"duplicate state id {s.id!r}")
@@ -67,15 +65,12 @@ class Mdp:
             problems.append(f"start {self.start!r} is not a declared state")
         problems += [f"goal {g!r} is not a declared state"
                      for g in self.goals if g not in index]
-        action_ids = set(self.actions)
         self._outgoing = {}
         for t in self.transitions:
             if t.source not in index:
                 problems.append(f"transition from unknown state {t.source!r}")
             if t.target not in index:
                 problems.append(f"transition to unknown state {t.target!r}")
-            if t.action not in action_ids:
-                problems.append(f"transition uses unknown action {t.action!r}")
             if not (0.0 <= t.probability <= 1.0):
                 problems.append(
                     f"transition ({t.source!r},{t.action!r},{t.target!r}) has "
@@ -92,7 +87,8 @@ class Mdp:
             raise InvalidModel(problems)
         # by position in ``states``: the enabled actions in id order, each
         # with its (ln P, successor position) pairs of positive probability,
-        # and the positions with such a transition into the state
+        # the positions with such a transition into the state, and the ids
+        # of the states with a path of them to a goal
         self.successors = [[] for _ in self.states]
         preds: list[set[int]] = [set() for _ in self.states]
         for s, a in sorted(self._outgoing):
@@ -102,12 +98,14 @@ class Mdp:
             for _, j in moves:
                 preds[j].add(index[s])
         self.predecessors = [sorted(p) for p in preds]
-        self.goal_reaching = frozenset(can_reach(
-            ((t.source, t.target) for t in self.transitions if t.probability > 0.0),
-            self.goals))
-
-    def cost(self, state_id: str) -> float:
-        return self.states[self._index[state_id]].cost
+        reach = {index[g] for g in self.goals}
+        stack = list(reach)
+        while stack:
+            for i in self.predecessors[stack.pop()]:
+                if i not in reach:
+                    reach.add(i)
+                    stack.append(i)
+        self.goal_reaching = frozenset(self.states[i].id for i in reach)
 
     def outgoing(self, state_id: str, action_id: str) -> list[TransitionSpec]:
         return self._outgoing.get((state_id, action_id), [])
@@ -120,20 +118,3 @@ class Plan:
     policy: dict[str, str]
     id: str = ""
     linearization: list[str] = field(default_factory=list)
-
-
-def can_reach(edges, targets) -> set[str]:
-    """Nodes with a path to one of ``targets`` along the (source, target)
-    pairs of ``edges``; the targets themselves included."""
-    incoming: dict[str, set[str]] = {}
-    for source, target in edges:
-        incoming.setdefault(target, set()).add(source)
-    reach = set(targets)
-    stack = list(reach)
-    while stack:
-        s = stack.pop()
-        for pred in incoming.get(s, ()):
-            if pred not in reach:
-                reach.add(pred)
-                stack.append(pred)
-    return reach

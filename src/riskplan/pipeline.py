@@ -30,6 +30,9 @@ from .scenario import (ParseResult, PlanFile, Scenario, UngroundableGoal, from_j
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
+# every file a run may write into its output directory
+ARTIFACTS = ("errors.json", "report.json", "candidates.json", "summary.csv", "grid.csv",
+             "plan_P*.json", "trajectory_P*.csv", "episodes_P*.jsonl")
 
 
 @dataclass
@@ -140,7 +143,9 @@ class PipelineResult:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "errors.json").unlink(missing_ok=True)  # it belongs to the last run
+    for pattern in ARTIFACTS:  # an earlier run's files must not mix with this one's
+        for path in out.glob(pattern):
+            path.unlink()
 
     parsed: ParseResult = load_scenario(cfg.scenario_path)
     if not parsed.ok:

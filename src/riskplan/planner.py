@@ -169,36 +169,28 @@ def solve(
         queue.extend(swept)
         drain()
 
-    value = {s.id: v for s, v in zip(m.states, logv)}
-    if value[m.start] == INF:
+    start = next(i for i, s in enumerate(m.states) if s.id == m.start)
+    if logv[start] == INF:
         raise NoProperPolicy(
             f"no policy reaches a goal with probability 1 from {m.start!r}")
 
-    policy: dict[str, str] = {}
-    for i in swept:
-        if logv[i] < INF:
-            # lowest value; min keeps the first, so ties go to the lowest
-            # action id
-            policy[m.states[i].id] = min(succ[i], key=lambda am: action_value(am[1]))[0]
-
+    # each finite swept state's lowest-valued (action, moves); min keeps the
+    # first, so ties go to the lowest action id
+    best = {i: min(succ[i], key=lambda am: action_value(am[1]))
+            for i in swept if logv[i] < INF}
     # keep only states reachable under the policy itself so two plans are
-    # comparable as policies
-    reachable: set[str] = set()
-    stack = [m.start]
+    # comparable as policies; a walk stops at a goal, which is never swept
+    reached = set()
+    stack = [start]
     while stack:
-        s = stack.pop()
-        if s in reachable or s in m.goals:
-            reachable.add(s)
-            continue
-        reachable.add(s)
-        a = policy.get(s)
-        if a is None:
-            continue
-        for t in m.outgoing(s, a):
-            if t.probability > 0.0 and t.target not in reachable:
-                stack.append(t.target)
-    policy = {s: a for s, a in policy.items() if s in reachable}
+        i = stack.pop()
+        if i not in reached:
+            reached.add(i)
+            if i in best:
+                stack += [j for _, j in best[i][1]]
+    policy = {m.states[i].id: a for i, (a, _) in best.items() if i in reached}
 
+    value = {s.id: v for s, v in zip(m.states, logv)}
     return value, Plan(policy=policy)
 
 

@@ -189,7 +189,7 @@ def refine(
 ) -> Trajectory:
     """Trajectory for the plan's action labels (see `plan_polyline`):
     trapezoidal speed per segment, slow in critical zones, sampled every
-    ``dt`` seconds.
+    ``dt`` seconds.  A plan with no motion is its start, one row at rest.
 
     Raises `KernelBuildError` when a plan with any motion finds no kernel
     to sample it, and ValueError unless ``dt`` is finite, positive and
@@ -200,7 +200,7 @@ def refine(
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     pts = plan_polyline(scenario, actions, helix)
     if len(pts) < 2:
-        return Trajectory(np.empty((0, len(CSV_COLUMNS))), plan_id)
+        return Trajectory([[0.0, *pts[0], 0.0]], plan_id)
 
     # corner samples duplicate positions when segments share endpoints: a
     # row goes when it is no later than, or within 1e-12 of, the last row kept

@@ -354,7 +354,6 @@ def ground_to_mdp(s: Scenario) -> Mdp:
 
     return Mdp(
         states=states,
-        actions=sorted({t.action for t in transitions}),
         transitions=transitions,
         start=state_id(s.start, 0),
         goals=frozenset({state_id(s.final, full)}),

@@ -15,15 +15,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 TANKS_SCN = REPO_ROOT / "scenarios" / "tanks.scn"
 
 
-def make_mdp(states, transitions, start, goals, actions=None):
+def make_mdp(states, transitions, start, goals):
     """Compact MDP builder: states as (id, cost) pairs, transitions as
     (source, action, target, probability) tuples."""
-    if actions is None:
-        actions = sorted({t[1] for t in transitions})
     return Mdp(
         states=[StateSpec(sid, cost=c)
                 for sid, c in states],
-        actions=list(actions),
         transitions=[TransitionSpec(*t) for t in transitions],
         start=start,
         goals=frozenset(goals),
@@ -37,6 +34,11 @@ def enabled_actions(m):
     for t in m.transitions:
         enabled[t.source].add(t.action)
     return {s: sorted(actions) for s, actions in enabled.items()}
+
+
+def state_costs(m):
+    """Each state's cost by id, read from the model's state list."""
+    return {s.id: s.cost for s in m.states}
 
 
 def make_chain(edges, costs, start, goals):
@@ -147,7 +149,7 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
     pts = plan_polyline(scenario, actions, helix)
     pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
     if len(pts) < 2:
-        return Trajectory(np.empty((0, 5)), plan_id)
+        return Trajectory([[0.0, *pts[0], 0.0]], plan_id)
 
     centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
                        dtype=float).reshape(-1, 3)

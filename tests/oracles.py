@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from riskplan.mdp import Mdp, Plan, can_reach
+from riskplan.mdp import Mdp, Plan
 
 # accumulated real-valued costs are rounded to this many decimals to keep
 # the distribution support finite
@@ -78,6 +78,7 @@ def induce_chain(m: Mdp, p: Plan) -> MarkovChain:
     edges: dict[str, list[tuple[str, float]]] = {}
     costs: dict[str, float] = {}
     chain_states: list[str] = []
+    state_cost = {st.id: st.cost for st in m.states}
     frontier = [m.start]
     visited: set[str] = set()
     while frontier:
@@ -86,7 +87,7 @@ def induce_chain(m: Mdp, p: Plan) -> MarkovChain:
             continue
         visited.add(s)
         chain_states.append(s)
-        costs[s] = m.cost(s)
+        costs[s] = state_cost[s]
         if s in m.goals:
             edges[s] = [(s, 1.0)]
             continue
@@ -101,6 +102,23 @@ def induce_chain(m: Mdp, p: Plan) -> MarkovChain:
                 frontier.append(t.target)
     chain_states.sort()
     return MarkovChain(chain_states, edges, m.start, costs, m.goals & visited)
+
+
+def can_reach(edges, targets) -> set[str]:
+    """Nodes with a path to one of ``targets`` along the (source, target)
+    pairs of ``edges``; the targets themselves included."""
+    incoming: dict[str, set[str]] = {}
+    for source, target in edges:
+        incoming.setdefault(target, set()).add(source)
+    reach = set(targets)
+    stack = list(reach)
+    while stack:
+        s = stack.pop()
+        for pred in incoming.get(s, ()):
+            if pred not in reach:
+                reach.add(pred)
+                stack.append(pred)
+    return reach
 
 
 def _zero_cost_cycle(chain: MarkovChain, trapped: set[str]) -> list[str] | None:

@@ -37,6 +37,11 @@ class TestMetrics:
         assert m.variance == 0.0
         assert m.entropy_bits == 0.0
 
+    def test_one_bin_entropy_is_positive_zero(self):
+        # negating a sum of 0.0 gives -0.0, which == 0.0 cannot tell apart
+        entropy = compute_metrics([37.0] * 10).entropy_bits
+        assert math.copysign(1.0, entropy) == 1.0
+
     def test_four_bin_uniform_entropy(self):
         # one sample per 5 s bin: 4 equally likely bins => 2 bits
         m = compute_metrics([1.0, 6.0, 11.0, 16.0])

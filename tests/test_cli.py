@@ -111,6 +111,17 @@ class TestExitCodes:
         assert (out / "report.json").exists()
         assert not (out / "errors.json").exists()
 
+    def test_failed_parse_after_a_success_leaves_only_errors_json(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pipeline", str(TANKS_SCN), "--out-dir", str(out),
+                     "--seed", "7", "--from-sonar"]) == EXIT_OK
+        (out / "notes.txt").write_text("not an artifact", encoding="utf-8")
+        bad = tmp_path / "bad.scn"
+        bad.write_text("WAYPOINT a pos 1 two 3\n", encoding="utf-8")
+        assert main(["pipeline", str(bad), "--out-dir", str(out),
+                     "--seed", "1"]) == EXIT_INPUT
+        assert sorted(p.name for p in out.iterdir()) == ["errors.json", "notes.txt"]
+
 
 UNGROUNDABLE = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -456,6 +467,44 @@ class TestPipeline:
                      "--out-dir", str(out), "--samples", "3"]) == EXIT_OK
         index = json.loads((out / "candidates.json").read_text())
         assert len(index["gammas"]) == 3
+
+
+    def test_rerun_leaves_what_a_fresh_run_leaves(self, tmp_path):
+        # seed 7 selects from P1 and P2, one gamma sample only from P1
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(["pipeline", str(TANKS_SCN), "--out-dir", str(used),
+                     "--seed", "7", "--episodes", "10"]) == EXIT_OK
+        assert (used / "plan_P2.json").exists()
+        rerun = ["pipeline", str(TANKS_SCN), "--seed", "11", "--samples", "1",
+                 "--from-sonar"]
+        assert main(rerun + ["--out-dir", str(used)]) == EXIT_OK
+        assert main(rerun + ["--out-dir", str(fresh)]) == EXIT_OK
+        assert ({p.name: p.read_bytes() for p in used.iterdir()}
+                == {p.name: p.read_bytes() for p in fresh.iterdir()})
+
+    def test_mission_complete_at_its_start(self, tmp_path):
+        # no inspection and the start is the final waypoint: the plan has no
+        # step, and its trajectory is the start at rest
+        scn = tmp_path / "done.scn"
+        scn.write_text(ALREADY_DONE, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["pipeline", str(scn), "--out-dir", str(out),
+                     "--seed", "1"]) == EXIT_OK
+        traj = read_trajectory_csv(out / "trajectory_P1.csv")
+        assert traj.rows.tolist() == [[0.0, 0.0, 0.0, -5.0, 0.0]]
+        records = read_episode_log(out / "episodes_P1.jsonl")
+        assert records and all(r.completed and r.execution_time_s == 0.0
+                               for r in records)
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[2:] == ["P1,,0,0.00,0.00,0.0000,0.0000"]
+
+
+ALREADY_DONE = """
+WAYPOINT a pos 0 0 -5
+WAYPOINT b pos 5 0 -5
+EDGE a b risk 0
+MISSION start a final a
+"""
 
 
 class TestStagedWorkflow:

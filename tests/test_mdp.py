@@ -54,7 +54,7 @@ class TestValidate:
             [("s", -2.0), ("s", 0.0), ("g", 0.0)],
             [("s", "a", "g", 1.5), ("x", "a", "g", 1.0), ("s", "b", "y", 0.5),
              ("s", "b", "g", 0.25)],
-            "start", {"goal"}, actions=["a"]) == [
+            "start", {"goal"}) == [
             "state 's' has negative cost -2.0",
             "duplicate state id 's'",
             "start 'start' is not a declared state",
@@ -62,8 +62,6 @@ class TestValidate:
             "transition ('s','a','g') has probability 1.5 outside [0,1]",
             "transition from unknown state 'x'",
             "transition to unknown state 'y'",
-            "transition uses unknown action 'b'",
-            "transition uses unknown action 'b'",
             "outgoing probabilities from ('s','a') sum to 1.5, not 1",
             "outgoing probabilities from ('s','b') sum to 0.75, not 1",
         ]

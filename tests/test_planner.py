@@ -16,10 +16,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (TANKS_SCN, detour_mdp, enabled_actions, loop_mdp,
-                      make_mdp, risky_vs_safe_mdp, two_action_mdp)
-from oracles import induce_chain, reward_distribution_exact
+                      make_mdp, risky_vs_safe_mdp, state_costs, two_action_mdp)
+from oracles import can_reach, induce_chain, reward_distribution_exact
 from riskplan import planner
-from riskplan.mdp import Plan, can_reach
+from riskplan.mdp import Mdp, Plan, TransitionSpec
 from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
                               generate_candidates, linearize, linearize_trace,
                               solve)
@@ -52,14 +52,15 @@ SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 def expected_cost_policy(m, sweeps=100_000, tol=1e-12):
     """Independent oracle: plain expected-cost value iteration."""
     enabled = enabled_actions(m)
+    cost = state_costs(m)
     # dead ends never reach a goal: infinite expected cost
     value = {s.id: (math.inf if s.id not in m.goals and not enabled[s.id]
                     else 0.0)
              for s in m.states}
 
     def q(s, a):
-        return m.cost(s) + sum(t.probability * value[t.target]
-                               for t in m.outgoing(s, a))
+        return cost[s] + sum(t.probability * value[t.target]
+                             for t in m.outgoing(s, a))
 
     for _ in range(sweeps):
         delta = 0.0
@@ -79,11 +80,12 @@ def minimax_policy(m, sweeps=100_000):
     """Independent oracle: worst-case (guaranteed) cost dynamic program."""
     value = {s.id: (0.0 if s.id in m.goals else math.inf) for s in m.states}
     enabled = enabled_actions(m)
+    cost = state_costs(m)
 
     def q(s, a):
         worst = max(value[t.target] for t in m.outgoing(s, a)
                     if t.probability > 0.0)
-        return m.cost(s) + worst
+        return cost[s] + worst
 
     for _ in range(sweeps):
         changed = False
@@ -108,6 +110,7 @@ def reference_solve(m, gamma, failure_cost=None):
     policies.  It overflows once a plan's disutility passes the largest
     float, so it is only compared where that cannot happen."""
     enabled = enabled_actions(m)
+    cost = state_costs(m)
     dead_end_value = math.inf if failure_cost is None else gamma ** (-failure_cost)
     value = {}
     reach = can_reach(((t.source, t.target) for t in m.transitions
@@ -126,7 +129,7 @@ def reference_solve(m, gamma, failure_cost=None):
                     if s.id not in m.goals and enabled[s.id] and s.id in reach]
 
     def action_value(s, a):
-        mult = gamma ** (-m.cost(s))
+        mult = gamma ** (-cost[s])
         total = 0.0
         for t in m.outgoing(s, a):
             if t.probability == 0.0:
@@ -260,6 +263,16 @@ class TestSolve:
             _, plan = solve(m, 0.05)
             for s, a in plan.policy.items():
                 assert a == want[s], f"state {s} of {m.start}"
+
+    def test_any_action_id(self):
+        # an action is whatever a transition names: no list declares them
+        m = make_mdp([("s0", 1.0), ("s1", 2.0), ("g", 0.0)],
+                     [("s0", "", "s1", 1.0), ("s0", "goto g ☃", "g", 0.5),
+                      ("s0", "goto g ☃", "s0", 0.5), ("s1", "inspect", "g", 1.0)],
+                     "s0", {"g"})
+        # a sure cost of 3 against a geometric one of mean 2
+        assert solve(m, 0.4)[1].policy == {"s0": "", "s1": "inspect"}
+        assert solve(m, 0.99)[1].policy == {"s0": "goto g ☃"}
 
     def test_policy_restricted_to_reachable_states(self):
         _, plan = solve(two_action_mdp(), 0.95)
@@ -444,6 +457,19 @@ def small_models(draw):
     return make_mdp(states, transitions, "s0", {"g"}), gamma
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_models(), st.data())
+def test_goal_reaching_is_reachability(model, data):
+    # a zero-probability transition into any state is no path to it
+    m, _ = model
+    t = data.draw(st.sampled_from(m.transitions))
+    target = data.draw(st.sampled_from([s.id for s in m.states]))
+    m = Mdp(m.states, m.transitions + [TransitionSpec(t.source, t.action, target, 0.0)],
+            m.start, m.goals)
+    edges = [(t.source, t.target) for t in m.transitions if t.probability > 0.0]
+    assert m.goal_reaching == can_reach(edges, m.goals)
+
+
 def _policies(m):
     free = [s.id for s in m.states if s.id not in m.goals]
     enabled = enabled_actions(m)
@@ -469,12 +495,13 @@ def _well_conditioned(m, policy, gamma, bound=0.5):
     edges = [(t.source, t.target) for t in m.transitions
              if policy.get(t.source) == t.action and t.probability > 0.0]
     live = sorted(can_reach(edges, m.goals) - m.goals)
+    cost = state_costs(m)
     pos = {s: i for i, s in enumerate(live)}
     reshaped = np.zeros((len(live), len(live)))
     for t in m.transitions:
         if policy.get(t.source) == t.action and t.source in pos and t.target in pos:
             reshaped[pos[t.source], pos[t.target]] += (
-                t.probability * gamma ** -m.cost(t.source))
+                t.probability * gamma ** -cost[t.source])
     return len(live) == 0 or max(abs(np.linalg.eigvals(reshaped))) < bound
 
 

@@ -80,9 +80,9 @@ class TestSpeedProfile:
         there_and_back = refine(s, ["goto b", "goto a"])
         assert there_and_back.nominal_duration > one.nominal_duration
 
-    def test_empty_plan_is_empty_trajectory(self):
+    def test_empty_plan_is_its_start_at_rest(self):
         traj = refine(scenario(STRAIGHT), [])
-        assert traj.rows.shape == (0, 5)
+        assert traj.rows.tolist() == [[0.0, 0.0, 0.0, -5.0, 0.0]]
         assert traj.nominal_duration == traj.total_length == 0.0
 
     def test_dt_validation(self):
