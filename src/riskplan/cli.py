@@ -87,6 +87,8 @@ def cmd_plan(args) -> int:
                                    **_given(args, SWEEP_FLAGS)})
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for path in out.glob("plan_P*.json"):  # an earlier run's plans must not mix in
+        path.unlink()
     for cand in plan_candidates(ground_to_mdp(scenario), cfg):
         write_candidate_plan(cand, out)
         print(f"{cand.plan.id}: gamma={cand.first_gamma:.3f} "

@@ -20,13 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, planner, simulator
-from .mdp import InvalidModel, Mdp
+from .mdp import Mdp
 from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, refine
-from .scenario import (ParseResult, PlanFile, Scenario, UngroundableGoal, from_json,
-                       ground_to_mdp, load_scenario, open_artifact, write_json,
-                       write_plan_file)
+from .scenario import (PlanFile, Scenario, from_json, ground_to_mdp, load_scenario,
+                       open_artifact, write_json, write_plan_file)
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
@@ -125,11 +124,6 @@ def _stamp(doc: dict, cfg: PipelineConfig) -> dict:
     return {"config_sha256": cfg.config_hash(), "master_seed": cfg.master_seed, **doc}
 
 
-def _record_failure(out: Path, cfg: PipelineConfig, stage: str, errors: list[str]):
-    """Record a failed stage in errors.json; the caller raises its error."""
-    write_json(out / "errors.json", _stamp({"stage": stage, "errors": errors}, cfg))
-
-
 @dataclass
 class PipelineResult:
     candidates: list[planner.Candidate]
@@ -147,9 +141,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         for path in out.glob(pattern):
             path.unlink()
 
-    parsed: ParseResult = load_scenario(cfg.scenario_path)
-    if not parsed.ok:
-        _record_failure(out, cfg, "parse", [str(e) for e in parsed.errors])
+    parsed = load_scenario(cfg.scenario_path)
+    if not parsed.ok:  # the one input check; a parsed scenario grounds
+        write_json(out / "errors.json",
+                   _stamp({"stage": "parse", "errors": [str(e) for e in parsed.errors]}, cfg))
     scenario = parsed.checked(cfg.scenario_path)
 
     if cfg.from_sonar:
@@ -157,16 +152,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         grid.export_csv(out / "grid.csv")
         scenario = extract_problem(grid, scenario)
 
-    try:
-        mdp = ground_to_mdp(scenario)
-    except InvalidModel as exc:
-        _record_failure(out, cfg, "ground", exc.problems)
-        raise
-    except UngroundableGoal as exc:
-        _record_failure(out, cfg, "ground", [str(exc)])
-        raise
-
-    candidates = plan_candidates(mdp, cfg)
+    candidates = plan_candidates(ground_to_mdp(scenario), cfg)
 
     trajectories: dict[str, Trajectory] = {}
     episode_records: dict[str, list[simulator.EpisodeRecord]] = {}

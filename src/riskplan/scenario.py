@@ -9,8 +9,11 @@ section keyword:
     EDGE     <waypoint> <waypoint> risk <p>
     MISSION  start <waypoint> final <waypoint> [inspect <label> ...]
 
-'#' starts a comment.  Parsing is total: malformed input yields positioned
-issues, never an exception, and each line reports only its first problem.
+'#' starts a comment.  Each obstacle label, waypoint id, pair of waypoints
+(in either order), MISSION and LIMITS appears at most once, a WAYPOINT
+inspects at most one label, and a waypoint must inspect each mission
+target.  Parsing is total: malformed input yields positioned issues, never
+an exception, and each line reports only its first problem.
 """
 
 from __future__ import annotations
@@ -34,12 +37,6 @@ DEFAULT_V_CRIT = 0.25
 DEFAULT_CRITICAL_RADIUS = 2.0
 
 COLLIDED = "collided"
-
-
-class UngroundableGoal(ValueError):
-    def __init__(self, target: str):
-        self.target = target
-        super().__init__(f"inspection target {target!r} has no waypoint")
 
 
 class SchemaMismatch(ValueError):
@@ -183,14 +180,15 @@ def _fields(toks: list[tuple[str, int]]) -> tuple[list, list[tuple[str, int]]]:
 
 def parse_scenario(text: str) -> ParseResult:
     """Parse .scn text; total over arbitrary input, with at most one issue
-    per line from reading it."""
+    per line from reading it.  A scenario it accepts grounds to a valid model."""
     errors: list[ParseIssue] = []
     obstacles: list[Obstacle] = []
-    waypoints: list[Waypoint] = []
+    waypoints: list[tuple[Waypoint, int]] = []
     edges: list[tuple[EdgeDef, int]] = []
     mission: dict | None = None
     limits = (DEFAULT_V_MAX, DEFAULT_V_CRIT, DEFAULT_CRITICAL_RADIUS)
     limits_line = 0
+    declared: dict[str, int] = {}  # what each line declares -> that line
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         toks = _tokens(line)
@@ -199,26 +197,36 @@ def parse_scenario(text: str) -> ParseResult:
         keyword, col0 = toks[0]
         try:
             values, rest = _fields(toks)
-            if keyword == "OBSTACLE":
-                obstacles.append(Obstacle(values[0], tuple(values[1:4]), tuple(values[4:])))
-            elif keyword == "WAYPOINT":
+            if keyword == "WAYPOINT":
                 critical, inspect = False, None
                 words = iter(rest)
                 for word, col in words:
                     if word == "critical":
                         critical = True
-                    elif word == "inspect" and (target := next(words, None)):
+                    elif word == "inspect" and inspect is None and (target := next(words, None)):
                         inspect = target[0]
                     else:
                         raise _LineError(col, "syntax", f"unexpected token {word!r}")
-                waypoints.append(Waypoint(values[0], tuple(values[1:]), critical, inspect))
+            elif keyword == "MISSION" and rest and rest[0][0] != "inspect":
+                raise _LineError(rest[0][1], "syntax", f"unexpected token {rest[0][0]!r}")
+            if keyword == "EDGE":  # between its two waypoints, in either order
+                name = "edge between {!r} and {!r}".format(*sorted(values[:2]))
+            elif keyword in ("OBSTACLE", "WAYPOINT"):
+                name = f"{keyword.lower()} {values[0]!r}"
+            else:
+                name = f"{keyword} section"
+            if name in declared:
+                raise _LineError(col0, "duplicate-id",
+                                 f"duplicate {name} (first on line {declared[name]})")
+            declared[name] = line_no
+            if keyword == "OBSTACLE":
+                obstacles.append(Obstacle(values[0], tuple(values[1:4]), tuple(values[4:])))
+            elif keyword == "WAYPOINT":
+                waypoints.append((Waypoint(values[0], tuple(values[1:]), critical, inspect),
+                                  line_no))
             elif keyword == "EDGE":
                 edges.append((EdgeDef(*values), line_no))
             elif keyword == "MISSION":
-                if rest and rest[0][0] != "inspect":
-                    raise _LineError(rest[0][1], "syntax", f"unexpected token {rest[0][0]!r}")
-                if mission is not None:
-                    raise _LineError(col0, "duplicate-id", "duplicate MISSION section")
                 mission = {"start": values[0], "final": values[1],
                            "inspect": [t for t, _ in rest[1:]], "line": line_no}
             else:
@@ -227,18 +235,11 @@ def parse_scenario(text: str) -> ParseResult:
             errors.append(ParseIssue(line_no, *exc.args))
 
     # semantic pass (forward references are legal, so this runs after reading)
-    obstacle_labels = set()
-    for o in obstacles:
-        if o.label in obstacle_labels:
-            errors.append(ParseIssue(0, 0, "duplicate-id", f"duplicate obstacle {o.label!r}"))
-        obstacle_labels.add(o.label)
-    wp_ids = set()
-    for w in waypoints:
-        if w.id in wp_ids:
-            errors.append(ParseIssue(0, 0, "duplicate-id", f"duplicate waypoint {w.id!r}"))
-        wp_ids.add(w.id)
+    obstacle_labels = {o.label for o in obstacles}
+    wp_ids = {w.id for w, _ in waypoints}
+    for w, line_no in waypoints:
         if w.inspection_target is not None and w.inspection_target not in obstacle_labels:
-            errors.append(ParseIssue(0, 0, "unknown-reference",
+            errors.append(ParseIssue(line_no, 1, "unknown-reference",
                                      f"waypoint {w.id!r} inspects unknown obstacle {w.inspection_target!r}"))
     for e, line_no in edges:
         for end in (e.a, e.b):
@@ -253,14 +254,19 @@ def parse_scenario(text: str) -> ParseResult:
     if mission is None:
         errors.append(ParseIssue(0, 0, "semantic", "missing MISSION section"))
     else:
+        at = mission["line"]
         for wp in (mission["start"], mission["final"]):
             if wp not in wp_ids:
-                errors.append(ParseIssue(mission["line"], 1, "unknown-reference",
+                errors.append(ParseIssue(at, 1, "unknown-reference",
                                          f"mission references unknown waypoint {wp!r}"))
+        inspected = {w.inspection_target for w, _ in waypoints}
         for label in mission["inspect"]:
             if label not in obstacle_labels:
-                errors.append(ParseIssue(mission["line"], 1, "unknown-reference",
-                                         f"mission inspection target {label!r} is not a declared obstacle"))
+                errors.append(ParseIssue(at, 1, "unknown-reference", f"mission inspection "
+                                         f"target {label!r} is not a declared obstacle"))
+            elif label not in inspected:
+                errors.append(ParseIssue(at, 1, "semantic", f"mission inspection target "
+                                         f"{label!r} has no waypoint that inspects it"))
     v_max, v_crit, radius = limits
     if v_max <= 0 or v_crit <= 0:
         errors.append(ParseIssue(limits_line, 1, "semantic", "speed limits must be positive"))
@@ -273,7 +279,7 @@ def parse_scenario(text: str) -> ParseResult:
     if errors:
         return ParseResult(None, errors)
     return ParseResult(Scenario(
-        obstacles=obstacles, waypoints=waypoints, edges=[e for e, _ in edges],
+        obstacles=obstacles, waypoints=[w for w, _ in waypoints], edges=[e for e, _ in edges],
         start=mission["start"], final=mission["final"],
         inspection_goals=frozenset(mission["inspect"]),
         v_max=v_max, v_crit=v_crit, critical_radius=radius), [])
@@ -322,16 +328,12 @@ def ground_to_mdp(s: Scenario) -> Mdp:
     """
     targets = sorted(s.inspection_goals)
     target_bit = {t: 1 << i for i, t in enumerate(targets)}
-    for t in targets:
-        if not any(w.inspection_target == t for w in s.waypoints):
-            raise UngroundableGoal(t)
     full = (1 << len(targets)) - 1
     # each waypoint's (neighbour, collision probability) pairs, sorted
     neighbors: dict[str, list[tuple[str, float]]] = defaultdict(list)
     for e in s.edges:
         neighbors[e.a].append((e.b, e.collision_probability))
-        if e.b != e.a:
-            neighbors[e.b].append((e.a, e.collision_probability))
+        neighbors[e.b].append((e.a, e.collision_probability))
     for pairs in neighbors.values():
         pairs.sort()
 

@@ -59,12 +59,10 @@ class TestExitCodes:
         out = tmp_path / "out"
         code = main(["pipeline", str(small_scn), "--out-dir", str(out),
                      "--seed", "1"])
+        # a scenario that parses grounds, so a bad model is the program's fault:
+        # an internal error, with no errors.json
         assert code == EXIT_INTERNAL
-        errors = json.loads((out / "errors.json").read_text())
-        assert errors["stage"] == "ground"
-        assert errors["errors"] == [
-            "outgoing probabilities from ('s0','go') sum to 0.5, not 1"]
-        assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
+        assert list(out.iterdir()) == []
 
     def test_invalid_grounded_model_is_internal_for_plan(self, small_scn, tmp_path,
                                                          monkeypatch, capsys):
@@ -95,9 +93,21 @@ class TestExitCodes:
         code = main(["pipeline", str(scn), "--out-dir", str(out), "--seed", "1"])
         assert code == EXIT_INPUT
         errors = json.loads((out / "errors.json").read_text())
-        assert errors["stage"] == "ground"
-        assert errors["errors"] == ["inspection target 'tank' has no waypoint"]
+        assert errors["stage"] == "parse"
+        assert errors["errors"] == [
+            "7:1: semantic: mission inspection target 'tank' has no waypoint that inspects it"]
         assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
+
+    def test_duplicate_edge_is_a_parse_error(self, tmp_path, capsys):
+        scn = tmp_path / "twice.scn"
+        scn.write_text(TWICE_JOINED, encoding="utf-8")
+        out = tmp_path / "out"
+        issue = "4:1: duplicate-id: duplicate edge between 'a' and 'b' (first on line 3)"
+        assert main(["pipeline", str(scn), "--out-dir", str(out), "--seed", "1"]) == EXIT_INPUT
+        errors = json.loads((out / "errors.json").read_text())
+        assert (errors["stage"], errors["errors"]) == ("parse", [issue])
+        assert main(["plan", str(scn), "--out-dir", str(tmp_path / "plans")]) == EXIT_INPUT
+        assert capsys.readouterr().err.count(issue) == 2
 
     def test_new_run_removes_old_errors_json(self, tmp_path):
         bad = tmp_path / "bad.scn"
@@ -130,6 +140,13 @@ WAYPOINT start pos 10 0 -5
 WAYPOINT final pos -6 0 -5
 EDGE start final risk 0
 MISSION start start final final inspect tank
+"""
+
+TWICE_JOINED = """WAYPOINT a pos 0 0 -5
+WAYPOINT b pos 4 0 -5
+EDGE a b risk 0.1
+EDGE b a risk 0.2
+MISSION start a final b
 """
 
 
@@ -542,6 +559,16 @@ class TestStagedWorkflow:
         assert main(["plot", str(report), "--out-svg", str(svg),
                      "--out-csv", str(csv_out)]) == EXIT_OK
         assert svg.read_text().startswith("<svg")
+
+    def test_plan_rerun_leaves_only_its_own_plans(self, tmp_path):
+        plans = tmp_path / "plans"
+        assert main(["plan", str(TANKS_SCN), "--out-dir", str(plans),
+                     "--seed", "7"]) == EXIT_OK
+        assert (plans / "plan_P2.json").exists()
+        (plans / "notes.txt").write_text("not a plan", encoding="utf-8")
+        assert main(["plan", str(TANKS_SCN), "--out-dir", str(plans),
+                     "--seed", "11", "--samples", "1"]) == EXIT_OK
+        assert sorted(p.name for p in plans.iterdir()) == ["notes.txt", "plan_P1.json"]
 
 
 class TestSimulateDefaults:

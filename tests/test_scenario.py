@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import enabled_actions
 from riskplan.scenario import (COLLIDED, PLAN_FORMAT_VERSION, PlanFile,
-                               ParseResult, SchemaMismatch, UngroundableGoal,
+                               ParseResult, SchemaMismatch,
                                format_scenario, ground_to_mdp, load_scenario,
                                parse_scenario, read_plan_file, state_id,
                                write_plan_file)
@@ -21,6 +21,47 @@ WAYPOINT b pos 2 0 -5 critical inspect box
 EDGE a b risk 0.1
 MISSION start a final a inspect box
 """
+
+# waypoint ids that could clash with a state id or the collision state;
+# '#' starts a comment, so "a#0" is only ever a syntax error
+_IDS = ["a", "b", "collided"]
+_LABELS = st.sampled_from(["x", "y"])
+_RISKS = st.sampled_from(["0", "1e-300", "0.999999"])
+
+
+@st.composite
+def _scenario_texts(draw) -> str:
+    """.scn texts from a small vocabulary: a few waypoints and obstacles,
+    edges between distinct waypoints and a mission, then a few lines of any
+    kind (self-edges, repeats, a second ``inspect``, ``a#0``), shuffled."""
+
+    def waypoint(ids, most_inspects):
+        inspects = st.lists(_LABELS, max_size=most_inspects)
+        return st.builds("WAYPOINT {} pos {} 0 -5{}{}".format, ids, st.integers(0, 3),
+                         st.sampled_from(["", " critical"]),
+                         inspects.map(lambda ls: "".join(f" inspect {label}" for label in ls)))
+
+    def edge(ends):
+        return st.builds("EDGE {0[0]} {0[1]} risk {1}".format, ends, _RISKS)
+
+    def mission(ids):
+        return st.builds("MISSION start {} final {}{}".format, ids, ids,
+                         st.lists(_LABELS, max_size=2).map(
+                             lambda ls: " inspect " + " ".join(ls) if ls else ""))
+
+    obstacle = "OBSTACLE {} center 9 9 -5 half 1 1 1".format
+    declared = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=3, unique=True))
+    lines = [draw(waypoint(st.just(w), 1)) for w in declared]
+    lines += map(obstacle, draw(st.lists(_LABELS, min_size=1, unique=True)))
+    pairs = [(u, v) for u in declared for v in declared if u != v]
+    if pairs:
+        lines += draw(st.lists(edge(st.sampled_from(pairs)), max_size=3))
+    lines.append(draw(mission(st.sampled_from(declared))))
+    ids = st.sampled_from(_IDS + ["a#0"])
+    lines += draw(st.lists(st.one_of(
+        waypoint(ids, 2), edge(st.tuples(ids, ids)), _LABELS.map(obstacle), mission(ids),
+        st.just("LIMITS vmax 1 vcrit 0.5 radius 2")), max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
 class TestParser:
@@ -54,6 +95,34 @@ class TestParser:
         text = MINIMAL + "WAYPOINT a pos 9 9 -5\n"
         kinds = {e.kind for e in parse_scenario(text).errors}
         assert "duplicate-id" in kinds
+
+    @pytest.mark.parametrize("line, first", [
+        ("OBSTACLE box center 9 9 -5 half 1 1 1", "obstacle 'box' (first on line 3)"),
+        ("WAYPOINT b pos 9 9 -5", "waypoint 'b' (first on line 5)"),
+        ("EDGE a b risk 0.2", "edge between 'a' and 'b' (first on line 6)"),
+        ("EDGE b a risk 0.2", "edge between 'a' and 'b' (first on line 6)"),
+        ("MISSION start b final b", "MISSION section (first on line 7)"),
+        ("LIMITS vmax 2.0 vcrit 0.5 radius 1.0", "LIMITS section (first on line 2)"),
+    ], ids=["OBSTACLE", "WAYPOINT", "EDGE", "EDGE-reversed", "MISSION", "LIMITS"])
+    def test_second_declaration_is_positioned(self, line, first):
+        errs = parse_scenario(MINIMAL + "  " + line + "\n").errors
+        assert [str(e) for e in errs] == [f"8:3: duplicate-id: duplicate {first}"]
+
+    def test_second_inspect_is_an_unexpected_token(self):
+        line = "WAYPOINT b pos 2 0 -5 critical inspect box inspect box"
+        text = MINIMAL.replace("WAYPOINT b pos 2 0 -5 critical inspect box", line)
+        col = line.rindex("inspect") + 1
+        assert [str(e) for e in parse_scenario(text).errors if e.line == 5] == [
+            f"5:{col}: syntax: unexpected token 'inspect'"]
+
+    def test_repeated_critical_is_accepted(self):
+        text = MINIMAL.replace("critical inspect box", "critical critical inspect box")
+        assert parse_scenario(text).scenario == parse_scenario(MINIMAL).scenario
+
+    def test_unknown_inspection_obstacle_is_positioned(self):
+        text = MINIMAL.replace("WAYPOINT a pos 5 0 -5", "WAYPOINT a pos 5 0 -5 inspect ghost")
+        assert [str(e) for e in parse_scenario(text).errors] == [
+            "4:1: unknown-reference: waypoint 'a' inspects unknown obstacle 'ghost'"]
 
     def test_unknown_edge_reference(self):
         text = MINIMAL + "EDGE a ghost risk 0\n"
@@ -143,9 +212,20 @@ class TestGrounding:
         assert m.outgoing(state_id("b", 1), "inspect box") == []
 
     def test_ungroundable_goal(self):
+        # a mission target no waypoint inspects is refused on its MISSION line
         text = MINIMAL.replace("critical inspect box", "critical")
-        with pytest.raises(UngroundableGoal):
-            ground_to_mdp(parse_scenario(text).scenario)
+        assert [str(e) for e in parse_scenario(text).errors] == [
+            "7:1: semantic: mission inspection target 'box' has no waypoint that inspects it"]
+
+    @given(_scenario_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_every_accepted_scenario_grounds(self, text):
+        result = parse_scenario(text)
+        if result.ok:
+            ground_to_mdp(result.scenario)  # raises nothing
+        # only a missing MISSION section has no line to point to
+        assert all(e.message == "missing MISSION section"
+                   for e in result.errors if e.line == 0)
 
 
 class TestPlanFile:
