@@ -1,25 +1,26 @@
 """Goal-directed probabilistic model: the MDP, checked when it is made,
-and the plan a solver extracts from it."""
+and the plan a solver extracts from it.  A state is its position in
+``Mdp.states``; its id names it only in a solver's values and policy and
+in a plan's trace."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PROB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(NamedTuple):
     id: str
     cost: float = 0.0
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
-    source: str
+class TransitionSpec(NamedTuple):
+    source: int  # positions in Mdp.states
     action: str
-    target: str
+    target: int
     probability: float
 
 
@@ -42,73 +43,68 @@ class Mdp:
 
     states: list[StateSpec]
     transitions: list[TransitionSpec]
-    start: str
-    goals: frozenset[str]
+    start: int
+    goals: frozenset[int]
 
-    _outgoing: dict[tuple[str, str], list[TransitionSpec]] = field(init=False, repr=False)
-    successors: list[list[tuple[str, list[tuple[float, int]]]]] = field(
-        init=False, repr=False)
+    successors: list[list[tuple[str, list[tuple[float, int]]]]] = field(init=False, repr=False)
     predecessors: list[list[int]] = field(init=False, repr=False)
-    goal_reaching: frozenset[str] = field(init=False, repr=False)
+    goal_reaching: frozenset[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.goals = frozenset(self.goals)
-        problems: list[str] = []
-        index: dict[str, int] = {}
-        for i, s in enumerate(self.states):
-            if s.id in index:
+        n = len(self.states)
+
+        def name(i):  # a state by its id, or by its position when it has none
+            return repr(self.states[i].id) if 0 <= i < n else f"position {i}"
+
+        problems, ids = [], set()
+        for s in self.states:
+            if s.id in ids:
                 problems.append(f"duplicate state id {s.id!r}")
-            index[s.id] = i
+            ids.add(s.id)
             if s.cost < 0:
                 problems.append(f"state {s.id!r} has negative cost {s.cost}")
-        if self.start not in index:
-            problems.append(f"start {self.start!r} is not a declared state")
-        problems += [f"goal {g!r} is not a declared state"
-                     for g in self.goals if g not in index]
-        self._outgoing = {}
-        for t in self.transitions:
-            if t.source not in index:
-                problems.append(f"transition from unknown state {t.source!r}")
-            if t.target not in index:
-                problems.append(f"transition to unknown state {t.target!r}")
-            if not (0.0 <= t.probability <= 1.0):
-                problems.append(
-                    f"transition ({t.source!r},{t.action!r},{t.target!r}) has "
-                    f"probability {t.probability} outside [0,1]")
-            self._outgoing.setdefault((t.source, t.action), []).append(t)
-        for (s, a), outs in self._outgoing.items():
-            total = 0.0  # added in order: sum() compensates from Python 3.12
-            for t in outs:
-                total += t.probability
-            if abs(total - 1.0) > PROB_TOL:
-                problems.append(
-                    f"outgoing probabilities from ({s!r},{a!r}) sum to {total}, not 1")
+        if not 0 <= self.start < n:
+            problems.append(f"start {name(self.start)} is not a declared state")
+        problems += [f"goal {name(g)} is not a declared state"
+                     for g in sorted(self.goals) if not 0 <= g < n]
+        # (source, action) -> [its total probability, its (ln P, target) moves]
+        groups: dict[tuple[int, str], list] = {}
+        for s, a, j, p in self.transitions:
+            if not 0 <= s < n:
+                problems.append(f"transition from unknown state {name(s)}")
+            if not 0 <= j < n:
+                problems.append(f"transition to unknown state {name(j)}")
+            if not (0.0 <= p <= 1.0):
+                problems.append(f"transition ({name(s)},{a!r},{name(j)}) has "
+                                f"probability {p} outside [0,1]")
+            group = groups.get((s, a))
+            if group is None:
+                group = groups[(s, a)] = [0.0, []]
+            group[0] += p  # added in order: sum() compensates from Python 3.12
+            if p > 0.0:  # a probability past 1 is logged too, then refused
+                group[1].append((math.log(p), j))
+        problems += [f"outgoing probabilities from ({name(s)},{a!r}) sum to {g[0]}, not 1"
+                     for (s, a), g in groups.items() if abs(g[0] - 1.0) > PROB_TOL]
         if problems:
             raise InvalidModel(problems)
-        # by position in ``states``: the enabled actions in id order, each
-        # with its (ln P, successor position) pairs of positive probability,
-        # the positions with such a transition into the state, and the ids
-        # of the states with a path of them to a goal
+        # by position: the enabled actions in id order, each with its
+        # (ln P, successor) pairs of positive probability, the states with
+        # such a transition into the state, and the states with a path of
+        # them to a goal
         self.successors = [[] for _ in self.states]
         preds: list[set[int]] = [set() for _ in self.states]
-        for s, a in sorted(self._outgoing):
-            moves = [(math.log(t.probability), index[t.target])
-                     for t in self._outgoing[(s, a)] if t.probability > 0.0]
-            self.successors[index[s]].append((a, moves))
+        for (s, a), (_, moves) in sorted(groups.items()):
+            self.successors[s].append((a, moves))
             for _, j in moves:
-                preds[j].add(index[s])
+                preds[j].add(s)
         self.predecessors = [sorted(p) for p in preds]
-        reach = {index[g] for g in self.goals}
-        stack = list(reach)
+        reach, stack = set(self.goals), list(self.goals)
         while stack:
-            for i in self.predecessors[stack.pop()]:
-                if i not in reach:
-                    reach.add(i)
-                    stack.append(i)
-        self.goal_reaching = frozenset(self.states[i].id for i in reach)
-
-    def outgoing(self, state_id: str, action_id: str) -> list[TransitionSpec]:
-        return self._outgoing.get((state_id, action_id), [])
+            new = set(self.predecessors[stack.pop()]) - reach
+            reach |= new
+            stack += new
+        self.goal_reaching = frozenset(reach)
 
 
 @dataclass

@@ -116,13 +116,13 @@ def solve(
     succ = m.successors
     logv = [INF] * len(m.states)
     swept = []
-    for i, s in enumerate(m.states):
-        if s.id in m.goals:
+    for i in range(len(m.states)):
+        if i in m.goals:
             logv[i] = 0.0
         elif not succ[i]:
             if failure_cost is not None:
                 logv[i] = failure_cost * log_x
-        elif s.id in m.goal_reaching:
+        elif i in m.goal_reaching:
             swept.append(i)
     cost = [s.cost * log_x for s in m.states]
 
@@ -169,10 +169,9 @@ def solve(
         queue.extend(swept)
         drain()
 
-    start = next(i for i, s in enumerate(m.states) if s.id == m.start)
-    if logv[start] == INF:
-        raise NoProperPolicy(
-            f"no policy reaches a goal with probability 1 from {m.start!r}")
+    if logv[m.start] == INF:
+        raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
+                             f"from {m.states[m.start].id!r}")
 
     # each finite swept state's lowest-valued (action, moves); min keeps the
     # first, so ties go to the lowest action id
@@ -181,7 +180,7 @@ def solve(
     # keep only states reachable under the policy itself so two plans are
     # comparable as policies; a walk stops at a goal, which is never swept
     reached = set()
-    stack = [start]
+    stack = [m.start]
     while stack:
         i = stack.pop()
         if i not in reached:
@@ -195,24 +194,25 @@ def solve(
 
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
-    """Most-probable execution trace: (state, action) pairs from start to
-    goal, each step to the most probable successor that can reach a goal."""
+    """Most-probable execution trace: (state id, action) pairs from start to
+    goal, each step to the most probable successor that can reach a goal.
+    It compares ln P along `Mdp.successors`, so two probabilities whose logs
+    round to the same value tie; ties go to the lowest target id."""
     trace: list[tuple[str, str]] = []
-    s = m.start
+    i = m.start
     seen = set()
-    while s not in m.goals:
+    while i not in m.goals:
+        s = m.states[i].id
         a = p.policy.get(s)
-        outs = [t for t in m.outgoing(s, a)
-                if t.probability > 0.0 and t.target in m.goal_reaching]
-        if s in seen or not outs:
-            raise ImproperPolicy(
-                f"most-probable trace from {m.start!r} does not reach a goal (stuck at {s!r})")
-        seen.add(s)
-        # highest-probability successor, ties to the lowest target id
-        top = max(t.probability for t in outs)
-        best = min((t for t in outs if t.probability == top), key=lambda t: t.target)
+        moves = next((moves for b, moves in m.successors[i] if b == a), [])
+        outs = [(lp, j) for lp, j in moves if j in m.goal_reaching]
+        if i in seen or not outs:
+            raise ImproperPolicy(f"most-probable trace from {m.states[m.start].id!r} "
+                                 f"does not reach a goal (stuck at {s!r})")
+        seen.add(i)
+        top = max(lp for lp, _ in outs)
         trace.append((s, a))
-        s = best.target
+        i = min((j for lp, j in outs if lp == top), key=lambda j: m.states[j].id)
     return trace
 
 

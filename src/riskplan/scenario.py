@@ -11,9 +11,10 @@ section keyword:
 
 '#' starts a comment.  Each obstacle label, waypoint id, pair of waypoints
 (in either order), MISSION and LIMITS appears at most once, a WAYPOINT
-inspects at most one label, and a waypoint must inspect each mission
-target.  Parsing is total: malformed input yields positioned issues, never
-an exception, and each line reports only its first problem.
+inspects at most one label, a waypoint must inspect each mission target,
+and a mission grounds to at most MAX_STATES states.  Parsing is total:
+malformed input yields positioned issues, never an exception, and each
+line reports only its first problem.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ DEFAULT_V_CRIT = 0.25
 DEFAULT_CRITICAL_RADIUS = 2.0
 
 COLLIDED = "collided"
+# the most states a mission may ground to, waypoints * 2**targets + 1: a
+# complete graph of 15 waypoints and 10 targets grounds in ~3 s at ~260 MB
+MAX_STATES = 2**14
 
 
 class SchemaMismatch(ValueError):
@@ -267,6 +271,9 @@ def parse_scenario(text: str) -> ParseResult:
             elif label not in inspected:
                 errors.append(ParseIssue(at, 1, "semantic", f"mission inspection target "
                                          f"{label!r} has no waypoint that inspects it"))
+        if (len(waypoints) << len(set(mission["inspect"]))) + 1 > MAX_STATES:
+            errors.append(ParseIssue(at, 1, "semantic", f"mission grounds to more than "
+                                     f"{MAX_STATES} states"))
     v_max, v_crit, radius = limits
     if v_max <= 0 or v_crit <= 0:
         errors.append(ParseIssue(limits_line, 1, "semantic", "speed limits must be positive"))
@@ -323,43 +330,39 @@ def ground_to_mdp(s: Scenario) -> Mdp:
 
     States are (waypoint, inspection bitmask) pairs plus one absorbing
     collision state; every state costs 1 so plan cost equals plan depth.
-    The action ids are the plan labels ``goto <waypoint>`` and
-    ``inspect <obstacle>`` that plan files store and `refine` reads.
+    Waypoint k's state for mask m sits at position ``k * 2**targets + m``,
+    and the collision state comes last.  The action ids are the plan labels
+    ``goto <waypoint>`` and ``inspect <obstacle>`` that plan files store
+    and `refine` reads.
     """
-    targets = sorted(s.inspection_goals)
-    target_bit = {t: 1 << i for i, t in enumerate(targets)}
-    full = (1 << len(targets)) - 1
-    # each waypoint's (neighbour, collision probability) pairs, sorted
+    target_bit = {t: 1 << i for i, t in enumerate(sorted(s.inspection_goals))}
+    masks = 1 << len(target_bit)
+    base = {w.id: k * masks for k, w in enumerate(s.waypoints)}
+    collided = len(s.waypoints) * masks
+    # each waypoint's (neighbour, collision probability) pairs
     neighbors: dict[str, list[tuple[str, float]]] = defaultdict(list)
     for e in s.edges:
         neighbors[e.a].append((e.b, e.collision_probability))
         neighbors[e.b].append((e.a, e.collision_probability))
-    for pairs in neighbors.values():
-        pairs.sort()
 
     states = []
     transitions = []
     for w in s.waypoints:
-        for mask in range(full + 1):
-            sid = state_id(w.id, mask)
-            states.append(StateSpec(sid, cost=1.0))
-            for other, p in neighbors[w.id]:
-                aid = f"goto {other}"
-                transitions.append(TransitionSpec(sid, aid, state_id(other, mask), 1.0 - p))
+        gotos = [(f"goto {other}", base[other], p) for other, p in sorted(neighbors[w.id])]
+        bit = target_bit.get(w.inspection_target, 0)
+        for mask in range(masks):
+            i = base[w.id] + mask
+            states.append(StateSpec(state_id(w.id, mask), cost=1.0))
+            for aid, j, p in gotos:
+                transitions.append(TransitionSpec(i, aid, j + mask, 1.0 - p))
                 if p > 0.0:
-                    transitions.append(TransitionSpec(sid, aid, COLLIDED, p))
-            t = w.inspection_target
-            if t in target_bit and not mask & target_bit[t]:
-                transitions.append(TransitionSpec(
-                    sid, f"inspect {t}", state_id(w.id, mask | target_bit[t]), 1.0))
+                    transitions.append(TransitionSpec(i, aid, collided, p))
+            if bit and not mask & bit:
+                transitions.append(TransitionSpec(i, f"inspect {w.inspection_target}", i + bit, 1.0))
     states.append(StateSpec(COLLIDED, cost=1.0))
 
-    return Mdp(
-        states=states,
-        transitions=transitions,
-        start=state_id(s.start, 0),
-        goals=frozenset({state_id(s.final, full)}),
-    )
+    return Mdp(states=states, transitions=transitions, start=base[s.start],
+               goals=frozenset({base[s.final] + masks - 1}))
 
 
 @dataclass

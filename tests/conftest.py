@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import MarkovChain
+from oracles import MarkovChain, by_id
 from riskplan.mdp import Mdp, StateSpec, TransitionSpec
 from riskplan.refiner import A_MAX, DEFAULT_DT, HelixSpec, Trajectory, plan_polyline
 
@@ -16,22 +16,29 @@ TANKS_SCN = REPO_ROOT / "scenarios" / "tanks.scn"
 
 
 def make_mdp(states, transitions, start, goals):
-    """Compact MDP builder: states as (id, cost) pairs, transitions as
-    (source, action, target, probability) tuples."""
+    """Compact MDP builder by state id: states as (id, cost) pairs,
+    transitions as (source, action, target, probability) tuples.  Each id
+    becomes its position in ``states``, and an unknown id the position just
+    past them, so that `Mdp` reports it."""
+    pos = {sid: i for i, (sid, _) in enumerate(states)}
+
+    def at(sid):
+        return pos.get(sid, len(states))
+
     return Mdp(
-        states=[StateSpec(sid, cost=c)
-                for sid, c in states],
-        transitions=[TransitionSpec(*t) for t in transitions],
-        start=start,
-        goals=frozenset(goals),
+        states=[StateSpec(sid, cost=c) for sid, c in states],
+        transitions=[TransitionSpec(at(s), a, at(t), p) for s, a, t, p in transitions],
+        start=at(start),
+        goals=frozenset(map(at, goals)),
     )
 
 
 def enabled_actions(m):
     """Each state's actions with transitions out of it, sorted by id, read
-    from the model's transition list."""
+    from the model's transition list (of an `Mdp` or of its `oracles.by_id`
+    view)."""
     enabled = {s.id: set() for s in m.states}
-    for t in m.transitions:
+    for t in by_id(m).transitions:
         enabled[t.source].add(t.action)
     return {s: sorted(actions) for s, actions in enabled.items()}
 
@@ -39,6 +46,19 @@ def enabled_actions(m):
 def state_costs(m):
     """Each state's cost by id, read from the model's state list."""
     return {s.id: s.cost for s in m.states}
+
+
+def inspection_chain(waypoints, targets):
+    """.scn text of a chain of waypoints w0..w(n-1), the first ``targets``
+    of them each inspecting its own obstacle, and a mission from w0 to the
+    last waypoint that inspects them all, on the last line."""
+    lines = [f"OBSTACLE o{i} center {5 * i} 5 -5 half 1 1 1" for i in range(targets)]
+    lines += [f"WAYPOINT w{i} pos {5 * i} 0 -5" + (f" inspect o{i}" if i < targets else "")
+              for i in range(waypoints)]
+    lines += [f"EDGE w{i - 1} w{i} risk 0.01" for i in range(1, waypoints)]
+    lines.append(f"MISSION start w0 final w{waypoints - 1} inspect "
+                 + " ".join(f"o{i}" for i in range(targets)))
+    return "\n".join(lines) + "\n"
 
 
 def make_chain(edges, costs, start, goals):

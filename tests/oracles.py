@@ -3,13 +3,18 @@ the exact distribution of its cumulative cost at first goal entry.
 
 The program never enumerates a plan's cost distribution; the tests check
 the solver and every downstream statistic against this enumeration.
+
+The model names its states by position; the oracles read it by state id,
+through `by_id`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from riskplan.mdp import Mdp, Plan
+from riskplan.planner import ImproperPolicy
 
 # accumulated real-valued costs are rounded to this many decimals to keep
 # the distribution support finite
@@ -29,6 +34,63 @@ class ZeroCostCycle(Exception):
         self.cycle = cycle
         super().__init__("frontier mass cannot be absorbed: zero-cost cycle "
                          f"{' -> '.join(cycle)} never reaches a goal")
+
+
+class IdTransition(NamedTuple):
+    source: str
+    action: str
+    target: str
+    probability: float
+
+
+class ModelById:
+    """A model read by state id: its transitions, start, goals and
+    goal-reaching states name states by id, and ``outgoing(s, a)`` lists
+    the transitions of state ``s`` under action ``a``."""
+
+    def __init__(self, m: Mdp):
+        ids = [st.id for st in m.states]
+        self.states = m.states
+        self.transitions = [IdTransition(ids[s], a, ids[t], p)
+                            for s, a, t, p in m.transitions]
+        self.start = ids[m.start]
+        self.goals = frozenset(ids[g] for g in m.goals)
+        self.goal_reaching = frozenset(ids[i] for i in m.goal_reaching)
+        self._outgoing: dict[tuple[str, str], list[IdTransition]] = {}
+        for t in self.transitions:
+            self._outgoing.setdefault((t.source, t.action), []).append(t)
+
+    def outgoing(self, state_id: str, action_id: str) -> list[IdTransition]:
+        return self._outgoing.get((state_id, action_id), [])
+
+
+def by_id(m: Mdp | ModelById) -> ModelById:
+    """The model read by state id (a view is its own view)."""
+    return m if isinstance(m, ModelById) else ModelById(m)
+
+
+def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
+    """Most-probable execution trace, walked over the transitions by id:
+    (state, action) pairs from start to goal, each step to the most
+    probable successor that can reach a goal, ties in probability to the
+    lowest target id.  The oracle of `planner.linearize_trace`."""
+    m = by_id(m)
+    trace: list[tuple[str, str]] = []
+    s = m.start
+    seen = set()
+    while s not in m.goals:
+        a = p.policy.get(s)
+        outs = [t for t in m.outgoing(s, a)
+                if t.probability > 0.0 and t.target in m.goal_reaching]
+        if s in seen or not outs:
+            raise ImproperPolicy(
+                f"most-probable trace from {m.start!r} does not reach a goal (stuck at {s!r})")
+        seen.add(s)
+        top = max(t.probability for t in outs)
+        best = min((t for t in outs if t.probability == top), key=lambda t: t.target)
+        trace.append((s, a))
+        s = best.target
+    return trace
 
 
 @dataclass
@@ -75,6 +137,7 @@ def induce_chain(m: Mdp, p: Plan) -> MarkovChain:
 
     Raises MissingPolicyEntry if a reachable non-goal state is unmapped.
     """
+    m = by_id(m)
     edges: dict[str, list[tuple[str, float]]] = {}
     costs: dict[str, float] = {}
     chain_states: list[str] = []

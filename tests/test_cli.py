@@ -2,10 +2,11 @@
 
 import json
 import os
+import time
 
 import pytest
 
-from conftest import TANKS_SCN, make_mdp
+from conftest import TANKS_SCN, inspection_chain, make_mdp
 from riskplan import cli, pipeline
 from riskplan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from riskplan.refiner import read_trajectory_csv, refine
@@ -108,6 +109,21 @@ class TestExitCodes:
         assert (errors["stage"], errors["errors"]) == ("parse", [issue])
         assert main(["plan", str(scn), "--out-dir", str(tmp_path / "plans")]) == EXIT_INPUT
         assert capsys.readouterr().err.count(issue) == 2
+
+    def test_mission_over_the_state_bound_is_refused_before_grounding(
+            self, tmp_path, capsys, monkeypatch):
+        # 13 waypoints and 12 targets: 53,249 states, which take seconds and
+        # ~190 MB to ground and minutes to plan
+        scn = tmp_path / "big.scn"
+        scn.write_text(inspection_chain(13, 12), encoding="utf-8")
+        monkeypatch.setattr(cli, "ground_to_mdp", None)  # calling it would fail
+        t0 = time.perf_counter()
+        code = main(["plan", str(scn), "--out-dir", str(tmp_path / "plans")])
+        elapsed = time.perf_counter() - t0
+        assert code == EXIT_INPUT
+        # the MISSION line, after 12 OBSTACLE, 13 WAYPOINT and 12 EDGE lines
+        assert "38:1: semantic: mission grounds to more than" in capsys.readouterr().err
+        assert elapsed < 0.05
 
     def test_new_run_removes_old_errors_json(self, tmp_path):
         bad = tmp_path / "bad.scn"

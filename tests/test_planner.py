@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from conftest import (TANKS_SCN, detour_mdp, enabled_actions, loop_mdp,
                       make_mdp, risky_vs_safe_mdp, state_costs, two_action_mdp)
-from oracles import can_reach, induce_chain, reward_distribution_exact
+from oracles import by_id, can_reach, induce_chain, reward_distribution_exact
+from oracles import linearize_trace as linearize_trace_by_id
 from riskplan import planner
 from riskplan.mdp import Mdp, Plan, TransitionSpec
 from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
@@ -51,6 +52,7 @@ SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 
 def expected_cost_policy(m, sweeps=100_000, tol=1e-12):
     """Independent oracle: plain expected-cost value iteration."""
+    m = by_id(m)
     enabled = enabled_actions(m)
     cost = state_costs(m)
     # dead ends never reach a goal: infinite expected cost
@@ -78,6 +80,7 @@ def expected_cost_policy(m, sweeps=100_000, tol=1e-12):
 
 def minimax_policy(m, sweeps=100_000):
     """Independent oracle: worst-case (guaranteed) cost dynamic program."""
+    m = by_id(m)
     value = {s.id: (0.0 if s.id in m.goals else math.inf) for s in m.states}
     enabled = enabled_actions(m)
     cost = state_costs(m)
@@ -109,6 +112,7 @@ def reference_solve(m, gamma, failure_cost=None):
     the solver the log-domain worklist replaced, kept as the oracle for its
     policies.  It overflows once a plan's disutility passes the largest
     float, so it is only compared where that cannot happen."""
+    m = by_id(m)
     enabled = enabled_actions(m)
     cost = state_costs(m)
     dead_end_value = math.inf if failure_cost is None else gamma ** (-failure_cost)
@@ -313,6 +317,62 @@ class TestLinearize:
             linearize_trace(m, Plan({"s0": "b"}))
 
 
+def _same_walk(m, plan):
+    """`linearize_trace` gives the oracle's trace, or fails as it does."""
+    try:
+        want = linearize_trace_by_id(m, plan)
+    except ImproperPolicy as exc:
+        with pytest.raises(ImproperPolicy) as got:
+            linearize_trace(m, plan)
+        assert str(got.value) == str(exc)
+        return None
+    assert linearize_trace(m, plan) == want
+    return want
+
+
+# each successor count's probabilities, repeated so that targets tie
+TIED_SPLITS = {1: [(1.0,)], 2: [(0.5, 0.5), (0.7, 0.3), (1.0, 0.0)],
+               3: [(1 / 3,) * 3, (0.4, 0.4, 0.2), (0.25, 0.25, 0.5)],
+               4: [(0.25,) * 4, (0.3, 0.3, 0.2, 0.2)]}
+
+
+@st.composite
+def traced_models(draw):
+    """Up to five states besides the goal, listed in a drawn order so that
+    position order is not id order; zero to two actions each, with one to
+    four successors whose probabilities repeat; and a drawn policy that may
+    name a disabled action or none, so that traces may get stuck or loop."""
+    ids = [f"s{i}" for i in range(draw(st.integers(1, 5)))] + ["g"]
+    transitions = []
+    for s in ids[:-1]:
+        for a in ("a", "b")[:draw(st.integers(0, 2))]:
+            targets = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+            split = draw(st.sampled_from(TIED_SPLITS[len(targets)]))
+            transitions += [(s, a, t, q) for t, q in zip(targets, split)]
+    states = [(s, 1.0) for s in draw(st.permutations(ids))]
+    policy = {s: a for s in ids[:-1]
+              if (a := draw(st.sampled_from(["a", "b", None]))) is not None}
+    return make_mdp(states, transitions, "s0", {"g"}), Plan(policy)
+
+
+class TestLinearizeMatchesTheWalkById:
+    """The positional walk gives the trace the walk over transitions by id
+    gave, and fails where it failed."""
+
+    def test_suite(self):
+        for m in SUITE:
+            for gamma in (0.6, 0.8, 0.95):  # loop_mdp diverges from 0.5 down
+                _, plan = solve(m, gamma, failure_cost=12.0)
+                assert _same_walk(m, plan) is not None
+            assert _same_walk(m, Plan({})) is None  # stuck at the start
+        assert _same_walk(two_action_mdp(), Plan({"s0": "b"})) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(traced_models())
+    def test_random_models(self, model):
+        _same_walk(*model)
+
+
 class TestGenerateCandidates:
     def test_dedup_is_sound(self):
         m = risky_vs_safe_mdp(risk=0.1, safe_steps=6)
@@ -432,7 +492,7 @@ def test_long_corridor_does_not_overflow():
     m = ground_to_mdp(corridor_scenario(800, 0))
     values, plan = solve(m, 0.41)
     assert linearize(m, plan) == [f"goto w{i:03d}" for i in range(1, 801)]
-    assert values[m.start] == pytest.approx(800 * math.log(1 / 0.41), rel=1e-12)
+    assert values["w000#0"] == pytest.approx(800 * math.log(1 / 0.41), rel=1e-12)
 
 
 @st.composite
@@ -463,7 +523,7 @@ def test_goal_reaching_is_reachability(model, data):
     # a zero-probability transition into any state is no path to it
     m, _ = model
     t = data.draw(st.sampled_from(m.transitions))
-    target = data.draw(st.sampled_from([s.id for s in m.states]))
+    target = data.draw(st.sampled_from(range(len(m.states))))
     m = Mdp(m.states, m.transitions + [TransitionSpec(t.source, t.action, target, 0.0)],
             m.start, m.goals)
     edges = [(t.source, t.target) for t in m.transitions if t.probability > 0.0]
@@ -471,6 +531,7 @@ def test_goal_reaching_is_reachability(model, data):
 
 
 def _policies(m):
+    m = by_id(m)
     free = [s.id for s in m.states if s.id not in m.goals]
     enabled = enabled_actions(m)
     for choice in itertools.product(*(enabled[s] for s in free)):
@@ -492,6 +553,7 @@ def _well_conditioned(m, policy, gamma, bound=0.5):
     states that reach the goal under it is below ``bound``: every finite
     value converges fast, and the enumeration's truncated tail is
     negligible."""
+    m = by_id(m)
     edges = [(t.source, t.target) for t in m.transitions
              if policy.get(t.source) == t.action and t.probability > 0.0]
     live = sorted(can_reach(edges, m.goals) - m.goals)
@@ -518,5 +580,5 @@ def test_solve_matches_brute_force_optimum(model):
             solve(m, gamma)
         return
     values, plan = solve(m, gamma)
-    assert math.exp(values[m.start]) == pytest.approx(best, rel=1e-9)
+    assert math.exp(values[by_id(m).start]) == pytest.approx(best, rel=1e-9)
     assert _disutility(m, plan.policy, gamma) == pytest.approx(best, rel=1e-9)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enabled_actions
-from riskplan.scenario import (COLLIDED, PLAN_FORMAT_VERSION, PlanFile,
+from conftest import enabled_actions, inspection_chain
+from oracles import by_id
+from riskplan.scenario import (COLLIDED, MAX_STATES, PLAN_FORMAT_VERSION, PlanFile,
                                ParseResult, SchemaMismatch,
                                format_scenario, ground_to_mdp, load_scenario,
                                parse_scenario, read_plan_file, state_id,
@@ -119,6 +120,15 @@ class TestParser:
         text = MINIMAL.replace("critical inspect box", "critical critical inspect box")
         assert parse_scenario(text).scenario == parse_scenario(MINIMAL).scenario
 
+    def test_mission_over_the_state_bound_is_positioned(self):
+        # a chain of w waypoints and 10 targets grounds to w * 2**10 + 1 states
+        fits = (MAX_STATES - 1) >> 10
+        assert parse_scenario(inspection_chain(fits, 10)).ok
+        text = inspection_chain(fits + 1, 10)
+        assert [str(e) for e in parse_scenario(text).errors] == [
+            f"{text.count(chr(10))}:1: semantic: mission grounds to more than "
+            f"{MAX_STATES} states"]
+
     def test_unknown_inspection_obstacle_is_positioned(self):
         text = MINIMAL.replace("WAYPOINT a pos 5 0 -5", "WAYPOINT a pos 5 0 -5 inspect ghost")
         assert [str(e) for e in parse_scenario(text).errors] == [
@@ -194,18 +204,29 @@ class TestGrounding:
 
     def test_goal_is_final_with_full_mask(self):
         s = parse_scenario(MINIMAL).scenario
-        m = ground_to_mdp(s)
+        m = by_id(ground_to_mdp(s))
         assert m.goals == frozenset({state_id("a", 1)})
         assert m.start == state_id("a", 0)
 
+    def test_state_positions(self):
+        # waypoint k's state for mask m sits at k * 2**targets + m, and the
+        # collision state comes last
+        s = parse_scenario(MINIMAL.replace("final a inspect box", "final a inspect box box2")
+                           + "OBSTACLE box2 center 9 0 -5 half 1 1 1\n"
+                           + "WAYPOINT c pos 9 3 -5 inspect box2\n").scenario
+        m = ground_to_mdp(s)
+        assert [st.id for st in m.states] == [
+            state_id(w.id, mask) for w in s.waypoints for mask in range(4)] + [COLLIDED]
+        assert (m.start, m.goals) == (0, frozenset({3}))
+
     def test_risky_edge_feeds_collision_state(self):
         m = ground_to_mdp(parse_scenario(MINIMAL).scenario)
-        crash = [t for t in m.transitions if t.target == COLLIDED]
+        crash = [t for t in by_id(m).transitions if t.target == COLLIDED]
         assert crash and all(t.probability == pytest.approx(0.1) for t in crash)
         assert enabled_actions(m)[COLLIDED] == []
 
     def test_inspect_action_sets_bit(self):
-        m = ground_to_mdp(parse_scenario(MINIMAL).scenario)
+        m = by_id(ground_to_mdp(parse_scenario(MINIMAL).scenario))
         outs = m.outgoing(state_id("b", 0), "inspect box")
         assert [(t.target, t.probability) for t in outs] == [
             (state_id("b", 1), 1.0)]
