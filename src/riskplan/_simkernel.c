@@ -51,18 +51,29 @@ static int in_zone(long zones, const double *centers, double radius,
     return 0;
 }
 
-/* Row i (t, x, y, z, v) of out (capacity, 5), if it has one */
-static void put_sample(double *out, long capacity, long i, double t,
-                       const double *p, double v)
+/* The samples refine_path has made and kept, and the last one kept */
+struct rows {
+    double *out;
+    long capacity, made, kept;
+    double last[4];  /* t, x, y, z */
+};
+
+/* Keep the sample (t, p, v) unless it is no later than, or within 1e-12
+ * of, the last row kept, and write it as the next row of out (capacity,
+ * 5) if there is room */
+static void put_sample(struct rows *r, double t, const double *p, double v)
 {
-    if (i < capacity) {
-        double *row = out + 5 * i;
-        row[0] = t;
-        row[1] = p[0];
-        row[2] = p[1];
-        row[3] = p[2];
-        row[4] = v;
-    }
+    const double *l = r->last;
+    r->made++;
+    if (r->kept && (t <= l[0] || norm3(p[0] - l[1], p[1] - l[2], p[2] - l[3]) < 1e-12))
+        return;
+    double row[5] = {t, p[0], p[1], p[2], v};
+    for (int k = 0; k < 4; k++)
+        r->last[k] = row[k];
+    if (r->kept < r->capacity)
+        for (int k = 0; k < 5; k++)
+            r->out[5 * r->kept + k] = row[k];
+    r->kept++;
 }
 
 /* Sample the polyline pts (npts, 3) every dt seconds under a trapezoidal
@@ -71,19 +82,21 @@ static void put_sample(double *out, long capacity, long i, double t,
  * zones (zones, 3) critical centres, else at v_max.  A segment ends with a
  * sample at its far corner, and the next one starts dt later.
  *
- * Writes samples as rows (t, x, y, z, v) of out (capacity, 5) and returns
- * how many the path has.  When that exceeds capacity, only the first
- * capacity rows are written: run again with a buffer of the returned size.
- * Stops counting at limit + 1 samples, so a path too long to sample costs
- * no more than one of limit samples.  Returns -1, having written an unknown
- * number of rows, when a step leaves the arc length where it was (dt too
- * small for the path), since the loop would then never end.
+ * Keeps the samples put_sample keeps, so no segment's start repeats the
+ * corner before it, writes them as rows (t, x, y, z, v) of out (capacity,
+ * 5) and returns how many the path keeps.  When that exceeds capacity, only
+ * the first capacity rows are written: run again with a buffer of the
+ * returned size.  Returns limit + 1 once it has made more than limit
+ * samples, kept or not, so a path too long to sample costs no more than one
+ * of limit samples.  Returns -1, having written an unknown number of rows,
+ * when a step leaves the arc length where it was (dt too small for the
+ * path), since the loop would then never end.
  */
 long refine_path(long npts, const double *pts, long zones, const double *centers,
                  double radius, double v_max, double v_crit, double a_max,
                  double dt, long limit, long capacity, double *out)
 {
-    long count = 0;
+    struct rows rows = {out, capacity, 0, 0, {0.0}};
     double t = 0.0;
     for (long i = 0; i + 1 < npts; i++) {
         const double *a = pts + 3 * i, *b = a + 3;
@@ -114,9 +127,9 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
                 if (in_zone(zones, centers, radius, nxt))
                     v = v_crit;
             }
-            put_sample(out, capacity, count++, t, pos, v);
-            if (count > limit)
-                return count;
+            put_sample(&rows, t, pos, v);
+            if (rows.made > limit)
+                return limit + 1;
             double step = v * dt;
             if (step >= remaining) {
                 t += remaining / v;
@@ -132,13 +145,13 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
         double corner_v = v;
         if (a_max * dt > corner_v)
             corner_v = a_max * dt;
-        put_sample(out, capacity, count++, t, b, corner_v);
-        if (count > limit)
-            return count;
+        put_sample(&rows, t, b, corner_v);
+        if (rows.made > limit)
+            return limit + 1;
         if (i < npts - 2)
             t += dt;
     }
-    return count;
+    return rows.kept;
 }
 
 /* Run every RUNNING row until it completes, times out or aborts.

@@ -4,12 +4,13 @@ Piecewise-linear path through the plan's waypoints, helical inspection
 loops around target obstacles, and a per-segment trapezoidal speed profile
 capped at the critical speed inside critical-waypoint radii.
 
-The polyline, its duplicate-point filter and the final dedup pass are
-Python; the sampling loop of the speed profile runs over the whole
-polyline in the compiled C kernel (see `kernel`), so refinement needs a C
-compiler, as simulation and mapping do.  The kernel rounds as the Python
-loop it replaced did (kept in the tests as the reference), so trajectories,
-the kernel's rows as one array, are the same bit for bit.
+The polyline and its duplicate-point filter are Python; the sampling loop
+of the speed profile runs over the whole polyline in the compiled C kernel
+(see `kernel`), which also drops the sample that repeats each corner and
+keeps the rest, so refinement needs a C compiler, as simulation and mapping
+do.  The kernel rounds as the Python loop it replaced did (kept in the
+tests as the reference), so trajectories, the kernel's kept rows as one
+array, are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .scenario import Scenario, write_csv
 DEFAULT_DT = 0.1
 A_MAX = 0.5  # m/s^2, acceleration and braking limit
 HELIX_POINTS = 50
-# most samples a refined path may have: ~960k take ~1.4 s, ~460 MB RSS (2-vCPU VM)
+# most samples the kernel may make for a path, dropped ones too: a path of
+# 954,241 rows refines in ~0.25 s with ~79 MB more peak RSS (2-vCPU VM)
 MAX_PATH_ROWS = 1_000_000
 CSV_COLUMNS = ("t", "x", "y", "z", "v")
 CSV_ROW = "%.3f,%.4f,%.4f,%.4f,%.4f\r\n"
@@ -141,7 +143,7 @@ def helix_points(center, radius: float, start_angle: float, z0: float,
 def plan_polyline(scenario: Scenario, actions: list[str],
                   helix: HelixSpec = HelixSpec()) -> list[tuple[float, float, float]]:
     """Geometric waypoint list for a plan given as its action labels, less
-    each point within 1e-12 of the point made before it.
+    each point within 1e-12 of the last point kept.
 
     ``goto <waypoint>`` moves along a declared edge; ``inspect <obstacle>``
     inserts a helical loop around that obstacle.  Raises DisconnectedPlan
@@ -152,7 +154,6 @@ def plan_polyline(scenario: Scenario, actions: list[str],
     positions = scenario.positions()
     current = scenario.start
     pts: list[tuple[float, float, float]] = [positions[current]]
-    previous = pts[0]
     obstacles = {o.label: o for o in scenario.obstacles}
     for label in actions:
         verb, _, name = label.partition(" ")
@@ -172,8 +173,9 @@ def plan_polyline(scenario: Scenario, actions: list[str],
         else:
             raise ValueError(f"unrecognized plan action {label!r}: expected "
                              "'goto <waypoint>' or 'inspect <obstacle>'")
-        pts += [p for p, q in zip(made, [previous, *made]) if math.dist(p, q) > 1e-12]
-        previous = made[-1]
+        for p in made:
+            if math.dist(p, pts[-1]) > 1e-12:
+                pts.append(p)
         if len(pts) > MAX_PATH_ROWS + 1:
             raise ValueError(f"the refined path has more than MAX_PATH_ROWS ({MAX_PATH_ROWS}) "
                              f"samples: its polyline has over {MAX_PATH_ROWS + 1} points")
@@ -201,23 +203,16 @@ def refine(
     pts = plan_polyline(scenario, actions, helix)
     if len(pts) < 2:
         return Trajectory([[0.0, *pts[0], 0.0]], plan_id)
-
-    # corner samples duplicate positions when segments share endpoints: a
-    # row goes when it is no later than, or within 1e-12 of, the last row kept
-    rows = _sample_profile(scenario, pts, dt)
-    keep, last = [], None
-    for i, row in enumerate(rows.tolist()):
-        if not (last and (row[0] <= last[0] or math.dist(row[1:4], last[1:4]) < 1e-12)):
-            keep.append(i)
-            last = row
-    return Trajectory(rows[keep], plan_id)
+    return Trajectory(_sample_profile(scenario, pts, dt), plan_id)
 
 
 def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
                     dt: float) -> np.ndarray:
     """The (k, 5) rows (t, x, y, z, v) of the kernel's speed profile along
-    ``pts``, corner samples included: a first call counts them, up to one
-    past MAX_PATH_ROWS, and a second fills a buffer of that size."""
+    ``pts``, each later than and at least 1e-12 from the row before it, so
+    no corner repeats: a first call counts them, and a second fills a
+    buffer of that size.  The kernel refuses a path once it has made more
+    than MAX_PATH_ROWS samples, kept or not."""
     lib = kernel.load()
     path = np.array(pts, dtype=float)
     centers = np.array([w.position for w in scenario.waypoints if w.is_critical],

@@ -12,9 +12,9 @@ section keyword:
 '#' starts a comment.  Each obstacle label, waypoint id, pair of waypoints
 (in either order), MISSION and LIMITS appears at most once, a WAYPOINT
 inspects at most one label, a waypoint must inspect each mission target,
-and a mission grounds to at most MAX_STATES states.  Parsing is total:
-malformed input yields positioned issues, never an exception, and each
-line reports only its first problem.
+and a mission grounds to at most MAX_STATES states and MAX_TRANSITIONS
+transitions.  Parsing is total: malformed input yields positioned issues,
+never an exception, and each line reports only its first problem.
 """
 
 from __future__ import annotations
@@ -38,9 +38,12 @@ DEFAULT_V_CRIT = 0.25
 DEFAULT_CRITICAL_RADIUS = 2.0
 
 COLLIDED = "collided"
-# the most states a mission may ground to, waypoints * 2**targets + 1: a
-# complete graph of 15 waypoints and 10 targets grounds in ~3 s at ~260 MB
+# the most states a mission may ground to, waypoints * 2**targets + 1
 MAX_STATES = 2**14
+# the most transitions, counted as (waypoints + 4 * edges) * 2**targets (per
+# mask, a goto and its collision each way along an edge, an inspect per
+# waypoint): ~120k ground in ~0.6 s at ~60 MB and plan in ~13 s (2-vCPU VM)
+MAX_TRANSITIONS = 2**17
 
 
 class SchemaMismatch(ValueError):
@@ -85,9 +88,6 @@ class Scenario:
     v_max: float = DEFAULT_V_MAX
     v_crit: float = DEFAULT_V_CRIT
     critical_radius: float = DEFAULT_CRITICAL_RADIUS
-
-    def waypoint(self, wid: str) -> Waypoint:
-        return next(w for w in self.waypoints if w.id == wid)
 
     def positions(self) -> dict[str, tuple[float, float, float]]:
         return {w.id: w.position for w in self.waypoints}
@@ -271,9 +271,13 @@ def parse_scenario(text: str) -> ParseResult:
             elif label not in inspected:
                 errors.append(ParseIssue(at, 1, "semantic", f"mission inspection target "
                                          f"{label!r} has no waypoint that inspects it"))
-        if (len(waypoints) << len(set(mission["inspect"]))) + 1 > MAX_STATES:
-            errors.append(ParseIssue(at, 1, "semantic", f"mission grounds to more than "
-                                     f"{MAX_STATES} states"))
+        targets = len(set(mission["inspect"]))
+        for count, most, what in (((len(waypoints) << targets) + 1, MAX_STATES, "states"),
+                                  ((len(waypoints) + 4 * len(edges)) << targets,
+                                   MAX_TRANSITIONS, "transitions")):
+            if count > most:
+                errors.append(ParseIssue(at, 1, "semantic",
+                                         f"mission grounds to more than {most} {what}"))
     v_max, v_crit, radius = limits
     if v_max <= 0 or v_crit <= 0:
         errors.append(ParseIssue(limits_line, 1, "semantic", "speed limits must be positive"))

@@ -48,14 +48,16 @@ def state_costs(m):
     return {s.id: s.cost for s in m.states}
 
 
-def inspection_chain(waypoints, targets):
-    """.scn text of a chain of waypoints w0..w(n-1), the first ``targets``
-    of them each inspecting its own obstacle, and a mission from w0 to the
-    last waypoint that inspects them all, on the last line."""
+def inspection_chain(waypoints, targets, complete=False):
+    """.scn text of a chain of waypoints w0..w(n-1), or with ``complete`` an
+    edge between every two of them, the first ``targets`` of them each
+    inspecting its own obstacle, and a mission from w0 to the last waypoint
+    that inspects them all, on the last line."""
     lines = [f"OBSTACLE o{i} center {5 * i} 5 -5 half 1 1 1" for i in range(targets)]
     lines += [f"WAYPOINT w{i} pos {5 * i} 0 -5" + (f" inspect o{i}" if i < targets else "")
               for i in range(waypoints)]
-    lines += [f"EDGE w{i - 1} w{i} risk 0.01" for i in range(1, waypoints)]
+    lines += [f"EDGE w{i} w{j} risk 0.01" for j in range(1, waypoints)
+              for i in (range(j) if complete else [j - 1])]
     lines.append(f"MISSION start w0 final w{waypoints - 1} inspect "
                  + " ".join(f"o{i}" for i in range(targets)))
     return "\n".join(lines) + "\n"
@@ -171,6 +173,22 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
     if len(pts) < 2:
         return Trajectory([[0.0, *pts[0], 0.0]], plan_id)
 
+    # corner samples duplicate positions when segments share endpoints: a
+    # row goes when it is no later than, or within 1e-12 of, the last row
+    # kept, by the distance `np.linalg.norm` gives (the kernel's `norm3`)
+    deduped = []
+    for row in reference_samples(scenario, pts, dt):
+        if deduped and row[0] <= deduped[-1][0]:
+            continue
+        if deduped and np.linalg.norm(row[1:4] - deduped[-1][1:4]) < 1e-12:
+            continue
+        deduped.append(row)
+    return Trajectory(np.array(deduped, dtype=float).reshape(-1, 5), plan_id)
+
+
+def reference_samples(scenario, pts, dt):
+    """Every sample (t, x, y, z, v) the reference loop makes along the
+    polyline ``pts``, as a (k, 5) array, corner duplicates included."""
     centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
                        dtype=float).reshape(-1, 3)
     radius = scenario.critical_radius
@@ -204,13 +222,4 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
         # the corner sample closes the segment; motion restarts from rest
         if i < len(pts) - 2:
             t += dt
-
-    # corner samples duplicate positions when segments share endpoints
-    deduped = []
-    for row in rows:
-        if deduped and row[0] <= deduped[-1][0]:
-            continue
-        if deduped and math.dist(row[1:4], deduped[-1][1:4]) < 1e-12:
-            continue
-        deduped.append(row)
-    return Trajectory(np.array(deduped, dtype=float).reshape(-1, 5), plan_id)
+    return np.array(rows, dtype=float).reshape(-1, 5)

@@ -110,19 +110,27 @@ class TestExitCodes:
         assert main(["plan", str(scn), "--out-dir", str(tmp_path / "plans")]) == EXIT_INPUT
         assert capsys.readouterr().err.count(issue) == 2
 
-    def test_mission_over_the_state_bound_is_refused_before_grounding(
-            self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("text, issue", [
         # 13 waypoints and 12 targets: 53,249 states, which take seconds and
-        # ~190 MB to ground and minutes to plan
+        # ~190 MB to ground and minutes to plan; the MISSION line follows 12
+        # OBSTACLE, 13 WAYPOINT and 12 EDGE lines
+        (inspection_chain(13, 12), "38:1: semantic: mission grounds to more than 16384 states"),
+        # a complete graph of 15 waypoints and 10 targets: 15,361 states, but
+        # 435,200 transitions, which take ~3 s and ~200 MB to ground and ~30 s
+        # to plan; 10 OBSTACLE, 15 WAYPOINT and 105 EDGE lines come first
+        (inspection_chain(15, 10, complete=True),
+         "131:1: semantic: mission grounds to more than 131072 transitions"),
+    ], ids=["states", "transitions"])
+    def test_mission_over_a_bound_is_refused_before_grounding(
+            self, tmp_path, capsys, monkeypatch, text, issue):
         scn = tmp_path / "big.scn"
-        scn.write_text(inspection_chain(13, 12), encoding="utf-8")
+        scn.write_text(text, encoding="utf-8")
         monkeypatch.setattr(cli, "ground_to_mdp", None)  # calling it would fail
         t0 = time.perf_counter()
         code = main(["plan", str(scn), "--out-dir", str(tmp_path / "plans")])
         elapsed = time.perf_counter() - t0
         assert code == EXIT_INPUT
-        # the MISSION line, after 12 OBSTACLE, 13 WAYPOINT and 12 EDGE lines
-        assert "38:1: semantic: mission grounds to more than" in capsys.readouterr().err
+        assert issue in capsys.readouterr().err
         assert elapsed < 0.05
 
     def test_new_run_removes_old_errors_json(self, tmp_path):

@@ -323,8 +323,8 @@ class TestExtraction:
     def test_waypoint_near_wall_becomes_critical(self):
         g, scenario = self.build_grid()
         out = extract_problem(g, scenario)
-        assert out.waypoint("b").is_critical
-        assert not out.waypoint("c").is_critical
+        critical = {w.id: w.is_critical for w in out.waypoints}
+        assert critical["b"] and not critical["c"]
 
     def test_waypoint_inside_occupied_voxel_rejected(self):
         g, scenario = self.build_grid()

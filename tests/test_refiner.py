@@ -6,13 +6,14 @@ import dataclasses
 import importlib.util
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, TANKS_SCN, reference_refine
+from conftest import REPO_ROOT, TANKS_SCN, reference_refine, reference_samples
 from riskplan import kernel, pipeline, refiner
 from riskplan.pipeline import PipelineConfig, plan_candidates
 from riskplan.refiner import DisconnectedPlan, HelixSpec, Trajectory, plan_polyline, refine
@@ -120,13 +121,13 @@ class TestHelix:
         for p in helix:
             r = math.hypot(p[0] - tank.center[0], p[1] - tank.center[1])
             assert r == pytest.approx(radius, abs=1e-9)
-        assert pts[-1] == s.waypoint("b").position
+        assert pts[-1] == s.positions()["b"]
 
     def test_pitch_climbs_obstacle_height(self):
         s = scenario(INSPECT)
         pts = plan_polyline(s, ["goto b", "inspect tank"],
                             HelixSpec(clearance=2.0))
-        z0 = s.waypoint("b").position[2]
+        z0 = s.positions()["b"][2]
         # one full turn climbs the full obstacle height (2 * half extent)
         assert pts[-2][2] == pytest.approx(z0 + 4.0)
 
@@ -239,30 +240,35 @@ class TestKernelMatchesReference:
         scn = scenario(TINY_LEG)
         traj = assert_matches_reference(scn, ["goto b"], dt=3e-7)
         path = plan_polyline(scn, ["goto b"])
-        assert len(refiner._sample_profile(scn, path, 3e-7)) == 29805
+        assert len(reference_samples(scn, path, 3e-7)) == 29805
         assert len(traj.rows) == 29783
 
     @pytest.mark.parametrize("capacity", [0, 1, 100])
     def test_kernel_counts_past_a_short_buffer(self, capacity):
-        """Given a buffer too short for the path, the kernel fills it, writes
-        nothing past it and returns the count the path needs."""
-        scn = scenario(CRITICAL)
-        path = np.array(plan_polyline(scn, ["goto b"]), dtype=float)
-        centers = np.array([scn.waypoint("b").position])
-        args = (len(path), path, len(centers), centers, scn.critical_radius,
-                scn.v_max, scn.v_crit, refiner.A_MAX, 0.05, refiner.MAX_PATH_ROWS)
-        lib = kernel.load()
-        full = np.empty((lib.refine_path(*args, 0, np.empty((0, 5))), 5))
-        assert lib.refine_path(*args, len(full), full) == len(full) > capacity
-        short = np.full((capacity + 8, 5), np.nan)  # 8 guard rows
-        assert lib.refine_path(*args, capacity, short) == len(full)
-        assert np.array_equal(short[:capacity], full[:capacity])
-        assert np.isnan(short[capacity:]).all()
+        """Given a buffer too short for the path, the kernel fills it with
+        the first kept rows, writes nothing past it and returns the count of
+        rows the path keeps: on one segment, and on segments whose corners
+        are each made twice and kept once."""
+        for text, plan in ((CRITICAL, ["goto b"]), (INSPECT, ["goto b", "inspect tank", "goto a"])):
+            scn = scenario(text)
+            path = np.array(plan_polyline(scn, plan), dtype=float)
+            centers = np.array([w.position for w in scn.waypoints if w.is_critical]).reshape(-1, 3)
+            args = (len(path), path, len(centers), centers, scn.critical_radius,
+                    scn.v_max, scn.v_crit, refiner.A_MAX, 0.05, refiner.MAX_PATH_ROWS)
+            lib = kernel.load()
+            full = np.empty((lib.refine_path(*args, 0, np.empty((0, 5))), 5))
+            assert lib.refine_path(*args, len(full), full) == len(full) > capacity
+            assert full.tobytes() == refine(scn, plan, dt=0.05).rows.tobytes()
+            assert len(reference_samples(scn, path, 0.05)) == len(full) + len(path) - 2
+            short = np.full((capacity + 8, 5), np.nan)  # 8 guard rows
+            assert lib.refine_path(*args, capacity, short) == len(full)
+            assert np.array_equal(short[:capacity], full[:capacity])
+            assert np.isnan(short[capacity:]).all()
 
     def test_kernel_stops_counting_past_the_limit(self):
         scn = scenario(CRITICAL)
         path = np.array(plan_polyline(scn, ["goto b"]), dtype=float)
-        centers = np.array([scn.waypoint("b").position])
+        centers = np.array([scn.positions()["b"]])
         args = (len(path), path, len(centers), centers, scn.critical_radius,
                 scn.v_max, scn.v_crit, refiner.A_MAX, 0.05)
         lib, empty = kernel.load(), np.empty((0, 5))
@@ -270,6 +276,71 @@ class TestKernelMatchesReference:
         for limit in (0, 7, full - 1):
             assert lib.refine_path(*args, limit, 0, empty) == limit + 1
         assert lib.refine_path(*args, full, 0, empty) == full
+
+
+def ulps_from(x, k):
+    """``x`` moved ``k`` doubles up, or down for a negative ``k``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+near_1e12 = st.integers(-4, 4).map(lambda k: ulps_from(1e-12, k))
+# a nonzero direction, scaled by `scaled` to a length within ulps of a value
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: math.hypot(*u) > 0.1)
+origins = st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, -5.0)])
+
+
+def scaled(u, length):
+    return [c / math.hypot(*u) * length for c in u]
+
+
+def chain_text(points, obstacle=""):
+    """.scn text of waypoints w0..wn at ``points`` (their floats written
+    exactly), each joined to the next, and ``obstacle``'s line if any."""
+    lines = [f"WAYPOINT w{i} pos {x!r} {y!r} {z!r}" for i, (x, y, z) in enumerate(points)]
+    lines += [f"EDGE w{i - 1} w{i} risk 0" for i in range(1, len(points))]
+    return "\n".join([*lines, obstacle, f"MISSION start w0 final w{len(points) - 1}"]) + "\n"
+
+
+class TestKernelMatchesReferenceNear1e12:
+    """Where a sample lies within a few ulps of 1e-12 of the last kept row,
+    the kernel keeps or drops it as the reference does."""
+
+    @given(origin=origins, u=directions, length=st.floats(2e-12, 1e-7),
+           k=st.integers(-4, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_first_step_of_a_tiny_leg(self, origin, u, length, k):
+        # from rest, the first step at dt is 0.5 * dt * dt: about 1e-12 here
+        leg = [a + d for a, d in zip(origin, scaled(u, length))]
+        dt = ulps_from(math.sqrt(2e-12), k)
+        assert_matches_reference(scenario(chain_text([origin, leg])), ["goto w1"], dt=dt)
+
+    @given(origin=origins, legs=st.lists(st.tuples(directions, near_1e12), min_size=1,
+                                         max_size=5),
+           dt=st.floats(1e-8, 1.0), walk=st.lists(st.booleans(), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_walks_over_legs_of_about_1e12(self, origin, legs, dt, walk):
+        points = [origin]
+        for u, length in legs:
+            points.append(tuple(a + d for a, d in zip(points[-1], scaled(u, length))))
+        steps, here = [], 0
+        for forward in [True] * len(legs) + walk:  # to the end, then back and forth
+            here += 1 if here == 0 or forward and here < len(legs) else -1
+            steps.append(f"goto w{here}")
+        assert_matches_reference(scenario(chain_text(points)), steps, dt=dt)
+
+    @given(origin=origins, u=directions, gap=near_1e12,
+           radius=st.just(0.0) | near_1e12, points=st.integers(1, 8),
+           turns=st.floats(0.1, 2.5), loops=st.integers(1, 3), dt=st.floats(1e-8, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_pitch_helices_of_zero_or_tiny_radius(self, origin, u, gap, radius,
+                                                       points, turns, loops, dt):
+        cx, cy, _ = (a + d for a, d in zip(origin, scaled(u, gap)))
+        text = chain_text([origin], f"OBSTACLE o center {cx!r} {cy!r} 0 "
+                                    f"half {radius!r} {radius!r} 1")
+        helix = HelixSpec(points=points, turns=turns, clearance=0.0, pitch=0.0)
+        assert_matches_reference(scenario(text), ["inspect o"] * loops, dt=dt, helix=helix)
 
 
 def reference_export_csv(traj, path):
@@ -367,10 +438,24 @@ class TestRowBound:
         # 51 distinct points a loop: the 10th loop passes 501 points
         assert len(calls) == 10 <= 500 // refiner.HELIX_POINTS + 1
 
+    def test_peak_memory_of_a_long_path_is_about_its_rows(self):
+        """Refinement holds the kept rows and their read-only copy, not a
+        per-row Python list beside them."""
+        tanks = load_scenario(TANKS_SCN).scenario
+        kernel.load()  # built and loaded outside the traced span
+        tracemalloc.start()
+        try:
+            traj = refine(tanks, ["inspect sm_tank"] * 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.rows) == 149_101
+        assert peak < 3 * traj.rows.nbytes
+
     def test_path_of_exactly_max_rows_accepted(self, monkeypatch):
         tanks = load_scenario(TANKS_SCN).scenario
         plan = ["inspect sm_tank"] * 3
-        rows = len(refiner._sample_profile(tanks, plan_polyline(tanks, plan), 0.1))
+        rows = len(reference_samples(tanks, plan_polyline(tanks, plan), 0.1))
         want = refine(tanks, plan)
         monkeypatch.setattr(refiner, "MAX_PATH_ROWS", rows)
         assert float_bits(refine(tanks, plan)) == float_bits(want)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import enabled_actions, inspection_chain
 from oracles import by_id
-from riskplan.scenario import (COLLIDED, MAX_STATES, PLAN_FORMAT_VERSION, PlanFile,
-                               ParseResult, SchemaMismatch,
+from riskplan.scenario import (COLLIDED, MAX_STATES, MAX_TRANSITIONS, PLAN_FORMAT_VERSION,
+                               PlanFile, ParseResult, SchemaMismatch,
                                format_scenario, ground_to_mdp, load_scenario,
                                parse_scenario, read_plan_file, state_id,
                                write_plan_file)
@@ -72,7 +72,7 @@ class TestParser:
         s = result.scenario
         assert s.start == "a" and s.final == "a"
         assert s.inspection_goals == frozenset({"box"})
-        assert s.waypoint("b").is_critical
+        assert [w.id for w in s.waypoints if w.is_critical] == ["b"]
         assert s.edge_between("b", "a").collision_probability == 0.1
 
     def test_bundled_scenario_parses(self, tanks_path):
@@ -120,14 +120,19 @@ class TestParser:
         text = MINIMAL.replace("critical inspect box", "critical critical inspect box")
         assert parse_scenario(text).scenario == parse_scenario(MINIMAL).scenario
 
-    def test_mission_over_the_state_bound_is_positioned(self):
-        # a chain of w waypoints and 10 targets grounds to w * 2**10 + 1 states
-        fits = (MAX_STATES - 1) >> 10
-        assert parse_scenario(inspection_chain(fits, 10)).ok
-        text = inspection_chain(fits + 1, 10)
-        assert [str(e) for e in parse_scenario(text).errors] == [
-            f"{text.count(chr(10))}:1: semantic: mission grounds to more than "
-            f"{MAX_STATES} states"]
+    @pytest.mark.parametrize("fits, over, issue", [
+        # chains of w waypoints and 10 targets ground to w * 2**10 + 1 states
+        (inspection_chain((MAX_STATES - 1) >> 10, 10),
+         inspection_chain(((MAX_STATES - 1) >> 10) + 1, 10), f"more than {MAX_STATES} states"),
+        # complete graphs of 15 waypoints: (15 + 4 * 105) * 2**targets
+        # transitions at most, 111,360 with 8 targets and 445,440 with 10
+        (inspection_chain(15, 8, complete=True), inspection_chain(15, 10, complete=True),
+         f"more than {MAX_TRANSITIONS} transitions"),
+    ], ids=["states", "transitions"])
+    def test_mission_over_a_bound_is_positioned(self, fits, over, issue):
+        assert parse_scenario(fits).ok
+        assert [str(e) for e in parse_scenario(over).errors] == [
+            f"{over.count(chr(10))}:1: semantic: mission grounds to {issue}"]
 
     def test_unknown_inspection_obstacle_is_positioned(self):
         text = MINIMAL.replace("WAYPOINT a pos 5 0 -5", "WAYPOINT a pos 5 0 -5 inspect ghost")
@@ -243,7 +248,10 @@ class TestGrounding:
     def test_every_accepted_scenario_grounds(self, text):
         result = parse_scenario(text)
         if result.ok:
-            ground_to_mdp(result.scenario)  # raises nothing
+            s = result.scenario
+            m = ground_to_mdp(s)  # raises nothing
+            bound = (len(s.waypoints) + 4 * len(s.edges)) << len(s.inspection_goals)
+            assert len(m.transitions) <= bound <= MAX_TRANSITIONS
         # only a missing MISSION section has no line to point to
         assert all(e.message == "missing MISSION section"
                    for e in result.errors if e.line == 0)
