@@ -79,8 +79,11 @@ static void put_sample(struct rows *r, double t, const double *p, double v)
 /* Sample the polyline pts (npts, 3) every dt seconds under a trapezoidal
  * speed profile per segment: each segment starts from rest, accelerates
  * and brakes at a_max, and is capped at v_crit within radius of one of the
- * zones (zones, 3) critical centres, else at v_max.  A segment ends with a
- * sample at its far corner, and the next one starts dt later.
+ * zones (zones, 3) critical centres, else at v_max.  A segment runs from
+ * the last point kept to the next point more than 1e-12 from it, ends
+ * with a sample at its far corner, and starts dt after the corner before
+ * it.  A point not that far from the last one kept starts no segment: it
+ * counts as one sample made and dropped, and the clock does not move.
  *
  * Keeps the samples put_sample keeps, so no segment's start repeats the
  * corner before it, writes them as rows (t, x, y, z, v) of out (capacity,
@@ -98,10 +101,18 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
 {
     struct rows rows = {out, capacity, 0, 0, {0.0}};
     double t = 0.0;
-    for (long i = 0; i + 1 < npts; i++) {
-        const double *a = pts + 3 * i, *b = a + 3;
+    const double *a = pts;  /* the last point kept */
+    for (long i = 1; i < npts; i++) {
+        const double *b = pts + 3 * i;
         double dir[3] = {b[0] - a[0], b[1] - a[1], b[2] - a[2]};
         double seg_len = norm3(dir[0], dir[1], dir[2]);
+        if (!(seg_len > 1e-12)) {
+            if (++rows.made > limit)
+                return limit + 1;
+            continue;
+        }
+        if (a != pts)  /* motion restarts from rest after the corner */
+            t += dt;
         for (int k = 0; k < 3; k++)
             dir[k] = dir[k] / seg_len;
         double s = 0.0, v = 0.0;
@@ -141,15 +152,14 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
                 s += step;
             }
         }
-        /* the corner sample closes the segment; motion restarts from rest */
+        /* the corner sample closes the segment */
         double corner_v = v;
         if (a_max * dt > corner_v)
             corner_v = a_max * dt;
         put_sample(&rows, t, b, corner_v);
         if (rows.made > limit)
             return limit + 1;
-        if (i < npts - 2)
-            t += dt;
+        a = b;
     }
     return rows.kept;
 }

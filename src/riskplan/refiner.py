@@ -4,13 +4,13 @@ Piecewise-linear path through the plan's waypoints, helical inspection
 loops around target obstacles, and a per-segment trapezoidal speed profile
 capped at the critical speed inside critical-waypoint radii.
 
-The polyline and its duplicate-point filter are Python; the sampling loop
-of the speed profile runs over the whole polyline in the compiled C kernel
-(see `kernel`), which also drops the sample that repeats each corner and
-keeps the rest, so refinement needs a C compiler, as simulation and mapping
-do.  The kernel rounds as the Python loop it replaced did (kept in the
-tests as the reference), so trajectories, the kernel's kept rows as one
-array, are the same bit for bit.
+The polyline is Python, each point as the plan's labels name it; the
+sampling loop of the speed profile runs over it in the compiled C kernel
+(see `kernel`), which also skips each point within 1e-12 of the last one
+kept and each sample that repeats a corner, so refinement needs a C
+compiler, as simulation and mapping do.  The kernel rounds as the Python
+loop it replaced did (kept in the tests as the reference), so
+trajectories, the kernel's kept rows as one array, are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -142,43 +142,43 @@ def helix_points(center, radius: float, start_angle: float, z0: float,
 
 def plan_polyline(scenario: Scenario, actions: list[str],
                   helix: HelixSpec = HelixSpec()) -> list[tuple[float, float, float]]:
-    """Geometric waypoint list for a plan given as its action labels, less
-    each point within 1e-12 of the last point kept.
+    """Geometric waypoint list for a plan given as its action labels, each
+    point as written: the kernel skips repeats.
 
     ``goto <waypoint>`` moves along a declared edge; ``inspect <obstacle>``
-    inserts a helical loop around that obstacle.  Raises DisconnectedPlan
-    if consecutive waypoints share no edge, and ValueError for any other
-    label, or once the list passes MAX_PATH_ROWS + 1 points: the kernel
-    samples at least one row between two of them.
+    inserts a helical loop around that obstacle.  Raises ValueError when the
+    labels name over MAX_PATH_ROWS + 1 points, before making any: the kernel
+    makes a sample for each point after the first.  Raises DisconnectedPlan
+    if consecutive waypoints share no edge, and ValueError for any other label.
     """
+    count = 1 + sum(helix.points + 1 if label.startswith("inspect ") else
+                    label.startswith("goto ") for label in actions)
+    if count > MAX_PATH_ROWS + 1:
+        raise ValueError(f"the refined path has more than MAX_PATH_ROWS ({MAX_PATH_ROWS}) "
+                         f"samples: its polyline has over {MAX_PATH_ROWS + 1} points")
     positions = scenario.positions()
+    edges = {frozenset((e.a, e.b)) for e in scenario.edges}
     current = scenario.start
     pts: list[tuple[float, float, float]] = [positions[current]]
     obstacles = {o.label: o for o in scenario.obstacles}
     for label in actions:
         verb, _, name = label.partition(" ")
         if verb == "goto":
-            if scenario.edge_between(current, name) is None:
+            if frozenset((current, name)) not in edges:
                 raise DisconnectedPlan(current, name)
             current = name
-            made = [positions[current]]
+            pts.append(positions[current])
         elif verb == "inspect" and name in obstacles:
             obs = obstacles[name]
             here = positions[current]
             radius = max(obs.half_extents[0], obs.half_extents[1]) + helix.clearance
             pitch = 2.0 * obs.half_extents[2] if helix.pitch is None else helix.pitch
             angle = math.atan2(here[1] - obs.center[1], here[0] - obs.center[0])
-            made = helix_points(obs.center, radius, angle, here[2], pitch, helix)
-            made.append(here)  # return to the waypoint before continuing
+            pts += helix_points(obs.center, radius, angle, here[2], pitch, helix)
+            pts.append(here)  # return to the waypoint before continuing
         else:
             raise ValueError(f"unrecognized plan action {label!r}: expected "
                              "'goto <waypoint>' or 'inspect <obstacle>'")
-        for p in made:
-            if math.dist(p, pts[-1]) > 1e-12:
-                pts.append(p)
-        if len(pts) > MAX_PATH_ROWS + 1:
-            raise ValueError(f"the refined path has more than MAX_PATH_ROWS ({MAX_PATH_ROWS}) "
-                             f"samples: its polyline has over {MAX_PATH_ROWS + 1} points")
     return pts
 
 
@@ -193,17 +193,16 @@ def refine(
     trapezoidal speed per segment, slow in critical zones, sampled every
     ``dt`` seconds.  A plan with no motion is its start, one row at rest.
 
-    Raises `KernelBuildError` when a plan with any motion finds no kernel
-    to sample it, and ValueError unless ``dt`` is finite, positive and
-    large enough for each step to advance along the path, and the path
-    has at most MAX_PATH_ROWS samples.
+    Raises `KernelBuildError` when no kernel can be built to sample the
+    plan, and ValueError unless ``dt`` is finite, positive and large
+    enough for each step to advance along the path, and the path makes
+    at most MAX_PATH_ROWS samples.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     pts = plan_polyline(scenario, actions, helix)
-    if len(pts) < 2:
-        return Trajectory([[0.0, *pts[0], 0.0]], plan_id)
-    return Trajectory(_sample_profile(scenario, pts, dt), plan_id)
+    rows = _sample_profile(scenario, pts, dt)
+    return Trajectory(rows if len(rows) else [[0.0, *pts[0], 0.0]], plan_id)
 
 
 def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
@@ -212,7 +211,7 @@ def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
     ``pts``, each later than and at least 1e-12 from the row before it, so
     no corner repeats: a first call counts them, and a second fills a
     buffer of that size.  The kernel refuses a path once it has made more
-    than MAX_PATH_ROWS samples, kept or not."""
+    than MAX_PATH_ROWS samples, kept or not, a point it skips making one."""
     lib = kernel.load()
     path = np.array(pts, dtype=float)
     centers = np.array([w.position for w in scenario.waypoints if w.is_critical],

@@ -92,12 +92,6 @@ class Scenario:
     def positions(self) -> dict[str, tuple[float, float, float]]:
         return {w.id: w.position for w in self.waypoints}
 
-    def edge_between(self, a: str, b: str) -> EdgeDef | None:
-        for e in self.edges:
-            if {e.a, e.b} == {a, b}:
-                return e
-        return None
-
 
 @dataclass(frozen=True)
 class ParseIssue:

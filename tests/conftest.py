@@ -150,6 +150,12 @@ def tanks_path():
     return TANKS_SCN
 
 
+def edge_between(scenario, a, b):
+    """The scenario's edge that joins waypoints ``a`` and ``b``, in either
+    order, or None."""
+    return next((e for e in scenario.edges if {e.a, e.b} == {a, b}), None)
+
+
 def norm(v):
     """Euclidean norm over the last axis, equal bit for bit to
     `np.linalg.norm` of each 3-vector: both take the square root of a BLAS
@@ -168,8 +174,7 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
     its oracle: the trajectory `refiner.refine` must equal bit for bit."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pts = plan_polyline(scenario, actions, helix)
-    pts = [p for i, p in enumerate(pts) if i == 0 or math.dist(p, pts[i - 1]) > 1e-12]
+    pts = reference_polyline(plan_polyline(scenario, actions, helix))
     if len(pts) < 2:
         return Trajectory([[0.0, *pts[0], 0.0]], plan_id)
 
@@ -184,6 +189,17 @@ def reference_refine(scenario, actions, plan_id="", dt=DEFAULT_DT, helix=HelixSp
             continue
         deduped.append(row)
     return Trajectory(np.array(deduped, dtype=float).reshape(-1, 5), plan_id)
+
+
+def reference_polyline(pts):
+    """The points of ``pts`` that start a segment: the first, then each
+    point more than 1e-12 from the last one kept, by the distance
+    `np.linalg.norm` gives (the kernel's `norm3`)."""
+    kept = [np.asarray(pts[0], dtype=float)]
+    for p in np.asarray(pts[1:], dtype=float).reshape(-1, 3):
+        if np.linalg.norm(p - kept[-1]) > 1e-12:
+            kept.append(p)
+    return kept
 
 
 def reference_samples(scenario, pts, dt):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TANKS_SCN
+from conftest import TANKS_SCN, edge_between
 from riskplan import kernel, pipeline
 from riskplan.occupancy import (DEFAULT_P_HIT, DEFAULT_P_MISS, EDGE_RISK_CAP,
                                 LOG_ODDS_MAX, LOG_ODDS_MIN, BeamFan, SonarScan,
@@ -305,8 +305,8 @@ class TestExtraction:
     def test_edge_near_wall_becomes_risky(self):
         g, scenario = self.build_grid()
         out = extract_problem(g, scenario, kappa=0.3)
-        ab = out.edge_between("a", "b").collision_probability
-        ac = out.edge_between("a", "c").collision_probability
+        ab = edge_between(out, "a", "b").collision_probability
+        ac = edge_between(out, "a", "c").collision_probability
         assert ab > 0
         assert ac == 0.0
         assert ab <= EDGE_RISK_CAP
@@ -317,7 +317,7 @@ class TestExtraction:
         # the wall face is multiply confirmed, so the max occupancy along
         # a-b is the clamp value and the risk its kappa multiple
         expected = 0.3 * logistic(LOG_ODDS_MAX)
-        assert out.edge_between("a", "b").collision_probability == \
+        assert edge_between(out, "a", "b").collision_probability == \
             pytest.approx(expected, abs=1e-6)
 
     def test_waypoint_near_wall_becomes_critical(self):

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,18 @@ class TestConnectivity:
         with pytest.raises(DisconnectedPlan) as exc:
             refine(scenario(text), ["goto c"])
         assert exc.value.pair == ("a", "c")
+
+    def test_gotos_at_the_end_of_a_long_chain(self):
+        """Each goto is looked up among the edges in a set: 2,000 gotos over
+        the last edge of a 16,000-waypoint chain refine in well under 2 s,
+        where a scan of every edge per goto took ~11 s (2-vCPU VM)."""
+        n = 16_000
+        text = chain_text([(float(i), 0.0, 0.0) for i in range(n)])
+        scn = scenario(text.replace("MISSION start w0", f"MISSION start w{n - 1}"))
+        t0 = time.perf_counter()
+        traj = refine(scn, [f"goto w{n - 2}", f"goto w{n - 1}"] * 1000)
+        assert time.perf_counter() - t0 < 2.0
+        assert traj.rows[-1, 1] == n - 1 and traj.nominal_duration > 2000
 
 
 class TestHelix:
@@ -295,6 +308,24 @@ def scaled(u, length):
     return [c / math.hypot(*u) * length for c in u]
 
 
+def leg_points(origin, legs):
+    """``origin``, then the end of each (direction, length) leg in turn."""
+    points = [origin]
+    for u, length in legs:
+        points.append(tuple(a + d for a, d in zip(points[-1], scaled(u, length))))
+    return points
+
+
+def walk_steps(legs, walk):
+    """goto labels along `chain_text`'s chain of ``legs`` legs: to its end,
+    then back and forth as ``walk`` says (True: forward where it can)."""
+    steps, here = [], 0
+    for forward in [True] * legs + walk:
+        here += 1 if here == 0 or forward and here < legs else -1
+        steps.append(f"goto w{here}")
+    return steps
+
+
 def chain_text(points, obstacle=""):
     """.scn text of waypoints w0..wn at ``points`` (their floats written
     exactly), each joined to the next, and ``obstacle``'s line if any."""
@@ -321,14 +352,8 @@ class TestKernelMatchesReferenceNear1e12:
            dt=st.floats(1e-8, 1.0), walk=st.lists(st.booleans(), max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_walks_over_legs_of_about_1e12(self, origin, legs, dt, walk):
-        points = [origin]
-        for u, length in legs:
-            points.append(tuple(a + d for a, d in zip(points[-1], scaled(u, length))))
-        steps, here = [], 0
-        for forward in [True] * len(legs) + walk:  # to the end, then back and forth
-            here += 1 if here == 0 or forward and here < len(legs) else -1
-            steps.append(f"goto w{here}")
-        assert_matches_reference(scenario(chain_text(points)), steps, dt=dt)
+        assert_matches_reference(scenario(chain_text(leg_points(origin, legs))),
+                                 walk_steps(len(legs), walk), dt=dt)
 
     @given(origin=origins, u=directions, gap=near_1e12,
            radius=st.just(0.0) | near_1e12, points=st.integers(1, 8),
@@ -341,6 +366,50 @@ class TestKernelMatchesReferenceNear1e12:
                                     f"half {radius!r} {radius!r} 1")
         helix = HelixSpec(points=points, turns=turns, clearance=0.0, pitch=0.0)
         assert_matches_reference(scenario(text), ["inspect o"] * loops, dt=dt, helix=helix)
+
+
+# axis directions: from the origin, a leg along one is exactly its length
+axes = st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)])
+# repeats, 1e-12 and a few ulps either side, legs under 1e-12 whose runs
+# pass it only against the last point kept, and longer legs
+point_legs = st.just(0.0) | near_1e12 | st.floats(3e-13, 9e-13) | st.floats(2e-12, 1e-9)
+
+
+class TestKernelKeepsPoints:
+    """The kernel starts a segment only at a point more than 1e-12 from the
+    last point kept, as the reference's point filter does, and a plan of
+    repeated points is its start at rest."""
+
+    @given(origin=origins, legs=st.lists(st.tuples(directions | axes, point_legs),
+                                         min_size=1, max_size=8),
+           dt=st.floats(1e-8, 1.0), walk=st.lists(st.booleans(), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_walks_over_clusters_of_near_points(self, origin, legs, dt, walk):
+        assert_matches_reference(scenario(chain_text(leg_points(origin, legs))),
+                                 walk_steps(len(legs), walk), dt=dt)
+
+    def test_legs_of_1e12_measured_from_the_last_point_kept(self):
+        """The first of two 1e-12 legs starts no segment, and the second
+        ends one 2e-12 long: a test against the point before each would
+        drop both and leave the plan at rest."""
+        scn = scenario(chain_text([(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0), (2e-12, 0.0, 0.0)]))
+        traj = assert_matches_reference(scn, ["goto w1", "goto w2"], dt=1e-6)
+        assert len(traj.rows) > 1 and traj.rows[-1, 1] == 2e-12
+
+    @given(inspects=st.lists(st.booleans(), max_size=12), points=st.integers(1, 8),
+           dt=st.floats(1e-8, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_of_repeated_points_is_its_start_at_rest(self, inspects, points, dt):
+        # two waypoints and a flat helix of radius 0, all at one point; each
+        # step inspects, or moves to the other waypoint
+        text = chain_text([(1.0, 2.0, -3.0)] * 2, "OBSTACLE o center 1.0 2.0 0 half 0.0 0.0 1")
+        helix = HelixSpec(points=points, clearance=0.0, pitch=0.0)
+        steps, here = [], 0
+        for inspect in inspects:
+            here ^= not inspect
+            steps.append("inspect o" if inspect else f"goto w{here}")
+        traj = assert_matches_reference(scenario(text), steps, dt=dt, helix=helix)
+        assert traj.rows.tolist() == [[0.0, 1.0, 2.0, -3.0, 0.0]]
 
 
 def reference_export_csv(traj, path):
@@ -425,8 +494,8 @@ class TestRowBound:
         assert len(refine(scenario(leg), ["goto b"], dt=0.1).rows) < refiner.MAX_PATH_ROWS
 
     def test_long_plan_refused_before_its_polyline_is_built(self, monkeypatch):
-        """Each distinct polyline point adds a sample, so the polyline stops
-        past MAX_PATH_ROWS + 1 points, however many labels follow."""
+        """Each polyline point makes a sample, so a plan whose labels name
+        over MAX_PATH_ROWS + 1 points is refused before any is made."""
         monkeypatch.setattr(refiner, "MAX_PATH_ROWS", 500)
         calls = []
         real = refiner.helix_points
@@ -435,8 +504,38 @@ class TestRowBound:
         tanks = load_scenario(TANKS_SCN).scenario
         with pytest.raises(ValueError, match="MAX_PATH_ROWS"):
             refine(tanks, ["inspect sm_tank"] * 20_000)
-        # 51 distinct points a loop: the 10th loop passes 501 points
-        assert len(calls) == 10 <= 500 // refiner.HELIX_POINTS + 1
+        assert calls == []
+
+    def test_long_plan_refused_in_bounded_memory(self):
+        """400,000 loops name ~2 * 10^7 points: counting them from the
+        labels holds none of them."""
+        tanks = load_scenario(TANKS_SCN).scenario
+        plan = ["inspect sm_tank"] * 400_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_PATH_ROWS"):
+                refine(tanks, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_plan_of_exactly_max_rows_plus_one_points(self, monkeypatch):
+        """A plan of repeated points makes one dropped sample a point after
+        the first: at MAX_PATH_ROWS + 1 points the kernel takes it, and one
+        point more is refused from the labels before the kernel runs."""
+        text = chain_text([(0.0, 0.0, 0.0)] * 2, "OBSTACLE o center 0 0 0 half 0.0 0.0 1")
+        scn, helix = scenario(text), HelixSpec(points=3, clearance=0.0, pitch=0.0)
+        plan = ["inspect o", "goto w1", "inspect o"]  # 1 + 4 + 1 + 4 points
+        monkeypatch.setattr(refiner, "MAX_PATH_ROWS", 9)
+        assert len(plan_polyline(scn, plan, helix)) == 10
+        assert refine(scn, plan, helix=helix).rows.tolist() == [[0.0] * 5]
+        path = np.array(plan_polyline(scn, plan, helix))
+        args = (len(path), path, 0, np.empty((0, 3)), 2.0, 1.0, 0.25, refiner.A_MAX, 0.1)
+        assert kernel.load().refine_path(*args, 8, 0, np.empty((0, 5))) == 9
+        monkeypatch.setattr(refiner, "MAX_PATH_ROWS", 8)
+        with pytest.raises(ValueError, match="over 9 points"):
+            plan_polyline(scn, plan, helix)
 
     def test_peak_memory_of_a_long_path_is_about_its_rows(self):
         """Refinement holds the kept rows and their read-only copy, not a

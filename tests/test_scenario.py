@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enabled_actions, inspection_chain
+from conftest import edge_between, enabled_actions, inspection_chain
 from oracles import by_id
 from riskplan.scenario import (COLLIDED, MAX_STATES, MAX_TRANSITIONS, PLAN_FORMAT_VERSION,
                                PlanFile, ParseResult, SchemaMismatch,
@@ -73,7 +73,7 @@ class TestParser:
         assert s.start == "a" and s.final == "a"
         assert s.inspection_goals == frozenset({"box"})
         assert [w.id for w in s.waypoints if w.is_critical] == ["b"]
-        assert s.edge_between("b", "a").collision_probability == 0.1
+        assert edge_between(s, "b", "a").collision_probability == 0.1
 
     def test_bundled_scenario_parses(self, tanks_path):
         result = load_scenario(tanks_path)
