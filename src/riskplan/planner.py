@@ -126,15 +126,33 @@ def solve(
             swept.append(i)
     cost = [s.cost * log_x for s in m.states]
 
-    def action_value(moves: list[tuple[float, int]]) -> float:
-        """logsumexp of ln P + log V over the successors, cost excluded."""
-        if len(moves) == 1:
+    def backup(i: int) -> tuple[float, tuple[str, list[tuple[float, int]]]]:
+        """The lowest action value of state i, cost excluded, and the first
+        (action, moves) that has it, so ties go to the lowest action id.
+        An action's value is the logsumexp of the terms ln P + log V of its
+        moves: the first largest term, top, plus the log of the sum of
+        exp(term - top), added in order."""
+        best = None
+        for am in succ[i]:
+            moves = am[1]
             lp, j = moves[0]
-            return lp + logv[j]
-        top = max(lp + logv[j] for lp, j in moves)
-        if top == INF:
-            return INF
-        return top + math.log(sum(math.exp(lp + logv[j] - top) for lp, j in moves))
+            v = lp + logv[j]
+            if len(moves) > 1:
+                top = v
+                for lp, j in moves:
+                    t = lp + logv[j]
+                    if t > top:
+                        top = t
+                if top == INF:
+                    v = INF
+                else:
+                    total = 0.0
+                    for lp, j in moves:
+                        total += math.exp(lp + logv[j] - top)
+                    v = top + math.log(total)
+            if best is None or v < low:
+                low, best = v, am
+        return low, best
 
     budget = MAX_SWEEPS * len(swept)
     queued = [True] * len(m.states)  # only swept states ever leave it
@@ -149,7 +167,7 @@ def solve(
             if budget < 0:
                 raise NonConvergence(f"value iteration did not converge in "
                                      f"{MAX_SWEEPS} backups per state")
-            new = cost[i] + min(action_value(moves) for _, moves in succ[i])
+            new = cost[i] + backup(i)[0]
             old = logv[i]
             logv[i] = new
             if new == old or abs(new - old) < TOLERANCE:
@@ -173,10 +191,8 @@ def solve(
         raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
                              f"from {m.states[m.start].id!r}")
 
-    # each finite swept state's lowest-valued (action, moves); min keeps the
-    # first, so ties go to the lowest action id
-    best = {i: min(succ[i], key=lambda am: action_value(am[1]))
-            for i in swept if logv[i] < INF}
+    # each finite swept state's lowest-valued (action, moves)
+    best = {i: backup(i)[1] for i in swept if logv[i] < INF}
     # keep only states reachable under the policy itself so two plans are
     # comparable as policies; a walk stops at a goal, which is never swept
     reached = set()

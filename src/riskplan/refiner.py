@@ -71,13 +71,19 @@ class TrajectorySample:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A plan's refined path: its (k, 5) rows (t, x, y, z, v) as a read-only
-    float copy, checked for that shape once, when it is made."""
+    float array, checked for that shape once, when it is made.  Rows that
+    already are a read-only C-ordered float64 array owning its data are
+    taken as they are; any others are copied."""
 
     rows: np.ndarray
     plan_id: str = ""
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
+        rows = self.rows
+        if not (type(rows) is np.ndarray and rows.dtype == np.float64
+                and rows.flags.c_contiguous and rows.flags.owndata
+                and not rows.flags.writeable):
+            rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != len(CSV_COLUMNS):
             raise ValueError(f"trajectory rows must have shape (k, 5), got {rows.shape}")
         rows.flags.writeable = False
@@ -227,4 +233,5 @@ def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
                          f"({MAX_PATH_ROWS}) samples at dt {dt!r}")
     out = np.empty((count, 5))
     lib.refine_path(*args, MAX_PATH_ROWS, count, out)
+    out.flags.writeable = False  # so that `Trajectory` takes it uncopied
     return out

@@ -411,6 +411,8 @@ def from_json(kind, value, doc: str, path: str = ""):
         raise SchemaMismatch(doc, path, f"must be {want}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise SchemaMismatch(doc, path, f"must be finite, got {value!r}")
+    if origin is list and args[0] in (str, int, bool) and set(map(type, value)) <= {args[0]}:
+        return list(value)  # each element already is its own JSON type
     if origin in (list, tuple):
         kinds = args * len(value) if origin is list else args
         return origin(from_json(k, v, doc, f"{path}[{i}]")

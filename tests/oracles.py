@@ -5,16 +5,22 @@ The program never enumerates a plan's cost distribution; the tests check
 the solver and every downstream statistic against this enumeration.
 
 The model names its states by position; the oracles read it by state id,
-through `by_id`.
+through `by_id`.  `per_action_solve` is the exception: the log-domain
+worklist solver as it was before its backups became one loop per state,
+kept by position as the bitwise oracle of `planner.solve`.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from riskplan import planner
 from riskplan.mdp import Mdp, Plan
-from riskplan.planner import ImproperPolicy
+from riskplan.planner import (INF, GammaOutOfRange, ImproperPolicy, NonConvergence,
+                              NoProperPolicy)
 
 # accumulated real-valued costs are rounded to this many decimals to keep
 # the distribution support finite
@@ -91,6 +97,92 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
         trace.append((s, a))
         s = best.target
     return trace
+
+
+def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
+    """`planner.solve` with one `action_value` call per action, a `min`
+    over a generator per backup and another per extracted state.  Its
+    log-sum-exp adds its terms in order with a loop, as ``sum()`` did on
+    Python 3.11.  It reads `planner.MAX_SWEEPS` and `planner.TOLERANCE`
+    when called and shares `planner._with_proper_policy`."""
+    if not (0.0 < gamma < 1.0):
+        raise GammaOutOfRange(f"gamma must be in (0,1), got {gamma}")
+
+    log_x = -math.log(gamma)
+    succ = m.successors
+    logv = [INF] * len(m.states)
+    swept = []
+    for i in range(len(m.states)):
+        if i in m.goals:
+            logv[i] = 0.0
+        elif not succ[i]:
+            if failure_cost is not None:
+                logv[i] = failure_cost * log_x
+        elif i in m.goal_reaching:
+            swept.append(i)
+    cost = [s.cost * log_x for s in m.states]
+
+    def action_value(moves):
+        if len(moves) == 1:
+            lp, j = moves[0]
+            return lp + logv[j]
+        top = max(lp + logv[j] for lp, j in moves)
+        if top == INF:
+            return INF
+        total = 0.0
+        for lp, j in moves:
+            total += math.exp(lp + logv[j] - top)
+        return top + math.log(total)
+
+    budget = planner.MAX_SWEEPS * len(swept)
+    queued = [True] * len(m.states)
+    queue = deque(swept)
+
+    def drain():
+        nonlocal budget
+        while queue:
+            i = queue.popleft()
+            queued[i] = False
+            budget -= 1
+            if budget < 0:
+                raise NonConvergence(f"value iteration did not converge in "
+                                     f"{planner.MAX_SWEEPS} backups per state")
+            new = cost[i] + min(action_value(moves) for _, moves in succ[i])
+            old = logv[i]
+            logv[i] = new
+            if new == old or abs(new - old) < planner.TOLERANCE:
+                continue
+            for j in m.predecessors[i]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+
+    drain()
+    looped = planner._with_proper_policy([i for i in swept if logv[i] == INF], m, logv)
+    if looped:
+        for i in looped:
+            logv[i] = 0.0
+        for i in swept:
+            queued[i] = True
+        queue.extend(swept)
+        drain()
+
+    if logv[m.start] == INF:
+        raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
+                             f"from {m.states[m.start].id!r}")
+
+    best = {i: min(succ[i], key=lambda am: action_value(am[1]))
+            for i in swept if logv[i] < INF}
+    reached = set()
+    stack = [m.start]
+    while stack:
+        i = stack.pop()
+        if i not in reached:
+            reached.add(i)
+            if i in best:
+                stack += [j for _, j in best[i][1]]
+    policy = {m.states[i].id: a for i, (a, _) in best.items() if i in reached}
+    return {s.id: v for s, v in zip(m.states, logv)}, Plan(policy=policy)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 The gamma-limit oracles (expected-cost and minimax plans) are computed here
 by independent dynamic programs, not by the code under test.  The
 log-domain worklist solver is checked against the linear-space sweep it
-replaced (`reference_solve`) and against brute-force enumeration of every
+replaced (`reference_solve`), bit for bit against its own per-action form
+(`oracles.per_action_solve`), and against brute-force enumeration of every
 deterministic policy of small random models.
 """
 
@@ -19,6 +20,7 @@ from conftest import (TANKS_SCN, detour_mdp, enabled_actions, loop_mdp,
                       make_mdp, risky_vs_safe_mdp, state_costs, two_action_mdp)
 from oracles import by_id, can_reach, induce_chain, reward_distribution_exact
 from oracles import linearize_trace as linearize_trace_by_id
+from oracles import per_action_solve
 from riskplan import planner
 from riskplan.mdp import Mdp, Plan, TransitionSpec
 from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
@@ -459,9 +461,20 @@ def _assert_log_values_match(log_values, linear_values):
         assert log_values[s] == pytest.approx(want, abs=1e-9), s
 
 
+def _outcome(solver, m, gamma, failure_cost):
+    """Every state's log V as its exact float (``float.hex``, +inf too)
+    and the policy, or the raised error's type and message."""
+    try:
+        values, plan = solver(m, gamma, failure_cost)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {s: v.hex() for s, v in values.items()}, plan.policy
+
+
 class TestMatchesReference:
     """The worklist solver returns the replaced sweep's policies, and the
-    logs of its values, wherever the sweep does not overflow."""
+    logs of its values, wherever the sweep does not overflow; and the
+    per-action solve's log V and policy bit for bit."""
 
     @pytest.mark.parametrize("failure_cost", [12.0, None])
     def test_tanks_gamma_grid(self, failure_cost):
@@ -473,6 +486,8 @@ class TestMatchesReference:
             values, plan = solve(m, float(g), failure_cost)
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
+            assert (_outcome(solve, m, float(g), failure_cost)
+                    == _outcome(per_action_solve, m, float(g), failure_cost)), g
 
     @pytest.mark.parametrize("size", [64, 139, 274])
     def test_corridor_scaling_gammas(self, size):
@@ -484,6 +499,47 @@ class TestMatchesReference:
             values, plan = solve(m, float(g))
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
+            assert (_outcome(solve, m, float(g), None)
+                    == _outcome(per_action_solve, m, float(g), None)), g
+
+
+@st.composite
+def solver_models(draw):
+    """Up to six costed states, one or two goals and, when there is one
+    goal, a state with no action.  Each costed state has no action (a dead
+    end) or up to three, each with one to three successors among all
+    states, itself included: self-loops, dead ends and states that only a
+    loop of their own can finish (restarted from log V = 0) all occur."""
+    k = draw(st.integers(1, 6))
+    ids = [f"s{i}" for i in range(k)] + ["g", "h"]
+    states = [(s, draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))) for s in ids[:k]]
+    states += [("g", 0.0), ("h", 0.0)]
+    goals = {"g", "h"} if draw(st.booleans()) else {"g"}
+    transitions = []
+    for s in ids[:k]:
+        for a in ("a", "b", "c")[:draw(st.integers(0, 3))]:
+            # the goal g is drawn twice as often as any other state
+            targets = draw(st.lists(st.sampled_from(ids + ["g"]), min_size=1,
+                                    max_size=3, unique=True))
+            weights = draw(st.lists(st.integers(1, 9), min_size=len(targets),
+                                    max_size=len(targets)))
+            transitions += [(s, a, t, w / sum(weights))
+                            for t, w in zip(targets, weights)]
+    return make_mdp(states, transitions, draw(st.sampled_from(ids[:k])), goals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(solver_models(), st.floats(0.4, 1.0, exclude_min=True, exclude_max=True),
+       st.none() | st.floats(0.0, 40.0))
+def test_bit_identical_to_per_action_solve(m, gamma, failure_cost):
+    """`solve` backs a state up in one loop over its actions; the solve
+    with one `action_value` call per action (`oracles.per_action_solve`)
+    gives the same log V bit for bit, the same policy and the same error."""
+    # a small sweep budget keeps the non-converging models fast
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "MAX_SWEEPS", 200)
+        assert (_outcome(solve, m, gamma, failure_cost)
+                == _outcome(per_action_solve, m, gamma, failure_cost))
 
 
 def test_long_corridor_does_not_overflow():

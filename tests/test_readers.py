@@ -177,6 +177,46 @@ class TestNumbers:
             PipelineConfig.from_doc({**CONFIG, "helix": {"points": 0}})
 
 
+class TestScalarLists:
+    """A list of strings, integers or booleans is checked in one pass; the
+    first misfit is reported as the per-element check reports it."""
+
+    @pytest.mark.parametrize("kind, value, problem", [
+        (list[str], ["goto b", "inspect t", 3, []], "[2] must be a string, got 3"),
+        (list[int], [1, 2, True, 0.5], "[2] must be an integer, got True"),
+        (list[int], [1, 2, 0.5], "[2] must be an integer, got 0.5"),
+        (list[bool], [True, False, 1], "[2] must be true or false, got 1"),
+    ])
+    def test_first_misfit_named(self, kind, value, problem):
+        with pytest.raises(SchemaMismatch) as info:
+            from_json(kind, value, "doc")
+        assert str(info.value) == f"doc: {problem}"
+
+    def test_bad_plan_label_named_at_its_path(self, tmp_path):
+        doc = {**PLAN, "actions": ["goto b"] * 5 + [None, 7], "high_level_length": 7}
+        name, read = read_plan(doc, tmp_path)
+        with pytest.raises(SchemaMismatch) as info:
+            read()
+        assert str(info.value) == f"{name}: .actions[5] must be a string, got None"
+        assert info.value.path == ".actions[5]"
+
+    def test_floats_still_converted_per_element(self):
+        values = from_json(list[float], [1, 2.5], "doc")
+        assert values == [1.0, 2.5] and [type(v) for v in values] == [float, float]
+
+    def test_long_plan_read_in_one_pass(self, tmp_path, monkeypatch):
+        from riskplan import scenario
+        calls = []
+        monkeypatch.setattr(scenario, "from_json",
+                            lambda *a, _f=scenario.from_json: calls.append(1) or _f(*a))
+        labels = ["inspect sm_tank"] * 400_000
+        _, read = read_plan({**PLAN, "actions": labels, "high_level_length": 400_000},
+                            tmp_path)
+        plan = read()
+        assert plan.actions == labels and type(plan.actions) is list
+        assert len(calls) < 10  # the plan's fields, not one per label
+
+
 @pytest.mark.parametrize("helix, problem", [
     ('{"points": 0}', ".helix is rejected: points must be >= 1"),
     ('{"turns": NaN}', ".helix.turns must be finite"),

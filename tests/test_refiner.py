@@ -437,6 +437,21 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="read-only"):
             traj.rows[0, 0] = 1.0
 
+    def test_writable_float_rows_copied(self):
+        rows = np.zeros((2, 5))
+        traj = Trajectory(rows)
+        rows[0, 0] = 99.0
+        assert rows.flags.writeable and traj.rows[0, 0] == 0.0
+        assert not np.shares_memory(rows, traj.rows)
+
+    def test_read_only_rows_taken_only_when_they_own_their_data(self):
+        rows = np.zeros((2, 5))
+        rows.flags.writeable = False
+        assert Trajectory(rows).rows is rows
+        view = np.zeros((4, 5))[::2]
+        view.flags.writeable = False
+        assert not np.shares_memory(Trajectory(view).rows, view)
+
     @pytest.mark.parametrize("which", [0, 1])
     def test_tanks_artifacts_equal_per_sample_reference(self, tmp_path, which):
         """The CSV bytes and the length in summary.csv, against the writer
@@ -538,8 +553,9 @@ class TestRowBound:
             plan_polyline(scn, plan, helix)
 
     def test_peak_memory_of_a_long_path_is_about_its_rows(self):
-        """Refinement holds the kept rows and their read-only copy, not a
-        per-row Python list beside them."""
+        """Refinement holds the kernel's rows once: the trajectory takes
+        the kernel's read-only buffer, with no copy or per-row Python list
+        beside it."""
         tanks = load_scenario(TANKS_SCN).scenario
         kernel.load()  # built and loaded outside the traced span
         tracemalloc.start()
@@ -549,7 +565,7 @@ class TestRowBound:
         finally:
             tracemalloc.stop()
         assert len(traj.rows) == 149_101
-        assert peak < 3 * traj.rows.nbytes
+        assert peak < 1.3 * traj.rows.nbytes
 
     def test_path_of_exactly_max_rows_accepted(self, monkeypatch):
         tanks = load_scenario(TANKS_SCN).scenario
