@@ -33,12 +33,6 @@ static double pos_part(double v)
     return (v >= 0.0 || v != v) ? v : 0.0;
 }
 
-void norm3_batch(long n, const double *v, double *out)
-{
-    for (long i = 0; i < n; i++)
-        out[i] = norm3(v[3 * i], v[3 * i + 1], v[3 * i + 2]);
-}
-
 /* Whether p (3,) lies within radius of one of the zones (zones, 3) centres */
 static int in_zone(long zones, const double *centers, double radius,
                    const double *p)

@@ -135,19 +135,14 @@ def select(table: list[tuple[str, RiskMetrics]],
     return SelectionResult(winner[0], eliminated)
 
 
-def compare_means(a: list[float], b: list[float]) -> tuple[float, float]:
+def compare_means(a: RiskMetrics, b: RiskMetrics) -> tuple[float, float]:
     """Welch's unequal-variance t test; advisory, never overrides select."""
-    if len(a) < MIN_SAMPLES or len(b) < MIN_SAMPLES:
-        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples per group")
-    na, nb = len(a), len(b)
-    ma, mb = sum(a) / na, sum(b) / nb
-    va = sum((x - ma) ** 2 for x in a) / (na - 1)
-    vb = sum((x - mb) ** 2 for x in b) / (nb - 1)
-    se2 = va / na + vb / nb
+    na, nb = a.count, b.count
+    se2 = a.variance / na + b.variance / nb
     if se2 == 0.0:
-        return (0.0, 1.0) if ma == mb else (math.copysign(math.inf, ma - mb), 0.0)
-    t = (ma - mb) / math.sqrt(se2)
-    df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+        return (0.0, 1.0) if a.mean == b.mean else (math.copysign(math.inf, a.mean - b.mean), 0.0)
+    t = (a.mean - b.mean) / math.sqrt(se2)
+    df = se2 ** 2 / ((a.variance / na) ** 2 / (na - 1) + (b.variance / nb) ** 2 / (nb - 1))
     return t, min(t_two_sided_p(t, df), 1.0)
 
 
@@ -210,7 +205,7 @@ def build_report(
     for pid in sorted(samples_by_plan):
         if pid == winner:
             continue
-        t, p = compare_means(samples_by_plan[winner], samples_by_plan[pid])
+        t, p = compare_means(metrics[winner], metrics[pid])
         welch[pid] = {"t": t, "p": p}
     return {
         "format_version": 2,

@@ -89,8 +89,6 @@ def load() -> ctypes.CDLL:
     f64, intp, uptr, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
                                for t in (np.float64, np.intp, np.uintp, np.uint8, np.int8))
     size, real, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
-    lib.norm3_batch.argtypes = [size, f64, f64]
-    lib.norm3_batch.restype = None
     lib.refine_path.argtypes = [
         size, f64, size, f64,                    # npts, pts, zones, centers
         real, real, real, real, real,            # radius, v_max, v_crit, a_max, dt

@@ -156,15 +156,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     trajectories: dict[str, Trajectory] = {}
     episode_records: dict[str, list[simulator.EpisodeRecord]] = {}
-    samples_by_plan: dict[str, list[float]] = {}
     summary_rows: list[dict] = []
-
-    index = {"gammas": [], "dedup": {}}
-    for cand in candidates:
-        for g in cand.gammas:
-            index["gammas"].append(g)
-            index["dedup"][f"{g:.12f}"] = cand.plan.id
-    index["gammas"].sort()
 
     for cand in candidates:
         pid = cand.plan.id
@@ -179,13 +171,16 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                                       n=cfg.episodes, master_seed=cfg.master_seed)
         episode_records[pid] = records
         simulator.write_episode_log(records, out / f"episodes_{pid}.jsonl")
-        samples_by_plan[pid] = [r.execution_time_s for r in records]
 
+    samples_by_plan = {pid: [r.execution_time_s for r in records]
+                       for pid, records in episode_records.items()}
     report = _stamp(assess.build_report(samples_by_plan, cfg.metrics,
                                         alpha_mean=cfg.alpha_mean), cfg)
     report["gamma_by_plan"] = {c.plan.id: c.gammas for c in candidates}
     write_json(out / "report.json", report)
-    write_json(out / "candidates.json", _stamp(index, cfg))
+    write_json(out / "candidates.json", _stamp({
+        "gammas": sorted(g for c in candidates for g in c.gammas),
+        "dedup": {f"{g:.12f}": c.plan.id for c in candidates for g in c.gammas}}, cfg))
 
     for cand in candidates:
         pid = cand.plan.id

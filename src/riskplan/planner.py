@@ -191,19 +191,17 @@ def solve(
         raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
                              f"from {m.states[m.start].id!r}")
 
-    # each finite swept state's lowest-valued (action, moves)
-    best = {i: backup(i)[1] for i in swept if logv[i] < INF}
-    # keep only states reachable under the policy itself so two plans are
-    # comparable as policies; a walk stops at a goal, which is never swept
-    reached = set()
+    # the lowest-valued action of each finite swept state the policy itself
+    # reaches from the start, so two plans are comparable as policies; the
+    # walk stops at goals and dead ends
+    policy = {}
     stack = [m.start]
     while stack:
         i = stack.pop()
-        if i not in reached:
-            reached.add(i)
-            if i in best:
-                stack += [j for _, j in best[i][1]]
-    policy = {m.states[i].id: a for i, (a, _) in best.items() if i in reached}
+        s = m.states[i].id
+        if s not in policy and i not in m.goals and succ[i] and logv[i] < INF:
+            policy[s], moves = backup(i)[1]
+            stack += [j for _, j in moves]
 
     value = {s.id: v for s, v in zip(m.states, logv)}
     return value, Plan(policy=policy)

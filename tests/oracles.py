@@ -7,7 +7,9 @@ the solver and every downstream statistic against this enumeration.
 The model names its states by position; the oracles read it by state id,
 through `by_id`.  `per_action_solve` is the exception: the log-domain
 worklist solver as it was before its backups became one loop per state,
-kept by position as the bitwise oracle of `planner.solve`.
+kept by position as the bitwise oracle of `planner.solve`, and
+`samples_compare_means` is Welch's test as it was when it summed each
+plan's samples itself, the bitwise oracle of `assess.compare_means`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from riskplan import planner
+from riskplan.assess import MIN_SAMPLES, InsufficientSamples, t_two_sided_p
 from riskplan.mdp import Mdp, Plan
 from riskplan.planner import (INF, GammaOutOfRange, ImproperPolicy, NonConvergence,
                               NoProperPolicy)
@@ -183,6 +186,23 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
                 stack += [j for _, j in best[i][1]]
     policy = {m.states[i].id: a for i, (a, _) in best.items() if i in reached}
     return {s.id: v for s, v in zip(m.states, logv)}, Plan(policy=policy)
+
+
+def samples_compare_means(a: list[float], b: list[float]) -> tuple[float, float]:
+    """`assess.compare_means` from the two sample lists: each list's count,
+    mean and unbiased variance summed here, as `compute_metrics` sums them."""
+    if len(a) < MIN_SAMPLES or len(b) < MIN_SAMPLES:
+        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples per group")
+    na, nb = len(a), len(b)
+    ma, mb = sum(a) / na, sum(b) / nb
+    va = sum((x - ma) ** 2 for x in a) / (na - 1)
+    vb = sum((x - mb) ** 2 for x in b) / (nb - 1)
+    se2 = va / na + vb / nb
+    if se2 == 0.0:
+        return (0.0, 1.0) if ma == mb else (math.copysign(math.inf, ma - mb), 0.0)
+    t = (ma - mb) / math.sqrt(se2)
+    df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    return t, min(t_two_sided_p(t, df), 1.0)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from scipy import stats as scipy_stats
 from scipy.special import stdtr
 
 from conftest import REPO_ROOT, TANKS_SCN
+from oracles import samples_compare_means
 from riskplan.assess import (InsufficientSamples, MetricConfig, RiskMetrics,
                              build_report, compare_means, compute_metrics,
                              select, t_two_sided_p)
@@ -125,11 +126,32 @@ class TestSelect:
             select(TABLE_I, alpha_mean=alpha_mean)
 
 
+def welch(a, b):
+    """`compare_means` of two sample lists' metrics."""
+    return compare_means(compute_metrics(a), compute_metrics(b))
+
+
+def welch_outcome(test, a, b):
+    """``test(a, b)``'s t and p as exact floats (``float.hex``), or the
+    raised error's type and message."""
+    try:
+        t, p = test(a, b)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return t.hex(), p.hex()
+
+
+# two or more finite samples, some lists constant, so that both
+# zero-variance outcomes occur
+WELCH_SAMPLES = (st.lists(st.floats(0.0, 1e6), min_size=2, max_size=40)
+                 | st.builds(lambda x, n: [x] * n, st.floats(0.0, 1e6), st.integers(2, 40)))
+
+
 class TestWelch:
     def test_matches_scipy(self):
         a = [10.0, 12.0, 11.0, 13.0, 9.0]
         b = [14.0, 16.0, 15.0, 13.0, 17.0]
-        t, p = compare_means(a, b)
+        t, p = welch(a, b)
         ref = scipy_stats.ttest_ind(a, b, equal_var=False)
         assert t == pytest.approx(ref.statistic)
         assert p == pytest.approx(ref.pvalue)
@@ -139,7 +161,7 @@ class TestWelch:
         for _ in range(200):
             a = list(rng.normal(100, rng.uniform(1, 9), rng.integers(2, 40)))
             b = list(rng.normal(101, rng.uniform(1, 9), rng.integers(2, 40)))
-            t, p = compare_means(a, b)
+            t, p = welch(a, b)
             va, vb = np.var(a, ddof=1) / len(a), np.var(b, ddof=1) / len(b)
             df = (va + vb) ** 2 / (va ** 2 / (len(a) - 1) + vb ** 2 / (len(b) - 1))
             assert p == pytest.approx(2 * scipy_stats.t.sf(abs(t), df), rel=1e-12)
@@ -181,10 +203,10 @@ class TestWelch:
         assert welch and all(0.0 <= w["p"] <= 1.0 for w in welch.values())
 
     def test_identical_constants(self):
-        assert compare_means([5.0, 5.0], [5.0, 5.0]) == (0.0, 1.0)
+        assert welch([5.0, 5.0], [5.0, 5.0]) == (0.0, 1.0)
 
     def test_distinct_constants(self):
-        t, p = compare_means([5.0, 5.0], [6.0, 6.0])
+        t, p = welch([5.0, 5.0], [6.0, 6.0])
         assert t == -math.inf
         assert p == 0.0
 
@@ -192,12 +214,16 @@ class TestWelch:
         rng = np.random.default_rng(12)
         a = list(rng.normal(100, 5, 30))
         b = list(rng.normal(100, 5, 30))
-        _, p = compare_means(a, b)
+        _, p = welch(a, b)
         assert p > 0.01
 
-    def test_needs_two_samples_each(self):
-        with pytest.raises(InsufficientSamples):
-            compare_means([1.0], [2.0, 3.0])
+    @given(a=WELCH_SAMPLES, b=WELCH_SAMPLES, same=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_metrics_give_the_samples_result_bitwise(self, a, b, same):
+        """Welch's test read from two plans' metrics gives the t and p (or
+        the error) of the test that summed the samples itself."""
+        b = a if same else b
+        assert welch_outcome(welch, a, b) == welch_outcome(samples_compare_means, a, b)
 
 
 def assert_matches_stdtr(t, df, rel):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TANKS_SCN, edge_between
-from riskplan import kernel, pipeline
+from riskplan import pipeline
 from riskplan.occupancy import (DEFAULT_P_HIT, DEFAULT_P_MISS, EDGE_RISK_CAP,
                                 LOG_ODDS_MAX, LOG_ODDS_MIN, BeamFan, SonarScan,
                                 VoxelGrid, WaypointInOccupiedVoxel,
@@ -414,16 +414,6 @@ class TestIntegrationMatchesReference:
     def test_random_rays(self, scans, repeats, p_hit, p_miss):
         got, want = walk_both(scans, repeats, p_hit=p_hit, p_miss=p_miss)
         assert_same_bits(got.log_odds, want.log_odds)
-
-    def test_segment_length_rounds_as_traverse_voxels(self):
-        """The kernel's segment length is np.linalg.norm's, bit for bit."""
-        rng = np.random.default_rng(5)
-        flat = rng.normal(size=(3000, 3)) * 10.0 ** rng.uniform(-3, 2, size=(3000, 1))
-        flat[:1000, 2] = 0.0  # as a horizontal fan's beams
-        got = np.empty(len(flat))
-        kernel.load().norm3_batch(len(flat), flat, got)
-        want = np.array([np.linalg.norm(v) for v in flat])
-        assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_endpoint_rounding_to_start_hits_start_voxel(self):
         """A 1e-6 range at 1e11 m rounds back onto the start: the walk is a

@@ -496,25 +496,6 @@ class TestKernelMatchesLockstep:
         (record,) = assert_matches_reference(traj, scenario, above, 1)
         assert [(i.obstacle, i.min_distance) for i in record.incidents] == [("rock", gap)]
 
-    def test_kernel_norm_equals_norm_bitwise(self):
-        """The one rounding the kernel cannot take from numpy: its
-        distances must round as `norm`'s BLAS dot product does."""
-        rng = np.random.default_rng(11)
-        n = 200_000
-        scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
-        vectors = [rng.normal(size=(n, 3)) * scale,
-                   rng.uniform(1e-3, 1e3, size=(n, 3)) * rng.choice([-1.0, 1.0], (n, 3)),
-                   np.zeros((3, 3))]
-        for axis in range(3):  # axis-aligned: two exact zeros
-            axial = np.zeros((1000, 3))
-            axial[:, axis] = 10.0 ** rng.uniform(-3, 3, size=1000)
-            vectors.append(axial)
-        v = np.concatenate(vectors)
-        got = np.empty(len(v))
-        kernel.load().norm3_batch(len(v), v, got)
-        differ = got.view(np.uint64) != norm(v).view(np.uint64)
-        assert not differ.any(), f"{differ.sum()} norms differ, e.g. of {v[differ][:3]}"
-
 
 def weave(passes):
     """A trajectory that crosses in and out of one rock's clearance
