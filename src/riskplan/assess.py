@@ -138,11 +138,14 @@ def select(table: list[tuple[str, RiskMetrics]],
 def compare_means(a: RiskMetrics, b: RiskMetrics) -> tuple[float, float]:
     """Welch's unequal-variance t test; advisory, never overrides select."""
     na, nb = a.count, b.count
-    se2 = a.variance / na + b.variance / nb
+    ua, ub = a.variance / na, b.variance / nb
+    se2 = ua + ub
     if se2 == 0.0:
         return (0.0, 1.0) if a.mean == b.mean else (math.copysign(math.inf, a.mean - b.mean), 0.0)
     t = (a.mean - b.mean) / math.sqrt(se2)
-    df = se2 ** 2 / ((a.variance / na) ** 2 / (na - 1) + (b.variance / nb) ** 2 / (nb - 1))
+    if se2 ** 2 == 0.0 or ua ** 2 / (na - 1) + ub ** 2 / (nb - 1) == 0.0:
+        ua, ub, se2 = ua / se2, ub / se2, 1.0  # underflowed: df from the shares of se2
+    df = se2 ** 2 / (ua ** 2 / (na - 1) + ub ** 2 / (nb - 1))
     return t, min(t_two_sided_p(t, df), 1.0)
 
 

@@ -294,8 +294,6 @@ def _max_occupancy_near_segment(centers: np.ndarray, log_odds: np.ndarray,
                                 a, b, radius: float) -> float:
     """Max occupancy over the observed voxels (centres (n, 3), log-odds
     (n,)) within radius of segment ab."""
-    if len(centers) == 0:
-        return 0.0
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a

@@ -2,9 +2,9 @@
 simulated episodes -> risk metrics -> selected plan, with all artifacts
 written under one output directory.
 
-Every artifact carries the config hash and master seed; all randomness
-derives from the master seed through named streams, so a rerun with the
-same config reproduces every file byte for byte.
+The run's summaries carry one stamp, the config hash and master seed; all
+randomness derives from the master seed through `named_rng` streams, so a
+rerun with the same config reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, refine
 from .scenario import (PlanFile, Scenario, from_json, ground_to_mdp, load_scenario,
-                       open_artifact, write_json, write_plan_file)
+                       named_rng, open_artifact, write_json, write_plan_file)
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
@@ -59,24 +58,16 @@ class PipelineConfig:
             raise ValueError("gamma interval must lie inside (0,1]")
         assess.check_alpha_mean(self.alpha_mean)
 
-    def to_doc(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
         """Config from a JSON document, checked by `from_json`."""
         return from_json(cls, doc, "config")
 
     def config_hash(self) -> str:
-        doc = self.to_doc()
+        doc = asdict(self)
         doc.pop("out_dir", None)  # where artifacts land must not change them
         payload = json.dumps(doc, sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, zlib.crc32(stage.encode("utf-8"))]))
 
 
 def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> VoxelGrid:
@@ -86,7 +77,7 @@ def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> 
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     margin, res = 6.0, DEFAULT_RESOLUTION
     grid = VoxelGrid(lo - margin, ((hi - lo + 2 * margin) / res).astype(int), res)
-    rng = stage_rng(master_seed, "sonar")
+    rng = named_rng(master_seed, "sonar")
     fan = BeamFan(count=64, aperture=math.radians(120), max_range=25.0)
     path = []
     z = sum(pts[:, 2].tolist()) / len(pts)  # summed in order, as floats
@@ -108,7 +99,7 @@ def plan_candidates(mdp: Mdp, cfg: PipelineConfig) -> list[planner.Candidate]:
     """The configured gamma sweep, on the master seed's "plan" stream."""
     return planner.generate_candidates(
         mdp, cfg.gamma_samples, (cfg.gamma_low, cfg.gamma_high),
-        rng=stage_rng(cfg.master_seed, "plan"), failure_cost=cfg.collision_cost)
+        rng=named_rng(cfg.master_seed, "plan"), failure_cost=cfg.collision_cost)
 
 
 def write_candidate_plan(cand: planner.Candidate, out_dir: Path,
@@ -118,10 +109,6 @@ def write_candidate_plan(cand: planner.Candidate, out_dir: Path,
                              actions=actions, high_level_length=len(actions),
                              trajectory_ref=trajectory_ref),
                     out_dir / f"plan_{cand.plan.id}.json")
-
-
-def _stamp(doc: dict, cfg: PipelineConfig) -> dict:
-    return {"config_sha256": cfg.config_hash(), "master_seed": cfg.master_seed, **doc}
 
 
 @dataclass
@@ -135,6 +122,7 @@ class PipelineResult:
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+    stamp = {"config_sha256": cfg.config_hash(), "master_seed": cfg.master_seed}
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for pattern in ARTIFACTS:  # an earlier run's files must not mix with this one's
@@ -144,7 +132,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     parsed = load_scenario(cfg.scenario_path)
     if not parsed.ok:  # the one input check; a parsed scenario grounds
         write_json(out / "errors.json",
-                   _stamp({"stage": "parse", "errors": [str(e) for e in parsed.errors]}, cfg))
+                   {**stamp, "stage": "parse", "errors": [str(e) for e in parsed.errors]})
     scenario = parsed.checked(cfg.scenario_path)
 
     if cfg.from_sonar:
@@ -174,13 +162,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     samples_by_plan = {pid: [r.execution_time_s for r in records]
                        for pid, records in episode_records.items()}
-    report = _stamp(assess.build_report(samples_by_plan, cfg.metrics,
-                                        alpha_mean=cfg.alpha_mean), cfg)
+    report = {**stamp, **assess.build_report(samples_by_plan, cfg.metrics,
+                                             alpha_mean=cfg.alpha_mean)}
     report["gamma_by_plan"] = {c.plan.id: c.gammas for c in candidates}
     write_json(out / "report.json", report)
-    write_json(out / "candidates.json", _stamp({
-        "gammas": sorted(g for c in candidates for g in c.gammas),
-        "dedup": {f"{g:.12f}": c.plan.id for c in candidates for g in c.gammas}}, cfg))
+    write_json(out / "candidates.json", {
+        **stamp, "gammas": sorted(g for c in candidates for g in c.gammas),
+        "dedup": {f"{g:.12f}": c.plan.id for c in candidates for g in c.gammas}})
 
     for cand in candidates:
         pid = cand.plan.id
@@ -195,7 +183,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "entropy_bits": f"{m['entropy_bits']:.4f}",
         })
     with open_artifact(out / "summary.csv", newline="") as fh:
-        fh.write(f"# config_sha256={cfg.config_hash()} master_seed={cfg.master_seed}\n")
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in stamp.items()) + "\n")
         writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0].keys()))
         writer.writeheader()
         writer.writerows(summary_rows)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planner
-from .scenario import EdgeDef, Scenario, Waypoint, ground_to_mdp
+from .scenario import EdgeDef, Scenario, Waypoint, ground_to_mdp, named_rng
 
 CORRIDOR_SPACING = 5.0  # m between neighbouring corridor waypoints
 
@@ -85,10 +85,9 @@ def run_scaling(
     for depth, crit in zip(depth_list, criticals_list):
         try:
             mdp = ground_to_mdp(corridor_scenario(depth, crit))
-            rng = np.random.default_rng(
-                np.random.SeedSequence([master_seed, depth, crit]))
             candidates = planner.generate_candidates(
-                mdp, planner.GAMMA_SAMPLES, rng=rng, failure_cost=collision_cost)
+                mdp, planner.GAMMA_SAMPLES, rng=named_rng(master_seed, depth, crit),
+                failure_cost=collision_cost)
             # safest candidate: the one produced at the lowest risk factor
             safest = min(candidates, key=lambda c: min(c.gammas))
             g = min(safest.gammas)

@@ -25,9 +25,12 @@ import math
 import sys
 import types
 import typing
+import zlib
 from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .mdp import Mdp, StateSpec, TransitionSpec
 
@@ -296,27 +299,36 @@ def load_scenario(path) -> ParseResult:
 
 
 def format_scenario(s: Scenario) -> str:
-    """Render a Scenario back into .scn text (parse round trip)."""
-    lines = [f"LIMITS vmax {s.v_max:g} vcrit {s.v_crit:g} radius {s.critical_radius:g}"]
+    """Render a Scenario back into .scn text, each float by its `repr`, so
+    that parsing the text gives the same Scenario."""
+    def xyz(v):
+        return " ".join(map(repr, v))
+
+    lines = [f"LIMITS vmax {s.v_max!r} vcrit {s.v_crit!r} radius {s.critical_radius!r}"]
     for o in s.obstacles:
-        c, h = o.center, o.half_extents
-        lines.append(f"OBSTACLE {o.label} center {c[0]:g} {c[1]:g} {c[2]:g} "
-                     f"half {h[0]:g} {h[1]:g} {h[2]:g}")
+        lines.append(f"OBSTACLE {o.label} center {xyz(o.center)} half {xyz(o.half_extents)}")
     for w in s.waypoints:
-        p = w.position
-        parts = [f"WAYPOINT {w.id} pos {p[0]:g} {p[1]:g} {p[2]:g}"]
+        parts = [f"WAYPOINT {w.id} pos {xyz(w.position)}"]
         if w.is_critical:
             parts.append("critical")
         if w.inspection_target:
             parts.append(f"inspect {w.inspection_target}")
         lines.append(" ".join(parts))
     for e in s.edges:
-        lines.append(f"EDGE {e.a} {e.b} risk {e.collision_probability:g}")
+        lines.append(f"EDGE {e.a} {e.b} risk {e.collision_probability!r}")
     mission = f"MISSION start {s.start} final {s.final}"
     if s.inspection_goals:
         mission += " inspect " + " ".join(sorted(s.inspection_goals))
     lines.append(mission)
     return "\n".join(lines) + "\n"
+
+
+def named_rng(master_seed: int, *names: str | int) -> np.random.Generator:
+    """The random stream of ``names`` under the master seed: a string enters
+    as the CRC-32 of its UTF-8 bytes, an integer as itself, so a stream
+    never depends on which others were drawn or in what order."""
+    keys = [zlib.crc32(n.encode("utf-8")) if isinstance(n, str) else n for n in names]
+    return np.random.default_rng(np.random.SeedSequence([master_seed, *keys]))
 
 
 def state_id(waypoint: str, mask: int) -> str:

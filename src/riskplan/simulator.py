@@ -15,14 +15,13 @@ so the records are those of a loop stepping each episode on its own.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
 from .refiner import Trajectory
-from .scenario import Scenario, from_json, open_artifact, parse_json
+from .scenario import Scenario, from_json, named_rng, open_artifact, parse_json
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
@@ -61,13 +60,6 @@ class EpisodeRecord:
     incidents: list[Incident]
     completed: bool
     seed: tuple[int, str, int]
-
-
-def episode_rng(master_seed: int, plan_id: str, episode_index: int) -> np.random.Generator:
-    """Named stream derivation so episodes never depend on scheduling."""
-    plan_key = zlib.crc32(plan_id.encode("utf-8"))
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, plan_key, episode_index]))
 
 
 def _obstacle_centers(scenario: Scenario, cfg: DisturbanceConfig,
@@ -113,7 +105,7 @@ def _simulate(
     timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
 
     n = len(seeds)
-    rngs = [episode_rng(*seed) for seed in seeds]
+    rngs = [named_rng(*seed) for seed in seeds]
     centers = np.array([_obstacle_centers(scenario, cfg, rng) for rng in rngs]
                        ).reshape(n, m, 3)
     # the kernel draws without the Generators' locks: rngs is private to this call

@@ -201,7 +201,12 @@ def samples_compare_means(a: list[float], b: list[float]) -> tuple[float, float]
     if se2 == 0.0:
         return (0.0, 1.0) if ma == mb else (math.copysign(math.inf, ma - mb), 0.0)
     t = (ma - mb) / math.sqrt(se2)
-    df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
+    if se2 ** 2 == 0.0 or den == 0.0:  # underflowed: the shares of se2 sum to 1
+        ra, rb = (va / na) / se2, (vb / nb) / se2
+        df = 1 / (ra ** 2 / (na - 1) + rb ** 2 / (nb - 1))
+    else:
+        df = se2 ** 2 / den
     return t, min(t_two_sided_p(t, df), 1.0)
 
 

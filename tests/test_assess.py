@@ -20,6 +20,8 @@ from oracles import samples_compare_means
 from riskplan.assess import (InsufficientSamples, MetricConfig, RiskMetrics,
                              build_report, compare_means, compute_metrics,
                              select, t_two_sided_p)
+from riskplan.cli import EXIT_OK, main
+from riskplan.simulator import EpisodeRecord, write_episode_log
 
 SRC_ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
@@ -62,6 +64,11 @@ class TestMetrics:
         m = compute_metrics([500.0, 590.0, 700.0, 650.0],
                             MetricConfig(time_bound=600.0))
         assert m.bounded_prob == 0.5
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0,1\)"):
+            MetricConfig(alpha=alpha)
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientSamples):
@@ -109,6 +116,13 @@ class TestSelect:
                 ("B", metrics_row(10.0, 1.0, 1.0))]
         assert select(rows).selected == "B"
 
+    def test_mean_breaks_variance_and_entropy_ties(self):
+        rows = [("A", metrics_row(10.2, 1.0, 1.0)),
+                ("B", metrics_row(10.0, 1.0, 1.0))]
+        result = select(rows)
+        assert result.selected == "B"
+        assert result.eliminated[0].reason == "mean 10.2000 above selected 10.0000"
+
     def test_id_breaks_total_ties(self):
         rows = [("B", metrics_row(10.0, 1.0, 1.0)),
                 ("A", metrics_row(10.0, 1.0, 1.0))]
@@ -142,8 +156,10 @@ def welch_outcome(test, a, b):
 
 
 # two or more finite samples, some lists constant, so that both
-# zero-variance outcomes occur
+# zero-variance outcomes occur, and some so close together that the
+# squares in Welch's df underflow
 WELCH_SAMPLES = (st.lists(st.floats(0.0, 1e6), min_size=2, max_size=40)
+                 | st.lists(st.floats(0.0, 1e-150), min_size=2, max_size=40)
                  | st.builds(lambda x, n: [x] * n, st.floats(0.0, 1e6), st.integers(2, 40)))
 
 
@@ -209,6 +225,17 @@ class TestWelch:
         t, p = welch([5.0, 5.0], [6.0, 6.0])
         assert t == -math.inf
         assert p == 0.0
+
+    def test_underflowed_df_denominator(self, tmp_path):
+        # the first plan's variance is 5e-321: the squares of its share of
+        # the standard error, and so df's denominator, underflow to 0
+        log, report = tmp_path / "episodes.jsonl", tmp_path / "report.json"
+        write_episode_log([EpisodeRecord(pid, i, x, [], True, (0, pid, i))
+                           for pid, xs in (("P1", [0.0, 1e-160]), ("P2", [5.0, 5.0]))
+                           for i, x in enumerate(xs)], log)
+        assert main(["assess", str(log), "--out", str(report)]) == EXIT_OK
+        w = json.loads(report.read_text())["welch_vs_selected"]["P2"]
+        assert math.isfinite(w["t"]) and 0.0 <= w["p"] <= 1.0
 
     def test_same_distribution_rarely_significant(self):
         rng = np.random.default_rng(12)

@@ -156,6 +156,30 @@ class TestExitCodes:
                      "--seed", "1"]) == EXIT_INPUT
         assert sorted(p.name for p in out.iterdir()) == ["errors.json", "notes.txt"]
 
+    def test_each_run_hashes_its_config_once(self, small_scn, tmp_path, monkeypatch):
+        calls = []
+        real_hash = pipeline.PipelineConfig.config_hash
+        monkeypatch.setattr(pipeline.PipelineConfig, "config_hash",
+                            lambda cfg: calls.append(cfg) or real_hash(cfg))
+        out = tmp_path / "out"
+        assert main(["pipeline", str(small_scn), "--out-dir", str(out),
+                     "--seed", "1"]) == EXIT_OK
+        (cfg,) = calls
+        stamp = {"config_sha256": real_hash(cfg), "master_seed": 1}
+        for name in ("report.json", "candidates.json"):
+            doc = json.loads((out / name).read_text())
+            assert {k: doc[k] for k in stamp} == stamp
+        assert (out / "summary.csv").read_text().splitlines()[0] == \
+            f"# config_sha256={stamp['config_sha256']} master_seed=1"
+
+        bad = tmp_path / "bad.scn"
+        bad.write_text("WAYPOINT a pos 1 two 3\n", encoding="utf-8")
+        assert main(["pipeline", str(bad), "--out-dir", str(out),
+                     "--seed", "1"]) == EXIT_INPUT
+        assert len(calls) == 2
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors["config_sha256"] == real_hash(calls[1])
+
 
 UNGROUNDABLE = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0

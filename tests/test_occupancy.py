@@ -333,6 +333,12 @@ class TestExtraction:
         with pytest.raises(WaypointInOccupiedVoxel):
             extract_problem(g, bad)
 
+    def test_unobserved_grid_extracts_no_risk(self):
+        scenario = parse_scenario(SCENE).scenario
+        out = extract_problem(VoxelGrid((-2, -8, -8), (20, 32, 32), 0.5), scenario)
+        assert [e.collision_probability for e in out.edges] == [0.0, 0.0]
+        assert not any(w.is_critical for w in out.waypoints)
+
     def test_mission_and_obstacles_untouched(self):
         g, scenario = self.build_grid()
         out = extract_problem(g, scenario)
@@ -397,8 +403,11 @@ class TestIntegrationMatchesReference:
         ((0.2, 0.3, 1.2), DIAGONAL, MAX_RANGE),    # no return
         ((0.25, 0.3, 1.2), (1.0, 0.0, 0.0), 0.75),  # ends on a boundary
         ((0.25, 0.3, 1.2), (1.0, 0.0, 0.0), 0.75 - 1e-10),  # just short of it
+        # meets a y and a z boundary at once, at t = 11/30: which comes first
+        # turns on the last bit of the beam's length
+        ((0.2, 0.3, 1.2), (2 / 11, 6 / 11, 9 / 11), 0.89),
     ], ids=["axis", "axis_negative", "corner_tie", "diagonal_3d", "outside_start",
-            "leaves_grid", "max_range", "ends_on_boundary", "ends_short"])
+            "leaves_grid", "max_range", "ends_on_boundary", "ends_short", "edge_tie"])
     @pytest.mark.parametrize("probs", [{}, {"p_hit": 0.9, "p_miss": 0.2}],
                              ids=["default", "sharp"])
     def test_named_rays(self, position, direction, rng, probs):

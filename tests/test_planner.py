@@ -400,6 +400,10 @@ class TestGenerateCandidates:
         assert [c.gammas for c in a] == [c.gammas for c in b]
         assert [c.plan.policy for c in a] == [c.plan.policy for c in b]
 
+    def test_sample_count_validation(self):
+        with pytest.raises(ValueError, match="at least one gamma sample"):
+            generate_candidates(two_action_mdp(), 0, rng=np.random.default_rng(0))
+
     def test_interval_validation(self):
         with pytest.raises(GammaOutOfRange):
             generate_candidates(two_action_mdp(), 5, interval=(0.9, 0.4),

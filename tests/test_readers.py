@@ -36,8 +36,8 @@ PLAN = _round_trip({"format_version": PLAN_FORMAT_VERSION, **asdict(PlanFile(
     trajectory_ref="trajectory_P1.csv"))})
 RECORD = _round_trip(asdict(EpisodeRecord(
     "P1", 1, 5.0, [Incident(1.5, "tank", 0.25)], True, (7, "P1", 1))))
-CONFIG = _round_trip(PipelineConfig(scenario_path="s.scn", out_dir="out",
-                                    master_seed=3).to_doc())
+CONFIG = _round_trip(asdict(PipelineConfig(scenario_path="s.scn", out_dir="out",
+                                           master_seed=3)))
 REPORT = _round_trip(assess.build_report({"P1": [10.0, 11.0, 12.0],
                                           "P2": [10.0, 20.0, 30.0]}))
 
@@ -170,6 +170,11 @@ class TestNumbers:
     def test_integer_beyond_every_double(self):
         with pytest.raises(SchemaMismatch, match=r"config: \.gamma_high must be finite"):
             PipelineConfig.from_doc({**CONFIG, "gamma_high": 10 ** 400})
+
+    @pytest.mark.parametrize("low, high", [(0.0, 0.5), (0.6, 0.4), (0.5, 1.5)])
+    def test_gamma_interval_outside_unit_interval_rejected(self, low, high):
+        with pytest.raises(SchemaMismatch, match=r"gamma interval must lie inside \(0,1\]"):
+            PipelineConfig.from_doc({**CONFIG, "gamma_low": low, "gamma_high": high})
 
     def test_dataclass_check_names_the_section(self):
         with pytest.raises(SchemaMismatch,

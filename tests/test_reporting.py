@@ -51,6 +51,10 @@ class TestScaling:
         with pytest.raises(ValueError):
             run_scaling([3, 4], [1], master_seed=0)
 
+    def test_every_row_failing_is_fatal(self):
+        with pytest.raises(RuntimeError, match="all scaling rows failed"):
+            run_scaling([0, 0], [0, 0], master_seed=0)
+
     def test_bad_row_is_recorded_not_fatal(self):
         rows = run_scaling([3, 0], [1, 0], master_seed=0)
         assert rows[0].solvable

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import edge_between, enabled_actions, inspection_chain
 from oracles import by_id
+from riskplan.occupancy import extract_problem
+from riskplan.pipeline import map_from_sonar
 from riskplan.scenario import (COLLIDED, MAX_STATES, MAX_TRANSITIONS, PLAN_FORMAT_VERSION,
-                               PlanFile, ParseResult, SchemaMismatch,
-                               format_scenario, ground_to_mdp, load_scenario,
-                               parse_scenario, read_plan_file, state_id,
+                               EdgeDef, Obstacle, PlanFile, ParseResult, Scenario,
+                               SchemaMismatch, Waypoint, format_scenario, ground_to_mdp,
+                               load_scenario, parse_scenario, read_plan_file, state_id,
                                write_plan_file)
 
 MINIMAL = """
@@ -28,6 +30,7 @@ MISSION start a final a inspect box
 _IDS = ["a", "b", "collided"]
 _LABELS = st.sampled_from(["x", "y"])
 _RISKS = st.sampled_from(["0", "1e-300", "0.999999"])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -84,6 +87,29 @@ class TestParser:
         first = load_scenario(tanks_path).scenario
         second = parse_scenario(format_scenario(first)).scenario
         assert second == first
+
+    @given(points=st.lists(st.tuples(*[_FLOATS] * 3), min_size=4, max_size=4),
+           speeds=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           min_size=2, max_size=2),
+           radius=st.floats(min_value=0.0, allow_infinity=False),
+           risk=st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_round_trip_keeps_every_float(self, points, speeds, radius, risk):
+        center, half, a, b = points
+        v_crit, v_max = sorted(speeds)
+        s = Scenario(obstacles=[Obstacle("box", center, half)],
+                     waypoints=[Waypoint("a", a), Waypoint("b", b, True, "box")],
+                     edges=[EdgeDef("a", "b", risk)], start="a", final="b",
+                     inspection_goals=frozenset({"box"}),
+                     v_max=v_max, v_crit=v_crit, critical_radius=radius)
+        assert parse_scenario(format_scenario(s)).scenario == s
+
+    @pytest.mark.parametrize("seed", [7, 11, 123])
+    def test_extracted_problem_round_trips(self, tanks_path, seed):
+        # its edge risks are computed, not typed: 6 digits changed most of them
+        scenario = load_scenario(tanks_path).scenario
+        problem = extract_problem(map_from_sonar(scenario, seed, 0.05), scenario)
+        assert parse_scenario(format_scenario(problem)).scenario == problem
 
     def test_syntax_error_is_positioned(self):
         result = parse_scenario("WAYPOINT a pos 1 two 3\nMISSION start a final a")
@@ -153,6 +179,20 @@ class TestParser:
         text = MINIMAL.replace("vmax 1.0 vcrit 0.25", "vmax 0.2 vcrit 0.25")
         errs = parse_scenario(text).errors
         assert any("exceeds vmax" in e.message for e in errs)
+
+    @pytest.mark.parametrize("limits, issue", [
+        ("vmax 1.0 vcrit 0 radius 2.0", "speed limits must be positive"),
+        ("vmax -1.0 vcrit -2.0 radius 2.0", "speed limits must be positive"),
+        ("vmax 1.0 vcrit 0.25 radius -0.5", "critical radius must be >= 0"),
+    ])
+    def test_limits_out_of_range(self, limits, issue):
+        text = MINIMAL.replace("vmax 1.0 vcrit 0.25 radius 2.0", limits)
+        assert [str(e) for e in parse_scenario(text).errors] == [f"2:1: semantic: {issue}"]
+
+    def test_mission_words_after_final_start_with_inspect(self):
+        text = MINIMAL.replace("final a inspect box", "final a box")
+        assert [str(e) for e in parse_scenario(text).errors] == [
+            "7:25: syntax: unexpected token 'box'", "0:0: semantic: missing MISSION section"]
 
     def test_risk_must_be_a_probability(self):
         text = MINIMAL.replace("risk 0.1", "risk 1.5")

@@ -4,10 +4,12 @@ and the lockstep batch it replaced), and how the kernel is built."""
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +18,15 @@ import pytest
 from conftest import REPO_ROOT, TANKS_SCN, norm, reference_refine
 from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
 from riskplan.refiner import Trajectory, refine
-from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario,
+from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario, named_rng,
                                parse_scenario, write_plan_file)
 from riskplan import kernel
 from riskplan.cli import EXIT_INTERNAL, main
 from riskplan.kernel import KernelBuildError
 from riskplan.simulator import (SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
                                 EpisodeRecord, Incident, _obstacle_centers,
-                                episode_rng, run_batch, run_episode,
-                                read_episode_log, write_episode_log)
+                                run_batch, run_episode, read_episode_log,
+                                write_episode_log)
 
 OPEN_WATER = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -70,11 +72,17 @@ class TestDeterminism:
         b = run_episode(traj, scenario, cfg, (7, "P1", 0))
         assert a == b
 
+    def test_stream_keys(self):
+        # a string name enters as the CRC-32 of its UTF-8 bytes, an integer as itself
+        want = np.random.default_rng(np.random.SeedSequence([7, zlib.crc32(b"P1"), 3]))
+        assert named_rng(7, "P1", 3).integers(1 << 30, size=4).tolist() == \
+            want.integers(1 << 30, size=4).tolist()
+
     def test_streams_are_independent_of_order(self):
-        assert episode_rng(7, "P1", 3).integers(1 << 30) == \
-            episode_rng(7, "P1", 3).integers(1 << 30)
-        assert episode_rng(7, "P1", 3).integers(1 << 30) != \
-            episode_rng(7, "P2", 3).integers(1 << 30)
+        assert named_rng(7, "P1", 3).integers(1 << 30) == \
+            named_rng(7, "P1", 3).integers(1 << 30)
+        assert named_rng(7, "P1", 3).integers(1 << 30) != \
+            named_rng(7, "P2", 3).integers(1 << 30)
 
     def test_batch_seed_tuples(self):
         scenario, traj = trajectory(OPEN_WATER)
@@ -159,6 +167,11 @@ class TestValidationAndLogs:
         with pytest.raises(ValueError, match="nonempty"):
             run_episode(Trajectory(np.empty((0, 5)), "P1"), scenario, QUIET, (0, "P1", 0))
 
+    def test_zero_episodes_rejected(self):
+        scenario, traj = trajectory(OPEN_WATER)
+        with pytest.raises(ValueError, match="at least one episode"):
+            run_batch(traj, scenario, QUIET, n=0)
+
     def test_episode_log_round_trip(self, tmp_path):
         scenario, traj = trajectory(NEAR_MISS)
         records = run_batch(traj, scenario, QUIET, n=3, master_seed=5)
@@ -171,7 +184,7 @@ def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
     """One episode stepped on its own, with numpy calls on single 3-vectors:
     the loop the lockstep batch replaced, kept as the oracle for it."""
     master, plan_id, episode_index = seed
-    rng = episode_rng(master, plan_id, episode_index)
+    rng = named_rng(master, plan_id, episode_index)
     obstacles = []
     for o in scenario.obstacles:
         center = np.asarray(o.center, dtype=float)
@@ -254,7 +267,7 @@ def lockstep_batch(trajectory, scenario, cfg, seeds):
     timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
 
     n = len(seeds)
-    rngs = [episode_rng(*seed) for seed in seeds]
+    rngs = [named_rng(*seed) for seed in seeds]
     incidents = [[] for _ in range(n)]
     records = [None] * n
 
@@ -496,6 +509,25 @@ class TestKernelMatchesLockstep:
         (record,) = assert_matches_reference(traj, scenario, above, 1)
         assert [(i.obstacle, i.min_distance) for i in record.incidents] == [("rock", gap)]
 
+    def test_clearance_one_ulp_above_a_three_axis_distance(self):
+        """Gaps on all three axes, with the clearance one ulp above their
+        reference distance: a distance rounded otherwise is no incident."""
+        scenario = parse_scenario(
+            "LIMITS vmax 1.0 vcrit 0.25 radius 2.0\n"
+            "OBSTACLE rock center 1.2 1.2 -3.7 half 1 1 1\n"
+            "WAYPOINT a pos 0 0 -5\nWAYPOINT b pos 0 0 -5\n"
+            "EDGE a b risk 0\nMISSION start a final b\n").scenario
+        traj = Trajectory([[0.0, 0.0, 0.0, -5.0, 1.0]] * 2, plan_id="P1")
+        gaps = np.abs(np.array([0.0, 0.0, -5.0]) - [1.2, 1.2, -3.7]) - 1.0
+        dist = float(norm(gaps))
+        # summed without fused multiply-adds, the squares round one ulp higher
+        x, y, z = gaps.tolist()
+        assert math.sqrt(x * x + y * y + z * z) == np.nextafter(dist, 1.0)
+        above = dataclasses.replace(QUIET, clearance=np.nextafter(dist, 1.0))
+        (record,) = assert_matches_reference(traj, scenario, above, 1)
+        assert [(i.obstacle, i.min_distance) for i in record.incidents] == [
+            ("rock", round(dist, 6))]
+
 
 def weave(passes):
     """A trajectory that crosses in and out of one rock's clearance
@@ -542,6 +574,16 @@ class TestKernelBuild:
         digest = kernel._digest(kernel._SOURCE.read_bytes(), kernel._ARCHIVE.read_bytes())
         assert Path(kernel.load()._name) == \
             kernel._CACHE_DIR / f"_simkernel-{digest}.so"
+
+    def test_cached_build_is_loaded_not_compiled(self, fresh_kernel, monkeypatch):
+        built = kernel._build(kernel._SOURCE, fresh_kernel)
+        monkeypatch.setattr(kernel, "_compiler", lambda: None)  # a compile would fail
+        assert kernel._build(kernel._SOURCE, fresh_kernel) == built
+
+    def test_unwritable_cache_is_a_build_error(self, fresh_kernel):
+        fresh_kernel.write_text("")  # a file where the cache directory goes
+        with pytest.raises(KernelBuildError, match="could not build .*_simkernel.c"):
+            kernel.load()
 
     def test_edited_source_is_rebuilt(self, fresh_kernel, monkeypatch, tmp_path):
         source = tmp_path / "_simkernel.c"
