@@ -9,7 +9,7 @@ so the runtime needs no scipy; the tests check it against
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 DEFAULT_BIN_WIDTH = 5.0
 DEFAULT_ALPHA = 0.9

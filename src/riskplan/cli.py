@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import assess, reporting, simulator
@@ -160,6 +161,11 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+# scaling.csv's columns are ScalingRow's fields; a cell is "" for None, else by this or str()
+SCALING_FORMATS = {"gamma": "{:.3f}".format, "planning_time_s": "{:.4f}".format,
+                   "median_solve_time_s": "{:.4f}".format}
+
+
 def cmd_scaling(args) -> int:
     depths = [int(x) for x in args.depths.split(",") if x]
     crits = [int(x) for x in args.criticals.split(",") if x]
@@ -167,17 +173,9 @@ def cmd_scaling(args) -> int:
                                  collision_cost=args.collision_cost)
     with open_artifact(args.out, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["depth", "criticals", "solvable", "plan_length",
-                         "gamma", "planning_time_s", "median_solve_time_s", "error"])
-        for r in rows:
-            writer.writerow([
-                r.depth, r.criticals, r.solvable,
-                r.plan_length if r.plan_length is not None else "",
-                f"{r.gamma:.3f}" if r.gamma is not None else "",
-                f"{r.planning_time_s:.4f}" if r.planning_time_s is not None else "",
-                f"{r.median_solve_time_s:.4f}" if r.median_solve_time_s is not None else "",
-                r.error or "",
-            ])
+        writer.writerow(f.name for f in fields(reporting.ScalingRow))
+        writer.writerows(["" if v is None else SCALING_FORMATS.get(name, str)(v)
+                          for name, v in asdict(r).items()] for r in rows)
     solvable = sum(1 for r in rows if r.solvable)
     print(f"wrote {args.out}: {solvable}/{len(rows)} scenarios solvable")
     return EXIT_OK

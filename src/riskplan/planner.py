@@ -40,8 +40,9 @@ class NonConvergence(Exception):
     pass
 
 
-class ImproperPolicy(Exception):
-    pass
+class ImproperPolicy(ValueError):
+    """A plan whose most-probable trace does not reach a goal: with a
+    collision cost, a policy can price a crash below finishing and seek one."""
 
 
 @dataclass
@@ -270,5 +271,10 @@ def generate_candidates(
     candidates = sorted(by_policy.values(), key=lambda c: c.first_gamma)
     for i, c in enumerate(candidates, start=1):
         c.plan.id = f"P{i}"
-        c.plan.linearization = linearize(m, c.plan)
+        try:
+            c.plan.linearization = linearize(m, c.plan)
+        except ImproperPolicy as exc:
+            crash = "" if failure_cost is None else (
+                f"; it seeks a collision, priced at collision cost {failure_cost}")
+            raise ImproperPolicy(f"plan {c.plan.id}: {exc}{crash}") from None
     return candidates

@@ -58,10 +58,10 @@ class ScalingRow:
     depth: int
     criticals: int
     solvable: bool
-    plan_length: int | None
-    gamma: float | None
-    planning_time_s: float | None
-    median_solve_time_s: float | None
+    plan_length: int | None = None
+    gamma: float | None = None
+    planning_time_s: float | None = None
+    median_solve_time_s: float | None = None
     error: str | None = None
 
 
@@ -96,16 +96,10 @@ def run_scaling(
                                    safest.solve_times[safest.gammas.index(g)],
                                    float(np.median(solve_times))))
         except Exception as exc:  # per-row failure is recorded, not fatal
-            rows.append(ScalingRow(depth, crit, False, None, None, None, None,
-                                   error=f"{type(exc).__name__}: {exc}"))
+            rows.append(ScalingRow(depth, crit, False, error=f"{type(exc).__name__}: {exc}"))
     if all(r.error for r in rows):
         raise RuntimeError("all scaling rows failed")
     return rows
-
-
-def _quartiles(samples: list[float]) -> tuple[float, float, float]:
-    q1, q2, q3 = np.percentile(samples, [25, 50, 75])
-    return float(q1), float(q2), float(q3)
 
 
 def boxplot_svg(samples_by_plan: dict[str, list[float]]) -> tuple[str, list[tuple]]:
@@ -147,7 +141,7 @@ def boxplot_svg(samples_by_plan: dict[str, list[float]]) -> tuple[str, list[tupl
     ]
     for k, plan in enumerate(sorted(usable)):
         s = sorted(usable[plan])
-        q1, q2, q3 = _quartiles(s)
+        q1, q2, q3 = np.percentile(s, [25, 50, 75]).tolist()
         iqr = q3 - q1
         lo_w = min(x for x in s if x >= q1 - 1.5 * iqr)
         hi_w = max(x for x in s if x <= q3 + 1.5 * iqr)

@@ -190,12 +190,14 @@ def parse_scenario(text: str) -> ParseResult:
     limits = (DEFAULT_V_MAX, DEFAULT_V_CRIT, DEFAULT_CRITICAL_RADIUS)
     limits_line = 0
     declared: dict[str, int] = {}  # what each line declares -> that line
+    keywords = set()  # the first word of every line, read or refused
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         toks = _tokens(line)
         if not toks:
             continue
         keyword, col0 = toks[0]
+        keywords.add(keyword)
         try:
             values, rest = _fields(toks)
             if keyword == "WAYPOINT":
@@ -252,9 +254,9 @@ def parse_scenario(text: str) -> ParseResult:
         if not (0.0 <= e.collision_probability < 1.0):
             errors.append(ParseIssue(line_no, 1, "semantic",
                                      f"collision probability {e.collision_probability} outside [0,1)"))
-    if mission is None:
+    if "MISSION" not in keywords:
         errors.append(ParseIssue(0, 0, "semantic", "missing MISSION section"))
-    else:
+    elif mission is not None:
         at = mission["line"]
         for wp in (mission["start"], mission["final"]):
             if wp not in wp_ids:

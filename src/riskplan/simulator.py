@@ -93,8 +93,6 @@ def _simulate(
     last = len(rows)
     if not last:
         raise ValueError("trajectory must be nonempty")
-    if last == 1:  # already at the only sample
-        return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
     lib = kernel.load()
     points = np.ascontiguousarray(rows[:, 1:4])
     speeds = np.maximum(rows[:, 4], 1e-6)
@@ -114,7 +112,7 @@ def _simulate(
     k = np.ones(n, dtype=np.intp)
     sim_time = np.zeros(n)
     in_contact = np.zeros((n, m), dtype=np.uint8)
-    status = np.zeros(n, dtype=np.int8)
+    status = np.full(n, _COMPLETED if last == 1 else _RUNNING, dtype=np.int8)  # one row: done at the start
     capacity = n * m  # one tick's worth of incidents per episode
     ev_row, ev_obs = np.empty(capacity, dtype=np.intp), np.empty(capacity, dtype=np.intp)
     ev_time, ev_dist = np.empty(capacity), np.empty(capacity)

@@ -87,6 +87,22 @@ class TestExitCodes:
                      "--seed", "1"])
         assert code == EXIT_INTERNAL
 
+    @pytest.mark.parametrize("cost", [None, "30"])
+    def test_crash_seeking_plan_is_refused(self, tmp_path, capsys, cost):
+        # the plan is the input's outcome, not the program's fault: exit 2,
+        # naming the plan, the state its trace loops at and the collision cost
+        scn = tmp_path / "s.scn"
+        scn.write_text(CRASH_SEEKING, encoding="utf-8")
+        out = tmp_path / "out"
+        flags = [] if cost is None else ["--collision-cost", cost]
+        code = main(["pipeline", str(scn), "--seed", "3", "--out-dir", str(out), *flags])
+        doc = _stderr_doc(capsys)
+        assert code == doc["exit_code"] == EXIT_INPUT
+        assert doc["error"] == (
+            "plan P2: most-probable trace from 'w0#0' does not reach a goal (stuck at "
+            f"'w0#0'); it seeks a collision, priced at collision cost {float(cost or 12)}")
+        assert list(out.iterdir()) == []
+
     def test_ungroundable_goal_is_a_ground_error(self, tmp_path):
         scn = tmp_path / "blind.scn"
         scn.write_text(UNGROUNDABLE, encoding="utf-8")
@@ -195,6 +211,28 @@ WAYPOINT b pos 4 0 -5
 EDGE a b risk 0.1
 EDGE b a risk 0.2
 MISSION start a final b
+"""
+
+# a random connected scenario whose mission must cross the 0.5-risk edge
+# w0-w1 twice: at collision cost 12 (the default), 30 or 100, most gammas
+# give the policy {w0#0: goto w1, w1#0: goto w0}, which bounces over that
+# edge until a collision ends the mission
+CRASH_SEEKING = """LIMITS vmax 1 vcrit 0.25 radius 2
+OBSTACLE o0 center -26.2241 4.29049 -5 half 1.04233 1.29602 1.47786
+OBSTACLE o1 center -19.7071 -12.4729 -5 half 1.19811 2.70429 1.07081
+OBSTACLE o2 center -22.8367 26.896 -5 half 0.855763 2.8246 1.37903
+WAYPOINT w0 pos 7.34638 32.1409 -5 inspect o2
+WAYPOINT w1 pos 28.7157 30.8224 -5
+WAYPOINT w2 pos 3.22996 38.0873 -5 inspect o0
+WAYPOINT w3 pos -9.09915 3.62945 -5 critical inspect o0
+WAYPOINT w4 pos -31.9831 12.8426 -5 critical inspect o2
+WAYPOINT w5 pos 15.9131 -5.23099 -5
+EDGE w0 w1 risk 0.5
+EDGE w1 w2 risk 0.05
+EDGE w1 w3 risk 0.2
+EDGE w0 w4 risk 0.2
+EDGE w4 w5 risk 0.2
+MISSION start w0 final w5 inspect o0 o2
 """
 
 
@@ -653,3 +691,13 @@ class TestMapAndScaling:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("depth,criticals,solvable")
         assert len(lines) == 3
+
+    def test_failed_scaling_row_bytes(self, tmp_path):
+        out = tmp_path / "scaling.csv"
+        assert main(["scaling", "--depths", "3,0", "--criticals", "1,0",
+                     "--seed", "5", "--out", str(out)]) == EXIT_OK
+        header, solved, failed = out.read_bytes().split(b"\r\n")[:3]
+        assert header == (b"depth,criticals,solvable,plan_length,gamma,planning_time_s,"
+                          b"median_solve_time_s,error")
+        assert solved.startswith(b"3,1,True,4,0.446,")
+        assert failed == b"0,0,False,,,,,ValueError: depth must be >= 1"

@@ -409,6 +409,15 @@ class TestGenerateCandidates:
             generate_candidates(two_action_mdp(), 5, interval=(0.9, 0.4),
                                 rng=np.random.default_rng(0))
 
+    def test_a_looping_trace_names_its_plan(self):
+        # retrying s0 is a proper policy, but staying is its most probable
+        # move, so the trace loops; with no collision cost none is named
+        with pytest.raises(ImproperPolicy) as got:
+            generate_candidates(loop_mdp(0.4), 2, (0.7, 0.99), rng=np.random.default_rng(0))
+        assert str(got.value) == ("plan P1: most-probable trace from 's0' does not "
+                                  "reach a goal (stuck at 's0')")
+        assert isinstance(got.value, ValueError)  # an input outcome: exit 2
+
     def test_one_failed_solve_fails_the_sweep(self, monkeypatch):
         real_solve = planner.solve
         solved = []

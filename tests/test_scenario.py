@@ -192,7 +192,13 @@ class TestParser:
     def test_mission_words_after_final_start_with_inspect(self):
         text = MINIMAL.replace("final a inspect box", "final a box")
         assert [str(e) for e in parse_scenario(text).errors] == [
-            "7:25: syntax: unexpected token 'box'", "0:0: semantic: missing MISSION section"]
+            "7:25: syntax: unexpected token 'box'"]
+
+    def test_a_malformed_mission_line_is_reported_once(self):
+        # the MISSION line is there, so no section is missing
+        errors = parse_scenario("WAYPOINT a pos 0 0 0\nMISSION start a\n").errors
+        assert [str(e) for e in errors] == [
+            "2:1: syntax: expected: MISSION start <wp> final <wp> [inspect <labels>]"]
 
     def test_risk_must_be_a_probability(self):
         text = MINIMAL.replace("risk 0.1", "risk 1.5")
