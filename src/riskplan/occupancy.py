@@ -5,11 +5,16 @@ ray marching, exact ray/box range synthesis, and the occupancy -> planning
 problem extraction (critical flags, edge collision probabilities).
 
 Ranges come from one slab test over every scan, beam and box of a survey,
-and their noise from one draw.  The voxel walk and the log-odds updates run
-in the compiled C kernel (see `kernel`), so mapping needs a C compiler, as
-simulation does.  The kernel keeps the update order and rounding of
-`traverse_voxels`, the same walk in Python, which the tests take as the
-reference and perfbench's trace wraps by name.
+each heading's beam directions worked out once, and their noise from one
+draw.  The voxel walk and the log-odds updates run in the compiled C
+kernel (see `kernel`), so mapping needs a C compiler, as simulation does.
+The kernel keeps the update order and rounding of `traverse_voxels`, the
+same walk in Python, which the tests take as the reference and
+perfbench's trace wraps by name.
+
+Extraction reads, for each waypoint and edge, only the block of the grid
+within the critical radius of it, and finds the same voxels, with the same
+distances, as a pass over every observed voxel of the map would.
 """
 
 from __future__ import annotations
@@ -277,7 +282,10 @@ def synthesize_scans(
     lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
     n = len(sensor_path)
     origins = np.array([position for position, _ in sensor_path], dtype=float).reshape(n, 3)
-    directions = np.array([fan.directions(yaw) for _, yaw in sensor_path],
+    # each heading's beams once, keyed by the yaw's bits, as 0.0 == -0.0
+    headings = {float(yaw).hex(): yaw for _, yaw in sensor_path}
+    beams = {key: fan.directions(yaw) for key, yaw in headings.items()}
+    directions = np.array([beams[float(yaw).hex()] for _, yaw in sensor_path],
                           dtype=float).reshape(n, fan.count, 3)
     r = _nearest_hits(origins, directions, lo, hi, fan.max_range)
     hit = r < math.inf
@@ -290,20 +298,40 @@ def synthesize_scans(
             for (position, _), d, ranges in zip(sensor_path, directions, r)]
 
 
-def _max_occupancy_near_segment(centers: np.ndarray, log_odds: np.ndarray,
-                                a, b, radius: float) -> float:
-    """Max occupancy over the observed voxels (centres (n, 3), log-odds
-    (n,)) within radius of segment ab."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each point's (rows of (n, 3)) distance to segment ab.
+
+    Row by row in numpy's elementwise arithmetic, so a point's distance
+    does not depend on which other points come with it.  A BLAS product
+    (`@`) has no such property: OpenBLAS rounds a row by its place in the
+    array, fusing the multiply-adds of some rows and not of others."""
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
-        d = np.linalg.norm(centers - a, axis=1)
-    else:
-        t = np.clip((centers - a) @ ab / denom, 0.0, 1.0)
-        d = np.linalg.norm(centers - (a + t[:, None] * ab), axis=1)
-    near = log_odds[d <= radius]
+        return np.linalg.norm(points - a, axis=1)
+    rel = points - a
+    t = np.clip((rel[:, 0] * ab[0] + rel[:, 1] * ab[1] + rel[:, 2] * ab[2]) / denom, 0.0, 1.0)
+    return np.linalg.norm(points - (a + t[:, None] * ab), axis=1)
+
+
+def _max_occupancy_near_segment(grid: VoxelGrid, a, b, radius: float) -> float:
+    """Max occupancy over the observed voxels within radius of segment ab.
+
+    Only the block of the grid that can hold such a voxel is read: per
+    axis, from one voxel below the one holding the segment's least
+    coordinate less the radius to one above the one holding its greatest
+    plus the radius, clipped to the grid as floats before the int cast, so
+    that a far-off point cannot wrap."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    res, dims = grid.resolution, np.array(grid.dimensions, dtype=float)
+    first = np.clip(np.floor((np.minimum(a, b) - radius - grid.origin) / res) - 1, 0, dims)
+    end = np.clip(np.floor((np.maximum(a, b) + radius - grid.origin) / res) + 2, 0, dims)
+    first, end = first.astype(int), end.astype(int)
+    block = grid.log_odds[tuple(slice(i, j) for i, j in zip(first, end))]
+    observed = np.argwhere(np.abs(block) > EVIDENCE_EPS)
+    centers = grid.origin + (observed + first + 0.5) * res
+    near = block[tuple(observed.T)][_segment_distances(centers, a, b) <= radius]
     if len(near) == 0:
         return 0.0
     return float(1.0 / (1.0 + np.exp(-np.max(near))))
@@ -323,21 +351,16 @@ def extract_problem(
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
     clearance = scenario.critical_radius
     positions = scenario.positions()
-    observed = grid.observed_voxels()
-    centers = grid.origin + (observed + 0.5) * grid.resolution
-    log_odds = grid.log_odds[tuple(observed.T)]
     new_waypoints = []
     for w in scenario.waypoints:
         own = grid.occupancy_at(w.position)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
             raise WaypointInOccupiedVoxel(w.id, own)
-        near = _max_occupancy_near_segment(centers, log_odds, w.position, w.position,
-                                           clearance)
+        near = _max_occupancy_near_segment(grid, w.position, w.position, clearance)
         new_waypoints.append(replace(w, is_critical=near > TAU_OCC))
     new_edges = []
     for e in scenario.edges:
-        occ = _max_occupancy_near_segment(centers, log_odds, positions[e.a],
-                                          positions[e.b], clearance)
+        occ = _max_occupancy_near_segment(grid, positions[e.a], positions[e.b], clearance)
         risk = 0.0 if occ <= TAU_OCC else min(kappa * occ, EDGE_RISK_CAP)
         new_edges.append(replace(e, collision_probability=risk))
     return replace(scenario, waypoints=new_waypoints, edges=new_edges)

@@ -28,6 +28,7 @@ from .scenario import (PlanFile, Scenario, from_json, ground_to_mdp, load_scenar
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
+MAX_SURVEY_VOXELS = 2**27  # 1 GiB of float64 log-odds
 # every file a run may write into its output directory
 ARTIFACTS = ("errors.json", "report.json", "candidates.json", "summary.csv", "grid.csv",
              "plan_P*.json", "trajectory_P*.csv", "episodes_P*.jsonl")
@@ -76,7 +77,12 @@ def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> 
                    + [o.center for o in scenario.obstacles], dtype=float)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     margin, res = 6.0, DEFAULT_RESOLUTION
-    grid = VoxelGrid(lo - margin, ((hi - lo + 2 * margin) / res).astype(int), res)
+    extent = hi - lo + 2 * margin
+    voxels = extent / res  # checked as floats: a far-off point must not wrap the cast
+    if not math.prod(voxels.tolist()) <= MAX_SURVEY_VOXELS:
+        raise ValueError(f"survey grid extent {extent.tolist()} m holds more than "
+                         f"{MAX_SURVEY_VOXELS} voxels of {res} m")
+    grid = VoxelGrid(lo - margin, voxels.astype(int), res)
     rng = named_rng(master_seed, "sonar")
     fan = BeamFan(count=64, aperture=math.radians(120), max_range=25.0)
     path = []

@@ -434,6 +434,19 @@ class TestBadInputExitsTwo:
         assert f"{field} must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["map", "gen-problem"])
+    def test_far_off_waypoint_refused_before_the_grid(self, tmp_path, capsys, command):
+        # the grid's voxel counts once overflowed their int cast with a
+        # RuntimeWarning, then failed on numpy's "negative dimensions"
+        scn = tmp_path / "far.scn"
+        scn.write_text(SMALL.replace("WAYPOINT safe pos 6 6 -5", "WAYPOINT safe pos 1e300 6 -5"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, str(scn), "--seed", "1", "--out", str(out)]) == EXIT_INPUT
+        assert ("survey grid extent [1e+300, 18.0, 12.0] m holds more than 134217728 "
+                "voxels of 0.5 m") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag, field", [("--bin-width", "bin_width"),
                                              ("--time-bound", "time_bound")])

@@ -4,20 +4,25 @@ grid writer against the Python loops they replaced."""
 
 import csv
 import math
+import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TANKS_SCN, edge_between
 from riskplan import pipeline
-from riskplan.occupancy import (DEFAULT_P_HIT, DEFAULT_P_MISS, EDGE_RISK_CAP,
-                                LOG_ODDS_MAX, LOG_ODDS_MIN, BeamFan, SonarScan,
-                                VoxelGrid, WaypointInOccupiedVoxel,
-                                _nearest_hits, extract_problem, integrate_scan,
+from riskplan.occupancy import (DEFAULT_KAPPA, DEFAULT_P_HIT, DEFAULT_P_MISS,
+                                EDGE_RISK_CAP, LOG_ODDS_MAX, LOG_ODDS_MIN, TAU_OCC,
+                                BeamFan, SonarScan, VoxelGrid, WaypointInOccupiedVoxel,
+                                _max_occupancy_near_segment, _nearest_hits,
+                                _segment_distances, extract_problem, integrate_scan,
                                 logistic, synthesize_scans, traverse_voxels)
-from riskplan.scenario import CSV_BLOCK_ROWS, Obstacle, load_scenario, parse_scenario
+from riskplan.scenario import (CSV_BLOCK_ROWS, EdgeDef, Obstacle, Scenario, Waypoint,
+                               load_scenario, parse_scenario)
 
 
 def grid(res=1.0, dims=(10, 10, 10), origin=(0.0, 0.0, 0.0)):
@@ -82,6 +87,54 @@ def reference_synthesize_scans(obstacles, sensor_path, fan, rng, range_sigma=0.0
             ranges.append(r)
         scans.append(SonarScan(position, directions, ranges, fan.max_range))
     return scans
+
+
+def reference_max_occupancy_near_segment(centers, log_odds, a, b, radius):
+    """Max occupancy over the observed voxels (centres (n, 3), log-odds
+    (n,)) within radius of segment ab: the pass over every observed voxel
+    of the map that the per-segment block replaced."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        d = np.linalg.norm(centers - a, axis=1)
+    else:
+        t = np.clip((centers - a) @ ab / denom, 0.0, 1.0)
+        d = np.linalg.norm(centers - (a + t[:, None] * ab), axis=1)
+    near = log_odds[d <= radius]
+    if len(near) == 0:
+        return 0.0
+    return float(1.0 / (1.0 + np.exp(-np.max(near))))
+
+
+def observed_centers(grid):
+    """The observed voxels' centres and log-odds, in index order."""
+    observed = grid.observed_voxels()
+    return grid.origin + (observed + 0.5) * grid.resolution, grid.log_odds[tuple(observed.T)]
+
+
+def reference_extract_problem(grid, scenario, kappa=DEFAULT_KAPPA):
+    """The whole-map extraction `extract_problem` replaced: every waypoint
+    and edge check reads every observed voxel of the grid."""
+    clearance = scenario.critical_radius
+    positions = scenario.positions()
+    centers, log_odds = observed_centers(grid)
+    new_waypoints = []
+    for w in scenario.waypoints:
+        own = grid.occupancy_at(w.position)
+        if own > TAU_OCC and abs(own - 0.5) > 1e-12:
+            raise WaypointInOccupiedVoxel(w.id, own)
+        near = reference_max_occupancy_near_segment(centers, log_odds, w.position,
+                                                    w.position, clearance)
+        new_waypoints.append(replace(w, is_critical=near > TAU_OCC))
+    new_edges = []
+    for e in scenario.edges:
+        occ = reference_max_occupancy_near_segment(centers, log_odds, positions[e.a],
+                                                   positions[e.b], clearance)
+        risk = 0.0 if occ <= TAU_OCC else min(kappa * occ, EDGE_RISK_CAP)
+        new_edges.append(replace(e, collision_probability=risk))
+    return replace(scenario, waypoints=new_waypoints, edges=new_edges)
 
 
 def reference_export_csv(grid, path):
@@ -346,6 +399,156 @@ class TestExtraction:
         assert (out.start, out.final) == (scenario.start, scenario.final)
 
 
+def quietly(fn, *args):
+    """What ``fn`` returns, or its error's type and text.  A segment
+    reaching ~1e300 overflows numpy's arithmetic on the way to the same
+    result, in both versions; those warnings are not compared."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return fn(*args)
+        except WaypointInOccupiedVoxel as exc:
+            return type(exc), str(exc)
+
+
+# on the lattice of voxel centres and faces, anywhere in and around the
+# grid, or far off
+extraction_coordinates = st.one_of(st.integers(-8, 24).map(lambda i: i * 0.25),
+                                   st.floats(-6.0, 10.0),
+                                   st.sampled_from([1e300, -1e300]))
+
+
+class TestExtractionMatchesReference:
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.tuples(*[st.integers(0, 9)] * 3),
+           origin=st.tuples(*[st.integers(-4, 4).map(lambda i: i * 0.5)] * 3),
+           res=st.sampled_from([0.25, 0.5, 1.0]),
+           density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           positions=st.lists(st.tuples(*[extraction_coordinates] * 3),
+                              min_size=1, max_size=5),
+           pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
+           radius=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+                            st.floats(0.0, 4.0)),
+           kappa=st.sampled_from([DEFAULT_KAPPA, 1.0]),
+           free_waypoints=st.sampled_from([True, True, True, False]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_maps(self, seed, dims, origin, res, density, positions, pairs,
+                         radius, kappa, free_waypoints):
+        """Random log-odds, or none, on grids of any shape, some empty;
+        waypoints in, around and far outside them, edges between any two
+        of them, a waypoint with itself included; radii of 0 and on the
+        lattice, where voxel centres fall exactly at the radius.  The
+        scenarios are equal, and so is the maximum near every segment
+        between two of the points."""
+        rng = np.random.default_rng(seed)
+        g = VoxelGrid(origin, dims, res)
+        shape = g.log_odds.shape
+        special = rng.choice([LOG_ODDS_MIN, LOG_ODDS_MAX, 0.01, -0.0105, 0.3], size=shape)
+        values = np.where(rng.random(shape) < 0.2, special, rng.uniform(-3.5, 3.5, shape))
+        g.log_odds[...] = np.where(rng.random(shape) < density, values, 0.0)
+        if free_waypoints:  # a sensor's own voxel is seldom occupied
+            for p in positions:
+                if g.in_bounds(idx := g.index_of(p)):
+                    g.log_odds[idx] = LOG_ODDS_MIN
+        scenario = Scenario(
+            waypoints=[Waypoint(f"w{i}", p) for i, p in enumerate(positions)],
+            edges=[EdgeDef(f"w{i % len(positions)}", f"w{j % len(positions)}", 0.5)
+                   for i, j in pairs],
+            start="w0", final="w0", critical_radius=radius)
+        assert (quietly(extract_problem, g, scenario, kappa)
+                == quietly(reference_extract_problem, g, scenario, kappa))
+        centers, log_odds = observed_centers(g)
+        for a in positions:
+            for b in positions:
+                assert (quietly(_max_occupancy_near_segment, g, a, b, radius)
+                        == quietly(reference_max_occupancy_near_segment, centers,
+                                   log_odds, a, b, radius))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_voxel_centre_exactly_at_the_radius(self, axis, side):
+        """A centre exactly the radius beyond a segment's end, on either
+        side along each axis, is near it, at the block's first or last
+        index; a centre a quarter voxel further is not."""
+        g = grid(dims=(11, 11, 11))
+        mid = np.full(3, 5.5)
+        voxel = [5, 5, 5]
+        voxel[axis] += 5 * side  # centre 5.0 from mid, along the axis
+        g.log_odds[tuple(voxel)] = LOG_ODDS_MAX
+        for reach, critical in ((3.0, True), (2.75, False)):
+            end = mid.copy()
+            end[axis] += reach * side
+            scenario = Scenario(
+                waypoints=[Waypoint("a", tuple(mid)), Waypoint("b", tuple(end))],
+                edges=[EdgeDef("a", "b", 0.0)], start="a", final="b", critical_radius=2.0)
+            got = extract_problem(g, scenario)
+            assert got == reference_extract_problem(g, scenario)
+            assert [w.is_critical for w in got.waypoints] == [False, critical]
+            assert (got.edges[0].collision_probability > 0) is critical
+
+    def test_far_off_waypoint_reads_no_wrapped_block(self):
+        """A block reaching 1e300 is clipped to the grid before its indexes
+        are cast: the edge sees the wall by its near end only, and the far
+        waypoint sees nothing."""
+        g, scenario = TestExtraction().build_grid()
+        positions = {"a": (0.0, 0.0, 0.0), "b": (4.0, 0.0, 0.0), "c": (1e300, 0.0, 0.0)}
+        far = replace(scenario, waypoints=[Waypoint(k, p) for k, p in positions.items()],
+                      edges=[EdgeDef("b", "c", 0.0), EdgeDef("a", "c", 0.0)])
+        got = quietly(extract_problem, g, far, DEFAULT_KAPPA)
+        assert got == quietly(reference_extract_problem, g, far, DEFAULT_KAPPA)
+        assert [w.is_critical for w in got.waypoints] == [False, True, False]
+        assert got.edges[0].collision_probability > 0
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 200),
+           scale=st.sampled_from([1.0, 1e3, 1e-3]), zero_length=st.booleans())
+    @example(seed=7, rows=7, scale=1.0, zero_length=False)
+    @settings(max_examples=100, deadline=None)
+    def test_row_results_do_not_depend_on_the_slice(self, seed, rows, scale, zero_length):
+        """A voxel's distance to a segment has the same bits whether it
+        is computed among every observed voxel of the map, among a
+        block's, a fresh array of some of them, or alone: the
+        extraction's equality with the whole-map pass rests on it.  (With
+        OpenBLAS, `(points - a) @ ab` fails at the explicit example.)"""
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-20, 20, (rows, 3)) * scale
+        a = rng.uniform(-20, 20, 3) * scale
+        b = a if zero_length else a + rng.uniform(-5, 5, 3) * scale
+        whole = _segment_distances(points, a, b)
+        singles = np.eye(rows, dtype=bool)
+        for keep in (rng.random(rows) < 0.3, rng.random(rows) < 0.9,
+                     np.arange(rows) >= rng.integers(rows), *singles):
+            part = _segment_distances(np.ascontiguousarray(points[keep]), a, b)
+            assert part.tobytes() == whole[keep].tobytes()
+
+
+class TestObservedVoxelsOnce:
+    """`observed_voxels` scans the whole grid: a from-sonar run makes that
+    pass once, for grid.csv, and extraction reads per-segment blocks."""
+
+    def count_calls(self, monkeypatch):
+        callers = []
+        real = VoxelGrid.observed_voxels
+
+        def counted(grid):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(grid)
+
+        monkeypatch.setattr(VoxelGrid, "observed_voxels", counted)
+        return callers
+
+    def test_extraction_makes_none(self, monkeypatch):
+        g, scenario = TestExtraction().build_grid()
+        callers = self.count_calls(monkeypatch)
+        extract_problem(g, scenario)
+        assert callers == []
+
+    def test_sonar_run_makes_one_for_the_grid_csv(self, monkeypatch, tmp_path):
+        callers = self.count_calls(monkeypatch)
+        pipeline.run_pipeline(pipeline.PipelineConfig(
+            str(TANKS_SCN), str(tmp_path), master_seed=7, episodes=2, from_sonar=True))
+        assert callers == ["export_csv"]
+
+
 # A 4 x 4.5 x 3.5 m grid whose voxel boundaries fall on multiples of 0.5.
 WALK_GRID = ((-1.0, -2.0, 0.5), (8, 9, 7), 0.5)
 DIAGONAL = (1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)
@@ -531,21 +734,29 @@ class TestSynthesisMatchesReference:
                lambda c, h: Obstacle("box", c, h),
                st.tuples(*[st.floats(-5, 20)] * 3), st.tuples(*[st.floats(0.1, 4)] * 3)),
                max_size=4),
-           count=st.integers(1, 16), sigma=st.sampled_from([0.0, 0.05, 3.0]))
+           count=st.integers(1, 16), sigma=st.sampled_from([0.0, 0.05, 3.0]),
+           aperture=st.sampled_from([BeamFan.aperture, -0.0]))
     @settings(max_examples=150, deadline=None)
-    def test_random_surveys(self, data, boxes, count, sigma):
+    def test_random_surveys(self, data, boxes, count, sigma, aperture):
         """Random boxes, and sensor paths of any length, some sensors on a
-        box face.  Every fan beam is parallel to the z slabs, and at yaw 0
-        an odd fan's middle beam to the y slabs as well."""
+        box face, each facing one of a few headings.  Every fan beam is
+        parallel to the z slabs, and at yaw 0 an odd fan's middle beam to
+        the y slabs as well.  A fan of aperture -0.0 turns its last beam
+        by an offset of -0.0, so that its beams at yaw -0.0 and 0.0
+        differ in the sign of a zero."""
         free = st.tuples(*[st.floats(-5, 25)] * 3)
         faces = st.builds(
             lambda box, axis, side: tuple(c + side * h if k == axis else c for k, (c, h)
                                           in enumerate(zip(box.center, box.half_extents))),
             st.sampled_from(boxes), st.integers(0, 2), st.sampled_from([-1, 1]))
         positions = st.one_of(free, faces) if boxes else free
-        yaws = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi))
-        path = data.draw(st.lists(st.tuples(positions, yaws), max_size=5), label="path")
-        assert_synthesis_matches(boxes, path, BeamFan(count=count, max_range=15.0), sigma)
+        # a few headings, repeated along the path as a survey's are: 0.0,
+        # -0.0 and drawn ones, each also one float up
+        headings = [0.0, -0.0, *data.draw(st.lists(st.floats(-math.pi, math.pi),
+                                                   max_size=3), label="headings")]
+        yaws = st.sampled_from(headings + [math.nextafter(h, math.inf) for h in headings])
+        path = data.draw(st.lists(st.tuples(positions, yaws), max_size=8), label="path")
+        assert_synthesis_matches(boxes, path, BeamFan(count, aperture, max_range=15.0), sigma)
 
 
 def clamped_grid():
