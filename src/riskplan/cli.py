@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from . import assess, reporting, simulator
@@ -27,28 +28,21 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 
-# Flags that set a PipelineConfig or DisturbanceConfig field carry its name
-# as their dest and default to None, meaning "not given": the dataclass
-# supplies every default, so no default is written twice.
-SWEEP_FLAGS = ("out_dir", "master_seed", "gamma_samples", "gamma_low",
-               "gamma_high", "collision_cost")
-PIPELINE_FLAGS = SWEEP_FLAGS + ("episodes", "from_sonar")
-DISTURBANCE_FLAGS = ("current_sigma", "obstacle_sigma", "recovery_penalty_s",
-                     "perturb_target", "perturb_all")
-
 
 def _fail(message: str, code: int) -> int:
     print(json.dumps({"error": message, "exit_code": code}), file=sys.stderr)
     return code
 
 
-def _given(args, names) -> dict:
-    """The flags among ``names`` that the command line set; the perturb
-    target "none" stands for no target."""
-    given = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
-    if given.get("perturb_target") == "none":
-        given["perturb_target"] = None
-    return given
+def _given(args, kind) -> dict:
+    """The fields of dataclass ``kind`` that the command line set.  A flag
+    that sets a field carries its name as its dest and has no default, so
+    one that is not given is absent from ``args`` and ``kind`` supplies it."""
+    return {f.name: getattr(args, f.name) for f in fields(kind) if f.name in args}
+
+
+def _perturb_target(label: str) -> str | None:
+    return None if label == "none" else label
 
 
 def _load_scenario(path):
@@ -85,7 +79,7 @@ def cmd_gen_problem(args) -> int:
 def cmd_plan(args) -> int:
     scenario = _load_scenario(args.scenario)
     cfg = PipelineConfig.from_doc({"scenario_path": args.scenario, "master_seed": 0,
-                                   **_given(args, SWEEP_FLAGS)})
+                                   **_given(args, PipelineConfig)})
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for path in out.glob("plan_P*.json"):  # an earlier run's plans must not mix in
@@ -110,8 +104,8 @@ def cmd_refine(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     traj = read_trajectory_csv(args.trajectory, plan_id=args.plan_id)
-    cfg = simulator.DisturbanceConfig(**_given(args, DISTURBANCE_FLAGS))
-    n = PipelineConfig.episodes if args.episodes is None else args.episodes
+    cfg = simulator.DisturbanceConfig(**_given(args, simulator.DisturbanceConfig))
+    n = getattr(args, "episodes", PipelineConfig.episodes)
     records = simulator.run_batch(traj, scenario, cfg, n=n, master_seed=args.seed)
     simulator.write_episode_log(records, args.out)
     done = sum(1 for r in records if r.completed)
@@ -124,8 +118,7 @@ def cmd_assess(args) -> int:
     for path in args.episodes:
         for r in simulator.read_episode_log(path):
             samples.setdefault(r.plan_id, []).append(r.execution_time_s)
-    cfg = assess.MetricConfig(bin_width=args.bin_width, alpha=args.alpha,
-                              time_bound=args.time_bound)
+    cfg = assess.MetricConfig(**_given(args, assess.MetricConfig))
     report = assess.build_report(samples, cfg, alpha_mean=args.alpha_mean)
     write_json(args.out, report)
     print(f"wrote {args.out}: selected {report['selection']['selected']}")
@@ -139,13 +132,13 @@ def cmd_select(args) -> int:
 
 def cmd_pipeline(args) -> int:
     doc = {"scenario_path": args.scenario, "out_dir": "out"}
-    if args.config:
+    if getattr(args, "config", ""):  # an empty --config reads nothing
         loaded = parse_json(Path(args.config).read_text(encoding="utf-8"), args.config)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         doc.update(loaded)
-    doc.update(_given(args, PIPELINE_FLAGS))
-    disturbance = _given(args, ("perturb_target",))
+    doc.update(_given(args, PipelineConfig))
+    disturbance = _given(args, simulator.DisturbanceConfig)
     if disturbance and isinstance(doc.get("disturbance", {}), dict):
         doc["disturbance"] = {**doc.get("disturbance", {}), **disturbance}
     if "master_seed" not in doc:
@@ -170,7 +163,7 @@ def cmd_scaling(args) -> int:
     depths = [int(x) for x in args.depths.split(",") if x]
     crits = [int(x) for x in args.criticals.split(",") if x]
     rows = reporting.run_scaling(depths, crits, args.seed,
-                                 collision_cost=args.collision_cost)
+                                 collision_cost=getattr(args, "collision_cost", None))
     with open_artifact(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(f.name for f in fields(reporting.ScalingRow))
@@ -211,16 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-averse mission planning: candidate generation, "
                     "simulation-based assessment, and plan selection.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag with no default that is not given stays out of the namespace (see _given)
+    add = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("map", help="build an occupancy grid from synthetic sonar")
+    p = add("map", help="build an occupancy grid from synthetic sonar")
     p.add_argument("scenario")
     p.add_argument("--out", default="grid.csv")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-sigma", type=float, default=PipelineConfig.sonar_noise_sigma)
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("gen-problem",
-                       help="re-derive critical flags and edge risks from the map")
+    p = add("gen-problem",
+            help="re-derive critical flags and edge risks from the map")
     p.add_argument("scenario")
     p.add_argument("--out", default="problem.scn")
     p.add_argument("--seed", type=int, default=0)
@@ -228,19 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.set_defaults(func=cmd_gen_problem)
 
-    p = sub.add_parser("plan", help="generate deduplicated candidate plans")
+    p = add("plan", help="generate deduplicated candidate plans")
     p.add_argument("scenario")
     p.add_argument("--out-dir", default="plans")
     _add_sweep_flags(p)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("refine", help="refine a plan file into a trajectory CSV")
+    p = add("refine", help="refine a plan file into a trajectory CSV")
     p.add_argument("scenario")
     p.add_argument("plan")
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("simulate", help="run seeded episodes of a trajectory")
+    p = add("simulate", help="run seeded episodes of a trajectory")
     p.add_argument("scenario")
     p.add_argument("trajectory")
     p.add_argument("--seed", type=int, required=True)
@@ -249,46 +244,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--current-sigma", type=float)
     p.add_argument("--obstacle-sigma", type=float)
     p.add_argument("--recovery-penalty", type=float, dest="recovery_penalty_s")
-    p.add_argument("--perturb-target", help=PERTURB_TARGET_HELP)
-    p.add_argument("--perturb-all", action="store_true", default=None)
+    p.add_argument("--perturb-target", type=_perturb_target, help=PERTURB_TARGET_HELP)
+    p.add_argument("--perturb-all", action="store_true")
     p.add_argument("--out", default="episodes.jsonl")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("assess", help="compute risk metrics from episode logs")
+    p = add("assess", help="compute risk metrics from episode logs")
     p.add_argument("episodes", nargs="+")
     p.add_argument("--out", default="report.json")
-    p.add_argument("--bin-width", type=float, default=assess.DEFAULT_BIN_WIDTH)
-    p.add_argument("--alpha", type=float, default=assess.DEFAULT_ALPHA)
-    p.add_argument("--time-bound", type=float, default=assess.DEFAULT_TIME_BOUND)
+    p.add_argument("--bin-width", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--time-bound", type=float)
     p.add_argument("--alpha-mean", type=float, default=assess.DEFAULT_ALPHA_MEAN)
     p.set_defaults(func=cmd_assess)
 
-    p = sub.add_parser("select", help="print the selected plan of a report")
+    p = add("select", help="print the selected plan of a report")
     p.add_argument("report")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("pipeline", help="run the full flow end to end")
+    p = add("pipeline", help="run the full flow end to end")
     p.add_argument("scenario")
     p.add_argument("--out-dir", help="default: out")
     p.add_argument("--config", help="JSON PipelineConfig; flags override it")
     _add_sweep_flags(p)
     p.add_argument("--episodes", type=int)
-    p.add_argument("--from-sonar", action="store_true", default=None)
-    p.add_argument("--perturb-target", help=PERTURB_TARGET_HELP)
+    p.add_argument("--from-sonar", action="store_true")
+    p.add_argument("--perturb-target", type=_perturb_target, help=PERTURB_TARGET_HELP)
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("scaling", help="corridor scaling study")
+    p = add("scaling", help="corridor scaling study")
     p.add_argument("--depths", default="3,4,5,6,30,90",
                    help="comma list of corridor depths")
     p.add_argument("--criticals", default="3,4,5,6,10,35",
                    help="comma list, same length as --depths")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--collision-cost", type=float, default=None,
+    p.add_argument("--collision-cost", type=float,
                    help="finite dead-end cost; default treats crashes as unrecoverable")
     p.add_argument("--out", default="scaling.csv")
     p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("plot", help="box-plot SVG from an assessment report")
+    p = add("plot", help="box-plot SVG from an assessment report")
     p.add_argument("report")
     p.add_argument("--out-svg", default="boxplot.svg")
     p.add_argument("--out-csv", default="samples.csv")

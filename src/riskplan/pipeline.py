@@ -52,6 +52,8 @@ class PipelineConfig:
     helix: HelixSpec = field(default_factory=HelixSpec)
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.gamma_samples < 1 or self.episodes < assess.MIN_SAMPLES:
             raise ValueError(f"gamma_samples must be >= 1 and episodes "
                              f">= {assess.MIN_SAMPLES}")

@@ -77,11 +77,12 @@ def run_scaling(
 
     Collisions are priced as unrecoverable by default (``collision_cost
     None``): a finite penalty smaller than the remaining corridor cost would
-    make crashing cheaper than finishing on the long rows.
+    make crashing cheaper than finishing on the long rows.  A failed row is
+    recorded; when every row fails, the first row's exception is raised.
     """
     if not depth_list or len(depth_list) != len(criticals_list):
         raise ValueError("depth and criticals lists must be nonempty and equal length")
-    rows = []
+    rows, errors = [], []
     for depth, crit in zip(depth_list, criticals_list):
         try:
             mdp = ground_to_mdp(corridor_scenario(depth, crit))
@@ -96,9 +97,10 @@ def run_scaling(
                                    safest.solve_times[safest.gammas.index(g)],
                                    float(np.median(solve_times))))
         except Exception as exc:  # per-row failure is recorded, not fatal
+            errors.append(exc)
             rows.append(ScalingRow(depth, crit, False, error=f"{type(exc).__name__}: {exc}"))
-    if all(r.error for r in rows):
-        raise RuntimeError("all scaling rows failed")
+    if len(errors) == len(rows):
+        raise errors[0]
     return rows
 
 

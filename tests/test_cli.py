@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, artifacts, and the staged workflow."""
 
+import argparse
 import json
 import os
 import time
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import TANKS_SCN, inspection_chain, make_mdp
-from riskplan import cli, pipeline
+from riskplan import assess, cli, pipeline, simulator
 from riskplan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from riskplan.refiner import read_trajectory_csv, refine
 from riskplan.scenario import load_scenario
@@ -510,6 +513,20 @@ class TestBadInputExitsTwo:
                      "--out", str(tmp_path / "report.json")]) == EXIT_INPUT
         assert "alpha_mean must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pipeline", "plan"])
+    def test_negative_seed_rejected_before_any_work(self, small_scn, tmp_path, capsys,
+                                                    command):
+        # refused when the config is built, before the run removes any file
+        out = tmp_path / "out"
+        run = [command, str(small_scn), "--out-dir", str(out), "--samples", "2"]
+        assert main(run + ["--seed", "1"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert before
+        capsys.readouterr()
+        assert main(run + ["--seed", "-1"]) == EXIT_INPUT
+        assert "master_seed must be >= 0" in _stderr_doc(capsys)["error"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_one_episode_pipeline_rejected_before_any_work(self, small_scn, tmp_path):
         out = tmp_path / "out"
         assert main(["pipeline", str(small_scn), "--out-dir", str(out),
@@ -714,3 +731,121 @@ class TestMapAndScaling:
                           b"median_solve_time_s,error")
         assert solved.startswith(b"3,1,True,4,0.446,")
         assert failed == b"0,0,False,,,,,ValueError: depth must be >= 1"
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--seed", "-1"], "expected non-negative integer"),
+        (["--depths", "0", "--criticals", "0", "--seed", "5"], "depth must be >= 1"),
+    ])
+    def test_every_row_failing_on_input_exits_two(self, tmp_path, capsys, flags, error):
+        out = tmp_path / "scaling.csv"
+        assert main(["scaling", *flags, "--out", str(out)]) == EXIT_INPUT
+        assert _stderr_doc(capsys)["error"] == error
+        assert not out.exists()
+
+
+TRAJECTORY_CSV = "t,x,y,z,v\n0,10,0,-5,0\n1,9,0,-5,1\n"
+
+
+def _capture(command, flags, small_scn, tmp_path, monkeypatch) -> dict:
+    """What the stage of ``command`` receives from ``flags``, as nested dicts:
+    the PipelineConfig of plan and pipeline, and for simulate and assess
+    their config and the other setting the stage reads, under the names
+    PipelineConfig gives them."""
+    seen = []
+    monkeypatch.setattr(cli, "plan_candidates", lambda mdp, cfg: seen.append(asdict(cfg)) or [])
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg: seen.append(asdict(cfg)) or
+                        SimpleNamespace(candidates=[], summary_rows=[], selected=None))
+    monkeypatch.setattr(simulator, "run_batch", lambda traj, scenario, cfg, n, master_seed:
+                        seen.append({"disturbance": asdict(cfg), "episodes": n}) or [])
+    monkeypatch.setattr(assess, "build_report", lambda samples, cfg, alpha_mean:
+                        seen.append({"metrics": asdict(cfg), "alpha_mean": alpha_mean})
+                        or {"selection": {"selected": "P1"}})
+    monkeypatch.chdir(tmp_path)  # where each command's default outputs land
+    if command == "simulate":
+        (tmp_path / "traj.csv").write_text(TRAJECTORY_CSV, encoding="utf-8")
+        argv = [command, str(small_scn), "traj.csv", "--seed", "4"]
+    elif command == "assess":
+        simulator.write_episode_log([simulator.EpisodeRecord("P1", i, 1.0 + i, [], True,
+                                                             (1, "P1", i)) for i in range(2)],
+                                    tmp_path / "e.jsonl")
+        argv = [command, "e.jsonl"]
+    else:  # a pipeline needs a seed; the later --seed of a row wins
+        argv = [command, str(small_scn)] + (["--seed", "1"] if command == "pipeline" else [])
+    assert main(argv + flags) == EXIT_OK
+    (captured,) = seen
+    return captured
+
+
+def _defaults(command, small_scn) -> dict:
+    if command == "simulate":
+        return {"disturbance": asdict(DisturbanceConfig()),
+                "episodes": pipeline.PipelineConfig.episodes}
+    if command == "assess":
+        return {"metrics": asdict(assess.MetricConfig()),
+                "alpha_mean": assess.DEFAULT_ALPHA_MEAN}
+    if command == "plan":
+        return asdict(pipeline.PipelineConfig(str(small_scn), "plans", master_seed=0))
+    return asdict(pipeline.PipelineConfig(str(small_scn), "out", master_seed=1))
+
+
+SWEEP_ROWS = [(["--out-dir", "d"], "out_dir", "d"), (["--seed", "5"], "master_seed", 5),
+              (["--samples", "3"], "gamma_samples", 3),
+              (["--gamma-low", "0.2"], "gamma_low", 0.2),
+              (["--gamma-high", "0.8"], "gamma_high", 0.8),
+              (["--collision-cost", "50"], "collision_cost", 50.0)]
+
+# (command, flags, the field they set as a dotted path, its value)
+FLAG_TABLE = (
+    [("plan", *row) for row in SWEEP_ROWS]
+    + [("pipeline", *row) for row in SWEEP_ROWS]
+    + [("pipeline", ["--episodes", "4"], "episodes", 4),
+       ("pipeline", ["--from-sonar"], "from_sonar", True),
+       ("pipeline", ["--perturb-target", "tank"], "disturbance.perturb_target", "tank"),
+       ("pipeline", ["--perturb-target", "none"], "disturbance.perturb_target", None),
+       ("simulate", ["--current-sigma", "0.1"], "disturbance.current_sigma", 0.1),
+       ("simulate", ["--obstacle-sigma", "0.2"], "disturbance.obstacle_sigma", 0.2),
+       ("simulate", ["--recovery-penalty", "5"], "disturbance.recovery_penalty_s", 5.0),
+       ("simulate", ["--perturb-target", "tank"], "disturbance.perturb_target", "tank"),
+       ("simulate", ["--perturb-target", "none"], "disturbance.perturb_target", None),
+       ("simulate", ["--perturb-all"], "disturbance.perturb_all", True),
+       ("simulate", ["--episodes", "4"], "episodes", 4),
+       ("assess", ["--bin-width", "2"], "metrics.bin_width", 2.0),
+       ("assess", ["--alpha", "0.8"], "metrics.alpha", 0.8),
+       ("assess", ["--time-bound", "100"], "metrics.time_bound", 100.0),
+       ("assess", ["--alpha-mean", "0.1"], "alpha_mean", 0.1)])
+
+
+SUBPARSERS = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlagTable:
+    """A flag sets the field its dest names; a flag not given leaves the
+    dataclass default."""
+
+    @pytest.mark.parametrize("command", ["plan", "pipeline", "simulate", "assess"])
+    def test_no_flags_gives_the_defaults(self, small_scn, tmp_path, monkeypatch, command):
+        assert (_capture(command, [], small_scn, tmp_path, monkeypatch)
+                == _defaults(command, small_scn))
+
+    @pytest.mark.parametrize("command, flags, path, value", FLAG_TABLE)
+    def test_each_flag_alone_sets_its_field(self, small_scn, tmp_path, monkeypatch,
+                                            command, flags, path, value):
+        want = _defaults(command, small_scn)
+        *parents, name = path.split(".")
+        section = want
+        for parent in parents:
+            section = section[parent]
+        section[name] = value
+        got = _capture(command, flags, small_scn, tmp_path, monkeypatch)
+        assert repr(got) == repr(want)  # so 50 is not 50.0, nor 1 True
+
+    @pytest.mark.parametrize("command", sorted(SUBPARSERS))
+    def test_help_lists_every_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        for action in SUBPARSERS[command]._actions:
+            for option in action.option_strings or [action.dest]:
+                assert option in text

@@ -52,7 +52,8 @@ class TestScaling:
             run_scaling([3, 4], [1], master_seed=0)
 
     def test_every_row_failing_is_fatal(self):
-        with pytest.raises(RuntimeError, match="all scaling rows failed"):
+        # the first row's own error, so its type decides the exit code
+        with pytest.raises(ValueError, match="depth must be >= 1"):
             run_scaling([0, 0], [0, 0], master_seed=0)
 
     def test_bad_row_is_recorded_not_fatal(self):
