@@ -18,10 +18,6 @@ DEFAULT_ALPHA_MEAN = 0.05
 MIN_SAMPLES = 2  # per plan: a sample variance needs two
 
 
-class InsufficientSamples(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MetricConfig:
     bin_width: float = DEFAULT_BIN_WIDTH
@@ -60,7 +56,7 @@ def compute_metrics(samples: list[float], config: MetricConfig = MetricConfig())
     """
     n = len(samples)
     if n < MIN_SAMPLES:
-        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples, got {n}")
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     mean = sum(samples) / n
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
 

@@ -132,7 +132,9 @@ def cmd_select(args) -> int:
 
 def cmd_pipeline(args) -> int:
     doc = {"scenario_path": args.scenario, "out_dir": "out"}
-    if getattr(args, "config", ""):  # an empty --config reads nothing
+    if "config" in args:
+        if not args.config:  # Path("") would name the working directory
+            raise ValueError("--config must name a file, got ''")
         loaded = parse_json(Path(args.config).read_text(encoding="utf-8"), args.config)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")

@@ -38,14 +38,6 @@ EDGE_RISK_CAP = 0.95
 EVIDENCE_EPS = 0.01  # |log-odds| below this counts as unobserved
 
 
-class WaypointInOccupiedVoxel(ValueError):
-    def __init__(self, waypoint_id: str, occupancy: float):
-        self.waypoint_id = waypoint_id
-        self.occupancy = occupancy
-        super().__init__(
-            f"waypoint {waypoint_id!r} sits in a voxel with occupancy {occupancy:.3f}")
-
-
 def logistic(l: float) -> float:
     return 1.0 / (1.0 + math.exp(-l))
 
@@ -355,7 +347,7 @@ def extract_problem(
     for w in scenario.waypoints:
         own = grid.occupancy_at(w.position)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
-            raise WaypointInOccupiedVoxel(w.id, own)
+            raise ValueError(f"waypoint {w.id!r} sits in a voxel with occupancy {own:.3f}")
         near = _max_occupancy_near_segment(grid, w.position, w.position, clearance)
         new_waypoints.append(replace(w, is_critical=near > TAU_OCC))
     new_edges = []

@@ -23,8 +23,8 @@ from .mdp import Mdp
 from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
                         integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, refine
-from .scenario import (PlanFile, Scenario, from_json, ground_to_mdp, load_scenario,
-                       named_rng, open_artifact, write_json, write_plan_file)
+from .scenario import (PlanFile, Scenario, check_master_seed, from_json, ground_to_mdp,
+                       load_scenario, named_rng, open_artifact, write_json, write_plan_file)
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
@@ -52,14 +52,16 @@ class PipelineConfig:
     helix: HelixSpec = field(default_factory=HelixSpec)
 
     def __post_init__(self):
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        check_master_seed(self.master_seed)
         if self.gamma_samples < 1 or self.episodes < assess.MIN_SAMPLES:
             raise ValueError(f"gamma_samples must be >= 1 and episodes "
                              f">= {assess.MIN_SAMPLES}")
         if not (0.0 < self.gamma_low < self.gamma_high <= 1.0):
             raise ValueError("gamma interval must lie inside (0,1]")
         assess.check_alpha_mean(self.alpha_mean)
+        if not 0.0 <= self.sonar_noise_sigma < math.inf:  # NaN fails too
+            raise ValueError("sonar_noise_sigma must be finite and >= 0, "
+                             f"got {self.sonar_noise_sigma!r}")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":

@@ -28,10 +28,6 @@ GAMMA_SAMPLES = 20
 GAMMA_INTERVAL = (0.4, 1.0)
 
 
-class GammaOutOfRange(ValueError):
-    pass
-
-
 class NoProperPolicy(Exception):
     pass
 
@@ -111,7 +107,7 @@ def solve(
     of every state and the plan, without its linearization.
     """
     if not (0.0 < gamma < 1.0):
-        raise GammaOutOfRange(f"gamma must be in (0,1), got {gamma}")
+        raise ValueError(f"gamma must be in (0,1), got {gamma}")
 
     log_x = -math.log(gamma)  # ln(1/gamma)
     succ = m.successors
@@ -255,7 +251,7 @@ def generate_candidates(
         raise ValueError("need at least one gamma sample")
     lo, hi = interval
     if not (0.0 < lo < hi <= 1.0):
-        raise GammaOutOfRange(f"interval {interval} must lie inside (0,1]")
+        raise ValueError(f"interval {interval} must lie inside (0,1]")
     gammas = [float(g) for g in rng.uniform(lo, hi, size=n)]
 
     by_policy: dict[tuple, Candidate] = {}

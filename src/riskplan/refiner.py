@@ -34,12 +34,6 @@ CSV_COLUMNS = ("t", "x", "y", "z", "v")
 CSV_ROW = "%.3f,%.4f,%.4f,%.4f,%.4f\r\n"
 
 
-class DisconnectedPlan(ValueError):
-    def __init__(self, a: str, b: str):
-        self.pair = (a, b)
-        super().__init__(f"no scenario edge connects {a!r} and {b!r}")
-
-
 @dataclass(frozen=True)
 class HelixSpec:
     """Inspection loop shape: one full turn around the obstacle by default."""
@@ -154,8 +148,8 @@ def plan_polyline(scenario: Scenario, actions: list[str],
     ``goto <waypoint>`` moves along a declared edge; ``inspect <obstacle>``
     inserts a helical loop around that obstacle.  Raises ValueError when the
     labels name over MAX_PATH_ROWS + 1 points, before making any: the kernel
-    makes a sample for each point after the first.  Raises DisconnectedPlan
-    if consecutive waypoints share no edge, and ValueError for any other label.
+    makes a sample for each point after the first.  It also raises it if
+    consecutive waypoints share no edge, or for any other label.
     """
     count = 1 + sum(helix.points + 1 if label.startswith("inspect ") else
                     label.startswith("goto ") for label in actions)
@@ -171,7 +165,7 @@ def plan_polyline(scenario: Scenario, actions: list[str],
         verb, _, name = label.partition(" ")
         if verb == "goto":
             if frozenset((current, name)) not in edges:
-                raise DisconnectedPlan(current, name)
+                raise ValueError(f"no scenario edge connects {current!r} and {name!r}")
             current = name
             pts.append(positions[current])
         elif verb == "inspect" and name in obstacles:

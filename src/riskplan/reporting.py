@@ -12,10 +12,6 @@ from .scenario import EdgeDef, Scenario, Waypoint, ground_to_mdp, named_rng
 CORRIDOR_SPACING = 5.0  # m between neighbouring corridor waypoints
 
 
-class EmptyReport(ValueError):
-    pass
-
-
 def corridor_scenario(depth: int, criticals: int, risk: float = 0.05) -> Scenario:
     """Linear waypoint chain with risky shortcuts at the critical waypoints.
 
@@ -114,7 +110,7 @@ def boxplot_svg(samples_by_plan: dict[str, list[float]]) -> tuple[str, list[tupl
     plans = sorted(samples_by_plan)
     usable = {p: samples_by_plan[p] for p in plans if len(samples_by_plan[p]) >= 2}
     if not usable:
-        raise EmptyReport("no plan has at least 2 episodes")
+        raise ValueError("no plan has at least 2 episodes")
 
     rows: list[tuple] = []
     for p in plans:

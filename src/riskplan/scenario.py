@@ -325,10 +325,17 @@ def format_scenario(s: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_master_seed(master_seed: int):
+    """Raise ValueError unless ``master_seed`` is >= 0, as a SeedSequence needs."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+
+
 def named_rng(master_seed: int, *names: str | int) -> np.random.Generator:
     """The random stream of ``names`` under the master seed: a string enters
     as the CRC-32 of its UTF-8 bytes, an integer as itself, so a stream
     never depends on which others were drawn or in what order."""
+    check_master_seed(master_seed)
     keys = [zlib.crc32(n.encode("utf-8")) if isinstance(n, str) else n for n in names]
     return np.random.default_rng(np.random.SeedSequence([master_seed, *keys]))
 

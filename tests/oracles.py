@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from riskplan import planner
-from riskplan.assess import MIN_SAMPLES, InsufficientSamples, t_two_sided_p
+from riskplan.assess import MIN_SAMPLES, t_two_sided_p
 from riskplan.mdp import Mdp, Plan
-from riskplan.planner import (INF, GammaOutOfRange, ImproperPolicy, NonConvergence,
-                              NoProperPolicy)
+from riskplan.planner import INF, ImproperPolicy, NonConvergence, NoProperPolicy
 
 # accumulated real-valued costs are rounded to this many decimals to keep
 # the distribution support finite
@@ -109,7 +108,7 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
     Python 3.11.  It reads `planner.MAX_SWEEPS` and `planner.TOLERANCE`
     when called and shares `planner._with_proper_policy`."""
     if not (0.0 < gamma < 1.0):
-        raise GammaOutOfRange(f"gamma must be in (0,1), got {gamma}")
+        raise ValueError(f"gamma must be in (0,1), got {gamma}")
 
     log_x = -math.log(gamma)
     succ = m.successors
@@ -192,7 +191,7 @@ def samples_compare_means(a: list[float], b: list[float]) -> tuple[float, float]
     """`assess.compare_means` from the two sample lists: each list's count,
     mean and unbiased variance summed here, as `compute_metrics` sums them."""
     if len(a) < MIN_SAMPLES or len(b) < MIN_SAMPLES:
-        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples per group")
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per group")
     na, nb = len(a), len(b)
     ma, mb = sum(a) / na, sum(b) / nb
     va = sum((x - ma) ** 2 for x in a) / (na - 1)

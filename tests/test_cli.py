@@ -275,6 +275,39 @@ class TestOneStderrShape:
         assert code == doc["exit_code"] == EXIT_INPUT
         assert doc["error"] == "--seed is required"
 
+    @pytest.mark.parametrize("command, error", [
+        ("refine", "no scenario edge connects 'start' and 'final'"),
+        ("gen-problem", "waypoint 'w_sm_r' sits in a voxel with occupancy 0.659"),
+        ("assess", "need at least 2 samples, got 1"),
+        ("plot", "no plan has at least 2 episodes"),
+    ])
+    def test_input_error_line(self, tmp_path, capsys, command, error):
+        # the whole stderr of an input error is its message, byte for byte
+        assert main(_bad_input_argv(command, tmp_path)) == EXIT_INPUT
+        line = json.dumps({"error": error, "exit_code": EXIT_INPUT})
+        assert capsys.readouterr().err == line + "\n"
+
+
+def _bad_input_argv(command, tmp_path) -> list[str]:
+    """A command line of ``command`` on tanks.scn that fails on its input."""
+    if command == "refine":  # no edge joins start and final
+        plan = _plan_file(tmp_path, {"actions": ["goto final"], "high_level_length": 1})
+        return [command, str(TANKS_SCN), str(plan), "--out", str(tmp_path / "t.csv")]
+    if command == "gen-problem":  # w_sm_r moved into sm_tank's wall
+        scn = tmp_path / "moved.scn"
+        scn.write_text(TANKS_SCN.read_text(encoding="utf-8").replace(
+            "pos 2 -1.8 -5", "pos 1.1 0 -5"), encoding="utf-8")
+        return [command, str(scn), "--out", str(tmp_path / "problem.scn")]
+    if command == "assess":  # one episode
+        log = tmp_path / "e.jsonl"
+        simulator.write_episode_log([simulator.EpisodeRecord("P1", 0, 1.0, [], True,
+                                                             (1, "P1", 0))], log)
+        return [command, str(log), "--out", str(tmp_path / "report.json")]
+    report = tmp_path / "report.json"  # plot: no plan with two samples
+    report.write_text(json.dumps({"samples": {"P1": [1.0]}}), encoding="utf-8")
+    return [command, str(report), "--out-svg", str(tmp_path / "b.svg"),
+            "--out-csv", str(tmp_path / "b.csv")]
+
 
 def _plan_file(tmp_path, doc):
     path = tmp_path / "plan.json"
@@ -527,6 +560,30 @@ class TestBadInputExitsTwo:
         assert "master_seed must be >= 0" in _stderr_doc(capsys)["error"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("from_sonar", [True, False])
+    def test_bad_sonar_noise_sigma_rejected_before_any_work(self, small_scn, tmp_path,
+                                                            capsys, from_sonar):
+        # refused when the config is built, before the run removes any file
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"sonar_noise_sigma": -1.0, "from_sonar": from_sonar}),
+                       encoding="utf-8")
+        run = ["pipeline", str(small_scn), "--out-dir", str(out), "--samples", "2",
+               "--seed", "7"]
+        assert main(run) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(run + ["--config", str(cfg)]) == EXIT_INPUT
+        assert _stderr_doc(capsys)["error"] == ("config: . is rejected: sonar_noise_sigma "
+                                                "must be finite and >= 0, got -1.0")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_empty_config_path_rejected(self, small_scn, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pipeline", str(small_scn), "--config", "", "--out-dir", str(out),
+                     "--seed", "1"]) == EXIT_INPUT
+        assert _stderr_doc(capsys)["error"] == "--config must name a file, got ''"
+        assert not out.exists()
+
     def test_one_episode_pipeline_rejected_before_any_work(self, small_scn, tmp_path):
         out = tmp_path / "out"
         assert main(["pipeline", str(small_scn), "--out-dir", str(out),
@@ -733,13 +790,23 @@ class TestMapAndScaling:
         assert failed == b"0,0,False,,,,,ValueError: depth must be >= 1"
 
     @pytest.mark.parametrize("flags, error", [
-        (["--seed", "-1"], "expected non-negative integer"),
+        (["--seed", "-1"], "master_seed must be >= 0, got -1"),
         (["--depths", "0", "--criticals", "0", "--seed", "5"], "depth must be >= 1"),
     ])
     def test_every_row_failing_on_input_exits_two(self, tmp_path, capsys, flags, error):
         out = tmp_path / "scaling.csv"
         assert main(["scaling", *flags, "--out", str(out)]) == EXIT_INPUT
         assert _stderr_doc(capsys)["error"] == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["map", "gen-problem", "simulate"])
+    def test_negative_seed_names_its_setting(self, small_scn, tmp_path, capsys, command):
+        # scaling's case is a row of test_every_row_failing_on_input_exits_two
+        traj, out = tmp_path / "traj.csv", tmp_path / "out"
+        traj.write_text(TRAJECTORY_CSV, encoding="utf-8")
+        inputs = [str(small_scn), str(traj)] if command == "simulate" else [str(small_scn)]
+        assert main([command, *inputs, "--seed", "-1", "--out", str(out)]) == EXIT_INPUT
+        assert _stderr_doc(capsys)["error"] == "master_seed must be >= 0, got -1"
         assert not out.exists()
 
 

@@ -17,10 +17,9 @@ from conftest import TANKS_SCN, edge_between
 from riskplan import pipeline
 from riskplan.occupancy import (DEFAULT_KAPPA, DEFAULT_P_HIT, DEFAULT_P_MISS,
                                 EDGE_RISK_CAP, LOG_ODDS_MAX, LOG_ODDS_MIN, TAU_OCC,
-                                BeamFan, SonarScan, VoxelGrid, WaypointInOccupiedVoxel,
-                                _max_occupancy_near_segment, _nearest_hits,
-                                _segment_distances, extract_problem, integrate_scan,
-                                logistic, synthesize_scans, traverse_voxels)
+                                BeamFan, SonarScan, VoxelGrid, _max_occupancy_near_segment,
+                                _nearest_hits, _segment_distances, extract_problem,
+                                integrate_scan, logistic, synthesize_scans, traverse_voxels)
 from riskplan.scenario import (CSV_BLOCK_ROWS, EdgeDef, Obstacle, Scenario, Waypoint,
                                load_scenario, parse_scenario)
 
@@ -124,7 +123,7 @@ def reference_extract_problem(grid, scenario, kappa=DEFAULT_KAPPA):
     for w in scenario.waypoints:
         own = grid.occupancy_at(w.position)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
-            raise WaypointInOccupiedVoxel(w.id, own)
+            raise ValueError(f"waypoint {w.id!r} sits in a voxel with occupancy {own:.3f}")
         near = reference_max_occupancy_near_segment(centers, log_odds, w.position,
                                                     w.position, clearance)
         new_waypoints.append(replace(w, is_critical=near > TAU_OCC))
@@ -383,7 +382,8 @@ class TestExtraction:
         g, scenario = self.build_grid()
         bad = parse_scenario(SCENE.replace("WAYPOINT b pos 4 0 0",
                                            "WAYPOINT b pos 4.6 0 0")).scenario
-        with pytest.raises(WaypointInOccupiedVoxel):
+        with pytest.raises(ValueError,
+                           match=r"waypoint 'b' sits in a voxel with occupancy 0\.\d{3}"):
             extract_problem(g, bad)
 
     def test_unobserved_grid_extracts_no_risk(self):
@@ -407,7 +407,7 @@ def quietly(fn, *args):
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             return fn(*args)
-        except WaypointInOccupiedVoxel as exc:
+        except ValueError as exc:
             return type(exc), str(exc)
 
 

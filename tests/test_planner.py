@@ -10,6 +10,7 @@ deterministic policy of small random models.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +24,8 @@ from oracles import linearize_trace as linearize_trace_by_id
 from oracles import per_action_solve
 from riskplan import planner
 from riskplan.mdp import Mdp, Plan, TransitionSpec
-from riskplan.planner import (GammaOutOfRange, ImproperPolicy, NoProperPolicy,
-                              generate_candidates, linearize, linearize_trace,
-                              solve)
+from riskplan.planner import (ImproperPolicy, NoProperPolicy, generate_candidates,
+                              linearize, linearize_trace, solve)
 from riskplan.reporting import corridor_scenario
 from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
 
@@ -190,7 +190,7 @@ def reference_solve(m, gamma, failure_cost=None):
 class TestTransform:
     def test_gamma_bounds(self):
         for g in (0.0, 1.0, -0.2, 2.0):
-            with pytest.raises(GammaOutOfRange):
+            with pytest.raises(ValueError, match=re.escape(f"gamma must be in (0,1), got {g}")):
                 solve(two_action_mdp(), g)
 
 
@@ -405,7 +405,8 @@ class TestGenerateCandidates:
             generate_candidates(two_action_mdp(), 0, rng=np.random.default_rng(0))
 
     def test_interval_validation(self):
-        with pytest.raises(GammaOutOfRange):
+        with pytest.raises(ValueError,
+                           match=re.escape("interval (0.9, 0.4) must lie inside (0,1]")):
             generate_candidates(two_action_mdp(), 5, interval=(0.9, 0.4),
                                 rng=np.random.default_rng(0))
 

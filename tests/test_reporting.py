@@ -4,8 +4,7 @@ import pytest
 
 from conftest import make_mdp
 from riskplan import reporting
-from riskplan.reporting import (EmptyReport, boxplot_svg, corridor_scenario,
-                                run_scaling)
+from riskplan.reporting import boxplot_svg, corridor_scenario, run_scaling
 from riskplan.scenario import ground_to_mdp
 
 
@@ -110,5 +109,5 @@ class TestBoxplot:
         assert ("P2", "warning", "", "skipped: fewer than 2 episodes") in rows
 
     def test_all_plans_degenerate(self):
-        with pytest.raises(EmptyReport):
+        with pytest.raises(ValueError, match="no plan has at least 2 episodes"):
             boxplot_svg({"P1": [1.0]})
