@@ -296,14 +296,25 @@ def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     Row by row in numpy's elementwise arithmetic, so a point's distance
     does not depend on which other points come with it.  A BLAS product
     (`@`) has no such property: OpenBLAS rounds a row by its place in the
-    array, fusing the multiply-adds of some rows and not of others."""
+    array, fusing the multiply-adds of some rows and not of others.
+
+    `t` is worked out with ab and the points scaled down by the power of
+    two that brings ab's largest component into [0.5, 1), if it is larger.
+    The scaling is exact, so `t` is what the unscaled arithmetic gives
+    wherever that is finite, and ab @ ab cannot overflow for an edge longer
+    than ~1.3e154.  A point whose `t` clips to 1 is measured from b itself."""
     ab = b - a
-    denom = float(ab @ ab)
+    scale = math.ldexp(1.0, min(-math.frexp(max(map(abs, ab.tolist())))[1], 0))
+    ab_s = ab * scale
+    denom = float(ab_s @ ab_s)
     if denom == 0.0:
         return np.linalg.norm(points - a, axis=1)
-    rel = points - a
-    t = np.clip((rel[:, 0] * ab[0] + rel[:, 1] * ab[1] + rel[:, 2] * ab[2]) / denom, 0.0, 1.0)
-    return np.linalg.norm(points - (a + t[:, None] * ab), axis=1)
+    rel = (points - a) * scale
+    x, y, z = ab_s.tolist()
+    t = np.clip((rel[:, 0] * x + rel[:, 1] * y + rel[:, 2] * z) / denom, 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    closest[t == 1.0] = b  # a + (b - a) loses b's small coordinates when a is huge
+    return np.linalg.norm(points - closest, axis=1)
 
 
 def _max_occupancy_near_segment(grid: VoxelGrid, a, b, radius: float) -> float:

@@ -34,6 +34,11 @@ ARTIFACTS = ("errors.json", "report.json", "candidates.json", "summary.csv", "gr
              "plan_P*.json", "trajectory_P*.csv", "episodes_P*.jsonl")
 
 
+def _check_noise_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sonar_noise_sigma must be finite and >= 0, got {sigma!r}")
+
+
 @dataclass
 class PipelineConfig:
     scenario_path: str
@@ -59,9 +64,7 @@ class PipelineConfig:
         if not (0.0 < self.gamma_low < self.gamma_high <= 1.0):
             raise ValueError("gamma interval must lie inside (0,1]")
         assess.check_alpha_mean(self.alpha_mean)
-        if not 0.0 <= self.sonar_noise_sigma < math.inf:  # NaN fails too
-            raise ValueError("sonar_noise_sigma must be finite and >= 0, "
-                             f"got {self.sonar_noise_sigma!r}")
+        _check_noise_sigma(self.sonar_noise_sigma)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
@@ -77,6 +80,7 @@ class PipelineConfig:
 
 def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> VoxelGrid:
     """Survey the scene with a synthetic sonar sweep and build the grid."""
+    _check_noise_sigma(noise_sigma)
     pts = np.array([w.position for w in scenario.waypoints]
                    + [o.center for o in scenario.obstacles], dtype=float)
     lo, hi = pts.min(axis=0), pts.max(axis=0)

@@ -463,11 +463,14 @@ class TestBadInputExitsTwo:
     def test_bad_mapping_setting(self, small_scn, tmp_path, capsys, command, flag,
                                  value, field):
         # a negative or NaN kappa once wrote a problem.scn that plan rejects,
-        # and a NaN noise sigma once mapped with no noise at all
+        # and a NaN noise sigma once mapped with no noise at all; the noise
+        # sigma is refused under the name `pipeline` gives it
         out = tmp_path / "out"
         assert main([command, str(small_scn), "--seed", "1", f"{flag}={value}",
                      "--out", str(out)]) == EXIT_INPUT
-        assert f"{field} must be finite and >= 0" in capsys.readouterr().err
+        setting = {"kappa": "kappa", "sigma": "sonar_noise_sigma"}[field]
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            f"{setting} must be finite and >= 0, got {float(value)!r}"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["map", "gen-problem"])

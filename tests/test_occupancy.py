@@ -91,16 +91,21 @@ def reference_synthesize_scans(obstacles, sensor_path, fan, rng, range_sigma=0.0
 def reference_max_occupancy_near_segment(centers, log_odds, a, b, radius):
     """Max occupancy over the observed voxels (centres (n, 3), log-odds
     (n,)) within radius of segment ab: the pass over every observed voxel
-    of the map that the per-segment block replaced."""
+    of the map that the per-segment block replaced.  Like it, it scales a
+    long ab and the centres down by a power of two before working out `t`,
+    so that ab @ ab cannot overflow, and measures from b where `t` clips
+    to 1."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
-    denom = float(ab @ ab)
+    exponent = min(-int(np.frexp(np.max(np.abs(ab)))[1]), 0)
+    ab_s = np.ldexp(ab, exponent)
+    denom = float(ab_s @ ab_s)
     if denom == 0.0:
         d = np.linalg.norm(centers - a, axis=1)
     else:
-        t = np.clip((centers - a) @ ab / denom, 0.0, 1.0)
-        d = np.linalg.norm(centers - (a + t[:, None] * ab), axis=1)
+        t = np.clip(np.ldexp(centers - a, exponent) @ ab_s / denom, 0.0, 1.0)[:, None]
+        d = np.linalg.norm(centers - np.where(t == 1.0, b, a + t * ab), axis=1)
     near = log_odds[d <= radius]
     if len(near) == 0:
         return 0.0
@@ -391,6 +396,28 @@ class TestExtraction:
         out = extract_problem(VoxelGrid((-2, -8, -8), (20, 32, 32), 0.5), scenario)
         assert [e.collision_probability for e in out.edges] == [0.0, 0.0]
         assert not any(w.is_critical for w in out.waypoints)
+
+    @pytest.mark.parametrize("far", [1e10, 1e160, 1e300])
+    def test_huge_edge_reads_the_voxels_along_it(self, far):
+        """An edge whose squared length overflows sees the clamped voxel it
+        passes through, as a shorter one does; it once read only the voxels
+        near its first end."""
+        g = grid(dims=(20, 1, 1))
+        g.log_odds[15, 0, 0] = LOG_ODDS_MAX
+        scenario = Scenario(
+            waypoints=[Waypoint("a", (0.5, 0.5, 0.5)), Waypoint("b", (far, 0.5, 0.5))],
+            edges=[EdgeDef("a", "b", 0.0)], start="a", final="b")
+        risk = extract_problem(g, scenario).edges[0].collision_probability
+        assert risk == DEFAULT_KAPPA * logistic(LOG_ODDS_MAX)
+        assert round(risk, 3) == 0.291
+
+    @pytest.mark.parametrize("far", [1e150, 1e300])
+    def test_point_beyond_the_small_end_is_measured_from_it(self, far):
+        """A point past b, seen from a huge a, clips to b itself: a + (b - a)
+        would put that end at x = 0, 0.5 from the point."""
+        got = _segment_distances(np.array([[0.5, 0.5, 0.5]]), np.array([far, 0.5, 0.5]),
+                                 np.array([15.5, 0.5, 0.5]))
+        assert got.tolist() == [15.0]
 
     def test_mission_and_obstacles_untouched(self):
         g, scenario = self.build_grid()

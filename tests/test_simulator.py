@@ -2,6 +2,7 @@
 compiled kernel against two numpy references (a one-episode-at-a-time loop
 and the lockstep batch it replaced), and how the kernel is built."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
 from riskplan.refiner import Trajectory, refine
 from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario, named_rng,
                                parse_scenario, write_plan_file)
-from riskplan import kernel
+from riskplan import kernel, simulator
 from riskplan.cli import EXIT_INTERNAL, main
 from riskplan.kernel import KernelBuildError
 from riskplan.simulator import (SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
@@ -471,11 +473,12 @@ class TestKernelMatchesLockstep:
                              master_seed=master_seed) == \
                 lockstep_batch(traj, scenario, CONFIGS[name], seeds)
 
-    def test_large_batch_is_one_kernel_call(self, tanks, counting_kernel):
+    def test_large_batch_makes_one_kernel_call_per_worker(self, tanks, counting_kernel, cpus):
         scenario, trajs = tanks
         seeds = [(5, trajs[1].plan_id, i) for i in range(400)]
+        cpus(3)
         records = run_batch(trajs[1], scenario, CONFIGS["default"], n=400, master_seed=5)
-        assert counting_kernel.calls == 1
+        assert counting_kernel.calls == 3
         assert records == lockstep_batch(trajs[1], scenario, CONFIGS["default"], seeds)
 
     def test_full_event_buffer_returns_and_resumes(self, counting_kernel):
@@ -542,13 +545,14 @@ def weave(passes):
 
 
 class CountingKernel:
-    """The kernel, counting `simulate_ticks` calls."""
+    """The kernel, counting `simulate_ticks` calls from every worker."""
 
     def __init__(self, lib):
-        self.lib, self.calls = lib, 0
+        self.lib, self.calls, self.lock = lib, 0, threading.Lock()
 
     def simulate_ticks(self, *args):
-        self.calls += 1
+        with self.lock:
+            self.calls += 1
         return self.lib.simulate_ticks(*args)
 
 
@@ -557,6 +561,78 @@ def counting_kernel(monkeypatch):
     counting = CountingKernel(kernel.load())
     monkeypatch.setattr(kernel, "load", lambda: counting)
     return counting
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the number of CPUs this process may run on, as the batch sees it."""
+    def force(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return force
+
+
+class TestWorkers:
+    """A batch split across threads gives the records of one run in seed order."""
+
+    @pytest.mark.parametrize("name", ["strong_drift", "abort"])
+    def test_records_do_not_depend_on_the_worker_count(self, tanks, cpus, counting_kernel,
+                                                       name):
+        scenario, trajs = tanks
+        n = 211  # a prime: no worker count splits it evenly
+        cpus(1)
+        want = run_batch(trajs[1], scenario, CONFIGS[name], n=n, master_seed=7)
+        assert any(r.incidents for r in want)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+        try:
+            for workers in (2, 3, 4, 7):  # 7 is more threads than the CPUs here
+                cpus(workers)
+                counting_kernel.calls = 0
+                assert run_batch(trajs[1], scenario, CONFIGS[name], n=n, master_seed=7) == want
+                assert counting_kernel.calls >= workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_floor_of_episodes_per_worker(self, tanks, cpus, counting_kernel):
+        scenario, trajs = tanks
+        cpus(8)
+        floor = simulator.MIN_WORKER_EPISODES
+        for n, calls in ((2 * floor - 1, 1), (2 * floor, 2), (8 * floor + 7, 8)):
+            counting_kernel.calls = 0
+            run_batch(trajs[0], scenario, CONFIGS["default"], n=n, master_seed=7)
+            assert counting_kernel.calls == calls
+
+    def test_error_in_a_later_chunk_reaches_the_caller(self, tanks, cpus, monkeypatch):
+        scenario, trajs = tanks
+        cpus(4)
+
+        def failing_rng(master, plan_id, episode_index):
+            if episode_index == 90:
+                raise ValueError(f"no stream for episode {episode_index}")
+            return named_rng(master, plan_id, episode_index)
+
+        monkeypatch.setattr(simulator, "named_rng", failing_rng)
+        with pytest.raises(ValueError, match="no stream for episode 90"):
+            run_batch(trajs[0], scenario, CONFIGS["default"], n=100, master_seed=7)
+
+    def test_build_error_starts_no_worker(self, fresh_kernel, cpus, monkeypatch):
+        scenario = parse_scenario(OPEN_WATER).scenario
+        traj = reference_refine(scenario, ["goto b"], plan_id="P1")
+        monkeypatch.setattr(kernel, "_compiler", lambda: None)
+        started = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda *a: started.append(a))
+        monkeypatch.setattr(simulator, "named_rng", lambda *seed: started.append(seed))
+        cpus(2)
+        with pytest.raises(KernelBuildError, match="no C compiler"):
+            run_batch(traj, scenario, QUIET, n=100)
+        assert started == []
+
+    def test_bit_generator_pointer_is_the_ctypes_one(self):
+        for seed in [(7, "P1", 0), (7, "P1", 1), (11, "P2", 99)]:
+            rng = named_rng(*seed)
+            assert simulator._capsule_pointer(rng.bit_generator.capsule, b"BitGenerator") == \
+                rng.bit_generator.ctypes.bit_generator.value
 
 
 @pytest.fixture
@@ -683,15 +759,17 @@ class TestKernelBuild:
 
     def test_import_builds_and_loads_nothing(self):
         """Importing the modules that use the kernel compiles nothing and
-        loads no library: the first call does."""
-        code = ("import ctypes, subprocess\n"
+        loads no library: the first call does.  Nor does it import the
+        thread pool, which only a split batch needs."""
+        code = ("import ctypes, subprocess, sys\n"
                 "calls = []\n"
                 "ctypes.CDLL = lambda *a, **k: calls.append(('CDLL', a))\n"
                 "subprocess.run = lambda *a, **k: calls.append(('run', a))\n"
-                "import riskplan.refiner, riskplan.simulator, riskplan.occupancy\n"
+                "import riskplan.pipeline, riskplan.cli\n"
                 "from riskplan import kernel\n"
-                "print(calls, kernel.load.cache_info().currsize)")
+                "print(calls, kernel.load.cache_info().currsize,\n"
+                "      'concurrent.futures' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True)
-        assert out.stdout.split() == ["[]", "0"]
+        assert out.stdout.split() == ["[]", "0", "False"]
