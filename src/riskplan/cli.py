@@ -19,9 +19,8 @@ from . import assess, reporting, simulator
 from .pipeline import (PipelineConfig, map_from_sonar, plan_candidates, run_pipeline,
                        write_candidate_plan)
 from .refiner import read_trajectory_csv, refine
-from .scenario import (SchemaMismatch, format_scenario, from_json, ground_to_mdp,
-                       load_scenario, open_artifact, parse_json, read_plan_file,
-                       write_json)
+from .scenario import (format_scenario, from_json, ground_to_mdp, load_scenario,
+                       open_artifact, parse_json, read_plan_file, write_json)
 from .occupancy import DEFAULT_KAPPA, extract_problem
 
 EXIT_OK = 0
@@ -54,7 +53,7 @@ def _report_section(path, name: str, kind):
     ``kind`` by `from_json`."""
     report = parse_json(Path(path).read_text(encoding="utf-8"), str(path))
     if type(report) is not dict or name not in report:
-        raise SchemaMismatch(str(path), f".{name}", "is missing")
+        raise ValueError(f"{path}: .{name} is missing")
     return from_json(kind, report[name], str(path), f".{name}")
 
 
@@ -78,8 +77,8 @@ def cmd_gen_problem(args) -> int:
 
 def cmd_plan(args) -> int:
     scenario = _load_scenario(args.scenario)
-    cfg = PipelineConfig.from_doc({"scenario_path": args.scenario, "master_seed": 0,
-                                   **_given(args, PipelineConfig)})
+    cfg = from_json(PipelineConfig, {"scenario_path": args.scenario, "master_seed": 0,
+                                     **_given(args, PipelineConfig)}, "config")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for path in out.glob("plan_P*.json"):  # an earlier run's plans must not mix in
@@ -145,7 +144,7 @@ def cmd_pipeline(args) -> int:
         doc["disturbance"] = {**doc.get("disturbance", {}), **disturbance}
     if "master_seed" not in doc:
         raise ValueError("--seed is required")
-    cfg = PipelineConfig.from_doc(doc)
+    cfg = from_json(PipelineConfig, doc, "config")
     result = run_pipeline(cfg)
     print(f"candidates: {len(result.candidates)}")
     for row in result.summary_rows:

@@ -38,6 +38,12 @@ EDGE_RISK_CAP = 0.95
 EVIDENCE_EPS = 0.01  # |log-odds| below this counts as unobserved
 
 
+def check_noise_sigma(sigma: float) -> None:
+    """Raise ValueError unless the sonar range noise sigma is finite and >= 0."""
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sonar_noise_sigma must be finite and >= 0, got {sigma!r}")
+
+
 def logistic(l: float) -> float:
     return 1.0 / (1.0 + math.exp(-l))
 
@@ -74,12 +80,18 @@ class SonarScan:
 
 
 class VoxelGrid:
-    """3-D occupancy grid with per-voxel log-odds."""
+    """3-D occupancy grid with per-voxel log-odds.  Made only with an origin
+    of 3 finite numbers and a finite resolution > 0: the kernel's voxel
+    walk would never end at resolution 0."""
 
     def __init__(self, origin, dimensions, resolution: float = DEFAULT_RESOLUTION):
         self.origin = np.asarray(origin, dtype=float)
         self.dimensions = tuple(int(d) for d in dimensions)
         self.resolution = float(resolution)
+        if self.origin.shape != (3,) or not np.isfinite(self.origin).all():
+            raise ValueError(f"grid origin must be 3 finite numbers, got {origin!r}")
+        if not 0.0 < self.resolution < math.inf:  # NaN fails too
+            raise ValueError(f"grid resolution must be finite and > 0, got {resolution!r}")
         self.log_odds = np.zeros(self.dimensions, dtype=float)
 
     def in_bounds(self, idx) -> bool:
@@ -267,8 +279,7 @@ def synthesize_scans(
     gives a normal to each hit, in scan and then beam order, as a draw per
     hit would, and each noisy range is clamped to [1e-6, max_range].
     """
-    if not 0.0 <= range_sigma < math.inf:  # NaN fails too
-        raise ValueError(f"range noise sigma must be finite and >= 0, got {range_sigma!r}")
+    check_noise_sigma(range_sigma)
     boxes = np.array([(o.center, o.half_extents) for o in obstacles],
                      dtype=float).reshape(-1, 2, 3)
     lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
@@ -302,7 +313,12 @@ def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     two that brings ab's largest component into [0.5, 1), if it is larger.
     The scaling is exact, so `t` is what the unscaled arithmetic gives
     wherever that is finite, and ab @ ab cannot overflow for an edge longer
-    than ~1.3e154.  A point whose `t` clips to 1 is measured from b itself."""
+    than ~1.3e154.  A point whose `t` clips to 1 is measured from b itself.
+    The segment is measured from the end whose largest absolute coordinate
+    is the smaller (a, on a tie), so a huge edge reads the same from
+    either end: from a huge a, `t` would round to 1 for every point."""
+    if max(map(abs, b.tolist())) < max(map(abs, a.tolist())):
+        a, b = b, a
     ab = b - a
     scale = math.ldexp(1.0, min(-math.frexp(max(map(abs, ab.tolist())))[1], 0))
     ab_s = ab * scale

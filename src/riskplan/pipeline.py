@@ -20,11 +20,11 @@ import numpy as np
 
 from . import assess, planner, simulator
 from .mdp import Mdp
-from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, extract_problem,
-                        integrate_scan, synthesize_scans)
+from .occupancy import (DEFAULT_RESOLUTION, BeamFan, VoxelGrid, check_noise_sigma,
+                        extract_problem, integrate_scan, synthesize_scans)
 from .refiner import HelixSpec, Trajectory, refine
-from .scenario import (PlanFile, Scenario, check_master_seed, from_json, ground_to_mdp,
-                       load_scenario, named_rng, open_artifact, write_json, write_plan_file)
+from .scenario import (PlanFile, Scenario, check_master_seed, ground_to_mdp, load_scenario,
+                       named_rng, open_artifact, write_json, write_plan_file)
 from .simulator import DisturbanceConfig
 
 DEFAULT_COLLISION_COST = 12.0
@@ -32,11 +32,6 @@ MAX_SURVEY_VOXELS = 2**27  # 1 GiB of float64 log-odds
 # every file a run may write into its output directory
 ARTIFACTS = ("errors.json", "report.json", "candidates.json", "summary.csv", "grid.csv",
              "plan_P*.json", "trajectory_P*.csv", "episodes_P*.jsonl")
-
-
-def _check_noise_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma < math.inf:  # NaN fails too
-        raise ValueError(f"sonar_noise_sigma must be finite and >= 0, got {sigma!r}")
 
 
 @dataclass
@@ -58,18 +53,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_master_seed(self.master_seed)
-        if self.gamma_samples < 1 or self.episodes < assess.MIN_SAMPLES:
-            raise ValueError(f"gamma_samples must be >= 1 and episodes "
-                             f">= {assess.MIN_SAMPLES}")
-        if not (0.0 < self.gamma_low < self.gamma_high <= 1.0):
-            raise ValueError("gamma interval must lie inside (0,1]")
+        planner.check_gamma_sweep(self.gamma_samples, (self.gamma_low, self.gamma_high))
+        if self.episodes < assess.MIN_SAMPLES:
+            raise ValueError(f"episodes must be >= {assess.MIN_SAMPLES}, got {self.episodes!r}")
         assess.check_alpha_mean(self.alpha_mean)
-        _check_noise_sigma(self.sonar_noise_sigma)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PipelineConfig":
-        """Config from a JSON document, checked by `from_json`."""
-        return from_json(cls, doc, "config")
+        check_noise_sigma(self.sonar_noise_sigma)
 
     def config_hash(self) -> str:
         doc = asdict(self)
@@ -80,7 +68,7 @@ class PipelineConfig:
 
 def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> VoxelGrid:
     """Survey the scene with a synthetic sonar sweep and build the grid."""
-    _check_noise_sigma(noise_sigma)
+    check_noise_sigma(noise_sigma)  # before the grid is made
     pts = np.array([w.position for w in scenario.waypoints]
                    + [o.center for o in scenario.obstacles], dtype=float)
     lo, hi = pts.min(axis=0), pts.max(axis=0)

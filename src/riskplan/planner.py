@@ -41,6 +41,17 @@ class ImproperPolicy(ValueError):
     collision cost, a policy can price a crash below finishing and seek one."""
 
 
+def check_gamma_sweep(samples: int, interval: tuple[float, float]) -> None:
+    """Raise ValueError unless a sweep draws at least one gamma, from an
+    interval (gamma_low, gamma_high] inside (0, 1]."""
+    if samples < 1:
+        raise ValueError(f"gamma_samples must be >= 1, got {samples!r}")
+    low, high = interval
+    if not 0.0 < low < high <= 1.0:  # NaN fails too
+        raise ValueError(f"gamma_low and gamma_high must satisfy 0 < gamma_low < "
+                         f"gamma_high <= 1, got {low!r} and {high!r}")
+
+
 @dataclass
 class Candidate:
     plan: Plan
@@ -206,9 +217,12 @@ def solve(
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
     """Most-probable execution trace: (state id, action) pairs from start to
-    goal, each step to the most probable successor that can reach a goal.
+    goal, each step to the most probable successor that can reach a goal
+    and is not yet on the trace, so a retry steps on to its other outcome.
     It compares ln P along `Mdp.successors`, so two probabilities whose logs
-    round to the same value tie; ties go to the lowest target id."""
+    round to the same value tie; ties go to the lowest target id.  When
+    every such successor is on the trace, the step goes to the most probable
+    one, and the trace fails there."""
     trace: list[tuple[str, str]] = []
     i = m.start
     seen = set()
@@ -221,6 +235,7 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
             raise ImproperPolicy(f"most-probable trace from {m.states[m.start].id!r} "
                                  f"does not reach a goal (stuck at {s!r})")
         seen.add(i)
+        outs = [(lp, j) for lp, j in outs if j not in seen] or outs
         top = max(lp for lp, _ in outs)
         trace.append((s, a))
         i = min((j for lp, j in outs if lp == top), key=lambda j: m.states[j].id)
@@ -247,12 +262,8 @@ def generate_candidates(
     not depend on gamma, so no gamma is skipped.  Output order is fixed by
     each policy's first-producing gamma, independent of any scheduling.
     """
-    if n < 1:
-        raise ValueError("need at least one gamma sample")
-    lo, hi = interval
-    if not (0.0 < lo < hi <= 1.0):
-        raise ValueError(f"interval {interval} must lie inside (0,1]")
-    gammas = [float(g) for g in rng.uniform(lo, hi, size=n)]
+    check_gamma_sweep(n, interval)
+    gammas = [float(g) for g in rng.uniform(*interval, size=n)]
 
     by_policy: dict[tuple, Candidate] = {}
     for g in gammas:

@@ -49,15 +49,6 @@ MAX_STATES = 2**14
 MAX_TRANSITIONS = 2**17
 
 
-class SchemaMismatch(ValueError):
-    """A JSON document ``doc`` that does not fit the type it is read as;
-    ``path`` is the bad value's jq-style path, such as ``.incidents[0]``."""
-
-    def __init__(self, doc: str, path: str, message: str):
-        self.doc, self.path = doc, path or "."
-        super().__init__(f"{doc}: {self.path} {message}")
-
-
 @dataclass(frozen=True)
 class Obstacle:
     label: str
@@ -418,7 +409,8 @@ def from_json(kind, value, doc: str, path: str = ""):
     fixed ``tuple[...]``, ``dict[str, X]``, ``X | None`` or a leaf of the
     exact JSON type (``true`` is no integer; an integer is a fine float and
     is stored as one; a number must be finite).  A misfit, or a ValueError
-    of a dataclass's own checks, is a SchemaMismatch at the value's path."""
+    of a dataclass's own checks, is a ValueError that names ``doc`` and the
+    value's jq-style path, such as ``.incidents[0]``."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):  # only X | None
         (kind,) = set(args) - {type(None)}
@@ -429,9 +421,9 @@ def from_json(kind, value, doc: str, path: str = ""):
              list if origin in (list, tuple) else kind)
     if type(value) is not shape or origin is tuple and len(value) != len(args):
         want = f"a list of {len(args)}" if origin is tuple else _JSON_NAMES[shape]
-        raise SchemaMismatch(doc, path, f"must be {want}, got {value!r}")
+        raise ValueError(f"{doc}: {path or '.'} must be {want}, got {value!r}")
     if kind is float and not math.isfinite(value):
-        raise SchemaMismatch(doc, path, f"must be finite, got {value!r}")
+        raise ValueError(f"{doc}: {path or '.'} must be finite, got {value!r}")
     if origin is list and args[0] in (str, int, bool) and set(map(type, value)) <= {args[0]}:
         return list(value)  # each element already is its own JSON type
     if origin in (list, tuple):
@@ -445,15 +437,15 @@ def from_json(kind, value, doc: str, path: str = ""):
     hints = _type_hints(kind)
     for key in value:
         if key not in hints:
-            raise SchemaMismatch(doc, path, f"has unknown field {key!r}")
+            raise ValueError(f"{doc}: {path or '.'} has unknown field {key!r}")
     for f in fields(kind):
         if f.name not in value and f.default is f.default_factory is MISSING:
-            raise SchemaMismatch(doc, f"{path}.{f.name}", "is missing")
+            raise ValueError(f"{doc}: {path}.{f.name} is missing")
     given = {k: from_json(hints[k], v, doc, f"{path}.{k}") for k, v in value.items()}
     try:
         return kind(**given)
     except ValueError as exc:  # the dataclass's own checks
-        raise SchemaMismatch(doc, path, f"is rejected: {exc}") from None
+        raise ValueError(f"{doc}: {path or '.'} is rejected: {exc}") from None
 
 
 def open_artifact(path, newline: str | None = None):
@@ -500,6 +492,6 @@ def read_plan_file(path) -> PlanFile:
     if type(doc) is dict:  # any other value fails as a PlanFile below
         version = doc.pop("format_version", None)
         if version != PLAN_FORMAT_VERSION:
-            raise SchemaMismatch(str(path), ".format_version",
-                                 f"must be {PLAN_FORMAT_VERSION}, got {version!r}")
+            raise ValueError(f"{path}: .format_version must be {PLAN_FORMAT_VERSION}, "
+                             f"got {version!r}")
     return from_json(PlanFile, doc, str(path))

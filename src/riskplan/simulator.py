@@ -28,11 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .refiner import Trajectory
+from .refiner import DEFAULT_DT, MAX_PATH_ROWS, Trajectory
 from .scenario import Scenario, from_json, named_rng, open_artifact, parse_json
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
+# An episode times out after TIMEOUT_FACTOR times its trajectory's duration.
+# Each sample `refine` makes at DEFAULT_DT moves the clock by DEFAULT_DT at
+# most, so none of its trajectories lasts MAX_PATH_ROWS * DEFAULT_DT s, and
+# none is refused.  One episode of this many ticks took 1.0 s on tanks.scn's
+# 6 obstacles (2-vCPU VM).
+MAX_EPISODE_TICKS = round(TIMEOUT_FACTOR * MAX_PATH_ROWS * DEFAULT_DT / SIM_DT)
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,12 @@ def _simulate(
     last = len(rows)
     if not last:
         raise ValueError("trajectory must be nonempty")
+    duration = trajectory.nominal_duration
+    timeout = max(TIMEOUT_FACTOR * duration, 10.0)
+    if not timeout / SIM_DT <= MAX_EPISODE_TICKS:  # NaN fails too
+        raise ValueError(f"a {duration!r} s trajectory's episodes would run up to "
+                         f"{timeout / SIM_DT:.0f} ticks, more than MAX_EPISODE_TICKS "
+                         f"({MAX_EPISODE_TICKS})")
     lib = kernel.load()  # built before the split: a build error starts no worker
     points = np.ascontiguousarray(rows[:, 1:4])
     speeds = np.maximum(rows[:, 4], 1e-6)
@@ -126,7 +138,6 @@ def _simulate(
     m = len(labels)
     half = np.array([o.half_extents for o in scenario.obstacles],
                     dtype=float).reshape(m, 3)
-    timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
 
     def run(chunk: list[tuple[int, str, int]]) -> list[EpisodeRecord]:
         n = len(chunk)

@@ -80,7 +80,8 @@ def by_id(m: Mdp | ModelById) -> ModelById:
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
     """Most-probable execution trace, walked over the transitions by id:
     (state, action) pairs from start to goal, each step to the most
-    probable successor that can reach a goal, ties in probability to the
+    probable successor that can reach a goal and is not yet on the trace
+    (to the most probable one when all are), ties in probability to the
     lowest target id.  The oracle of `planner.linearize_trace`."""
     m = by_id(m)
     trace: list[tuple[str, str]] = []
@@ -94,6 +95,7 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
             raise ImproperPolicy(
                 f"most-probable trace from {m.start!r} does not reach a goal (stuck at {s!r})")
         seen.add(s)
+        outs = [t for t in outs if t.target not in seen] or outs
         top = max(t.probability for t in outs)
         best = min((t for t in outs if t.probability == top), key=lambda t: t.target)
         trace.append((s, a))

@@ -13,7 +13,7 @@ from conftest import TANKS_SCN, inspection_chain, make_mdp
 from riskplan import assess, cli, pipeline, simulator
 from riskplan.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from riskplan.refiner import read_trajectory_csv, refine
-from riskplan.scenario import load_scenario
+from riskplan.scenario import from_json, load_scenario
 from riskplan.simulator import DisturbanceConfig, read_episode_log, run_batch
 
 SMALL = """
@@ -287,6 +287,33 @@ class TestOneStderrShape:
         line = json.dumps({"error": error, "exit_code": EXIT_INPUT})
         assert capsys.readouterr().err == line + "\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["plan", "--samples", "0"], "gamma_samples must be >= 1, got 0"),
+        (["plan", "--gamma-low", "0.9", "--gamma-high", "0.4"],
+         "gamma_low and gamma_high must satisfy 0 < gamma_low < gamma_high <= 1, "
+         "got 0.9 and 0.4"),
+        (["pipeline", "--seed", "1", "--episodes", "1"], "episodes must be >= 2, got 1"),
+    ])
+    def test_config_refusal_line(self, tmp_path, monkeypatch, capsys, argv, error):
+        # each names the setting it refuses and its value: plan's --samples 0
+        # once read "gamma_samples must be >= 1 and episodes >= 2"
+        monkeypatch.chdir(tmp_path)
+        command, *flags = argv
+        assert main([command, str(TANKS_SCN), *flags]) == EXIT_INPUT
+        line = json.dumps({"error": f"config: . is rejected: {error}",
+                           "exit_code": EXIT_INPUT})
+        assert capsys.readouterr().err == line + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_misfit_plan_file_line(self, tmp_path, capsys):
+        plan = _plan_file(tmp_path, {"gamma": "high", "actions": ["goto w_sm_l"],
+                                     "high_level_length": 1})
+        assert main(["refine", str(TANKS_SCN), str(plan),
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+        line = json.dumps({"error": f"{plan}: .gamma must be a number, got 'high'",
+                           "exit_code": EXIT_INPUT})
+        assert capsys.readouterr().err == line + "\n"
+
 
 def _bad_input_argv(command, tmp_path) -> list[str]:
     """A command line of ``command`` on tanks.scn that fails on its input."""
@@ -317,6 +344,20 @@ def _plan_file(tmp_path, doc):
 
 
 class TestBadInputExitsTwo:
+    def test_overlong_trajectory_exits_two_at_once(self, tmp_path, capsys):
+        # its episodes once ran up to 1e11 ticks, past 15 s, at the speed floor
+        traj = tmp_path / "T.csv"
+        traj.write_text("t,x,y,z,v\r\n0.000,0,0,-5,0\r\n1000000000.000,1,0,-5,0\r\n",
+                        encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["simulate", str(TANKS_SCN), str(traj), "--seed", "1", "--episodes", "2",
+                     "--out", str(tmp_path / "e.jsonl")]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1.0
+        assert _stderr_doc(capsys)["error"] == (
+            "a 1000000000.0 s trajectory's episodes would run up to 100000000000 ticks, "
+            "more than MAX_EPISODE_TICKS (10000000)")
+        assert not (tmp_path / "e.jsonl").exists()
+
     def test_v1_plan_file(self, small_scn, tmp_path):
         plan = _plan_file(tmp_path, {"format_version": 1, "planning_time_s": 0.0,
                                      "actions": ["goto near"], "high_level_length": 1})
@@ -419,10 +460,10 @@ class TestBadInputExitsTwo:
         assert not out.exists()
 
     def test_config_null_and_integer_values_accepted(self, small_scn):
-        cfg = pipeline.PipelineConfig.from_doc({
+        cfg = from_json(pipeline.PipelineConfig, {
             "scenario_path": str(small_scn), "out_dir": "out", "master_seed": 3,
             "collision_cost": None, "gamma_high": 1, "disturbance":
-                {"perturb_target": None, "clearance": 1}, "helix": {"pitch": None}})
+                {"perturb_target": None, "clearance": 1}, "helix": {"pitch": None}}, "config")
         assert cfg.collision_cost is None and cfg.gamma_high == 1.0
         assert cfg.disturbance == DisturbanceConfig(perturb_target=None, clearance=1.0)
 

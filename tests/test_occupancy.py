@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TANKS_SCN, edge_between
-from riskplan import pipeline
+from riskplan import kernel, pipeline
 from riskplan.occupancy import (DEFAULT_KAPPA, DEFAULT_P_HIT, DEFAULT_P_MISS,
                                 EDGE_RISK_CAP, LOG_ODDS_MAX, LOG_ODDS_MIN, TAU_OCC,
                                 BeamFan, SonarScan, VoxelGrid, _max_occupancy_near_segment,
@@ -93,10 +93,13 @@ def reference_max_occupancy_near_segment(centers, log_odds, a, b, radius):
     (n,)) within radius of segment ab: the pass over every observed voxel
     of the map that the per-segment block replaced.  Like it, it scales a
     long ab and the centres down by a power of two before working out `t`,
-    so that ab @ ab cannot overflow, and measures from b where `t` clips
-    to 1."""
+    so that ab @ ab cannot overflow, measures from b where `t` clips to 1,
+    and takes as a the end whose largest absolute coordinate is the
+    smaller."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if np.max(np.abs(b)) < np.max(np.abs(a)):
+        a, b = b, a
     ab = b - a
     exponent = min(-int(np.frexp(np.max(np.abs(ab)))[1]), 0)
     ab_s = np.ldexp(ab, exponent)
@@ -182,6 +185,13 @@ class TestScanChecks:
         with pytest.raises(ValueError):
             SonarScan(*args)
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_bad_noise_sigma_names_its_setting(self, sigma):
+        with pytest.raises(ValueError) as info:
+            synthesize_scans(BOXES, [((0.0, 0.0, 0.0), 0.0)], AHEAD,
+                             np.random.default_rng(0), sigma)
+        assert str(info.value) == f"sonar_noise_sigma must be finite and >= 0, got {sigma!r}"
+
     def test_arrays_are_read_only_copies(self):
         ranges = np.array([3.0])
         scan = SonarScan(AHEAD_BEAM[0], AHEAD_BEAM[1], ranges, 8.0)
@@ -229,6 +239,27 @@ class TestLogOddsUpdates:
         with pytest.raises(ValueError):
             integrate_scan(grid(), hit_scan((0.5, 0.5, 0.5), (1, 0, 0), 3.0),
                            p_hit=0.4)
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_resolution_refused_when_made(self, monkeypatch, resolution):
+        # at resolution 0 the kernel's walk never passes its stop and one
+        # beam did not return within 20 s
+        monkeypatch.setattr(kernel, "load", lambda: pytest.fail("kernel called"))
+        with pytest.raises(ValueError) as info:
+            integrate_scan(VoxelGrid((0, 0, 0), (10, 10, 10), resolution),
+                           hit_scan((0.5, 0.5, 0.5), (1, 0, 0), 3.0))
+        assert str(info.value) == (f"grid resolution must be finite and > 0, "
+                                   f"got {resolution!r}")
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (0.0, math.inf, 0.0),
+                                        (math.nan, 0.0, 0.0), (0.0, 0.0, -math.inf)])
+    def test_bad_origin_refused_when_made(self, monkeypatch, origin):
+        # a non-finite origin reached the kernel's cast of floor(inf) to long
+        monkeypatch.setattr(kernel, "load", lambda: pytest.fail("kernel called"))
+        with pytest.raises(ValueError) as info:
+            integrate_scan(VoxelGrid(origin, (10, 10, 10), 1.0),
+                           hit_scan((0.5, 0.5, 0.5), (1, 0, 0), 3.0))
+        assert str(info.value) == f"grid origin must be 3 finite numbers, got {origin!r}"
 
     def test_malformed_scan_or_grid_rejected(self):
         """Nothing malformed reaches the kernel's pointers."""
@@ -397,24 +428,27 @@ class TestExtraction:
         assert [e.collision_probability for e in out.edges] == [0.0, 0.0]
         assert not any(w.is_critical for w in out.waypoints)
 
-    @pytest.mark.parametrize("far", [1e10, 1e160, 1e300])
+    @pytest.mark.parametrize("far", [1e10, 1e20, 1e160, 1e300])
     def test_huge_edge_reads_the_voxels_along_it(self, far):
         """An edge whose squared length overflows sees the clamped voxel it
-        passes through, as a shorter one does; it once read only the voxels
-        near its first end."""
+        passes through, as a shorter one does, given from either end.  It
+        once read only the voxels near its first end, and then, given from
+        its far end, only those near its small end."""
         g = grid(dims=(20, 1, 1))
         g.log_odds[15, 0, 0] = LOG_ODDS_MAX
-        scenario = Scenario(
-            waypoints=[Waypoint("a", (0.5, 0.5, 0.5)), Waypoint("b", (far, 0.5, 0.5))],
-            edges=[EdgeDef("a", "b", 0.0)], start="a", final="b")
-        risk = extract_problem(g, scenario).edges[0].collision_probability
-        assert risk == DEFAULT_KAPPA * logistic(LOG_ODDS_MAX)
-        assert round(risk, 3) == 0.291
+        for edge in (EdgeDef("a", "b", 0.0), EdgeDef("b", "a", 0.0)):
+            scenario = Scenario(
+                waypoints=[Waypoint("a", (0.5, 0.5, 0.5)), Waypoint("b", (far, 0.5, 0.5))],
+                edges=[edge], start="a", final="b")
+            risk = extract_problem(g, scenario).edges[0].collision_probability
+            assert risk == DEFAULT_KAPPA * logistic(LOG_ODDS_MAX)
+            assert round(risk, 3) == 0.291
 
     @pytest.mark.parametrize("far", [1e150, 1e300])
     def test_point_beyond_the_small_end_is_measured_from_it(self, far):
-        """A point past b, seen from a huge a, clips to b itself: a + (b - a)
-        would put that end at x = 0, 0.5 from the point."""
+        """A point past the small end b of an edge from a huge a is measured
+        from b itself: a + (b - a) would put that end at x = 0, 0.5 from
+        the point."""
         got = _segment_distances(np.array([[0.5, 0.5, 0.5]]), np.array([far, 0.5, 0.5]),
                                  np.array([15.5, 0.5, 0.5]))
         assert got.tolist() == [15.0]

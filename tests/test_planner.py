@@ -312,6 +312,14 @@ class TestLinearize:
         _, plan = solve(m, 0.9, failure_cost=12.0)
         assert linearize(m, plan) == ["goto mid", "inspect tank", "goto final"]
 
+    def test_a_retry_steps_on_to_its_other_outcome(self):
+        # staying at s0 is the most probable move, but s0 is already on the
+        # trace, so the trace steps to the goal
+        m = loop_mdp(0.4)
+        (cand,) = generate_candidates(m, 2, (0.7, 0.99), rng=np.random.default_rng(0))
+        assert cand.plan.linearization == ["try"]
+        assert _same_walk(m, cand.plan) == [("s0", "try")]
+
     def test_cyclic_policy_rejected(self):
         m = two_action_mdp()
         from riskplan.mdp import Plan
@@ -401,20 +409,27 @@ class TestGenerateCandidates:
         assert [c.plan.policy for c in a] == [c.plan.policy for c in b]
 
     def test_sample_count_validation(self):
-        with pytest.raises(ValueError, match="at least one gamma sample"):
+        with pytest.raises(ValueError) as info:
             generate_candidates(two_action_mdp(), 0, rng=np.random.default_rng(0))
+        assert str(info.value) == "gamma_samples must be >= 1, got 0"
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError,
-                           match=re.escape("interval (0.9, 0.4) must lie inside (0,1]")):
+        with pytest.raises(ValueError) as info:
             generate_candidates(two_action_mdp(), 5, interval=(0.9, 0.4),
                                 rng=np.random.default_rng(0))
+        assert str(info.value) == ("gamma_low and gamma_high must satisfy 0 < gamma_low "
+                                   "< gamma_high <= 1, got 0.9 and 0.4")
 
     def test_a_looping_trace_names_its_plan(self):
-        # retrying s0 is a proper policy, but staying is its most probable
-        # move, so the trace loops; with no collision cost none is named
+        # a proper policy whose most probable outcome at s1 is back to s0,
+        # its only goal-reaching one, so the trace loops; with no collision
+        # cost none is named (loop_mdp(0.4) once failed here: its retry
+        # now steps on to the goal)
+        m = make_mdp([("s0", 1.0), ("s1", 1.0), ("s2", 1.0), ("goal", 0.0)],
+                     [("s0", "go", "s1", 0.6), ("s0", "go", "s2", 0.4),
+                      ("s1", "back", "s0", 1.0), ("s2", "on", "goal", 1.0)], "s0", {"goal"})
         with pytest.raises(ImproperPolicy) as got:
-            generate_candidates(loop_mdp(0.4), 2, (0.7, 0.99), rng=np.random.default_rng(0))
+            generate_candidates(m, 2, (0.7, 0.99), rng=np.random.default_rng(0))
         assert str(got.value) == ("plan P1: most-probable trace from 's0' does not "
                                   "reach a goal (stuck at 's0')")
         assert isinstance(got.value, ValueError)  # an input outcome: exit 2

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import REPO_ROOT, TANKS_SCN, norm, reference_refine
 from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
-from riskplan.refiner import Trajectory, refine
+from riskplan.refiner import MAX_PATH_ROWS, Trajectory, refine
 from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario, named_rng,
                                parse_scenario, write_plan_file)
 from riskplan import kernel, simulator
@@ -168,6 +168,26 @@ class TestValidationAndLogs:
         scenario = parse_scenario(OPEN_WATER).scenario
         with pytest.raises(ValueError, match="nonempty"):
             run_episode(Trajectory(np.empty((0, 5)), "P1"), scenario, QUIET, (0, "P1", 0))
+
+    @pytest.mark.parametrize("t_end", [1e9, math.inf, math.nan])
+    def test_overlong_trajectory_refused_before_any_work(self, monkeypatch, t_end):
+        # an episode runs up to TIMEOUT_FACTOR times its trajectory's
+        # duration: at 1e9 s one ran past 15 s, and at NaN it never ends
+        monkeypatch.setattr(kernel, "load", lambda: pytest.fail("kernel called"))
+        scenario = parse_scenario(OPEN_WATER).scenario
+        traj = Trajectory(np.array([[0.0, 0, 0, -5, 0], [t_end, 1, 0, -5, 0]]), "P1")
+        with pytest.raises(ValueError, match=r"more than MAX_EPISODE_TICKS \(10000000\)"):
+            run_batch(traj, scenario, QUIET, n=2)
+
+    def test_longest_refined_trajectory_is_not_refused(self):
+        # a 24.9 km leg at 0.25 m/s: 996,001 rows, near MAX_PATH_ROWS, and
+        # 99,600 s long; its episode runs to its end
+        scenario = parse_scenario(OPEN_WATER.replace("vmax 1.0", "vmax 0.25").replace(
+            "pos 10 0 -5", "pos 24900 0 -5")).scenario
+        traj = refine(scenario, ["goto b"], plan_id="P1")
+        assert len(traj.rows) > 0.99 * MAX_PATH_ROWS
+        (record,) = run_batch(traj, scenario, QUIET, n=1)
+        assert record.completed
 
     def test_zero_episodes_rejected(self):
         scenario, traj = trajectory(OPEN_WATER)
