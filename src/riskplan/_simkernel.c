@@ -1,14 +1,17 @@
 /* Sampling loop of the trajectory refiner (see refiner.py), tick loop of
- * the disturbed kinematic simulator (see simulator.py) and voxel walk of
- * the occupancy grid (see occupancy.py).
+ * the disturbed kinematic simulator (see simulator.py), and the occupancy
+ * grid's slab test, voxel walk, extraction scan and grid.csv rows (see
+ * occupancy.py).
  *
  * Every expression keeps the evaluation order of the Python or numpy code
- * it replaced, so a trajectory, a record or a grid is the same bit for
- * bit; compile with -ffp-contract=off and without -ffast-math.  Distances
- * are sqrt(fma(z, z, fma(y, y, x*x))), which is how the BLAS dot product
- * behind np.linalg.norm rounds a 3-vector.  Python's min() and max() keep
- * the first of equal arguments, and so do the comparisons that stand for
- * them here.
+ * it replaced, so a trajectory, a record, a scan, a grid, an extracted
+ * scenario or a grid.csv is the same bit for bit; compile with
+ * -ffp-contract=off and without -ffast-math.  Distances are
+ * sqrt(fma(z, z, fma(y, y, x*x))), which is how the BLAS dot product
+ * behind np.linalg.norm rounds a 3-vector, except in the extraction scan:
+ * np.linalg.norm(v, axis=1) sums a row's squares in order, with no fma.
+ * Python's min() and max() keep the first of equal arguments, and so do
+ * the comparisons that stand for them here.
  *
  * The simulator's drift is drawn here from each episode's own numpy bit
  * generator, with the normal sampler of numpy's libnpyrandom.a that
@@ -358,4 +361,167 @@ void integrate_beams(long n, const double *pos, const double *dirs,
             t_max[axis] += t_delta[axis];
         }
     }
+}
+
+/* Per scan and beam, the range to the nearest of the m boxes (corners lo
+ * and hi, (m, 3)) that the beam meets within max_range, or inf, into out
+ * (scans, beams): the slab test (Williams et al. 2005) of each beam of dirs
+ * (scans, beams, 3) from its scan's origin in origins (scans, 3).  A
+ * component of 0.0 (of either sign) is parallel to its slabs, which the
+ * beam then meets only from inside.  Each comparison is the one numpy's
+ * where() made, axis by axis and then box by box, so every range is the
+ * one a per-box loop finds, down to the sign of a zero.
+ */
+void nearest_hits(long scans, long beams, const double *origins,
+                  const double *dirs, long m, const double *lo,
+                  const double *hi, double max_range, double *out)
+{
+    for (long s = 0; s < scans; s++) {
+        const double *o = origins + 3 * s;
+        for (long i = 0; i < beams; i++) {
+            const double *d = dirs + 3 * (s * beams + i);
+            double nearest = INFINITY;
+            for (long j = 0; j < m; j++) {
+                const double *l = lo + 3 * j, *h = hi + 3 * j;
+                double t_near = -INFINITY, t_far = INFINITY;
+                int miss = 0;
+                for (int k = 0; k < 3; k++) {
+                    if (d[k] == 0.0) {
+                        miss |= !(l[k] <= o[k] && o[k] <= h[k]);
+                        continue;
+                    }
+                    double a = (l[k] - o[k]) / d[k], b = (h[k] - o[k]) / d[k];
+                    double near = b < a ? b : a, far = b > a ? b : a;
+                    if (near > t_near)
+                        t_near = near;
+                    if (far < t_far)
+                        t_far = far;
+                }
+                double r = 0.0 > t_near ? 0.0 : t_near;
+                if (!miss && !(t_near > t_far) && !(t_far < 0) && r <= max_range
+                    && r < nearest)
+                    nearest = r;
+            }
+            out[s * beams + i] = nearest;
+        }
+    }
+}
+
+/* floor((x - origin) / res) + shift, clipped to [0, dim] as a float before
+ * the cast, so a far-off x cannot wrap; NaN clips to 0 */
+static long block_bound(double x, double origin, double res, double shift,
+                        long dim)
+{
+    double f = floor((x - origin) / res) + shift;
+    return f > 0.0 ? (f < (double)dim ? (long)f : dim) : 0;
+}
+
+/* Distance from c (3,) to the segment from a to b (3,) whose difference
+ * ab = b - a scaled by `scale` is ab_s, with denom = ab_s . ab_s.  Each
+ * sum in numpy's order: the parameter t from a with the offsets scaled
+ * too, clipped to [0, 1] as np.clip does (NaN stays), and a point whose t
+ * is 1 measured from b itself. */
+static double segment_distance(const double *c, const double *a,
+                               const double *b, const double *ab,
+                               const double *ab_s, double scale, double denom)
+{
+    double e[3];
+    if (denom == 0.0) {
+        for (int k = 0; k < 3; k++)
+            e[k] = c[k] - a[k];
+    } else {
+        double r0 = (c[0] - a[0]) * scale, r1 = (c[1] - a[1]) * scale;
+        double r2 = (c[2] - a[2]) * scale;
+        double t = ((r0 * ab_s[0] + r1 * ab_s[1]) + r2 * ab_s[2]) / denom;
+        t = (t > 0.0 || t != t) ? t : 0.0;
+        t = (t < 1.0 || t != t) ? t : 1.0;
+        for (int k = 0; k < 3; k++)
+            e[k] = c[k] - (t == 1.0 ? b[k] : a[k] + t * ab[k]);
+    }
+    return sqrt((e[0] * e[0] + e[1] * e[1]) + e[2] * e[2]);
+}
+
+/* For each of the n segments from a to b (n, 3), the greatest log-odds of
+ * a voxel with evidence (|log-odds| > eps) whose centre lies within radius
+ * of it, or -inf if none, into out (n,).  Segment i is measured from a[i]
+ * with scale[i] and denom[i] as segment_distance takes them.  Only the
+ * block of the C-ordered log_odds grid of dims (3,) voxels, of side res,
+ * from origin (3,), that can hold such a voxel is read: per axis, from one
+ * voxel below the one holding the segment's least coordinate less the
+ * radius to one above the one holding its greatest plus the radius.
+ */
+void max_near_segments(long n, const double *a, const double *b,
+                       const double *scale, const double *denom, double radius,
+                       double eps, const double *origin, const long *dims,
+                       double res, const double *log_odds, double *out)
+{
+    for (long s = 0; s < n; s++) {
+        const double *p = a + 3 * s, *q = b + 3 * s;
+        double ab[3], ab_s[3];
+        long first[3], end[3];
+        for (int k = 0; k < 3; k++) {
+            ab[k] = q[k] - p[k];
+            ab_s[k] = ab[k] * scale[s];
+            double least = q[k] < p[k] ? q[k] : p[k];
+            double most = q[k] > p[k] ? q[k] : p[k];
+            first[k] = block_bound(least - radius, origin[k], res, -1.0, dims[k]);
+            end[k] = block_bound(most + radius, origin[k], res, 2.0, dims[k]);
+        }
+        double best = -INFINITY;
+        for (long i = first[0]; i < end[0]; i++) {
+            for (long j = first[1]; j < end[1]; j++) {
+                const double *row = log_odds + (i * dims[1] + j) * dims[2];
+                for (long k = first[2]; k < end[2]; k++) {
+                    double l = row[k];
+                    /* a voxel that cannot raise the maximum is not measured */
+                    if (!(fabs(l) > eps) || !(l > best))
+                        continue;
+                    double c[3] = {origin[0] + ((double)i + 0.5) * res,
+                                   origin[1] + ((double)j + 0.5) * res,
+                                   origin[2] + ((double)k + 0.5) * res};
+                    if (segment_distance(c, p, q, ab, ab_s, scale[s], denom[s]) <= radius)
+                        best = l;
+                }
+            }
+        }
+        out[s] = best;
+    }
+}
+
+/* The decimal digits of v >= 0 at p; returns the end */
+static unsigned char *put_index(unsigned char *p, long v)
+{
+    unsigned char digits[20];
+    int n = 0;
+    do {
+        digits[n++] = (unsigned char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* The grid.csv rows "ix,iy,iz,<text>" of the n voxels at C-order indexes
+ * flat (n,) of a grid of dims (3,) voxels, into out.  A voxel's text is
+ * texts[offsets[w]:offsets[w + 1]] for its w in which (n,).  Returns the
+ * bytes written; out must have room for them.
+ */
+long grid_rows(long n, const long *flat, const long *which, const long *dims,
+               const long *offsets, const unsigned char *texts,
+               unsigned char *out)
+{
+    unsigned char *p = out;
+    for (long i = 0; i < n; i++) {
+        long f = flat[i];
+        p = put_index(p, f / (dims[1] * dims[2]));
+        *p++ = ',';
+        p = put_index(p, f / dims[2] % dims[1]);
+        *p++ = ',';
+        p = put_index(p, f % dims[2]);
+        *p++ = ',';
+        for (long c = offsets[which[i]]; c < offsets[which[i] + 1]; c++)
+            *p++ = texts[c];
+    }
+    return p - out;
 }

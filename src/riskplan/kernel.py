@@ -1,11 +1,12 @@
 """The compiled C kernel shared by refinement, simulation and mapping.
 
 `_simkernel.c` holds the refiner's sampling loop, the simulator's tick
-loop and the occupancy grid's voxel walk.  It needs a C compiler (`cc` or
-`gcc`) and numpy's `libnpyrandom.a`: the first call of `load` builds it into
-this package's `__pycache__/`, under a name that carries the digest of the
-source, flags and that library, and later runs load that file.  Nothing is
-built at import.
+loop, and the occupancy grid's slab test, voxel walk, extraction scan and
+grid.csv rows.  It needs a C compiler (`cc` or `gcc`) and numpy's
+`libnpyrandom.a`: the first call of `load` builds it into this package's
+`__pycache__/`, under a name that carries the digest of the source, flags
+and that library, and later runs load that file.  Nothing is built at
+import.
 """
 
 from __future__ import annotations
@@ -108,4 +109,16 @@ def load() -> ctypes.CDLL:
         real, real, real, real,                  # l_hit, l_miss, clamp bounds
         f64, intp, real, f64]                    # origin, dims, res, log_odds
     lib.integrate_beams.restype = None
+    lib.nearest_hits.argtypes = [
+        size, size, f64, f64,                    # scans, beams, origins, dirs
+        size, f64, f64, real, f64]               # m, lo, hi, max_range, out
+    lib.nearest_hits.restype = None
+    lib.max_near_segments.argtypes = [
+        size, f64, f64, f64, f64, real,          # n, a, b, scale, denom, radius
+        real, f64, intp, real, f64, f64]         # eps, origin, dims, res, log_odds, out
+    lib.max_near_segments.restype = None
+    lib.grid_rows.argtypes = [
+        size, intp, intp, intp,                  # n, flat, which, dims
+        intp, u8, u8]                            # offsets, texts, out
+    lib.grid_rows.restype = size
     return lib

@@ -6,15 +6,18 @@ problem extraction (critical flags, edge collision probabilities).
 
 Ranges come from one slab test over every scan, beam and box of a survey,
 each heading's beam directions worked out once, and their noise from one
-draw.  The voxel walk and the log-odds updates run in the compiled C
-kernel (see `kernel`), so mapping needs a C compiler, as simulation does.
-The kernel keeps the update order and rounding of `traverse_voxels`, the
-same walk in Python, which the tests take as the reference and
-perfbench's trace wraps by name.
+draw.  The slab test, the voxel walk with its log-odds updates, the
+extraction's scan and the rows of grid.csv run in the compiled C kernel
+(see `kernel`), so mapping needs a C compiler, as simulation does.  The
+kernel keeps the evaluation order and rounding of the numpy and Python
+code it replaced (kept in the tests as references; `traverse_voxels` is
+the Python walk, which perfbench's trace wraps by name), so scans, grids,
+extracted scenarios and grid.csv are the same bit for bit.
 
 Extraction reads, for each waypoint and edge, only the block of the grid
 within the critical radius of it, and finds the same voxels, with the same
-distances, as a pass over every observed voxel of the map would.
+distances, as a pass over every observed voxel of the map would: one
+kernel call covers every waypoint and edge.
 """
 
 from __future__ import annotations
@@ -111,27 +114,45 @@ class VoxelGrid:
         return self.occupancy(idx)
 
     def observed_voxels(self) -> np.ndarray:
-        """Indexes of voxels carrying any evidence, shape (n, 3)."""
-        return np.argwhere(np.abs(self.log_odds) > EVIDENCE_EPS)
+        """C-order indexes into the log-odds of the voxels carrying any
+        evidence, shape (n,): one pass over the whole grid."""
+        l = self.log_odds  # as |l| > EVIDENCE_EPS, with no float temporary
+        return np.flatnonzero((l > EVIDENCE_EPS) | (l < -EVIDENCE_EPS))
 
     def export_csv(self, path):
         """The observed voxels as CSV under the header ``ix,iy,iz,occupancy``,
         in index order, occupancy to 6 decimals, lines ending ``\\r\\n``.
 
-        Each index along an axis is formatted once, and so is each distinct
-        log-odds value's `logistic` (a map holds few: 127 over the 6,856
-        voxels of the seed-7 tanks map).  A row joins its four texts, as
-        object arrays added elementwise, a block of rows at a time."""
-        observed = self.observed_voxels()
-        distinct, which = np.unique(self.log_odds[tuple(observed.T)], return_inverse=True)
-        axes = [np.array([f"{i}," for i in range(n)], dtype=object) for n in self.dimensions]
-        occupancies = np.array(["%.6f\r\n" % logistic(l) for l in distinct.tolist()], dtype=object)
+        Each distinct log-odds value's `logistic` is formatted once (a map
+        holds few: 127 over the 6,856 voxels of the seed-7 tanks map), and
+        the kernel writes a block of rows at a time: each voxel's indexes,
+        then its value's text."""
+        _check_grid(self)
+        flat = self.observed_voxels()
+        values = self.log_odds.reshape(-1)[flat]
+        distinct = np.unique(values)
+        which = np.searchsorted(distinct, values)
+        texts = ["%.6f\r\n" % logistic(l) for l in distinct.tolist()]
+        offsets = np.cumsum([0, *map(len, texts)], dtype=np.intp)
+        joined = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        dims = np.array(self.dimensions, dtype=np.intp)
+        row_bytes = 3 * len(f"{max(dims, default=0)},") + max(map(len, texts), default=0)
+        lib = kernel.load()
 
         def block_text(a: int, b: int) -> str:
-            ix, iy, iz = (axis[observed[a:b, k]] for k, axis in enumerate(axes))
-            return "".join((ix + iy + iz + occupancies[which[a:b]]).tolist())
+            out = np.empty((b - a) * row_bytes, dtype=np.uint8)
+            size = lib.grid_rows(b - a, flat[a:b], which[a:b], dims, offsets, joined, out)
+            return str(out[:size], "ascii")
 
-        write_csv(path, ("ix", "iy", "iz", "occupancy"), len(observed), block_text)
+        write_csv(path, ("ix", "iy", "iz", "occupancy"), len(flat), block_text)
+
+
+def _check_grid(grid: VoxelGrid):
+    """Raise ValueError unless the grid's log-odds are the 3-D array its
+    origin and dimensions describe, as the kernel reads them."""
+    if (len(grid.dimensions) != 3 or grid.origin.shape != (3,)
+            or grid.log_odds.shape != grid.dimensions):
+        raise ValueError("grid origin and log-odds do not match its 3 dimensions")
 
 
 def traverse_voxels(grid: VoxelGrid, start, end) -> list[tuple[int, int, int]]:
@@ -198,9 +219,7 @@ def integrate_scan(
     """
     if not (0.0 < p_miss < 0.5 < p_hit < 1.0):
         raise ValueError(f"need p_miss < 0.5 < p_hit in (0,1), got {p_miss}, {p_hit}")
-    if (len(grid.dimensions) != 3 or grid.origin.shape != (3,)
-            or grid.log_odds.shape != grid.dimensions):
-        raise ValueError("grid origin and log-odds do not match its 3 dimensions")
+    _check_grid(grid)
     kernel.load().integrate_beams(
         len(scan.ranges), scan.position, scan.beams, scan.ranges, scan.max_range,
         math.log(p_hit / (1.0 - p_hit)), math.log(p_miss / (1.0 - p_miss)),
@@ -232,37 +251,19 @@ class BeamFan:
 def _nearest_hits(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray, max_range: float) -> np.ndarray:
     """Per scan and beam, the range to the nearest box within max_range, or
-    inf, shape (scans, beams).
-
-    The slab test of every beam (dirs, (scans, beams, 3), from the scan's
-    origin in origins, (scans, 3)) against every box (corners lo and hi,
-    (m, 3)) at once.  Each comparison is the one Python's min or max makes,
-    taken axis by axis and then box by box, so every range equals the one a
-    per-box loop finds, down to the sign of a zero.
-    """
-    origin = origins[:, None, None, :]
-    d = dirs[:, :, None, :]
-    flat = d == 0.0  # parallel to a slab: hit only from inside it
-    step = np.where(flat, 1.0, d)
-    with np.errstate(over="ignore"):  # a tiny component gives inf, as it should
-        t1 = (lo - origin) / step
-        t2 = (hi - origin) / step
-    t_near = np.full(t1.shape[:3], -math.inf)
-    t_far = np.full(t1.shape[:3], math.inf)
-    miss = np.zeros(t1.shape[:3], dtype=bool)
-    for k in range(3):
-        a, b, parallel = t1[..., k], t2[..., k], flat[..., k]
-        near = np.where(b < a, b, a)
-        far = np.where(b > a, b, a)
-        t_near = np.where(~parallel & (near > t_near), near, t_near)
-        t_far = np.where(~parallel & (far < t_far), far, t_far)
-        miss |= parallel & ~((lo[:, k] <= origin[..., k]) & (origin[..., k] <= hi[:, k]))
-    r = np.where(0.0 > t_near, 0.0, t_near)
-    hit = ~miss & ~(t_near > t_far) & ~(t_far < 0) & (r <= max_range)
-    nearest = np.full(r.shape[:2], math.inf)
-    for j in range(r.shape[2]):
-        nearest = np.where(hit[..., j] & (r[..., j] < nearest), r[..., j], nearest)
-    return nearest
+    inf, shape (scans, beams): the kernel's slab test of every beam (dirs,
+    (scans, beams, 3), from the scan's origin in origins, (scans, 3))
+    against every box (corners lo and hi, (m, 3)).  Every range equals the
+    one a per-box loop finds, down to the sign of a zero."""
+    scans, beams = dirs.shape[:2]
+    if (dirs.shape != (scans, beams, 3) or origins.shape != (scans, 3)
+            or lo.shape != hi.shape or lo.shape[1:] != (3,)):
+        raise ValueError(f"need (scans, beams, 3) directions, (scans, 3) origins and (m, 3) "
+                         f"corners, got shapes {dirs.shape}, {origins.shape}, {lo.shape} "
+                         f"and {hi.shape}")
+    out = np.empty((scans, beams))
+    kernel.load().nearest_hits(scans, beams, origins, dirs, len(lo), lo, hi, max_range, out)
+    return out
 
 
 def synthesize_scans(
@@ -301,59 +302,34 @@ def synthesize_scans(
             for (position, _), d, ranges in zip(sensor_path, directions, r)]
 
 
-def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each point's (rows of (n, 3)) distance to segment ab.
+def _max_occupancy_near_segments(grid: VoxelGrid, starts, ends, radius: float) -> list[float]:
+    """Per segment from starts[i] to ends[i] (n points each), the max
+    occupancy over the observed voxels within radius of it, or 0.0.
 
-    Row by row in numpy's elementwise arithmetic, so a point's distance
-    does not depend on which other points come with it.  A BLAS product
-    (`@`) has no such property: OpenBLAS rounds a row by its place in the
-    array, fusing the multiply-adds of some rows and not of others.
-
-    `t` is worked out with ab and the points scaled down by the power of
-    two that brings ab's largest component into [0.5, 1), if it is larger.
-    The scaling is exact, so `t` is what the unscaled arithmetic gives
-    wherever that is finite, and ab @ ab cannot overflow for an edge longer
-    than ~1.3e154.  A point whose `t` clips to 1 is measured from b itself.
-    The segment is measured from the end whose largest absolute coordinate
-    is the smaller (a, on a tie), so a huge edge reads the same from
-    either end: from a huge a, `t` would round to 1 for every point."""
-    if max(map(abs, b.tolist())) < max(map(abs, a.tolist())):
-        a, b = b, a
+    The kernel reads, per segment, only the block of the grid that can
+    hold such a voxel, clipped to the grid as floats before the int cast,
+    so that a far-off point cannot wrap.  Each segment is measured from
+    the end whose largest absolute coordinate is the smaller (the first,
+    on a tie), so a huge edge reads the same from either end.  Its
+    parameter is worked out with the segment and the offsets scaled down
+    by the power of two that brings the segment's largest component into
+    [0.5, 1), if it is larger: the scaling is exact, and the squared
+    length cannot overflow for an edge longer than ~1.3e154.  That squared
+    length is BLAS's dot product, as numpy's `@` rounds it, one segment at
+    a time."""
+    _check_grid(grid)
+    a = np.array(starts, dtype=float).reshape(-1, 3)
+    b = np.array(ends, dtype=float).reshape(-1, 3)
+    swap = np.abs(b).max(axis=1) < np.abs(a).max(axis=1)
+    a[swap], b[swap] = b[swap], a[swap]
     ab = b - a
-    scale = math.ldexp(1.0, min(-math.frexp(max(map(abs, ab.tolist())))[1], 0))
-    ab_s = ab * scale
-    denom = float(ab_s @ ab_s)
-    if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    rel = (points - a) * scale
-    x, y, z = ab_s.tolist()
-    t = np.clip((rel[:, 0] * x + rel[:, 1] * y + rel[:, 2] * z) / denom, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    closest[t == 1.0] = b  # a + (b - a) loses b's small coordinates when a is huge
-    return np.linalg.norm(points - closest, axis=1)
-
-
-def _max_occupancy_near_segment(grid: VoxelGrid, a, b, radius: float) -> float:
-    """Max occupancy over the observed voxels within radius of segment ab.
-
-    Only the block of the grid that can hold such a voxel is read: per
-    axis, from one voxel below the one holding the segment's least
-    coordinate less the radius to one above the one holding its greatest
-    plus the radius, clipped to the grid as floats before the int cast, so
-    that a far-off point cannot wrap."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    res, dims = grid.resolution, np.array(grid.dimensions, dtype=float)
-    first = np.clip(np.floor((np.minimum(a, b) - radius - grid.origin) / res) - 1, 0, dims)
-    end = np.clip(np.floor((np.maximum(a, b) + radius - grid.origin) / res) + 2, 0, dims)
-    first, end = first.astype(int), end.astype(int)
-    block = grid.log_odds[tuple(slice(i, j) for i, j in zip(first, end))]
-    observed = np.argwhere(np.abs(block) > EVIDENCE_EPS)
-    centers = grid.origin + (observed + first + 0.5) * res
-    near = block[tuple(observed.T)][_segment_distances(centers, a, b) <= radius]
-    if len(near) == 0:
-        return 0.0
-    return float(1.0 / (1.0 + np.exp(-np.max(near))))
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(ab).max(axis=1))[1], 0))
+    denom = np.array([v @ v for v in ab * scale[:, None]])
+    best = np.empty(len(a))
+    kernel.load().max_near_segments(
+        len(a), a, b, scale, denom, radius, EVIDENCE_EPS, grid.origin,
+        np.array(grid.dimensions, dtype=np.intp), grid.resolution, grid.log_odds, best)
+    return (1.0 / (1.0 + np.exp(-best))).tolist()  # -inf, for no voxel, gives 0.0
 
 
 def extract_problem(
@@ -368,18 +344,18 @@ def extract_problem(
     """
     if not 0.0 <= kappa < math.inf:  # NaN fails too
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    clearance = scenario.critical_radius
-    positions = scenario.positions()
-    new_waypoints = []
     for w in scenario.waypoints:
         own = grid.occupancy_at(w.position)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
             raise ValueError(f"waypoint {w.id!r} sits in a voxel with occupancy {own:.3f}")
-        near = _max_occupancy_near_segment(grid, w.position, w.position, clearance)
-        new_waypoints.append(replace(w, is_critical=near > TAU_OCC))
-    new_edges = []
-    for e in scenario.edges:
-        occ = _max_occupancy_near_segment(grid, positions[e.a], positions[e.b], clearance)
-        risk = 0.0 if occ <= TAU_OCC else min(kappa * occ, EDGE_RISK_CAP)
-        new_edges.append(replace(e, collision_probability=risk))
+    positions = scenario.positions()
+    waypoints, edges = scenario.waypoints, scenario.edges
+    near = _max_occupancy_near_segments(
+        grid, [w.position for w in waypoints] + [positions[e.a] for e in edges],
+        [w.position for w in waypoints] + [positions[e.b] for e in edges],
+        scenario.critical_radius)
+    new_waypoints = [replace(w, is_critical=occ > TAU_OCC) for w, occ in zip(waypoints, near)]
+    new_edges = [replace(e, collision_probability=0.0 if occ <= TAU_OCC
+                         else min(kappa * occ, EDGE_RISK_CAP))
+                 for e, occ in zip(edges, near[len(waypoints):])]
     return replace(scenario, waypoints=new_waypoints, edges=new_edges)

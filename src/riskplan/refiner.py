@@ -30,6 +30,10 @@ HELIX_POINTS = 50
 # most samples the kernel may make for a path, dropped ones too: a path of
 # 954,241 rows refines in ~0.25 s with ~79 MB more peak RSS (2-vCPU VM)
 MAX_PATH_ROWS = 1_000_000
+# longest trajectory `refine` makes, at any dt: at DEFAULT_DT each sample
+# moves the clock by DEFAULT_DT at most, so no path within MAX_PATH_ROWS
+# lasts longer; simulator.MAX_EPISODE_TICKS is derived from it
+MAX_DURATION_S = MAX_PATH_ROWS * DEFAULT_DT
 CSV_COLUMNS = ("t", "x", "y", "z", "v")
 CSV_ROW = "%.3f,%.4f,%.4f,%.4f,%.4f\r\n"
 
@@ -65,9 +69,9 @@ class TrajectorySample:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A plan's refined path: its (k, 5) rows (t, x, y, z, v) as a read-only
-    float array, checked for that shape once, when it is made.  Rows that
-    already are a read-only C-ordered float64 array owning its data are
-    taken as they are; any others are copied."""
+    float array, checked once, when it is made, for that shape and for
+    finite numbers.  Rows that already are a read-only C-ordered float64
+    array owning its data are taken as they are; any others are copied."""
 
     rows: np.ndarray
     plan_id: str = ""
@@ -80,6 +84,9 @@ class Trajectory:
             rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != len(CSV_COLUMNS):
             raise ValueError(f"trajectory rows must have shape (k, 5), got {rows.shape}")
+        if not (finite := np.isfinite(rows).all(axis=1)).all():
+            first = int(np.argmin(finite))
+            raise ValueError(f"trajectory row {first} is not finite: {rows[first].tolist()}")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -195,14 +202,19 @@ def refine(
 
     Raises `KernelBuildError` when no kernel can be built to sample the
     plan, and ValueError unless ``dt`` is finite, positive and large
-    enough for each step to advance along the path, and the path makes
-    at most MAX_PATH_ROWS samples.
+    enough for each step to advance along the path, the path makes at most
+    MAX_PATH_ROWS samples, and it lasts at most MAX_DURATION_S (which only
+    a ``dt`` above DEFAULT_DT can exceed).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     pts = plan_polyline(scenario, actions, helix)
     rows = _sample_profile(scenario, pts, dt)
-    return Trajectory(rows if len(rows) else [[0.0, *pts[0], 0.0]], plan_id)
+    traj = Trajectory(rows if len(rows) else [[0.0, *pts[0], 0.0]], plan_id)
+    if not traj.nominal_duration <= MAX_DURATION_S:
+        raise ValueError(f"at dt {dt!r} the refined path lasts {traj.nominal_duration!r} s, "
+                         f"more than MAX_DURATION_S ({MAX_DURATION_S!r} s)")
+    return traj
 
 
 def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],

@@ -28,17 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .refiner import DEFAULT_DT, MAX_PATH_ROWS, Trajectory
+from .refiner import MAX_DURATION_S, Trajectory
 from .scenario import Scenario, from_json, named_rng, open_artifact, parse_json
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
 # An episode times out after TIMEOUT_FACTOR times its trajectory's duration.
-# Each sample `refine` makes at DEFAULT_DT moves the clock by DEFAULT_DT at
-# most, so none of its trajectories lasts MAX_PATH_ROWS * DEFAULT_DT s, and
-# none is refused.  One episode of this many ticks took 1.0 s on tanks.scn's
-# 6 obstacles (2-vCPU VM).
-MAX_EPISODE_TICKS = round(TIMEOUT_FACTOR * MAX_PATH_ROWS * DEFAULT_DT / SIM_DT)
+# `refine` makes no trajectory lasting over MAX_DURATION_S, so none of its
+# trajectories is refused.  One episode of this many ticks took 1.0 s on
+# tanks.scn's 6 obstacles (2-vCPU VM).
+MAX_EPISODE_TICKS = round(TIMEOUT_FACTOR * MAX_DURATION_S / SIM_DT)
 
 
 @dataclass(frozen=True)

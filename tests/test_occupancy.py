@@ -1,6 +1,6 @@
 """Occupancy grid updates, ray traversal, and problem extraction; the
-compiled voxel walk, the survey-wide range synthesis and the block-wise
-grid writer against the Python loops they replaced."""
+compiled slab test, voxel walk, extraction scan and grid.csv rows against
+the numpy and Python code they replaced."""
 
 import csv
 import math
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from conftest import TANKS_SCN, edge_between
 from riskplan import kernel, pipeline
 from riskplan.occupancy import (DEFAULT_KAPPA, DEFAULT_P_HIT, DEFAULT_P_MISS,
-                                EDGE_RISK_CAP, LOG_ODDS_MAX, LOG_ODDS_MIN, TAU_OCC,
-                                BeamFan, SonarScan, VoxelGrid, _max_occupancy_near_segment,
-                                _nearest_hits, _segment_distances, extract_problem,
+                                EDGE_RISK_CAP, EVIDENCE_EPS, LOG_ODDS_MAX, LOG_ODDS_MIN,
+                                TAU_OCC, BeamFan, SonarScan, VoxelGrid,
+                                _max_occupancy_near_segments, _nearest_hits, extract_problem,
                                 integrate_scan, logistic, synthesize_scans, traverse_voxels)
 from riskplan.scenario import (CSV_BLOCK_ROWS, EdgeDef, Obstacle, Scenario, Waypoint,
                                load_scenario, parse_scenario)
@@ -70,6 +70,36 @@ def ray_box_range(origin, direction, box: Obstacle) -> float | None:
     return max(t_near, 0.0)
 
 
+def reference_nearest_hits(origins, dirs, lo, hi, max_range):
+    """The survey-wide numpy slab test the kernel's `nearest_hits` replaced:
+    per scan and beam, the range to the nearest box within max_range, or
+    inf.  Each comparison is the one Python's min or max makes, taken axis
+    by axis and then box by box."""
+    origin = origins[:, None, None, :]
+    d = dirs[:, :, None, :]
+    flat = d == 0.0  # parallel to a slab: hit only from inside it
+    step = np.where(flat, 1.0, d)
+    with np.errstate(over="ignore"):  # a tiny component gives inf, as it should
+        t1 = (lo - origin) / step
+        t2 = (hi - origin) / step
+    t_near = np.full(t1.shape[:3], -math.inf)
+    t_far = np.full(t1.shape[:3], math.inf)
+    miss = np.zeros(t1.shape[:3], dtype=bool)
+    for k in range(3):
+        a, b, parallel = t1[..., k], t2[..., k], flat[..., k]
+        near = np.where(b < a, b, a)
+        far = np.where(b > a, b, a)
+        t_near = np.where(~parallel & (near > t_near), near, t_near)
+        t_far = np.where(~parallel & (far < t_far), far, t_far)
+        miss |= parallel & ~((lo[:, k] <= origin[..., k]) & (origin[..., k] <= hi[:, k]))
+    r = np.where(0.0 > t_near, 0.0, t_near)
+    hit = ~miss & ~(t_near > t_far) & ~(t_far < 0) & (r <= max_range)
+    nearest = np.full(r.shape[:2], math.inf)
+    for j in range(r.shape[2]):
+        nearest = np.where(hit[..., j] & (r[..., j] < nearest), r[..., j], nearest)
+    return nearest
+
+
 def reference_synthesize_scans(obstacles, sensor_path, fan, rng, range_sigma=0.0):
     """The per-beam, per-box synthesis loop the vectorised one replaced."""
     scans = []
@@ -115,9 +145,57 @@ def reference_max_occupancy_near_segment(centers, log_odds, a, b, radius):
     return float(1.0 / (1.0 + np.exp(-np.max(near))))
 
 
+def reference_segment_distances(points, a, b):
+    """Each point's (rows of (n, 3)) distance to segment ab, in numpy's
+    elementwise arithmetic: the per-segment pass the kernel's extraction
+    scan replaced.  It scales ab and the points down by the power of two
+    that brings ab's largest component into [0.5, 1), if it is larger,
+    measures a point whose `t` clips to 1 from b itself, and measures from
+    the end whose largest absolute coordinate is the smaller (a, on a
+    tie)."""
+    if max(map(abs, b.tolist())) < max(map(abs, a.tolist())):
+        a, b = b, a
+    ab = b - a
+    scale = math.ldexp(1.0, min(-math.frexp(max(map(abs, ab.tolist())))[1], 0))
+    ab_s = ab * scale
+    denom = float(ab_s @ ab_s)
+    if denom == 0.0:
+        return np.linalg.norm(points - a, axis=1)
+    rel = (points - a) * scale
+    x, y, z = ab_s.tolist()
+    t = np.clip((rel[:, 0] * x + rel[:, 1] * y + rel[:, 2] * z) / denom, 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    closest[t == 1.0] = b  # a + (b - a) loses b's small coordinates when a is huge
+    return np.linalg.norm(points - closest, axis=1)
+
+
+def reference_block_max_occupancy(grid, a, b, radius):
+    """Max occupancy over the observed voxels within radius of segment ab,
+    read from the segment's block of the grid in numpy: the per-segment
+    pass the kernel's extraction scan replaced."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    res, dims = grid.resolution, np.array(grid.dimensions, dtype=float)
+    first = np.clip(np.floor((np.minimum(a, b) - radius - grid.origin) / res) - 1, 0, dims)
+    end = np.clip(np.floor((np.maximum(a, b) + radius - grid.origin) / res) + 2, 0, dims)
+    first, end = first.astype(int), end.astype(int)
+    block = grid.log_odds[tuple(slice(i, j) for i, j in zip(first, end))]
+    observed = np.argwhere(np.abs(block) > EVIDENCE_EPS)
+    centers = grid.origin + (observed + first + 0.5) * res
+    near = block[tuple(observed.T)][reference_segment_distances(centers, a, b) <= radius]
+    if len(near) == 0:
+        return 0.0
+    return float(1.0 / (1.0 + np.exp(-np.max(near))))
+
+
+def observed_indexes(grid):
+    """The (n, 3) indexes of the voxels carrying evidence, in index order."""
+    return np.argwhere(np.abs(grid.log_odds) > EVIDENCE_EPS)
+
+
 def observed_centers(grid):
     """The observed voxels' centres and log-odds, in index order."""
-    observed = grid.observed_voxels()
+    observed = observed_indexes(grid)
     return grid.origin + (observed + 0.5) * grid.resolution, grid.log_odds[tuple(observed.T)]
 
 
@@ -150,10 +228,18 @@ def reference_export_csv(grid, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ix", "iy", "iz", "occupancy"])
-        observed = grid.observed_voxels()
+        observed = observed_indexes(grid)
         log_odds = grid.log_odds[tuple(observed.T)]
         for (ix, iy, iz), l in zip(observed.tolist(), log_odds.tolist()):
             writer.writerow([ix, iy, iz, f"{logistic(l):.6f}"])
+
+
+def same_bits(got, want) -> bool:
+    """Whether two lists of floats, or two outcomes of `quietly`, agree bit
+    for bit, where == would let 0.0 equal -0.0."""
+    if not isinstance(got, list) or not isinstance(want, list):
+        return got == want
+    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray):
@@ -366,6 +452,76 @@ class TestRayBox:
             assert math.dist(d, (0, 0, 0)) == pytest.approx(1.0)
 
 
+def assert_hits_match(origins, dirs, boxes, max_range=15.0):
+    """The kernel's slab test against the numpy one it replaced, bit for
+    bit, on scans from origins (scans, 3) with beams dirs (scans, beams, 3)
+    and boxes (centre, half extents); returns the kernel's ranges."""
+    origins = np.array(origins, dtype=float).reshape(-1, 3)
+    dirs = np.array(dirs, dtype=float).reshape(len(origins), -1, 3)
+    boxes = np.array(boxes, dtype=float).reshape(-1, 2, 3)
+    lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
+    got = _nearest_hits(origins, dirs, lo, hi, max_range)
+    want = reference_nearest_hits(origins, dirs, lo, hi, max_range)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+# components parallel to a slab (zeros of either sign), tiny, unit or any
+beam_components = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-310, -1e-310]),
+                            st.floats(-1.0, 1.0))
+# a lattice holding every face of BOXES, anywhere in and around them
+box_coordinates = st.one_of(st.integers(-8, 44).map(lambda i: i * 0.25), st.floats(-6, 12))
+
+
+class TestSlabTestMatchesReference:
+    BOX = [((5.0, 0.0, 0.0), (1.0, 1.0, 1.0))]  # x in [4, 6], y and z in [-1, 1]
+
+    @pytest.mark.parametrize("origin, direction, want", [
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 4.0),      # parallel to the y and z slabs
+        ((0.0, 0.0, 0.0), (1.0, -0.0, -0.0), 4.0),    # ... with -0.0 components
+        ((0.0, 1.0, 1.0), (1.0, 0.0, -0.0), 4.0),     # along an edge of the box
+        ((0.0, 1.5, 0.0), (1.0, 0.0, 0.0), math.inf),  # parallel, outside the y slab
+        ((-0.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.inf),  # parallel to the x slab, outside
+        ((4.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0),      # on a face, entering
+        ((6.0, 0.0, 0.0), (-1.0, 0.0, 0.0), -0.0),    # on a face, entering: t = -0.0
+        ((4.0, 0.0, 0.0), (-1.0, 0.0, 0.0), 0.0),     # on a face, leaving
+        ((5.0, 0.5, 0.0), (0.0, 1.0, 0.0), 0.0),      # inside
+        ((5.0, 0.5, 0.0), (-0.0, -1.0, -0.0), 0.0),   # inside, -0.0 components
+        ((20.0, 0.0, 0.0), (-1.0, 0.0, 0.0), 14.0),   # in range
+        ((21.5, 0.0, 0.0), (-1.0, 0.0, 0.0), math.inf),  # beyond max range
+    ])
+    def test_named_beams(self, origin, direction, want):
+        (got,), = assert_hits_match([origin], [[direction]], self.BOX)
+        assert got.tobytes() == np.float64(want).tobytes()
+
+    def test_nearest_of_several_boxes(self):
+        boxes = [(o.center, o.half_extents) for o in BOXES]
+        got = assert_hits_match([(0.0, 0.0, 0.5), (0.0, 7.0, 0.5)],
+                                [[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]] * 2, boxes, math.inf)
+        assert got.tolist() == [[4.0, 7.5], [math.inf, 0.5]]
+
+    def test_no_box_and_no_beam(self):
+        assert assert_hits_match([(0.0, 0.0, 0.0)], [[(1.0, 0.0, 0.0)]], []).tolist() \
+            == [[math.inf]]
+        assert assert_hits_match([(0.0, 0.0, 0.0)], np.empty((1, 0, 3)), self.BOX).shape \
+            == (1, 0)
+
+    @given(data=st.data(), scans=st.integers(1, 3), beams=st.integers(1, 4),
+           boxes=st.lists(st.tuples(st.tuples(*[box_coordinates] * 3),
+                                    st.tuples(*[st.sampled_from([0.25, 0.5, 1.0])] * 3)),
+                          max_size=3),
+           max_range=st.sampled_from([15.0, math.inf, 0.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_beams(self, data, scans, beams, boxes, max_range):
+        """Origins on the lattice of the boxes' faces, inside, outside or
+        on them; beam components of 0.0, -0.0, tiny or any size."""
+        origins = data.draw(st.lists(st.tuples(*[box_coordinates] * 3),
+                                     min_size=scans, max_size=scans), label="origins")
+        dirs = data.draw(st.lists(st.tuples(*[beam_components] * 3), min_size=scans * beams,
+                                  max_size=scans * beams), label="dirs")
+        assert_hits_match(origins, dirs, [*boxes, *self.BOX], max_range)
+
+
 SCENE = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
 OBSTACLE wall center 5 0 0 half 0.5 2 2
@@ -446,12 +602,15 @@ class TestExtraction:
 
     @pytest.mark.parametrize("far", [1e150, 1e300])
     def test_point_beyond_the_small_end_is_measured_from_it(self, far):
-        """A point past the small end b of an edge from a huge a is measured
-        from b itself: a + (b - a) would put that end at x = 0, 0.5 from
-        the point."""
-        got = _segment_distances(np.array([[0.5, 0.5, 0.5]]), np.array([far, 0.5, 0.5]),
-                                 np.array([15.5, 0.5, 0.5]))
-        assert got.tolist() == [15.0]
+        """A voxel centre past the small end b of an edge from a huge a is
+        measured from b itself, exactly 15.0 away: near at a radius of 15.0
+        and not at the float below.  a + (b - a) would put that end at
+        x = 0, 0.5 from the centre."""
+        g = grid(dims=(1, 1, 1))
+        g.log_odds[0, 0, 0] = LOG_ODDS_MAX
+        edge = [(far, 0.5, 0.5)], [(15.5, 0.5, 0.5)]
+        assert _max_occupancy_near_segments(g, *edge, 15.0)[0] > TAU_OCC
+        assert _max_occupancy_near_segments(g, *edge, math.nextafter(15.0, 0)) == [0.0]
 
     def test_mission_and_obstacles_untouched(self):
         g, scenario = self.build_grid()
@@ -519,11 +678,13 @@ class TestExtractionMatchesReference:
         assert (quietly(extract_problem, g, scenario, kappa)
                 == quietly(reference_extract_problem, g, scenario, kappa))
         centers, log_odds = observed_centers(g)
-        for a in positions:
-            for b in positions:
-                assert (quietly(_max_occupancy_near_segment, g, a, b, radius)
-                        == quietly(reference_max_occupancy_near_segment, centers,
-                                   log_odds, a, b, radius))
+        starts, ends = zip(*[(a, b) for a in positions for b in positions])
+        got = quietly(_max_occupancy_near_segments, g, starts, ends, radius)
+        assert same_bits(got, [quietly(reference_max_occupancy_near_segment, centers,
+                                       log_odds, a, b, radius)
+                               for a, b in zip(starts, ends)])
+        assert same_bits(got, [quietly(reference_block_max_occupancy, g, a, b, radius)
+                               for a, b in zip(starts, ends)])
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("side", [-1, 1])
@@ -547,6 +708,34 @@ class TestExtractionMatchesReference:
             assert [w.is_critical for w in got.waypoints] == [False, critical]
             assert (got.edges[0].collision_probability > 0) is critical
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_block_clipped_at_the_grid_edge(self, axis, side):
+        """Segments outside the grid, along a face, and crossing it, whose
+        blocks reach past the grid's edge: the clipped block holds the face
+        voxels 1.5 from them, as both references find."""
+        rng = np.random.default_rng(axis * 2 + (side > 0))
+        g = grid(dims=(11, 11, 11))
+        g.log_odds[...] = np.where(rng.random(g.dimensions) < 0.3,
+                                   rng.uniform(LOG_ODDS_MIN, LOG_ODDS_MAX, g.dimensions), 0.0)
+        face = [slice(None)] * 3
+        face[axis] = 0 if side < 0 else -1
+        g.log_odds[tuple(face)] = LOG_ODDS_MAX
+        outside = 5.5 + side * 6.5  # 1.5 beyond the face voxels' centres
+        starts, ends = [], []
+        for a, b in (((outside, 2.0, 2.0), (outside, 9.0, 9.0)),
+                     ((outside, 5.5, 5.5), (5.5, 5.5, 5.5)),
+                     ((outside, 0.5, 10.5), (outside, 0.5, 10.5))):
+            starts.append(np.roll(a, axis))
+            ends.append(np.roll(b, axis))
+        got = _max_occupancy_near_segments(g, starts, ends, 1.5)
+        centers, log_odds = observed_centers(g)
+        assert same_bits(got, [reference_max_occupancy_near_segment(centers, log_odds, a, b, 1.5)
+                               for a, b in zip(starts, ends)])
+        assert same_bits(got, [reference_block_max_occupancy(g, a, b, 1.5)
+                               for a, b in zip(starts, ends)])
+        assert got[0] == got[2] == float(1.0 / (1.0 + np.exp(-LOG_ODDS_MAX)))
+
     def test_far_off_waypoint_reads_no_wrapped_block(self):
         """A block reaching 1e300 is clipped to the grid before its indexes
         are cast: the edge sees the wall by its near end only, and the far
@@ -565,26 +754,53 @@ class TestExtractionMatchesReference:
     @example(seed=7, rows=7, scale=1.0, zero_length=False)
     @settings(max_examples=100, deadline=None)
     def test_row_results_do_not_depend_on_the_slice(self, seed, rows, scale, zero_length):
-        """A voxel's distance to a segment has the same bits whether it
-        is computed among every observed voxel of the map, among a
-        block's, a fresh array of some of them, or alone: the
-        extraction's equality with the whole-map pass rests on it.  (With
+        """A voxel's distance to a segment has the same bits whether numpy
+        computes it among every observed voxel of the map, among a block's,
+        a fresh array of some of them, or alone, and whether the kernel
+        measures it in its scan: the extraction's equality with the
+        whole-map pass rests on it.  The kernel's distance is read off the
+        radius at which the voxel, alone in a one-voxel grid, turns near:
+        at numpy's distance, and not at the float below it.  (With
         OpenBLAS, `(points - a) @ ab` fails at the explicit example.)"""
         rng = np.random.default_rng(seed)
-        points = rng.uniform(-20, 20, (rows, 3)) * scale
+        res = 0.5 * scale
+        corners = rng.uniform(-20, 20, (rows, 3)) * scale
+        points = corners + 0.5 * res  # each corner's voxel centre, as the kernel places it
         a = rng.uniform(-20, 20, 3) * scale
         b = a if zero_length else a + rng.uniform(-5, 5, 3) * scale
-        whole = _segment_distances(points, a, b)
+        whole = reference_segment_distances(points, a, b)
         singles = np.eye(rows, dtype=bool)
         for keep in (rng.random(rows) < 0.3, rng.random(rows) < 0.9,
                      np.arange(rows) >= rng.integers(rows), *singles):
-            part = _segment_distances(np.ascontiguousarray(points[keep]), a, b)
+            part = reference_segment_distances(np.ascontiguousarray(points[keep]), a, b)
             assert part.tobytes() == whole[keep].tobytes()
+        for corner, d in zip(corners, whole.tolist()):
+            g = VoxelGrid(corner, (1, 1, 1), res)
+            g.log_odds[...] = LOG_ODDS_MAX
+            assert _max_occupancy_near_segments(g, [a], [b], d)[0] > TAU_OCC
+            assert _max_occupancy_near_segments(g, [a], [b], math.nextafter(d, -1)) == [0.0]
+
+
+class KernelCalls:
+    """The kernel, recording the name of each entry point called through it."""
+
+    def __init__(self, lib):
+        self.lib, self.names = lib, []
+
+    def __getattr__(self, name):
+        entry = getattr(self.lib, name)
+
+        def call(*args):
+            self.names.append(name)
+            return entry(*args)
+        return call
 
 
 class TestObservedVoxelsOnce:
-    """`observed_voxels` scans the whole grid: a from-sonar run makes that
-    pass once, for grid.csv, and extraction reads per-segment blocks."""
+    """`observed_voxels` is the one pass over the whole grid: a from-sonar
+    run makes it once, for grid.csv, whose rows the kernel writes a block
+    at a time.  Extraction makes one kernel call, which reads the
+    per-segment blocks of every waypoint and edge."""
 
     def count_calls(self, monkeypatch):
         callers = []
@@ -595,19 +811,27 @@ class TestObservedVoxelsOnce:
             return real(grid)
 
         monkeypatch.setattr(VoxelGrid, "observed_voxels", counted)
-        return callers
+        calls = KernelCalls(kernel.load())
+        monkeypatch.setattr(kernel, "load", lambda: calls)
+        return callers, calls.names
 
     def test_extraction_makes_none(self, monkeypatch):
         g, scenario = TestExtraction().build_grid()
-        callers = self.count_calls(monkeypatch)
+        callers, kernel_calls = self.count_calls(monkeypatch)
         extract_problem(g, scenario)
         assert callers == []
+        assert kernel_calls == ["max_near_segments"]
 
     def test_sonar_run_makes_one_for_the_grid_csv(self, monkeypatch, tmp_path):
-        callers = self.count_calls(monkeypatch)
+        callers, kernel_calls = self.count_calls(monkeypatch)
         pipeline.run_pipeline(pipeline.PipelineConfig(
             str(TANKS_SCN), str(tmp_path), master_seed=7, episodes=2, from_sonar=True))
         assert callers == ["export_csv"]
+        rows = (tmp_path / "grid.csv").read_bytes().count(b"\r\n") - 1
+        scans = 8 * len(load_scenario(TANKS_SCN).scenario.obstacles)
+        assert [name for name in kernel_calls if name not in ("refine_path", "simulate_ticks")] \
+            == (["nearest_hits"] + ["integrate_beams"] * scans
+                + ["grid_rows"] * -(-rows // CSV_BLOCK_ROWS) + ["max_near_segments"])
 
 
 # A 4 x 4.5 x 3.5 m grid whose voxel boundaries fall on multiples of 0.5.
@@ -827,6 +1051,20 @@ def clamped_grid():
     return g
 
 
+def threshold_grid():
+    """Log-odds at exactly the evidence threshold (unobserved) and the
+    float past it, at the clamp bounds and at 0.01 and -0.0105, in the
+    first and last voxels, along a long third axis."""
+    g = grid(dims=(2, 3, 1001))
+    values = [EVIDENCE_EPS, -EVIDENCE_EPS, math.nextafter(EVIDENCE_EPS, 1),
+              -math.nextafter(EVIDENCE_EPS, 1), LOG_ODDS_MAX, -LOG_ODDS_MAX, 0.01, -0.0105,
+              0.0105, -0.0, 0.0]
+    g.log_odds.reshape(-1)[:len(values)] = values
+    g.log_odds.reshape(-1)[-len(values):] = values[::-1]
+    g.log_odds[1, 1, 500] = -0.0105
+    return g
+
+
 def block_grid(count):
     """Exactly ``count`` observed voxels, spread over the clamp range, the
     first two just past the evidence threshold on either side."""
@@ -847,7 +1085,10 @@ class TestGridCsv:
         lambda: block_grid(1),
         lambda: block_grid(CSV_BLOCK_ROWS),
         lambda: block_grid(CSV_BLOCK_ROWS + 1),
-    ], ids=["tanks_seed7", "empty", "clamped", "one_row", "one_block", "block_and_one"])
+        threshold_grid,
+        lambda: grid(dims=(0, 4, 4)),
+    ], ids=["tanks_seed7", "empty", "clamped", "one_row", "one_block", "block_and_one",
+            "thresholds", "no_voxels"])
     def test_bytes_equal_csv_writer_reference(self, tmp_path, make):
         g = make()
         g.export_csv(tmp_path / "got.csv")
@@ -855,3 +1096,10 @@ class TestGridCsv:
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == len(g.observed_voxels()) + 1
+
+    @pytest.mark.parametrize("dims", [(10, 10, 10), (0, 4, 4)])
+    def test_no_observed_voxel_is_the_header_only(self, tmp_path, dims):
+        g = grid(dims=dims)
+        g.log_odds[...] = EVIDENCE_EPS
+        g.export_csv(tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == b"ix,iy,iz,occupancy\r\n"

@@ -427,6 +427,14 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"must have shape \(k, 5\)"):
             Trajectory(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1, 4])
+    def test_non_finite_rows_rejected_by_the_first(self, bad, column):
+        rows = np.zeros((4, 5))
+        rows[2:, column] = bad
+        with pytest.raises(ValueError, match=r"trajectory row 2 is not finite: \[.*\]"):
+            Trajectory(rows)
+
     def test_rows_are_a_read_only_float_copy(self):
         rows = np.arange(10).reshape(2, 5)
         traj = Trajectory(rows, "P1")

@@ -172,12 +172,14 @@ class TestValidationAndLogs:
     @pytest.mark.parametrize("t_end", [1e9, math.inf, math.nan])
     def test_overlong_trajectory_refused_before_any_work(self, monkeypatch, t_end):
         # an episode runs up to TIMEOUT_FACTOR times its trajectory's
-        # duration: at 1e9 s one ran past 15 s, and at NaN it never ends
+        # duration: at 1e9 s one ran past 15 s, and at NaN it never ends;
+        # a trajectory ending at inf or NaN is refused when it is made
         monkeypatch.setattr(kernel, "load", lambda: pytest.fail("kernel called"))
         scenario = parse_scenario(OPEN_WATER).scenario
-        traj = Trajectory(np.array([[0.0, 0, 0, -5, 0], [t_end, 1, 0, -5, 0]]), "P1")
-        with pytest.raises(ValueError, match=r"more than MAX_EPISODE_TICKS \(10000000\)"):
-            run_batch(traj, scenario, QUIET, n=2)
+        rows = np.array([[0.0, 0, 0, -5, 0], [t_end, 1, 0, -5, 0]])
+        with pytest.raises(ValueError, match=r"more than MAX_EPISODE_TICKS \(10000000\)"
+                           if math.isfinite(t_end) else r"trajectory row 1 is not finite"):
+            run_batch(Trajectory(rows, "P1"), scenario, QUIET, n=2)
 
     def test_longest_refined_trajectory_is_not_refused(self):
         # a 24.9 km leg at 0.25 m/s: 996,001 rows, near MAX_PATH_ROWS, and
@@ -188,6 +190,24 @@ class TestValidationAndLogs:
         assert len(traj.rows) > 0.99 * MAX_PATH_ROWS
         (record,) = run_batch(traj, scenario, QUIET, n=1)
         assert record.completed
+
+    def test_refine_at_a_larger_dt_refuses_what_the_simulator_would(self):
+        # a 50 km leg at 0.25 m/s: at dt 1.0, 200,001 rows lasting 200,000 s,
+        # whose episodes would run up to 2 * 10^7 ticks; refine refuses it
+        scenario = parse_scenario(OPEN_WATER.replace("vmax 1.0", "vmax 0.25").replace(
+            "pos 10 0 -5", "pos 50000 0 -5")).scenario
+        with pytest.raises(ValueError, match=r"at dt 1\.0 the refined path lasts 200000\.0 s, "
+                                             r"more than MAX_DURATION_S \(100000\.0 s\)"):
+            refine(scenario, ["goto b"], dt=1.0)
+
+    def test_non_finite_row_refused_before_its_episodes(self, tanks):
+        # a NaN x once ran to a record with execution time NaN, completed,
+        # which the episode log wrote and could not read back
+        scenario, trajs = tanks
+        rows = trajs[0].rows.copy()
+        rows[1, 1] = math.nan
+        with pytest.raises(ValueError, match=r"trajectory row 1 is not finite: \[.*nan"):
+            run_batch(Trajectory(rows, "P1"), scenario, CONFIGS["default"], n=2)
 
     def test_zero_episodes_rejected(self):
         scenario, traj = trajectory(OPEN_WATER)
