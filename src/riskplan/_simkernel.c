@@ -1,11 +1,13 @@
-/* Sampling loop of the trajectory refiner (see refiner.py), tick loop of
+/* Log-domain value iteration of the risk-averse planner (see planner.py),
+ * sampling loop of the trajectory refiner (see refiner.py), tick loop of
  * the disturbed kinematic simulator (see simulator.py), and the occupancy
  * grid's slab test, voxel walk, extraction scan and grid.csv rows (see
  * occupancy.py).
  *
  * Every expression keeps the evaluation order of the Python or numpy code
- * it replaced, so a trajectory, a record, a scan, a grid, an extracted
- * scenario or a grid.csv is the same bit for bit; compile with
+ * it replaced, so a plan and its log values, a trajectory, a record, a
+ * scan, a grid, an extracted scenario or a grid.csv is the same bit for
+ * bit; compile with
  * -ffp-contract=off and without -ffast-math.  Distances are
  * sqrt(fma(z, z, fma(y, y, x*x))), which is how the BLAS dot product
  * behind np.linalg.norm rounds a 3-vector, except in the extraction scan:
@@ -18,6 +20,7 @@
  * Generator.normal calls, so the streams are numpy's.
  */
 #include <math.h>
+#include <time.h>
 #include <numpy/random/bitgen.h>
 
 /* from numpy/random/distributions.h, which needs Python's headers */
@@ -524,4 +527,274 @@ long grid_rows(long n, const long *flat, const long *which, const long *dims,
             *p++ = texts[c];
     }
     return p - out;
+}
+
+/* The compressed rows of a model, by position (see mdp.Mdp.arrays) */
+struct model {
+    long n;                  /* states */
+    const double *costs;     /* (n,) */
+    const long *act_start;   /* (n + 1,): state i's actions, in id order */
+    const long *move_start;  /* (actions + 1,): action a's moves */
+    const double *move_logp; /* (moves,) ln P of each move */
+    const long *move_target; /* (moves,) */
+    const long *pred_start;  /* (n + 1,): the states with a move into i */
+    const long *preds;       /* ascending within each state */
+    const unsigned char *reach; /* (n,) GOAL, REACHES or 0 */
+};
+
+enum { REACHES = 1, GOAL = 2 };  /* as mdp.REACHES and mdp.GOAL */
+enum { SOLVE_NONCONVERGENCE = -1, SOLVE_NO_PROPER_POLICY = -2 };
+
+/* The solver's helpers are always inlined into solve_mdp, so the kernel
+ * gains no function ahead of the entry points above, whose code keeps its
+ * addresses.  Emitted on their own, they moved the tick loop, and the
+ * benchmark's tanks-mc ops_per_s_norm read ~3% lower. */
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+
+static ALWAYS_INLINE double seconds_now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
+/* Whether value iteration backs state i up: a goal-reaching state, not a
+ * goal, with an action */
+static ALWAYS_INLINE int swept(const struct model *m, long i)
+{
+    return m->reach[i] == REACHES && m->act_start[i] < m->act_start[i + 1];
+}
+
+/* The lowest action value of state i, cost excluded, into *low, and the
+ * first action that has it, so ties go to the lowest action id.  An
+ * action's value is the logsumexp of the terms ln P + log V of its moves:
+ * the first largest term, top, plus the log of the sum of exp(term - top),
+ * added in order. */
+static ALWAYS_INLINE long backup(const struct model *m, const double *logv, long i, double *low)
+{
+    long best = -1;
+    for (long a = m->act_start[i]; a < m->act_start[i + 1]; a++) {
+        long first = m->move_start[a], end = m->move_start[a + 1];
+        double v = m->move_logp[first] + logv[m->move_target[first]];
+        if (end - first > 1) {
+            double top = v;
+            for (long k = first; k < end; k++) {
+                double t = m->move_logp[k] + logv[m->move_target[k]];
+                if (t > top)
+                    top = t;
+            }
+            if (top == INFINITY) {
+                v = INFINITY;
+            } else {
+                double total = 0.0;
+                for (long k = first; k < end; k++)
+                    total += exp(m->move_logp[k] + logv[m->move_target[k]] - top);
+                v = top + log(total);
+            }
+        }
+        if (best < 0 || v < *low) {
+            *low = v;
+            best = a;
+        }
+    }
+    return best;
+}
+
+/* A FIFO worklist of states, each in it at most once */
+struct worklist {
+    long *ring;              /* (n,) */
+    long *queued;            /* (n,) */
+    long n, head, size;
+};
+
+static ALWAYS_INLINE void push(struct worklist *q, long i)
+{
+    q->queued[i] = 1;
+    q->ring[(q->head + q->size++) % q->n] = i;
+}
+
+/* Back up the states of the worklist, first in first out, until it is
+ * empty: a state whose log V moves by tolerance or more queues again each
+ * predecessor not already queued.  Only swept states ever leave it.  Each
+ * pop spends one of *budget; returns 0, or -1 once the budget is spent. */
+static ALWAYS_INLINE int drain(const struct model *m, double log_x, double tolerance,
+                 double *logv, struct worklist *q, long *budget)
+{
+    while (q->size) {
+        long i = q->ring[q->head];
+        q->head = (q->head + 1) % q->n;
+        q->size--;
+        q->queued[i] = 0;
+        if (--*budget < 0)
+            return -1;
+        double low = INFINITY;  /* a swept state has an action */
+        backup(m, logv, i, &low);
+        double new = m->costs[i] * log_x + low, old = logv[i];
+        logv[i] = new;
+        if (new == old || fabs(new - old) < tolerance)
+            continue;
+        for (long p = m->pred_start[i]; p < m->pred_start[i + 1]; p++)
+            if (!q->queued[m->preds[p]])
+                push(q, m->preds[p]);
+    }
+    return 0;
+}
+
+/* Whether every move of action a leads to a finite-valued state or into
+ * keep, and whether one of them leads into `into` (or, when into is NULL,
+ * to a finite-valued state) */
+static ALWAYS_INLINE int leads(const struct model *m, const double *logv, const long *keep,
+                 const long *into, long a)
+{
+    int all = 1, some = 0;
+    for (long k = m->move_start[a]; k < m->move_start[a + 1]; k++) {
+        long j = m->move_target[k];
+        all &= logv[j] < INFINITY || keep[j];
+        some |= into ? into[j] : logv[j] < INFINITY;
+    }
+    return all && some;
+}
+
+static ALWAYS_INLINE int some_action_leads(const struct model *m, const double *logv,
+                             const long *keep, const long *into, long i)
+{
+    for (long a = m->act_start[i]; a < m->act_start[i + 1]; a++)
+        if (leads(m, logv, keep, into, a))
+            return 1;
+    return 0;
+}
+
+/* Narrow keep (n,), the swept states still at +inf, to those from which
+ * some policy reaches a finite-valued state with probability 1: the
+ * greatest set whose every state reaches a finite state through actions
+ * that lead only to finite states or back into the set (almost-sure
+ * reachability).  good (n,) and stack (n,) are scratch.  Returns the
+ * size of the set. */
+static ALWAYS_INLINE long with_proper_policy(const struct model *m, const double *logv,
+                               long *keep, long kept, long *good, long *stack)
+{
+    while (kept) {
+        long found = 0, top = 0;
+        for (long i = 0; i < m->n; i++) {
+            good[i] = keep[i] && some_action_leads(m, logv, keep, NULL, i);
+            if (good[i])
+                stack[top++] = i, found++;
+        }
+        while (top) {
+            long x = stack[--top];
+            for (long p = m->pred_start[x]; p < m->pred_start[x + 1]; p++) {
+                long i = m->preds[p];
+                if (keep[i] && !good[i] && some_action_leads(m, logv, keep, good, i)) {
+                    good[i] = 1;
+                    stack[top++] = i;
+                    found++;
+                }
+            }
+        }
+        if (found == kept)
+            break;
+        for (long i = 0; i < m->n; i++)
+            keep[i] = good[i];
+        kept = found;
+    }
+    return kept;
+}
+
+/* Exponential-disutility value iteration in the log domain over the model
+ * of n states in the compressed rows described in struct model, with
+ * greedy plan extraction; see planner.solve.  log_x is ln(1/gamma) and
+ * dead_end the log V of a state with no action (+inf, or the failure
+ * cost times log_x).  Value iteration fails after max_sweeps backups per
+ * swept state.
+ *
+ * Writes every state's log V into logv (n,); the policy into policy (n,),
+ * as the row of each state's action, in the order the walk from the start
+ * meets the states; the worklist pops of both drains into backups (1,);
+ * and the seconds from entry to return on CLOCK_MONOTONIC, the clock of
+ * Python's time.perf_counter, into seconds (1,).  scratch (5 n + moves +
+ * 1,) is the worklist, the stacks and the flags.  Returns the policy's
+ * length, or SOLVE_NONCONVERGENCE or SOLVE_NO_PROPER_POLICY (the start
+ * stays at +inf).
+ */
+long solve_mdp(long n, const double *costs, const long *act_start,
+               const long *move_start, const double *move_logp,
+               const long *move_target, const long *pred_start,
+               const long *preds, const unsigned char *reach, long start,
+               double log_x, double dead_end, long max_sweeps, double tolerance,
+               double *logv, long *policy, long *backups, double *seconds,
+               long *scratch)
+{
+    double entry = seconds_now();
+    struct model m = {n, costs, act_start, move_start, move_logp, move_target,
+                      pred_start, preds, reach};
+    /* scratch holds three flag arrays, the worklist's ring, and a stack
+     * that the fixpoint fills with each state at most once, and the walk
+     * with the start and the moves of each policy state */
+    long *queued = scratch, *keep = scratch + n, *seen = scratch + 2 * n;
+    long *stack = scratch + 4 * n;
+    struct worklist q = {scratch + 3 * n, queued, n, 0, 0};
+
+    long nswept = 0;
+    for (long i = 0; i < n; i++) {
+        logv[i] = INFINITY;
+        queued[i] = 1;  /* only swept states ever leave the worklist */
+        if (reach[i] == GOAL)
+            logv[i] = 0.0;
+        else if (act_start[i] == act_start[i + 1])
+            logv[i] = dead_end;
+        else if (swept(&m, i))
+            q.ring[nswept++] = i;
+    }
+    q.size = nswept;
+    long budget = max_sweeps * nswept, spent = budget;
+    long result = SOLVE_NONCONVERGENCE;
+    if (drain(&m, log_x, tolerance, logv, &q, &budget))
+        goto done;
+
+    /* the goal-reaching states still at +inf can only finish through a
+     * loop of their own: those with a proper policy restart from log V =
+     * 0 and the worklist drains again */
+    long looped = 0;
+    for (long i = 0; i < n; i++) {
+        keep[i] = swept(&m, i) && logv[i] == INFINITY;
+        looped += keep[i];
+    }
+    if (with_proper_policy(&m, logv, keep, looped, seen, stack)) {
+        for (long i = 0; i < n; i++) {
+            if (keep[i])
+                logv[i] = 0.0;
+            if (swept(&m, i))
+                push(&q, i);
+        }
+        if (drain(&m, log_x, tolerance, logv, &q, &budget))
+            goto done;
+    }
+    backups[0] = spent - budget;
+    result = SOLVE_NO_PROPER_POLICY;
+    if (logv[start] == INFINITY)
+        goto done;
+
+    /* the lowest-valued action of each finite swept state the policy
+     * itself reaches from the start, so two plans are comparable as
+     * policies; the walk stops at goals and dead ends */
+    for (long i = 0; i < n; i++)
+        seen[i] = 0;
+    long top = 0, len = 0;
+    stack[top++] = start;
+    while (top) {
+        long i = stack[--top];
+        if (seen[i] || reach[i] == GOAL || act_start[i] == act_start[i + 1]
+            || !(logv[i] < INFINITY))
+            continue;
+        seen[i] = 1;
+        double low;
+        long a = backup(&m, logv, i, &low);
+        policy[len++] = a;
+        for (long k = move_start[a]; k < move_start[a + 1]; k++)
+            stack[top++] = move_target[k];
+    }
+    result = len;
+done:
+    seconds[0] = seconds_now() - entry;
+    return result;
 }

@@ -156,8 +156,8 @@ def cmd_pipeline(args) -> int:
 
 
 # scaling.csv's columns are ScalingRow's fields; a cell is "" for None, else by this or str()
-SCALING_FORMATS = {"gamma": "{:.3f}".format, "planning_time_s": "{:.4f}".format,
-                   "median_solve_time_s": "{:.4f}".format}
+SCALING_FORMATS = {"gamma": "{:.3f}".format, "planning_time_s": "{:.7f}".format,
+                   "median_solve_time_s": "{:.7f}".format}
 
 
 def cmd_scaling(args) -> int:

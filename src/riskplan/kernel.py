@@ -1,12 +1,14 @@
-"""The compiled C kernel shared by refinement, simulation and mapping.
+"""The compiled C kernel shared by planning, refinement, simulation and
+mapping.
 
-`_simkernel.c` holds the refiner's sampling loop, the simulator's tick
-loop, and the occupancy grid's slab test, voxel walk, extraction scan and
-grid.csv rows.  It needs a C compiler (`cc` or `gcc`) and numpy's
-`libnpyrandom.a`: the first call of `load` builds it into this package's
-`__pycache__/`, under a name that carries the digest of the source, flags
-and that library, and later runs load that file.  Nothing is built at
-import.
+`_simkernel.c` holds the planner's log-domain value iteration (`solve_mdp`:
+worklist drains, proper-policy restart and greedy plan extraction), the
+refiner's sampling loop, the simulator's tick loop, and the occupancy
+grid's slab test, voxel walk, extraction scan and grid.csv rows.  It needs
+a C compiler (`cc` or `gcc`) and numpy's `libnpyrandom.a`: the first call
+of `load` builds it into this package's `__pycache__/`, under a name that
+carries the digest of the source, flags and that library, and later runs
+load that file.  Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -90,6 +92,12 @@ def load() -> ctypes.CDLL:
     f64, intp, uptr, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
                                for t in (np.float64, np.intp, np.uintp, np.uint8, np.int8))
     size, real, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
+    lib.solve_mdp.argtypes = [
+        size, f64, intp, intp, f64, intp,        # n, costs, act/move starts, moves
+        intp, intp, u8, size,                    # pred starts, preds, reach, start
+        real, real, size, real,                  # log_x, dead_end, max_sweeps, tolerance
+        f64, intp, intp, f64, intp]              # logv, policy, backups, seconds, scratch
+    lib.solve_mdp.restype = size
     lib.refine_path.argtypes = [
         size, f64, size, f64,                    # npts, pts, zones, centers
         real, real, real, real, real,            # radius, v_max, v_crit, a_max, dt

@@ -9,7 +9,11 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 PROB_TOL = 1e-9
+# Arrays.reach of a state with a path to a goal, and of a goal
+REACHES, GOAL = 1, 2
 
 
 class StateSpec(NamedTuple):
@@ -22,6 +26,25 @@ class TransitionSpec(NamedTuple):
     action: str
     target: int
     probability: float
+
+
+class Arrays(NamedTuple):
+    """The model as compressed rows, by position: what the compiled solver
+    reads.  State i's actions are rows act_start[i]:act_start[i + 1], in id
+    order; action a's moves are move_start[a]:move_start[a + 1], in the
+    order of its transitions; the states with a move into i are
+    preds[pred_start[i]:pred_start[i + 1]], ascending."""
+
+    ids: list[str]
+    costs: np.ndarray  # (states,)
+    reach: np.ndarray  # (states,) GOAL, REACHES or 0, as uint8
+    act_start: np.ndarray  # (states + 1,)
+    choices: list[tuple[str, str]]  # each action's state id and label: a policy entry
+    move_start: np.ndarray  # (actions + 1,)
+    move_logp: np.ndarray  # (moves,) ln P
+    move_target: np.ndarray  # (moves,)
+    pred_start: np.ndarray  # (states + 1,)
+    preds: np.ndarray
 
 
 class InvalidModel(Exception):
@@ -47,8 +70,8 @@ class Mdp:
     goals: frozenset[int]
 
     successors: list[list[tuple[str, list[tuple[float, int]]]]] = field(init=False, repr=False)
-    predecessors: list[list[int]] = field(init=False, repr=False)
     goal_reaching: frozenset[int] = field(init=False, repr=False)
+    arrays: Arrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.goals = frozenset(self.goals)
@@ -98,13 +121,31 @@ class Mdp:
             self.successors[s].append((a, moves))
             for _, j in moves:
                 preds[j].add(s)
-        self.predecessors = [sorted(p) for p in preds]
+        predecessors = [sorted(p) for p in preds]
         reach, stack = set(self.goals), list(self.goals)
         while stack:
-            new = set(self.predecessors[stack.pop()]) - reach
+            new = set(predecessors[stack.pop()]) - reach
             reach |= new
             stack += new
         self.goal_reaching = frozenset(reach)
+
+        ids = [s.id for s in self.states]
+        rows = [moves for acts in self.successors for _, moves in acts]
+        moves = [mv for mvs in rows for mv in mvs]
+        role = np.zeros(n, dtype=np.uint8)
+        role[list(reach)] = REACHES
+        role[list(self.goals)] = GOAL
+
+        def starts(rows):
+            return np.cumsum([0, *map(len, rows)], dtype=np.intp)
+
+        self.arrays = Arrays(
+            ids, np.array([s.cost for s in self.states], dtype=float), role,
+            starts(self.successors),
+            [(s, a) for s, acts in zip(ids, self.successors) for a, _ in acts],
+            starts(rows), np.array([lp for lp, _ in moves], dtype=float),
+            np.array([j for _, j in moves], dtype=np.intp), starts(predecessors),
+            np.array([i for p in predecessors for i in p], dtype=np.intp))
 
 
 @dataclass

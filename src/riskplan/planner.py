@@ -10,12 +10,12 @@ yields a diverse, deduplicated candidate-plan set.
 from __future__ import annotations
 
 import math
-import time
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernel
 from .mdp import Mdp, Plan
 
 INF = math.inf
@@ -57,48 +57,30 @@ class Candidate:
     plan: Plan
     gammas: list[float]  # every sampled gamma that produced this policy
     solve_times: list[float]  # wall seconds of each gamma's solve, same order
+    backups: list[int]  # worklist pops of each gamma's solve, same order
 
     @property
     def first_gamma(self) -> float:
         return self.gammas[0]
 
 
-def _with_proper_policy(looped: list[int], m: Mdp, logv: list[float]) -> list[int]:
-    """The looped states from which some policy reaches a finite-valued
-    state with probability 1.
+class Solution(NamedTuple):
+    """What `solve` returns."""
 
-    The greatest set whose every state reaches a finite state through
-    actions that lead only to finite states or back into the set
-    (almost-sure reachability).  The rest have no proper policy: restarted
-    from log V = 0, their values would grow without bound.
-    """
-    keep = set(looped)
-    while keep:
-        allowed = {i: [moves for _, moves in m.successors[i]
-                       if all(logv[j] < INF or j in keep for _, j in moves)]
-                   for i in keep}
-        good = {i for i in keep
-                if any(logv[j] < INF for moves in allowed[i] for _, j in moves)}
-        stack = list(good)
-        while stack:
-            for i in m.predecessors[stack.pop()]:
-                if i in keep and i not in good and any(
-                        j in good for moves in allowed[i] for _, j in moves):
-                    good.add(i)
-                    stack.append(i)
-        if good == keep:
-            break
-        keep = good
-    return [i for i in looped if i in keep]
+    log_values: dict[str, float]  # every state's log V, by id
+    plan: Plan
+    backups: int  # worklist pops over both drains
+    seconds: float  # the solve's own wall time, taken in the kernel
 
 
 def solve(
     m: Mdp,
     gamma: float,
     failure_cost: float | None = None,
-) -> tuple[dict[str, float], Plan]:
+) -> Solution:
     """Exponential-disutility value iteration in the log domain, with greedy
-    plan extraction.
+    plan extraction, run by the compiled kernel (`solve_mdp`) over the
+    model's arrays.
 
     log V(s) = cost(s) ln(1/gamma) + min over actions of
     logsumexp over s' of (ln P(s,a,s') + log V(s')), log V(goal) = 0, where
@@ -114,105 +96,35 @@ def solve(
     value runs back along every path in one pass.  The goal-reaching states
     still at +inf after that can only finish through a loop of their own;
     those with a proper policy restart from log V = 0 and the queue drains
-    again, the others stay at +inf.  Returns log V
-    of every state and the plan, without its linearization.
+    again, the others stay at +inf.  The plan maps each finite swept state
+    that its own walk from the start meets to its lowest-valued action, ties
+    to the lowest action id, in the order the walk meets them; it stops at
+    goals and dead ends and has no linearization.  Reads MAX_SWEEPS and
+    TOLERANCE when called.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
 
     log_x = -math.log(gamma)  # ln(1/gamma)
-    succ = m.successors
-    logv = [INF] * len(m.states)
-    swept = []
-    for i in range(len(m.states)):
-        if i in m.goals:
-            logv[i] = 0.0
-        elif not succ[i]:
-            if failure_cost is not None:
-                logv[i] = failure_cost * log_x
-        elif i in m.goal_reaching:
-            swept.append(i)
-    cost = [s.cost * log_x for s in m.states]
-
-    def backup(i: int) -> tuple[float, tuple[str, list[tuple[float, int]]]]:
-        """The lowest action value of state i, cost excluded, and the first
-        (action, moves) that has it, so ties go to the lowest action id.
-        An action's value is the logsumexp of the terms ln P + log V of its
-        moves: the first largest term, top, plus the log of the sum of
-        exp(term - top), added in order."""
-        best = None
-        for am in succ[i]:
-            moves = am[1]
-            lp, j = moves[0]
-            v = lp + logv[j]
-            if len(moves) > 1:
-                top = v
-                for lp, j in moves:
-                    t = lp + logv[j]
-                    if t > top:
-                        top = t
-                if top == INF:
-                    v = INF
-                else:
-                    total = 0.0
-                    for lp, j in moves:
-                        total += math.exp(lp + logv[j] - top)
-                    v = top + math.log(total)
-            if best is None or v < low:
-                low, best = v, am
-        return low, best
-
-    budget = MAX_SWEEPS * len(swept)
-    queued = [True] * len(m.states)  # only swept states ever leave it
-    queue = deque(swept)
-
-    def drain():
-        nonlocal budget
-        while queue:
-            i = queue.popleft()
-            queued[i] = False
-            budget -= 1
-            if budget < 0:
-                raise NonConvergence(f"value iteration did not converge in "
-                                     f"{MAX_SWEEPS} backups per state")
-            new = cost[i] + backup(i)[0]
-            old = logv[i]
-            logv[i] = new
-            if new == old or abs(new - old) < TOLERANCE:
-                continue
-            for j in m.predecessors[i]:
-                if not queued[j]:
-                    queued[j] = True
-                    queue.append(j)
-
-    drain()
-    looped = _with_proper_policy([i for i in swept if logv[i] == INF], m, logv)
-    if looped:
-        for i in looped:
-            logv[i] = 0.0
-        for i in swept:
-            queued[i] = True
-        queue.extend(swept)
-        drain()
-
-    if logv[m.start] == INF:
+    a = m.arrays
+    n = len(a.ids)
+    logv, seconds = np.empty(n), np.empty(1)
+    actions, backups = np.empty(n, dtype=np.intp), np.empty(1, dtype=np.intp)
+    scratch = np.empty(5 * n + len(a.move_target) + 1, dtype=np.intp)
+    found = kernel.load().solve_mdp(
+        n, a.costs, a.act_start, a.move_start, a.move_logp, a.move_target,
+        a.pred_start, a.preds, a.reach, m.start,
+        log_x, INF if failure_cost is None else failure_cost * log_x, MAX_SWEEPS, TOLERANCE,
+        logv, actions, backups, seconds, scratch)
+    if found == -1:  # the kernel's SOLVE_NONCONVERGENCE
+        raise NonConvergence(f"value iteration did not converge in "
+                             f"{MAX_SWEEPS} backups per state")
+    if found == -2:  # SOLVE_NO_PROPER_POLICY
         raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
-                             f"from {m.states[m.start].id!r}")
-
-    # the lowest-valued action of each finite swept state the policy itself
-    # reaches from the start, so two plans are comparable as policies; the
-    # walk stops at goals and dead ends
-    policy = {}
-    stack = [m.start]
-    while stack:
-        i = stack.pop()
-        s = m.states[i].id
-        if s not in policy and i not in m.goals and succ[i] and logv[i] < INF:
-            policy[s], moves = backup(i)[1]
-            stack += [j for _, j in moves]
-
-    value = {s.id: v for s, v in zip(m.states, logv)}
-    return value, Plan(policy=policy)
+                             f"from {a.ids[m.start]!r}")
+    policy = dict(map(a.choices.__getitem__, actions[:found].tolist()))
+    return Solution(dict(zip(a.ids, logv.tolist())), Plan(policy=policy),
+                    int(backups[0]), float(seconds[0]))
 
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
@@ -265,15 +177,15 @@ def generate_candidates(
     check_gamma_sweep(n, interval)
     gammas = [float(g) for g in rng.uniform(*interval, size=n)]
 
-    by_policy: dict[tuple, Candidate] = {}
+    by_policy: dict[frozenset, Candidate] = {}
     for g in gammas:
-        t0 = time.perf_counter()
-        _, plan = solve(m, g, failure_cost=failure_cost)
-        elapsed = time.perf_counter() - t0
-        key = tuple(sorted(plan.policy.items()))
-        cand = by_policy.setdefault(key, Candidate(plan=plan, gammas=[], solve_times=[]))
+        solved = solve(m, g, failure_cost=failure_cost)
+        key = frozenset(solved.plan.policy.items())
+        cand = by_policy.setdefault(
+            key, Candidate(plan=solved.plan, gammas=[], solve_times=[], backups=[]))
         cand.gammas.append(g)
-        cand.solve_times.append(elapsed)
+        cand.solve_times.append(solved.seconds)
+        cand.backups.append(solved.backups)
 
     candidates = sorted(by_policy.values(), key=lambda c: c.first_gamma)
     for i, c in enumerate(candidates, start=1):

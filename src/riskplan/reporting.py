@@ -58,6 +58,7 @@ class ScalingRow:
     gamma: float | None = None
     planning_time_s: float | None = None
     median_solve_time_s: float | None = None
+    median_backups: float | None = None  # worklist pops per solve: the clock-free cost
     error: str | None = None
 
 
@@ -68,8 +69,9 @@ def run_scaling(
     collision_cost: float | None = None,
 ) -> list[ScalingRow]:
     """Solve one corridor per (depth, criticals) pair with the default gamma
-    sweep and report the safest plan's length, producing risk factor, and
-    planning time.
+    sweep and report the safest plan's length, producing risk factor and
+    planning time, and the median solve time and worklist pop count over
+    the sweep.
 
     Collisions are priced as unrecoverable by default (``collision_cost
     None``): a finite penalty smaller than the remaining corridor cost would
@@ -89,9 +91,10 @@ def run_scaling(
             safest = min(candidates, key=lambda c: min(c.gammas))
             g = min(safest.gammas)
             solve_times = [t for c in candidates for t in c.solve_times]
+            backups = [b for c in candidates for b in c.backups]
             rows.append(ScalingRow(depth, crit, True, len(safest.plan.linearization), g,
                                    safest.solve_times[safest.gammas.index(g)],
-                                   float(np.median(solve_times))))
+                                   float(np.median(solve_times)), float(np.median(backups))))
         except Exception as exc:  # per-row failure is recorded, not fatal
             errors.append(exc)
             rows.append(ScalingRow(depth, crit, False, error=f"{type(exc).__name__}: {exc}"))

@@ -6,8 +6,9 @@ the solver and every downstream statistic against this enumeration.
 
 The model names its states by position; the oracles read it by state id,
 through `by_id`.  `per_action_solve` is the exception: the log-domain
-worklist solver as it was before its backups became one loop per state,
-kept by position as the bitwise oracle of `planner.solve`, and
+worklist solver in Python as it was before its backups became one loop per
+state, kept by position as the bitwise oracle of the compiled
+`planner.solve`, and
 `samples_compare_means` is Welch's test as it was when it summed each
 plan's samples itself, the bitwise oracle of `assess.compare_means`.
 """
@@ -103,17 +104,60 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
     return trace
 
 
+def predecessors(m: Mdp) -> list[list[int]]:
+    """Each state's predecessors by position, ascending: the states with
+    a move of positive probability into it, read from `Mdp.successors`."""
+    preds = [set() for _ in m.states]
+    for i, actions in enumerate(m.successors):
+        for _, moves in actions:
+            for _, j in moves:
+                preds[j].add(i)
+    return [sorted(p) for p in preds]
+
+
+def with_proper_policy(looped: list[int], m: Mdp, logv: list[float],
+                       preds: list[list[int]]) -> list[int]:
+    """The looped states from which some policy reaches a finite-valued
+    state with probability 1.
+
+    The greatest set whose every state reaches a finite state through
+    actions that lead only to finite states or back into the set
+    (almost-sure reachability).  The rest have no proper policy: restarted
+    from log V = 0, their values would grow without bound.
+    """
+    keep = set(looped)
+    while keep:
+        allowed = {i: [moves for _, moves in m.successors[i]
+                       if all(logv[j] < INF or j in keep for _, j in moves)]
+                   for i in keep}
+        good = {i for i in keep
+                if any(logv[j] < INF for moves in allowed[i] for _, j in moves)}
+        stack = list(good)
+        while stack:
+            for i in preds[stack.pop()]:
+                if i in keep and i not in good and any(
+                        j in good for moves in allowed[i] for _, j in moves):
+                    good.add(i)
+                    stack.append(i)
+        if good == keep:
+            break
+        keep = good
+    return [i for i in looped if i in keep]
+
+
 def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
-    """`planner.solve` with one `action_value` call per action, a `min`
-    over a generator per backup and another per extracted state.  Its
-    log-sum-exp adds its terms in order with a loop, as ``sum()`` did on
-    Python 3.11.  It reads `planner.MAX_SWEEPS` and `planner.TOLERANCE`
-    when called and shares `planner._with_proper_policy`."""
+    """`planner.solve` in Python, with one `action_value` call per action,
+    a `min` over a generator per backup and another per extracted state.
+    Its log-sum-exp adds its terms in order with a loop, as ``sum()`` did
+    on Python 3.11.  It reads `planner.MAX_SWEEPS` and `planner.TOLERANCE`
+    when called.  Returns log V by id, the plan, and the worklist pops of
+    both drains."""
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
 
     log_x = -math.log(gamma)
     succ = m.successors
+    preds = predecessors(m)
     logv = [INF] * len(m.states)
     swept = []
     for i in range(len(m.states)):
@@ -156,13 +200,13 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
             logv[i] = new
             if new == old or abs(new - old) < planner.TOLERANCE:
                 continue
-            for j in m.predecessors[i]:
+            for j in preds[i]:
                 if not queued[j]:
                     queued[j] = True
                     queue.append(j)
 
     drain()
-    looped = planner._with_proper_policy([i for i in swept if logv[i] == INF], m, logv)
+    looped = with_proper_policy([i for i in swept if logv[i] == INF], m, logv, preds)
     if looped:
         for i in looped:
             logv[i] = 0.0
@@ -171,6 +215,7 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
         queue.extend(swept)
         drain()
 
+    backups = planner.MAX_SWEEPS * len(swept) - budget
     if logv[m.start] == INF:
         raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
                              f"from {m.states[m.start].id!r}")
@@ -186,7 +231,7 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
             if i in best:
                 stack += [j for _, j in best[i][1]]
     policy = {m.states[i].id: a for i, (a, _) in best.items() if i in reached}
-    return {s.id: v for s, v in zip(m.states, logv)}, Plan(policy=policy)
+    return {s.id: v for s, v in zip(m.states, logv)}, Plan(policy=policy), backups
 
 
 def samples_compare_means(a: list[float], b: list[float]) -> tuple[float, float]:

@@ -103,7 +103,7 @@ def test_acceptance_2_gamma_to_one_limit():
     t0 = time.perf_counter()
     for m in GAMMA_LIMIT_SUITE:
         oracle = expected_cost_policy(m)
-        _, plan = solve(m, 0.999)
+        plan = solve(m, 0.999).plan
         assert plan.policy == {s: oracle[s] for s in plan.policy}
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -116,7 +116,7 @@ def test_acceptance_3_gamma_to_zero_limit():
     t0 = time.perf_counter()
     for m in suite:
         oracle = minimax_policy(m)
-        _, plan = solve(m, 0.05)
+        plan = solve(m, 0.05).plan
         assert plan.policy == {s: oracle[s] for s in plan.policy}
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

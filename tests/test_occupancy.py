@@ -612,6 +612,37 @@ class TestExtraction:
         assert _max_occupancy_near_segments(g, *edge, 15.0)[0] > TAU_OCC
         assert _max_occupancy_near_segments(g, *edge, math.nextafter(15.0, 0)) == [0.0]
 
+    @pytest.mark.parametrize("a", [0.2, 0.3])
+    def test_point_past_the_far_end_is_measured_from_it(self, a):
+        """A voxel centre at x = 1.0, past the end b = 0.9 of an edge from
+        x = a, is measured from b itself, 1.0 - 0.9 away: near at that
+        radius and not at the float below.  a + (b - a) is 0.9 less one
+        float at a = 0.2, and one float more at a = 0.3."""
+        g = VoxelGrid((0.75, 0.25, 0.25), (1, 1, 1), 0.5)
+        g.log_odds[...] = LOG_ODDS_MAX
+        edge = [(a, 0.5, 0.5)], [(0.9, 0.5, 0.5)]
+        assert a + (0.9 - a) != 0.9
+        d = 1.0 - 0.9
+        assert _max_occupancy_near_segments(g, *edge, d)[0] > TAU_OCC
+        assert _max_occupancy_near_segments(g, *edge, math.nextafter(d, 0)) == [0.0]
+
+    @pytest.mark.parametrize("voxel, x, radius", [(7, 2.0 ** 55 + 8, 3.5), (1, 2.0 ** 55, 3.0)])
+    def test_block_margin_holds_rounded_centres(self, voxel, x, radius):
+        """Around 2^55 floats are 8 apart, so a grid there of unit voxels
+        rounds its centres: voxel 7's, 2^55 + 7.5, is 2^55 + 8, and voxel
+        1's, 2^55 + 1.5, is 2^55.  A waypoint on that centre is near it.
+        x - 3.5 rounds to 2^55 + 8, so voxel 7 is in the block only by the
+        margin of one voxel below; x + 3.0 rounds to 2^55, so voxel 1 is
+        in it only by the margin of two above."""
+        g = VoxelGrid((2.0 ** 55, 0.0, 0.0), (8, 1, 1), 1.0)
+        g.log_odds[voxel, 0, 0] = LOG_ODDS_MAX
+        point = [(x, 0.5, 0.5)]
+        got = _max_occupancy_near_segments(g, point, point, radius)
+        assert got[0] > TAU_OCC
+        centers, log_odds = observed_centers(g)
+        assert got == [reference_max_occupancy_near_segment(centers, log_odds, *point * 2,
+                                                            radius)]
+
     def test_mission_and_obstacles_untouched(self):
         g, scenario = self.build_grid()
         out = extract_problem(g, scenario)
@@ -829,7 +860,9 @@ class TestObservedVoxelsOnce:
         assert callers == ["export_csv"]
         rows = (tmp_path / "grid.csv").read_bytes().count(b"\r\n") - 1
         scans = 8 * len(load_scenario(TANKS_SCN).scenario.obstacles)
-        assert [name for name in kernel_calls if name not in ("refine_path", "simulate_ticks")] \
+        mapping = [name for name in kernel_calls
+                   if name not in ("solve_mdp", "refine_path", "simulate_ticks")]
+        assert mapping \
             == (["nearest_hits"] + ["integrate_beams"] * scans
                 + ["grid_rows"] * -(-rows // CSV_BLOCK_ROWS) + ["max_near_segments"])
 

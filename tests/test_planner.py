@@ -1,16 +1,18 @@
 """Risk-sensitive value iteration: gamma bounds, limits, and the gamma sweep.
 
 The gamma-limit oracles (expected-cost and minimax plans) are computed here
-by independent dynamic programs, not by the code under test.  The
+by independent dynamic programs, not by the code under test.  The compiled
 log-domain worklist solver is checked against the linear-space sweep it
-replaced (`reference_solve`), bit for bit against its own per-action form
-(`oracles.per_action_solve`), and against brute-force enumeration of every
-deterministic policy of small random models.
+replaced (`reference_solve`), bit for bit and pop for pop against the
+Python solve it was ported from (`oracles.per_action_solve`), and against
+brute-force enumeration of every deterministic policy of small random
+models.
 """
 
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -198,7 +200,7 @@ class TestSolve:
     def test_two_action_disutilities(self):
         m = two_action_mdp()
         for gamma in (0.95, 0.90):
-            table, plan = solve(m, gamma)
+            table, plan = solve(m, gamma)[:2]
             x = 1.0 / gamma
             want_a = x ** 10
             want_b = 0.9 * x ** 2 + 0.1 * x ** 30
@@ -213,7 +215,7 @@ class TestSolve:
 
     def test_goal_value_is_one(self):
         # solve returns log V: V(goal) = 1 is log V(goal) = 0, exactly
-        table, _ = solve(loop_mdp(), 0.7)
+        table = solve(loop_mdp(), 0.7).log_values
         assert table["goal"] == 0.0
 
     def test_ties_go_to_lowest_action_id(self):
@@ -259,14 +261,14 @@ class TestSolve:
     def test_gamma_one_limit_matches_expected_cost(self):
         for m in SUITE:
             want = expected_cost_policy(m)
-            _, plan = solve(m, 0.999)
+            plan = solve(m, 0.999).plan
             for s, a in plan.policy.items():
                 assert a == want[s], f"state {s} of {m.start}"
 
     def test_gamma_zero_limit_matches_minimax(self):
         for m in (two_action_mdp(), risky_vs_safe_mdp(), detour_mdp()):
             want = minimax_policy(m)
-            _, plan = solve(m, 0.05)
+            plan = solve(m, 0.05).plan
             for s, a in plan.policy.items():
                 assert a == want[s], f"state {s} of {m.start}"
 
@@ -281,13 +283,13 @@ class TestSolve:
         assert solve(m, 0.99)[1].policy == {"s0": "goto g ☃"}
 
     def test_policy_restricted_to_reachable_states(self):
-        _, plan = solve(two_action_mdp(), 0.95)
+        plan = solve(two_action_mdp(), 0.95).plan
         assert set(plan.policy) == {"s0", "pay2", "pay30"}
 
 
 class TestLinearize:
     def test_most_probable_trace(self):
-        _, plan = solve(two_action_mdp(), 0.95)
+        plan = solve(two_action_mdp(), 0.95).plan
         trace = linearize_trace(two_action_mdp(), plan)
         assert trace == [("s0", "b"), ("pay2", "go")]
 
@@ -309,7 +311,7 @@ class TestLinearize:
         # tied, and id order once gave it to 'collided'); the trace follows
         # the successor that can still reach the goal
         m = ground_to_mdp(parse_scenario(ONLY_RISKY_ROUTE.format(risk=risk)).scenario)
-        _, plan = solve(m, 0.9, failure_cost=12.0)
+        plan = solve(m, 0.9, failure_cost=12.0).plan
         assert linearize(m, plan) == ["goto mid", "inspect tank", "goto final"]
 
     def test_a_retry_steps_on_to_its_other_outcome(self):
@@ -372,7 +374,7 @@ class TestLinearizeMatchesTheWalkById:
     def test_suite(self):
         for m in SUITE:
             for gamma in (0.6, 0.8, 0.95):  # loop_mdp diverges from 0.5 down
-                _, plan = solve(m, gamma, failure_cost=12.0)
+                plan = solve(m, gamma, failure_cost=12.0).plan
                 assert _same_walk(m, plan) is not None
             assert _same_walk(m, Plan({})) is None  # stuck at the start
         assert _same_walk(two_action_mdp(), Plan({"s0": "b"})) is None
@@ -470,8 +472,30 @@ class TestGenerateCandidates:
         cands = generate_candidates(two_action_mdp(), 10,
                                     rng=np.random.default_rng(3))
         for c in cands:
-            assert len(c.solve_times) == len(c.gammas)
+            assert len(c.solve_times) == len(c.gammas) == len(c.backups)
             assert all(t >= 0.0 for t in c.solve_times)
+
+    def test_kernel_clock_is_inside_the_call(self):
+        # each solve is timed by the kernel, from its entry to its return:
+        # a positive time, and together no more than the whole sweep
+        m = ground_to_mdp(corridor_scenario(64, 64))
+        t0 = time.perf_counter()
+        cands = generate_candidates(m, 20, rng=np.random.default_rng(11))
+        wall = time.perf_counter() - t0
+        times = [t for c in cands for t in c.solve_times]
+        assert len(times) == 20 and all(t > 0.0 for t in times)
+        assert sum(times) <= wall
+
+    def test_kernel_failures_keep_their_messages(self, monkeypatch):
+        monkeypatch.setattr(planner, "MAX_SWEEPS", 100)
+        with pytest.raises(planner.NonConvergence) as got:
+            generate_candidates(loop_mdp(), 3, (0.4, 0.45), rng=np.random.default_rng(0))
+        assert str(got.value) == "value iteration did not converge in 100 backups per state"
+        m = make_mdp([("s", 1.0), ("pit", 1.0), ("g", 0.0)],
+                     [("s", "a", "pit", 1.0)], "s", {"g"})
+        with pytest.raises(NoProperPolicy) as got:
+            generate_candidates(m, 3, rng=np.random.default_rng(0))
+        assert str(got.value) == "no policy reaches a goal with probability 1 from 's'"
 
     def test_unsolvable_model_reraises(self):
         m = make_mdp([("s", 1.0), ("pit", 1.0), ("g", 0.0)],
@@ -491,13 +515,14 @@ def _assert_log_values_match(log_values, linear_values):
 
 
 def _outcome(solver, m, gamma, failure_cost):
-    """Every state's log V as its exact float (``float.hex``, +inf too)
-    and the policy, or the raised error's type and message."""
+    """Every state's log V as its exact float (``float.hex``, +inf too),
+    the policy and the worklist pops, or the raised error's type and
+    message."""
     try:
-        values, plan = solver(m, gamma, failure_cost)
+        values, plan, backups = solver(m, gamma, failure_cost)[:3]
     except Exception as exc:
         return type(exc), str(exc)
-    return {s: v.hex() for s, v in values.items()}, plan.policy
+    return {s: v.hex() for s, v in values.items()}, plan.policy, backups
 
 
 class TestMatchesReference:
@@ -512,7 +537,7 @@ class TestMatchesReference:
                                  np.random.default_rng(0).uniform(0.01, 0.999, 200)])
         for g in gammas:
             want_values, want = reference_solve(m, float(g), failure_cost)
-            values, plan = solve(m, float(g), failure_cost)
+            values, plan = solve(m, float(g), failure_cost)[:2]
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
             assert (_outcome(solve, m, float(g), failure_cost)
@@ -525,7 +550,7 @@ class TestMatchesReference:
         rng = np.random.default_rng(np.random.SeedSequence([11, size, size]))
         for g in rng.uniform(*planner.GAMMA_INTERVAL, size=planner.GAMMA_SAMPLES):
             want_values, want = reference_solve(m, float(g))
-            values, plan = solve(m, float(g))
+            values, plan = solve(m, float(g))[:2]
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
             assert (_outcome(solve, m, float(g), None)
@@ -561,9 +586,10 @@ def solver_models(draw):
 @given(solver_models(), st.floats(0.4, 1.0, exclude_min=True, exclude_max=True),
        st.none() | st.floats(0.0, 40.0))
 def test_bit_identical_to_per_action_solve(m, gamma, failure_cost):
-    """`solve` backs a state up in one loop over its actions; the solve
-    with one `action_value` call per action (`oracles.per_action_solve`)
-    gives the same log V bit for bit, the same policy and the same error."""
+    """The compiled `solve` backs a state up in one loop over its actions;
+    the Python solve with one `action_value` call per action
+    (`oracles.per_action_solve`) gives the same log V bit for bit, the same
+    policy, the same worklist pop count and the same error."""
     # a small sweep budget keeps the non-converging models fast
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "MAX_SWEEPS", 200)
@@ -575,7 +601,7 @@ def test_long_corridor_does_not_overflow():
     # 800 steps at gamma 0.41 is a disutility of about 1.2e309, past the
     # largest float: the linear-space sweep reported no proper policy here
     m = ground_to_mdp(corridor_scenario(800, 0))
-    values, plan = solve(m, 0.41)
+    values, plan = solve(m, 0.41)[:2]
     assert linearize(m, plan) == [f"goto w{i:03d}" for i in range(1, 801)]
     assert values["w000#0"] == pytest.approx(800 * math.log(1 / 0.41), rel=1e-12)
 
@@ -664,6 +690,6 @@ def test_solve_matches_brute_force_optimum(model):
         with pytest.raises(NoProperPolicy):
             solve(m, gamma)
         return
-    values, plan = solve(m, gamma)
+    values, plan = solve(m, gamma)[:2]
     assert math.exp(values[by_id(m).start]) == pytest.approx(best, rel=1e-9)
     assert _disutility(m, plan.policy, gamma) == pytest.approx(best, rel=1e-9)

@@ -61,7 +61,6 @@ class TestScaling:
         assert not rows[1].solvable
         assert "depth" in rows[1].error
 
-
     def test_long_corridor_row_solves_at_low_gamma(self):
         # seed 0 samples gamma 0.407 for this row: a plan of 800 steps there
         # overflowed the linear-space solver, which failed every row
@@ -69,6 +68,16 @@ class TestScaling:
         assert row.solvable and row.error is None
         assert row.gamma < 0.412
         assert row.plan_length == 800
+
+    def test_backup_counts_grow_with_the_corridor(self):
+        # acceptance 7's corridors, then the benchmark's: worklist pops per
+        # solve are exact, so their medians order the rows as wall times of
+        # microseconds cannot
+        rows = run_scaling([3, 4, 5, 6, 30, 90, 64, 139, 274],
+                           [3, 4, 5, 6, 10, 35, 64, 139, 274], master_seed=11)
+        medians = [r.median_backups for r in rows]
+        assert medians == [18, 25, 32, 39, 128, 408, 445, 970, 1915]
+        assert all(a < b for a, b in zip(medians[:6], medians[1:6]))
 
     def test_invalid_model_is_a_failed_row(self, monkeypatch):
         def half_mass():
