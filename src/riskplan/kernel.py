@@ -88,13 +88,14 @@ def _build(source: Path, cache_dir: Path) -> Path:
 def load() -> ctypes.CDLL:
     """The compiled kernel, built on first use."""
     lib = ctypes.CDLL(str(_build(_SOURCE, _CACHE_DIR)))
-    # array arguments are checked for dtype and C order at every call
+    # ndarray arguments are checked for dtype and C order at every call; an
+    # address (`ptr`) is not, so it must come from an array checked when made
     f64, intp, uptr, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
                                for t in (np.float64, np.intp, np.uintp, np.uint8, np.int8))
-    size, real, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
+    size, real, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
     lib.solve_mdp.argtypes = [
-        size, f64, intp, intp, f64, intp,        # n, costs, act/move starts, moves
-        intp, intp, u8, size,                    # pred starts, preds, reach, start
+        size, ptr, ptr, ptr, ptr, ptr,           # n, Mdp.arrays.addresses: costs,
+        ptr, ptr, ptr, size,                     # .. preds, reach; start
         real, real, size, real,                  # log_x, dead_end, max_sweeps, tolerance
         f64, intp, intp, f64, intp]              # logv, policy, backups, seconds, scratch
     lib.solve_mdp.restype = size

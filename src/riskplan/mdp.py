@@ -33,18 +33,23 @@ class Arrays(NamedTuple):
     reads.  State i's actions are rows act_start[i]:act_start[i + 1], in id
     order; action a's moves are move_start[a]:move_start[a + 1], in the
     order of its transitions; the states with a move into i are
-    preds[pred_start[i]:pred_start[i + 1]], ascending."""
+    preds[pred_start[i]:pred_start[i + 1]], ascending.
+
+    The numeric arrays are new, C-ordered and read-only, float64, intp or
+    uint8 as the kernel reads them, so the solver passes their
+    `addresses`, in the kernel's argument order, with no check per call."""
 
     ids: list[str]
-    costs: np.ndarray  # (states,)
-    reach: np.ndarray  # (states,) GOAL, REACHES or 0, as uint8
-    act_start: np.ndarray  # (states + 1,)
     choices: list[tuple[str, str]]  # each action's state id and label: a policy entry
+    costs: np.ndarray  # (states,)
+    act_start: np.ndarray  # (states + 1,)
     move_start: np.ndarray  # (actions + 1,)
     move_logp: np.ndarray  # (moves,) ln P
     move_target: np.ndarray  # (moves,)
     pred_start: np.ndarray  # (states + 1,)
     preds: np.ndarray
+    reach: np.ndarray  # (states,) GOAL, REACHES or 0, as uint8
+    addresses: tuple[int, ...]  # of the eight arrays above, in this order
 
 
 class InvalidModel(Exception):
@@ -136,16 +141,21 @@ class Mdp:
         role[list(reach)] = REACHES
         role[list(self.goals)] = GOAL
 
-        def starts(rows):
-            return np.cumsum([0, *map(len, rows)], dtype=np.intp)
+        def frozen(values, dtype):  # new, C-ordered and read-only: the kernel reads it by address
+            a = np.array(values, dtype=dtype, order="C")
+            a.flags.writeable = False
+            return a
 
+        def starts(rows):
+            return frozen(np.cumsum([0, *map(len, rows)]), np.intp)
+
+        numeric = (frozen([s.cost for s in self.states], np.float64), starts(self.successors),
+                   starts(rows), frozen([lp for lp, _ in moves], np.float64),
+                   frozen([j for _, j in moves], np.intp), starts(predecessors),
+                   frozen([i for p in predecessors for i in p], np.intp), frozen(role, np.uint8))
         self.arrays = Arrays(
-            ids, np.array([s.cost for s in self.states], dtype=float), role,
-            starts(self.successors),
-            [(s, a) for s, acts in zip(ids, self.successors) for a, _ in acts],
-            starts(rows), np.array([lp for lp, _ in moves], dtype=float),
-            np.array([j for _, j in moves], dtype=np.intp), starts(predecessors),
-            np.array([i for p in predecessors for i in p], dtype=np.intp))
+            ids, [(s, a) for s, acts in zip(ids, self.successors) for a, _ in acts],
+            *numeric, tuple(a.ctypes.data for a in numeric))
 
 
 @dataclass

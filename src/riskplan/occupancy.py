@@ -39,6 +39,10 @@ TAU_OCC = 0.5  # occupancy above this marks a waypoint critical, an edge risky
 DEFAULT_KAPPA = 0.3
 EDGE_RISK_CAP = 0.95
 EVIDENCE_EPS = 0.01  # |log-odds| below this counts as unobserved
+# floats near a grid are at most this many voxels apart: the extraction
+# block's margins (a voxel below, two above) then hold the voxel centres
+# and block bounds, which round by half that spacing each
+MAX_FLOAT_SPACING = 0.125
 
 
 def check_noise_sigma(sigma: float) -> None:
@@ -85,7 +89,12 @@ class SonarScan:
 class VoxelGrid:
     """3-D occupancy grid with per-voxel log-odds.  Made only with an origin
     of 3 finite numbers and a finite resolution > 0: the kernel's voxel
-    walk would never end at resolution 0."""
+    walk would never end at resolution 0.  Floats at the grid's far corner
+    (`math.ulp` of its largest coordinate, bounded by the largest origin
+    coordinate plus the longest side) must be at most MAX_FLOAT_SPACING of
+    a voxel apart: where they are a voxel or more apart, voxel centres
+    round onto each other, and extraction misses voxels that the whole map
+    holds."""
 
     def __init__(self, origin, dimensions, resolution: float = DEFAULT_RESOLUTION):
         self.origin = np.asarray(origin, dtype=float)
@@ -95,6 +104,10 @@ class VoxelGrid:
             raise ValueError(f"grid origin must be 3 finite numbers, got {origin!r}")
         if not 0.0 < self.resolution < math.inf:  # NaN fails too
             raise ValueError(f"grid resolution must be finite and > 0, got {resolution!r}")
+        far = float(np.abs(self.origin).max()) + max(self.dimensions, default=0) * self.resolution
+        if not math.ulp(far) <= MAX_FLOAT_SPACING * self.resolution:
+            raise ValueError(f"grid resolution {self.resolution!r} is too fine for a grid "
+                             f"reaching {far!r}, where floats are {math.ulp(far)!r} apart")
         self.log_odds = np.zeros(self.dimensions, dtype=float)
 
     def in_bounds(self, idx) -> bool:

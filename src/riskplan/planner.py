@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 from . import kernel
-from .mdp import Mdp, Plan
+from .mdp import Arrays, Mdp, Plan
 
 INF = math.inf
 # a backup that moves log V by less than TOLERANCE queues no predecessor;
@@ -64,13 +64,27 @@ class Candidate:
         return self.gammas[0]
 
 
-class Solution(NamedTuple):
-    """What `solve` returns."""
+@dataclass
+class Solution:
+    """What `solve` returns: the kernel's arrays, named by the model's
+    `arrays`.  The log V dict and the plan are built when first read, so a
+    sweep builds neither for a gamma whose policy it has already seen."""
 
-    log_values: dict[str, float]  # every state's log V, by id
-    plan: Plan
+    arrays: Arrays  # the solved model's, which name its states and actions
+    logv: np.ndarray  # every state's log V, by position
+    rows: np.ndarray  # the policy: rows of arrays.choices, in the order its walk meets them
     backups: int  # worklist pops over both drains
     seconds: float  # the solve's own wall time, taken in the kernel
+
+    @cached_property
+    def log_values(self) -> dict[str, float]:
+        """Every state's log V, by id."""
+        return dict(zip(self.arrays.ids, self.logv.tolist()))
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The policy, by state id, in the order its walk meets the states."""
+        return Plan(policy=dict(map(self.arrays.choices.__getitem__, self.rows.tolist())))
 
 
 def solve(
@@ -101,6 +115,11 @@ def solve(
     to the lowest action id, in the order the walk meets them; it stops at
     goals and dead ends and has no linearization.  Reads MAX_SWEEPS and
     TOLERANCE when called.
+
+    The kernel reads the model's arrays at the addresses `Mdp` took when it
+    made and checked them; only the five arrays made here for its output
+    are checked at the call.  The `Solution` keeps that output as arrays
+    and builds the log V dict and the plan only when they are read.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
@@ -112,8 +131,7 @@ def solve(
     actions, backups = np.empty(n, dtype=np.intp), np.empty(1, dtype=np.intp)
     scratch = np.empty(5 * n + len(a.move_target) + 1, dtype=np.intp)
     found = kernel.load().solve_mdp(
-        n, a.costs, a.act_start, a.move_start, a.move_logp, a.move_target,
-        a.pred_start, a.preds, a.reach, m.start,
+        n, *a.addresses, m.start,
         log_x, INF if failure_cost is None else failure_cost * log_x, MAX_SWEEPS, TOLERANCE,
         logv, actions, backups, seconds, scratch)
     if found == -1:  # the kernel's SOLVE_NONCONVERGENCE
@@ -122,9 +140,7 @@ def solve(
     if found == -2:  # SOLVE_NO_PROPER_POLICY
         raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
                              f"from {a.ids[m.start]!r}")
-    policy = dict(map(a.choices.__getitem__, actions[:found].tolist()))
-    return Solution(dict(zip(a.ids, logv.tolist())), Plan(policy=policy),
-                    int(backups[0]), float(seconds[0]))
+    return Solution(a, logv, actions[:found], int(backups[0]), float(seconds[0]))
 
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
@@ -177,12 +193,15 @@ def generate_candidates(
     check_gamma_sweep(n, interval)
     gammas = [float(g) for g in rng.uniform(*interval, size=n)]
 
-    by_policy: dict[frozenset, Candidate] = {}
+    # a policy walks the same way from the start at every gamma, so it
+    # gives the same rows, and different policies give different rows
+    by_policy: dict[bytes, Candidate] = {}
     for g in gammas:
         solved = solve(m, g, failure_cost=failure_cost)
-        key = frozenset(solved.plan.policy.items())
-        cand = by_policy.setdefault(
-            key, Candidate(plan=solved.plan, gammas=[], solve_times=[], backups=[]))
+        cand = by_policy.get(key := solved.rows.tobytes())
+        if cand is None:
+            cand = by_policy[key] = Candidate(plan=solved.plan, gammas=[], solve_times=[],
+                                              backups=[])
         cand.gammas.append(g)
         cand.solve_times.append(solved.seconds)
         cand.backups.append(solved.backups)

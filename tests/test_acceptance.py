@@ -127,8 +127,8 @@ def test_acceptance_4_switch_point():
     """Single a/b switch located by an independent numeric root solve."""
     t0 = time.perf_counter()
     m = two_action_mdp()
-    assert solve(m, 0.95)[1].policy["s0"] == "b"
-    assert solve(m, 0.90)[1].policy["s0"] == "a"
+    assert solve(m, 0.95).plan.policy["s0"] == "b"
+    assert solve(m, 0.90).plan.policy["s0"] == "a"
 
     # derived oracle: 0.9 x^2 + 0.1 x^30 = x^10 with x = 1/gamma
     def f(x):
@@ -138,7 +138,7 @@ def test_acceptance_4_switch_point():
     gamma_star = 1.0 / x_star
 
     grid = np.arange(0.4, 1.0, 0.001)
-    choices = [solve(m, float(g))[1].policy["s0"] for g in grid]
+    choices = [solve(m, float(g)).plan.policy["s0"] for g in grid]
     switches = [i for i in range(1, len(choices))
                 if choices[i] != choices[i - 1]]
     assert len(switches) == 1

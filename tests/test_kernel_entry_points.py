@@ -5,7 +5,10 @@ ctypes calls a function whose `argtypes` are unset by guessing each
 argument's C type from its Python value, and reads an undeclared result
 as an int: an entry point that `kernel.load` does not declare gets wrong
 values, not an error.  The check reads the non-static function definitions
-of `_simkernel.c` and compares each prototype with the declaration.
+of `_simkernel.c` and compares each prototype with the declaration.  An
+array is declared as a checked ndpointer of its dtype, or, if the kernel
+only reads it (a `const` pointer), as `c_void_p`: an address, which the
+caller takes from an array it checked when it made it.
 """
 
 import ctypes
@@ -47,13 +50,29 @@ def ctypes_type(text: str):
     return SCALARS[text]
 
 
+def read_only(source: str) -> dict[str, list[bool]]:
+    """``name: [whether each parameter is a const pointer]`` of each
+    non-static function that ``source`` defines."""
+    return {name: [bool(re.match(r"const\b[^*]*\*[^*]*$", p.strip()))
+                   for p in params.split(",") if p.strip()]
+            for _, name, params in DEFINITION.findall(source)}
+
+
+def declared(got, want, const: bool) -> bool:
+    """Whether the declaration ``got`` of a parameter matches ``want``."""
+    return got == want or (const and got is ctypes.c_void_p)
+
+
 def undeclared(lib, source: str) -> list[str]:
     """``name: argtypes`` or ``name: restype`` for each entry point of
     ``source`` whose declaration in ``lib`` does not match its prototype."""
     problems = []
+    consts = read_only(source)
     for name, (ret, params) in entry_points(source).items():
         entry = getattr(lib, name)
-        if entry.argtypes is None or list(entry.argtypes) != list(map(ctypes_type, params)):
+        want = list(map(ctypes_type, params))
+        if (entry.argtypes is None or len(entry.argtypes) != len(want)
+                or not all(map(declared, entry.argtypes, want, consts[name]))):
             problems.append(f"{name}: argtypes")
         if entry.restype is not ctypes_type(ret):
             problems.append(f"{name}: restype")
@@ -82,3 +101,18 @@ def test_undeclared_entry_points_are_found():
         fill=SimpleNamespace(argtypes=None, restype=ctypes.c_int),  # ctypes' defaults
         scale=SimpleNamespace(argtypes=[u8], restype=ctypes.c_double))
     assert undeclared(lib, source) == ["fill: argtypes", "fill: restype", "scale: argtypes"]
+
+
+def test_addresses_only_for_read_only_arrays():
+    source = ("long count(long n, const double *x, double *out)\n{\n    return n;\n}\n"
+              "long read(const long *rows, const long n)\n{\n    return n;\n}\n")
+    assert read_only(source) == {"count": [False, True, False], "read": [True, False]}
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ptr, size = ctypes.c_void_p, ctypes.c_long
+    lib = SimpleNamespace(
+        count=SimpleNamespace(argtypes=[size, ptr, f64], restype=size),
+        read=SimpleNamespace(argtypes=[ptr, size], restype=size))
+    assert undeclared(lib, source) == []
+    lib.count.argtypes = [size, f64, ptr]  # an output is never an unchecked address
+    lib.read.argtypes = [ptr, ptr]  # nor is a scalar
+    assert undeclared(lib, source) == ["count: argtypes", "read: argtypes"]

@@ -1,11 +1,12 @@
 """Model layer validation, and the oracle's induced chains and exact cost
 distribution."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_mdp, make_chain, make_mdp, two_action_mdp
+from conftest import detour_mdp, loop_mdp, make_chain, make_mdp, two_action_mdp
 from oracles import (MissingPolicyEntry, ZeroCostCycle, induce_chain,
                      reward_distribution_exact)
 from riskplan.mdp import InvalidModel, Mdp, Plan
@@ -67,6 +68,39 @@ class TestValidate:
             "outgoing probabilities from ('s','a') sum to 1.5, not 1",
             "outgoing probabilities from ('s','b') sum to 0.75, not 1",
         ]
+
+
+# the kernel reads Mdp.arrays' numeric arrays by address, as these types
+NUMERIC = {"costs": np.float64, "act_start": np.intp, "move_start": np.intp,
+           "move_logp": np.float64, "move_target": np.intp, "pred_start": np.intp,
+           "preds": np.intp, "reach": np.uint8}
+# a model with no transition: only its empty arrays' addresses are read
+LONE_GOAL = ([("g", 0.0)], [], "g", {"g"})
+
+
+class TestArrays:
+    """The solver passes the numeric arrays' addresses unchecked: they are
+    checked once, when the model makes them, and stay as they were made."""
+
+    @pytest.mark.parametrize("model", [two_action_mdp, loop_mdp, detour_mdp,
+                                       lambda: make_mdp(*LONE_GOAL)])
+    def test_addresses_name_c_ordered_arrays(self, model):
+        a = model().arrays
+        numeric = [f for f in a._fields if isinstance(getattr(a, f), np.ndarray)]
+        assert numeric == list(NUMERIC)
+        for f in numeric:
+            assert getattr(a, f).dtype == NUMERIC[f], f
+            assert getattr(a, f).flags.c_contiguous, f
+        assert a.addresses == tuple(getattr(a, f).ctypes.data for f in numeric)
+
+    @pytest.mark.parametrize("model", [two_action_mdp, lambda: make_mdp(*LONE_GOAL)])
+    @pytest.mark.parametrize("name", list(NUMERIC))
+    def test_numeric_arrays_are_read_only(self, model, name):
+        arr = getattr(model().arrays, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 1
 
 
 class TestInduceChain:

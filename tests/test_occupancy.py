@@ -17,7 +17,7 @@ from conftest import TANKS_SCN, edge_between
 from riskplan import kernel, pipeline
 from riskplan.occupancy import (DEFAULT_KAPPA, DEFAULT_P_HIT, DEFAULT_P_MISS,
                                 EDGE_RISK_CAP, EVIDENCE_EPS, LOG_ODDS_MAX, LOG_ODDS_MIN,
-                                TAU_OCC, BeamFan, SonarScan, VoxelGrid,
+                                MAX_FLOAT_SPACING, TAU_OCC, BeamFan, SonarScan, VoxelGrid,
                                 _max_occupancy_near_segments, _nearest_hits, extract_problem,
                                 integrate_scan, logistic, synthesize_scans, traverse_voxels)
 from riskplan.scenario import (CSV_BLOCK_ROWS, EdgeDef, Obstacle, Scenario, Waypoint,
@@ -626,22 +626,51 @@ class TestExtraction:
         assert _max_occupancy_near_segments(g, *edge, d)[0] > TAU_OCC
         assert _max_occupancy_near_segments(g, *edge, math.nextafter(d, 0)) == [0.0]
 
-    @pytest.mark.parametrize("voxel, x, radius", [(7, 2.0 ** 55 + 8, 3.5), (1, 2.0 ** 55, 3.0)])
-    def test_block_margin_holds_rounded_centres(self, voxel, x, radius):
+    def test_grid_with_coarse_floats_is_refused(self):
         """Around 2^55 floats are 8 apart, so a grid there of unit voxels
-        rounds its centres: voxel 7's, 2^55 + 7.5, is 2^55 + 8, and voxel
-        1's, 2^55 + 1.5, is 2^55.  A waypoint on that centre is near it.
-        x - 3.5 rounds to 2^55 + 8, so voxel 7 is in the block only by the
-        margin of one voxel below; x + 3.0 rounds to 2^55, so voxel 1 is
-        in it only by the margin of two above."""
-        g = VoxelGrid((2.0 ** 55, 0.0, 0.0), (8, 1, 1), 1.0)
-        g.log_odds[voxel, 0, 0] = LOG_ODDS_MAX
-        point = [(x, 0.5, 0.5)]
-        got = _max_occupancy_near_segments(g, point, point, radius)
-        assert got[0] > TAU_OCC
-        centers, log_odds = observed_centers(g)
-        assert got == [reference_max_occupancy_near_segment(centers, log_odds, *point * 2,
-                                                            radius)]
+        rounds voxel 3's centre, 2^55 + 3.5, to 2^55, and the point 2^55
+        plus 3.5 to 2^55 too: extraction read 0.0 near that point at radius
+        3.5, where the whole map reads 0.971.  Such a grid is refused; at
+        voxels of 64, floats there are an eighth of a voxel apart, and the
+        grid is made."""
+        with pytest.raises(ValueError) as info:
+            VoxelGrid((2.0 ** 55, 0.0, 0.0), (8, 1, 1), 1.0)
+        assert str(info.value) == ("grid resolution 1.0 is too fine for a grid reaching "
+                                   "3.6028797018963976e+16, where floats are 8.0 apart")
+        assert MAX_FLOAT_SPACING * 64.0 == math.ulp(2.0 ** 55 + 8 * 64.0)
+        VoxelGrid((2.0 ** 55, 0.0, 0.0), (8, 1, 1), 64.0)
+        with pytest.raises(ValueError):
+            VoxelGrid((2.0 ** 55, 0.0, 0.0), (8, 1, 1), math.nextafter(64.0, 0))
+        with pytest.raises(ValueError):  # a side so long that the far corner is inf
+            VoxelGrid((0.0, 0.0, 0.0), (8, 1, 1), 1e308)
+
+    def test_accepted_far_grids_match_the_whole_map(self):
+        """A seeded search of grids at 2^40 to 2^55, at the finest
+        resolution each is made with or a little coarser: extraction finds
+        the whole map's maximum near every segment between points on the
+        voxel centres, corners and faces around them, at radii of whole and
+        half voxels.  With floats four voxels apart, 32 times finer than
+        the finest grid made, the same search finds misses."""
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            far = [float(rng.choice([-1.0, 1.0])) * math.ldexp(1.0 + rng.random() / 2, e)
+                   for e in rng.integers(40, 56, 3).tolist()]
+            origin = np.where(rng.random(3) < 0.8, far, rng.uniform(-4.0, 4.0, 3))
+            dims = tuple(rng.integers(1, 9, 3).tolist())
+            res = (math.ulp(float(np.abs(origin).max())) / MAX_FLOAT_SPACING
+                   * float(rng.choice([1.0, 1.0, 1.25, 1.5, 2.0])))
+            g = VoxelGrid(origin, dims, res)
+            g.log_odds[...] = np.where(rng.random(dims) < 0.3, rng.choice(
+                [LOG_ODDS_MAX, 2.0, -1.0, LOG_ODDS_MIN], dims), 0.0)
+            points = [g.origin + (rng.integers(-2, np.array(dims) + 2)
+                                  + rng.choice([0.0, 0.25, 0.5, 1.0], 3)) * res
+                      for _ in range(6)]
+            radius = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.5])) * res
+            starts, ends = zip(*[(a, b) for a in points for b in points[:3]])
+            centers, log_odds = observed_centers(g)
+            got = _max_occupancy_near_segments(g, starts, ends, radius)
+            assert same_bits(got, [reference_max_occupancy_near_segment(
+                centers, log_odds, a, b, radius) for a, b in zip(starts, ends)]), seed
 
     def test_mission_and_obstacles_untouched(self):
         g, scenario = self.build_grid()

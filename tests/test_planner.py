@@ -26,8 +26,8 @@ from oracles import linearize_trace as linearize_trace_by_id
 from oracles import per_action_solve
 from riskplan import planner
 from riskplan.mdp import Mdp, Plan, TransitionSpec
-from riskplan.planner import (ImproperPolicy, NoProperPolicy, generate_candidates,
-                              linearize, linearize_trace, solve)
+from riskplan.planner import (Candidate, ImproperPolicy, NoProperPolicy,
+                              generate_candidates, linearize, linearize_trace, solve)
 from riskplan.reporting import corridor_scenario
 from riskplan.scenario import ground_to_mdp, load_scenario, parse_scenario
 
@@ -200,7 +200,8 @@ class TestSolve:
     def test_two_action_disutilities(self):
         m = two_action_mdp()
         for gamma in (0.95, 0.90):
-            table, plan = solve(m, gamma)[:2]
+            solved = solve(m, gamma)
+            table, plan = solved.log_values, solved.plan
             x = 1.0 / gamma
             want_a = x ** 10
             want_b = 0.9 * x ** 2 + 0.1 * x ** 30
@@ -210,8 +211,8 @@ class TestSolve:
 
     def test_switch_endpoints(self):
         m = two_action_mdp()
-        assert solve(m, 0.95)[1].policy["s0"] == "b"
-        assert solve(m, 0.90)[1].policy["s0"] == "a"
+        assert solve(m, 0.95).plan.policy["s0"] == "b"
+        assert solve(m, 0.90).plan.policy["s0"] == "a"
 
     def test_goal_value_is_one(self):
         # solve returns log V: V(goal) = 1 is log V(goal) = 0, exactly
@@ -223,7 +224,7 @@ class TestSolve:
                      [("s0", "right", "r", 1.0), ("s0", "left", "l", 1.0),
                       ("l", "go", "g", 1.0), ("r", "go", "g", 1.0)], "s0", {"g"})
         for gamma in (0.3, 0.9):
-            assert solve(m, gamma)[1].policy["s0"] == "left"
+            assert solve(m, gamma).plan.policy["s0"] == "left"
 
     def test_no_proper_policy(self):
         m = make_mdp([("s", 1.0), ("pit", 1.0), ("g", 0.0)],
@@ -252,11 +253,11 @@ class TestSolve:
     def test_finite_failure_cost_admits_risky_plans(self):
         m = risky_vs_safe_mdp(risk=0.1, safe_steps=6)
         # unrecoverable dead ends: only the sure route is acceptable
-        assert solve(m, 0.999)[1].policy["s0"] == "safe"
+        assert solve(m, 0.999).plan.policy["s0"] == "safe"
         # pricing the dead end finitely makes the short risky route win
         # at high gamma but not at low gamma
-        assert solve(m, 0.999, failure_cost=12.0)[1].policy["s0"] == "risky"
-        assert solve(m, 0.45, failure_cost=12.0)[1].policy["s0"] == "safe"
+        assert solve(m, 0.999, failure_cost=12.0).plan.policy["s0"] == "risky"
+        assert solve(m, 0.45, failure_cost=12.0).plan.policy["s0"] == "safe"
 
     def test_gamma_one_limit_matches_expected_cost(self):
         for m in SUITE:
@@ -279,8 +280,8 @@ class TestSolve:
                       ("s0", "goto g ☃", "s0", 0.5), ("s1", "inspect", "g", 1.0)],
                      "s0", {"g"})
         # a sure cost of 3 against a geometric one of mean 2
-        assert solve(m, 0.4)[1].policy == {"s0": "", "s1": "inspect"}
-        assert solve(m, 0.99)[1].policy == {"s0": "goto g ☃"}
+        assert solve(m, 0.4).plan.policy == {"s0": "", "s1": "inspect"}
+        assert solve(m, 0.99).plan.policy == {"s0": "goto g ☃"}
 
     def test_policy_restricted_to_reachable_states(self):
         plan = solve(two_action_mdp(), 0.95).plan
@@ -295,7 +296,7 @@ class TestLinearize:
 
     def test_labels_and_length(self):
         m = two_action_mdp()
-        assert linearize(m, solve(m, 0.9)[1]) == ["a", "go"]
+        assert linearize(m, solve(m, 0.9).plan) == ["a", "go"]
 
     def test_exact_tie_goes_to_the_lowest_action_id(self):
         # inspecting at a, then moving on, costs 2, as moving on and then
@@ -303,7 +304,7 @@ class TestLinearize:
         # "goto b" sorts before "inspect t"
         m = ground_to_mdp(parse_scenario(TWO_WAYPOINT_TIE).scenario)
         for g in (0.41, 0.7, 0.99):
-            assert linearize(m, solve(m, g)[1]) == ["goto b", "inspect t"]
+            assert linearize(m, solve(m, g).plan) == ["goto b", "inspect t"]
 
     @pytest.mark.parametrize("risk", [0.6, 0.5])
     def test_trace_passes_a_likely_collision(self, risk):
@@ -514,12 +515,19 @@ def _assert_log_values_match(log_values, linear_values):
         assert log_values[s] == pytest.approx(want, abs=1e-9), s
 
 
+def _solve(m, gamma, failure_cost):
+    """`solve`'s log V by id, plan and worklist pops, as `per_action_solve`
+    returns them."""
+    solved = solve(m, gamma, failure_cost)
+    return solved.log_values, solved.plan, solved.backups
+
+
 def _outcome(solver, m, gamma, failure_cost):
     """Every state's log V as its exact float (``float.hex``, +inf too),
     the policy and the worklist pops, or the raised error's type and
     message."""
     try:
-        values, plan, backups = solver(m, gamma, failure_cost)[:3]
+        values, plan, backups = solver(m, gamma, failure_cost)
     except Exception as exc:
         return type(exc), str(exc)
     return {s: v.hex() for s, v in values.items()}, plan.policy, backups
@@ -537,10 +545,11 @@ class TestMatchesReference:
                                  np.random.default_rng(0).uniform(0.01, 0.999, 200)])
         for g in gammas:
             want_values, want = reference_solve(m, float(g), failure_cost)
-            values, plan = solve(m, float(g), failure_cost)[:2]
+            solved = solve(m, float(g), failure_cost)
+            values, plan = solved.log_values, solved.plan
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
-            assert (_outcome(solve, m, float(g), failure_cost)
+            assert (_outcome(_solve, m, float(g), failure_cost)
                     == _outcome(per_action_solve, m, float(g), failure_cost)), g
 
     @pytest.mark.parametrize("size", [64, 139, 274])
@@ -550,10 +559,11 @@ class TestMatchesReference:
         rng = np.random.default_rng(np.random.SeedSequence([11, size, size]))
         for g in rng.uniform(*planner.GAMMA_INTERVAL, size=planner.GAMMA_SAMPLES):
             want_values, want = reference_solve(m, float(g))
-            values, plan = solve(m, float(g))[:2]
+            solved = solve(m, float(g))
+            values, plan = solved.log_values, solved.plan
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
-            assert (_outcome(solve, m, float(g), None)
+            assert (_outcome(_solve, m, float(g), None)
                     == _outcome(per_action_solve, m, float(g), None)), g
 
 
@@ -593,15 +603,95 @@ def test_bit_identical_to_per_action_solve(m, gamma, failure_cost):
     # a small sweep budget keeps the non-converging models fast
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "MAX_SWEEPS", 200)
-        assert (_outcome(solve, m, gamma, failure_cost)
+        assert (_outcome(_solve, m, gamma, failure_cost)
                 == _outcome(per_action_solve, m, gamma, failure_cost))
+
+
+def reference_candidates(m, n, interval, *, rng, failure_cost=None):
+    """`generate_candidates` with each gamma's plan keyed by its policy's
+    items, as the sweep keyed it before it keyed the kernel's rows."""
+    by_policy = {}
+    for g in [float(g) for g in rng.uniform(*interval, size=n)]:
+        solved = solve(m, g, failure_cost=failure_cost)
+        cand = by_policy.setdefault(frozenset(solved.plan.policy.items()),
+                                    Candidate(solved.plan, [], [], []))
+        cand.gammas.append(g)
+        cand.solve_times.append(solved.seconds)
+        cand.backups.append(solved.backups)
+    candidates = sorted(by_policy.values(), key=lambda c: c.first_gamma)
+    for i, c in enumerate(candidates, start=1):
+        c.plan.id = f"P{i}"
+        try:
+            c.plan.linearization = linearize(m, c.plan)
+        except ImproperPolicy as exc:
+            crash = "" if failure_cost is None else (
+                f"; it seeks a collision, priced at collision cost {failure_cost}")
+            raise ImproperPolicy(f"plan {c.plan.id}: {exc}{crash}") from None
+    return candidates
+
+
+def _sweep_outcome(sweep, m, n, interval, seed, failure_cost):
+    """Each candidate's id, policy items in order, linearization, gammas,
+    pop counts and number of solve times, or the raised error's type and
+    message."""
+    try:
+        cands = sweep(m, n, interval, rng=np.random.default_rng(seed),
+                      failure_cost=failure_cost)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(c.plan.id, list(c.plan.policy.items()), c.plan.linearization, c.gammas,
+             c.backups, len(c.solve_times)) for c in cands]
+
+
+@st.composite
+def sweep_models(draw):
+    """A choice, at the start or one sure step after it, between a sure
+    move to x and a gamble between y and z.  When y is cheaper than x and z
+    dearer, the gamble wins near gamma 1 and loses at a low gamma, if its
+    mean is below x's cost; the costs may also be drawn in cost order.  x,
+    y and z each go straight to the goal, and they and up to three more
+    states have up to two more actions over any state, themselves and a
+    dead end included."""
+    ids = ["x", "y", "z"] + [f"t{i}" for i in range(draw(st.integers(0, 3)))]
+    p = draw(st.sampled_from([0.9, 0.7, 0.95, 0.5]))
+    at = "r" if draw(st.booleans()) else "s0"
+    transitions = [("s0", "enter", "r", 1.0)] if at == "r" else []
+    transitions += [(at, "sure", "x", 1.0), (at, "gamble", "y", p), (at, "gamble", "z", 1.0 - p)]
+    transitions += [(s, "go", "g", 1.0) for s in ids[:3]]
+    for s in ids:
+        for a in ("a", "b")[:draw(st.integers(0 if s in ids[:3] else 1, 2))]:
+            targets = draw(st.lists(st.sampled_from(ids + ["g", "pit"]), min_size=1,
+                                    max_size=3, unique=True))
+            weights = draw(st.lists(st.integers(1, 9), min_size=len(targets),
+                                    max_size=len(targets)))
+            transitions += [(s, a, t, w / sum(weights)) for t, w in zip(targets, weights)]
+    cost = st.sampled_from([0.0, 1.0, 2.0, 4.0, 8.0])
+    low, mid, high = sorted(draw(st.lists(cost, min_size=3, max_size=3, unique=True)))
+    costs = [low, mid, high] if draw(st.booleans()) else [mid, low, high]
+    costs += [draw(cost) for _ in ids[3:]]
+    states = [("s0", 1.0), ("r", 1.0), ("g", 0.0), ("pit", 1.0), *zip(ids, costs)]
+    return make_mdp(draw(st.permutations(states)), transitions, "s0", {"g"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_models(), st.sampled_from([20, 8, 1]), st.sampled_from([(0.05, 1.0), (0.4, 1.0)]),
+       st.integers(0, 2**32 - 1), st.none() | st.floats(0.0, 40.0))
+def test_sweep_dedup_matches_policy_keys(m, n, interval, seed, failure_cost):
+    """Keying each gamma by the kernel's policy rows finds the candidates
+    that keying by the policy's items finds: the same ids, policies in the
+    same order, gammas, pop counts and solve times, or the same error."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "MAX_SWEEPS", 200)
+        assert (_sweep_outcome(generate_candidates, m, n, interval, seed, failure_cost)
+                == _sweep_outcome(reference_candidates, m, n, interval, seed, failure_cost))
 
 
 def test_long_corridor_does_not_overflow():
     # 800 steps at gamma 0.41 is a disutility of about 1.2e309, past the
     # largest float: the linear-space sweep reported no proper policy here
     m = ground_to_mdp(corridor_scenario(800, 0))
-    values, plan = solve(m, 0.41)[:2]
+    solved = solve(m, 0.41)
+    values, plan = solved.log_values, solved.plan
     assert linearize(m, plan) == [f"goto w{i:03d}" for i in range(1, 801)]
     assert values["w000#0"] == pytest.approx(800 * math.log(1 / 0.41), rel=1e-12)
 
@@ -690,6 +780,7 @@ def test_solve_matches_brute_force_optimum(model):
         with pytest.raises(NoProperPolicy):
             solve(m, gamma)
         return
-    values, plan = solve(m, gamma)[:2]
+    solved = solve(m, gamma)
+    values, plan = solved.log_values, solved.plan
     assert math.exp(values[by_id(m).start]) == pytest.approx(best, rel=1e-9)
     assert _disutility(m, plan.policy, gamma) == pytest.approx(best, rel=1e-9)
