@@ -1,7 +1,7 @@
-"""Goal-directed probabilistic model: the MDP, checked when it is made,
-and the plan a solver extracts from it.  A state is its position in
-``Mdp.states``; its id names it only in a solver's values and policy and
-in a plan's trace."""
+"""Goal-directed probabilistic model: the MDP as the compressed rows the
+compiled solver reads, checked when it is made, and the plan a solver
+extracts from it.  A state is its position; its id names it only in a
+solver's values and policy and in a plan's trace."""
 
 from __future__ import annotations
 
@@ -16,24 +16,12 @@ PROB_TOL = 1e-9
 REACHES, GOAL = 1, 2
 
 
-class StateSpec(NamedTuple):
-    id: str
-    cost: float = 0.0
-
-
-class TransitionSpec(NamedTuple):
-    source: int  # positions in Mdp.states
-    action: str
-    target: int
-    probability: float
-
-
 class Arrays(NamedTuple):
     """The model as compressed rows, by position: what the compiled solver
     reads.  State i's actions are rows act_start[i]:act_start[i + 1], in id
-    order; action a's moves are move_start[a]:move_start[a + 1], in the
-    order of its transitions; the states with a move into i are
-    preds[pred_start[i]:pred_start[i + 1]], ascending.
+    order; action a's moves are move_start[a]:move_start[a + 1], its
+    transitions of positive probability in their order; the states with a
+    move into i are preds[pred_start[i]:pred_start[i + 1]], ascending.
 
     The numeric arrays are new, C-ordered and read-only, float64, intp or
     uint8 as the kernel reads them, so the solver passes their
@@ -61,101 +49,103 @@ class InvalidModel(Exception):
         super().__init__("; ".join(problems))
 
 
-@dataclass
+@dataclass(eq=False)
 class Mdp:
-    """Finite goal-directed MDP with nonnegative per-state costs.
+    """Finite goal-directed MDP with nonnegative per-state costs, given as
+    rows by position: action k is state sources[k]'s action labels[k], in
+    ascending (state, label) order, with transitions rows[k]:rows[k + 1].
+    Construction checks the model in whole-array passes, raises
+    InvalidModel listing every problem it finds, and builds `arrays` once;
+    the model is treated as immutable after that."""
 
-    Construction raises InvalidModel listing every structural problem.
-    Treated as immutable after construction; lookup indexes are built once.
-    """
-
-    states: list[StateSpec]
-    transitions: list[TransitionSpec]
+    states: list[str]  # each state's id
+    costs: np.ndarray  # each state's cost
+    sources: np.ndarray  # each action's state
+    labels: list[str]  # each action's label
+    rows: np.ndarray  # (actions + 1,) each action's first transition, then their count
+    targets: np.ndarray  # each transition's target state
+    transitions: np.ndarray  # each transition's probability
     start: int
     goals: frozenset[int]
 
-    successors: list[list[tuple[str, list[tuple[float, int]]]]] = field(init=False, repr=False)
-    goal_reaching: frozenset[int] = field(init=False, repr=False)
-    arrays: Arrays = field(init=False, repr=False, compare=False)
+    arrays: Arrays = field(init=False, repr=False)
 
     def __post_init__(self):
         self.goals = frozenset(self.goals)
-        n = len(self.states)
+        self.costs, self.transitions = (np.asarray(a, dtype=np.float64)
+                                        for a in (self.costs, self.transitions))
+        self.sources, self.rows, self.targets = (np.asarray(a, dtype=np.intp)
+                                                 for a in (self.sources, self.rows, self.targets))
+        n, k, p = len(self.states), len(self.labels), self.transitions
+        step, labels = self.sources[1:] - self.sources[:-1], np.array(self.labels, dtype=object)
+        if not (len(self.costs) == n and len(self.sources) == k == len(self.rows) - 1
+                and self.rows[0] == 0 and self.rows[-1] == len(p) == len(self.targets)
+                and ((counts := self.rows[1:] - self.rows[:-1]) >= 0).all()
+                and ((step > 0) | (step == 0) & (labels[1:] > labels[:-1])).all()):
+            raise InvalidModel(["rows not in ascending (state, label) order, or not sized"])
+        action = np.repeat(np.arange(k), counts)  # each transition's
 
         def name(i):  # a state by its id, or by its position when it has none
-            return repr(self.states[i].id) if 0 <= i < n else f"position {i}"
+            return repr(self.states[i]) if 0 <= i < n else f"position {i}"
 
-        problems, ids = [], set()
-        for s in self.states:
-            if s.id in ids:
-                problems.append(f"duplicate state id {s.id!r}")
-            ids.add(s.id)
-            if s.cost < 0:
-                problems.append(f"state {s.id!r} has negative cost {s.cost}")
+        # each check runs on whole arrays; only what it finds is worded
+        problems, seen = [], set()
+        if len(set(self.states)) < n or (self.costs < 0).any():
+            for s, cost in zip(self.states, self.costs.tolist()):
+                if s in seen:
+                    problems.append(f"duplicate state id {s!r}")
+                seen.add(s)
+                if cost < 0:
+                    problems.append(f"state {s!r} has negative cost {cost}")
         if not 0 <= self.start < n:
             problems.append(f"start {name(self.start)} is not a declared state")
         problems += [f"goal {name(g)} is not a declared state"
                      for g in sorted(self.goals) if not 0 <= g < n]
-        # (source, action) -> [its total probability, its (ln P, target) moves]
-        groups: dict[tuple[int, str], list] = {}
-        for s, a, j, p in self.transitions:
-            if not 0 <= s < n:
-                problems.append(f"transition from unknown state {name(s)}")
-            if not 0 <= j < n:
-                problems.append(f"transition to unknown state {name(j)}")
-            if not (0.0 <= p <= 1.0):
-                problems.append(f"transition ({name(s)},{a!r},{name(j)}) has "
-                                f"probability {p} outside [0,1]")
-            group = groups.get((s, a))
-            if group is None:
-                group = groups[(s, a)] = [0.0, []]
-            group[0] += p  # added in order: sum() compensates from Python 3.12
-            if p > 0.0:  # a probability past 1 is logged too, then refused
-                group[1].append((math.log(p), j))
-        problems += [f"outgoing probabilities from ({name(s)},{a!r}) sum to {g[0]}, not 1"
-                     for (s, a), g in groups.items() if abs(g[0] - 1.0) > PROB_TOL]
+        bad = ~((p >= 0) & (p <= 1))
+        problems += [f"transition ({name(self.sources[a])},{self.labels[a]!r},{name(j)}) has "
+                     f"probability {q} outside [0,1]" for a, j, q in
+                     zip(*(x[bad].tolist() for x in (action, self.targets, p)))]
+        problems += [f"transition {way} unknown state {name(i)}"
+                     for way, x in (("from", self.sources[action]), ("to", self.targets))
+                     for i in x[(x < 0) | (x >= n)].tolist()]
+        sums = np.bincount(action, weights=p, minlength=k)  # added in order
+        problems += [f"outgoing probabilities from ({name(self.sources[a])},{self.labels[a]!r}) "
+                     f"sum to {sums[a]}, not 1"
+                     for a in np.flatnonzero(abs(sums - 1.0) > PROB_TOL).tolist()]
         if problems:
             raise InvalidModel(problems)
-        # by position: the enabled actions in id order, each with its
-        # (ln P, successor) pairs of positive probability, the states with
-        # such a transition into the state, and the states with a path of
-        # them to a goal
-        self.successors = [[] for _ in self.states]
-        preds: list[set[int]] = [set() for _ in self.states]
-        for (s, a), (_, moves) in sorted(groups.items()):
-            self.successors[s].append((a, moves))
-            for _, j in moves:
-                preds[j].add(s)
-        predecessors = [sorted(p) for p in preds]
-        reach, stack = set(self.goals), list(self.goals)
+
+        # the moves: transitions of positive probability, with libm's ln P once per value
+        keep = p > 0.0
+        move_start = np.concatenate(([0], np.cumsum(np.bincount(action[keep], minlength=k))))
+        move_target, p, action = self.targets[keep], p[keep], action[keep]
+        values = np.concatenate(([-1.0], np.sort(p)))  # each once; np.unique imports numpy.ma
+        values = values[1:][values[1:] != values[:-1]]
+        move_logp = np.array([math.log(q) for q in values.tolist()])[np.searchsorted(values, p)]
+        # each state's predecessors, ascending: the distinct (target, source) pairs
+        pairs = np.concatenate(([-1], np.sort(move_target * n + self.sources[action])))
+        pairs = pairs[1:][pairs[1:] != pairs[:-1]]
+        pred_start = np.concatenate(([0], np.cumsum(np.bincount(pairs // n, minlength=n))))
+        # the states with a path to a goal, walked back over the predecessors
+        reach, stack = bytearray(n), list(self.goals)
+        for g in stack:
+            reach[g] = GOAL
+        starts, before = pred_start.tolist(), (pairs % n).tolist()
         while stack:
-            new = set(predecessors[stack.pop()]) - reach
-            reach |= new
-            stack += new
-        self.goal_reaching = frozenset(reach)
-
-        ids = [s.id for s in self.states]
-        rows = [moves for acts in self.successors for _, moves in acts]
-        moves = [mv for mvs in rows for mv in mvs]
-        role = np.zeros(n, dtype=np.uint8)
-        role[list(reach)] = REACHES
-        role[list(self.goals)] = GOAL
-
-        def frozen(values, dtype):  # new, C-ordered and read-only: the kernel reads it by address
-            a = np.array(values, dtype=dtype, order="C")
+            i = stack.pop()
+            for j in before[starts[i]:starts[i + 1]]:
+                if not reach[j]:
+                    reach[j] = REACHES
+                    stack.append(j)
+        numeric = [np.array(a, dtype=t, order="C") for a, t in (
+            (self.costs, np.float64), (np.searchsorted(self.sources, np.arange(n + 1)), np.intp),
+            (move_start, np.intp), (move_logp, np.float64), (move_target, np.intp),
+            (pred_start, np.intp), (before, np.intp), (reach, np.uint8))]
+        for a in numeric:  # new, C-ordered and read-only: the kernel reads them by address
             a.flags.writeable = False
-            return a
-
-        def starts(rows):
-            return frozen(np.cumsum([0, *map(len, rows)]), np.intp)
-
-        numeric = (frozen([s.cost for s in self.states], np.float64), starts(self.successors),
-                   starts(rows), frozen([lp for lp, _ in moves], np.float64),
-                   frozen([j for _, j in moves], np.intp), starts(predecessors),
-                   frozen([i for p in predecessors for i in p], np.intp), frozen(role, np.uint8))
-        self.arrays = Arrays(
-            ids, [(s, a) for s, acts in zip(ids, self.successors) for a, _ in acts],
-            *numeric, tuple(a.ctypes.data for a in numeric))
+        ids = np.array(self.states, dtype=object)
+        self.arrays = Arrays(list(self.states), list(zip(ids[self.sources].tolist(), self.labels)),
+                             *numeric, tuple(a.ctypes.data for a in numeric))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel
-from .mdp import Arrays, Mdp, Plan
+from .mdp import GOAL, Arrays, Mdp, Plan
 
 INF = math.inf
 # a backup that moves log V by less than TOLERANCE queues no predecessor;
@@ -67,19 +67,13 @@ class Candidate:
 @dataclass
 class Solution:
     """What `solve` returns: the kernel's arrays, named by the model's
-    `arrays`.  The log V dict and the plan are built when first read, so a
-    sweep builds neither for a gamma whose policy it has already seen."""
+    `arrays`.  The plan is built when first read: once per policy a sweep finds."""
 
     arrays: Arrays  # the solved model's, which name its states and actions
     logv: np.ndarray  # every state's log V, by position
     rows: np.ndarray  # the policy: rows of arrays.choices, in the order its walk meets them
     backups: int  # worklist pops over both drains
     seconds: float  # the solve's own wall time, taken in the kernel
-
-    @cached_property
-    def log_values(self) -> dict[str, float]:
-        """Every state's log V, by id."""
-        return dict(zip(self.arrays.ids, self.logv.tolist()))
 
     @cached_property
     def plan(self) -> Plan:
@@ -117,9 +111,8 @@ def solve(
     TOLERANCE when called.
 
     The kernel reads the model's arrays at the addresses `Mdp` took when it
-    made and checked them; only the five arrays made here for its output
-    are checked at the call.  The `Solution` keeps that output as arrays
-    and builds the log V dict and the plan only when they are read.
+    made and checked them; only the five output arrays made here are
+    checked at the call.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
@@ -147,26 +140,32 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
     """Most-probable execution trace: (state id, action) pairs from start to
     goal, each step to the most probable successor that can reach a goal
     and is not yet on the trace, so a retry steps on to its other outcome.
-    It compares ln P along `Mdp.successors`, so two probabilities whose logs
-    round to the same value tie; ties go to the lowest target id.  When
-    every such successor is on the trace, the step goes to the most probable
-    one, and the trace fails there."""
+    It compares ln P in `Mdp.arrays`, so probabilities whose logs round to
+    the same value tie; ties go to the lowest target id.  When all such
+    successors are on the trace, it steps to the most probable and fails."""
+    a = m.arrays
+    acts, moves, logp, target, reach = (x.tolist() for x in (
+        a.act_start, a.move_start, a.move_logp, a.move_target, a.reach))
     trace: list[tuple[str, str]] = []
-    i = m.start
-    seen = set()
-    while i not in m.goals:
-        s = m.states[i].id
-        a = p.policy.get(s)
-        moves = next((moves for b, moves in m.successors[i] if b == a), [])
-        outs = [(lp, j) for lp, j in moves if j in m.goal_reaching]
+    i, seen = m.start, set()
+    while reach[i] != GOAL:
+        s = a.ids[i]
+        act = p.policy.get(s)
+        rows, outs = a.choices[acts[i]:acts[i + 1]], []
+        if (s, act) in rows:
+            k = acts[i] + rows.index((s, act))
+            outs = [(lp, j) for lp, j in zip(logp[moves[k]:moves[k + 1]],
+                                             target[moves[k]:moves[k + 1]]) if reach[j]]
         if i in seen or not outs:
-            raise ImproperPolicy(f"most-probable trace from {m.states[m.start].id!r} "
+            raise ImproperPolicy(f"most-probable trace from {a.ids[m.start]!r} "
                                  f"does not reach a goal (stuck at {s!r})")
         seen.add(i)
-        outs = [(lp, j) for lp, j in outs if j not in seen] or outs
-        top = max(lp for lp, _ in outs)
-        trace.append((s, a))
-        i = min((j for lp, j in outs if lp == top), key=lambda j: m.states[j].id)
+        trace.append((s, act))
+        if len(outs) > 1:  # the most probable off the trace, if any; the lowest id
+            outs = [(lp, j) for lp, j in outs if j not in seen] or outs
+            top = max(lp for lp, _ in outs)
+            outs = [(top, min((j for lp, j in outs if lp == top), key=a.ids.__getitem__))]
+        i = outs[0][1]
     return trace
 
 

@@ -20,19 +20,19 @@ never an exception, and each line reports only its first problem.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
 import types
 import typing
 import zlib
-from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .mdp import Mdp, StateSpec, TransitionSpec
+from .mdp import Mdp
 
 PLAN_FORMAT_VERSION = 2
 
@@ -45,7 +45,7 @@ COLLIDED = "collided"
 MAX_STATES = 2**14
 # the most transitions, counted as (waypoints + 4 * edges) * 2**targets (per
 # mask, a goto and its collision each way along an edge, an inspect per
-# waypoint): ~120k ground in ~0.6 s at ~60 MB and plan in ~13 s (2-vCPU VM)
+# waypoint): ~120k ground in ~0.04 s at ~25 MB and plan in ~0.06 s (2-vCPU VM)
 MAX_TRANSITIONS = 2**17
 
 
@@ -336,43 +336,54 @@ def state_id(waypoint: str, mask: int) -> str:
 
 
 def ground_to_mdp(s: Scenario) -> Mdp:
-    """Ground the scenario into a goal-directed MDP.
+    """Ground the scenario into a goal-directed MDP, its rows written in
+    whole-array passes over the waypoint x inspection-mask product.
 
     States are (waypoint, inspection bitmask) pairs plus one absorbing
-    collision state; every state costs 1 so plan cost equals plan depth.
-    Waypoint k's state for mask m sits at position ``k * 2**targets + m``,
-    and the collision state comes last.  The action ids are the plan labels
-    ``goto <waypoint>`` and ``inspect <obstacle>`` that plan files store
-    and `refine` reads.
+    collision state, each costing 1.  Waypoint k's state for mask m sits at
+    position ``k * 2**targets + m``, the collision state last.  A state's
+    actions are its gotos in neighbour-id order, each to the neighbour with
+    probability 1 - risk and then to the collision state if the risk is
+    above 0, then its inspect while the mask lacks that target.  The action
+    ids are the plan labels ``goto <waypoint>`` and ``inspect <obstacle>``.
     """
     target_bit = {t: 1 << i for i, t in enumerate(sorted(s.inspection_goals))}
-    masks = 1 << len(target_bit)
-    base = {w.id: k * masks for k, w in enumerate(s.waypoints)}
-    collided = len(s.waypoints) * masks
-    # each waypoint's (neighbour, collision probability) pairs
-    neighbors: dict[str, list[tuple[str, float]]] = defaultdict(list)
-    for e in s.edges:
-        neighbors[e.a].append((e.b, e.collision_probability))
-        neighbors[e.b].append((e.a, e.collision_probability))
-
-    states = []
-    transitions = []
-    for w in s.waypoints:
-        gotos = [(f"goto {other}", base[other], p) for other, p in sorted(neighbors[w.id])]
-        bit = target_bit.get(w.inspection_target, 0)
-        for mask in range(masks):
-            i = base[w.id] + mask
-            states.append(StateSpec(state_id(w.id, mask), cost=1.0))
-            for aid, j, p in gotos:
-                transitions.append(TransitionSpec(i, aid, j + mask, 1.0 - p))
-                if p > 0.0:
-                    transitions.append(TransitionSpec(i, aid, collided, p))
-            if bit and not mask & bit:
-                transitions.append(TransitionSpec(i, f"inspect {w.inspection_target}", i + bit, 1.0))
-    states.append(StateSpec(COLLIDED, cost=1.0))
-
-    return Mdp(states=states, transitions=transitions, start=base[s.start],
-               goals=frozenset({base[s.final] + masks - 1}))
+    masks, ids = 1 << len(target_bit), [w.id for w in s.waypoints]
+    index = {w: k for k, w in enumerate(ids)}
+    rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each one's in id order
+    # every edge both ways, as (waypoint, neighbour, risk), sorted into goto order
+    a, b = [index[e.a] for e in s.edges], [index[e.b] for e in s.edges]
+    src, dst = np.array(a + b, dtype=np.intp), np.array(b + a, dtype=np.intp)
+    risk = np.tile(np.array([e.collision_probability for e in s.edges], dtype=float), 2)
+    order = np.lexsort((rank[dst], src))
+    dst, risk, degree = dst[order], risk[order], np.bincount(src, minlength=len(ids))
+    bit = np.array([target_bit.get(w.inspection_target, 0) for w in s.waypoints], dtype=np.intp)
+    # each state's action count, then each action's state, waypoint, mask and place
+    wp, mask = np.divmod(np.arange(len(ids) * masks), masks)
+    counts = np.append(degree[wp] + ((bit[wp] & ~mask) != 0), 0)  # bit 0: no inspect
+    sources = np.repeat(np.arange(len(counts)), counts)
+    nth = np.arange(len(sources)) - (np.cumsum(counts) - counts)[sources]
+    wp, mask = wp[sources], mask[sources]
+    goto = nth < degree[wp]
+    edge = ((np.cumsum(degree) - degree)[wp] + nth)[goto]
+    label = len(ids) + wp  # into names: each waypoint's goto, then each one's inspect
+    label[goto] = dst[edge]
+    names = np.array([f"goto {w}" for w in ids]
+                     + [f"inspect {w.inspection_target}" for w in s.waypoints], dtype=object)
+    crash = risk[edge] > 0.0  # a second move for a risky goto
+    moves = 1 + np.bincount(np.flatnonzero(goto)[crash], minlength=len(sources))
+    rows = np.concatenate(([0], np.cumsum(moves)))
+    # each action's first move, then a risky goto's collision right after it
+    go, inspect = rows[:-1][goto], rows[:-1][~goto]
+    targets, probabilities = np.empty(rows[-1], dtype=np.intp), np.ones(rows[-1])
+    targets[go], probabilities[go] = dst[edge] * masks + mask[goto], 1.0 - risk[edge]
+    targets[inspect] = sources[~goto] + bit[wp[~goto]]
+    targets[go[crash] + 1], probabilities[go[crash] + 1] = len(ids) * masks, risk[edge[crash]]
+    return Mdp(states=[*itertools.starmap(state_id, itertools.product(ids, range(masks))),
+                       COLLIDED], costs=np.ones(len(counts)), sources=sources,
+               labels=names[label].tolist(), rows=rows, targets=targets,
+               transitions=probabilities, start=index[s.start] * masks,
+               goals={index[s.final] * masks + masks - 1})
 
 
 @dataclass

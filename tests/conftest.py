@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import MarkovChain, by_id
-from riskplan.mdp import Mdp, StateSpec, TransitionSpec
+from riskplan.mdp import Mdp
 from riskplan.refiner import A_MAX, DEFAULT_DT, HelixSpec, Trajectory, plan_polyline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -19,15 +19,27 @@ def make_mdp(states, transitions, start, goals):
     """Compact MDP builder by state id: states as (id, cost) pairs,
     transitions as (source, action, target, probability) tuples.  Each id
     becomes its position in ``states``, and an unknown id the position just
-    past them, so that `Mdp` reports it."""
+    past them, so that `Mdp` reports it.  The transitions are grouped by
+    (source, action) into the model's action rows, in ascending order, each
+    group's in the order given."""
     pos = {sid: i for i, (sid, _) in enumerate(states)}
 
     def at(sid):
         return pos.get(sid, len(states))
 
+    groups: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    for s, a, t, p in transitions:
+        groups.setdefault((at(s), a), []).append((at(t), p))
+    actions = sorted(groups)
+    moves = [move for key in actions for move in groups[key]]
     return Mdp(
-        states=[StateSpec(sid, cost=c) for sid, c in states],
-        transitions=[TransitionSpec(at(s), a, at(t), p) for s, a, t, p in transitions],
+        states=[sid for sid, _ in states],
+        costs=[c for _, c in states],
+        sources=[s for s, _ in actions],
+        labels=[a for _, a in actions],
+        rows=np.cumsum([0, *(len(groups[key]) for key in actions)]),
+        targets=[t for t, _ in moves],
+        transitions=[p for _, p in moves],
         start=at(start),
         goals=frozenset(map(at, goals)),
     )
@@ -35,17 +47,18 @@ def make_mdp(states, transitions, start, goals):
 
 def enabled_actions(m):
     """Each state's actions with transitions out of it, sorted by id, read
-    from the model's transition list (of an `Mdp` or of its `oracles.by_id`
-    view)."""
+    from the model's transitions by id (of an `Mdp` or of its
+    `oracles.by_id` view)."""
+    m = by_id(m)
     enabled = {s.id: set() for s in m.states}
-    for t in by_id(m).transitions:
+    for t in m.transitions:
         enabled[t.source].add(t.action)
     return {s: sorted(actions) for s, actions in enabled.items()}
 
 
 def state_costs(m):
-    """Each state's cost by id, read from the model's state list."""
-    return {s.id: s.cost for s in m.states}
+    """Each state's cost by id (of an `Mdp` or of its `oracles.by_id` view)."""
+    return {s.id: s.cost for s in by_id(m).states}
 
 
 def inspection_chain(waypoints, targets, complete=False):

@@ -11,19 +11,27 @@ state, kept by position as the bitwise oracle of the compiled
 `planner.solve`, and
 `samples_compare_means` is Welch's test as it was when it summed each
 plan's samples itself, the bitwise oracle of `assess.compare_means`.
+`reference_model` is the road to the model that grounding and `Mdp` took
+before grounding wrote the rows: one spec per state and per transition,
+grouped by (source, action) into nested successor lists, with the walk
+`planner.linearize_trace` took over them; the grounding differential
+checks the arrays and traces against it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from riskplan import planner
 from riskplan.assess import MIN_SAMPLES, t_two_sided_p
-from riskplan.mdp import Mdp, Plan
+from riskplan.mdp import GOAL, REACHES, Mdp, Plan
 from riskplan.planner import INF, ImproperPolicy, NonConvergence, NoProperPolicy
+from riskplan.scenario import COLLIDED, Scenario, state_id
 
 # accumulated real-valued costs are rounded to this many decimals to keep
 # the distribution support finite
@@ -45,6 +53,11 @@ class ZeroCostCycle(Exception):
                          f"{' -> '.join(cycle)} never reaches a goal")
 
 
+class IdState(NamedTuple):
+    id: str
+    cost: float
+
+
 class IdTransition(NamedTuple):
     source: str
     action: str
@@ -53,18 +66,20 @@ class IdTransition(NamedTuple):
 
 
 class ModelById:
-    """A model read by state id: its transitions, start, goals and
-    goal-reaching states name states by id, and ``outgoing(s, a)`` lists
-    the transitions of state ``s`` under action ``a``."""
+    """A model read by state id: its states, transitions (by action row, as
+    given, zero probabilities included), start, goals and goal-reaching
+    states name states by id, and ``outgoing(s, a)`` lists the transitions
+    of state ``s`` under action ``a``."""
 
     def __init__(self, m: Mdp):
-        ids = [st.id for st in m.states]
-        self.states = m.states
-        self.transitions = [IdTransition(ids[s], a, ids[t], p)
-                            for s, a, t, p in m.transitions]
+        ids, sources = m.states, m.sources.tolist()
+        action = np.repeat(np.arange(len(m.labels)), np.diff(m.rows)).tolist()
+        self.states = [IdState(*sc) for sc in zip(ids, m.costs.tolist())]
+        self.transitions = [IdTransition(ids[sources[k]], m.labels[k], ids[t], p)
+                            for k, t, p in zip(action, m.targets.tolist(), m.transitions.tolist())]
         self.start = ids[m.start]
         self.goals = frozenset(ids[g] for g in m.goals)
-        self.goal_reaching = frozenset(ids[i] for i in m.goal_reaching)
+        self.goal_reaching = frozenset(ids[i] for i in np.flatnonzero(m.arrays.reach).tolist())
         self._outgoing: dict[tuple[str, str], list[IdTransition]] = {}
         for t in self.transitions:
             self._outgoing.setdefault((t.source, t.action), []).append(t)
@@ -104,18 +119,31 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
     return trace
 
 
-def predecessors(m: Mdp) -> list[list[int]]:
+def successors(m: Mdp) -> list[list[tuple[str, list[tuple[float, int]]]]]:
+    """Each state's actions by position, in row order, each with its
+    (ln P, target) moves: `Mdp.arrays` as the nested lists that the Python
+    solve walks."""
+    a = m.arrays
+    acts, starts, logp, target = (x.tolist() for x in (
+        a.act_start, a.move_start, a.move_logp, a.move_target))
+    return [[(a.choices[k][1], list(zip(logp[starts[k]:starts[k + 1]],
+                                        target[starts[k]:starts[k + 1]])))
+             for k in range(acts[i], acts[i + 1])] for i in range(len(a.ids))]
+
+
+def predecessors(succ) -> list[list[int]]:
     """Each state's predecessors by position, ascending: the states with
-    a move of positive probability into it, read from `Mdp.successors`."""
-    preds = [set() for _ in m.states]
-    for i, actions in enumerate(m.successors):
+    a move of positive probability into it, read from ``succ``, as
+    `successors` gives them."""
+    preds = [set() for _ in succ]
+    for i, actions in enumerate(succ):
         for _, moves in actions:
             for _, j in moves:
                 preds[j].add(i)
     return [sorted(p) for p in preds]
 
 
-def with_proper_policy(looped: list[int], m: Mdp, logv: list[float],
+def with_proper_policy(looped: list[int], succ, logv: list[float],
                        preds: list[list[int]]) -> list[int]:
     """The looped states from which some policy reaches a finite-valued
     state with probability 1.
@@ -127,7 +155,7 @@ def with_proper_policy(looped: list[int], m: Mdp, logv: list[float],
     """
     keep = set(looped)
     while keep:
-        allowed = {i: [moves for _, moves in m.successors[i]
+        allowed = {i: [moves for _, moves in succ[i]
                        if all(logv[j] < INF or j in keep for _, j in moves)]
                    for i in keep}
         good = {i for i in keep
@@ -156,8 +184,8 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
 
     log_x = -math.log(gamma)
-    succ = m.successors
-    preds = predecessors(m)
+    succ = successors(m)
+    preds = predecessors(succ)
     logv = [INF] * len(m.states)
     swept = []
     for i in range(len(m.states)):
@@ -166,9 +194,9 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
         elif not succ[i]:
             if failure_cost is not None:
                 logv[i] = failure_cost * log_x
-        elif i in m.goal_reaching:
+        elif m.arrays.reach[i]:
             swept.append(i)
-    cost = [s.cost * log_x for s in m.states]
+    cost = [c * log_x for c in m.arrays.costs.tolist()]
 
     def action_value(moves):
         if len(moves) == 1:
@@ -206,7 +234,7 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
                     queue.append(j)
 
     drain()
-    looped = with_proper_policy([i for i in swept if logv[i] == INF], m, logv, preds)
+    looped = with_proper_policy([i for i in swept if logv[i] == INF], succ, logv, preds)
     if looped:
         for i in looped:
             logv[i] = 0.0
@@ -218,7 +246,7 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
     backups = planner.MAX_SWEEPS * len(swept) - budget
     if logv[m.start] == INF:
         raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
-                             f"from {m.states[m.start].id!r}")
+                             f"from {m.states[m.start]!r}")
 
     best = {i: min(succ[i], key=lambda am: action_value(am[1]))
             for i in swept if logv[i] < INF}
@@ -230,8 +258,8 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
             reached.add(i)
             if i in best:
                 stack += [j for _, j in best[i][1]]
-    policy = {m.states[i].id: a for i, (a, _) in best.items() if i in reached}
-    return {s.id: v for s, v in zip(m.states, logv)}, Plan(policy=policy), backups
+    policy = {m.states[i]: a for i, (a, _) in best.items() if i in reached}
+    return dict(zip(m.states, logv)), Plan(policy=policy), backups
 
 
 def samples_compare_means(a: list[float], b: list[float]) -> tuple[float, float]:
@@ -421,3 +449,120 @@ def reward_distribution_exact(
                 push(t, c + step, prob * q)
     residual += sum(frontier.values())
     return RewardDistribution(mass, residual)
+
+
+class StateSpec(NamedTuple):
+    id: str
+    cost: float = 0.0
+
+
+class TransitionSpec(NamedTuple):
+    source: int  # positions in the state list
+    action: str
+    target: int
+    probability: float
+
+
+@dataclass
+class ReferenceModel:
+    """A grounded model as the spec lists and their grouping gave it: the
+    nested `successors` (each state's actions in id order with their
+    (ln P, target) moves), the goal-reaching positions, and the arrays
+    that `Mdp.arrays` must equal, by field name."""
+
+    states: list[StateSpec]
+    transitions: list[TransitionSpec]
+    start: int
+    goals: frozenset[int]
+    successors: list[list[tuple[str, list[tuple[float, int]]]]]
+    goal_reaching: frozenset[int]
+    ids: list[str]
+    choices: list[tuple[str, str]]
+    numeric: dict[str, np.ndarray]
+
+
+def reference_model(s: Scenario) -> ReferenceModel:
+    """`scenario.ground_to_mdp` and the `Mdp` grouping as they were before
+    grounding wrote the rows: one `StateSpec` per state and one
+    `TransitionSpec` per transition in a loop over waypoints and masks,
+    grouped by (source, action) in a dict, sorted into the successor lists,
+    and the arrays built from those lists."""
+    target_bit = {t: 1 << i for i, t in enumerate(sorted(s.inspection_goals))}
+    masks = 1 << len(target_bit)
+    base = {w.id: k * masks for k, w in enumerate(s.waypoints)}
+    collided = len(s.waypoints) * masks
+    neighbors: dict[str, list[tuple[str, float]]] = defaultdict(list)
+    for e in s.edges:
+        neighbors[e.a].append((e.b, e.collision_probability))
+        neighbors[e.b].append((e.a, e.collision_probability))
+    states, transitions = [], []
+    for w in s.waypoints:
+        gotos = [(f"goto {other}", base[other], p) for other, p in sorted(neighbors[w.id])]
+        bit = target_bit.get(w.inspection_target, 0)
+        for mask in range(masks):
+            i = base[w.id] + mask
+            states.append(StateSpec(state_id(w.id, mask), cost=1.0))
+            for aid, j, p in gotos:
+                transitions.append(TransitionSpec(i, aid, j + mask, 1.0 - p))
+                if p > 0.0:
+                    transitions.append(TransitionSpec(i, aid, collided, p))
+            if bit and not mask & bit:
+                transitions.append(TransitionSpec(i, f"inspect {w.inspection_target}",
+                                                  i + bit, 1.0))
+    states.append(StateSpec(COLLIDED, cost=1.0))
+    start, goals = base[s.start], frozenset({base[s.final] + masks - 1})
+
+    groups: dict[tuple[int, str], list[tuple[float, int]]] = {}
+    for i, a, j, p in transitions:
+        moves = groups.setdefault((i, a), [])
+        if p > 0.0:
+            moves.append((math.log(p), j))
+    succ = [[] for _ in states]
+    for (i, a), moves in sorted(groups.items()):
+        succ[i].append((a, moves))
+    preds = predecessors(succ)
+    reach, stack = set(goals), list(goals)
+    while stack:
+        new = set(preds[stack.pop()]) - reach
+        reach |= new
+        stack += new
+    role = np.zeros(len(states), dtype=np.uint8)
+    role[list(reach)] = REACHES
+    role[list(goals)] = GOAL
+    ids = [st.id for st in states]
+    rows = [moves for acts in succ for _, moves in acts]
+    moves = [mv for mvs in rows for mv in mvs]
+
+    def starts(rows):
+        return np.cumsum([0, *map(len, rows)]).astype(np.intp)
+
+    numeric = {"costs": np.array([st.cost for st in states], dtype=np.float64),
+               "act_start": starts(succ), "move_start": starts(rows),
+               "move_logp": np.array([lp for lp, _ in moves], dtype=np.float64),
+               "move_target": np.array([j for _, j in moves], dtype=np.intp),
+               "pred_start": starts(preds),
+               "preds": np.array([i for p in preds for i in p], dtype=np.intp), "reach": role}
+    return ReferenceModel(states, transitions, start, goals, succ, frozenset(reach), ids,
+                          [(s, a) for s, acts in zip(ids, succ) for a, _ in acts], numeric)
+
+
+def reference_linearize_trace(m: ReferenceModel, p: Plan) -> list[tuple[str, str]]:
+    """`planner.linearize_trace` as it walked the nested successor lists:
+    ln P compared, ties to the lowest target id, a retry stepping on."""
+    trace: list[tuple[str, str]] = []
+    i = m.start
+    seen = set()
+    while i not in m.goals:
+        s = m.ids[i]
+        a = p.policy.get(s)
+        moves = next((moves for b, moves in m.successors[i] if b == a), [])
+        outs = [(lp, j) for lp, j in moves if j in m.goal_reaching]
+        if i in seen or not outs:
+            raise ImproperPolicy(f"most-probable trace from {m.ids[m.start]!r} "
+                                 f"does not reach a goal (stuck at {s!r})")
+        seen.add(i)
+        outs = [(lp, j) for lp, j in outs if j not in seen] or outs
+        top = max(lp for lp, _ in outs)
+        trace.append((s, a))
+        i = min((j for lp, j in outs if lp == top), key=lambda j: m.ids[j])
+    return trace

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import detour_mdp, loop_mdp, make_chain, make_mdp, two_action_mdp
+from conftest import TANKS_SCN, detour_mdp, loop_mdp, make_chain, make_mdp, two_action_mdp
 from oracles import (MissingPolicyEntry, ZeroCostCycle, induce_chain,
                      reward_distribution_exact)
 from riskplan.mdp import InvalidModel, Mdp, Plan
+from riskplan.reporting import corridor_scenario
+from riskplan.scenario import ground_to_mdp, load_scenario
 
 
 def problems(*args, **kwargs) -> list[str]:
@@ -70,6 +72,43 @@ class TestValidate:
         ]
 
 
+# a model with one kind of problem, and every problem it reports: each
+# whole-array check must catch its kind on its own
+ALONE = {
+    "start": (([("s", 0.0), ("g", 0.0)], [("s", "a", "g", 1.0)], "nowhere", {"g"}),
+              ["start position 2 is not a declared state"]),
+    "goal": (([("s", 0.0), ("g", 0.0)], [("s", "a", "g", 1.0)], "s", {"g", "nowhere"}),
+             ["goal position 2 is not a declared state"]),
+    "probability": (([("s", 0.0), ("g", 0.0)], [("s", "a", "g", 1.5), ("s", "a", "s", -0.5)],
+                     "s", {"g"}),
+                    ["transition ('s','a','g') has probability 1.5 outside [0,1]",
+                     "transition ('s','a','s') has probability -0.5 outside [0,1]"]),
+    "source": (([("s", 0.0), ("g", 0.0)], [("s", "a", "g", 1.0), ("x", "a", "g", 1.0)],
+                "s", {"g"}),
+               ["transition from unknown state position 2"]),
+}
+
+
+class TestChecksAlone:
+    @pytest.mark.parametrize("kind", list(ALONE))
+    def test_one_kind_of_problem(self, kind):
+        model, want = ALONE[kind]
+        assert problems(*model) == want
+
+    @pytest.mark.parametrize("labels", [["b", "a"], ["a", "a"]])
+    def test_rows_out_of_label_order(self, labels):
+        # a state's actions in ascending label order, each once
+        with pytest.raises(InvalidModel, match="ascending \\(state, label\\) order"):
+            Mdp(states=["s", "g"], costs=[0.0, 0.0], sources=[0, 0], labels=labels,
+                rows=[0, 1, 2], targets=[1, 1], transitions=[1.0, 1.0], start=0, goals={1})
+
+    def test_zero_probability_is_no_move(self):
+        m = make_mdp([("s", 0.0), ("g", 0.0), ("x", 0.0)],
+                     [("s", "a", "x", 0.0), ("s", "a", "g", 1.0)], "s", {"g"})
+        assert len(m.transitions) == 2 and m.arrays.move_target.tolist() == [1]
+        assert m.arrays.reach.tolist() == [1, 2, 0]  # no path from x, none through it
+
+
 # the kernel reads Mdp.arrays' numeric arrays by address, as these types
 NUMERIC = {"costs": np.float64, "act_start": np.intp, "move_start": np.intp,
            "move_logp": np.float64, "move_target": np.intp, "pred_start": np.intp,
@@ -78,12 +117,22 @@ NUMERIC = {"costs": np.float64, "act_start": np.intp, "move_start": np.intp,
 LONE_GOAL = ([("g", 0.0)], [], "g", {"g"})
 
 
+# grounded models: grounding writes the arrays in whole-array passes, where a
+# view, a slice or a writeable array could slip through to the kernel
+def _tanks():
+    return ground_to_mdp(load_scenario(TANKS_SCN).scenario)
+
+
+def _corridor():
+    return ground_to_mdp(corridor_scenario(64, 64))
+
+
 class TestArrays:
     """The solver passes the numeric arrays' addresses unchecked: they are
     checked once, when the model makes them, and stay as they were made."""
 
     @pytest.mark.parametrize("model", [two_action_mdp, loop_mdp, detour_mdp,
-                                       lambda: make_mdp(*LONE_GOAL)])
+                                       lambda: make_mdp(*LONE_GOAL), _tanks, _corridor])
     def test_addresses_name_c_ordered_arrays(self, model):
         a = model().arrays
         numeric = [f for f in a._fields if isinstance(getattr(a, f), np.ndarray)]
@@ -91,9 +140,11 @@ class TestArrays:
         for f in numeric:
             assert getattr(a, f).dtype == NUMERIC[f], f
             assert getattr(a, f).flags.c_contiguous, f
+            assert getattr(a, f).base is None, f  # its own memory, not a view
         assert a.addresses == tuple(getattr(a, f).ctypes.data for f in numeric)
 
-    @pytest.mark.parametrize("model", [two_action_mdp, lambda: make_mdp(*LONE_GOAL)])
+    @pytest.mark.parametrize("model", [two_action_mdp, lambda: make_mdp(*LONE_GOAL), _tanks,
+                                       _corridor])
     @pytest.mark.parametrize("name", list(NUMERIC))
     def test_numeric_arrays_are_read_only(self, model, name):
         arr = getattr(model().arrays, name)

@@ -25,7 +25,7 @@ from oracles import by_id, can_reach, induce_chain, reward_distribution_exact
 from oracles import linearize_trace as linearize_trace_by_id
 from oracles import per_action_solve
 from riskplan import planner
-from riskplan.mdp import Mdp, Plan, TransitionSpec
+from riskplan.mdp import Plan
 from riskplan.planner import (Candidate, ImproperPolicy, NoProperPolicy,
                               generate_candidates, linearize, linearize_trace, solve)
 from riskplan.reporting import corridor_scenario
@@ -52,6 +52,11 @@ MISSION start start final final inspect tank
 """
 
 SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
+
+
+def log_values(solved):
+    """Every state's log V by id, from a `Solution`'s arrays."""
+    return dict(zip(solved.arrays.ids, solved.logv.tolist()))
 
 
 def expected_cost_policy(m, sweeps=100_000, tol=1e-12):
@@ -201,7 +206,7 @@ class TestSolve:
         m = two_action_mdp()
         for gamma in (0.95, 0.90):
             solved = solve(m, gamma)
-            table, plan = solved.log_values, solved.plan
+            table, plan = log_values(solved), solved.plan
             x = 1.0 / gamma
             want_a = x ** 10
             want_b = 0.9 * x ** 2 + 0.1 * x ** 30
@@ -216,7 +221,7 @@ class TestSolve:
 
     def test_goal_value_is_one(self):
         # solve returns log V: V(goal) = 1 is log V(goal) = 0, exactly
-        table = solve(loop_mdp(), 0.7).log_values
+        table = log_values(solve(loop_mdp(), 0.7))
         assert table["goal"] == 0.0
 
     def test_ties_go_to_lowest_action_id(self):
@@ -509,17 +514,17 @@ def _tanks_mdp():
     return ground_to_mdp(load_scenario(TANKS_SCN).scenario)
 
 
-def _assert_log_values_match(log_values, linear_values):
+def _assert_log_values_match(values, linear_values):
     for s, v in linear_values.items():
         want = math.log(v) if v < math.inf else math.inf
-        assert log_values[s] == pytest.approx(want, abs=1e-9), s
+        assert values[s] == pytest.approx(want, abs=1e-9), s
 
 
 def _solve(m, gamma, failure_cost):
     """`solve`'s log V by id, plan and worklist pops, as `per_action_solve`
     returns them."""
     solved = solve(m, gamma, failure_cost)
-    return solved.log_values, solved.plan, solved.backups
+    return log_values(solved), solved.plan, solved.backups
 
 
 def _outcome(solver, m, gamma, failure_cost):
@@ -546,7 +551,7 @@ class TestMatchesReference:
         for g in gammas:
             want_values, want = reference_solve(m, float(g), failure_cost)
             solved = solve(m, float(g), failure_cost)
-            values, plan = solved.log_values, solved.plan
+            values, plan = log_values(solved), solved.plan
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
             assert (_outcome(_solve, m, float(g), failure_cost)
@@ -560,7 +565,7 @@ class TestMatchesReference:
         for g in rng.uniform(*planner.GAMMA_INTERVAL, size=planner.GAMMA_SAMPLES):
             want_values, want = reference_solve(m, float(g))
             solved = solve(m, float(g))
-            values, plan = solved.log_values, solved.plan
+            values, plan = log_values(solved), solved.plan
             assert plan.policy == want.policy, g
             _assert_log_values_match(values, want_values)
             assert (_outcome(_solve, m, float(g), None)
@@ -691,7 +696,7 @@ def test_long_corridor_does_not_overflow():
     # largest float: the linear-space sweep reported no proper policy here
     m = ground_to_mdp(corridor_scenario(800, 0))
     solved = solve(m, 0.41)
-    values, plan = solved.log_values, solved.plan
+    values, plan = log_values(solved), solved.plan
     assert linearize(m, plan) == [f"goto w{i:03d}" for i in range(1, 801)]
     assert values["w000#0"] == pytest.approx(800 * math.log(1 / 0.41), rel=1e-12)
 
@@ -722,11 +727,11 @@ def small_models(draw):
 @given(small_models(), st.data())
 def test_goal_reaching_is_reachability(model, data):
     # a zero-probability transition into any state is no path to it
-    m, _ = model
+    m = by_id(model[0])
     t = data.draw(st.sampled_from(m.transitions))
-    target = data.draw(st.sampled_from(range(len(m.states))))
-    m = Mdp(m.states, m.transitions + [TransitionSpec(t.source, t.action, target, 0.0)],
-            m.start, m.goals)
+    target = data.draw(st.sampled_from(m.states)).id
+    m = by_id(make_mdp(m.states, m.transitions + [(t.source, t.action, target, 0.0)],
+                       m.start, m.goals))
     edges = [(t.source, t.target) for t in m.transitions if t.probability > 0.0]
     assert m.goal_reaching == can_reach(edges, m.goals)
 
@@ -781,6 +786,6 @@ def test_solve_matches_brute_force_optimum(model):
             solve(m, gamma)
         return
     solved = solve(m, gamma)
-    values, plan = solved.log_values, solved.plan
+    values, plan = log_values(solved), solved.plan
     assert math.exp(values[by_id(m).start]) == pytest.approx(best, rel=1e-9)
     assert _disutility(m, plan.policy, gamma) == pytest.approx(best, rel=1e-9)

@@ -2,14 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_between, enabled_actions, inspection_chain
-from oracles import by_id
+from conftest import REPO_ROOT, edge_between, enabled_actions, inspection_chain
+from oracles import by_id, reference_linearize_trace, reference_model
 from riskplan.occupancy import extract_problem
-from riskplan.pipeline import map_from_sonar
+from riskplan.pipeline import DEFAULT_COLLISION_COST, map_from_sonar
+from riskplan.planner import (GAMMA_INTERVAL, GAMMA_SAMPLES, ImproperPolicy, NonConvergence,
+                              NoProperPolicy, linearize_trace, solve)
+from riskplan.reporting import corridor_scenario
 from riskplan.scenario import (COLLIDED, MAX_STATES, MAX_TRANSITIONS, PLAN_FORMAT_VERSION,
                                EdgeDef, Obstacle, PlanFile, ParseResult, Scenario,
                                Waypoint, format_scenario, ground_to_mdp,
@@ -246,7 +250,57 @@ class TestParser:
         assert result.scenario is not None or result.errors
 
 
+# perfbench's corridor-sweep corridors, of 130, 280 and 550 states
+CORRIDOR_SIZES = (64, 139, 274)
+
+
+def _trace(walk, m, plan):
+    """The trace ``walk`` gives the plan, or the message it fails with."""
+    try:
+        return walk(m, plan)
+    except ImproperPolicy as exc:
+        return str(exc)
+
+
+def assert_grounds_as_reference(s):
+    """`ground_to_mdp` gives the model that the spec lists and their
+    grouping gave (`oracles.reference_model`): the same ids and choices,
+    the eight numeric arrays bit for bit (ln P too), start, goals,
+    goal-reaching states and counts, and the same trace of the plan of
+    each gamma of a sweep, with collisions unrecoverable and priced."""
+    m, want = ground_to_mdp(s), reference_model(s)
+    a = m.arrays
+    assert (a.ids, a.choices) == (want.ids, want.choices)
+    for name, array in want.numeric.items():
+        got = getattr(a, name)
+        assert (got.dtype, got.tobytes()) == (array.dtype, array.tobytes()), name
+    assert (m.start, m.goals) == (want.start, want.goals)
+    assert frozenset(np.flatnonzero(a.reach).tolist()) == want.goal_reaching
+    assert (len(m.states), len(m.transitions)) == (len(want.states), len(want.transitions))
+    plans = {}
+    for failure_cost in (None, DEFAULT_COLLISION_COST):
+        for g in np.random.default_rng(0).uniform(*GAMMA_INTERVAL, size=GAMMA_SAMPLES):
+            try:
+                plan = solve(m, float(g), failure_cost).plan
+            except (NoProperPolicy, NonConvergence):
+                continue
+            plans[frozenset(plan.policy.items())] = plan
+    for plan in plans.values():
+        assert _trace(linearize_trace, m, plan) == _trace(reference_linearize_trace, want, plan)
+
+
 class TestGrounding:
+    @pytest.mark.parametrize("name", ["tanks", "ring", *CORRIDOR_SIZES])
+    def test_grounds_as_the_reference(self, name):
+        assert_grounds_as_reference(
+            corridor_scenario(name, name) if isinstance(name, int)
+            else load_scenario(REPO_ROOT / "scenarios" / f"{name}.scn").scenario)
+
+    def test_ln_p_is_libm_log(self):
+        # numpy's vectorised log may round ln 0.917 differently from libm's
+        # `log`, which the kernel and the Python solve use
+        assert_grounds_as_reference(corridor_scenario(8, 8, risk=0.083))
+
     def test_state_count_formula(self, tanks_path):
         s = load_scenario(tanks_path).scenario
         m = ground_to_mdp(s)  # raises InvalidModel on any structural problem
@@ -266,7 +320,7 @@ class TestGrounding:
                            + "OBSTACLE box2 center 9 0 -5 half 1 1 1\n"
                            + "WAYPOINT c pos 9 3 -5 inspect box2\n").scenario
         m = ground_to_mdp(s)
-        assert [st.id for st in m.states] == [
+        assert m.states == [
             state_id(w.id, mask) for w in s.waypoints for mask in range(4)] + [COLLIDED]
         assert (m.start, m.goals) == (0, frozenset({3}))
 
@@ -296,6 +350,7 @@ class TestGrounding:
         if result.ok:
             s = result.scenario
             m = ground_to_mdp(s)  # raises nothing
+            assert_grounds_as_reference(s)
             bound = (len(s.waypoints) + 4 * len(s.edges)) << len(s.inspection_goals)
             assert len(m.transitions) <= bound <= MAX_TRANSITIONS
         # only a missing MISSION section has no line to point to
