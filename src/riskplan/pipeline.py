@@ -1,6 +1,6 @@
-"""End-to-end orchestration: scenario -> candidates -> trajectories ->
-simulated episodes -> risk metrics -> selected plan, with all artifacts
-written under one output directory.
+"""End-to-end orchestration.  `evaluate` takes a scenario to candidates,
+trajectories, simulated episodes, risk metrics and a selected plan, with no
+file I/O; `write_run` writes the result's artifacts under one directory.
 
 The run's summaries carry one stamp, the config hash and master seed; all
 randomness derives from the master seed through `named_rng` streams, so a
@@ -54,6 +54,7 @@ class PipelineConfig:
     def __post_init__(self):
         check_master_seed(self.master_seed)
         planner.check_gamma_sweep(self.gamma_samples, (self.gamma_low, self.gamma_high))
+        planner.check_failure_cost(self.collision_cost)
         if self.episodes < assess.MIN_SAMPLES:
             raise ValueError(f"episodes must be >= {assess.MIN_SAMPLES}, got {self.episodes!r}")
         assess.check_alpha_mean(self.alpha_mean)
@@ -115,6 +116,8 @@ def write_candidate_plan(cand: planner.Candidate, out_dir: Path,
 
 @dataclass
 class PipelineResult:
+    stamp: dict  # config_sha256 and master_seed, computed once per run
+    grid: VoxelGrid | None  # the surveyed map, when mapped from sonar
     candidates: list[planner.Candidate]
     trajectories: dict[str, Trajectory]
     episode_records: dict[str, list[simulator.EpisodeRecord]]
@@ -123,8 +126,59 @@ class PipelineResult:
     selected: str
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+def evaluate(scenario: Scenario, cfg: PipelineConfig) -> PipelineResult:
+    """The run on ``scenario``: every artifact's content, with no file read or written."""
     stamp = {"config_sha256": cfg.config_hash(), "master_seed": cfg.master_seed}
+    grid = None
+    if cfg.from_sonar:
+        grid = map_from_sonar(scenario, cfg.master_seed, cfg.sonar_noise_sigma)
+        scenario = extract_problem(grid, scenario)
+
+    candidates = plan_candidates(ground_to_mdp(scenario), cfg)
+    trajectories = {c.plan.id: refine(scenario, c.plan.linearization, plan_id=c.plan.id,
+                                      helix=cfg.helix) for c in candidates}
+    episode_records = {pid: simulator.run_batch(traj, scenario, cfg.disturbance,
+                                                n=cfg.episodes, master_seed=cfg.master_seed)
+                       for pid, traj in trajectories.items()}
+
+    report = {**stamp, **assess.build_report(
+        {pid: [r.execution_time_s for r in records] for pid, records in episode_records.items()},
+        cfg.metrics, alpha_mean=cfg.alpha_mean)}
+    report["gamma_by_plan"] = {c.plan.id: c.gammas for c in candidates}
+    summary_rows = [{
+        "id": c.plan.id,
+        "plan_schema": " -> ".join(c.plan.linearization),
+        "high_level_length": len(c.plan.linearization),
+        "low_level_length_m": f"{trajectories[c.plan.id].total_length:.2f}",
+        "mean_s": f"{m['mean']:.2f}",
+        "variance": f"{m['variance']:.4f}",
+        "entropy_bits": f"{m['entropy_bits']:.4f}",
+    } for c in candidates for m in [report["metrics"][c.plan.id]]]
+    return PipelineResult(stamp, grid, candidates, trajectories, episode_records, report,
+                          summary_rows, report["selection"]["selected"])
+
+
+def write_run(result: PipelineResult, out: Path):
+    """Write the artifacts of ``result`` into the existing directory ``out``."""
+    if result.grid is not None:
+        result.grid.export_csv(out / "grid.csv")
+    for cand in result.candidates:
+        pid = cand.plan.id
+        result.trajectories[pid].export_csv(out / f"trajectory_{pid}.csv")
+        write_candidate_plan(cand, out, trajectory_ref=f"trajectory_{pid}.csv")
+        simulator.write_episode_log(result.episode_records[pid], out / f"episodes_{pid}.jsonl")
+    write_json(out / "report.json", result.report)
+    write_json(out / "candidates.json", {
+        **result.stamp, "gammas": sorted(g for c in result.candidates for g in c.gammas),
+        "dedup": {f"{g:.12f}": c.plan.id for c in result.candidates for g in c.gammas}})
+    with open_artifact(out / "summary.csv", newline="") as fh:
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in result.stamp.items()) + "\n")
+        writer = csv.DictWriter(fh, fieldnames=list(result.summary_rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(result.summary_rows)
+
+
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for pattern in ARTIFACTS:  # an earlier run's files must not mix with this one's
@@ -133,62 +187,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     parsed = load_scenario(cfg.scenario_path)
     if not parsed.ok:  # the one input check; a parsed scenario grounds
+        stamp = {"config_sha256": cfg.config_hash(), "master_seed": cfg.master_seed}
         write_json(out / "errors.json",
                    {**stamp, "stage": "parse", "errors": [str(e) for e in parsed.errors]})
-    scenario = parsed.checked(cfg.scenario_path)
-
-    if cfg.from_sonar:
-        grid = map_from_sonar(scenario, cfg.master_seed, cfg.sonar_noise_sigma)
-        grid.export_csv(out / "grid.csv")
-        scenario = extract_problem(grid, scenario)
-
-    candidates = plan_candidates(ground_to_mdp(scenario), cfg)
-
-    trajectories: dict[str, Trajectory] = {}
-    episode_records: dict[str, list[simulator.EpisodeRecord]] = {}
-    summary_rows: list[dict] = []
-
-    for cand in candidates:
-        pid = cand.plan.id
-        traj = refine(scenario, cand.plan.linearization, plan_id=pid, helix=cfg.helix)
-        trajectories[pid] = traj
-        traj_path = out / f"trajectory_{pid}.csv"
-        traj.export_csv(traj_path)
-
-        write_candidate_plan(cand, out, trajectory_ref=traj_path.name)
-
-        records = simulator.run_batch(traj, scenario, cfg.disturbance,
-                                      n=cfg.episodes, master_seed=cfg.master_seed)
-        episode_records[pid] = records
-        simulator.write_episode_log(records, out / f"episodes_{pid}.jsonl")
-
-    samples_by_plan = {pid: [r.execution_time_s for r in records]
-                       for pid, records in episode_records.items()}
-    report = {**stamp, **assess.build_report(samples_by_plan, cfg.metrics,
-                                             alpha_mean=cfg.alpha_mean)}
-    report["gamma_by_plan"] = {c.plan.id: c.gammas for c in candidates}
-    write_json(out / "report.json", report)
-    write_json(out / "candidates.json", {
-        **stamp, "gammas": sorted(g for c in candidates for g in c.gammas),
-        "dedup": {f"{g:.12f}": c.plan.id for c in candidates for g in c.gammas}})
-
-    for cand in candidates:
-        pid = cand.plan.id
-        m = report["metrics"][pid]
-        summary_rows.append({
-            "id": pid,
-            "plan_schema": " -> ".join(cand.plan.linearization),
-            "high_level_length": len(cand.plan.linearization),
-            "low_level_length_m": f"{trajectories[pid].total_length:.2f}",
-            "mean_s": f"{m['mean']:.2f}",
-            "variance": f"{m['variance']:.4f}",
-            "entropy_bits": f"{m['entropy_bits']:.4f}",
-        })
-    with open_artifact(out / "summary.csv", newline="") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in stamp.items()) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(summary_rows)
-
-    return PipelineResult(candidates, trajectories, episode_records, report,
-                          summary_rows, report["selection"]["selected"])
+    result = evaluate(parsed.checked(cfg.scenario_path), cfg)
+    write_run(result, out)  # only a whole run writes its artifacts
+    return result

@@ -52,6 +52,13 @@ def check_gamma_sweep(samples: int, interval: tuple[float, float]) -> None:
                          f"gamma_high <= 1, got {low!r} and {high!r}")
 
 
+def check_failure_cost(cost: float | None) -> None:
+    """Raise ValueError unless a dead end's cost is None (a collision is
+    unrecoverable) or finite and >= 0, as every state cost of a model is."""
+    if cost is not None and not 0.0 <= cost < INF:  # NaN fails too
+        raise ValueError(f"collision_cost must be finite and >= 0, got {cost!r}")
+
+
 @dataclass
 class Candidate:
     plan: Plan
@@ -190,6 +197,7 @@ def generate_candidates(
     each policy's first-producing gamma, independent of any scheduling.
     """
     check_gamma_sweep(n, interval)
+    check_failure_cost(failure_cost)
     gammas = [float(g) for g in rng.uniform(*interval, size=n)]
 
     # a policy walks the same way from the start at every gamma, so it

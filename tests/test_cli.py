@@ -176,6 +176,23 @@ class TestExitCodes:
                      "--seed", "1"]) == EXIT_INPUT
         assert sorted(p.name for p in out.iterdir()) == ["errors.json", "notes.txt"]
 
+    def test_failed_sonar_run_leaves_no_artifact(self, tmp_path, capsys):
+        # extraction refuses w_sm_r after the survey has made the grid: neither
+        # the grid nor an earlier run's artifacts may be left
+        scn = _bad_input_argv("gen-problem", tmp_path)[1]
+        out = tmp_path / "out"
+        error = "waypoint 'w_sm_r' sits in a voxel with occupancy 0.659"
+        with pytest.raises(ValueError, match=error):
+            pipeline.run_pipeline(pipeline.PipelineConfig(scn, str(out), master_seed=0,
+                                                          from_sonar=True))
+        assert list(out.iterdir()) == []
+        assert main(["pipeline", str(TANKS_SCN), "--out-dir", str(out), "--seed", "0",
+                     "--from-sonar"]) == EXIT_OK
+        assert main(["pipeline", scn, "--out-dir", str(out), "--seed", "0",
+                     "--from-sonar"]) == EXIT_INPUT
+        assert _stderr_doc(capsys)["error"] == error
+        assert list(out.iterdir()) == []
+
     def test_each_run_hashes_its_config_once(self, small_scn, tmp_path, monkeypatch):
         calls = []
         real_hash = pipeline.PipelineConfig.config_hash
@@ -294,6 +311,10 @@ class TestOneStderrShape:
          "gamma_low and gamma_high must satisfy 0 < gamma_low < gamma_high <= 1, "
          "got 0.9 and 0.4"),
         (["pipeline", "--seed", "1", "--episodes", "1"], "episodes must be >= 2, got 1"),
+        # a model refuses a negative state cost, so the config refuses it first
+        (["pipeline", "--seed", "7", "--collision-cost", "-5"],
+         "collision_cost must be finite and >= 0, got -5.0"),
+        (["plan", "--collision-cost", "-1"], "collision_cost must be finite and >= 0, got -1.0"),
     ])
     def test_config_refusal_line(self, tmp_path, monkeypatch, capsys, argv, error):
         # each names the setting it refuses and its value: plan's --samples 0
@@ -838,6 +859,9 @@ class TestMapAndScaling:
     @pytest.mark.parametrize("flags, error", [
         (["--seed", "-1"], "master_seed must be >= 0, got -1"),
         (["--depths", "0", "--criticals", "0", "--seed", "5"], "depth must be >= 1"),
+        # refused before any row is solved, not as one row's ImproperPolicy
+        (["--seed", "11", "--collision-cost", "-1"],
+         "collision_cost must be finite and >= 0, got -1.0"),
     ])
     def test_every_row_failing_on_input_exits_two(self, tmp_path, capsys, flags, error):
         out = tmp_path / "scaling.csv"

@@ -892,8 +892,8 @@ class TestObservedVoxelsOnce:
         mapping = [name for name in kernel_calls
                    if name not in ("solve_mdp", "refine_path", "simulate_ticks")]
         assert mapping \
-            == (["nearest_hits"] + ["integrate_beams"] * scans
-                + ["grid_rows"] * -(-rows // CSV_BLOCK_ROWS) + ["max_near_segments"])
+            == (["nearest_hits"] + ["integrate_beams"] * scans + ["max_near_segments"]
+                + ["grid_rows"] * -(-rows // CSV_BLOCK_ROWS))
 
 
 # A 4 x 4.5 x 3.5 m grid whose voxel boundaries fall on multiples of 0.5.

@@ -428,6 +428,13 @@ class TestGenerateCandidates:
         assert str(info.value) == ("gamma_low and gamma_high must satisfy 0 < gamma_low "
                                    "< gamma_high <= 1, got 0.9 and 0.4")
 
+    @pytest.mark.parametrize("cost", [-1.0, -1e-300, math.inf, math.nan])
+    def test_failure_cost_validation(self, cost):
+        with pytest.raises(ValueError) as info:
+            generate_candidates(two_action_mdp(), 5, rng=np.random.default_rng(0),
+                                failure_cost=cost)
+        assert str(info.value) == f"collision_cost must be finite and >= 0, got {cost!r}"
+
     def test_a_looping_trace_names_its_plan(self):
         # a proper policy whose most probable outcome at s1 is back to s0,
         # its only goal-reaching one, so the trace loops; with no collision

@@ -72,6 +72,31 @@ def _scenario_texts(draw) -> str:
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
+@st.composite
+def _connected_texts(draw) -> str:
+    """.scn texts that parse: two to five waypoints joined by a random
+    spanning tree and up to two more edges, most of them risky, and a
+    mission that inspects one or both obstacles, each from its own
+    waypoint."""
+    ids = draw(st.permutations(_IDS + ["c", "d"]))[:draw(st.integers(2, 5))]
+    targets = draw(st.lists(_LABELS, min_size=1, max_size=2, unique=True))
+    inspectors = dict(zip(draw(st.permutations(ids)), targets))
+    lines = [f"WAYPOINT {w} pos {draw(st.integers(0, 3))} 0 -5"
+             f"{draw(st.sampled_from(['', ' critical']))}"
+             + (f" inspect {inspectors[w]}" if w in inspectors else "") for w in ids]
+    lines += [f"OBSTACLE {label} center 9 9 -5 half 1 1 1" for label in targets]
+    joined = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, len(ids))]
+    others = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+              if (u, v) not in joined and (v, u) not in joined]
+    if others:
+        joined += draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    risks = st.sampled_from(["0.05", "0.3"]) | _RISKS
+    lines += [f"EDGE {u} {v} risk {draw(risks)}" for u, v in joined]
+    lines.append(f"MISSION start {draw(st.sampled_from(ids))} final "
+                 f"{draw(st.sampled_from(ids))} inspect {' '.join(targets)}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
 class TestParser:
     def test_minimal_scenario(self):
         result = parse_scenario(MINIMAL)
@@ -343,7 +368,7 @@ class TestGrounding:
         assert [str(e) for e in parse_scenario(text).errors] == [
             "7:1: semantic: mission inspection target 'box' has no waypoint that inspects it"]
 
-    @given(_scenario_texts())
+    @given(_scenario_texts() | _connected_texts())
     @settings(max_examples=300, deadline=None)
     def test_every_accepted_scenario_grounds(self, text):
         result = parse_scenario(text)
