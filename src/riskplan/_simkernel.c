@@ -287,28 +287,28 @@ static int in_grid(const long *idx, const long *dims)
         && 0 <= idx[2] && idx[2] < dims[2];
 }
 
-/* Fold n beams cast from pos (3,) into the C-ordered log_odds grid of
- * dims (3,) voxels, of side res, from origin (3,).  dirs (n, 3) are unit
- * directions, ranges (n,) the measured ranges and max_range the one
- * maximum range of them all.  Each beam walks the voxels from pos to its
- * endpoint (Amanatides & Woo): the voxel holding the endpoint of a return
- * gains l_hit, every other voxel on the way l_miss, each sum clamped to
- * [lo_min, lo_max] in the order the walk reaches it.
+/* Fold n beams into the C-ordered log_odds grid of dims (3,) voxels, of
+ * side res, from origin (3,), and return the number of voxel updates made.
+ * Beam b is cast from origins[b] (n, 3) along the unit direction dirs[b]
+ * (n, 3); ranges (n,) are the measured ranges and max_range the one
+ * maximum range of them all.  Each beam walks the voxels from its origin
+ * to its endpoint (Amanatides & Woo): the voxel holding the endpoint of a
+ * return gains l_hit, every other voxel on the way l_miss, each sum
+ * clamped to [lo_min, lo_max] in the order the walk reaches it.
  */
-void integrate_beams(long n, const double *pos, const double *dirs,
+long integrate_beams(long n, const double *origins, const double *dirs,
                      const double *ranges, double max_range,
                      double l_hit, double l_miss, double lo_min, double lo_max,
                      const double *origin, const long *dims, double res,
                      double *log_odds)
 {
-    long start[3];
-    for (int k = 0; k < 3; k++)
-        start[k] = cell(pos[k], origin[k], res);
+    long updates = 0;
     for (long b = 0; b < n; b++) {
-        const double *d = dirs + 3 * b;
+        const double *pos = origins + 3 * b, *d = dirs + 3 * b;
         double end[3], dir[3];
-        long hit[3], idx[3] = {start[0], start[1], start[2]};
+        long hit[3], idx[3];
         for (int k = 0; k < 3; k++) {
+            idx[k] = cell(pos[k], origin[k], res);
             end[k] = pos[k] + d[k] * ranges[b];
             dir[k] = end[k] - pos[k];
             hit[k] = cell(end[k], origin[k], res);
@@ -345,6 +345,7 @@ void integrate_beams(long n, const double *pos, const double *dirs,
                 double sum = *v + (is_hit ? l_hit : l_miss);
                 sum = sum > lo_min ? sum : lo_min;
                 *v = sum < lo_max ? sum : lo_max;
+                updates++;
                 entered = 1;
             } else if (entered) {
                 break;  /* left the grid after entering it */
@@ -364,6 +365,7 @@ void integrate_beams(long n, const double *pos, const double *dirs,
             t_max[axis] += t_delta[axis];
         }
     }
+    return updates;
 }
 
 /* Per scan and beam, the range to the nearest of the m boxes (corners lo

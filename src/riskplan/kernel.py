@@ -114,10 +114,10 @@ def load() -> ctypes.CDLL:
         size, intp, intp, f64, f64]              # capacity, event buffers
     lib.simulate_ticks.restype = size
     lib.integrate_beams.argtypes = [
-        size, f64, f64, f64, real,               # n, pos, dirs, ranges, max_range
+        size, f64, f64, f64, real,               # n, origins, dirs, ranges, max_range
         real, real, real, real,                  # l_hit, l_miss, clamp bounds
         f64, intp, real, f64]                    # origin, dims, res, log_odds
-    lib.integrate_beams.restype = None
+    lib.integrate_beams.restype = size           # voxel updates made
     lib.nearest_hits.argtypes = [
         size, size, f64, f64,                    # scans, beams, origins, dirs
         size, f64, f64, real, f64]               # m, lo, hi, max_range, out

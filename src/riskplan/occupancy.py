@@ -4,15 +4,16 @@ Log-odds cells, additive hit/miss updates with clamping, incremental grid
 ray marching, exact ray/box range synthesis, and the occupancy -> planning
 problem extraction (critical flags, edge collision probabilities).
 
-Ranges come from one slab test over every scan, beam and box of a survey,
-each heading's beam directions worked out once, and their noise from one
-draw.  The slab test, the voxel walk with its log-odds updates, the
-extraction's scan and the rows of grid.csv run in the compiled C kernel
-(see `kernel`), so mapping needs a C compiler, as simulation does.  The
-kernel keeps the evaluation order and rounding of the numpy and Python
-code it replaced (kept in the tests as references; `traverse_voxels` is
-the Python walk, which perfbench's trace wraps by name), so scans, grids,
-extracted scenarios and grid.csv are the same bit for bit.
+A survey is one scan (beams with their origins): checked once, folded in
+by one kernel call, its ranges from one slab test over every beam and box
+and its noise from one draw.  The slab test, the voxel walk with its
+log-odds updates, the extraction's scan and the rows of grid.csv run in
+the compiled C kernel (see `kernel`), so mapping needs a C compiler, as
+simulation does.  The kernel keeps the evaluation order and rounding of
+the numpy and Python code it replaced (kept in the tests as references;
+`traverse_voxels` is the Python walk, which perfbench's trace wraps by
+name), so scans, grids, extracted scenarios and grid.csv are the same bit
+for bit.
 
 Extraction reads, for each waypoint and edge, only the block of the grid
 within the critical radius of it, and finds the same voxels, with the same
@@ -57,9 +58,9 @@ def logistic(l: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SonarScan:
-    """A sensor position (3,), its beams' unit directions (n, 3) and ranges
-    (n,), as read-only arrays, and the one max range (no return) of them
-    all.  Made only if well formed, so the kernel reads the arrays as they are."""
+    """Beams with their origins: positions (n, 3), or one (3,) for them all,
+    unit directions (n, 3) and ranges (n,), read-only, and the one max range
+    (no return).  Made only if well formed, so the kernel reads them as is."""
 
     position: np.ndarray
     beams: np.ndarray
@@ -67,23 +68,24 @@ class SonarScan:
     max_range: float
 
     def __post_init__(self):
-        for name in ("position", "beams", "ranges"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        pos, dirs, r = (np.array(a, dtype=float) for a in (self.position, self.beams, self.ranges))
         object.__setattr__(self, "max_range", float(self.max_range))
-        pos, dirs, r = self.position, self.beams, self.ranges
-        if pos.shape != (3,) or r.ndim != 1 or dirs.shape != (len(r), 3):
-            raise ValueError(f"need a (3,) position, (n, 3) directions and n ranges, "
-                             f"got shapes {pos.shape}, {dirs.shape} and {r.shape}")
-        if not (np.isfinite(pos).all() and 0.0 < self.max_range < math.inf):
-            raise ValueError(f"need a finite position and max range > 0, got "
-                             f"{pos.tolist()} and {self.max_range!r}")
+        if r.ndim != 1 or pos.shape not in ((3,), (len(r), 3)) or dirs.shape != (len(r), 3):
+            raise ValueError(f"need a (3,) or (n, 3) position, (n, 3) directions and n "
+                             f"ranges, got shapes {pos.shape}, {dirs.shape} and {r.shape}")
+        if not (ok := np.isfinite(pos)).all():
+            raise ValueError(f"sensor position coordinate {pos[~ok][0]} is not finite")
+        if not 0.0 < self.max_range < math.inf:  # NaN fails too
+            raise ValueError(f"need a finite max range > 0, got {self.max_range!r}")
         norms = np.linalg.norm(dirs, axis=1)
         if not (ok := abs(norms - 1.0) <= 1e-9).all():  # NaN fails too
             raise ValueError(f"beam direction norm {norms[~ok][0]} is not 1")
         if not (ok := (0.0 < r) & (r <= self.max_range)).all():
             raise ValueError(f"beam range {r[~ok][0]} outside (0, {self.max_range}]")
+        for name, a in (("position", np.tile(pos, (len(r), 1)) if pos.ndim == 1 else pos),
+                        ("beams", dirs), ("ranges", r)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 class VoxelGrid:
@@ -224,11 +226,11 @@ def integrate_scan(
 ) -> VoxelGrid:
     """Fold one scan into the grid (mutates and returns it).
 
-    Each beam walks the voxels from the sensor to its endpoint as
+    Each beam walks the voxels from its own origin to its endpoint as
     `traverse_voxels` does: the voxel holding the endpoint of a return
     gains the hit log-odds, every other voxel on the way the miss log-odds,
-    each sum clamped in turn.  The walk runs in the compiled kernel, one
-    call per scan, on the arrays the scan checked when it was made.
+    each sum clamped in turn.  The walks run in one kernel call per scan
+    (per survey), on the arrays the scan checked when it was made.
     """
     if not (0.0 < p_miss < 0.5 < p_hit < 1.0):
         raise ValueError(f"need p_miss < 0.5 < p_hit in (0,1), got {p_miss}, {p_hit}")
@@ -236,9 +238,8 @@ def integrate_scan(
     kernel.load().integrate_beams(
         len(scan.ranges), scan.position, scan.beams, scan.ranges, scan.max_range,
         math.log(p_hit / (1.0 - p_hit)), math.log(p_miss / (1.0 - p_miss)),
-        LOG_ODDS_MIN, LOG_ODDS_MAX,
-        grid.origin, np.array(grid.dimensions, dtype=np.intp), grid.resolution,
-        grid.log_odds)
+        LOG_ODDS_MIN, LOG_ODDS_MAX, grid.origin, np.array(grid.dimensions, dtype=np.intp),
+        grid.resolution, grid.log_odds)
     return grid
 
 
@@ -286,24 +287,24 @@ def synthesize_scans(
     rng: np.random.Generator,
     range_sigma: float = 0.0,
 ) -> list[SonarScan]:
-    """Exact ray/box ranges along a sensor path, with Gaussian range noise.
+    """Exact ray/box ranges along a sensor path, with Gaussian range noise:
+    a list of one scan, each sensor's fan of beams from its position.
 
-    One slab test covers every scan, beam and box of the survey.  A beam
-    that hits nothing within the fan's range reads max_range.  One draw
-    gives a normal to each hit, in scan and then beam order, as a draw per
-    hit would, and each noisy range is clamped to [1e-6, max_range].
+    One slab test covers every beam and box of the survey.  A beam that
+    hits nothing within the fan's range reads max_range.  One draw gives a
+    normal to each hit, in path and then fan order, as a draw per hit
+    would, and each noisy range is clamped to [1e-6, max_range].
     """
     check_noise_sigma(range_sigma)
     boxes = np.array([(o.center, o.half_extents) for o in obstacles],
                      dtype=float).reshape(-1, 2, 3)
     lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
-    n = len(sensor_path)
-    origins = np.array([position for position, _ in sensor_path], dtype=float).reshape(n, 3)
+    origins = np.array([position for position, _ in sensor_path], dtype=float).reshape(-1, 3)
     # each heading's beams once, keyed by the yaw's bits, as 0.0 == -0.0
     headings = {float(yaw).hex(): yaw for _, yaw in sensor_path}
     beams = {key: fan.directions(yaw) for key, yaw in headings.items()}
     directions = np.array([beams[float(yaw).hex()] for _, yaw in sensor_path],
-                          dtype=float).reshape(n, fan.count, 3)
+                          dtype=float).reshape(len(origins), fan.count, 3)
     r = _nearest_hits(origins, directions, lo, hi, fan.max_range)
     hit = r < math.inf
     r[~hit] = fan.max_range
@@ -311,8 +312,8 @@ def synthesize_scans(
         noisy = r[hit] + rng.normal(0.0, range_sigma, size=int(hit.sum()))
         noisy = np.where(1e-6 > noisy, 1e-6, noisy)
         r[hit] = np.where(fan.max_range < noisy, fan.max_range, noisy)
-    return [SonarScan(position, d, ranges, fan.max_range)
-            for (position, _), d, ranges in zip(sensor_path, directions, r)]
+    return [SonarScan(np.repeat(origins, fan.count, axis=0), directions.reshape(-1, 3),
+                      r.reshape(-1), fan.max_range)]
 
 
 def _max_occupancy_near_segments(grid: VoxelGrid, starts, ends, radius: float) -> list[float]:

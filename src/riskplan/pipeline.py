@@ -92,8 +92,7 @@ def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> 
             pos = (o.center[0] + r * math.cos(ang),
                    o.center[1] + r * math.sin(ang), z)
             path.append((pos, ang + math.pi))  # face the obstacle
-    scans = synthesize_scans(scenario.obstacles, path, fan, rng, noise_sigma)
-    for scan in scans:
+    for scan in synthesize_scans(scenario.obstacles, path, fan, rng, noise_sigma):
         integrate_scan(grid, scan)
     return grid
 

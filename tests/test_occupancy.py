@@ -29,11 +29,11 @@ def grid(res=1.0, dims=(10, 10, 10), origin=(0.0, 0.0, 0.0)):
 
 
 def reference_integrate_scan(grid, scan, p_hit=DEFAULT_P_HIT, p_miss=DEFAULT_P_MISS):
-    """The per-voxel Python update loop the compiled kernel replaced."""
+    """The per-voxel Python update loop the compiled kernel replaced, each
+    beam walked from its own origin."""
     l_hit = math.log(p_hit / (1.0 - p_hit))
     l_miss = math.log(p_miss / (1.0 - p_miss))
-    pos = scan.position
-    for d, r in zip(scan.beams, scan.ranges):
+    for pos, d, r in zip(scan.position, scan.beams, scan.ranges):
         endpoint = pos + d * r
         returned = r < scan.max_range - 1e-9
         voxels = traverse_voxels(grid, pos, endpoint)
@@ -260,12 +260,13 @@ AHEAD_BEAM = ((0.5, 0.5, 0.5), [(1.0, 0.0, 0.0)], [3.0], 8.0)
 class TestScanChecks:
     @pytest.mark.parametrize("change", [
         {0: (0.5, 0.5)}, {0: (0.5, math.nan, 0.5)},
+        {0: [(0.5, 0.5, 0.5)] * 2}, {0: [(0.5, 0.5, -math.inf)]},
         {1: [(1.0, 0.0)]}, {1: [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]},
         {1: [(0.6, 0.6, 0.0)]}, {1: [(math.nan, 0.0, 0.0)]},
         {2: [0.0]}, {2: [math.nan]}, {2: [8.5]}, {2: [math.inf], 3: math.inf},
-    ], ids=["position_2d", "position_nan", "beams_n2", "ranges_short", "not_unit",
-            "direction_nan", "range_zero", "range_nan", "range_above_max",
-            "max_range_inf"])
+    ], ids=["position_2d", "position_nan", "origins_n2", "origin_inf", "beams_n2",
+            "ranges_short", "not_unit", "direction_nan", "range_zero", "range_nan",
+            "range_above_max", "max_range_inf"])
     def test_malformed_scan_rejected_when_made(self, change):
         args = [change.get(i, a) for i, a in enumerate(AHEAD_BEAM)]
         with pytest.raises(ValueError):
@@ -279,14 +280,22 @@ class TestScanChecks:
         assert str(info.value) == f"sonar_noise_sigma must be finite and >= 0, got {sigma!r}"
 
     def test_arrays_are_read_only_copies(self):
-        ranges = np.array([3.0])
-        scan = SonarScan(AHEAD_BEAM[0], AHEAD_BEAM[1], ranges, 8.0)
-        ranges[0] = 99.0
-        assert scan.ranges.tolist() == [3.0]
-        assert (scan.position.shape, scan.beams.shape, scan.max_range) == ((3,), (1, 3), 8.0)
+        origins, ranges = np.array([AHEAD_BEAM[0]]), np.array([3.0])
+        scan = SonarScan(origins, AHEAD_BEAM[1], ranges, 8.0)
+        origins[0, 0], ranges[0] = 99.0, 99.0
+        assert (scan.position.tolist(), scan.ranges.tolist()) == ([[0.5, 0.5, 0.5]], [3.0])
+        assert (scan.position.shape, scan.beams.shape, scan.max_range) == ((1, 3), (1, 3), 8.0)
         for a in (scan.position, scan.beams, scan.ranges):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_one_position_is_every_beams_origin(self):
+        scan = SonarScan((0.5, 1.5, 2.5), np.eye(3), [1.0, 2.0, 3.0], 8.0)
+        assert scan.position.tolist() == [[0.5, 1.5, 2.5]] * 3
+        assert scan.position.flags.c_contiguous and not scan.position.flags.writeable
+        empty = SonarScan((0.5, 1.5, 2.5), np.empty((0, 3)), [], 8.0)
+        assert (empty.position.shape, empty.beams.shape, empty.ranges.shape) \
+            == ((0, 3), (0, 3), (0,))
 
 
 class TestLogOddsUpdates:
@@ -842,17 +851,19 @@ class TestExtractionMatchesReference:
 
 
 class KernelCalls:
-    """The kernel, recording the name of each entry point called through it."""
+    """The kernel, recording the name and result of each entry point called
+    through it."""
 
     def __init__(self, lib):
-        self.lib, self.names = lib, []
+        self.lib, self.names, self.results = lib, [], []
 
     def __getattr__(self, name):
         entry = getattr(self.lib, name)
 
         def call(*args):
             self.names.append(name)
-            return entry(*args)
+            self.results.append(entry(*args))
+            return self.results[-1]
         return call
 
 
@@ -888,11 +899,10 @@ class TestObservedVoxelsOnce:
             str(TANKS_SCN), str(tmp_path), master_seed=7, episodes=2, from_sonar=True))
         assert callers == ["export_csv"]
         rows = (tmp_path / "grid.csv").read_bytes().count(b"\r\n") - 1
-        scans = 8 * len(load_scenario(TANKS_SCN).scenario.obstacles)
         mapping = [name for name in kernel_calls
                    if name not in ("solve_mdp", "refine_path", "simulate_ticks")]
         assert mapping \
-            == (["nearest_hits"] + ["integrate_beams"] * scans + ["max_near_segments"]
+            == (["nearest_hits", "integrate_beams", "max_near_segments"]
                 + ["grid_rows"] * -(-rows // CSV_BLOCK_ROWS))
 
 
@@ -925,12 +935,38 @@ unit_directions = st.one_of(
 coordinates = st.one_of(st.integers(-10, 18).map(lambda i: i * 0.5 - 1.0),
                         st.floats(-4.0, 8.0))
 MAX_RANGE = 12.0
-beams = st.tuples(unit_directions,
-                  st.one_of(st.just(MAX_RANGE), st.floats(1e-3, MAX_RANGE)))
-scans = st.builds(lambda position, beams: SonarScan(position, [d for d, _ in beams],
-                                                    [r for _, r in beams], MAX_RANGE),
-                  st.tuples(coordinates, coordinates, coordinates),
-                  st.lists(beams, min_size=1, max_size=6))
+positions = st.tuples(coordinates, coordinates, coordinates)
+beam_ranges = st.one_of(st.just(MAX_RANGE), st.floats(1e-3, MAX_RANGE))
+# scans from one sensor, and scans whose every beam has its own origin
+scans = st.one_of(
+    st.builds(lambda position, beams: SonarScan(position, [d for d, _ in beams],
+                                                [r for _, r in beams], MAX_RANGE),
+              positions, st.lists(st.tuples(unit_directions, beam_ranges),
+                                  min_size=1, max_size=6)),
+    st.lists(st.tuples(positions, unit_directions, beam_ranges), min_size=1, max_size=6)
+    .map(lambda beams: SonarScan(*zip(*beams), MAX_RANGE)))
+
+
+def survey_scans(monkeypatch) -> list:
+    """The scans the next `pipeline.synthesize_scans` call makes, once it
+    has made them."""
+    made, real = [], pipeline.synthesize_scans
+
+    def recorded(*args):
+        made[:] = real(*args)
+        return made
+
+    monkeypatch.setattr(pipeline, "synthesize_scans", recorded)
+    return made
+
+
+NO_OBSTACLES = """
+LIMITS vmax 1.0 vcrit 0.25 radius 2.0
+WAYPOINT a pos 0 0 0
+WAYPOINT b pos 4 0 0
+EDGE a b risk 0
+MISSION start a final b
+"""
 
 
 class TestIntegrationMatchesReference:
@@ -942,6 +978,33 @@ class TestIntegrationMatchesReference:
         want = pipeline.map_from_sonar(scenario, seed, 0.05)
         assert np.abs(got.log_odds).max() == LOG_ODDS_MAX  # clamps were hit
         assert_same_bits(got.log_odds, want.log_odds)
+
+    def test_survey_is_one_scan_and_counts_voxel_updates(self, monkeypatch):
+        """The seed-7 tanks survey is one scan and one `integrate_beams`
+        call, which returns one update per voxel `traverse_voxels` walks,
+        over every beam."""
+        scans = survey_scans(monkeypatch)
+        calls = KernelCalls(kernel.load())
+        monkeypatch.setattr(kernel, "load", lambda: calls)
+        g = pipeline.map_from_sonar(load_scenario(TANKS_SCN).scenario, 7, 0.05)
+        (scan,) = scans
+        walked = sum(len(traverse_voxels(g, p, p + d * r))
+                     for p, d, r in zip(scan.position, scan.beams, scan.ranges))
+        assert calls.names == ["nearest_hits", "integrate_beams"]
+        assert calls.results[1] == walked > len(scan.ranges) == 3072
+
+    def test_survey_without_obstacles_is_one_empty_scan(self, monkeypatch):
+        """No obstacle, no sensor: the survey is one scan of no beams, which
+        the kernel folds in as no update, and the grid stays all zero."""
+        scans = survey_scans(monkeypatch)
+        calls = KernelCalls(kernel.load())
+        monkeypatch.setattr(kernel, "load", lambda: calls)
+        g = pipeline.map_from_sonar(parse_scenario(NO_OBSTACLES).scenario, 7, 0.05)
+        (scan,) = scans
+        assert (scan.position.shape, scan.beams.shape, scan.ranges.shape) \
+            == ((0, 3), (0, 3), (0,))
+        assert calls.names == ["nearest_hits", "integrate_beams"] and calls.results[1] == 0
+        assert g.log_odds.size > 0 and not g.log_odds.any()
 
     @pytest.mark.parametrize("position, direction, rng", [
         ((0.2, 0.3, 1.2), (1.0, 0.0, 0.0), 2.6),
@@ -1010,7 +1073,19 @@ def synthesis_outcome(fn, *args):
     return made, rng.normal()
 
 
+def laid_end_to_end(scans, max_range) -> SonarScan:
+    """One scan holding the beams of ``scans``, in order, each from its own
+    scan's position."""
+    def joined(name, empty):
+        return np.concatenate([np.empty(empty), *(getattr(s, name) for s in scans)])
+
+    return SonarScan(joined("position", (0, 3)), joined("beams", (0, 3)), joined("ranges", 0),
+                     max_range)
+
+
 def assert_synthesis_matches(obstacles, path, fan, sigma, seed=5):
+    """The survey as one scan, against the reference's scan per sensor laid
+    end to end, and the generator's next draw after each."""
     got = synthesis_outcome(synthesize_scans, obstacles, path, fan,
                             np.random.default_rng(seed), sigma)
     want = synthesis_outcome(reference_synthesize_scans, obstacles, path, fan,
@@ -1018,7 +1093,8 @@ def assert_synthesis_matches(obstacles, path, fan, sigma, seed=5):
     if isinstance(want, type):
         assert got is want
     else:
-        assert [scan_bits(s) for s in got[0]] == [scan_bits(s) for s in want[0]]
+        (survey,) = got[0]
+        assert scan_bits(survey) == scan_bits(laid_end_to_end(want[0], fan.max_range))
         assert got[1] == want[1]
     return got
 
@@ -1051,8 +1127,8 @@ class TestSynthesisMatchesReference:
     ], ids=["flat_inside", "flat_outside", "miss_all", "beyond_max", "mixed"])
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_named_beams(self, path, ranges, sigma):
-        scans, _ = assert_synthesis_matches(BOXES, path, AHEAD, sigma)
-        exact = [s.ranges[0] for s in scans]
+        (survey,), _ = assert_synthesis_matches(BOXES, path, AHEAD, sigma)
+        exact = survey.ranges.tolist()
         if sigma == 0.0:
             assert exact == pytest.approx(ranges, abs=1e-9)
         else:  # only hits carry noise
@@ -1066,7 +1142,7 @@ class TestSynthesisMatchesReference:
         if sigma == 0.0:  # a zero range is no valid beam, in both
             assert got is ValueError
         else:
-            assert got[0][1].ranges[0] < 0.2
+            assert got[0][0].ranges[fan.count] < 0.2  # the second sensor's first beam
 
     @given(path=st.lists(st.tuples(st.tuples(st.floats(-5, 45), st.floats(-5, 10),
                                              st.floats(-2, 2)),
