@@ -368,47 +368,44 @@ long integrate_beams(long n, const double *origins, const double *dirs,
     return updates;
 }
 
-/* Per scan and beam, the range to the nearest of the m boxes (corners lo
- * and hi, (m, 3)) that the beam meets within max_range, or inf, into out
- * (scans, beams): the slab test (Williams et al. 2005) of each beam of dirs
- * (scans, beams, 3) from its scan's origin in origins (scans, 3).  A
- * component of 0.0 (of either sign) is parallel to its slabs, which the
- * beam then meets only from inside.  Each comparison is the one numpy's
- * where() made, axis by axis and then box by box, so every range is the
- * one a per-box loop finds, down to the sign of a zero.
+/* Per beam, the range to the nearest of the m boxes (corners lo and hi,
+ * (m, 3)) that the beam meets within max_range, or inf, into out (n,): the
+ * slab test (Williams et al. 2005) of each of the n beams of dirs (n, 3)
+ * from its own origin in origins (n, 3).  A component of 0.0 (of either
+ * sign) is parallel to its slabs, which the beam then meets only from
+ * inside.  Each comparison is the one numpy's where() made, axis by axis
+ * and then box by box, so every range is the one a per-box loop finds,
+ * down to the sign of a zero.
  */
-void nearest_hits(long scans, long beams, const double *origins,
-                  const double *dirs, long m, const double *lo,
-                  const double *hi, double max_range, double *out)
+void nearest_hits(long n, const double *origins, const double *dirs, long m,
+                  const double *lo, const double *hi, double max_range,
+                  double *out)
 {
-    for (long s = 0; s < scans; s++) {
-        const double *o = origins + 3 * s;
-        for (long i = 0; i < beams; i++) {
-            const double *d = dirs + 3 * (s * beams + i);
-            double nearest = INFINITY;
-            for (long j = 0; j < m; j++) {
-                const double *l = lo + 3 * j, *h = hi + 3 * j;
-                double t_near = -INFINITY, t_far = INFINITY;
-                int miss = 0;
-                for (int k = 0; k < 3; k++) {
-                    if (d[k] == 0.0) {
-                        miss |= !(l[k] <= o[k] && o[k] <= h[k]);
-                        continue;
-                    }
-                    double a = (l[k] - o[k]) / d[k], b = (h[k] - o[k]) / d[k];
-                    double near = b < a ? b : a, far = b > a ? b : a;
-                    if (near > t_near)
-                        t_near = near;
-                    if (far < t_far)
-                        t_far = far;
+    for (long i = 0; i < n; i++) {
+        const double *o = origins + 3 * i, *d = dirs + 3 * i;
+        double nearest = INFINITY;
+        for (long j = 0; j < m; j++) {
+            const double *l = lo + 3 * j, *h = hi + 3 * j;
+            double t_near = -INFINITY, t_far = INFINITY;
+            int miss = 0;
+            for (int k = 0; k < 3; k++) {
+                if (d[k] == 0.0) {
+                    miss |= !(l[k] <= o[k] && o[k] <= h[k]);
+                    continue;
                 }
-                double r = 0.0 > t_near ? 0.0 : t_near;
-                if (!miss && !(t_near > t_far) && !(t_far < 0) && r <= max_range
-                    && r < nearest)
-                    nearest = r;
+                double a = (l[k] - o[k]) / d[k], b = (h[k] - o[k]) / d[k];
+                double near = b < a ? b : a, far = b > a ? b : a;
+                if (near > t_near)
+                    t_near = near;
+                if (far < t_far)
+                    t_far = far;
             }
-            out[s * beams + i] = nearest;
+            double r = 0.0 > t_near ? 0.0 : t_near;
+            if (!miss && !(t_near > t_far) && !(t_far < 0) && r <= max_range
+                && r < nearest)
+                nearest = r;
         }
+        out[i] = nearest;
     }
 }
 
@@ -531,7 +528,7 @@ long grid_rows(long n, const long *flat, const long *which, const long *dims,
     return p - out;
 }
 
-/* The compressed rows of a model, by position (see mdp.Mdp.arrays) */
+/* The compressed rows of a model, by position (see mdp.Mdp) */
 struct model {
     long n;                  /* states */
     const double *costs;     /* (n,) */

@@ -53,10 +53,15 @@ def compute_metrics(samples: list[float], config: MetricConfig = MetricConfig())
     Entropy uses fixed-width bins anchored at 0.  The value at risk is the
     upper order statistic at rank ceil(alpha * n); the expected shortfall
     averages the samples strictly above it (or equals it when none are).
+    A sample that is not finite, or whose bin is not, is refused.
     """
     n = len(samples)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    for x in samples:  # a non-finite x has no finite bin either
+        if not math.isfinite(x / config.bin_width):
+            raise ValueError(f"execution time {x!r} has no finite bin of width "
+                             f"{config.bin_width!r}")
     mean = sum(samples) / n
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
 

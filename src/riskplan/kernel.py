@@ -94,7 +94,7 @@ def load() -> ctypes.CDLL:
                                for t in (np.float64, np.intp, np.uintp, np.uint8, np.int8))
     size, real, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
     lib.solve_mdp.argtypes = [
-        size, ptr, ptr, ptr, ptr, ptr,           # n, Mdp.arrays.addresses: costs,
+        size, ptr, ptr, ptr, ptr, ptr,           # n, Mdp.addresses: costs,
         ptr, ptr, ptr, size,                     # .. preds, reach; start
         real, real, size, real,                  # log_x, dead_end, max_sweeps, tolerance
         f64, intp, intp, f64, intp]              # logv, policy, backups, seconds, scratch
@@ -119,7 +119,7 @@ def load() -> ctypes.CDLL:
         f64, intp, real, f64]                    # origin, dims, res, log_odds
     lib.integrate_beams.restype = size           # voxel updates made
     lib.nearest_hits.argtypes = [
-        size, size, f64, f64,                    # scans, beams, origins, dirs
+        size, f64, f64,                          # n, origins, dirs
         size, f64, f64, real, f64]               # m, lo, hi, max_range, out
     lib.nearest_hits.restype = None
     lib.max_near_segments.argtypes = [

@@ -7,37 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 PROB_TOL = 1e-9
-# Arrays.reach of a state with a path to a goal, and of a goal
+# Mdp.reach of a state with a path to a goal, and of a goal
 REACHES, GOAL = 1, 2
-
-
-class Arrays(NamedTuple):
-    """The model as compressed rows, by position: what the compiled solver
-    reads.  State i's actions are rows act_start[i]:act_start[i + 1], in id
-    order; action a's moves are move_start[a]:move_start[a + 1], its
-    transitions of positive probability in their order; the states with a
-    move into i are preds[pred_start[i]:pred_start[i + 1]], ascending.
-
-    The numeric arrays are new, C-ordered and read-only, float64, intp or
-    uint8 as the kernel reads them, so the solver passes their
-    `addresses`, in the kernel's argument order, with no check per call."""
-
-    ids: list[str]
-    choices: list[tuple[str, str]]  # each action's state id and label: a policy entry
-    costs: np.ndarray  # (states,)
-    act_start: np.ndarray  # (states + 1,)
-    move_start: np.ndarray  # (actions + 1,)
-    move_logp: np.ndarray  # (moves,) ln P
-    move_target: np.ndarray  # (moves,)
-    pred_start: np.ndarray  # (states + 1,)
-    preds: np.ndarray
-    reach: np.ndarray  # (states,) GOAL, REACHES or 0, as uint8
-    addresses: tuple[int, ...]  # of the eight arrays above, in this order
 
 
 class InvalidModel(Exception):
@@ -55,11 +30,21 @@ class Mdp:
     rows by position: action k is state sources[k]'s action labels[k], in
     ascending (state, label) order, with transitions rows[k]:rows[k + 1].
     Construction checks the model in whole-array passes, raises
-    InvalidModel listing every problem it finds, and builds `arrays` once;
-    the model is treated as immutable after that."""
+    InvalidModel listing every problem it finds, and makes, once, the
+    arrays the compiled solver reads; the model is treated as immutable
+    after that.
+
+    Those arrays are `costs` and the compressed rows below, by position:
+    state i's actions are rows act_start[i]:act_start[i + 1] (those of
+    `labels`); action a's moves are move_start[a]:move_start[a + 1], its
+    transitions of positive probability in their order; the states with a
+    move into i are preds[pred_start[i]:pred_start[i + 1]], ascending.
+    They are new, C-ordered and read-only, float64, intp or uint8 as the
+    kernel reads them, so the solver passes their `addresses`, in the
+    kernel's argument order, with no check per call."""
 
     states: list[str]  # each state's id
-    costs: np.ndarray  # each state's cost
+    costs: np.ndarray  # each state's cost: made a solver array once checked
     sources: np.ndarray  # each action's state
     labels: list[str]  # each action's label
     rows: np.ndarray  # (actions + 1,) each action's first transition, then their count
@@ -68,7 +53,14 @@ class Mdp:
     start: int
     goals: frozenset[int]
 
-    arrays: Arrays = field(init=False, repr=False)
+    act_start: np.ndarray = field(init=False, repr=False)  # (states + 1,)
+    move_start: np.ndarray = field(init=False, repr=False)  # (actions + 1,)
+    move_logp: np.ndarray = field(init=False, repr=False)  # (moves,) ln P
+    move_target: np.ndarray = field(init=False, repr=False)  # (moves,)
+    pred_start: np.ndarray = field(init=False, repr=False)  # (states + 1,)
+    preds: np.ndarray = field(init=False, repr=False)
+    reach: np.ndarray = field(init=False, repr=False)  # (states,) GOAL, REACHES or 0
+    addresses: tuple[int, ...] = field(init=False, repr=False)  # costs, then those above
 
     def __post_init__(self):
         self.goals = frozenset(self.goals)
@@ -143,9 +135,9 @@ class Mdp:
             (pred_start, np.intp), (before, np.intp), (reach, np.uint8))]
         for a in numeric:  # new, C-ordered and read-only: the kernel reads them by address
             a.flags.writeable = False
-        ids = np.array(self.states, dtype=object)
-        self.arrays = Arrays(list(self.states), list(zip(ids[self.sources].tolist(), self.labels)),
-                             *numeric, tuple(a.ctypes.data for a in numeric))
+        (self.costs, self.act_start, self.move_start, self.move_logp, self.move_target,
+         self.pred_start, self.preds, self.reach) = numeric
+        self.addresses = tuple(a.ctypes.data for a in numeric)
 
 
 @dataclass

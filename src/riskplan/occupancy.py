@@ -264,19 +264,17 @@ class BeamFan:
 
 def _nearest_hits(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray, max_range: float) -> np.ndarray:
-    """Per scan and beam, the range to the nearest box within max_range, or
-    inf, shape (scans, beams): the kernel's slab test of every beam (dirs,
-    (scans, beams, 3), from the scan's origin in origins, (scans, 3))
-    against every box (corners lo and hi, (m, 3)).  Every range equals the
-    one a per-box loop finds, down to the sign of a zero."""
-    scans, beams = dirs.shape[:2]
-    if (dirs.shape != (scans, beams, 3) or origins.shape != (scans, 3)
+    """Per beam, the range to the nearest box within max_range, or inf,
+    shape (n,): the kernel's slab test of every beam (dirs, (n, 3), from
+    its own origin in origins, (n, 3)) against every box (corners lo and
+    hi, (m, 3)).  Every range equals the one a per-box loop finds, down to
+    the sign of a zero."""
+    if (dirs.shape != origins.shape or dirs.shape[1:] != (3,)
             or lo.shape != hi.shape or lo.shape[1:] != (3,)):
-        raise ValueError(f"need (scans, beams, 3) directions, (scans, 3) origins and (m, 3) "
-                         f"corners, got shapes {dirs.shape}, {origins.shape}, {lo.shape} "
-                         f"and {hi.shape}")
-    out = np.empty((scans, beams))
-    kernel.load().nearest_hits(scans, beams, origins, dirs, len(lo), lo, hi, max_range, out)
+        raise ValueError(f"need (n, 3) directions and origins and (m, 3) corners, got "
+                         f"shapes {dirs.shape}, {origins.shape}, {lo.shape} and {hi.shape}")
+    out = np.empty(len(dirs))
+    kernel.load().nearest_hits(len(dirs), origins, dirs, len(lo), lo, hi, max_range, out)
     return out
 
 
@@ -290,21 +288,23 @@ def synthesize_scans(
     """Exact ray/box ranges along a sensor path, with Gaussian range noise:
     a list of one scan, each sensor's fan of beams from its position.
 
-    One slab test covers every beam and box of the survey.  A beam that
-    hits nothing within the fan's range reads max_range.  One draw gives a
-    normal to each hit, in path and then fan order, as a draw per hit
-    would, and each noisy range is clamped to [1e-6, max_range].
+    One slab test covers every beam and box of the survey, on the beams and
+    origins the scan holds.  A beam that hits nothing within the fan's
+    range reads max_range.  One draw gives a normal to each hit, in path
+    and then fan order, as a draw per hit would, and each noisy range is
+    clamped to [1e-6, max_range].
     """
     check_noise_sigma(range_sigma)
     boxes = np.array([(o.center, o.half_extents) for o in obstacles],
                      dtype=float).reshape(-1, 2, 3)
     lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
-    origins = np.array([position for position, _ in sensor_path], dtype=float).reshape(-1, 3)
+    origins = np.repeat(np.array([position for position, _ in sensor_path],
+                                 dtype=float).reshape(-1, 3), fan.count, axis=0)
     # each heading's beams once, keyed by the yaw's bits, as 0.0 == -0.0
     headings = {float(yaw).hex(): yaw for _, yaw in sensor_path}
     beams = {key: fan.directions(yaw) for key, yaw in headings.items()}
     directions = np.array([beams[float(yaw).hex()] for _, yaw in sensor_path],
-                          dtype=float).reshape(len(origins), fan.count, 3)
+                          dtype=float).reshape(-1, 3)
     r = _nearest_hits(origins, directions, lo, hi, fan.max_range)
     hit = r < math.inf
     r[~hit] = fan.max_range
@@ -312,8 +312,7 @@ def synthesize_scans(
         noisy = r[hit] + rng.normal(0.0, range_sigma, size=int(hit.sum()))
         noisy = np.where(1e-6 > noisy, 1e-6, noisy)
         r[hit] = np.where(fan.max_range < noisy, fan.max_range, noisy)
-    return [SonarScan(np.repeat(origins, fan.count, axis=0), directions.reshape(-1, 3),
-                      r.reshape(-1), fan.max_range)]
+    return [SonarScan(origins, directions, r, fan.max_range)]
 
 
 def _max_occupancy_near_segments(grid: VoxelGrid, starts, ends, radius: float) -> list[float]:

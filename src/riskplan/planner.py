@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel
-from .mdp import GOAL, Arrays, Mdp, Plan
+from .mdp import GOAL, Mdp, Plan
 
 INF = math.inf
 # a backup that moves log V by less than TOLERANCE queues no predecessor;
@@ -73,19 +73,21 @@ class Candidate:
 
 @dataclass
 class Solution:
-    """What `solve` returns: the kernel's arrays, named by the model's
-    `arrays`.  The plan is built when first read: once per policy a sweep finds."""
+    """What `solve` returns: the kernel's arrays, named by the solved
+    model.  The plan is built when first read: once per policy a sweep finds."""
 
-    arrays: Arrays  # the solved model's, which name its states and actions
+    model: Mdp  # the solved model, which names its states and actions
     logv: np.ndarray  # every state's log V, by position
-    rows: np.ndarray  # the policy: rows of arrays.choices, in the order its walk meets them
+    rows: np.ndarray  # the policy: the model's action rows, in the order its walk meets them
     backups: int  # worklist pops over both drains
     seconds: float  # the solve's own wall time, taken in the kernel
 
     @cached_property
     def plan(self) -> Plan:
         """The policy, by state id, in the order its walk meets the states."""
-        return Plan(policy=dict(map(self.arrays.choices.__getitem__, self.rows.tolist())))
+        m = self.model
+        return Plan(policy={m.states[i]: m.labels[k] for i, k in
+                            zip(m.sources[self.rows].tolist(), self.rows.tolist())})
 
 
 def solve(
@@ -125,13 +127,12 @@ def solve(
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
 
     log_x = -math.log(gamma)  # ln(1/gamma)
-    a = m.arrays
-    n = len(a.ids)
+    n = len(m.states)
     logv, seconds = np.empty(n), np.empty(1)
     actions, backups = np.empty(n, dtype=np.intp), np.empty(1, dtype=np.intp)
-    scratch = np.empty(5 * n + len(a.move_target) + 1, dtype=np.intp)
+    scratch = np.empty(5 * n + len(m.move_target) + 1, dtype=np.intp)
     found = kernel.load().solve_mdp(
-        n, *a.addresses, m.start,
+        n, *m.addresses, m.start,
         log_x, INF if failure_cost is None else failure_cost * log_x, MAX_SWEEPS, TOLERANCE,
         logv, actions, backups, seconds, scratch)
     if found == -1:  # the kernel's SOLVE_NONCONVERGENCE
@@ -139,39 +140,38 @@ def solve(
                              f"{MAX_SWEEPS} backups per state")
     if found == -2:  # SOLVE_NO_PROPER_POLICY
         raise NoProperPolicy(f"no policy reaches a goal with probability 1 "
-                             f"from {a.ids[m.start]!r}")
-    return Solution(a, logv, actions[:found], int(backups[0]), float(seconds[0]))
+                             f"from {m.states[m.start]!r}")
+    return Solution(m, logv, actions[:found], int(backups[0]), float(seconds[0]))
 
 
 def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
     """Most-probable execution trace: (state id, action) pairs from start to
     goal, each step to the most probable successor that can reach a goal
     and is not yet on the trace, so a retry steps on to its other outcome.
-    It compares ln P in `Mdp.arrays`, so probabilities whose logs round to
+    It compares the model's ln P, so probabilities whose logs round to
     the same value tie; ties go to the lowest target id.  When all such
     successors are on the trace, it steps to the most probable and fails."""
-    a = m.arrays
     acts, moves, logp, target, reach = (x.tolist() for x in (
-        a.act_start, a.move_start, a.move_logp, a.move_target, a.reach))
+        m.act_start, m.move_start, m.move_logp, m.move_target, m.reach))
     trace: list[tuple[str, str]] = []
     i, seen = m.start, set()
     while reach[i] != GOAL:
-        s = a.ids[i]
+        s = m.states[i]
         act = p.policy.get(s)
-        rows, outs = a.choices[acts[i]:acts[i + 1]], []
-        if (s, act) in rows:
-            k = acts[i] + rows.index((s, act))
+        labels, outs = m.labels[acts[i]:acts[i + 1]], []
+        if act in labels:
+            k = acts[i] + labels.index(act)
             outs = [(lp, j) for lp, j in zip(logp[moves[k]:moves[k + 1]],
                                              target[moves[k]:moves[k + 1]]) if reach[j]]
         if i in seen or not outs:
-            raise ImproperPolicy(f"most-probable trace from {a.ids[m.start]!r} "
+            raise ImproperPolicy(f"most-probable trace from {m.states[m.start]!r} "
                                  f"does not reach a goal (stuck at {s!r})")
         seen.add(i)
         trace.append((s, act))
         if len(outs) > 1:  # the most probable off the trace, if any; the lowest id
             outs = [(lp, j) for lp, j in outs if j not in seen] or outs
             top = max(lp for lp, _ in outs)
-            outs = [(top, min((j for lp, j in outs if lp == top), key=a.ids.__getitem__))]
+            outs = [(top, min((j for lp, j in outs if lp == top), key=m.states.__getitem__))]
         i = outs[0][1]
     return trace
 

@@ -79,7 +79,7 @@ class ModelById:
                             for k, t, p in zip(action, m.targets.tolist(), m.transitions.tolist())]
         self.start = ids[m.start]
         self.goals = frozenset(ids[g] for g in m.goals)
-        self.goal_reaching = frozenset(ids[i] for i in np.flatnonzero(m.arrays.reach).tolist())
+        self.goal_reaching = frozenset(ids[i] for i in np.flatnonzero(m.reach).tolist())
         self._outgoing: dict[tuple[str, str], list[IdTransition]] = {}
         for t in self.transitions:
             self._outgoing.setdefault((t.source, t.action), []).append(t)
@@ -121,14 +121,13 @@ def linearize_trace(m: Mdp, p: Plan) -> list[tuple[str, str]]:
 
 def successors(m: Mdp) -> list[list[tuple[str, list[tuple[float, int]]]]]:
     """Each state's actions by position, in row order, each with its
-    (ln P, target) moves: `Mdp.arrays` as the nested lists that the Python
-    solve walks."""
-    a = m.arrays
+    (ln P, target) moves: the model's arrays as the nested lists that the
+    Python solve walks."""
     acts, starts, logp, target = (x.tolist() for x in (
-        a.act_start, a.move_start, a.move_logp, a.move_target))
-    return [[(a.choices[k][1], list(zip(logp[starts[k]:starts[k + 1]],
-                                        target[starts[k]:starts[k + 1]])))
-             for k in range(acts[i], acts[i + 1])] for i in range(len(a.ids))]
+        m.act_start, m.move_start, m.move_logp, m.move_target))
+    return [[(m.labels[k], list(zip(logp[starts[k]:starts[k + 1]],
+                                    target[starts[k]:starts[k + 1]])))
+             for k in range(acts[i], acts[i + 1])] for i in range(len(m.states))]
 
 
 def predecessors(succ) -> list[list[int]]:
@@ -194,9 +193,9 @@ def per_action_solve(m: Mdp, gamma: float, failure_cost: float | None = None):
         elif not succ[i]:
             if failure_cost is not None:
                 logv[i] = failure_cost * log_x
-        elif m.arrays.reach[i]:
+        elif m.reach[i]:
             swept.append(i)
-    cost = [c * log_x for c in m.arrays.costs.tolist()]
+    cost = [c * log_x for c in m.costs.tolist()]
 
     def action_value(moves):
         if len(moves) == 1:
@@ -467,8 +466,9 @@ class TransitionSpec(NamedTuple):
 class ReferenceModel:
     """A grounded model as the spec lists and their grouping gave it: the
     nested `successors` (each state's actions in id order with their
-    (ln P, target) moves), the goal-reaching positions, and the arrays
-    that `Mdp.arrays` must equal, by field name."""
+    (ln P, target) moves), the goal-reaching positions, each state's id,
+    each action's label, and the arrays that the `Mdp` must hold, by
+    attribute name."""
 
     states: list[StateSpec]
     transitions: list[TransitionSpec]
@@ -477,7 +477,7 @@ class ReferenceModel:
     successors: list[list[tuple[str, list[tuple[float, int]]]]]
     goal_reaching: frozenset[int]
     ids: list[str]
-    choices: list[tuple[str, str]]
+    labels: list[str]
     numeric: dict[str, np.ndarray]
 
 
@@ -543,7 +543,7 @@ def reference_model(s: Scenario) -> ReferenceModel:
                "pred_start": starts(preds),
                "preds": np.array([i for p in preds for i in p], dtype=np.intp), "reach": role}
     return ReferenceModel(states, transitions, start, goals, succ, frozenset(reach), ids,
-                          [(s, a) for s, acts in zip(ids, succ) for a, _ in acts], numeric)
+                          [a for acts in succ for a, _ in acts], numeric)
 
 
 def reference_linearize_trace(m: ReferenceModel, p: Plan) -> list[tuple[str, str]]:

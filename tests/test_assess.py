@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -72,6 +73,19 @@ class TestMetrics:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
             compute_metrics([1.0])
+
+    @pytest.mark.parametrize("samples, bin_width, error", [
+        ([1.0, math.inf], 5.0, "execution time inf has no finite bin of width 5.0"),
+        ([math.nan, 1.0], 5.0, "execution time nan has no finite bin of width 5.0"),
+        ([1.0, -math.inf], 5.0, "execution time -inf has no finite bin of width 5.0"),
+        # finite samples whose bin index x / bin_width overflows to inf
+        ([0.0, 1.0], 1e-310, "execution time 1.0 has no finite bin of width 1e-310"),
+        ([1.0, 1e308], 0.5, "execution time 1e+308 has no finite bin of width 0.5"),
+    ])
+    def test_sample_without_a_finite_bin(self, samples, bin_width, error):
+        # each once escaped as an OverflowError from math.floor
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            compute_metrics(samples, MetricConfig(bin_width=bin_width))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=2,
                     max_size=40))

@@ -563,6 +563,33 @@ class TestBadInputExitsTwo:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_assess_sample_without_a_finite_bin(self, tmp_path, capsys):
+        # x / bin_width overflows to inf: once an OverflowError, exit 1
+        log, report = tmp_path / "e.jsonl", tmp_path / "report.json"
+        log.write_text("".join(
+            json.dumps({"plan_id": "P1", "episode_index": i, "execution_time_s": 1.0 + i,
+                        "incidents": [], "completed": True, "seed": [1, "P1", i]}) + "\n"
+            for i in range(3)), encoding="utf-8")
+        assert main(["assess", str(log), "--bin-width", "1e-310",
+                     "--out", str(report)]) == EXIT_INPUT
+        assert _stderr_doc(capsys)["error"] \
+            == "execution time 1.0 has no finite bin of width 1e-310"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("config, error", [
+        ({"metrics": {"bin_width": 1e-310}}, "has no finite bin of width 1e-310"),
+        # every step an incident: two penalties add up to an infinite time
+        ({"disturbance": {"recovery_penalty_s": 1e308, "clearance": 100.0}},
+         "execution time inf has no finite bin of width 5.0"),
+    ])
+    def test_pipeline_sample_without_a_finite_bin(self, tmp_path, capsys, config, error):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["pipeline", str(TANKS_SCN), "--seed", "7", "--config", str(cfg),
+                     "--out-dir", str(out)]) == EXIT_INPUT
+        assert error in _stderr_doc(capsys)["error"]
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("section, field", [
         ("disturbance", "current_sigma"), ("disturbance", "clearance"),
         ("metrics", "bin_width"), ("metrics", "time_bound"),

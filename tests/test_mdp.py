@@ -1,6 +1,8 @@
 """Model layer validation, and the oracle's induced chains and exact cost
 distribution."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,11 +107,11 @@ class TestChecksAlone:
     def test_zero_probability_is_no_move(self):
         m = make_mdp([("s", 0.0), ("g", 0.0), ("x", 0.0)],
                      [("s", "a", "x", 0.0), ("s", "a", "g", 1.0)], "s", {"g"})
-        assert len(m.transitions) == 2 and m.arrays.move_target.tolist() == [1]
-        assert m.arrays.reach.tolist() == [1, 2, 0]  # no path from x, none through it
+        assert len(m.transitions) == 2 and m.move_target.tolist() == [1]
+        assert m.reach.tolist() == [1, 2, 0]  # no path from x, none through it
 
 
-# the kernel reads Mdp.arrays' numeric arrays by address, as these types
+# the kernel reads these arrays of an Mdp by address, in this order, as these types
 NUMERIC = {"costs": np.float64, "act_start": np.intp, "move_start": np.intp,
            "move_logp": np.float64, "move_target": np.intp, "pred_start": np.intp,
            "preds": np.intp, "reach": np.uint8}
@@ -134,20 +136,20 @@ class TestArrays:
     @pytest.mark.parametrize("model", [two_action_mdp, loop_mdp, detour_mdp,
                                        lambda: make_mdp(*LONE_GOAL), _tanks, _corridor])
     def test_addresses_name_c_ordered_arrays(self, model):
-        a = model().arrays
-        numeric = [f for f in a._fields if isinstance(getattr(a, f), np.ndarray)]
-        assert numeric == list(NUMERIC)
-        for f in numeric:
-            assert getattr(a, f).dtype == NUMERIC[f], f
-            assert getattr(a, f).flags.c_contiguous, f
-            assert getattr(a, f).base is None, f  # its own memory, not a view
-        assert a.addresses == tuple(getattr(a, f).ctypes.data for f in numeric)
+        m = model()
+        # the given costs, once checked, then what the model makes, in the kernel's order
+        assert [f.name for f in fields(m) if not f.init] == list(NUMERIC)[1:] + ["addresses"]
+        for f in NUMERIC:
+            assert getattr(m, f).dtype == NUMERIC[f], f
+            assert getattr(m, f).flags.c_contiguous, f
+            assert getattr(m, f).base is None, f  # its own memory, not a view
+        assert m.addresses == tuple(getattr(m, f).ctypes.data for f in NUMERIC)
 
     @pytest.mark.parametrize("model", [two_action_mdp, lambda: make_mdp(*LONE_GOAL), _tanks,
                                        _corridor])
     @pytest.mark.parametrize("name", list(NUMERIC))
     def test_numeric_arrays_are_read_only(self, model, name):
-        arr = getattr(model().arrays, name)
+        arr = getattr(model(), name)
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
         with pytest.raises(ValueError, match="read-only"):

@@ -71,20 +71,21 @@ def ray_box_range(origin, direction, box: Obstacle) -> float | None:
 
 
 def reference_nearest_hits(origins, dirs, lo, hi, max_range):
-    """The survey-wide numpy slab test the kernel's `nearest_hits` replaced:
-    per scan and beam, the range to the nearest box within max_range, or
-    inf.  Each comparison is the one Python's min or max makes, taken axis
-    by axis and then box by box."""
-    origin = origins[:, None, None, :]
-    d = dirs[:, :, None, :]
+    """The survey-wide numpy slab test the kernel's `nearest_hits` replaced,
+    on beams (dirs, (n, 3)) from their own origins (n, 3): per beam, the
+    range to the nearest box within max_range, or inf.  Each comparison is
+    the one Python's min or max makes, taken axis by axis and then box by
+    box."""
+    origin = origins[:, None, :]
+    d = dirs[:, None, :]
     flat = d == 0.0  # parallel to a slab: hit only from inside it
     step = np.where(flat, 1.0, d)
     with np.errstate(over="ignore"):  # a tiny component gives inf, as it should
         t1 = (lo - origin) / step
         t2 = (hi - origin) / step
-    t_near = np.full(t1.shape[:3], -math.inf)
-    t_far = np.full(t1.shape[:3], math.inf)
-    miss = np.zeros(t1.shape[:3], dtype=bool)
+    t_near = np.full(t1.shape[:2], -math.inf)
+    t_far = np.full(t1.shape[:2], math.inf)
+    miss = np.zeros(t1.shape[:2], dtype=bool)
     for k in range(3):
         a, b, parallel = t1[..., k], t2[..., k], flat[..., k]
         near = np.where(b < a, b, a)
@@ -94,9 +95,9 @@ def reference_nearest_hits(origins, dirs, lo, hi, max_range):
         miss |= parallel & ~((lo[:, k] <= origin[..., k]) & (origin[..., k] <= hi[:, k]))
     r = np.where(0.0 > t_near, 0.0, t_near)
     hit = ~miss & ~(t_near > t_far) & ~(t_far < 0) & (r <= max_range)
-    nearest = np.full(r.shape[:2], math.inf)
-    for j in range(r.shape[2]):
-        nearest = np.where(hit[..., j] & (r[..., j] < nearest), r[..., j], nearest)
+    nearest = np.full(r.shape[:1], math.inf)
+    for j in range(r.shape[1]):
+        nearest = np.where(hit[:, j] & (r[:, j] < nearest), r[:, j], nearest)
     return nearest
 
 
@@ -418,12 +419,12 @@ class TestTraversal:
 
 def box_range(origin, direction, box):
     """The reference range to one box, checked against the library's
-    survey-wide slab test, as one scan of one beam (inf for no hit)."""
+    survey-wide slab test, as one beam (inf for no hit)."""
     want = ray_box_range(origin, direction, box)
-    got = _nearest_hits(np.array([origin], dtype=float), np.array([[direction]], dtype=float),
+    got = _nearest_hits(np.array([origin], dtype=float), np.array([direction], dtype=float),
                         np.subtract([box.center], [box.half_extents]),
                         np.add([box.center], [box.half_extents]), math.inf)
-    assert got.tolist() == [[math.inf if want is None else want]]
+    assert got.tolist() == [math.inf if want is None else want]
     return want
 
 
@@ -463,10 +464,10 @@ class TestRayBox:
 
 def assert_hits_match(origins, dirs, boxes, max_range=15.0):
     """The kernel's slab test against the numpy one it replaced, bit for
-    bit, on scans from origins (scans, 3) with beams dirs (scans, beams, 3)
-    and boxes (centre, half extents); returns the kernel's ranges."""
+    bit, on beams dirs (n, 3) from their origins (n, 3) and boxes (centre,
+    half extents); returns the kernel's ranges."""
     origins = np.array(origins, dtype=float).reshape(-1, 3)
-    dirs = np.array(dirs, dtype=float).reshape(len(origins), -1, 3)
+    dirs = np.array(dirs, dtype=float).reshape(-1, 3)
     boxes = np.array(boxes, dtype=float).reshape(-1, 2, 3)
     lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
     got = _nearest_hits(origins, dirs, lo, hi, max_range)
@@ -480,6 +481,9 @@ beam_components = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-310, -1e-3
                             st.floats(-1.0, 1.0))
 # a lattice holding every face of BOXES, anywhere in and around them
 box_coordinates = st.one_of(st.integers(-8, 44).map(lambda i: i * 0.25), st.floats(-6, 12))
+# up to three boxes (centre, half extents) on that lattice
+box_lists = st.lists(st.tuples(st.tuples(*[box_coordinates] * 3),
+                               st.tuples(*[st.sampled_from([0.25, 0.5, 1.0])] * 3)), max_size=3)
 
 
 class TestSlabTestMatchesReference:
@@ -500,35 +504,54 @@ class TestSlabTestMatchesReference:
         ((21.5, 0.0, 0.0), (-1.0, 0.0, 0.0), math.inf),  # beyond max range
     ])
     def test_named_beams(self, origin, direction, want):
-        (got,), = assert_hits_match([origin], [[direction]], self.BOX)
+        (got,) = assert_hits_match([origin], [direction], self.BOX)
         assert got.tobytes() == np.float64(want).tobytes()
 
     def test_nearest_of_several_boxes(self):
         boxes = [(o.center, o.half_extents) for o in BOXES]
-        got = assert_hits_match([(0.0, 0.0, 0.5), (0.0, 7.0, 0.5)],
-                                [[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]] * 2, boxes, math.inf)
-        assert got.tolist() == [[4.0, 7.5], [math.inf, 0.5]]
+        got = assert_hits_match([(0.0, 0.0, 0.5)] * 2 + [(0.0, 7.0, 0.5)] * 2,
+                                [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] * 2, boxes, math.inf)
+        assert got.tolist() == [4.0, 7.5, math.inf, 0.5]
 
     def test_no_box_and_no_beam(self):
-        assert assert_hits_match([(0.0, 0.0, 0.0)], [[(1.0, 0.0, 0.0)]], []).tolist() \
-            == [[math.inf]]
-        assert assert_hits_match([(0.0, 0.0, 0.0)], np.empty((1, 0, 3)), self.BOX).shape \
-            == (1, 0)
+        assert assert_hits_match([(0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)], []).tolist() \
+            == [math.inf]
+        assert assert_hits_match(np.empty((0, 3)), np.empty((0, 3)), self.BOX).shape == (0,)
 
     @given(data=st.data(), scans=st.integers(1, 3), beams=st.integers(1, 4),
-           boxes=st.lists(st.tuples(st.tuples(*[box_coordinates] * 3),
-                                    st.tuples(*[st.sampled_from([0.25, 0.5, 1.0])] * 3)),
-                          max_size=3),
+           boxes=box_lists,
            max_range=st.sampled_from([15.0, math.inf, 0.0]))
     @settings(max_examples=200, deadline=None)
     def test_random_beams(self, data, scans, beams, boxes, max_range):
-        """Origins on the lattice of the boxes' faces, inside, outside or
-        on them; beam components of 0.0, -0.0, tiny or any size."""
+        """Scans laid out as a survey is, each origin repeated for its
+        beams: origins on the lattice of the boxes' faces, inside, outside
+        or on them; beam components of 0.0, -0.0, tiny or any size."""
         origins = data.draw(st.lists(st.tuples(*[box_coordinates] * 3),
                                      min_size=scans, max_size=scans), label="origins")
         dirs = data.draw(st.lists(st.tuples(*[beam_components] * 3), min_size=scans * beams,
                                   max_size=scans * beams), label="dirs")
+        assert_hits_match(np.repeat(origins, beams, axis=0), dirs, [*boxes, *self.BOX],
+                          max_range)
+
+    @given(beams=st.lists(st.tuples(st.tuples(*[box_coordinates] * 3),
+                                    st.tuples(*[beam_components] * 3)), min_size=2, max_size=8),
+           boxes=box_lists,
+           max_range=st.sampled_from([15.0, math.inf, 0.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_beams_from_their_own_origins(self, beams, boxes, max_range):
+        """One call whose every beam starts from its own origin: each
+        range is the one its beam's origin gives, not the first beam's."""
+        origins, dirs = zip(*beams)
         assert_hits_match(origins, dirs, [*boxes, *self.BOX], max_range)
+
+    @pytest.mark.parametrize("origins, dirs, lo", [
+        ((2, 3), (3, 3), (1, 3)),     # origins and directions of different counts
+        ((2, 3), (2, 3), (1, 2)),     # corners of 2 coordinates
+        ((1, 2, 3), (1, 2, 3), (1, 3)),  # a (scans, beams, 3) layout
+    ])
+    def test_malformed_layout_rejected(self, origins, dirs, lo):
+        with pytest.raises(ValueError, match="need \\(n, 3\\) directions"):
+            _nearest_hits(np.zeros(origins), np.zeros(dirs), np.zeros(lo), np.zeros(lo), 1.0)
 
 
 SCENE = """

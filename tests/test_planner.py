@@ -55,8 +55,8 @@ SUITE = [two_action_mdp(), risky_vs_safe_mdp(), loop_mdp(), detour_mdp()]
 
 
 def log_values(solved):
-    """Every state's log V by id, from a `Solution`'s arrays."""
-    return dict(zip(solved.arrays.ids, solved.logv.tolist()))
+    """Every state's log V by id, from a `Solution` and its model."""
+    return dict(zip(solved.model.states, solved.logv.tolist()))
 
 
 def expected_cost_policy(m, sweeps=100_000, tol=1e-12):

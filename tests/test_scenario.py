@@ -289,18 +289,17 @@ def _trace(walk, m, plan):
 
 def assert_grounds_as_reference(s):
     """`ground_to_mdp` gives the model that the spec lists and their
-    grouping gave (`oracles.reference_model`): the same ids and choices,
+    grouping gave (`oracles.reference_model`): the same ids and labels,
     the eight numeric arrays bit for bit (ln P too), start, goals,
     goal-reaching states and counts, and the same trace of the plan of
     each gamma of a sweep, with collisions unrecoverable and priced."""
     m, want = ground_to_mdp(s), reference_model(s)
-    a = m.arrays
-    assert (a.ids, a.choices) == (want.ids, want.choices)
+    assert (m.states, m.labels) == (want.ids, want.labels)
     for name, array in want.numeric.items():
-        got = getattr(a, name)
+        got = getattr(m, name)
         assert (got.dtype, got.tobytes()) == (array.dtype, array.tobytes()), name
     assert (m.start, m.goals) == (want.start, want.goals)
-    assert frozenset(np.flatnonzero(a.reach).tolist()) == want.goal_reaching
+    assert frozenset(np.flatnonzero(m.reach).tolist()) == want.goal_reaching
     assert (len(m.states), len(m.transitions)) == (len(want.states), len(want.transitions))
     plans = {}
     for failure_cost in (None, DEFAULT_COLLISION_COST):
