@@ -15,9 +15,12 @@
  * Python's min() and max() keep the first of equal arguments, and so do
  * the comparisons that stand for them here.
  *
- * The simulator's drift is drawn here from each episode's own numpy bit
- * generator, with the normal sampler of numpy's libnpyrandom.a that
- * Generator.normal calls, so the streams are numpy's.
+ * Each episode's random stream is seeded here as scenario.named_rng seeds
+ * it: numpy's SeedSequence mixing of the stream's key words, then a PCG64
+ * bit generator (O'Neill 2014).  Its obstacle displacements and drift are
+ * drawn with the normal sampler of numpy's libnpyrandom.a that
+ * Generator.normal calls, so the streams are numpy's; the tests check them
+ * against named_rng.
  */
 #include <math.h>
 #include <time.h>
@@ -170,8 +173,9 @@ long refine_path(long npts, const double *pts, long zones, const double *centers
  * obstacle half extents; centers (n, m, 3) each row's displaced obstacle
  * centres.  When sigma > 0, each tick adds a drift velocity to the row's
  * position, drawn per axis as Generator.normal(0.0, sigma) draws it, from
- * the row's bit generator gens[row].  pos (n, 3), k (n,), sim_time (n,),
- * in_contact (n, m) and status (n,) carry each row's state between calls.
+ * the row's bit generator gens[row], which seed_episodes made.  pos (n, 3),
+ * k (n,), sim_time (n,), in_contact (n, m) and status (n,) carry each
+ * row's state between calls.
  * Each fresh incident is written to the event buffers of `capacity`
  * events, in row order and, within a row, in the order it happened.
  * Returns the number of events written.  A tick can write m events, so
@@ -796,4 +800,159 @@ long solve_mdp(long n, const double *costs, const long *act_start,
 done:
     seconds[0] = seconds_now() - entry;
     return result;
+}
+
+/* gcc emits a static function whose address is taken ahead of the entry
+ * points, which moved them all; in a section of its own, which the linker
+ * places after this file's .text, it moves none of them */
+#define AFTER_ENTRY_POINTS __attribute__((section(".text.pcg64")))
+
+/* PCG64's step and XSL-RR output (O'Neill 2014), as numpy's
+ * PCG64.random_raw.  A stream is four words: the 128-bit state's high and
+ * low words, then the increment's. */
+static AFTER_ENTRY_POINTS uint64_t pcg64_next64(void *stream)
+{
+    static const unsigned __int128 MULT =
+        (unsigned __int128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+    uint64_t *s = stream;
+    unsigned __int128 state = ((unsigned __int128)s[0] << 64 | s[1]) * MULT
+        + ((unsigned __int128)s[2] << 64 | s[3]);
+    s[0] = (uint64_t)(state >> 64);
+    s[1] = (uint64_t)state;
+    uint64_t x = s[0] ^ s[1];
+    unsigned rot = (unsigned)(s[0] >> 58);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static AFTER_ENTRY_POINTS double pcg64_next_double(void *stream)
+{
+    return (double)(pcg64_next64(stream) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's SeedSequence, with its pool of 4 words: each key word is hashed
+ * into the pool, the pool words are mixed into each other once the pool
+ * is full (or the key is shorter), and later words are mixed into every
+ * pool word.  A pool takes the words one at a time, so a key of any
+ * length needs no buffer, and a batch's shared prefix is mixed once. */
+enum { POOL = 4 };
+static const uint32_t INIT_A = 0x43b0d7e5, MULT_A = 0x931e8875;
+static const uint32_t INIT_B = 0x8b51f9dd, MULT_B = 0x58f38ded;
+static const uint32_t MIX_MULT_L = 0xca01f9dd, MIX_MULT_R = 0x4973f715;
+
+struct pool {
+    uint32_t mixer[POOL];
+    uint32_t hash;  /* the hash constant, INIT_A to start with */
+    long words;     /* key words taken */
+};
+
+static ALWAYS_INLINE uint32_t hashmix(struct pool *p, uint32_t value)
+{
+    value ^= p->hash;
+    p->hash *= MULT_A;
+    value *= p->hash;
+    return value ^ (value >> 16);
+}
+
+static ALWAYS_INLINE uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ (result >> 16);
+}
+
+static ALWAYS_INLINE void mix_pool(struct pool *p)
+{
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                p->mixer[dst] = mix(p->mixer[dst], hashmix(p, p->mixer[src]));
+}
+
+static ALWAYS_INLINE void take_word(struct pool *p, uint32_t word)
+{
+    if (p->words < POOL) {
+        p->mixer[p->words++] = hashmix(p, word);
+        return;
+    }
+    if (p->words++ == POOL)
+        mix_pool(p);
+    for (int dst = 0; dst < POOL; dst++)
+        p->mixer[dst] = mix(p->mixer[dst], hashmix(p, word));
+}
+
+/* The stream of the key p has taken, into stream (4,), as
+ * PCG64(SeedSequence(key)) seeds it: the pool makes the 128-bit initial
+ * state and sequence (SeedSequence.generate_state(4, uint64)), and the
+ * generator starts as pcg_setseq_128_srandom_r starts it. */
+static ALWAYS_INLINE void seed_stream(struct pool p, uint64_t *stream)
+{
+    if (p.words <= POOL) {
+        while (p.words < POOL)
+            p.mixer[p.words++] = hashmix(&p, 0);
+        mix_pool(&p);
+    }
+    uint32_t hash = INIT_B, words[8];
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = p.mixer[i % POOL] ^ hash;
+        hash *= MULT_B;
+        value *= hash;
+        words[i] = value ^ (value >> 16);
+    }
+    uint64_t seed[4];
+    for (int i = 0; i < 4; i++)
+        seed[i] = words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
+    stream[0] = stream[1] = 0;
+    stream[2] = seed[2] << 1 | seed[3] >> 63;  /* the increment: 2 * sequence + 1 */
+    stream[3] = seed[3] << 1 | 1;
+    pcg64_next64(stream);
+    unsigned __int128 state = ((unsigned __int128)stream[0] << 64 | stream[1])
+        + ((unsigned __int128)seed[0] << 64 | seed[1]);
+    stream[0] = (uint64_t)(state >> 64);
+    stream[1] = (uint64_t)state;
+    pcg64_next64(stream);
+}
+
+/* An episode's bit generator and the PCG64 stream it draws from */
+struct episode_stream {
+    bitgen_t gen;
+    uint64_t state[4];
+};
+
+/* Seed the streams of n episodes and displace their obstacles.
+ *
+ * Episode row's key is prefix (words,), the key words of the batch's
+ * master seed and plan id (scenario.key_words), then index[row] as an
+ * integer key enters it: its little-endian 32-bit words, 0 as one word 0.
+ * Its bit generator goes to streams[row] (n, 9), a bitgen_t whose 64-bit
+ * words and doubles are its PCG64 stream's (the only draws
+ * random_standard_normal makes), followed by that stream's four words, and
+ * the generator's address to gens[row] (n,), for simulate_ticks.  Its
+ * obstacle centres go to centers[row] (n, m, 3): base (m, 3) in
+ * declaration order, each obstacle with displaced[j] set moved by three
+ * draws from the stream, as c + Generator.normal(0.0, sigma, size=3)
+ * moves it.
+ */
+void seed_episodes(long n, long words, const uint32_t *prefix,
+                   const uint64_t *index, long m, const double *base,
+                   const unsigned char *displaced, double sigma,
+                   uint64_t *streams, bitgen_t **gens, double *centers)
+{
+    struct pool batch = {{0}, INIT_A, 0};
+    for (long w = 0; w < words; w++)
+        take_word(&batch, prefix[w]);
+    for (long row = 0; row < n; row++) {
+        struct pool p = batch;
+        take_word(&p, (uint32_t)index[row]);
+        if (index[row] >> 32)
+            take_word(&p, (uint32_t)(index[row] >> 32));
+        struct episode_stream *s = (struct episode_stream *)(streams + 9 * row);
+        seed_stream(p, s->state);
+        s->gen = (bitgen_t){s->state, pcg64_next64, NULL, pcg64_next_double, pcg64_next64};
+        gens[row] = &s->gen;
+        double *c = centers + 3 * m * row;
+        for (long j = 0; j < 3 * m; j++) {
+            c[j] = base[j];
+            if (displaced[j / 3])
+                c[j] = c[j] + (0.0 + sigma * random_standard_normal(&s->gen));
+        }
+    }
 }

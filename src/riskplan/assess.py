@@ -53,7 +53,8 @@ def compute_metrics(samples: list[float], config: MetricConfig = MetricConfig())
     Entropy uses fixed-width bins anchored at 0.  The value at risk is the
     upper order statistic at rank ceil(alpha * n); the expected shortfall
     averages the samples strictly above it (or equals it when none are).
-    A sample that is not finite, or whose bin is not, is refused.
+    A sample that is not finite, or whose bin is not, is refused, and so
+    are samples whose mean or variance is not.
     """
     n = len(samples)
     if n < MIN_SAMPLES:
@@ -63,7 +64,13 @@ def compute_metrics(samples: list[float], config: MetricConfig = MetricConfig())
             raise ValueError(f"execution time {x!r} has no finite bin of width "
                              f"{config.bin_width!r}")
     mean = sum(samples) / n
-    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    try:  # float ** raises where * would give inf
+        variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    except OverflowError:
+        variance = math.inf
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ValueError(f"execution times from {min(samples)!r} to {max(samples)!r} "
+                         f"have no finite mean and variance")
 
     bins: dict[int, int] = {}
     for x in samples:

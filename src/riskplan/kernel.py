@@ -3,8 +3,10 @@ mapping.
 
 `_simkernel.c` holds the planner's log-domain value iteration (`solve_mdp`:
 worklist drains, proper-policy restart and greedy plan extraction), the
-refiner's sampling loop, the simulator's tick loop, and the occupancy
-grid's slab test, voxel walk, extraction scan and grid.csv rows.  It needs
+refiner's sampling loop, the simulator's episode seeding and tick loop,
+and the occupancy grid's slab test, voxel walk, extraction scan and
+grid.csv rows.  The kernel seeds each episode's PCG64 stream as
+`scenario.named_rng` does, which defines it.  It needs
 a C compiler (`cc` or `gcc`) and numpy's `libnpyrandom.a`: the first call
 of `load` builds it into this package's `__pycache__/`, under a name that
 carries the digest of the source, flags and that library, and later runs
@@ -90,8 +92,9 @@ def load() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(_SOURCE, _CACHE_DIR)))
     # ndarray arguments are checked for dtype and C order at every call; an
     # address (`ptr`) is not, so it must come from an array checked when made
-    f64, intp, uptr, u8, i8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                               for t in (np.float64, np.intp, np.uintp, np.uint8, np.int8))
+    f64, intp, uptr, u32, u64, u8, i8 = (
+        np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+        for t in (np.float64, np.intp, np.uintp, np.uint32, np.uint64, np.uint8, np.int8))
     size, real, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
     lib.solve_mdp.argtypes = [
         size, ptr, ptr, ptr, ptr, ptr,           # n, Mdp.addresses: costs,
@@ -113,6 +116,11 @@ def load() -> ctypes.CDLL:
         f64, intp, f64, u8, i8,                  # pos .. status
         size, intp, intp, f64, f64]              # capacity, event buffers
     lib.simulate_ticks.restype = size
+    lib.seed_episodes.argtypes = [
+        size, size, u32, u64,                    # n, words, prefix, index
+        size, f64, u8, real,                     # m, base, displaced, sigma
+        u64, uptr, f64]                          # streams, bit generators, centers
+    lib.seed_episodes.restype = None
     lib.integrate_beams.argtypes = [
         size, f64, f64, f64, real,               # n, origins, dirs, ranges, max_range
         real, real, real, real,                  # l_hit, l_miss, clamp bounds

@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 import types
 import typing
@@ -322,13 +323,29 @@ def check_master_seed(master_seed: int):
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
 
 
-def named_rng(master_seed: int, *names: str | int) -> np.random.Generator:
-    """The random stream of ``names`` under the master seed: a string enters
-    as the CRC-32 of its UTF-8 bytes, an integer as itself, so a stream
-    never depends on which others were drawn or in what order."""
+def key_words(master_seed: int, *names: str | int) -> np.ndarray:
+    """The uint32 key words of the stream of ``names`` under the master
+    seed: a string enters as the CRC-32 of its UTF-8 bytes, an integer
+    >= 0 as its little-endian 32-bit words (0 as one word 0), as
+    `SeedSequence` reads a list of them."""
     check_master_seed(master_seed)
-    keys = [zlib.crc32(n.encode("utf-8")) if isinstance(n, str) else n for n in names]
-    return np.random.default_rng(np.random.SeedSequence([master_seed, *keys]))
+    words = []
+    for key in (master_seed, *names):
+        if isinstance(key, str):
+            words.append(zlib.crc32(key.encode("utf-8")))
+        elif (key := operator.index(key)) < 0:  # a numpy integer too
+            raise ValueError(f"stream key must be >= 0, got {key}")
+        else:
+            words += [key >> s & 0xFFFFFFFF for s in range(0, max(key.bit_length(), 1), 32)]
+    return np.array(words, dtype=np.uint32)
+
+
+def named_rng(master_seed: int, *names: str | int) -> np.random.Generator:
+    """The random stream of ``names`` under the master seed, seeded by its
+    `key_words`, so a stream never depends on which others were drawn or
+    in what order.  It defines every stream of the package: the simulator's
+    kernel seeds each episode's as this does, and is tested against it."""
+    return np.random.default_rng(np.random.SeedSequence(key_words(master_seed, *names)))
 
 
 def state_id(waypoint: str, mask: int) -> str:

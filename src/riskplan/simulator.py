@@ -6,21 +6,24 @@ closer to an obstacle than the clearance threshold logs an incident and
 adds a recovery time penalty.  Every episode is a pure function of its
 seed tuple (master seed, plan id, episode index).
 
-The tick loop runs in the compiled C kernel (see `kernel`), so simulation
-needs a C compiler.  It draws the drift from each episode's own generator
+Each episode's set-up and its tick loop run in the compiled C kernel (see
+`kernel`), so simulation needs a C compiler.  `scenario.named_rng` defines
+an episode's stream; the kernel seeds the same PCG64 stream from the
+seed tuple's key words, displaces the obstacles and draws the drift from it
 as `Generator.normal` would, and rounds as the numpy code it replaced did,
-so the records are those of a loop stepping each episode on its own.
+so the records are those of a loop stepping each episode on its own with
+`named_rng` (the tests check both).
 
 A batch of at least twice `MIN_WORKER_EPISODES` episodes is split into
 contiguous runs, one per CPU the process may run on, each of at least that
 many.  The calling thread runs the first, and a thread each runs the
-others while ctypes releases the interpreter lock.  The records, in seed
-order, do not depend on the worker count.
+others while ctypes releases the interpreter lock; no episode's set-up
+holds the lock.  The records, in seed order, do not depend on the worker
+count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import kernel
 from .refiner import MAX_DURATION_S, Trajectory
-from .scenario import Scenario, from_json, named_rng, open_artifact, parse_json
+from .scenario import Scenario, from_json, key_words, open_artifact, parse_json
 
 SIM_DT = 0.1
 TIMEOUT_FACTOR = 10.0
@@ -75,50 +78,37 @@ class EpisodeRecord:
     seed: tuple[int, str, int]
 
 
-def _obstacle_centers(scenario: Scenario, cfg: DisturbanceConfig,
-                      rng: np.random.Generator) -> np.ndarray:
-    """(m, 3) obstacle centres of one episode, displaced in declaration order."""
-    centers = np.array([o.center for o in scenario.obstacles], dtype=float).reshape(-1, 3)
-    for j, o in enumerate(scenario.obstacles):
-        if (cfg.perturb_all or o.label == cfg.perturb_target) and cfg.obstacle_sigma > 0:
-            centers[j] = centers[j] + rng.normal(0.0, cfg.obstacle_sigma, size=3)
-    return centers
-
-
 _RUNNING = 0
 _COMPLETED = 1
 
-# Episodes a worker takes at least.  A tanks.scn batch split in two (mean
-# over the seed-7 candidates, min of 30 alternating calls, 2-vCPU VM) took
-# 2.3-2.6 ms against 2.1-2.2 ms serial at 10 episodes, 3.9-4.0 against
-# 4.0-4.3 at 20, 4.8-5.9 against 5.9-8.5 at 30 and 12.7 against 21.4 at
-# 100.  A worker breaks even near 10 episodes; the floor keeps a margin
-# over that for the thread's start and for Python work that holds the
-# interpreter lock.
+# Episodes a worker takes at least.  With each episode's set-up in the
+# kernel, a tanks.scn batch split in two (mean over the seed-7 candidates,
+# min of 30 alternating calls, 2-vCPU VM) took 1.33 ms against 1.66 ms
+# serial at 10 episodes, 2.40 against 3.43 at 20 and 10.0 against 15.8 at
+# 100 in a spell when the second CPU ran alongside.  In other spells it did
+# not, and a split cost 0.25-0.5 ms at every size up to 100 (1.82 against
+# 1.56 ms at 10, 15.2 against 14.7 at 100).  A worker breaks even below 10
+# episodes when it runs; the floor keeps a margin for the spells when it
+# does not and for the thread's start.
 MIN_WORKER_EPISODES = 25
-
-# PyCapsule_GetPointer, called with the interpreter lock held.  A Generator's
-# `bitgen_t *` is read from its bit generator's capsule: `bit_generator.ctypes`
-# gives the same address, but builds a namedtuple of ctypes function pointers
-# for each new generator.
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 def _simulate(
     trajectory: Trajectory,
     scenario: Scenario,
     cfg: DisturbanceConfig,
-    seeds: list[tuple[int, str, int]],
+    master_seed: int,
+    plan_id: str,
+    indices: list[int],
 ) -> list[EpisodeRecord]:
-    """Run one episode per seed tuple, the seeds split into contiguous
-    runs, one per worker.
+    """Run one episode per index, with seed tuple (master_seed, plan_id,
+    index), the indices split into contiguous runs, one per worker.
 
-    The compiled kernel runs each episode to its end, drawing the drift
-    from the episode's generator; it returns early only when its event
-    buffers fill.  An episode's arithmetic and random draws are its own, so
-    a record does not depend on the batch it ran in, and so not on the
-    worker count.  The records come back in seed order.
+    The compiled kernel seeds each episode's stream as `named_rng` does,
+    displaces its obstacles and runs it to its end; it returns early only
+    when its event buffers fill.  An episode's arithmetic and random draws
+    are its own, so a record does not depend on the batch it ran in, and
+    so not on the worker count.  The records come back in index order.
     """
     rows = trajectory.rows
     last = len(rows)
@@ -130,22 +120,27 @@ def _simulate(
         raise ValueError(f"a {duration!r} s trajectory's episodes would run up to "
                          f"{timeout / SIM_DT:.0f} ticks, more than MAX_EPISODE_TICKS "
                          f"({MAX_EPISODE_TICKS})")
+    prefix = key_words(master_seed, plan_id)
+    index = np.array(indices, dtype=np.uint64)
     lib = kernel.load()  # built before the split: a build error starts no worker
     points = np.ascontiguousarray(rows[:, 1:4])
     speeds = np.maximum(rows[:, 4], 1e-6)
     labels = [o.label for o in scenario.obstacles]
     m = len(labels)
+    base = np.array([o.center for o in scenario.obstacles], dtype=float).reshape(m, 3)
     half = np.array([o.half_extents for o in scenario.obstacles],
                     dtype=float).reshape(m, 3)
+    displaced = np.array([(cfg.perturb_all or o.label == cfg.perturb_target)
+                          and cfg.obstacle_sigma > 0 for o in scenario.obstacles], np.uint8)
 
-    def run(chunk: list[tuple[int, str, int]]) -> list[EpisodeRecord]:
-        n = len(chunk)
-        rngs = [named_rng(*seed) for seed in chunk]
-        centers = np.array([_obstacle_centers(scenario, cfg, rng) for rng in rngs]
-                           ).reshape(n, m, 3)
-        # the kernel draws without the Generators' locks: rngs is private to this run
-        gens = np.array([_capsule_pointer(r.bit_generator.capsule, b"BitGenerator")
-                         for r in rngs], np.uintp)
+    def run(lo: int, hi: int) -> list[EpisodeRecord]:
+        n = hi - lo
+        # each row's bit generator and stream, private to this run; gens
+        # holds the generators' addresses in streams
+        streams, gens = np.empty((n, 9), np.uint64), np.empty(n, np.uintp)
+        centers = np.empty((n, m, 3))
+        lib.seed_episodes(n, len(prefix), prefix, index[lo:hi], m, base, displaced,
+                          cfg.obstacle_sigma, streams, gens, centers)
         pos = np.tile(points[0], (n, 1))
         k = np.ones(n, dtype=np.intp)
         sim_time = np.zeros(n)
@@ -166,21 +161,20 @@ def _simulate(
             for row, j, t, d in zip(ev_row[:count].tolist(), ev_obs[:count].tolist(),
                                     ev_time[:count].tolist(), ev_dist[:count].tolist()):
                 incidents[row].append(Incident(round(t, 6), labels[j], round(d, 6)))
-        return [EpisodeRecord(seed[1], seed[2], round(t, 6), incidents[i],
-                              bool(status[i] == _COMPLETED), seed)
-                for i, (seed, t) in enumerate(zip(chunk, sim_time.tolist()))]
+        return [EpisodeRecord(plan_id, i, round(t, 6), incidents[r],
+                              bool(status[r] == _COMPLETED), (master_seed, plan_id, i))
+                for r, (i, t) in enumerate(zip(indices[lo:hi], sim_time.tolist()))]
 
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(seeds) // MIN_WORKER_EPISODES))
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(indices) // MIN_WORKER_EPISODES))
     if workers == 1:
-        return run(seeds)
+        return run(0, len(indices))
     # imported only here: with the logging it imports, it adds ~7 ms to
     # every process's start, and a batch under the floor never needs it
     from concurrent.futures import ThreadPoolExecutor
-    bounds = [len(seeds) * w // workers for w in range(workers + 1)]
-    chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+    bounds = [len(indices) * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(workers - 1) as pool:
-        rest = [pool.submit(run, chunk) for chunk in chunks[1:]]
-        records = run(chunks[0])
+        rest = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+        records = run(bounds[0], bounds[1])
         return records + [record for future in rest for record in future.result()]
 
 
@@ -191,7 +185,8 @@ def run_episode(
     seed: tuple[int, str, int],
 ) -> EpisodeRecord:
     """One episode: the record a batch gives for the same seed tuple."""
-    return _simulate(trajectory, scenario, cfg, [seed])[0]
+    master_seed, plan_id, index = seed
+    return _simulate(trajectory, scenario, cfg, master_seed, plan_id, [index])[0]
 
 
 def run_batch(
@@ -204,8 +199,8 @@ def run_batch(
     """n independent episodes with seed tuples (master, trajectory.plan_id, 0..n-1)."""
     if n < 1:
         raise ValueError("need at least one episode")
-    return _simulate(trajectory, scenario, cfg,
-                     [(master_seed, trajectory.plan_id, i) for i in range(n)])
+    return _simulate(trajectory, scenario, cfg, master_seed, trajectory.plan_id,
+                     list(range(n)))
 
 
 def write_episode_log(records: list[EpisodeRecord], path):

@@ -87,6 +87,19 @@ class TestMetrics:
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             compute_metrics(samples, MetricConfig(bin_width=bin_width))
 
+    @pytest.mark.parametrize("samples, error", [
+        # (x - mean) ** 2 overflows: once an OverflowError
+        ([0.0, 1e200], "execution times from 0.0 to 1e+200"),
+        # the sum overflows, so the mean is inf
+        ([1e308, 1e308], "execution times from 1e+308 to 1e+308"),
+        # finite squares whose sum overflows
+        ([-1e154, 1e154] * 3, "execution times from -1e+154 to 1e+154"),
+    ])
+    def test_samples_without_a_finite_variance(self, samples, error):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(error)} have no finite mean and variance$"):
+            compute_metrics(samples)
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=2,
                     max_size=40))
     @settings(max_examples=100, deadline=None)

@@ -576,6 +576,18 @@ class TestBadInputExitsTwo:
             == "execution time 1.0 has no finite bin of width 1e-310"
         assert not report.exists()
 
+    def test_assess_samples_without_a_finite_variance(self, tmp_path, capsys):
+        # (x - mean) ** 2 overflows: once an OverflowError, exit 1
+        log, report = tmp_path / "e.jsonl", tmp_path / "report.json"
+        log.write_text("".join(
+            json.dumps({"plan_id": "P1", "episode_index": i, "execution_time_s": t,
+                        "incidents": [], "completed": True, "seed": [1, "P1", i]}) + "\n"
+            for i, t in enumerate([0.0, 1e200])), encoding="utf-8")
+        assert main(["assess", str(log), "--out", str(report)]) == EXIT_INPUT
+        assert _stderr_doc(capsys)["error"] \
+            == "execution times from 0.0 to 1e+200 have no finite mean and variance"
+        assert not report.exists()
+
     @pytest.mark.parametrize("config, error", [
         ({"metrics": {"bin_width": 1e-310}}, "has no finite bin of width 1e-310"),
         # every step an incident: two penalties add up to an infinite time

@@ -23,7 +23,8 @@ from riskplan import kernel
 DEFINITION = re.compile(r"^(?!static\b)([A-Za-z_][\w\s*]*?)\b(\w+)\(([^)]*)\)\s*\{", re.M)
 SCALARS = {"void": None, "int": ctypes.c_int, "long": ctypes.c_long, "double": ctypes.c_double}
 ARRAYS = {"double*": np.float64, "long*": np.intp, "unsignedchar*": np.uint8,
-          "signedchar*": np.int8, "bitgen_t**": np.uintp}
+          "signedchar*": np.int8, "uint32_t*": np.uint32, "uint64_t*": np.uint64,
+          "bitgen_t**": np.uintp}
 
 
 def c_type(text: str) -> str:
@@ -81,7 +82,8 @@ def undeclared(lib, source: str) -> list[str]:
 
 def test_every_entry_point_is_declared():
     source = kernel._SOURCE.read_text(encoding="utf-8")
-    assert {"refine_path", "simulate_ticks", "integrate_beams"} <= entry_points(source).keys()
+    assert {"refine_path", "seed_episodes", "simulate_ticks", "integrate_beams"} \
+        <= entry_points(source).keys()
     assert undeclared(kernel.load(), source) == []
 
 

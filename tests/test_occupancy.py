@@ -923,7 +923,8 @@ class TestObservedVoxelsOnce:
         assert callers == ["export_csv"]
         rows = (tmp_path / "grid.csv").read_bytes().count(b"\r\n") - 1
         mapping = [name for name in kernel_calls
-                   if name not in ("solve_mdp", "refine_path", "simulate_ticks")]
+                   if name not in ("solve_mdp", "refine_path", "seed_episodes",
+                                   "simulate_ticks")]
         assert mapping \
             == (["nearest_hits", "integrate_beams", "max_near_segments"]
                 + ["grid_rows"] * -(-rows // CSV_BLOCK_ROWS))

@@ -16,19 +16,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, TANKS_SCN, norm, reference_refine
 from riskplan.pipeline import PipelineConfig, map_from_sonar, plan_candidates
 from riskplan.refiner import MAX_PATH_ROWS, Trajectory, refine
-from riskplan.scenario import (PlanFile, ground_to_mdp, load_scenario, named_rng,
-                               parse_scenario, write_plan_file)
+from riskplan.scenario import (PlanFile, ground_to_mdp, key_words, load_scenario,
+                               named_rng, parse_scenario, write_plan_file)
 from riskplan import kernel, simulator
 from riskplan.cli import EXIT_INTERNAL, main
 from riskplan.kernel import KernelBuildError
 from riskplan.simulator import (SIM_DT, TIMEOUT_FACTOR, DisturbanceConfig,
-                                EpisodeRecord, Incident, _obstacle_centers,
-                                run_batch, run_episode, read_episode_log,
-                                write_episode_log)
+                                EpisodeRecord, Incident, run_batch, run_episode,
+                                read_episode_log, write_episode_log)
 
 OPEN_WATER = """
 LIMITS vmax 1.0 vcrit 0.25 radius 2.0
@@ -79,6 +80,20 @@ class TestDeterminism:
         want = np.random.default_rng(np.random.SeedSequence([7, zlib.crc32(b"P1"), 3]))
         assert named_rng(7, "P1", 3).integers(1 << 30, size=4).tolist() == \
             want.integers(1 << 30, size=4).tolist()
+
+    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**70 + 3])
+    @pytest.mark.parametrize("index", [0, 5, 2**32 + 5])
+    def test_key_words_are_the_words_seed_sequence_reads(self, master, index):
+        # SeedSequence's own reading of the list [master, key, index]
+        want = np.random.SeedSequence([master, zlib.crc32("é".encode()), index])
+        words = key_words(master, "é", index)
+        assert words.dtype == np.uint32
+        assert np.random.SeedSequence(words).generate_state(4).tolist() == \
+            want.generate_state(4).tolist()
+
+    def test_negative_key_refused(self):
+        with pytest.raises(ValueError, match="stream key must be >= 0, got -1"):
+            named_rng(7, "P1", -1)
 
     def test_streams_are_independent_of_order(self):
         assert named_rng(7, "P1", 3).integers(1 << 30) == \
@@ -293,6 +308,16 @@ def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
 _NOISE_CHUNK = 64
 
 
+def obstacle_centers(scenario, cfg, rng):
+    """(m, 3) obstacle centres of one episode, displaced in declaration
+    order: the set-up the lockstep batch made in numpy."""
+    centers = np.array([o.center for o in scenario.obstacles], dtype=float).reshape(-1, 3)
+    for j, o in enumerate(scenario.obstacles):
+        if (cfg.perturb_all or o.label == cfg.perturb_target) and cfg.obstacle_sigma > 0:
+            centers[j] = centers[j] + rng.normal(0.0, cfg.obstacle_sigma, size=3)
+    return centers
+
+
 def lockstep_batch(trajectory, scenario, cfg, seeds):
     """All episodes stepped together as (n, 3) numpy arrays: the batch the
     compiled kernel replaced, kept as its oracle.  Per episode the
@@ -315,7 +340,7 @@ def lockstep_batch(trajectory, scenario, cfg, seeds):
 
     # one row per running episode; ids[row] is its index into seeds
     ids = np.arange(n)
-    centers = np.array([_obstacle_centers(scenario, cfg, rng) for rng in rngs]
+    centers = np.array([obstacle_centers(scenario, cfg, rng) for rng in rngs]
                        ).reshape(n, len(labels), 3)
     pos = np.tile(points[0], (n, 1))
     k = np.ones(n, dtype=np.intp)
@@ -471,6 +496,34 @@ class TestLockstepMatchesReference:
         assert_matches_reference(one, scenario, CONFIGS["default"], 2)
 
 
+class TestKernelStreamsMatchNamedRng:
+    """The kernel seeds each episode's stream and displaces its obstacles
+    as `named_rng` and `reference_episode` do, for keys of any length."""
+
+    @given(master=st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                            st.integers(2**32, 2**200), st.just(2**4000)),
+           plan_id=st.one_of(st.sampled_from(["P1", "é", "計画 2", "🐟"]),
+                             st.text(min_size=1, max_size=6)),
+           index=st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                           st.integers(2**32, 2**64 - 1)),
+           cfg=st.sampled_from([
+               DisturbanceConfig(current_sigma=0.0, obstacle_sigma=1.0, perturb_all=True),
+               DisturbanceConfig(current_sigma=0.0, obstacle_sigma=1.0, perturb_target="reef"),
+               DisturbanceConfig(current_sigma=0.2, obstacle_sigma=0.5, perturb_all=True),
+               DisturbanceConfig(current_sigma=0.2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_episode_equals_reference(self, twin_rocks, master, plan_id, index, cfg):
+        scenario, traj = twin_rocks
+        seed = (master, plan_id, index)
+        assert run_episode(traj, scenario, cfg, seed) == \
+            reference_episode(traj, scenario, cfg, seed)
+
+
+@pytest.fixture(scope="module")
+def twin_rocks():
+    return trajectory(TWIN_ROCKS)
+
+
 def reference_write_episode_log(records, path):
     """The writer `write_episode_log` replaced, which copied each record into
     dicts and lists with `dataclasses.asdict` first; kept as its reference."""
@@ -504,7 +557,7 @@ class TestIncompleteEpisodes:
 class TestKernelMatchesLockstep:
     @pytest.mark.parametrize("name", ["default", "shaken", "abort", "no_drift",
                                       "strong_drift"])
-    @pytest.mark.parametrize("master_seed", [7, 11])
+    @pytest.mark.parametrize("master_seed", [7, 11, 2**70 + 7])
     def test_tanks_batches(self, tanks, master_seed, name):
         scenario, trajs = tanks
         for traj in trajs:
@@ -585,10 +638,14 @@ def weave(passes):
 
 
 class CountingKernel:
-    """The kernel, counting `simulate_ticks` calls from every worker."""
+    """The kernel, counting `simulate_ticks` calls from every worker; the
+    other entry points are the kernel's own."""
 
     def __init__(self, lib):
         self.lib, self.calls, self.lock = lib, 0, threading.Lock()
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
 
     def simulate_ticks(self, *args):
         with self.lock:
@@ -642,16 +699,18 @@ class TestWorkers:
             run_batch(trajs[0], scenario, CONFIGS["default"], n=n, master_seed=7)
             assert counting_kernel.calls == calls
 
-    def test_error_in_a_later_chunk_reaches_the_caller(self, tanks, cpus, monkeypatch):
+    def test_error_in_a_later_chunk_reaches_the_caller(self, tanks, cpus, counting_kernel):
         scenario, trajs = tanks
         cpus(4)
 
-        def failing_rng(master, plan_id, episode_index):
-            if episode_index == 90:
-                raise ValueError(f"no stream for episode {episode_index}")
-            return named_rng(master, plan_id, episode_index)
+        seed_episodes = counting_kernel.lib.seed_episodes
 
-        monkeypatch.setattr(simulator, "named_rng", failing_rng)
+        def failing_seed(n, words, prefix, index, *rest):
+            if 90 in index:  # the last of the four chunks, run by a pool thread
+                raise ValueError("no stream for episode 90")
+            return seed_episodes(n, words, prefix, index, *rest)
+
+        counting_kernel.seed_episodes = failing_seed
         with pytest.raises(ValueError, match="no stream for episode 90"):
             run_batch(trajs[0], scenario, CONFIGS["default"], n=100, master_seed=7)
 
@@ -662,17 +721,12 @@ class TestWorkers:
         started = []
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             lambda *a: started.append(a))
-        monkeypatch.setattr(simulator, "named_rng", lambda *seed: started.append(seed))
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread))
         cpus(2)
         with pytest.raises(KernelBuildError, match="no C compiler"):
             run_batch(traj, scenario, QUIET, n=100)
         assert started == []
-
-    def test_bit_generator_pointer_is_the_ctypes_one(self):
-        for seed in [(7, "P1", 0), (7, "P1", 1), (11, "P2", 99)]:
-            rng = named_rng(*seed)
-            assert simulator._capsule_pointer(rng.bit_generator.capsule, b"BitGenerator") == \
-                rng.bit_generator.ctypes.bit_generator.value
 
 
 @pytest.fixture
