@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernel
-from .scenario import Obstacle, Scenario, write_csv
+from .scenario import Scenario, write_csv
 
 LOG_ODDS_MIN = -3.5
 LOG_ODDS_MAX = 3.5
@@ -279,14 +279,17 @@ def _nearest_hits(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
 
 
 def synthesize_scans(
-    obstacles: list[Obstacle],
+    centers: np.ndarray,
+    halves: np.ndarray,
     sensor_path: list[tuple[tuple[float, float, float], float]],
     fan: BeamFan,
     rng: np.random.Generator,
     range_sigma: float = 0.0,
 ) -> list[SonarScan]:
     """Exact ray/box ranges along a sensor path, with Gaussian range noise:
-    a list of one scan, each sensor's fan of beams from its position.
+    a list of one scan, each sensor's fan of beams from its position.  The
+    boxes are ``centers`` +- ``halves``, each (m, 3), as a `Scenario`
+    holds its obstacles.
 
     One slab test covers every beam and box of the survey, on the beams and
     origins the scan holds.  A beam that hits nothing within the fan's
@@ -295,9 +298,7 @@ def synthesize_scans(
     clamped to [1e-6, max_range].
     """
     check_noise_sigma(range_sigma)
-    boxes = np.array([(o.center, o.half_extents) for o in obstacles],
-                     dtype=float).reshape(-1, 2, 3)
-    lo, hi = boxes[:, 0] - boxes[:, 1], boxes[:, 0] + boxes[:, 1]
+    lo, hi = np.subtract(centers, halves, dtype=float), np.add(centers, halves, dtype=float)
     origins = np.repeat(np.array([position for position, _ in sensor_path],
                                  dtype=float).reshape(-1, 3), fan.count, axis=0)
     # each heading's beams once, keyed by the yaw's bits, as 0.0 == -0.0
@@ -353,22 +354,19 @@ def extract_problem(
     """Re-derive critical flags and edge collision risks from the map,
     looking for occupied voxels within the scenario's critical radius.
 
-    Returns a new Scenario; obstacles, mission, and limits are untouched.
+    Returns a new Scenario, the input's with new ``critical`` and ``risks``
+    arrays; each waypoint is read as a segment from its point to itself.
     """
     if not 0.0 <= kappa < math.inf:  # NaN fails too
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    for w in scenario.waypoints:
-        own = grid.occupancy_at(w.position)
+    points = scenario.points
+    for wid, point in zip(scenario.ids, points.tolist()):
+        own = grid.occupancy_at(point)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
-            raise ValueError(f"waypoint {w.id!r} sits in a voxel with occupancy {own:.3f}")
-    positions = scenario.positions()
-    waypoints, edges = scenario.waypoints, scenario.edges
-    near = _max_occupancy_near_segments(
-        grid, [w.position for w in waypoints] + [positions[e.a] for e in edges],
-        [w.position for w in waypoints] + [positions[e.b] for e in edges],
-        scenario.critical_radius)
-    new_waypoints = [replace(w, is_critical=occ > TAU_OCC) for w, occ in zip(waypoints, near)]
-    new_edges = [replace(e, collision_probability=0.0 if occ <= TAU_OCC
-                         else min(kappa * occ, EDGE_RISK_CAP))
-                 for e, occ in zip(edges, near[len(waypoints):])]
-    return replace(scenario, waypoints=new_waypoints, edges=new_edges)
+            raise ValueError(f"waypoint {wid!r} sits in a voxel with occupancy {own:.3f}")
+    segments = np.concatenate((np.stack((points, points), axis=1), points[scenario.edges]))
+    near = np.array(_max_occupancy_near_segments(grid, segments[:, 0], segments[:, 1],
+                                                 scenario.critical_radius))
+    edge = near[len(points):]
+    return replace(scenario, critical=near[:len(points)] > TAU_OCC,
+                   risks=np.where(edge <= TAU_OCC, 0.0, np.minimum(kappa * edge, EDGE_RISK_CAP)))

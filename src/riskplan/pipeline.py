@@ -70,8 +70,7 @@ class PipelineConfig:
 def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> VoxelGrid:
     """Survey the scene with a synthetic sonar sweep and build the grid."""
     check_noise_sigma(noise_sigma)  # before the grid is made
-    pts = np.array([w.position for w in scenario.waypoints]
-                   + [o.center for o in scenario.obstacles], dtype=float)
+    pts = np.concatenate((scenario.points, scenario.centers))
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     margin, res = 6.0, DEFAULT_RESOLUTION
     extent = hi - lo + 2 * margin
@@ -85,14 +84,14 @@ def map_from_sonar(scenario: Scenario, master_seed: int, noise_sigma: float) -> 
     path = []
     z = sum(pts[:, 2].tolist()) / len(pts)  # summed in order, as floats
     # orbit each obstacle so every face gets returns
-    for o in scenario.obstacles:
-        r = max(o.half_extents[0], o.half_extents[1]) + 6.0
+    for (x, y, _), (hx, hy, _) in zip(scenario.centers.tolist(), scenario.halves.tolist()):
+        r = max(hx, hy) + 6.0
         for k in range(8):
             ang = 2 * math.pi * k / 8
-            pos = (o.center[0] + r * math.cos(ang),
-                   o.center[1] + r * math.sin(ang), z)
+            pos = (x + r * math.cos(ang), y + r * math.sin(ang), z)
             path.append((pos, ang + math.pi))  # face the obstacle
-    for scan in synthesize_scans(scenario.obstacles, path, fan, rng, noise_sigma):
+    for scan in synthesize_scans(scenario.centers, scenario.halves, path, fan, rng,
+                                 noise_sigma):
         integrate_scan(grid, scan)
     return grid
 

@@ -163,11 +163,11 @@ def plan_polyline(scenario: Scenario, actions: list[str],
     if count > MAX_PATH_ROWS + 1:
         raise ValueError(f"the refined path has more than MAX_PATH_ROWS ({MAX_PATH_ROWS}) "
                          f"samples: its polyline has over {MAX_PATH_ROWS + 1} points")
-    positions = scenario.positions()
-    edges = {frozenset((e.a, e.b)) for e in scenario.edges}
+    ids, positions = scenario.ids, scenario.positions()
+    edges = {frozenset((ids[a], ids[b])) for a, b in scenario.edges.tolist()}
     current = scenario.start
     pts: list[tuple[float, float, float]] = [positions[current]]
-    obstacles = {o.label: o for o in scenario.obstacles}
+    obstacles = {label: k for k, label in enumerate(scenario.labels)}
     for label in actions:
         verb, _, name = label.partition(" ")
         if verb == "goto":
@@ -176,12 +176,13 @@ def plan_polyline(scenario: Scenario, actions: list[str],
             current = name
             pts.append(positions[current])
         elif verb == "inspect" and name in obstacles:
-            obs = obstacles[name]
+            center, half = (a[obstacles[name]].tolist()
+                            for a in (scenario.centers, scenario.halves))
             here = positions[current]
-            radius = max(obs.half_extents[0], obs.half_extents[1]) + helix.clearance
-            pitch = 2.0 * obs.half_extents[2] if helix.pitch is None else helix.pitch
-            angle = math.atan2(here[1] - obs.center[1], here[0] - obs.center[0])
-            pts += helix_points(obs.center, radius, angle, here[2], pitch, helix)
+            radius = max(half[0], half[1]) + helix.clearance
+            pitch = 2.0 * half[2] if helix.pitch is None else helix.pitch
+            angle = math.atan2(here[1] - center[1], here[0] - center[0])
+            pts += helix_points(center, radius, angle, here[2], pitch, helix)
             pts.append(here)  # return to the waypoint before continuing
         else:
             raise ValueError(f"unrecognized plan action {label!r}: expected "
@@ -226,8 +227,7 @@ def _sample_profile(scenario: Scenario, pts: list[tuple[float, float, float]],
     than MAX_PATH_ROWS samples, kept or not, a point it skips making one."""
     lib = kernel.load()
     path = np.array(pts, dtype=float)
-    centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
-                       dtype=float).reshape(-1, 3)
+    centers = scenario.points[scenario.critical]
     args = (len(path), path, len(centers), centers, scenario.critical_radius,
             scenario.v_max, scenario.v_crit, A_MAX, dt)
     count = lib.refine_path(*args, MAX_PATH_ROWS, 0, np.empty((0, 5)))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planner
-from .scenario import EdgeDef, Scenario, Waypoint, ground_to_mdp, named_rng
+from .scenario import Scenario, ground_to_mdp, named_rng
 
 CORRIDOR_SPACING = 5.0  # m between neighbouring corridor waypoints
 
@@ -17,36 +17,28 @@ def corridor_scenario(depth: int, criticals: int, risk: float = 0.05) -> Scenari
 
     The safe route detours around each critical passage (two extra hops),
     so plan depth and the number of critical states can be varied
-    independently; the chain itself keeps every instance solvable.
+    independently; the chain itself keeps every instance solvable.  Its
+    waypoints and edges are the chain's, then each detour d<i>'s, in order.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not (0 <= criticals <= depth):
         raise ValueError("criticals must be in [0, depth]")
-    waypoints = []
-    edges = []
-    critical_set = set(range(1, criticals + 1))
-    for i in range(depth + 1):
-        waypoints.append(Waypoint(f"w{i:03d}", (i * CORRIDOR_SPACING, 0.0, -5.0),
-                                  is_critical=(i in critical_set)))
-        if i > 0:
-            p = risk if i in critical_set else 0.0
-            edges.append(EdgeDef(f"w{i - 1:03d}", f"w{i:03d}", p))
-    # safe detour around each risky passage
-    for i in sorted(critical_set):
-        d = f"d{i:03d}"
-        waypoints.append(Waypoint(d, ((i - 0.5) * CORRIDOR_SPACING, CORRIDOR_SPACING,
-                                      -5.0)))
-        edges.append(EdgeDef(f"w{i - 1:03d}", d, 0.0))
-        edges.append(EdgeDef(d, f"w{i:03d}", 0.0))
+    chain, crit = np.arange(depth + 1), np.arange(1, criticals + 1)
+    detour = depth + crit  # each critical waypoint's detour, by position
+    points = np.full((depth + 1 + criticals, 3), (0.0, 0.0, -5.0))
+    points[chain, 0] = chain * CORRIDOR_SPACING
+    points[detour, 0], points[detour, 1] = (crit - 0.5) * CORRIDOR_SPACING, CORRIDOR_SPACING
     return Scenario(
-        obstacles=[],
-        waypoints=waypoints,
-        edges=edges,
-        start="w000",
-        final=f"w{depth:03d}",
-        inspection_goals=frozenset(),
-    )
+        ids=[f"w{i:03d}" for i in chain] + [f"d{i:03d}" for i in crit],
+        points=points, critical=np.isin(np.arange(len(points)), crit),
+        inspects=[None] * len(points),
+        edges=np.concatenate((np.stack((chain[:-1], chain[1:]), axis=1),
+                              np.stack((crit - 1, detour, detour, crit), axis=1).reshape(-1, 2))),
+        risks=np.concatenate((np.where(chain[1:] <= criticals, risk, 0.0),
+                              np.zeros(2 * criticals))),
+        labels=(), centers=np.empty((0, 3)), halves=np.empty((0, 3)),
+        start="w000", final=f"w{depth:03d}")
 
 
 @dataclass

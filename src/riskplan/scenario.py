@@ -15,6 +15,10 @@ inspects at most one label, a waypoint must inspect each mission target,
 and a mission grounds to at most MAX_STATES states and MAX_TRANSITIONS
 transitions.  Parsing is total: malformed input yields positioned issues,
 never an exception, and each line reports only its first problem.
+
+A parsed `Scenario` is its arrays: waypoints, edges (as waypoint indexes)
+and obstacles each in declaration order, checked once when it is made and
+read as they are by every stage, from grounding to the simulator.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ import sys
 import types
 import typing
 import zlib
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .mdp import Mdp
+from .mdp import InvalidModel, Mdp
 
 PLAN_FORMAT_VERSION = 2
 
@@ -50,42 +54,54 @@ MAX_STATES = 2**14
 MAX_TRANSITIONS = 2**17
 
 
-@dataclass(frozen=True)
-class Obstacle:
-    label: str
-    center: tuple[float, float, float]
-    half_extents: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    id: str
-    position: tuple[float, float, float]
-    is_critical: bool = False
-    inspection_target: str | None = None
-
-
-@dataclass(frozen=True)
-class EdgeDef:
-    a: str
-    b: str
-    collision_probability: float
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    obstacles: list[Obstacle] = field(default_factory=list)
-    waypoints: list[Waypoint] = field(default_factory=list)
-    edges: list[EdgeDef] = field(default_factory=list)
-    start: str = ""
-    final: str = ""
+    """A mission as arrays, by position: waypoint k is ids[k] at points[k],
+    critical if critical[k], inspecting obstacle inspects[k] (or None);
+    edge j joins waypoints edges[j] at collision risk risks[j]; obstacle i
+    is labels[i], the box centers[i] +- halves[i].  Each array is kept as
+    a new read-only copy.  The parser is the one gate for input errors, so
+    construction checks only what a program can get wrong, and raises
+    InvalidModel for it: shapes, edge indexes in [0, n), finite numbers."""
+
+    ids: tuple[str, ...]
+    points: np.ndarray  # (n, 3)
+    critical: np.ndarray  # (n,) bool
+    inspects: tuple[str | None, ...]
+    edges: np.ndarray  # (e, 2) waypoint indexes
+    risks: np.ndarray  # (e,)
+    labels: tuple[str, ...]
+    centers: np.ndarray  # (m, 3)
+    halves: np.ndarray  # (m, 3) half extents
+    start: str
+    final: str
     inspection_goals: frozenset[str] = frozenset()
     v_max: float = DEFAULT_V_MAX
     v_crit: float = DEFAULT_V_CRIT
     critical_radius: float = DEFAULT_CRITICAL_RADIUS
 
+    def __post_init__(self):
+        for name in ("ids", "inspects", "labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, dtype in (("points", float), ("critical", bool), ("edges", np.intp),
+                            ("risks", float), ("centers", float), ("halves", float)):
+            a = np.array(getattr(self, name), dtype=dtype, ndmin=1)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        n, e, m = len(self.ids), len(self.risks), len(self.labels)
+        problems = [f"{k} has shape {np.shape(getattr(self, k))}, not {shape}" for k, shape in (
+            ("points", (n, 3)), ("critical", (n,)), ("inspects", (n,)), ("edges", (e, 2)),
+            ("centers", (m, 3)), ("halves", (m, 3))) if np.shape(getattr(self, k)) != shape]
+        if not ((self.edges >= 0) & (self.edges < n)).all():
+            problems.append(f"an edge index is outside [0, {n})")
+        problems += [f"{k} is not finite" for k in ("points", "risks", "centers", "halves",
+                                                    "v_max", "v_crit", "critical_radius")
+                     if not np.isfinite(getattr(self, k)).all()]
+        if problems:
+            raise InvalidModel(problems)
+
     def positions(self) -> dict[str, tuple[float, float, float]]:
-        return {w.id: w.position for w in self.waypoints}
+        return dict(zip(self.ids, map(tuple, self.points.tolist())))
 
 
 @dataclass(frozen=True)
@@ -175,9 +191,9 @@ def parse_scenario(text: str) -> ParseResult:
     """Parse .scn text; total over arbitrary input, with at most one issue
     per line from reading it.  A scenario it accepts grounds to a valid model."""
     errors: list[ParseIssue] = []
-    obstacles: list[Obstacle] = []
-    waypoints: list[tuple[Waypoint, int]] = []
-    edges: list[tuple[EdgeDef, int]] = []
+    obstacles: list[list] = []  # label, then center and half extents
+    waypoints: list[tuple] = []  # id, point, critical, target, line
+    edges: list[tuple] = []  # end, end, risk, line
     mission: dict | None = None
     limits = (DEFAULT_V_MAX, DEFAULT_V_CRIT, DEFAULT_CRITICAL_RADIUS)
     limits_line = 0
@@ -215,12 +231,11 @@ def parse_scenario(text: str) -> ParseResult:
                                  f"duplicate {name} (first on line {declared[name]})")
             declared[name] = line_no
             if keyword == "OBSTACLE":
-                obstacles.append(Obstacle(values[0], tuple(values[1:4]), tuple(values[4:])))
+                obstacles.append(values)
             elif keyword == "WAYPOINT":
-                waypoints.append((Waypoint(values[0], tuple(values[1:]), critical, inspect),
-                                  line_no))
+                waypoints.append((values[0], values[1:], critical, inspect, line_no))
             elif keyword == "EDGE":
-                edges.append((EdgeDef(*values), line_no))
+                edges.append((*values, line_no))
             elif keyword == "MISSION":
                 mission = {"start": values[0], "final": values[1],
                            "inspect": [t for t, _ in rest[1:]], "line": line_no}
@@ -230,31 +245,31 @@ def parse_scenario(text: str) -> ParseResult:
             errors.append(ParseIssue(line_no, *exc.args))
 
     # semantic pass (forward references are legal, so this runs after reading)
-    obstacle_labels = {o.label for o in obstacles}
-    wp_ids = {w.id for w, _ in waypoints}
-    for w, line_no in waypoints:
-        if w.inspection_target is not None and w.inspection_target not in obstacle_labels:
+    obstacle_labels = {o[0] for o in obstacles}
+    index = {w[0]: k for k, w in enumerate(waypoints)}  # each waypoint id's index
+    for wid, _, _, target, line_no in waypoints:
+        if target is not None and target not in obstacle_labels:
             errors.append(ParseIssue(line_no, 1, "unknown-reference",
-                                     f"waypoint {w.id!r} inspects unknown obstacle {w.inspection_target!r}"))
-    for e, line_no in edges:
-        for end in (e.a, e.b):
-            if end not in wp_ids:
+                                     f"waypoint {wid!r} inspects unknown obstacle {target!r}"))
+    for a, b, risk, line_no in edges:
+        for end in (a, b):
+            if end not in index:
                 errors.append(ParseIssue(line_no, 1, "unknown-reference",
                                          f"edge references unknown waypoint {end!r}"))
-        if e.a == e.b:
-            errors.append(ParseIssue(line_no, 1, "semantic", f"edge endpoints must differ ({e.a!r})"))
-        if not (0.0 <= e.collision_probability < 1.0):
+        if a == b:
+            errors.append(ParseIssue(line_no, 1, "semantic", f"edge endpoints must differ ({a!r})"))
+        if not (0.0 <= risk < 1.0):
             errors.append(ParseIssue(line_no, 1, "semantic",
-                                     f"collision probability {e.collision_probability} outside [0,1)"))
+                                     f"collision probability {risk} outside [0,1)"))
     if "MISSION" not in keywords:
         errors.append(ParseIssue(0, 0, "semantic", "missing MISSION section"))
     elif mission is not None:
         at = mission["line"]
         for wp in (mission["start"], mission["final"]):
-            if wp not in wp_ids:
+            if wp not in index:
                 errors.append(ParseIssue(at, 1, "unknown-reference",
                                          f"mission references unknown waypoint {wp!r}"))
-        inspected = {w.inspection_target for w, _ in waypoints}
+        inspected = {w[3] for w in waypoints}
         for label in mission["inspect"]:
             if label not in obstacle_labels:
                 errors.append(ParseIssue(at, 1, "unknown-reference", f"mission inspection "
@@ -280,10 +295,14 @@ def parse_scenario(text: str) -> ParseResult:
 
     if errors:
         return ParseResult(None, errors)
+    ids, points, critical, inspects, _ = zip(*waypoints)  # the mission's start is one
+    boxes = np.reshape([o[1:] for o in obstacles], (-1, 6))
     return ParseResult(Scenario(
-        obstacles=obstacles, waypoints=[w for w, _ in waypoints], edges=[e for e, _ in edges],
-        start=mission["start"], final=mission["final"],
-        inspection_goals=frozenset(mission["inspect"]),
+        ids, points, critical, inspects,
+        edges=np.reshape([(index[a], index[b]) for a, b, _, _ in edges], (-1, 2)),
+        risks=[risk for _, _, risk, _ in edges], labels=[o[0] for o in obstacles],
+        centers=boxes[:, :3], halves=boxes[:, 3:], start=mission["start"],
+        final=mission["final"], inspection_goals=frozenset(mission["inspect"]),
         v_max=v_max, v_crit=v_crit, critical_radius=radius), [])
 
 
@@ -299,17 +318,14 @@ def format_scenario(s: Scenario) -> str:
         return " ".join(map(repr, v))
 
     lines = [f"LIMITS vmax {s.v_max!r} vcrit {s.v_crit!r} radius {s.critical_radius!r}"]
-    for o in s.obstacles:
-        lines.append(f"OBSTACLE {o.label} center {xyz(o.center)} half {xyz(o.half_extents)}")
-    for w in s.waypoints:
-        parts = [f"WAYPOINT {w.id} pos {xyz(w.position)}"]
-        if w.is_critical:
-            parts.append("critical")
-        if w.inspection_target:
-            parts.append(f"inspect {w.inspection_target}")
-        lines.append(" ".join(parts))
-    for e in s.edges:
-        lines.append(f"EDGE {e.a} {e.b} risk {e.collision_probability!r}")
+    for label, center, half in zip(s.labels, s.centers.tolist(), s.halves.tolist()):
+        lines.append(f"OBSTACLE {label} center {xyz(center)} half {xyz(half)}")
+    for wid, point, critical, target in zip(s.ids, s.points.tolist(), s.critical.tolist(),
+                                            s.inspects):
+        lines.append(f"WAYPOINT {wid} pos {xyz(point)}" + " critical" * critical
+                     + (f" inspect {target}" if target else ""))
+    for (a, b), risk in zip(s.edges.tolist(), s.risks.tolist()):
+        lines.append(f"EDGE {s.ids[a]} {s.ids[b]} risk {risk!r}")
     mission = f"MISSION start {s.start} final {s.final}"
     if s.inspection_goals:
         mission += " inspect " + " ".join(sorted(s.inspection_goals))
@@ -365,16 +381,13 @@ def ground_to_mdp(s: Scenario) -> Mdp:
     ids are the plan labels ``goto <waypoint>`` and ``inspect <obstacle>``.
     """
     target_bit = {t: 1 << i for i, t in enumerate(sorted(s.inspection_goals))}
-    masks, ids = 1 << len(target_bit), [w.id for w in s.waypoints]
-    index = {w: k for k, w in enumerate(ids)}
+    masks, ids = 1 << len(target_bit), s.ids
     rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each one's in id order
     # every edge both ways, as (waypoint, neighbour, risk), sorted into goto order
-    a, b = [index[e.a] for e in s.edges], [index[e.b] for e in s.edges]
-    src, dst = np.array(a + b, dtype=np.intp), np.array(b + a, dtype=np.intp)
-    risk = np.tile(np.array([e.collision_probability for e in s.edges], dtype=float), 2)
+    (src, dst), risk = np.concatenate((s.edges, s.edges[:, ::-1])).T, np.tile(s.risks, 2)
     order = np.lexsort((rank[dst], src))
     dst, risk, degree = dst[order], risk[order], np.bincount(src, minlength=len(ids))
-    bit = np.array([target_bit.get(w.inspection_target, 0) for w in s.waypoints], dtype=np.intp)
+    bit = np.array([target_bit.get(t, 0) for t in s.inspects], dtype=np.intp)
     # each state's action count, then each action's state, waypoint, mask and place
     wp, mask = np.divmod(np.arange(len(ids) * masks), masks)
     counts = np.append(degree[wp] + ((bit[wp] & ~mask) != 0), 0)  # bit 0: no inspect
@@ -386,7 +399,7 @@ def ground_to_mdp(s: Scenario) -> Mdp:
     label = len(ids) + wp  # into names: each waypoint's goto, then each one's inspect
     label[goto] = dst[edge]
     names = np.array([f"goto {w}" for w in ids]
-                     + [f"inspect {w.inspection_target}" for w in s.waypoints], dtype=object)
+                     + [f"inspect {t}" for t in s.inspects], dtype=object)
     crash = risk[edge] > 0.0  # a second move for a risky goto
     moves = 1 + np.bincount(np.flatnonzero(goto)[crash], minlength=len(sources))
     rows = np.concatenate(([0], np.cumsum(moves)))
@@ -399,8 +412,8 @@ def ground_to_mdp(s: Scenario) -> Mdp:
     return Mdp(states=[*itertools.starmap(state_id, itertools.product(ids, range(masks))),
                        COLLIDED], costs=np.ones(len(counts)), sources=sources,
                labels=names[label].tolist(), rows=rows, targets=targets,
-               transitions=probabilities, start=index[s.start] * masks,
-               goals={index[s.final] * masks + masks - 1})
+               transitions=probabilities, start=ids.index(s.start) * masks,
+               goals={ids.index(s.final) * masks + masks - 1})
 
 
 @dataclass

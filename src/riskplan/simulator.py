@@ -125,13 +125,10 @@ def _simulate(
     lib = kernel.load()  # built before the split: a build error starts no worker
     points = np.ascontiguousarray(rows[:, 1:4])
     speeds = np.maximum(rows[:, 4], 1e-6)
-    labels = [o.label for o in scenario.obstacles]
+    labels, base, half = scenario.labels, scenario.centers, scenario.halves
     m = len(labels)
-    base = np.array([o.center for o in scenario.obstacles], dtype=float).reshape(m, 3)
-    half = np.array([o.half_extents for o in scenario.obstacles],
-                    dtype=float).reshape(m, 3)
-    displaced = np.array([(cfg.perturb_all or o.label == cfg.perturb_target)
-                          and cfg.obstacle_sigma > 0 for o in scenario.obstacles], np.uint8)
+    displaced = np.array([(cfg.perturb_all or label == cfg.perturb_target)
+                          and cfg.obstacle_sigma > 0 for label in labels], np.uint8)
 
     def run(lo: int, hi: int) -> list[EpisodeRecord]:
         n = hi - lo

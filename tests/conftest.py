@@ -163,10 +163,11 @@ def tanks_path():
     return TANKS_SCN
 
 
-def edge_between(scenario, a, b):
-    """The scenario's edge that joins waypoints ``a`` and ``b``, in either
-    order, or None."""
-    return next((e for e in scenario.edges if {e.a, e.b} == {a, b}), None)
+def edge_risk(scenario, a, b):
+    """The collision risk of the scenario's edge that joins waypoints ``a``
+    and ``b``, in either order, or None when none does."""
+    ends = [{scenario.ids[i], scenario.ids[j]} for i, j in scenario.edges.tolist()]
+    return next((p for e, p in zip(ends, scenario.risks.tolist()) if e == {a, b}), None)
 
 
 def norm(v):
@@ -218,8 +219,7 @@ def reference_polyline(pts):
 def reference_samples(scenario, pts, dt):
     """Every sample (t, x, y, z, v) the reference loop makes along the
     polyline ``pts``, as a (k, 5) array, corner duplicates included."""
-    centers = np.array([w.position for w in scenario.waypoints if w.is_critical],
-                       dtype=float).reshape(-1, 3)
+    centers = scenario.points[scenario.critical]
     radius = scenario.critical_radius
     v_max, v_crit = scenario.v_max, scenario.v_crit
     rows = []  # (t, x, y, z, v)

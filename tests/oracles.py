@@ -16,13 +16,19 @@ before grounding wrote the rows: one spec per state and per transition,
 grouped by (source, action) into nested successor lists, with the walk
 `planner.linearize_trace` took over them; the grounding differential
 checks the arrays and traces against it.
+
+`make_scenario` builds a `Scenario` from one tuple per waypoint, edge and
+obstacle, `same_scenario` compares two field by field (a `Scenario` has no
+equality of its own), and `corridor_text` writes the .scn text of
+`reporting.corridor_scenario` with the per-waypoint loop that built it
+before it was whole arrays: the corridor's differential oracle.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +37,7 @@ from riskplan import planner
 from riskplan.assess import MIN_SAMPLES, t_two_sided_p
 from riskplan.mdp import GOAL, REACHES, Mdp, Plan
 from riskplan.planner import INF, ImproperPolicy, NonConvergence, NoProperPolicy
+from riskplan.reporting import CORRIDOR_SPACING
 from riskplan.scenario import COLLIDED, Scenario, state_id
 
 # accumulated real-valued costs are rounded to this many decimals to keep
@@ -489,26 +496,25 @@ def reference_model(s: Scenario) -> ReferenceModel:
     and the arrays built from those lists."""
     target_bit = {t: 1 << i for i, t in enumerate(sorted(s.inspection_goals))}
     masks = 1 << len(target_bit)
-    base = {w.id: k * masks for k, w in enumerate(s.waypoints)}
-    collided = len(s.waypoints) * masks
+    base = {w: k * masks for k, w in enumerate(s.ids)}
+    collided = len(s.ids) * masks
     neighbors: dict[str, list[tuple[str, float]]] = defaultdict(list)
-    for e in s.edges:
-        neighbors[e.a].append((e.b, e.collision_probability))
-        neighbors[e.b].append((e.a, e.collision_probability))
+    for (a, b), p in zip(s.edges.tolist(), s.risks.tolist()):
+        neighbors[s.ids[a]].append((s.ids[b], p))
+        neighbors[s.ids[b]].append((s.ids[a], p))
     states, transitions = [], []
-    for w in s.waypoints:
-        gotos = [(f"goto {other}", base[other], p) for other, p in sorted(neighbors[w.id])]
-        bit = target_bit.get(w.inspection_target, 0)
+    for w, target in zip(s.ids, s.inspects):
+        gotos = [(f"goto {other}", base[other], p) for other, p in sorted(neighbors[w])]
+        bit = target_bit.get(target, 0)
         for mask in range(masks):
-            i = base[w.id] + mask
-            states.append(StateSpec(state_id(w.id, mask), cost=1.0))
+            i = base[w] + mask
+            states.append(StateSpec(state_id(w, mask), cost=1.0))
             for aid, j, p in gotos:
                 transitions.append(TransitionSpec(i, aid, j + mask, 1.0 - p))
                 if p > 0.0:
                     transitions.append(TransitionSpec(i, aid, collided, p))
             if bit and not mask & bit:
-                transitions.append(TransitionSpec(i, f"inspect {w.inspection_target}",
-                                                  i + bit, 1.0))
+                transitions.append(TransitionSpec(i, f"inspect {target}", i + bit, 1.0))
     states.append(StateSpec(COLLIDED, cost=1.0))
     start, goals = base[s.start], frozenset({base[s.final] + masks - 1})
 
@@ -566,3 +572,45 @@ def reference_linearize_trace(m: ReferenceModel, p: Plan) -> list[tuple[str, str
         trace.append((s, a))
         i = min((j for lp, j in outs if lp == top), key=lambda j: m.ids[j])
     return trace
+
+
+def make_scenario(waypoints, edges=(), obstacles=(), **mission) -> Scenario:
+    """A `Scenario` from tuples: each waypoint ``(id, point, critical=False,
+    target=None)``, each edge ``(a, b, risk)`` by waypoint id and each
+    obstacle ``(label, center, half extents)``; ``mission`` gives start,
+    final and any other field."""
+    def waypoint(wid, point, critical=False, target=None):
+        return wid, point, critical, target
+
+    ids, points, critical, inspects = zip(*(waypoint(*w) for w in waypoints))
+    return Scenario(
+        ids, points, critical, inspects,
+        edges=np.reshape([(ids.index(a), ids.index(b)) for a, b, _ in edges], (-1, 2)),
+        risks=[risk for _, _, risk in edges], labels=[o[0] for o in obstacles],
+        centers=np.reshape([o[1] for o in obstacles], (-1, 3)),
+        halves=np.reshape([o[2] for o in obstacles], (-1, 3)), **mission)
+
+
+def same_scenario(a: Scenario, b: Scenario) -> bool:
+    """Whether ``a`` and ``b`` hold equal values in every field, the arrays
+    by `np.array_equal`."""
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(Scenario)))
+
+
+def corridor_text(depth: int, criticals: int, risk: float = 0.05) -> str:
+    """The .scn text of ``corridor_scenario(depth, criticals, risk)``, one
+    waypoint and edge at a time: the chain w000..w<depth>, each of its
+    first ``criticals`` passages risky, then each one's safe detour."""
+    waypoints, edges = [], []
+    for i in range(depth + 1):
+        waypoints.append(f"WAYPOINT w{i:03d} pos {i * CORRIDOR_SPACING!r} 0.0 -5.0"
+                         + (" critical" if 1 <= i <= criticals else ""))
+        if i > 0:
+            p = risk if i <= criticals else 0.0
+            edges.append(f"EDGE w{i - 1:03d} w{i:03d} risk {p!r}")
+    for i in range(1, criticals + 1):
+        waypoints.append(f"WAYPOINT d{i:03d} pos {(i - 0.5) * CORRIDOR_SPACING!r} "
+                         f"{CORRIDOR_SPACING!r} -5.0")
+        edges += [f"EDGE w{i - 1:03d} d{i:03d} risk 0.0", f"EDGE d{i:03d} w{i:03d} risk 0.0"]
+    return "\n".join(waypoints + edges + [f"MISSION start w000 final w{depth:03d}"]) + "\n"

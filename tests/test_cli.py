@@ -145,13 +145,16 @@ class TestExitCodes:
             self, tmp_path, capsys, monkeypatch, text, issue):
         scn = tmp_path / "big.scn"
         scn.write_text(text, encoding="utf-8")
-        monkeypatch.setattr(cli, "ground_to_mdp", None)  # calling it would fail
-        t0 = time.perf_counter()
+        # a call to either would raise TypeError, an internal error (exit 1)
+        monkeypatch.setattr(cli, "ground_to_mdp", None)
+        monkeypatch.setattr(pipeline, "ground_to_mdp", None)
         code = main(["plan", str(scn), "--out-dir", str(tmp_path / "plans")])
-        elapsed = time.perf_counter() - t0
         assert code == EXIT_INPUT
         assert issue in capsys.readouterr().err
-        assert elapsed < 0.05
+        out = tmp_path / "out"
+        assert main(["pipeline", str(scn), "--out-dir", str(out), "--seed", "1"]) == EXIT_INPUT
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors["stage"] == "parse" and issue in errors["errors"]
 
     def test_new_run_removes_old_errors_json(self, tmp_path):
         bad = tmp_path / "bad.scn"

@@ -13,15 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TANKS_SCN, edge_between
+from conftest import TANKS_SCN, edge_risk
+from oracles import make_scenario, same_scenario
 from riskplan import kernel, pipeline
 from riskplan.occupancy import (DEFAULT_KAPPA, DEFAULT_P_HIT, DEFAULT_P_MISS,
                                 EDGE_RISK_CAP, EVIDENCE_EPS, LOG_ODDS_MAX, LOG_ODDS_MIN,
                                 MAX_FLOAT_SPACING, TAU_OCC, BeamFan, SonarScan, VoxelGrid,
                                 _max_occupancy_near_segments, _nearest_hits, extract_problem,
                                 integrate_scan, logistic, synthesize_scans, traverse_voxels)
-from riskplan.scenario import (CSV_BLOCK_ROWS, EdgeDef, Obstacle, Scenario, Waypoint,
-                               load_scenario, parse_scenario)
+from riskplan.scenario import CSV_BLOCK_ROWS, Scenario, load_scenario, parse_scenario
 
 
 def grid(res=1.0, dims=(10, 10, 10), origin=(0.0, 0.0, 0.0)):
@@ -47,13 +47,21 @@ def reference_integrate_scan(grid, scan, p_hit=DEFAULT_P_HIT, p_miss=DEFAULT_P_M
     return grid
 
 
-def ray_box_range(origin, direction, box: Obstacle) -> float | None:
-    """Distance to the first intersection with an axis-aligned box, if any:
-    the per-box slab test the vectorised synthesis replaced."""
+def box_arrays(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 3) centres and half extents of boxes given as (centre, half
+    extents) pairs, as `synthesize_scans` reads them."""
+    return (np.reshape([c for c, _ in boxes], (-1, 3)).astype(float),
+            np.reshape([h for _, h in boxes], (-1, 3)).astype(float))
+
+
+def ray_box_range(origin, direction, box) -> float | None:
+    """Distance to the first intersection with an axis-aligned box (centre,
+    half extents), if any: the per-box slab test the vectorised synthesis
+    replaced."""
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    lo = np.asarray(box.center) - np.asarray(box.half_extents)
-    hi = np.asarray(box.center) + np.asarray(box.half_extents)
+    lo = np.subtract(*box, dtype=float)
+    hi = np.add(*box, dtype=float)
     t_near, t_far = -math.inf, math.inf
     for k in range(3):
         if direction[k] == 0.0:
@@ -101,8 +109,9 @@ def reference_nearest_hits(origins, dirs, lo, hi, max_range):
     return nearest
 
 
-def reference_synthesize_scans(obstacles, sensor_path, fan, rng, range_sigma=0.0):
+def reference_synthesize_scans(centers, halves, sensor_path, fan, rng, range_sigma=0.0):
     """The per-beam, per-box synthesis loop the vectorised one replaced."""
+    obstacles = list(zip(centers.tolist(), halves.tolist()))
     scans = []
     for position, yaw in sensor_path:
         directions = fan.directions(yaw)
@@ -204,23 +213,29 @@ def reference_extract_problem(grid, scenario, kappa=DEFAULT_KAPPA):
     """The whole-map extraction `extract_problem` replaced: every waypoint
     and edge check reads every observed voxel of the grid."""
     clearance = scenario.critical_radius
-    positions = scenario.positions()
+    points = scenario.points.tolist()
     centers, log_odds = observed_centers(grid)
-    new_waypoints = []
-    for w in scenario.waypoints:
-        own = grid.occupancy_at(w.position)
+    critical = []
+    for wid, point in zip(scenario.ids, points):
+        own = grid.occupancy_at(point)
         if own > TAU_OCC and abs(own - 0.5) > 1e-12:
-            raise ValueError(f"waypoint {w.id!r} sits in a voxel with occupancy {own:.3f}")
-        near = reference_max_occupancy_near_segment(centers, log_odds, w.position,
-                                                    w.position, clearance)
-        new_waypoints.append(replace(w, is_critical=near > TAU_OCC))
-    new_edges = []
-    for e in scenario.edges:
-        occ = reference_max_occupancy_near_segment(centers, log_odds, positions[e.a],
-                                                   positions[e.b], clearance)
-        risk = 0.0 if occ <= TAU_OCC else min(kappa * occ, EDGE_RISK_CAP)
-        new_edges.append(replace(e, collision_probability=risk))
-    return replace(scenario, waypoints=new_waypoints, edges=new_edges)
+            raise ValueError(f"waypoint {wid!r} sits in a voxel with occupancy {own:.3f}")
+        near = reference_max_occupancy_near_segment(centers, log_odds, point, point, clearance)
+        critical.append(near > TAU_OCC)
+    risks = []
+    for a, b in scenario.edges.tolist():
+        occ = reference_max_occupancy_near_segment(centers, log_odds, points[a], points[b],
+                                                   clearance)
+        risks.append(0.0 if occ <= TAU_OCC else min(kappa * occ, EDGE_RISK_CAP))
+    return replace(scenario, critical=critical, risks=risks)
+
+
+def same_extraction(got, want) -> bool:
+    """Whether two outcomes of `quietly` on an extraction agree: equal
+    scenarios, field by field, or the same error."""
+    if isinstance(got, Scenario) and isinstance(want, Scenario):
+        return same_scenario(got, want)
+    return got == want
 
 
 def reference_export_csv(grid, path):
@@ -276,7 +291,7 @@ class TestScanChecks:
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
     def test_bad_noise_sigma_names_its_setting(self, sigma):
         with pytest.raises(ValueError) as info:
-            synthesize_scans(BOXES, [((0.0, 0.0, 0.0), 0.0)], AHEAD,
+            synthesize_scans(*box_arrays(BOXES), [((0.0, 0.0, 0.0), 0.0)], AHEAD,
                              np.random.default_rng(0), sigma)
         assert str(info.value) == f"sonar_noise_sigma must be finite and >= 0, got {sigma!r}"
 
@@ -422,14 +437,13 @@ def box_range(origin, direction, box):
     survey-wide slab test, as one beam (inf for no hit)."""
     want = ray_box_range(origin, direction, box)
     got = _nearest_hits(np.array([origin], dtype=float), np.array([direction], dtype=float),
-                        np.subtract([box.center], [box.half_extents]),
-                        np.add([box.center], [box.half_extents]), math.inf)
+                        np.subtract(*box_arrays([box])), np.add(*box_arrays([box])), math.inf)
     assert got.tolist() == [math.inf if want is None else want]
     return want
 
 
 class TestRayBox:
-    BOX = Obstacle("b", (10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    BOX = ((10.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
     def test_head_on_range(self):
         assert box_range((0, 0, 0), (1, 0, 0), self.BOX) == pytest.approx(9.0)
@@ -450,7 +464,7 @@ class TestRayBox:
         voxels = traverse_voxels(VoxelGrid((0, 0, 0), (4, 4, 4), 1.0),
                                  (0.5, 0.0, 0.5), (3.5, 1e-310, 0.5))
         assert voxels == [(i, 0, 0) for i in range(4)]
-        scans = synthesize_scans([self.BOX], [((0.0, 0.0, 0.0), 1e-310)],
+        scans = synthesize_scans(*box_arrays([self.BOX]), [((0.0, 0.0, 0.0), 1e-310)],
                                  BeamFan(count=1, max_range=25.0),
                                  np.random.default_rng(0))
         assert scans[0].ranges.tolist() == [9.0]
@@ -508,9 +522,8 @@ class TestSlabTestMatchesReference:
         assert got.tobytes() == np.float64(want).tobytes()
 
     def test_nearest_of_several_boxes(self):
-        boxes = [(o.center, o.half_extents) for o in BOXES]
         got = assert_hits_match([(0.0, 0.0, 0.5)] * 2 + [(0.0, 7.0, 0.5)] * 2,
-                                [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] * 2, boxes, math.inf)
+                                [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] * 2, BOXES, math.inf)
         assert got.tolist() == [4.0, 7.5, math.inf, 0.5]
 
     def test_no_box_and_no_beam(self):
@@ -572,7 +585,7 @@ class TestExtraction:
         g = VoxelGrid((-2, -8, -8), (20, 32, 32), 0.5)
         rng = np.random.default_rng(3)
         path = [((0.0, y, 0.0), 0.0) for y in (-2.0, 0.0, 2.0)]
-        scans = synthesize_scans(scenario.obstacles, path,
+        scans = synthesize_scans(scenario.centers, scenario.halves, path,
                                  BeamFan(count=48, max_range=12.0), rng)
         for s in scans:
             integrate_scan(g, s)
@@ -581,8 +594,8 @@ class TestExtraction:
     def test_edge_near_wall_becomes_risky(self):
         g, scenario = self.build_grid()
         out = extract_problem(g, scenario, kappa=0.3)
-        ab = edge_between(out, "a", "b").collision_probability
-        ac = edge_between(out, "a", "c").collision_probability
+        ab = edge_risk(out, "a", "b")
+        ac = edge_risk(out, "a", "c")
         assert ab > 0
         assert ac == 0.0
         assert ab <= EDGE_RISK_CAP
@@ -593,13 +606,12 @@ class TestExtraction:
         # the wall face is multiply confirmed, so the max occupancy along
         # a-b is the clamp value and the risk its kappa multiple
         expected = 0.3 * logistic(LOG_ODDS_MAX)
-        assert edge_between(out, "a", "b").collision_probability == \
-            pytest.approx(expected, abs=1e-6)
+        assert edge_risk(out, "a", "b") == pytest.approx(expected, abs=1e-6)
 
     def test_waypoint_near_wall_becomes_critical(self):
         g, scenario = self.build_grid()
         out = extract_problem(g, scenario)
-        critical = {w.id: w.is_critical for w in out.waypoints}
+        critical = dict(zip(out.ids, out.critical.tolist()))
         assert critical["b"] and not critical["c"]
 
     def test_waypoint_inside_occupied_voxel_rejected(self):
@@ -613,8 +625,8 @@ class TestExtraction:
     def test_unobserved_grid_extracts_no_risk(self):
         scenario = parse_scenario(SCENE).scenario
         out = extract_problem(VoxelGrid((-2, -8, -8), (20, 32, 32), 0.5), scenario)
-        assert [e.collision_probability for e in out.edges] == [0.0, 0.0]
-        assert not any(w.is_critical for w in out.waypoints)
+        assert out.risks.tolist() == [0.0, 0.0]
+        assert not out.critical.any()
 
     @pytest.mark.parametrize("far", [1e10, 1e20, 1e160, 1e300])
     def test_huge_edge_reads_the_voxels_along_it(self, far):
@@ -624,11 +636,10 @@ class TestExtraction:
         its far end, only those near its small end."""
         g = grid(dims=(20, 1, 1))
         g.log_odds[15, 0, 0] = LOG_ODDS_MAX
-        for edge in (EdgeDef("a", "b", 0.0), EdgeDef("b", "a", 0.0)):
-            scenario = Scenario(
-                waypoints=[Waypoint("a", (0.5, 0.5, 0.5)), Waypoint("b", (far, 0.5, 0.5))],
-                edges=[edge], start="a", final="b")
-            risk = extract_problem(g, scenario).edges[0].collision_probability
+        for edge in (("a", "b", 0.0), ("b", "a", 0.0)):
+            scenario = make_scenario([("a", (0.5, 0.5, 0.5)), ("b", (far, 0.5, 0.5))],
+                                     [edge], start="a", final="b")
+            (risk,) = extract_problem(g, scenario).risks.tolist()
             assert risk == DEFAULT_KAPPA * logistic(LOG_ODDS_MAX)
             assert round(risk, 3) == 0.291
 
@@ -707,7 +718,9 @@ class TestExtraction:
     def test_mission_and_obstacles_untouched(self):
         g, scenario = self.build_grid()
         out = extract_problem(g, scenario)
-        assert out.obstacles == scenario.obstacles
+        assert out.labels == scenario.labels
+        assert out.centers.tobytes() == scenario.centers.tobytes()
+        assert out.halves.tobytes() == scenario.halves.tobytes()
         assert (out.start, out.final) == (scenario.start, scenario.final)
 
 
@@ -762,13 +775,12 @@ class TestExtractionMatchesReference:
             for p in positions:
                 if g.in_bounds(idx := g.index_of(p)):
                     g.log_odds[idx] = LOG_ODDS_MIN
-        scenario = Scenario(
-            waypoints=[Waypoint(f"w{i}", p) for i, p in enumerate(positions)],
-            edges=[EdgeDef(f"w{i % len(positions)}", f"w{j % len(positions)}", 0.5)
-                   for i, j in pairs],
+        scenario = make_scenario(
+            [(f"w{i}", p) for i, p in enumerate(positions)],
+            [(f"w{i % len(positions)}", f"w{j % len(positions)}", 0.5) for i, j in pairs],
             start="w0", final="w0", critical_radius=radius)
-        assert (quietly(extract_problem, g, scenario, kappa)
-                == quietly(reference_extract_problem, g, scenario, kappa))
+        assert same_extraction(quietly(extract_problem, g, scenario, kappa),
+                               quietly(reference_extract_problem, g, scenario, kappa))
         centers, log_odds = observed_centers(g)
         starts, ends = zip(*[(a, b) for a in positions for b in positions])
         got = quietly(_max_occupancy_near_segments, g, starts, ends, radius)
@@ -792,13 +804,12 @@ class TestExtractionMatchesReference:
         for reach, critical in ((3.0, True), (2.75, False)):
             end = mid.copy()
             end[axis] += reach * side
-            scenario = Scenario(
-                waypoints=[Waypoint("a", tuple(mid)), Waypoint("b", tuple(end))],
-                edges=[EdgeDef("a", "b", 0.0)], start="a", final="b", critical_radius=2.0)
+            scenario = make_scenario([("a", mid), ("b", end)], [("a", "b", 0.0)],
+                                     start="a", final="b", critical_radius=2.0)
             got = extract_problem(g, scenario)
-            assert got == reference_extract_problem(g, scenario)
-            assert [w.is_critical for w in got.waypoints] == [False, critical]
-            assert (got.edges[0].collision_probability > 0) is critical
+            assert same_scenario(got, reference_extract_problem(g, scenario))
+            assert got.critical.tolist() == [False, critical]
+            assert (got.risks.tolist()[0] > 0) is critical
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("side", [-1, 1])
@@ -834,12 +845,12 @@ class TestExtractionMatchesReference:
         waypoint sees nothing."""
         g, scenario = TestExtraction().build_grid()
         positions = {"a": (0.0, 0.0, 0.0), "b": (4.0, 0.0, 0.0), "c": (1e300, 0.0, 0.0)}
-        far = replace(scenario, waypoints=[Waypoint(k, p) for k, p in positions.items()],
-                      edges=[EdgeDef("b", "c", 0.0), EdgeDef("a", "c", 0.0)])
+        far = replace(scenario, points=[positions[w] for w in scenario.ids],
+                      edges=[[1, 2], [0, 2]])
         got = quietly(extract_problem, g, far, DEFAULT_KAPPA)
-        assert got == quietly(reference_extract_problem, g, far, DEFAULT_KAPPA)
-        assert [w.is_critical for w in got.waypoints] == [False, True, False]
-        assert got.edges[0].collision_probability > 0
+        assert same_extraction(got, quietly(reference_extract_problem, g, far, DEFAULT_KAPPA))
+        assert got.critical.tolist() == [False, True, False]
+        assert got.risks[0] > 0
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 200),
            scale=st.sampled_from([1.0, 1e3, 1e-3]), zero_length=st.booleans())
@@ -1107,12 +1118,12 @@ def laid_end_to_end(scans, max_range) -> SonarScan:
                      max_range)
 
 
-def assert_synthesis_matches(obstacles, path, fan, sigma, seed=5):
+def assert_synthesis_matches(centers, halves, path, fan, sigma, seed=5):
     """The survey as one scan, against the reference's scan per sensor laid
     end to end, and the generator's next draw after each."""
-    got = synthesis_outcome(synthesize_scans, obstacles, path, fan,
+    got = synthesis_outcome(synthesize_scans, centers, halves, path, fan,
                             np.random.default_rng(seed), sigma)
-    want = synthesis_outcome(reference_synthesize_scans, obstacles, path, fan,
+    want = synthesis_outcome(reference_synthesize_scans, centers, halves, path, fan,
                              np.random.default_rng(seed), sigma)
     if isinstance(want, type):
         assert got is want
@@ -1123,9 +1134,9 @@ def assert_synthesis_matches(obstacles, path, fan, sigma, seed=5):
     return got
 
 
-BOXES = [Obstacle("near", (5.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-         Obstacle("beyond", (40.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-         Obstacle("slab", (0.0, 8.0, 0.5), (3.0, 0.5, 0.25))]
+BOXES = [((5.0, 0.0, 0.0), (1.0, 1.0, 1.0)),  # near
+         ((40.0, 0.0, 0.0), (1.0, 1.0, 1.0)),  # beyond the fans' range
+         ((0.0, 8.0, 0.5), (3.0, 0.5, 0.25))]  # a slab
 AHEAD = BeamFan(count=1, max_range=15.0)  # yaw 0 points along (1.0, 0.0, 0.0)
 
 
@@ -1137,9 +1148,9 @@ class TestSynthesisMatchesReference:
         monkeypatch.setattr(pipeline, "synthesize_scans",
                             lambda *args: calls.append(args) or real(*args))
         pipeline.map_from_sonar(load_scenario(TANKS_SCN).scenario, 7, 0.05)
-        obstacles, path, fan, _, _ = calls[0]
+        centers, halves, path, fan, _, _ = calls[0]
         # at sigma 0 both raise: two survey sensors sit inside a box
-        assert_synthesis_matches(obstacles, path, fan, sigma)
+        assert_synthesis_matches(centers, halves, path, fan, sigma)
 
     @pytest.mark.parametrize("path, ranges", [
         ([((0.0, 0.0, 0.0), 0.0)], [4.0]),          # zero y and z, inside both slabs
@@ -1151,7 +1162,7 @@ class TestSynthesisMatchesReference:
     ], ids=["flat_inside", "flat_outside", "miss_all", "beyond_max", "mixed"])
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_named_beams(self, path, ranges, sigma):
-        (survey,), _ = assert_synthesis_matches(BOXES, path, AHEAD, sigma)
+        (survey,), _ = assert_synthesis_matches(*box_arrays(BOXES), path, AHEAD, sigma)
         exact = survey.ranges.tolist()
         if sigma == 0.0:
             assert exact == pytest.approx(ranges, abs=1e-9)
@@ -1162,7 +1173,7 @@ class TestSynthesisMatchesReference:
     def test_sensor_inside_a_box(self, sigma):
         path = [((0.0, 0.0, 0.0), 0.0), ((5.0, 0.0, 0.0), 1.0)]
         fan = BeamFan(count=9, max_range=15.0)
-        got = assert_synthesis_matches(BOXES, path, fan, sigma)
+        got = assert_synthesis_matches(*box_arrays(BOXES), path, fan, sigma)
         if sigma == 0.0:  # a zero range is no valid beam, in both
             assert got is ValueError
         else:
@@ -1175,10 +1186,10 @@ class TestSynthesisMatchesReference:
            count=st.integers(1, 16), sigma=st.sampled_from([0.0, 0.05]))
     @settings(max_examples=80, deadline=None)
     def test_random_sensors(self, path, count, sigma):
-        assert_synthesis_matches(BOXES, path, BeamFan(count=count, max_range=15.0), sigma)
+        assert_synthesis_matches(*box_arrays(BOXES), path, BeamFan(count=count, max_range=15.0),
+                                 sigma)
 
-    @given(data=st.data(), boxes=st.lists(st.builds(
-               lambda c, h: Obstacle("box", c, h),
+    @given(data=st.data(), boxes=st.lists(st.tuples(
                st.tuples(*[st.floats(-5, 20)] * 3), st.tuples(*[st.floats(0.1, 4)] * 3)),
                max_size=4),
            count=st.integers(1, 16), sigma=st.sampled_from([0.0, 0.05, 3.0]),
@@ -1194,7 +1205,7 @@ class TestSynthesisMatchesReference:
         free = st.tuples(*[st.floats(-5, 25)] * 3)
         faces = st.builds(
             lambda box, axis, side: tuple(c + side * h if k == axis else c for k, (c, h)
-                                          in enumerate(zip(box.center, box.half_extents))),
+                                          in enumerate(zip(*box))),
             st.sampled_from(boxes), st.integers(0, 2), st.sampled_from([-1, 1]))
         positions = st.one_of(free, faces) if boxes else free
         # a few headings, repeated along the path as a survey's are: 0.0,
@@ -1203,7 +1214,8 @@ class TestSynthesisMatchesReference:
                                                    max_size=3), label="headings")]
         yaws = st.sampled_from(headings + [math.nextafter(h, math.inf) for h in headings])
         path = data.draw(st.lists(st.tuples(positions, yaws), max_size=8), label="path")
-        assert_synthesis_matches(boxes, path, BeamFan(count, aperture, max_range=15.0), sigma)
+        assert_synthesis_matches(*box_arrays(boxes), path,
+                                 BeamFan(count, aperture, max_range=15.0), sigma)
 
 
 def clamped_grid():

@@ -126,12 +126,12 @@ class TestHelix:
         s = scenario(INSPECT)
         spec = HelixSpec(clearance=2.0)
         pts = plan_polyline(s, ["goto b", "inspect tank"], spec)
-        tank = s.obstacles[0]
-        radius = max(tank.half_extents[0], tank.half_extents[1]) + 2.0
+        (center, half), = zip(s.centers.tolist(), s.halves.tolist())
+        radius = max(half[0], half[1]) + 2.0
         helix = pts[2:-1]
         assert len(helix) == spec.points
         for p in helix:
-            r = math.hypot(p[0] - tank.center[0], p[1] - tank.center[1])
+            r = math.hypot(p[0] - center[0], p[1] - center[1])
             assert r == pytest.approx(radius, abs=1e-9)
         assert pts[-1] == s.positions()["b"]
 
@@ -180,9 +180,9 @@ def assert_matches_reference(scn, steps, **kwargs):
 
 
 TANKS = load_scenario(TANKS_SCN).scenario
-TANKS_NEIGHBOURS = {w.id: sorted({e.b for e in TANKS.edges if e.a == w.id}
-                                 | {e.a for e in TANKS.edges if e.b == w.id})
-                    for w in TANKS.waypoints}
+TANKS_NEIGHBOURS = {w: sorted({TANKS.ids[j] for pair in TANKS.edges.tolist() if k in pair
+                                for j in pair if j != k})
+                    for k, w in enumerate(TANKS.ids)}
 
 
 @st.composite
@@ -193,7 +193,7 @@ def edge_walks(draw):
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.booleans()):
             steps.append("inspect " + draw(st.sampled_from(
-                [o.label for o in TANKS.obstacles])))
+                TANKS.labels)))
         else:
             here = draw(st.sampled_from(TANKS_NEIGHBOURS[here]))
             steps.append(f"goto {here}")
@@ -264,7 +264,7 @@ class TestKernelMatchesReference:
         for text, plan in ((CRITICAL, ["goto b"]), (INSPECT, ["goto b", "inspect tank", "goto a"])):
             scn = scenario(text)
             path = np.array(plan_polyline(scn, plan), dtype=float)
-            centers = np.array([w.position for w in scn.waypoints if w.is_critical]).reshape(-1, 3)
+            centers = scn.points[scn.critical]
             args = (len(path), path, len(centers), centers, scn.critical_radius,
                     scn.v_max, scn.v_crit, refiner.A_MAX, 0.05, refiner.MAX_PATH_ROWS)
             lib = kernel.load()

@@ -1,18 +1,23 @@
 """Corridor scaling study and box-plot rendering."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from conftest import make_mdp
+from oracles import corridor_text, same_scenario
 from riskplan import reporting
+from riskplan.mdp import Mdp
 from riskplan.reporting import boxplot_svg, corridor_scenario, run_scaling
-from riskplan.scenario import ground_to_mdp
+from riskplan.scenario import ground_to_mdp, parse_scenario
 
 
 class TestCorridor:
     def test_shape(self):
         s = corridor_scenario(depth=5, criticals=3)
-        assert len(s.waypoints) == 5 + 1 + 3
-        assert sum(1 for w in s.waypoints if w.is_critical) == 3
+        assert len(s.ids) == 5 + 1 + 3
+        assert s.critical.sum() == 3
         assert s.start == "w000" and s.final == "w005"
 
     def test_grounds_cleanly(self):
@@ -21,14 +26,27 @@ class TestCorridor:
 
     def test_risky_edges_only_at_criticals(self):
         s = corridor_scenario(5, 2, risk=0.05)
-        risky = [e for e in s.edges if e.collision_probability > 0]
-        assert len(risky) == 2
+        assert (s.risks > 0).sum() == 2
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             corridor_scenario(0, 0)
         with pytest.raises(ValueError):
             corridor_scenario(3, 4)
+
+    @pytest.mark.parametrize("depth, criticals", [(1, 0), (3, 3), (64, 64), (139, 139),
+                                                  (274, 274)])
+    def test_equals_its_per_waypoint_text(self, depth, criticals):
+        built = corridor_scenario(depth, criticals)
+        parsed = parse_scenario(corridor_text(depth, criticals)).scenario
+        assert same_scenario(built, parsed)
+        a, b = ground_to_mdp(built), ground_to_mdp(parsed)
+        for f in fields(Mdp):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+            elif f.name != "addresses":  # where each model's arrays happen to sit
+                assert x == y, f.name
 
 
 class TestScaling:

@@ -4,7 +4,7 @@ between the two inspection points."""
 
 import pytest
 
-from conftest import REPO_ROOT, edge_between
+from conftest import REPO_ROOT, edge_risk
 from riskplan.pipeline import PipelineConfig, run_pipeline
 from riskplan.scenario import load_scenario
 
@@ -18,7 +18,7 @@ def survival(scenario, actions):
     for label in actions:
         verb, _, name = label.partition(" ")
         if verb == "goto":
-            p *= 1.0 - edge_between(scenario, here, name).collision_probability
+            p *= 1.0 - edge_risk(scenario, here, name)
             here = name
     return p
 

@@ -1,22 +1,24 @@
 """Scenario parsing (total over arbitrary input), grounding, and plan files."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, edge_between, enabled_actions, inspection_chain
-from oracles import by_id, reference_linearize_trace, reference_model
+from conftest import REPO_ROOT, edge_risk, enabled_actions, inspection_chain
+from oracles import by_id, make_scenario, reference_linearize_trace, reference_model, same_scenario
+from riskplan.mdp import InvalidModel
 from riskplan.occupancy import extract_problem
 from riskplan.pipeline import DEFAULT_COLLISION_COST, map_from_sonar
 from riskplan.planner import (GAMMA_INTERVAL, GAMMA_SAMPLES, ImproperPolicy, NonConvergence,
                               NoProperPolicy, linearize_trace, solve)
 from riskplan.reporting import corridor_scenario
 from riskplan.scenario import (COLLIDED, MAX_STATES, MAX_TRANSITIONS, PLAN_FORMAT_VERSION,
-                               EdgeDef, Obstacle, PlanFile, ParseResult, Scenario,
-                               Waypoint, format_scenario, ground_to_mdp,
+                               PlanFile, ParseResult, format_scenario, ground_to_mdp,
                                load_scenario, parse_scenario, read_plan_file, state_id,
                                write_plan_file)
 
@@ -104,18 +106,18 @@ class TestParser:
         s = result.scenario
         assert s.start == "a" and s.final == "a"
         assert s.inspection_goals == frozenset({"box"})
-        assert [w.id for w in s.waypoints if w.is_critical] == ["b"]
-        assert edge_between(s, "b", "a").collision_probability == 0.1
+        assert [w for w, critical in zip(s.ids, s.critical) if critical] == ["b"]
+        assert edge_risk(s, "b", "a") == 0.1
 
     def test_bundled_scenario_parses(self, tanks_path):
         result = load_scenario(tanks_path)
         assert result.ok
-        assert len(result.scenario.waypoints) == 10
+        assert len(result.scenario.ids) == 10
 
     def test_round_trip(self, tanks_path):
         first = load_scenario(tanks_path).scenario
         second = parse_scenario(format_scenario(first)).scenario
-        assert second == first
+        assert same_scenario(second, first)
 
     @given(points=st.lists(st.tuples(*[_FLOATS] * 3), min_size=4, max_size=4),
            speeds=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -126,19 +128,18 @@ class TestParser:
     def test_round_trip_keeps_every_float(self, points, speeds, radius, risk):
         center, half, a, b = points
         v_crit, v_max = sorted(speeds)
-        s = Scenario(obstacles=[Obstacle("box", center, half)],
-                     waypoints=[Waypoint("a", a), Waypoint("b", b, True, "box")],
-                     edges=[EdgeDef("a", "b", risk)], start="a", final="b",
-                     inspection_goals=frozenset({"box"}),
-                     v_max=v_max, v_crit=v_crit, critical_radius=radius)
-        assert parse_scenario(format_scenario(s)).scenario == s
+        s = make_scenario([("a", a), ("b", b, True, "box")], [("a", "b", risk)],
+                          [("box", center, half)], start="a", final="b",
+                          inspection_goals=frozenset({"box"}),
+                          v_max=v_max, v_crit=v_crit, critical_radius=radius)
+        assert same_scenario(parse_scenario(format_scenario(s)).scenario, s)
 
     @pytest.mark.parametrize("seed", [7, 11, 123])
     def test_extracted_problem_round_trips(self, tanks_path, seed):
         # its edge risks are computed, not typed: 6 digits changed most of them
         scenario = load_scenario(tanks_path).scenario
         problem = extract_problem(map_from_sonar(scenario, seed, 0.05), scenario)
-        assert parse_scenario(format_scenario(problem)).scenario == problem
+        assert same_scenario(parse_scenario(format_scenario(problem)).scenario, problem)
 
     def test_syntax_error_is_positioned(self):
         result = parse_scenario("WAYPOINT a pos 1 two 3\nMISSION start a final a")
@@ -173,7 +174,7 @@ class TestParser:
 
     def test_repeated_critical_is_accepted(self):
         text = MINIMAL.replace("critical inspect box", "critical critical inspect box")
-        assert parse_scenario(text).scenario == parse_scenario(MINIMAL).scenario
+        assert same_scenario(parse_scenario(text).scenario, parse_scenario(MINIMAL).scenario)
 
     @pytest.mark.parametrize("fits, over, issue", [
         # chains of w waypoints and 10 targets ground to w * 2**10 + 1 states
@@ -279,6 +280,34 @@ class TestParser:
 CORRIDOR_SIZES = (64, 139, 274)
 
 
+class TestConstruction:
+    """A `Scenario` checks, once when it is made, only what a program can
+    get wrong; the parser reports input errors before one is made."""
+
+    BASE = parse_scenario(MINIMAL).scenario
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"points": [[5.0, 0.0], [2.0, 0.0]]}, "points has shape (2, 2), not (2, 3)"),
+        ({"edges": [[0, 2]]}, "an edge index is outside [0, 2)"),
+        ({"centers": [[0.0, math.nan, -5.0]]}, "centers is not finite"),
+        ({"inspects": (None,)}, "inspects has shape (1,), not (2,)"),
+    ], ids=["2-d points", "edge index n", "nan center", "short inspects"])
+    def test_program_errors_are_invalid_models(self, change, problem):
+        with pytest.raises(InvalidModel) as info:
+            replace(self.BASE, **change)
+        assert info.value.problems == [problem]
+
+    @pytest.mark.parametrize("name", ["points", "critical", "edges", "risks", "centers",
+                                      "halves"])
+    def test_arrays_are_read_only_copies(self, name):
+        given = getattr(self.BASE, name).copy()
+        s = replace(self.BASE, **{name: given})
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[0] = 0
+        given[0] = given[0] == 0  # a new value: the scenario keeps its own copy
+        assert not np.array_equal(getattr(s, name), given)
+
+
 def _trace(walk, m, plan):
     """The trace ``walk`` gives the plan, or the message it fails with."""
     try:
@@ -329,7 +358,7 @@ class TestGrounding:
         s = load_scenario(tanks_path).scenario
         m = ground_to_mdp(s)  # raises InvalidModel on any structural problem
         k = len(s.inspection_goals)
-        assert len(m.states) == len(s.waypoints) * 2 ** k + 1
+        assert len(m.states) == len(s.ids) * 2 ** k + 1
 
     def test_goal_is_final_with_full_mask(self):
         s = parse_scenario(MINIMAL).scenario
@@ -345,7 +374,7 @@ class TestGrounding:
                            + "WAYPOINT c pos 9 3 -5 inspect box2\n").scenario
         m = ground_to_mdp(s)
         assert m.states == [
-            state_id(w.id, mask) for w in s.waypoints for mask in range(4)] + [COLLIDED]
+            state_id(w, mask) for w in s.ids for mask in range(4)] + [COLLIDED]
         assert (m.start, m.goals) == (0, frozenset({3}))
 
     def test_risky_edge_feeds_collision_state(self):
@@ -375,7 +404,7 @@ class TestGrounding:
             s = result.scenario
             m = ground_to_mdp(s)  # raises nothing
             assert_grounds_as_reference(s)
-            bound = (len(s.waypoints) + 4 * len(s.edges)) << len(s.inspection_goals)
+            bound = (len(s.ids) + 4 * len(s.edges)) << len(s.inspection_goals)
             assert len(m.transitions) <= bound <= MAX_TRANSITIONS
         # only a missing MISSION section has no line to point to
         assert all(e.message == "missing MISSION section"

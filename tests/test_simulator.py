@@ -243,12 +243,11 @@ def reference_episode(trajectory, scenario, cfg, seed, dt=SIM_DT):
     master, plan_id, episode_index = seed
     rng = named_rng(master, plan_id, episode_index)
     obstacles = []
-    for o in scenario.obstacles:
-        center = np.asarray(o.center, dtype=float)
-        movable = cfg.perturb_all or o.label == cfg.perturb_target
+    for label, center, half in zip(scenario.labels, scenario.centers, scenario.halves):
+        movable = cfg.perturb_all or label == cfg.perturb_target
         if movable and cfg.obstacle_sigma > 0:
             center = center + rng.normal(0.0, cfg.obstacle_sigma, size=3)
-        obstacles.append((o.label, center, np.asarray(o.half_extents, dtype=float)))
+        obstacles.append((label, center, half))
 
     points, speeds = trajectory.rows[:, 1:4], trajectory.rows[:, 4].tolist()
     pos = points[0]
@@ -311,9 +310,9 @@ _NOISE_CHUNK = 64
 def obstacle_centers(scenario, cfg, rng):
     """(m, 3) obstacle centres of one episode, displaced in declaration
     order: the set-up the lockstep batch made in numpy."""
-    centers = np.array([o.center for o in scenario.obstacles], dtype=float).reshape(-1, 3)
-    for j, o in enumerate(scenario.obstacles):
-        if (cfg.perturb_all or o.label == cfg.perturb_target) and cfg.obstacle_sigma > 0:
+    centers = scenario.centers.copy()
+    for j, label in enumerate(scenario.labels):
+        if (cfg.perturb_all or label == cfg.perturb_target) and cfg.obstacle_sigma > 0:
             centers[j] = centers[j] + rng.normal(0.0, cfg.obstacle_sigma, size=3)
     return centers
 
@@ -328,9 +327,7 @@ def lockstep_batch(trajectory, scenario, cfg, seeds):
         return [EpisodeRecord(seed[1], seed[2], 0.0, [], True, seed) for seed in seeds]
     points = trajectory.rows[:, 1:4]
     speeds = np.maximum(trajectory.rows[:, 4], 1e-6)
-    labels = [o.label for o in scenario.obstacles]
-    half = np.array([o.half_extents for o in scenario.obstacles],
-                    dtype=float).reshape(-1, 3)
+    labels, half = scenario.labels, scenario.halves
     timeout = max(TIMEOUT_FACTOR * trajectory.nominal_duration, 10.0)
 
     n = len(seeds)
@@ -583,7 +580,7 @@ class TestKernelMatchesLockstep:
         records = assert_matches_reference(traj, scenario, cfg, n)
         assert all(r.completed for r in records)
         # the buffers hold n * obstacles events
-        assert min(len(r.incidents) for r in records) > n * len(scenario.obstacles)
+        assert min(len(r.incidents) for r in records) > n * len(scenario.labels)
         assert counting_kernel.calls > 1
 
     @pytest.mark.parametrize("center", ["1.5 0 -5", "0 -1.5 -5", "0 0 -3.5"],

@@ -58,7 +58,7 @@ ALLOWED = {
     # error paths: each runs only on input a command refuses, or on a fault
     "cli._fail": "prints the one stderr line of a failed command",
     "scenario.ParseIssue.__str__": "words a parse issue for errors.json and stderr",
-    "mdp.InvalidModel.__init__": "a grounded model that breaks an invariant",
+    "mdp.InvalidModel.__init__": "a grounded model or a scenario that breaks an invariant",
     "mdp.Mdp.__post_init__.<locals>.name": "names a state in an invalid model's problems",
     # runs only when the kernel is compiled, not when its cached build is loaded
     "kernel._compiler": "looks up the C compiler for a build",
